@@ -6,29 +6,24 @@ keeps the AS-level pointer cache with its bloom-filter isolation guard
 (Section 4.1), and the bloom filter summarising the hosts in its subtree
 (consulted by the peering machinery of Section 4.2).
 
-The aggregated candidate index is maintained *incrementally*: each hosted
-virtual node's contribution (its own ID plus its pointer targets) is
-tracked, and ``mark_dirty(vn)`` re-diffs only that VN on the next lookup.
-The seed implementation rebuilt the whole index — every hosted ID and
-every pointer — after each mutation, which made index maintenance the
-single hottest path of interdomain joins; see ``repro.util.perf``'s
-``asnode.index.*`` counters.
+The aggregated candidate index is maintained *incrementally* by
+:class:`repro.util.ringmap.CandidateIndex`: ``mark_dirty(vn)`` re-diffs
+only that VN on the next lookup.  Index maintenance is the single hottest
+path of interdomain joins; see ``repro.util.perf``'s ``asnode.index.*``
+counters.
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, TYPE_CHECKING
 
 from repro.idspace.identifier import FlatId, RingSpace
 from repro.inter.pointers import ASPointer, InterVirtualNode
 from repro.intra.pointercache import PointerCache
 from repro.obs import trace
-from repro.util import perf
 from repro.util.bloom import BloomFilter
-from repro.util.ringmap import ColumnarRingIndex
+from repro.util.ringmap import CandidateIndex
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.inter.network import InterDomainNetwork
@@ -48,14 +43,10 @@ class ASBestMatch:
         return self.resident_vn is not None
 
 
-@dataclass
-class _Entry:
-    """``ptrs`` holds ``(owner_seq, cand_seq, pointer)`` tuples kept
-    sorted, reproducing the seed rebuild's pointer order (hosted VNs in
-    hosting order, each VN's candidates in table order)."""
-
-    vn: Optional[InterVirtualNode] = None
-    ptrs: List[tuple] = field(default_factory=list)
+def _contributed(vn: InterVirtualNode) -> List[tuple]:
+    """The pointers ``vn`` adds to its AS's index besides its own ID, in
+    table order."""
+    return [(ptr,) for ptr in vn.candidate_pointers()]
 
 
 class RoflAS:
@@ -70,49 +61,36 @@ class RoflAS:
         #: Hosts joined at or below this AS ("bloom filters that summarize
         #: the set of hosts in the subtree rooted at the AS").
         self.subtree_bloom = BloomFilter(n_bits=bloom_bits, n_hashes=4)
+        self._build_candidates()
 
-        # -- incremental candidate index state (see module docstring) --
-        self._index = ColumnarRingIndex(space)
-        self._seq = itertools.count()
-        self._owner_seq: Dict[int, int] = {}
-        self._iv_hosted: Dict[int, InterVirtualNode] = {}
-        self._contrib: Dict[int, tuple] = {}    # vn.id.value -> (seq, [key values])
-        self._dirty_owners: set = set()
-        self._dirty_all = True
-        #: Monotonic flush-epoch counter: one increment per index flush
-        #: that actually re-diffed or rebuilt state.  Mark-dirty storms
-        #: between two lookups all land in the same epoch.
-        self.flush_epoch = 0
+    def _build_candidates(self) -> None:
+        self._candidates = CandidateIndex(self.space, "asnode", _contributed)
+        for vn in self.hosted.values():
+            self._candidates.add_owner(vn)
+
+    @property
+    def flush_epoch(self) -> int:
+        """See :attr:`CandidateIndex.flush_epoch`."""
+        return self._candidates.flush_epoch
 
     # -- serialization ------------------------------------------------------------
 
-    #: Candidate-index fields that are pure derived state: every one is
-    #: reconstructible from ``hosted`` by a full rebuild, so they are
-    #: dropped on serialize (rebuild-on-load, like SPF/BGP caches).  This
-    #: also keeps the canonical state hash independent of *lookup
-    #: history* — which ASes happened to flush, and how often, depends on
-    #: read traffic, not on routing state, and the sharded runtime
-    #: (:mod:`repro.sim.shard`) relies on the hash not seeing it.
-    _DERIVED_FIELDS = ("_index", "_seq", "_owner_seq", "_iv_hosted",
-                       "_contrib", "_dirty_owners", "_dirty_all")
-
     def __getstate__(self):
+        """The candidate index is derived from ``hosted`` and rebuilt on
+        load, like SPF/BGP caches.  ``flush_epoch`` stays in the snapshot
+        schema as a constant 0: which ASes happened to flush, and how
+        often, depends on read traffic, not on routing state, and the
+        sharded runtime (:mod:`repro.sim.shard`) relies on the canonical
+        state hash not seeing it."""
         state = self.__dict__.copy()
-        for name in self._DERIVED_FIELDS:
-            state.pop(name, None)
+        del state["_candidates"]
         state["flush_epoch"] = 0
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self._index = ColumnarRingIndex(self.space)
-        self._seq = itertools.count()
-        self._owner_seq = {}
-        self._iv_hosted = {vn.id.value: vn for vn in self.hosted.values()}
-        self._contrib = {}
-        self._dirty_owners = set()
-        self._dirty_all = True
-        self.flush_epoch = 0
+        del self.__dict__["flush_epoch"]
+        self._build_candidates()
 
     # -- hosting -----------------------------------------------------------------
 
@@ -122,18 +100,11 @@ class RoflAS:
         if vn.home_as != self.asn:
             raise ValueError("virtual node belongs to another AS")
         self.hosted[vn.id] = vn
-        iv = vn.id.value
-        self._iv_hosted[iv] = vn
-        self._owner_seq[iv] = next(self._seq)
-        self.mark_dirty(vn)
+        self._candidates.add_owner(vn)
 
     def unhost(self, vn_id: FlatId) -> InterVirtualNode:
         vn = self.hosted.pop(vn_id)
-        iv = vn_id.value
-        self._iv_hosted.pop(iv, None)
-        self._owner_seq.pop(iv, None)
-        if not self._dirty_all:
-            self._dirty_owners.add(iv)
+        self._candidates.remove_owner(vn)
         return vn
 
     def hosts_id(self, vn_id: FlatId) -> bool:
@@ -144,82 +115,14 @@ class RoflAS:
     def mark_dirty(self, vn: Optional[InterVirtualNode] = None) -> None:
         """Note a pointer-state change; with ``vn`` given only that VN's
         contribution is re-diffed on the next lookup."""
-        if vn is None:
-            self._dirty_all = True
-            self._dirty_owners.clear()
-        elif not self._dirty_all:
-            perf.counter("asnode.index.marks")
-            self._dirty_owners.add(vn.id.value)
-
-    def _entry_for(self, key_iv: int) -> _Entry:
-        entry = self._index.get(key_iv)
-        if entry is None:
-            entry = _Entry()
-            self._index.set(key_iv, entry)
-        return entry
-
-    def _add_contrib(self, vn: InterVirtualNode) -> None:
-        iv = vn.id.value
-        seq = self._owner_seq[iv]
-        keys = [iv]
-        self._entry_for(iv).vn = vn
-        for cand_seq, ptr in enumerate(vn.candidate_pointers()):
-            dest_iv = ptr.dest_id.value
-            insort(self._entry_for(dest_iv).ptrs, (seq, cand_seq, ptr))
-            keys.append(dest_iv)
-        self._contrib[iv] = (seq, keys)
-
-    def _remove_contrib(self, owner_iv: int) -> None:
-        record = self._contrib.pop(owner_iv, None)
-        if record is None:
-            return
-        seq, keys = record
-        index = self._index
-        for key_iv in keys:
-            entry = index.get(key_iv)
-            if entry is None:
-                continue
-            if key_iv == owner_iv and entry.vn is not None \
-                    and entry.vn.id.value == owner_iv:
-                entry.vn = None
-            if entry.ptrs:
-                entry.ptrs = [t for t in entry.ptrs if t[0] != seq]
-            if entry.vn is None and not entry.ptrs:
-                index.delete(key_iv)
-
-    def _flush_index(self) -> None:
-        if self._dirty_all:
-            with perf.timed("asnode.index.flush"):
-                perf.counter("asnode.index.rebuild")
-                self.flush_epoch += 1
-                self._index = ColumnarRingIndex(self.space)
-                self._contrib = {}
-                self._seq = itertools.count()
-                self._owner_seq = {vn.id.value: next(self._seq)
-                                   for vn in self.hosted.values()}
-                for vn in self.hosted.values():
-                    self._add_contrib(vn)
-                self._dirty_all = False
-                self._dirty_owners.clear()
-        elif self._dirty_owners:
-            with perf.timed("asnode.index.flush"):
-                perf.counter("asnode.index.refresh.flushes")
-                perf.counter("asnode.index.refresh.owners",
-                             len(self._dirty_owners))
-                self.flush_epoch += 1
-                for owner_iv in self._dirty_owners:
-                    self._remove_contrib(owner_iv)
-                    vn = self._iv_hosted.get(owner_iv)
-                    if vn is not None:
-                        self._add_contrib(vn)
-                self._dirty_owners.clear()
+        self._candidates.mark_dirty(vn)
 
     def flush_index(self) -> None:
         """Apply any pending index maintenance now instead of lazily on
         the next lookup — benchmarks call this between their join and
         send phases so deferred flush storms are charged to the phase
         that caused them."""
-        self._flush_index()
+        self._candidates.flush()
 
     @staticmethod
     def _vn_in_ring(vn: InterVirtualNode, scope: Optional[Hashable]) -> bool:
@@ -242,8 +145,7 @@ class RoflAS:
         rule; cached pointers additionally pass the bloom-filter isolation
         guard and lose to equally good non-cache state.
         """
-        self._flush_index()
-        index = self._index
+        index = self._candidates.flush()
         ivalues, entries = index.columns()
         n = len(ivalues)
         best: Optional[ASBestMatch] = None

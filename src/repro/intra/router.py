@@ -14,29 +14,22 @@ Each router owns:
   implemented with minor modifications to routers that support
   longest-prefix match".
 
-Index maintenance: the index tracks, per resident virtual node, exactly
-which keys that VN contributed (its own ID plus its pointer targets).
-Callers that mutate one virtual node's pointer state directly (the ring
-and failure machinery) call ``mark_dirty(vn)`` afterwards; only that
-VN's contribution is diffed on the next lookup — an O(group size)
-refresh instead of the full O(resident state) rebuild the seed
-implementation performed.  ``mark_dirty()`` with no argument remains the
-big hammer (full rebuild) for bulk mutations.
+Index maintenance lives in :class:`repro.util.ringmap.CandidateIndex`:
+callers that mutate one virtual node's pointer state directly (the ring
+and failure machinery) call ``mark_dirty(vn)`` afterwards, and only that
+VN's contribution is diffed on the next lookup.
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.idspace.identifier import FlatId, RingSpace
 from repro.intra.pointercache import PointerCache
 from repro.intra.virtualnode import Pointer, VirtualNode
 from repro.obs import trace
-from repro.util import perf
-from repro.util.ringmap import ColumnarRingIndex
+from repro.util.ringmap import CandidateIndex
 
 
 @dataclass
@@ -54,19 +47,16 @@ class BestMatch:
         return self.resident_vn is not None
 
 
-@dataclass
-class _Candidate:
-    """One indexed ID the router can make greedy progress toward.
-
-    ``ptrs`` holds every pointer contribution targeting this key as
-    ``(owner_seq, cand_seq, pointer, ephemeral)`` tuples kept sorted, so
-    ``ptrs[0]`` is the same "first pointer wins" entry the seed's full
-    rebuild produced (owners in registration order, each owner's
-    candidates in successor-group order).
-    """
-
-    vn: Optional[VirtualNode] = None       # set when the ID is resident here
-    ptrs: List[tuple] = field(default_factory=list)
+def _contributed(vn: VirtualNode) -> List[tuple]:
+    """The ``(pointer, ephemeral)`` candidates ``vn`` adds to its router's
+    index besides its own ID: its successor group, then its parked
+    ephemeral children.  An ephemeral VN holds no ring state."""
+    if vn.ephemeral:
+        return []
+    entries = [(ptr, False) for ptr in vn.successors]
+    if vn.ephemeral_children:
+        entries += [(ptr, True) for ptr in vn.ephemeral_children.values()]
+    return entries
 
 
 class RoflRouter:
@@ -80,47 +70,34 @@ class RoflRouter:
         self.cache = PointerCache(space, cache_entries)
         self.default_vn = VirtualNode(id=self.router_id, router=name)
         self.vn_table[self.router_id] = self.default_vn
+        self._build_candidates()
 
-        # -- incremental candidate index state --
-        self._index = ColumnarRingIndex(space)
-        self._seq = itertools.count()
-        self._owner_seq: Dict[int, int] = {}    # vn.id.value -> registration seq
-        self._iv_table: Dict[int, VirtualNode] = {}  # vn.id.value -> resident VN
-        self._contrib: Dict[int, tuple] = {}    # vn.id.value -> (seq, [key values])
-        self._dirty_owners: set = set()         # vn.id.values needing a re-diff
-        self._dirty_all = True                  # full rebuild pending
+    def _build_candidates(self) -> None:
+        self._candidates = CandidateIndex(self.space, "router", _contributed)
+        for vn in self.vn_table.values():
+            self._candidates.add_owner(vn)
 
-        self._iv_table[self.router_id.value] = self.default_vn
-        self._owner_seq[self.router_id.value] = next(self._seq)
-        #: Monotonic flush-epoch counter (see :class:`RoflAS.flush_epoch`).
-        self.flush_epoch = 0
+    @property
+    def flush_epoch(self) -> int:
+        """See :attr:`CandidateIndex.flush_epoch`."""
+        return self._candidates.flush_epoch
 
     # -- serialization ------------------------------------------------------------
 
-    #: Derived candidate-index state, rebuilt from ``vn_table`` on load
-    #: (mirrors :class:`repro.inter.asnode.RoflAS`): dropping it keeps
-    #: snapshots lean and the canonical state hash independent of lookup
-    #: history (flush counts depend on read traffic, not routing state).
-    _DERIVED_FIELDS = ("_index", "_seq", "_owner_seq", "_iv_table",
-                       "_contrib", "_dirty_owners", "_dirty_all")
-
     def __getstate__(self):
+        """The candidate index is derived from ``vn_table`` and rebuilt on
+        load.  ``flush_epoch`` stays in the snapshot schema as a constant
+        0: how often an index flushed follows read traffic, not routing
+        state, and must not reach the canonical state hash."""
         state = self.__dict__.copy()
-        for name in self._DERIVED_FIELDS:
-            state.pop(name, None)
+        del state["_candidates"]
         state["flush_epoch"] = 0
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self._index = ColumnarRingIndex(self.space)
-        self._seq = itertools.count()
-        self._owner_seq = {}
-        self._iv_table = {vn.id.value: vn for vn in self.vn_table.values()}
-        self._contrib = {}
-        self._dirty_owners = set()
-        self._dirty_all = True
-        self.flush_epoch = 0
+        del self.__dict__["flush_epoch"]
+        self._build_candidates()
 
     # -- virtual-node management ------------------------------------------------
 
@@ -131,20 +108,13 @@ class RoflRouter:
         if vn.router != self.name:
             raise ValueError("virtual node belongs to another router")
         self.vn_table[vn.id] = vn
-        iv = vn.id.value
-        self._iv_table[iv] = vn
-        self._owner_seq[iv] = next(self._seq)
-        self.mark_dirty(vn)
+        self._candidates.add_owner(vn)
 
     def remove_virtual_node(self, vn_id: FlatId) -> VirtualNode:
         if vn_id == self.router_id:
             raise ValueError("cannot remove the default virtual node")
         vn = self.vn_table.pop(vn_id)
-        iv = vn_id.value
-        self._iv_table.pop(iv, None)
-        self._owner_seq.pop(iv, None)
-        if not self._dirty_all:
-            self._dirty_owners.add(iv)
+        self._candidates.remove_owner(vn)
         return vn
 
     def resident_vns(self, include_ephemeral: bool = True) -> List[VirtualNode]:
@@ -157,100 +127,16 @@ class RoflRouter:
     # -- candidate index -----------------------------------------------------------
 
     def mark_dirty(self, vn: Optional[VirtualNode] = None) -> None:
-        """Note a pointer-state change so the index re-diffs lazily.
-
-        With ``vn`` given, only that virtual node's contribution is
-        refreshed on the next lookup; with no argument the whole index is
-        rebuilt (bulk or unknown mutations).
-        """
-        if vn is None:
-            self._dirty_all = True
-            self._dirty_owners.clear()
-        elif not self._dirty_all:
-            perf.counter("router.index.marks")
-            self._dirty_owners.add(vn.id.value)
-
-    def _entry_for(self, key_iv: int) -> _Candidate:
-        cand = self._index.get(key_iv)
-        if cand is None:
-            cand = _Candidate()
-            self._index.set(key_iv, cand)
-        return cand
-
-    def _add_contrib(self, vn: VirtualNode) -> None:
-        """Insert one VN's keys: its resident ID plus its pointer targets."""
-        iv = vn.id.value
-        seq = self._owner_seq[iv]
-        keys = [iv]
-        self._entry_for(iv).vn = vn
-        if not vn.ephemeral:
-            cand_seq = 0
-            for ptr in vn.successors:
-                dest_iv = ptr.dest_id.value
-                insort(self._entry_for(dest_iv).ptrs,
-                       (seq, cand_seq, ptr, False))
-                keys.append(dest_iv)
-                cand_seq += 1
-            for eph_id, ptr in vn.ephemeral_children.items():
-                eph_iv = eph_id.value
-                insort(self._entry_for(eph_iv).ptrs,
-                       (seq, cand_seq, ptr, True))
-                keys.append(eph_iv)
-                cand_seq += 1
-        self._contrib[iv] = (seq, keys)
-
-    def _remove_contrib(self, owner_iv: int) -> None:
-        """Remove every key contribution a (possibly departed) VN made."""
-        record = self._contrib.pop(owner_iv, None)
-        if record is None:
-            return
-        seq, keys = record
-        index = self._index
-        for key_iv in keys:
-            cand = index.get(key_iv)
-            if cand is None:
-                continue
-            if key_iv == owner_iv and cand.vn is not None \
-                    and cand.vn.id.value == owner_iv:
-                cand.vn = None
-            if cand.ptrs:
-                cand.ptrs = [t for t in cand.ptrs if t[0] != seq]
-            if cand.vn is None and not cand.ptrs:
-                index.delete(key_iv)
-
-    def _flush_index(self) -> None:
-        if self._dirty_all:
-            with perf.timed("router.index.flush"):
-                perf.counter("router.index.rebuild")
-                self.flush_epoch += 1
-                self._index = ColumnarRingIndex(self.space)
-                self._contrib = {}
-                self._seq = itertools.count()
-                self._owner_seq = {vn.id.value: next(self._seq)
-                                   for vn in self.vn_table.values()}
-                for vn in self.vn_table.values():
-                    self._add_contrib(vn)
-                self._dirty_all = False
-                self._dirty_owners.clear()
-        elif self._dirty_owners:
-            with perf.timed("router.index.flush"):
-                perf.counter("router.index.refresh.flushes")
-                perf.counter("router.index.refresh.owners",
-                             len(self._dirty_owners))
-                self.flush_epoch += 1
-                for owner_iv in self._dirty_owners:
-                    self._remove_contrib(owner_iv)
-                    vn = self._iv_table.get(owner_iv)
-                    if vn is not None:
-                        self._add_contrib(vn)
-                self._dirty_owners.clear()
+        """Note a pointer-state change so the index re-diffs lazily (all
+        of it when ``vn`` is omitted)."""
+        self._candidates.mark_dirty(vn)
 
     def flush_index(self) -> None:
         """Apply any pending index maintenance now instead of lazily on
         the next lookup — benchmarks call this between their join and
         send phases so deferred flush storms are charged to the phase
         that caused them."""
-        self._flush_index()
+        self._candidates.flush()
 
     # -- Algorithm 2 lookups -------------------------------------------------------
 
@@ -263,8 +149,7 @@ class RoflRouter:
         clockwise distance to the destination; the scan below runs
         entirely on raw int values (no ``FlatId`` allocation per hop).
         """
-        self._flush_index()
-        index = self._index
+        index = self._candidates.flush()
         ivalues, candidates = index.columns()
         n = len(ivalues)
         if not n:

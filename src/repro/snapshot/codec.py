@@ -35,11 +35,6 @@ from typing import Any, Callable, Dict
 
 from repro.idspace.identifier import FlatId
 
-try:  # optional accelerator backend, never required
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - depends on environment
-    _numpy = None
-
 
 class CanonicalizationError(TypeError):
     """Raised when an object cannot be canonically encoded."""
@@ -155,11 +150,6 @@ class _Walker:
             update(_len_prefixed(
                 b"A", obj.typecode.encode("ascii") + b":"
                 + ",".join(str(v) for v in obj).encode("ascii")))
-            return
-        if _numpy is not None and isinstance(obj, _numpy.ndarray):
-            update(_len_prefixed(
-                b"A", b"np:" + ",".join(str(v)
-                                        for v in obj.tolist()).encode("ascii")))
             return
         if isinstance(obj, type(len)) or callable(obj) and hasattr(
                 obj, "__qualname__"):

@@ -1,4 +1,9 @@
-"""A sorted circular map over :class:`FlatId` keys.
+"""Sorted circular maps over flat identifiers.
+
+:class:`SortedRingMap` is the eager, persisted map behind rings and
+pointer caches; :class:`ColumnarRingIndex` is the write-batching int
+index behind :class:`CandidateIndex`, the derived candidate index every
+router and AS keeps.
 
 Rings, virtual-node tables and pointer caches all need the same three
 queries, each in ``O(log n)``:
@@ -27,22 +32,13 @@ allocation altogether.
 from __future__ import annotations
 
 import bisect
-import os
-from array import array
-from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
+import itertools
+from dataclasses import dataclass, field
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.idspace.identifier import FlatId, RingSpace
-
-try:  # optional accelerator backend, never required
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - depends on environment
-    _numpy = None
-
-#: Feature flag for the numpy key-column backend of
-#: :class:`ColumnarRingIndex` (``REPRO_NUMPY=1``).  Only engages for ring
-#: spaces whose keys fit an unsigned 64-bit word; silently ignored when
-#: numpy is not installed.
-NUMPY_FLAG_ENV = "REPRO_NUMPY"
+from repro.util import perf
 
 
 class RingKeysView(Sequence):
@@ -251,35 +247,14 @@ class SortedRingMap:
 REBUILD_FRACTION = 8
 
 
-def _pick_backend(space: RingSpace, backend: Optional[str]) -> str:
-    """Resolve the key-column storage for a :class:`ColumnarRingIndex`.
-
-    ``array`` (flat unsigned 64-bit C array) needs every key to fit one
-    word; wider ring spaces (the 128-bit default) fall back to a sorted
-    plain-int list, which bisect handles identically.  ``numpy`` is the
-    opt-in vectorised variant behind :data:`NUMPY_FLAG_ENV`.
-    """
-    if backend is None:
-        if (_numpy is not None and space.bits <= 64
-                and os.environ.get(NUMPY_FLAG_ENV, "") not in ("", "0")):
-            return "numpy"
-        return "array" if space.bits <= 64 else "list"
-    if backend not in ("list", "array", "numpy"):
-        raise ValueError("unknown backend {!r}".format(backend))
-    if backend in ("array", "numpy") and space.bits > 64:
-        raise ValueError("backend {!r} needs keys <= 64 bits".format(backend))
-    if backend == "numpy" and _numpy is None:
-        raise ValueError("numpy backend requested but numpy is unavailable")
-    return backend
-
-
 class ColumnarRingIndex:
     """Flat-array circular candidate index over raw ``int`` keys.
 
     The columnar counterpart of :class:`SortedRingMap` for hot paths that
     already live in the int domain (router/AS candidate indexes): one
-    sorted flat key column plus a lock-step payload column, so greedy
-    scans walk two parallel arrays with zero per-candidate hashing.
+    sorted key column of plain ints (any ring width) plus a lock-step
+    payload column, so greedy scans walk two parallel lists with zero
+    per-candidate hashing.
 
     Mutations are **dict-immediate, column-deferred**: ``set``/``delete``
     update the authoritative payload dict at once (reads through ``get``
@@ -289,30 +264,18 @@ class ColumnarRingIndex:
     single C-speed sort rebuild for storms.  This is what turns a
     mark-dirty storm (thousands of join-time mutations) into one cheap
     epoch flush instead of thousands of O(n) list inserts.
-
-    Key column backends (``backend=`` or auto): ``"list"`` (sorted plain
-    ints, any width), ``"array"`` (``array('Q')``, spaces ≤ 64 bits) and
-    ``"numpy"`` (``uint64`` + ``searchsorted``, behind ``REPRO_NUMPY=1``).
     """
 
-    __slots__ = ("space", "backend", "_payloads", "_keys", "_vals",
+    __slots__ = ("space", "_payloads", "_keys", "_vals",
                  "_pending_add", "_pending_del")
 
-    def __init__(self, space: RingSpace, backend: Optional[str] = None):
+    def __init__(self, space: RingSpace):
         self.space = space
-        self.backend = _pick_backend(space, backend)
         self._payloads: dict = {}          # int key -> payload (authoritative)
-        self._keys = self._empty_column()  # sorted key column (synced view)
+        self._keys: List[int] = []         # sorted key column (synced view)
         self._vals: List[Any] = []         # lock-step payload column
         self._pending_add: set = set()
         self._pending_del: set = set()
-
-    def _empty_column(self):
-        if self.backend == "array":
-            return array("Q")
-        if self.backend == "numpy":
-            return _numpy.empty(0, dtype=_numpy.uint64)
-        return []
 
     # -- dict-immediate mutation ------------------------------------------------
 
@@ -325,9 +288,6 @@ class ColumnarRingIndex:
     def get(self, key: int, default: Any = None) -> Any:
         return self._payloads.get(key, default)
 
-    def __getitem__(self, key: int) -> Any:
-        return self._payloads[key]
-
     def set(self, key: int, payload: Any) -> None:
         """Insert or replace the payload stored at ``key``."""
         payloads = self._payloads
@@ -335,15 +295,14 @@ class ColumnarRingIndex:
             payloads[key] = payload
             if key not in self._pending_add:
                 # Key already synced: patch the payload column in place.
-                index = self._bisect_left(key)
-                self._vals[index] = payload
+                self._vals[bisect.bisect_left(self._keys, key)] = payload
             return
         payloads[key] = payload
         if key in self._pending_del:
             # Deleted-then-reinserted within one epoch: the key is still
             # in the columns; only its payload cell needs patching.
             self._pending_del.discard(key)
-            self._vals[self._bisect_left(key)] = payload
+            self._vals[bisect.bisect_left(self._keys, key)] = payload
         else:
             self._pending_add.add(key)
 
@@ -356,40 +315,17 @@ class ColumnarRingIndex:
             self._pending_del.add(key)
         return payload
 
-    def discard(self, key: int) -> None:
-        if key in self._payloads:
-            self.delete(key)
-
     # -- the epoch sync ---------------------------------------------------------
-
-    def pending(self) -> int:
-        """Staged key mutations awaiting the next column sync."""
-        return len(self._pending_add) + len(self._pending_del)
-
-    def _bisect_left(self, key: int) -> int:
-        if self.backend == "numpy":
-            return int(_numpy.searchsorted(self._keys, key, side="left"))
-        return bisect.bisect_left(self._keys, key)
 
     def _sync(self) -> None:
         adds, dels = self._pending_add, self._pending_del
         if not adds and not dels:
             return
         payloads = self._payloads
-        if (self.backend == "numpy"
-                or (len(adds) + len(dels)) * REBUILD_FRACTION
-                >= len(self._keys)):
-            # Storm (or numpy, whose inserts are whole-array copies
-            # regardless): one C-speed sort over the authoritative dict.
-            ordered = sorted(payloads)
-            if self.backend == "array":
-                self._keys = array("Q", ordered)
-            elif self.backend == "numpy":
-                self._keys = _numpy.fromiter(ordered, dtype=_numpy.uint64,
-                                             count=len(ordered))
-            else:
-                self._keys = ordered
-            self._vals = [payloads[key] for key in ordered]
+        if (len(adds) + len(dels)) * REBUILD_FRACTION >= len(self._keys):
+            # Storm: one C-speed sort over the authoritative dict.
+            self._keys = sorted(payloads)
+            self._vals = [payloads[key] for key in self._keys]
         else:
             keys, vals = self._keys, self._vals
             for key in sorted(dels, reverse=True):
@@ -405,7 +341,7 @@ class ColumnarRingIndex:
 
     # -- positional queries (int domain) ----------------------------------------
 
-    def columns(self) -> Tuple[Sequence[int], List[Any]]:
+    def columns(self) -> Tuple[List[int], List[Any]]:
         """The synced ``(sorted keys, lock-step payloads)`` columns.
 
         Zero-copy: callers must not mutate, and must re-fetch after any
@@ -414,7 +350,7 @@ class ColumnarRingIndex:
         self._sync()
         return self._keys, self._vals
 
-    def key_values(self) -> Sequence[int]:
+    def key_values(self) -> List[int]:
         """The synced sorted key column, zero-copy.  Do not mutate."""
         self._sync()
         return self._keys
@@ -422,77 +358,190 @@ class ColumnarRingIndex:
     def rank_right(self, key: int) -> int:
         """``bisect_right`` position of ``key`` in the synced column."""
         self._sync()
-        if self.backend == "numpy":
-            return int(_numpy.searchsorted(self._keys, key, side="right"))
         return bisect.bisect_right(self._keys, key)
-
-    def successor_value(self, key: int, strict: bool = True) -> Optional[int]:
-        """The next stored key clockwise from ``key`` (wrapping)."""
-        self._sync()
-        n = len(self._keys)
-        if not n:
-            return None
-        if strict:
-            index = self.rank_right(key)
-        else:
-            index = self._bisect_left(key)
-        return int(self._keys[index % n])
-
-    def predecessor_value(self, key: int, strict: bool = True) -> Optional[int]:
-        """The previous stored key counter-clockwise from ``key``."""
-        self._sync()
-        n = len(self._keys)
-        if not n:
-            return None
-        if strict:
-            index = self._bisect_left(key) - 1
-        else:
-            index = self.rank_right(key) - 1
-        return int(self._keys[index % n])
 
     def closest_not_past_value(self, current: int, dest: int) -> Optional[int]:
         """Greedy best match in the int domain (see
         :meth:`SortedRingMap.closest_not_past`)."""
         self._sync()
         keys = self._keys
-        n = len(keys)
-        if not n:
+        if not keys:
             return None
-        candidate = int(keys[(self.rank_right(dest) - 1) % n])
+        candidate = keys[(bisect.bisect_right(keys, dest) - 1) % len(keys)]
         mask = self.space.mask
         advanced = (candidate - current) & mask
         if advanced and advanced <= ((dest - current) & mask):
             return candidate
         return None
 
-    def iter_predecessor_values(self, key: int) -> Iterator[int]:
-        """Yield stored keys counter-clockwise starting at ``key`` itself
-        (if stored) or its predecessor, wrapping once around the ring."""
-        self._sync()
-        keys = self._keys
-        n = len(keys)
-        if not n:
-            return
-        start = (self.rank_right(key) - 1) % n
-        for offset in range(n):
-            yield int(keys[(start - offset) % n])
-
-    def in_arc_values(self, low: int, high: int) -> List[int]:
-        """All stored keys on the clockwise arc ``[low, high]`` inclusive."""
-        self._sync()
-        keys = self._keys
-        if not len(keys):
-            return []
-        lo = self._bisect_left(low)
-        hi = self.rank_right(high)
-        if low <= high:
-            return [int(key) for key in keys[lo:hi]]
-        return [int(key) for key in keys[lo:]] + [int(key) for key in keys[:hi]]
-
-    def __iter__(self) -> Iterator[int]:
-        self._sync()
-        return iter(self._keys)
-
     def __repr__(self) -> str:
-        return "ColumnarRingIndex(n={}, backend={}, pending={})".format(
-            len(self._payloads), self.backend, self.pending())
+        return "ColumnarRingIndex(n={})".format(len(self._payloads))
+
+
+@dataclass
+class Candidate:
+    """One indexed ID a router or AS can make greedy progress toward.
+
+    ``ptrs`` holds every pointer contribution targeting this key as
+    ``(owner_seq, cand_seq, pointer, ...)`` tuples kept sorted, so
+    ``ptrs[0]`` is the same "first pointer wins" entry a full rebuild
+    produces (owners in registration order, each owner's candidates in
+    the order it lists them).
+    """
+
+    vn: Optional[Any] = None       # set when the ID is resident here
+    ptrs: List[tuple] = field(default_factory=list)
+
+
+class CandidateIndex:
+    """The incrementally maintained candidate index of one router or AS.
+
+    Owners are the resident virtual nodes.  The index tracks, per owner,
+    exactly which keys it contributed (its own ID plus its pointer
+    targets).  Code that mutates one owner's pointer state calls
+    ``mark_dirty(vn)`` afterwards; marks coalesce until the next
+    :meth:`flush`, which re-diffs each distinct dirty owner once — an
+    O(group size) refresh instead of an O(resident state) rebuild.
+    ``mark_dirty()`` with no argument remains the big hammer (full
+    rebuild) for bulk mutations.
+
+    ``perf_prefix`` names the ``<prefix>.index.*`` counters and the flush
+    timer.  ``pointers_of(vn)`` lists what ``vn`` contributes besides its
+    own ID: one tuple per pointer, the pointer first, anything after it
+    riding along in the :class:`Candidate` entry.
+
+    Everything but the owners is derived state: pickling keeps the
+    constructor arguments and the owners and rebuilds the rest on load,
+    so no serialized form depends on lookup history (which flushes ran,
+    and how often, follows read traffic, not routing state).
+    """
+
+    def __init__(self, space: RingSpace, perf_prefix: str,
+                 pointers_of: Callable[[Any], Iterable[tuple]]):
+        self.space = space
+        self._perf_prefix = perf_prefix
+        self._pointers_of = pointers_of
+        names = perf_prefix + ".index."
+        self._marks_counter = names + "marks"
+        self._rebuild_counter = names + "rebuild"
+        self._flush_timer = names + "flush"
+        self._flushes_counter = names + "refresh.flushes"
+        self._owners_counter = names + "refresh.owners"
+        self._owners: Dict[int, Any] = {}       # vn.id.value -> vn, registration order
+        self._index = ColumnarRingIndex(space)
+        self._seq = itertools.count()
+        self._owner_seq: Dict[int, int] = {}    # vn.id.value -> registration seq
+        self._contrib: Dict[int, tuple] = {}    # vn.id.value -> (seq, [key values])
+        self._dirty_owners: set = set()         # vn.id.values needing a re-diff
+        self._dirty_all = True                  # full rebuild pending
+        #: Monotonic flush-epoch counter: one increment per flush that
+        #: actually re-diffed or rebuilt state.  Mark-dirty storms
+        #: between two lookups all land in the same epoch.
+        self.flush_epoch = 0
+
+    def __getstate__(self):
+        return (self.space, self._perf_prefix, self._pointers_of,
+                list(self._owners.values()))
+
+    def __setstate__(self, state) -> None:
+        *args, owners = state
+        self.__init__(*args)
+        for vn in owners:
+            self.add_owner(vn)
+
+    # -- owners -------------------------------------------------------------------
+
+    def add_owner(self, vn: Any) -> None:
+        iv = vn.id.value
+        self._owners[iv] = vn
+        self._owner_seq[iv] = next(self._seq)
+        self.mark_dirty(vn)
+
+    def remove_owner(self, vn: Any) -> None:
+        iv = vn.id.value
+        self._owners.pop(iv, None)
+        self._owner_seq.pop(iv, None)
+        if not self._dirty_all:
+            self._dirty_owners.add(iv)
+
+    def mark_dirty(self, vn: Optional[Any] = None) -> None:
+        """Note a pointer-state change so the index re-diffs lazily.
+
+        With ``vn`` given, only that owner's contribution is refreshed at
+        the next flush; with no argument the whole index is rebuilt (bulk
+        or unknown mutations).
+        """
+        if vn is None:
+            self._dirty_all = True
+            self._dirty_owners.clear()
+        elif not self._dirty_all:
+            perf.counter(self._marks_counter)
+            self._dirty_owners.add(vn.id.value)
+
+    # -- contributions ------------------------------------------------------------
+
+    def _entry_for(self, key_iv: int) -> Candidate:
+        cand = self._index.get(key_iv)
+        if cand is None:
+            cand = Candidate()
+            self._index.set(key_iv, cand)
+        return cand
+
+    def _add_contrib(self, vn: Any) -> None:
+        """Insert one owner's keys: its own ID plus its pointer targets."""
+        iv = vn.id.value
+        seq = self._owner_seq[iv]
+        keys = [iv]
+        self._entry_for(iv).vn = vn
+        for cand_seq, entry in enumerate(self._pointers_of(vn)):
+            dest_iv = entry[0].dest_id.value
+            bisect.insort(self._entry_for(dest_iv).ptrs, (seq, cand_seq) + entry)
+            keys.append(dest_iv)
+        self._contrib[iv] = (seq, keys)
+
+    def _remove_contrib(self, owner_iv: int) -> None:
+        """Remove every key contribution a (possibly departed) owner made."""
+        record = self._contrib.pop(owner_iv, None)
+        if record is None:
+            return
+        seq, keys = record
+        index = self._index
+        for key_iv in keys:
+            cand = index.get(key_iv)
+            if cand is None:
+                continue
+            if key_iv == owner_iv and cand.vn is not None \
+                    and cand.vn.id.value == owner_iv:
+                cand.vn = None
+            if cand.ptrs:
+                cand.ptrs = [t for t in cand.ptrs if t[0] != seq]
+            if cand.vn is None and not cand.ptrs:
+                index.delete(key_iv)
+
+    def flush(self) -> ColumnarRingIndex:
+        """Apply pending maintenance; returns the up-to-date index whose
+        payloads are :class:`Candidate` entries."""
+        if self._dirty_all:
+            with perf.timed(self._flush_timer):
+                perf.counter(self._rebuild_counter)
+                self.flush_epoch += 1
+                self._index = ColumnarRingIndex(self.space)
+                self._contrib = {}
+                self._seq = itertools.count()
+                self._owner_seq = {iv: next(self._seq) for iv in self._owners}
+                for vn in self._owners.values():
+                    self._add_contrib(vn)
+                self._dirty_all = False
+                self._dirty_owners.clear()
+        elif self._dirty_owners:
+            with perf.timed(self._flush_timer):
+                perf.counter(self._flushes_counter)
+                perf.counter(self._owners_counter, len(self._dirty_owners))
+                self.flush_epoch += 1
+                for owner_iv in self._dirty_owners:
+                    self._remove_contrib(owner_iv)
+                    vn = self._owners.get(owner_iv)
+                    if vn is not None:
+                        self._add_contrib(vn)
+                self._dirty_owners.clear()
+        return self._index

@@ -1,77 +1,53 @@
 """ColumnarRingIndex: the flat-array candidate index behind the hot path.
 
 The contract under test is *observational equivalence* with
-:class:`SortedRingMap` — every circular query must answer identically
-under any interleaving of mutations and lookups, on every key-column
-backend — plus the dict-immediate / column-deferred staging semantics
-the epoch flush relies on.
+:class:`SortedRingMap` — every query the routers use must answer
+identically under any interleaving of mutations and lookups, on the
+128-bit ring every network builds as well as a collision-prone 16-bit
+one — plus the dict-immediate / column-deferred staging semantics the
+epoch flush relies on.
 """
 
+import bisect
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.idspace.identifier import RingSpace
-from repro.util.ringmap import (ColumnarRingIndex, NUMPY_FLAG_ENV,
-                                SortedRingMap, _pick_backend)
-
-try:
-    import numpy  # noqa: F401
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAVE_NUMPY = False
+from repro.util.ringmap import ColumnarRingIndex, SortedRingMap
 
 SPACE = RingSpace(bits=16)
 WIDE_SPACE = RingSpace(bits=128)
 MAX16 = (1 << 16) - 1
 
-BACKENDS = ["list", "array"] + (["numpy"] if HAVE_NUMPY else [])
-
-
-class TestBackendSelection:
-    def test_wide_space_falls_back_to_list(self):
-        assert ColumnarRingIndex(WIDE_SPACE).backend == "list"
-
-    def test_narrow_space_uses_flat_array(self):
-        assert ColumnarRingIndex(SPACE).backend == "array"
-
-    def test_explicit_wide_array_rejected(self):
-        with pytest.raises(ValueError):
-            ColumnarRingIndex(WIDE_SPACE, backend="array")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ColumnarRingIndex(SPACE, backend="btree")
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-    def test_numpy_behind_feature_flag(self, monkeypatch):
-        monkeypatch.delenv(NUMPY_FLAG_ENV, raising=False)
-        assert _pick_backend(SPACE, None) == "array"
-        monkeypatch.setenv(NUMPY_FLAG_ENV, "1")
-        assert _pick_backend(SPACE, None) == "numpy"
-        assert _pick_backend(WIDE_SPACE, None) == "list"  # too wide
-        monkeypatch.setenv(NUMPY_FLAG_ENV, "0")
-        assert _pick_backend(SPACE, None) == "array"
+#: Each space with the map from a drawn 16-bit value to one of its keys.
+#: The wide keys span all 128 bits but are drawn from the same small pool,
+#: so a ``set`` still meets a later ``del`` of the same key.
+SPACES = [pytest.param(SPACE, lambda v: v, id="16bit"),
+          pytest.param(WIDE_SPACE, lambda v: (v << 112) | v, id="128bit")]
 
 
 class TestStagingSemantics:
     def test_reads_never_stale_while_pending(self):
         index = ColumnarRingIndex(SPACE)
         index.set(10, "a")
-        assert index.pending() == 1
         assert index.get(10) == "a" and 10 in index and len(index) == 1
         index.delete(10)
         assert index.get(10) is None and 10 not in index and len(index) == 0
 
     def test_add_then_delete_cancels_staging(self):
         index = ColumnarRingIndex(SPACE)
+        index.set(20, "kept")
+        index.key_values()  # sync
         index.set(10, "a")
         index.delete(10)
-        assert index.pending() == 0
-        assert index.successor_value(0) is None
+        assert index.columns() == ([20], ["kept"])
+        assert index.closest_not_past_value(0, 15) is None
 
     def test_delete_then_reinsert_within_one_epoch(self):
         index = ColumnarRingIndex(SPACE)
@@ -117,64 +93,56 @@ probes_strategy = st.lists(st.integers(min_value=0, max_value=MAX16),
                            min_size=1, max_size=8)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("space, widen", SPACES)
 @settings(max_examples=60, deadline=None)
 @given(ops=ops_strategy, probes=probes_strategy)
-def test_equivalent_to_sorted_ring_map(backend, ops, probes):
+def test_equivalent_to_sorted_ring_map(space, widen, ops, probes):
     """Any mutation/lookup interleaving answers exactly like SortedRingMap."""
-    reference = SortedRingMap(SPACE)
-    index = ColumnarRingIndex(SPACE, backend=backend)
+    reference = SortedRingMap(space)
+    index = ColumnarRingIndex(space)
     for op, v in ops:
+        key = widen(v)
         if op == "set":
-            reference.insert(SPACE.make(v), "p{}".format(v))
-            index.set(v, "p{}".format(v))
+            reference.insert(space.make(key), "p{}".format(v))
+            index.set(key, "p{}".format(v))
         elif op == "del":
-            reference.discard(v)
-            index.discard(v)
+            reference.discard(key)
+            if key in index:
+                index.delete(key)
         else:
             # Interleaved query: forces a column sync mid-stream so both
             # the incremental and the rebuild paths get exercised.
-            expected = reference.successor(v)
-            got = index.successor_value(v)
-            assert got == (expected.value if expected is not None else None)
+            assert index.rank_right(key) == \
+                bisect.bisect_right(reference.key_values(), key)
 
     assert len(index) == len(reference)
-    assert list(index.key_values()) == list(reference.key_values())
-    assert index.columns()[1] == [reference[v] for v in reference.key_values()]
+    assert index.key_values() == reference.key_values()
+    keys, vals = index.columns()
+    assert keys == reference.key_values()
+    assert vals == [reference[key] for key in keys]
 
-    def val(key):
-        return key.value if key is not None else None
-
+    probes = [widen(v) for v in probes]
     for probe in probes:
         assert (probe in index) == (probe in reference)
         assert index.get(probe) == reference.get(probe)
-        for strict in (True, False):
-            assert index.successor_value(probe, strict=strict) == \
-                val(reference.successor(probe, strict=strict))
-            assert index.predecessor_value(probe, strict=strict) == \
-                val(reference.predecessor(probe, strict=strict))
-        assert list(index.iter_predecessor_values(probe)) == \
-            list(reference.iter_predecessor_values(probe))
+        assert index.rank_right(probe) == \
+            bisect.bisect_right(reference.key_values(), probe)
     for current, dest in zip(probes, reversed(probes)):
         assert index.closest_not_past_value(current, dest) == \
             reference.closest_not_past_value(current, dest)
-    low, high = probes[0], probes[-1]
-    assert index.in_arc_values(low, high) == \
-        [key.value for key in reference.in_arc(low, high)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_wrapping_queries_match_reference(backend):
-    reference = SortedRingMap(SPACE)
-    index = ColumnarRingIndex(SPACE, backend=backend)
+@pytest.mark.parametrize("space, widen", SPACES)
+def test_wrapping_queries_match_reference(space, widen):
+    index = ColumnarRingIndex(space)
     for v in (10, 20, 30, 60000):
-        reference.insert(SPACE.make(v), v)
-        index.set(v, v)
-    assert index.successor_value(60000) == 10
-    assert index.predecessor_value(10) == 60000
-    assert index.in_arc_values(50000, 15) == [60000, 10]
-    assert index.closest_not_past_value(0, 25) == 20
-    assert index.closest_not_past_value(20, 25) is None
+        index.set(widen(v), v)
+    assert index.rank_right(widen(60000)) == 4
+    assert index.closest_not_past_value(widen(0), widen(25)) == widen(20)
+    assert index.closest_not_past_value(widen(20), widen(25)) is None
+    # Nothing stored at or below 5: the best match wraps to the top key.
+    assert index.closest_not_past_value(widen(40000), widen(5)) == widen(60000)
+    assert index.closest_not_past_value(widen(60000), widen(5)) is None
 
 
 def test_steady_churn_replay_byte_for_byte():
@@ -189,14 +157,12 @@ def test_steady_churn_replay_byte_for_byte():
     assert dump_a == dump_b
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-def test_numpy_backend_via_env_flag_end_to_end(monkeypatch):
-    monkeypatch.setenv(NUMPY_FLAG_ENV, "1")
-    index = ColumnarRingIndex(SPACE)
-    assert index.backend == "numpy"
-    for v in (10, 20, 30):
-        index.set(v, "p{}".format(v))
-    assert index.successor_value(15) == 20
-    index.delete(20)
-    assert index.successor_value(15) == 30
-    assert os.environ[NUMPY_FLAG_ENV] == "1"
+def test_package_imports_without_numpy():
+    """numpy is no dependency: no network, snapshot or serve import may
+    pull it in."""
+    script = ("import sys; import repro, repro.snapshot, repro.serve, "
+              "repro.inter.network, repro.intra.network; "
+              "sys.exit('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", script], env=env,
+                          timeout=60).returncode == 0
