@@ -67,17 +67,6 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def peak_rss_with_children_mb() -> float:
-    """Peak RSS across this process and its exited children, in MiB.
-
-    Sharded rows keep the replicas in worker processes, so the
-    coordinator's own RSS says nothing about simulation memory; the
-    children's high-water mark (available once they have exited) does.
-    """
-    child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-    return max(peak_rss_mb(), child)
-
-
 def _throughput_row(n_hosts: int, join_fn, send_fn, n_sends: int,
                     settle_fn=None, warm_fn=None) -> dict:
     """Time a join phase then a send phase and return one bench row.
@@ -208,92 +197,6 @@ def sweep_inter(populations, n_ases: int = 100, n_sends: int = 2000,
                   "  [warm {:.2f}s = {:.1f}x]".format(
                       row["snapshot_load_seconds"],
                       row.get("snapshot_speedup", 0)) if warm else ""))
-    return rows
-
-
-def sweep_inter_sharded(populations, n_shards: int, n_ases: int = 100,
-                        n_sends: int = 2000, seed: int = 0) -> list:
-    """The interdomain sweep through the sharded multiprocess engine.
-
-    Each population runs twice: once at one shard (the serial baseline)
-    and once at ``n_shards``.  The two runs must produce *identical*
-    delivery metrics and an identical snapshot ``state_hash`` — that
-    equality is this sweep's correctness gate — and the row records the
-    wall-clock join-phase speedup plus the merged per-shard perf dump.
-
-    Every worker holds a full replica and repeats the (cheap) installs,
-    so wall-clock speedup needs roughly one free core per shard: the
-    expensive owner-only work (honest lookup walks + finger selection)
-    is what parallelises.  The row records ``cpus`` alongside
-    ``shard_join_speedup`` so a sub-1x number on a single-CPU container
-    reads as what it is — no parallel hardware — while the determinism
-    equality is checked regardless.
-    """
-    from repro.sim.shard import ShardCoordinator
-
-    recipe = {"n_ases": n_ases, "seed": seed, "n_fingers": 8,
-              "strategy": "multihomed", "cache_entries": 0}
-
-    def timed_run(shards):
-        with ShardCoordinator(recipe, shards) as sim:
-            sim.perf_reset()
-            gc.collect()
-            t0 = time.perf_counter()
-            sim.join_hosts(row_hosts)
-            sim.flush_indexes()
-            join_seconds = time.perf_counter() - t0
-            sim.warm_oracle()
-            gc.collect()
-            t0 = time.perf_counter()
-            metrics = sim.run_sends(n_sends)
-            send_seconds = time.perf_counter() - t0
-            hashes = sim.state_hash(all_replicas=True)
-            merged = sim.merged_perf()
-        if len(set(hashes)) != 1:
-            raise AssertionError(
-                "{}-shard replicas diverged: {}".format(shards, hashes))
-        if metrics["delivered"] < n_sends * 0.99:
-            raise AssertionError(
-                "interdomain delivery degraded at {} shards: {}/{}".format(
-                    shards, metrics["delivered"], n_sends))
-        return join_seconds, send_seconds, metrics, hashes[0], merged
-
-    rows = []
-    for row_hosts in populations:
-        perf.reset()
-        base_join, _, base_metrics, base_hash, _ = timed_run(1)
-        join_seconds, send_seconds, metrics, digest, merged = timed_run(
-            n_shards)
-        if metrics != base_metrics:
-            raise AssertionError(
-                "sharded metrics diverged from 1-shard baseline: "
-                "{} != {}".format(metrics, base_metrics))
-        if digest != base_hash:
-            raise AssertionError(
-                "sharded state hash diverged from 1-shard baseline: "
-                "{} != {}".format(digest, base_hash))
-        merged.merge(perf.PERF)  # coordinator-side phase timers
-        row = {
-            "hosts": row_hosts,
-            "join_seconds": round(join_seconds, 3),
-            "joins_per_sec": round(row_hosts / join_seconds, 1),
-            "send_seconds": round(send_seconds, 3),
-            "sends_per_sec": round(n_sends / send_seconds, 1),
-            "peak_rss_mb": round(peak_rss_with_children_mb(), 1),
-            "perf": merged.snapshot(),
-            "shards": n_shards,
-            "cpus": len(os.sched_getaffinity(0)),
-            "state_hash": digest,
-            "shard_baseline_join_seconds": round(base_join, 3),
-            "shard_join_speedup": round(base_join / join_seconds, 2),
-        }
-        rows.append(row)
-        print("  inter {:>6} hosts x{} shards: {:>7.1f} joins/s  "
-              "{:>7.1f} sends/s  join speedup {:.2f}x on {} cpu(s)  "
-              "hash ok".format(
-                  row_hosts, n_shards, row["joins_per_sec"],
-                  row["sends_per_sec"], row["shard_join_speedup"],
-                  row["cpus"]))
     return rows
 
 
@@ -506,18 +409,7 @@ def main(argv=None) -> int:
                              "snapshot per population, later runs load "
                              "it instead of rebuilding and record the "
                              "speedup in each row")
-    parser.add_argument("--shards", type=int, default=1, metavar="N",
-                        help="run the interdomain sweep through the "
-                             "sharded multiprocess engine with N workers; "
-                             "each row also runs a 1-shard baseline and "
-                             "asserts identical metrics and state hash")
     args = parser.parse_args(argv)
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.shards > 1 and args.snapshot_dir is not None:
-        parser.error("--shards cannot be combined with --snapshot-dir "
-                     "(replicas rebuild from seed; there is no single "
-                     "resident network to warm-start)")
     if args.snapshot_dir is not None:
         os.makedirs(args.snapshot_dir, exist_ok=True)
 
@@ -531,13 +423,8 @@ def main(argv=None) -> int:
     workload_mults = (QUICK_WORKLOAD_SWEEP if args.quick
                       else WORKLOAD_SWEEP)
 
-    if args.shards > 1:
-        print("interdomain sweep (populations {}, {} shards):".format(
-            inter_pops, args.shards))
-        inter_rows = sweep_inter_sharded(inter_pops, args.shards)
-    else:
-        print("interdomain sweep (populations {}):".format(inter_pops))
-        inter_rows = sweep_inter(inter_pops, snapshot_dir=args.snapshot_dir)
+    print("interdomain sweep (populations {}):".format(inter_pops))
+    inter_rows = sweep_inter(inter_pops, snapshot_dir=args.snapshot_dir)
     print("intradomain sweep (populations {}):".format(intra_pops))
     intra_rows = sweep_intra(intra_pops, snapshot_dir=args.snapshot_dir)
     print("workload sweep (rate multipliers {}):".format(workload_mults))
@@ -550,24 +437,8 @@ def main(argv=None) -> int:
         inter_metrics = (("sends_per_sec",)
                          if any(r.get("warm_start") for r in inter_rows)
                          else ("joins_per_sec", "sends_per_sec"))
-        if args.shards > 1:
-            # N worker replicas time-slicing the available cores measure
-            # scheduler contention, not the engine: gate the join cliff
-            # on each row's recorded 1-shard baseline instead, and keep
-            # the live sharded send rate gated directly.
-            baseline_rows = [
-                dict(row, joins_per_sec=round(
-                    row["hosts"] / row["shard_baseline_join_seconds"], 1))
-                for row in inter_rows]
-            check_scaling_cliff(baseline_rows,
-                                "interdomain (1-shard baseline joins)",
-                                args.cliff_floor,
-                                metrics=("joins_per_sec",))
-            check_scaling_cliff(inter_rows, "interdomain", args.cliff_floor,
-                                metrics=("sends_per_sec",))
-        else:
-            check_scaling_cliff(inter_rows, "interdomain", args.cliff_floor,
-                                metrics=inter_metrics)
+        check_scaling_cliff(inter_rows, "interdomain", args.cliff_floor,
+                            metrics=inter_metrics)
         check_scaling_cliff(intra_rows, "intradomain", args.cliff_floor,
                             metrics=("sends_per_sec",))
 

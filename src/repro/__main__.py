@@ -340,45 +340,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ReproServer, ShardedReproServer, build_network
+    from repro.serve import ReproServer, build_network
 
-    sim = None
-    if args.shards <= 1 and (args.trace_out is not None
-                             or args.metrics_out is not None):
-        print("serve: --trace-out/--metrics-out need --shards N (the "
-              "sharded coordinator collects telemetry at window barriers); "
-              "for unsharded runs use 'repro workload' with the same flags",
-              file=sys.stderr)
-        return 2
-    if args.shards > 1:
-        if args.kind != "inter":
-            print("serve: --shards requires --kind inter", file=sys.stderr)
-            return 2
-        if args.snapshot is not None:
-            print("serve: --shards cannot resume a --snapshot (replicas "
-                  "rebuild from seed)", file=sys.stderr)
-            return 2
-        from repro.sim.shard import ShardCoordinator
-        sim = ShardCoordinator({"n_ases": args.ases, "seed": args.seed,
-                                "cache_entries": args.cache_entries or 0},
-                               n_shards=args.shards,
-                               trace_out=args.trace_out,
-                               trace_sample=args.trace_sample,
-                               metrics_out=args.metrics_out).start()
-        if args.hosts:
-            sim.join_hosts(args.hosts)
-            sim.flush_indexes()
-        print("serve: built sharded inter network ({} shards, seed {}, "
-              "{} hosts)".format(args.shards, args.seed, args.hosts),
-              file=sys.stderr)
-        server: ReproServer = ShardedReproServer(sim)
-    elif args.snapshot is not None:
+    if args.snapshot is not None:
         from repro import snapshot
         net = snapshot.load(args.snapshot, verify=args.verify)
         print("serve: loaded {} ({})".format(
             args.snapshot, snapshot.describe(args.snapshot)["counts"]),
             file=sys.stderr)
-        server = ReproServer(net)
     else:
         net = build_network(kind=args.kind, seed=args.seed,
                             n_routers=args.routers, n_ases=args.ases,
@@ -386,29 +355,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                             cache_entries=args.cache_entries)
         print("serve: built {} network (seed {}, {} hosts)".format(
             args.kind, args.seed, args.hosts), file=sys.stderr)
-        server = ReproServer(net)
+    server = ReproServer(net)
 
-    try:
-        if args.requests is not None:
-            with open(args.requests) as fh:
-                answered = server.serve_lines(fh, sys.stdout)
-            print("serve: answered {} scripted request(s)".format(answered),
-                  file=sys.stderr)
-            return 0
-        if args.tcp is not None:
-            def ready(port: int) -> None:
-                print("serve: listening on {}:{}".format(args.host, port),
-                      file=sys.stderr)
-            server.serve_tcp(host=args.host, port=args.tcp, ready=ready,
-                             timeout=args.tcp_timeout)
-            return 0
-        print("serve: reading JSON requests from stdin "
-              "(one per line; op 'shutdown' exits)", file=sys.stderr)
-        server.serve_stdio()
+    if args.requests is not None:
+        with open(args.requests) as fh:
+            answered = server.serve_lines(fh, sys.stdout)
+        print("serve: answered {} scripted request(s)".format(answered),
+              file=sys.stderr)
         return 0
-    finally:
-        if sim is not None:
-            sim.close()
+    if args.tcp is not None:
+        def ready(port: int) -> None:
+            print("serve: listening on {}:{}".format(args.host, port),
+                  file=sys.stderr)
+        server.serve_tcp(host=args.host, port=args.tcp, ready=ready,
+                         timeout=args.tcp_timeout)
+        return 0
+    print("serve: reading JSON requests from stdin "
+          "(one per line; op 'shutdown' exits)", file=sys.stderr)
+    server.serve_stdio()
+    return 0
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
@@ -622,10 +587,6 @@ def main(argv=None) -> int:
                        help="warm-load this snapshot instead of building")
     serve.add_argument("--verify", action="store_true",
                        help="verify the snapshot hash while loading")
-    serve.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="run the interdomain network across N worker "
-                            "processes (deterministic: same metrics and "
-                            "state hash as --shards 1)")
     serve.add_argument("--tcp", type=int, default=None, metavar="PORT",
                        help="serve over TCP instead of stdio (0 = ephemeral)")
     serve.add_argument("--tcp-timeout", type=float, default=60.0,
@@ -636,17 +597,6 @@ def main(argv=None) -> int:
                        help="TCP bind address (default 127.0.0.1)")
     serve.add_argument("--requests", default=None, metavar="FILE",
                        help="answer the JSON-line requests in FILE and exit")
-    serve.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="sharded mode: write the merged cross-shard "
-                            "packet trace as JSONL (byte-identical to the "
-                            "1-shard run)")
-    serve.add_argument("--trace-sample", type=float, default=1.0,
-                       metavar="F",
-                       help="fraction of operations to trace (decided from "
-                            "the global op seq; shard-count invariant)")
-    serve.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="sharded mode: write one window-metrics JSONL "
-                            "row per sync barrier")
     serve.set_defaults(func=_cmd_serve)
 
     snap = sub.add_parser(

@@ -79,9 +79,8 @@ class RoflAS:
         """The candidate index is derived from ``hosted`` and rebuilt on
         load, like SPF/BGP caches.  ``flush_epoch`` stays in the snapshot
         schema as a constant 0: which ASes happened to flush, and how
-        often, depends on read traffic, not on routing state, and the
-        sharded runtime (:mod:`repro.sim.shard`) relies on the canonical
-        state hash not seeing it."""
+        often, depends on read traffic, not on routing state, so the
+        canonical state hash must not see it."""
         state = self.__dict__.copy()
         del state["_candidates"]
         state["flush_epoch"] = 0

@@ -61,24 +61,13 @@ def join_inter(net: "InterDomainNetwork", host: PlannedHost,
                n_fingers: Optional[int] = None,
                via_provider: Optional[Hashable] = None,
                flat_id_override: Optional[FlatId] = None,
-               prune=None, walks=None) -> InterJoinReceipt:
+               prune=None) -> InterJoinReceipt:
     """Join one host's identifier across its hierarchy (Fig 8a workload).
 
     ``via_provider`` pins a single-homed join's first up-hop (the
     traffic-engineering knob of Section 5.1); ``flat_id_override`` joins a
     group identifier ``(G, x)`` instead of the hash-of-public-key ID (the
     group's shared key authenticates the join).
-
-    ``walks`` (a :class:`repro.sim.shard.WalkContext`, or None for the
-    ordinary inline path) splits the join into its cheap deterministic
-    *install* (oracle predecessor, pointer setup — executed identically
-    on every shard replica) and its expensive read-only *walks* (the
-    honest scoped lookups and finger selection — executed only on the
-    shard that owns this host's home AS, with the resulting charges and
-    finger table applied everywhere at the next window barrier).  The
-    returned receipt's ``messages``/``fingers`` then cover the install
-    legs only; the walk messages land on the operation record at barrier
-    time, so the closed stats are identical to an unsharded run.
     """
     home = host.attach_at
     if not net.as_is_up(home):
@@ -106,17 +95,15 @@ def join_inter(net: "InterDomainNetwork", host: PlannedHost,
         net.id_owner_index[vn.id] = vn
         with perf.timed("inter.join.levels"):
             for level in chain:
-                _join_level(net, vn, level, walks=walks)
+                _join_level(net, vn, level)
         _update_blooms(net, vn)
-        if n_fingers and walks is None:
+        if n_fingers:
             from repro.inter.fingers import acquire_fingers
             acquire_fingers(net, vn, n_fingers)
         messages = op["messages"]
 
     net.hosts[host.name] = vn
     net.host_records[host.name] = host
-    if walks is not None:
-        walks.note_join(op, vn, n_fingers)
     return InterJoinReceipt(host_name=host.name, flat_id=vn.id, home_as=home,
                             strategy=strategy.value, messages=messages,
                             levels_joined=len(vn.joined_levels),
@@ -124,7 +111,7 @@ def join_inter(net: "InterDomainNetwork", host: PlannedHost,
 
 
 def _join_level(net: "InterDomainNetwork", vn: InterVirtualNode,
-                level: Hashable, walks=None) -> None:
+                level: Hashable) -> None:
     """Join one hierarchy level."""
     from repro.inter.routing import effective_successor
 
@@ -151,7 +138,7 @@ def _join_level(net: "InterDomainNetwork", vn: InterVirtualNode,
     if deduped:
         net.stats.charge_hops(CONFIRMATION_COST, "join")
         pred = oracle_pred
-    elif walks is None:
+    else:
         pred = _scoped_lookup(net, vn, level)
         if pred is None or pred.id != oracle_pred.id:
             # The distributed walk disagreed with the authoritative ring —
@@ -160,17 +147,6 @@ def _join_level(net: "InterDomainNetwork", vn: InterVirtualNode,
             net.lookup_mismatches += 1
             pred = oracle_pred
         # Response: predecessor → home, carrying its successor info.
-        _charge_scoped_path(net, pred.home_as, vn.home_as, level, "join")
-    else:
-        # Sharded: the honest walk runs only on the owning shard (under a
-        # scratch collector; charges + any mismatch travel as a barrier
-        # effect), while every replica installs from the oracle — which
-        # is exactly the state the inline path converges to, mismatches
-        # included.  The response leg is deterministic, so it is charged
-        # in lock-step here.
-        if walks.compute:
-            walks.lookup(net, vn, level, oracle_pred)
-        pred = oracle_pred
         _charge_scoped_path(net, pred.home_as, vn.home_as, level, "join")
 
     succ = oracle_succ if oracle_succ.id != vn.id else pred

@@ -97,12 +97,11 @@ def select_fingers(net: "InterDomainNetwork", vn: InterVirtualNode,
 
     Pure with respect to network state: reads the global ring, the
     id-owner oracle, and the memoised policy-path profile; draws from a
-    per-call ``derive_rng`` stream (no registry stream is consumed).  The
-    sharded runtime computes this on the owning shard only and ships the
-    result to every replica; :func:`apply_fingers` installs it.  Returns
+    per-call ``derive_rng`` stream (no registry stream is consumed);
+    :func:`apply_fingers` installs the result.  Returns
     ``(fingers, message_cost)`` — the cost is the three-phase scaffolding
     (~2 messages per up-chain hop) plus one insertion notification per
-    acquired finger, exactly what the inline path charged before.
+    acquired finger.
     """
     rng = derive_rng(net.seed, "fingers", vn.id.value)
     fingers: List[ASPointer] = []

@@ -104,8 +104,8 @@ class InterDomainNetwork:
                   n_fingers: Optional[int] = None,
                   via_provider: Optional[Hashable] = None,
                   flat_id_override: Optional[FlatId] = None,
-                  prune: Optional[Set[Hashable]] = None,
-                  walks=None) -> canon.InterJoinReceipt:
+                  prune: Optional[Set[Hashable]] = None
+                  ) -> canon.InterJoinReceipt:
         strategy = strategy or self.default_strategy
         if self.peering_mode == "bloom" and strategy is JoinStrategy.PEERING:
             # Bloom-filter peering eliminates joins across peering links;
@@ -114,7 +114,7 @@ class InterDomainNetwork:
         return canon.join_inter(self, host, strategy, n_fingers=n_fingers,
                                 via_provider=via_provider,
                                 flat_id_override=flat_id_override,
-                                prune=prune, walks=walks)
+                                prune=prune)
 
     def join_random_hosts(self, n: int,
                           strategy: Optional[JoinStrategy] = None
@@ -165,18 +165,6 @@ class InterDomainNetwork:
             raise ValueError("need at least two joined hosts")
         a, b = self._rng.sample(names, 2)
         return a, b
-
-    def partition_view(self, n_shards: int) -> "object":
-        """A deterministic N-way partition of the AS set for sharded runs.
-
-        Balances expected host load (the AS graph's Zipf host weights)
-        greedily across shards, then enumerates the *ghost edges* — AS
-        links whose endpoints land on different shards — whose minimum
-        link latency is the conservative-synchronization lookahead (see
-        :mod:`repro.sim.shard`).
-        """
-        from repro.sim.shard import ShardPlan
-        return ShardPlan.from_graph(self.asg, n_shards)
 
     def flush_indexes(self) -> None:
         """Flush every AS's pending candidate-index maintenance now.

@@ -20,8 +20,8 @@ complementary surfaces:
 
 Both are zero-dependency and cost nothing when unused: the exporter is
 pull-based (callers decide when a window closes — the workload driver
-ties it to virtual-time sampling, the shard coordinator to sync-window
-barriers) and touches the registry only at those boundaries.
+ties it to virtual-time sampling) and touches the registry only at
+those boundaries.
 """
 
 from __future__ import annotations

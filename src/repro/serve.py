@@ -137,7 +137,9 @@ class ReproServer:
             return None
         try:
             request = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: a deeply nested line ("[" * 100000) blows
+            # the decoder's stack instead of failing to parse.
             return json.dumps({"ok": False, "op": None,
                                "error": "bad JSON: {}".format(exc)})
         return json.dumps(self.handle(request), sort_keys=True)
@@ -415,115 +417,3 @@ class _SocketWriter:
 
     def flush(self) -> None:
         self.wfile.flush()
-
-
-class ShardedReproServer(ReproServer):
-    """The serve protocol over a sharded simulation instead of one net.
-
-    The resident "network" is a :class:`repro.sim.shard.ShardCoordinator`
-    — N worker processes holding lock-step replicas.  Bulk operations
-    (``join``, ``send``) and observers (``metrics``, ``metrics_text``,
-    ``state_hash``, ``save``, ``info``) forward to the coordinator; the
-    metrics surfaces render the *merged* coordinator + all-worker
-    registry view (per-shard ``shard.<k>.*`` gauges included) plus the
-    live window counters the coordinator folds in at every barrier.
-    Operations that need an in-process network object (``route``,
-    ``leave``, ``workload``, ``verify``) reject cleanly with a pointer
-    at unsharded mode.
-    """
-
-    def __init__(self, sim):
-        super().__init__(net=None)
-        self.sim = sim
-
-    @property
-    def kind(self) -> str:
-        return "inter"
-
-    def _unsharded_only(self, op: str):
-        raise ServeError("op {!r} is not available with --shards; "
-                         "run an unsharded server".format(op))
-
-    def _op_info(self, request: Dict) -> Dict:
-        info = self.sim.info()
-        info["kind"] = self.kind
-        info["requests_served"] = self.requests_served
-        return info
-
-    def _op_join(self, request: Dict) -> Dict:
-        n = int(request.get("n", 1))
-        if n < 1:
-            raise ServeError("n must be >= 1")
-        joined = self.sim.join_hosts(n)
-        return {"joined": joined, "total_hosts": self.sim.hosts_joined}
-
-    def _op_send(self, request: Dict) -> Dict:
-        n = int(request.get("n", 1))
-        if n < 1:
-            raise ServeError("n must be >= 1")
-        if "src" in request or "dst" in request:
-            raise ServeError("send routes random pairs; op 'route' is "
-                             "not available with --shards")
-        return self.sim.run_sends(n)
-
-    def _merged_registry(self):
-        """All worker registries folded together (``shard.<k>.*`` gauges
-        included) plus the coordinator's own serve timers — the one view
-        every sharded metrics surface renders from.  Only gauges and the
-        window counter come from :attr:`~repro.sim.shard.ShardCoordinator.
-        live_perf`: its counters are window deltas of the same registries
-        :meth:`~repro.sim.shard.ShardCoordinator.merged_perf` already
-        sums, so folding them wholesale would double-count."""
-        merged = self.sim.merged_perf()
-        merged.merge(perf.PERF)  # fold in coordinator-side serve timers
-        merged.gauges.update(self.sim.live_perf.gauges)
-        windows = self.sim.live_perf.counters.get("shard.windows", 0)
-        if windows:
-            merged.counter("shard.windows", windows)
-        return merged
-
-    def _metrics_registry_snapshot(self) -> Dict[str, Any]:
-        snap = self._merged_registry().snapshot()
-        gauges = dict(snap.get("gauges", {}))
-        gauges["serve.requests_served"] = self.requests_served
-        snap["gauges"] = gauges
-        return snap
-
-    def _op_metrics(self, request: Dict) -> Dict:
-        worker = self.sim.metrics()
-        return {
-            "stats": worker["snapshot"],
-            "lookup_mismatches": worker["lookup_mismatches"],
-            "perf": self._merged_registry().snapshot(),
-            "latency": self._latency_summary(),
-            "live": {
-                "windows_synced": self.sim.windows_synced,
-                "counters": dict(self.sim.live_perf.counters),
-                "gauges": dict(self.sim.live_perf.gauges),
-            },
-            "requests_served": self.requests_served,
-        }
-
-    def _op_save(self, request: Dict) -> Dict:
-        path = request.get("path")
-        if not path:
-            raise ServeError("save needs a 'path'")
-        digest = self.sim.save(path, meta={"source": "serve",
-                                           **request.get("meta", {})})
-        return {"path": path, "state_hash": digest}
-
-    def _op_state_hash(self, request: Dict) -> Dict:
-        self.sim.flush_indexes()
-        return {"state_hash": self.sim.state_hash()}
-
-    def _op_route(self, request: Dict) -> Dict:
-        self._unsharded_only("route")
-
-    def _op_leave(self, request: Dict) -> Dict:
-        self._unsharded_only("leave")
-
-    def _op_workload(self, request: Dict) -> Dict:
-        self._unsharded_only("workload")
-
-    def _op_verify(self, request: Dict) -> Dict:
-        self._unsharded_only("verify")

@@ -11,15 +11,4 @@ per-link latencies.
 from repro.sim.engine import EventLoop, Event
 from repro.sim.stats import StatsCollector, PathResult
 
-__all__ = ["EventLoop", "Event", "StatsCollector", "PathResult",
-           "ShardCoordinator", "ShardError", "ShardPlan"]
-
-
-def __getattr__(name):
-    # The shard layer pulls in multiprocessing and the interdomain stack;
-    # load it lazily so `import repro.sim` stays light for intra users.
-    if name in ("ShardCoordinator", "ShardError", "ShardPlan"):
-        from repro.sim import shard
-        return getattr(shard, name)
-    raise AttributeError("module {!r} has no attribute {!r}".format(
-        __name__, name))
+__all__ = ["EventLoop", "Event", "StatsCollector", "PathResult"]

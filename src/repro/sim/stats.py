@@ -83,29 +83,6 @@ class StatsCollector:
             self.router_traversals[node] += 1
         return n_hops
 
-    def absorb(self, messages: Optional[Dict[str, int]] = None,
-               traversals: Optional[Dict[Hashable, int]] = None,
-               into_op: Optional[Dict] = None) -> None:
-        """Merge pre-aggregated charges captured elsewhere.
-
-        The sharded runtime (:mod:`repro.sim.shard`) computes expensive
-        lookup walks on the shard that owns them, under a scratch
-        collector, and ships the aggregated counts to every replica as an
-        *effect*.  Each replica folds the effect in here — optionally
-        attributing the messages to an already-closed operation record
-        (``into_op``), so per-operation CDFs match an unsharded run.
-        """
-        if messages:
-            total = 0
-            for category, count in messages.items():
-                self.messages[category] += count
-                total += count
-            if into_op is not None:
-                into_op["messages"] += total
-        if traversals:
-            for node, count in traversals.items():
-                self.router_traversals[node] += count
-
     # -- operation scoping --------------------------------------------------
 
     @contextmanager

@@ -88,9 +88,7 @@ class ASGraph:
     def _check_latency(latency: float) -> None:
         if latency <= 0:
             raise ValueError(
-                "link latency must be positive (it bounds the sharded "
-                "simulator's conservative-sync lookahead), got "
-                "{!r}".format(latency))
+                "link latency must be positive, got {!r}".format(latency))
 
     def _check_nodes(self, *asns: Hashable) -> None:
         for asn in asns:
@@ -187,22 +185,6 @@ class ASGraph:
         how the message-charging simulation counts hops.
         """
         return self.graph.edges[a, b].get("latency", 1.0)
-
-    def min_link_latency(self, edges: Optional[Iterable[Tuple[Hashable,
-                                                              Hashable]]]
-                         = None) -> float:
-        """The smallest link latency over ``edges`` (default: all links).
-
-        This is the conservative-synchronization *lookahead*: no message
-        emitted at virtual time ``t`` can influence another AS before
-        ``t + lookahead``, so shards may run ``lookahead`` of virtual
-        time without hearing from each other.  Returns 1.0 for an edge
-        set that is empty (a single-shard partition has no ghost edges).
-        """
-        if edges is None:
-            edges = self.graph.edges
-        latencies = [self.link_latency(a, b) for a, b in edges]
-        return min(latencies) if latencies else 1.0
 
     def multihomed(self) -> List[Hashable]:
         return [asn for asn in self.graph

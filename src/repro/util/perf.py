@@ -174,37 +174,6 @@ class PerfRegistry:
                                  for name, hist in self.histograms.items()}
         return out
 
-    def merge(self, other: "PerfRegistry") -> None:
-        """Fold another registry into this one (sharded-run reporting).
-
-        Counters add; timer cells (``[calls, seconds, max]``) add their
-        calls and seconds and keep the larger max; histograms concatenate
-        their raw samples; gauges are last-write-wins, so a merged gauge
-        reflects whichever registry was folded in last — shard-specific
-        gauges should carry the shard id in their name.  Used by
-        :mod:`repro.sim.shard` to fold per-worker registries into one
-        report after a multiprocess run.
-        """
-        for name, total in other.counters.items():
-            self.counter(name, total)
-        for name, their in other.timers.items():
-            # Tolerate two-element [calls, seconds] cells (registries
-            # pickled before max tracking existed).
-            their_max = their[2] if len(their) > 2 else 0.0
-            cell = self.timers.get(name)
-            if cell is None:
-                self.timers[name] = [their[0], their[1], their_max]
-            else:
-                cell[0] += their[0]
-                cell[1] += their[1]
-                if their_max > cell[2]:
-                    cell[2] = their_max
-        self.gauges.update(other.gauges)
-        for name, hist in other.histograms.items():
-            mine = self.histogram(name)
-            for value in hist._values:
-                mine.record(value)
-
     def reset(self) -> None:
         self.counters.clear()
         self.timers.clear()
@@ -230,4 +199,3 @@ observe = PERF.observe
 snapshot = PERF.snapshot
 reset = PERF.reset
 value = PERF.value
-merge = PERF.merge

@@ -228,15 +228,6 @@ def test_workload_metrics_out_streams_windows(tmp_path, capsys):
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_serve_telemetry_flags_require_shards(capsys):
-    assert main(["serve", "--trace-out", "t.jsonl",
-                 "--requests", "/dev/null"]) == 2
-    assert "--shards" in capsys.readouterr().err
-    assert main(["serve", "--metrics-out", "m.jsonl",
-                 "--requests", "/dev/null"]) == 2
-    assert "repro workload" in capsys.readouterr().err
-
-
 def test_report_requires_an_input(capsys):
     assert main(["report"]) == 2
     assert "nothing to render" in capsys.readouterr().err

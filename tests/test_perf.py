@@ -178,73 +178,3 @@ def test_report_formatters_skip_perf_key():
     text = report.format_fig5b(result)
     assert "AS3967" in text
     assert "perf" not in text
-
-
-def test_merge_folds_histograms_sample_by_sample():
-    a = PerfRegistry()
-    b = PerfRegistry()
-    for v in (1.0, 2.0, 3.0):
-        a.observe("lat", v)
-    for v in (10.0, 20.0):
-        b.observe("lat", v)
-    b.observe("only.b", 5.0)
-    a.merge(b)
-    snap = a.snapshot()["histograms"]
-    assert snap["lat"]["count"] == 5
-    assert snap["lat"]["min"] == 1.0 and snap["lat"]["max"] == 20.0
-    assert snap["only.b"]["count"] == 1
-    # The source registry keeps its own samples untouched.
-    assert b.snapshot()["histograms"]["lat"]["count"] == 2
-
-
-def test_merge_gauges_last_write_wins_but_shard_prefixes_coexist():
-    merged = PerfRegistry()
-    shard0 = PerfRegistry()
-    shard1 = PerfRegistry()
-    # A non-namespaced gauge collides: the last registry folded wins.
-    shard0.gauge("ring.depth", 3)
-    shard1.gauge("ring.depth", 7)
-    # Namespaced per-shard gauges never collide.
-    shard0.gauge("shard.0.hosts", 40)
-    shard1.gauge("shard.1.hosts", 41)
-    merged.merge(shard0)
-    merged.merge(shard1)
-    assert merged.gauges["ring.depth"] == 7
-    assert merged.gauges["shard.0.hosts"] == 40
-    assert merged.gauges["shard.1.hosts"] == 41
-
-
-def test_merge_tolerates_legacy_two_element_timer_cells():
-    old = PerfRegistry()
-    old.timers["work"] = [3, 0.6]  # pickled before max tracking existed
-    new = PerfRegistry()
-    with new.timed("work"):
-        pass
-    new.merge(old)
-    calls, seconds, max_seconds = new.timers["work"]
-    assert calls == 4
-    assert seconds >= 0.6
-    assert max_seconds >= 0.0
-    # And merging into an empty registry synthesises a 0.0 max.
-    fresh = PerfRegistry()
-    fresh.merge(old)
-    assert fresh.timers["work"] == [3, 0.6, 0.0]
-
-
-def test_merge_then_snapshot_is_order_insensitive_for_additive_state():
-    def shard(seed):
-        reg = PerfRegistry()
-        reg.counter("fwd.packets", 10 * seed)
-        reg.timers["inter.join"] = [seed, 0.1 * seed, 0.05 * seed]
-        for v in range(seed):
-            reg.observe("lat", float(v))
-        reg.gauge("shard.{}.hosts".format(seed), seed)
-        return reg
-
-    ab = PerfRegistry()
-    ab.merge(shard(1))
-    ab.merge(shard(2))
-    ba = PerfRegistry()
-    ba.merge(shard(2))
-    ba.merge(shard(1))
-    assert ab.snapshot() == ba.snapshot()

@@ -173,6 +173,18 @@ class TestLineProtocol:
         lines = [json.loads(l) for l in out.getvalue().splitlines()]
         assert [r["ok"] for r in lines] == [False, True]
 
+    def test_deeply_nested_line_is_a_structured_error(self, server):
+        # json.loads raises RecursionError, not JSONDecodeError, here.
+        before = ok(server, op="state_hash")["state_hash"]
+        out = io.StringIO()
+        answered = server.serve_lines(["[" * 100000, '{"op": "ping"}'], out)
+        bad, pong = [json.loads(l) for l in out.getvalue().splitlines()]
+        assert answered == 2
+        assert bad["ok"] is False and bad["op"] is None
+        assert bad["error"].startswith("bad JSON: ")
+        assert pong["ok"] and pong["pong"] is True
+        assert ok(server, op="state_hash")["state_hash"] == before
+
     def test_shutdown_stops_the_loop(self, server):
         out = io.StringIO()
         answered = server.serve_lines(
@@ -355,83 +367,3 @@ class TestTransportEquivalence:
         thread.join(timeout=10)
         assert not thread.is_alive()
         assert "".join(tape) == stdio_out.getvalue()
-
-
-class TestShardedServer:
-    @pytest.fixture(scope="class")
-    def sharded_server(self):
-        from repro.serve import ShardedReproServer
-        from repro.sim.shard import ShardCoordinator
-        sim = ShardCoordinator({"n_ases": 40, "seed": 3,
-                                "cache_entries": 0},
-                               n_shards=2, window_ops=32).start()
-        try:
-            yield ShardedReproServer(sim)
-        finally:
-            sim.close()
-
-    def test_join_send_metrics(self, sharded_server):
-        assert ok(sharded_server, op="ping")["pong"] is True
-        joined = ok(sharded_server, op="join", n=60)
-        assert joined["joined"] == 60
-        assert joined["total_hosts"] == 60
-        sent = ok(sharded_server, op="send", n=20)
-        assert sent["sent"] == 20
-        assert sent["delivered"] >= 19
-        metrics = ok(sharded_server, op="metrics")
-        assert metrics["stats"]
-        assert metrics["lookup_mismatches"] == 0
-        assert metrics["perf"]["gauges"]["shard.count"] == 2
-
-    def test_info_and_state_hash(self, sharded_server):
-        info = ok(sharded_server, op="info")
-        assert info["kind"] == "inter"
-        assert info["shards"] == 2
-        digest = ok(sharded_server, op="state_hash")["state_hash"]
-        assert len(digest) == 64
-
-    def test_unsupported_ops_reject_cleanly(self, sharded_server):
-        for op in ("route", "leave", "workload", "verify"):
-            assert "--shards" in err(sharded_server, op=op)
-
-    def test_save_writes_canonical_replica(self, sharded_server,
-                                           tmp_path):
-        path = str(tmp_path / "sharded-serve.snap")
-        saved = ok(sharded_server, op="save", path=path)
-        assert saved["state_hash"] == ok(
-            sharded_server, op="state_hash")["state_hash"]
-        net = snapshot.load(path, verify=True)
-        assert len(net.hosts) == 60
-
-    def test_metrics_merge_shard_registries_live(self, sharded_server):
-        """Regression: metrics must expose per-shard gauges and the
-        coordinator's live window-fold, not just coordinator-local perf."""
-        ok(sharded_server, op="ping")
-        metrics = ok(sharded_server, op="metrics")
-        gauges = metrics["perf"]["gauges"]
-        assert gauges["shard.count"] == 2
-        for k in (0, 1):
-            assert "shard.{}.hosts".format(k) in gauges
-            assert "shard.{}.owned_ases".format(k) in gauges
-        # Installs run lock-step on every replica, so each shard's full
-        # replica holds all hosts; AS ownership is what's partitioned.
-        assert gauges["shard.0.hosts"] == gauges["shard.1.hosts"] == 60
-        assert (gauges["shard.0.owned_ases"]
-                + gauges["shard.1.owned_ases"]) == 40
-        # Worker-side simulation timers reach the merged snapshot.
-        assert "inter.join" in metrics["perf"]["timers"]
-        # Coordinator-side request latency histograms ride along too.
-        assert metrics["latency"]["ping"]["count"] >= 1
-        live = metrics["live"]
-        assert live["windows_synced"] >= 1
-        assert live["counters"].get("shard.windows") == \
-            live["windows_synced"]
-        assert metrics["requests_served"] >= 1
-
-    def test_metrics_text_includes_shard_lines(self, sharded_server):
-        reply = ok(sharded_server, op="metrics_text")
-        assert reply["content_type"].startswith("text/plain")
-        text = reply["text"]
-        assert "repro_shard_count 2" in text
-        assert "repro_shard_0_hosts" in text
-        assert "repro_inter_join_calls_total" in text

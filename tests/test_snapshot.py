@@ -143,6 +143,18 @@ class TestSameSeedSameHash:
         # queries are transparent.
         assert snapshot.state_hash(cold) == snapshot.state_hash(warm)
 
+        # Interdomain: BGP tables, flushed candidate indexes and the
+        # policy-path memos are read-path state too.
+        cold = build_inter()
+        warm = build_inter()
+        warm.bgp.warm()
+        warm.flush_indexes()
+        for src in warm.ases:
+            for dst in warm.ases:
+                warm.policy.path_profile(src, dst)
+                warm.policy.policy_path(src, dst)
+        assert snapshot.state_hash(cold) == snapshot.state_hash(warm)
+
 
 # ---------------------------------------------------------------------------
 # Round trips.
