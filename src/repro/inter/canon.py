@@ -165,7 +165,6 @@ def _join_level(net: "InterDomainNetwork", vn: InterVirtualNode,
                                                       tuple(back),
                                                       level=level,
                                                       kind="predecessor")
-            net.ases[succ.home_as].mark_dirty(succ)
 
     # The predecessor always re-points at the new node at this level.
     pred_route = _route_to_vn(net, pred.home_as, vn, level)
@@ -182,7 +181,11 @@ def _join_level(net: "InterDomainNetwork", vn: InterVirtualNode,
 
     ring.insert(vn.id, vn)
     vn.joined_levels.append(level)
-    net.ases[vn.home_as].mark_dirty(vn)
+    # Only successors and fingers are candidate pointers: a deduped level
+    # stored none (and ``succ`` above gained just a predecessor), so there
+    # is nothing for the AS index to re-diff.
+    if not deduped:
+        net.ases[vn.home_as].mark_dirty(vn)
 
 
 def _set_successor_preserving_coverage(net: "InterDomainNetwork",

@@ -35,9 +35,10 @@ import contextlib
 import gc
 import io
 import json
+import os
 import pickle
 import zlib
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from repro.snapshot.codec import state_hash_of
 from repro.util import perf
@@ -45,6 +46,10 @@ from repro.util import perf
 #: Bump on any incompatible change to the header or payload layout.
 SCHEMA_VERSION = 1
 MAGIC = "repro-snapshot"
+
+#: What every header carries besides ``magic`` and ``schema``, and as what.
+_HEADER_FIELDS = {"kind": str, "state_hash": str, "counts": dict,
+                  "meta": dict}
 
 #: zlib level 6 halves 10k-host files for pennies of CPU; 9 costs ~4x
 #: the compression time for a further ~2%.
@@ -93,8 +98,9 @@ def state_hash(net: Any) -> str:
     Deterministic across processes and ``PYTHONHASHSEED`` values: two
     networks built by the same code from the same seed hash identically,
     and a loaded snapshot hashes identically to the network it was saved
-    from.  Call :meth:`flush_indexes` first if deferred maintenance
-    should not count as state (``save`` does this automatically).
+    from.  Candidate indexes and their pending flushes are derived, not
+    state — their owners drop them in ``__getstate__`` — so the hash does
+    not depend on whether ``flush_indexes`` has run.
     """
     with perf.timed("snapshot.hash"):
         return state_hash_of(net)
@@ -140,13 +146,30 @@ def save(net: Any, path: str, meta: Optional[Dict[str, Any]] = None) -> str:
         with _gc_paused():
             blob = pickle.dumps(net, protocol=pickle.HIGHEST_PROTOCOL)
         payload = zlib.compress(blob, _ZLIB_LEVEL)
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
-            fh.write(payload)
+        _replace_file(path, (json.dumps(header, sort_keys=True).encode("utf-8"),
+                             b"\n", payload))
     perf.counter("snapshot.saved")
     perf.observe("snapshot.bytes", len(payload))
     return digest
+
+
+def _replace_file(path: str, parts: Iterable[bytes]) -> None:
+    """Write ``parts`` to ``path`` all or nothing.
+
+    The bytes go to a temp file beside ``path`` that then takes its name,
+    so a write that fails midway leaves the previous snapshot in place
+    rather than a truncated one.
+    """
+    tmp = "{}.{}.tmp".format(os.fspath(path), os.getpid())
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                fh.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_header(fh: io.BufferedReader, path: str) -> Dict[str, Any]:
@@ -161,6 +184,11 @@ def _read_header(fh: io.BufferedReader, path: str) -> Dict[str, Any]:
             "{!r} is not a repro snapshot (bad magic)".format(path))
     if header.get("schema") != SCHEMA_VERSION:
         raise SchemaMismatchError(header.get("schema"), path)
+    for field, kind in _HEADER_FIELDS.items():
+        if not isinstance(header.get(field), kind):
+            raise SnapshotError(
+                "snapshot {!r} has a malformed header ({!r} missing or not "
+                "a {})".format(path, field, kind.__name__))
     return header
 
 

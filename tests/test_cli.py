@@ -179,6 +179,20 @@ def test_snapshot_info_rejects_non_snapshot(tmp_path):
         main(["snapshot", "info", str(noise)])
 
 
+@pytest.mark.parametrize("action", ["info", "verify"])
+def test_snapshot_cli_rejects_header_without_state_hash(tmp_path, action):
+    from repro.snapshot import SnapshotError
+    path = tmp_path / "net.snap"
+    assert main(["snapshot", "save", str(path), "--hosts", "5",
+                 "--routers", "16"]) == 0
+    head, _, payload = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    del header["state_hash"]
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(SnapshotError, match="state_hash"):
+        main(["snapshot", action, str(path)])
+
+
 def test_serve_requests_file_session(tmp_path, capsys):
     requests = tmp_path / "requests.jsonl"
     requests.write_text("\n".join(json.dumps(r) for r in (

@@ -143,3 +143,33 @@ class TestPointerRoutes:
             for level, ptr in vn.succ_by_level.items():
                 subtree = net.policy.subtree(level)
                 assert all(asn in subtree for asn in ptr.as_route)
+
+
+class TestJoinIndexMarks:
+    def test_join_marks_only_owners_that_stored_a_successor(
+            self, inter_net_factory):
+        """Candidate pointers are successors and fingers.  A join level
+        that only wrote a predecessor (the successor's side of the
+        exchange) or was deduped by condition (b) (the joiner's side)
+        must not send an owner back through the AS index re-diff."""
+        from repro.util import perf
+
+        net = inter_net_factory(n_hosts=40, n_fingers=0)
+        deduped_levels = 0
+        for _ in range(40):
+            net.flush_indexes()
+            marks0 = perf.value("asnode.index.marks")
+            owners0 = perf.value("asnode.index.refresh.owners")
+            vn = net.hosts[net.join_random_hosts(1)[0].host_name]
+            net.flush_indexes()
+            repointed = sum(ptr.dest_id == vn.id
+                            for other in net.hosts.values()
+                            for ptr in other.succ_by_level.values())
+            # One mark for hosting the new ID, one per successor it
+            # stored, one per predecessor re-pointed at it.
+            stored = 1 + len(vn.succ_by_level) + repointed
+            assert perf.value("asnode.index.marks") - marks0 == stored
+            assert perf.value("asnode.index.refresh.owners") - owners0 \
+                <= stored
+            deduped_levels += len(vn.joined_levels) - len(vn.succ_by_level)
+        assert deduped_levels > 40  # the case under test did occur

@@ -294,6 +294,65 @@ class TestFormat:
         with pytest.raises(snapshot.SnapshotError, match="verification"):
             snapshot.load(path, verify=True)
 
+    @pytest.mark.parametrize("field", ["state_hash", "kind", "counts", "meta"])
+    def test_header_missing_a_field_is_a_snapshot_error(self, tmp_path,
+                                                        field):
+        # Right magic and schema, but a field every reader indexes is
+        # gone (or mistyped): a structured error, not a KeyError.
+        net = build_intra(hosts=5)
+        path = str(tmp_path / "net.snap")
+        snapshot.save(net, path)
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
+            payload = fh.read()
+        for broken in ({k: v for k, v in header.items() if k != field},
+                       dict(header, **{field: 7})):
+            with open(path, "wb") as fh:
+                fh.write(json.dumps(broken).encode() + b"\n" + payload)
+            with pytest.raises(snapshot.SnapshotError, match=field):
+                snapshot.describe(path)
+            with pytest.raises(snapshot.SnapshotError, match=field):
+                snapshot.load(path, verify=True)
+
+    def test_failed_save_keeps_the_previous_snapshot(self, tmp_path,
+                                                     monkeypatch):
+        from repro.snapshot import store
+
+        net = build_intra(hosts=5)
+        path = str(tmp_path / "net.snap")
+        digest = snapshot.save(net, path)
+        net.join_random_hosts(3)
+
+        class DiskFull:
+            """A file that takes the header line and then fails."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(store, "open",
+                            lambda *args: DiskFull(open(*args)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            snapshot.save(net, path)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["net.snap"]
+        assert snapshot.state_hash(snapshot.load(path, verify=True)) == digest
+        assert snapshot.save(net, path) != digest
+        assert [p.name for p in tmp_path.iterdir()] == ["net.snap"]
+        snapshot.load(path, verify=True)
+
 
 # ---------------------------------------------------------------------------
 # Workload replay on a loaded network.
