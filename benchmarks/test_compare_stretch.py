@@ -3,15 +3,14 @@ judged by the obs layer (stretch tail, bound accounting, per-decision
 attribution).  Singla et al.'s worst case is provably ≤ 3; ROFL's tail
 is unbounded but its mean rides the ring shortcuts."""
 
-from repro.harness import experiments as E
 from repro.harness import report as R
 
 
 def test_compare_stretch(run_once):
-    result = run_once(E.headtohead_stretch, profile="AS3967",
+    result = run_once(R.FIGURES["headtohead"].driver, profile="AS3967",
                       n_hosts=150, n_packets=300, n_ases=40,
                       inter_hosts=100, inter_packets=150, seed=0)
-    print(R.format_headtohead(result))
+    print(R.render("headtohead", result))
 
     disco = result["intra"]["disco"]
     rofl = result["intra"]["rofl"]

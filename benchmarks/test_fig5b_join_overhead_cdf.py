@@ -1,15 +1,14 @@
 """Fig 5b — CDF of per-host join overhead (paper: <45 packets,
 roughly 4x network diameter)."""
 
-from repro.harness import experiments as E
 from repro.harness import report as R
 
 
 def test_fig5b_join_overhead_cdf(run_once):
-    result = run_once(E.fig5b_join_overhead_cdf,
+    result = run_once(R.FIGURES["fig5b"].driver,
                       profiles=("AS1221", "AS1239", "AS3257", "AS3967"),
                       n_hosts=800, seed=0)
-    print(R.format_fig5b(result))
+    print(R.render("fig5b", result))
     for profile, data in result.items():
         assert data["p95"] < 10 * data["diameter"]
         assert 1.0 < data["per_diameter"] < 8.0

@@ -1,14 +1,13 @@
 """Fig 6c — memory entries per router vs #IDs (paper: CMU-ETHERNET needs
 34-1200x more memory than ROFL)."""
 
-from repro.harness import experiments as E
 from repro.harness import report as R
 
 
 def test_fig6c_memory(run_once):
-    result = run_once(E.fig6c_memory, profile="AS3967",
+    result = run_once(R.FIGURES["fig6c"].driver, profile="AS3967",
                       host_counts=(10, 100, 1000), seed=0)
-    print(R.format_fig6c(result))
+    print(R.render("fig6c", result))
     rows = result["series"]
     # The gap widens with population: ROFL state is per-resident +
     # O(group), CMU is every-host-everywhere.

@@ -2,14 +2,13 @@
 to 600M IDs: ephemeral ~14, single-homed ~80, multihomed ~100, peering
 up to ~445 messages with 340 fingers)."""
 
-from repro.harness import experiments as E
 from repro.harness import report as R
 
 
 def test_fig8a_inter_join(run_once):
-    result = run_once(E.fig8a_inter_join, n_ases=100, n_hosts=500,
+    result = run_once(R.FIGURES["fig8a"].driver, n_ases=100, n_hosts=500,
                       seed=0, n_fingers=8)
-    print(R.format_fig8a(result))
+    print(R.render("fig8a", result))
     s = result["strategies"]
     assert s["ephemeral"]["mean"] < s["single-homed"]["mean"]
     assert s["single-homed"]["mean"] <= s["multihomed"]["mean"] * 1.1

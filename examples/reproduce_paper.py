@@ -2,8 +2,11 @@
 """Regenerate every figure of the paper's evaluation section in one run.
 
 Prints the same rows/series the paper plots (with the paper's reported
-trend quoted under each block).  Use ``--full`` for larger workloads
-(several minutes); the default finishes in well under a minute.
+trend quoted under each block): every ``fig*`` entry of the figure
+registry, ``repro.harness.report.FIGURES``, at its registered sizes.
+Use ``--full`` for larger workloads (several minutes); the default
+finishes in well under a minute.  ``python -m repro figures`` runs the
+same blocks and then the ROFL-vs-Disco head-to-head.
 
 Run:  python examples/reproduce_paper.py [--full]
 """
@@ -11,9 +14,7 @@ Run:  python examples/reproduce_paper.py [--full]
 import argparse
 import time
 
-from repro.harness import experiments as E
-from repro.harness import report as R
-from repro.topology.isp import TCAM_ENTRIES
+from repro.harness.report import run_figures
 
 
 def main() -> None:
@@ -21,49 +22,11 @@ def main() -> None:
     parser.add_argument("--full", action="store_true",
                         help="run at larger (slower) workload sizes")
     args = parser.parse_args()
-    big = args.full
-    k = 3 if big else 1
-
-    plan = [
-        (lambda: E.fig5a_intra_join_overhead(
-            profiles=("AS1221", "AS1239", "AS3257", "AS3967"),
-            host_counts=(10, 100, 1000 * k)), R.format_fig5a),
-        (lambda: E.fig5b_join_overhead_cdf(
-            profiles=("AS1221", "AS3967"), n_hosts=500 * k), R.format_fig5b),
-        (lambda: E.fig5c_join_latency_cdf(
-            profiles=("AS1221", "AS3967"), n_hosts=300 * k), R.format_fig5c),
-        (lambda: E.fig6a_stretch_vs_cache(
-            cache_sizes=(0, 64, 1024, 8192, TCAM_ENTRIES),
-            n_hosts=800 * k, n_packets=400 * k), R.format_fig6a),
-        (lambda: E.fig6b_load_balance(n_hosts=500 * k, n_packets=2000 * k),
-         R.format_fig6b),
-        (lambda: E.fig6c_memory(host_counts=(10, 100, 1000 * k)),
-         R.format_fig6c),
-        (lambda: E.fig7_partition_repair(ids_per_pop=(1, 4, 16, 64)),
-         R.format_fig7),
-        (lambda: E.fig7b_host_failure(n_hosts=500 * k, n_failures=150),
-         R.format_fig7b),
-        (lambda: E.fig7c_router_recovery(n_hosts=300 * k, n_failures=3 * k),
-         R.format_fig7c),
-        (lambda: E.fig8a_inter_join(n_ases=100, n_hosts=400 * k),
-         R.format_fig8a),
-        (lambda: E.fig8b_inter_stretch(n_ases=100, n_hosts=300 * k,
-                                       finger_counts=(4, 16, 32),
-                                       n_packets=300 * k), R.format_fig8b),
-        (lambda: E.fig8c_inter_cache_stretch(n_ases=100, n_hosts=300 * k,
-                                             n_packets=300 * k),
-         R.format_fig8c),
-        (lambda: E.fig8d_stub_failure(n_ases=100, n_hosts=400 * k),
-         R.format_fig8d),
-        (lambda: E.fig8e_bloom_peering(n_ases=100, n_hosts=300 * k,
-                                       n_packets=300 * k), R.format_fig8e),
-    ]
 
     start = time.time()
-    for build, render in plan:
-        step = time.time()
-        print(render(build()))
-        print("[{:.1f}s]".format(time.time() - step))
+    for _name, text, took in run_figures(args.full, only="fig"):
+        print(text)
+        print("[{:.1f}s]".format(took))
     print("\nAll figures regenerated in {:.1f}s.".format(time.time() - start))
 
 

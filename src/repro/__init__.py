@@ -40,9 +40,38 @@ __all__ = [
     "synthetic_isp",
     "synthetic_as_graph",
     "ROCKETFUEL_PROFILES",
+    "build_network",
     "quick_intradomain",
     "quick_interdomain",
 ]
+
+
+def build_network(kind="intra", seed=0, n_routers=40, n_ases=60, hosts=0,
+                  cache_entries=None, n_fingers=8, name=None):
+    """Build a fresh network and join ``hosts`` hosts onto it — the one
+    constructor behind ``repro serve``, ``snapshot save``, ``trace``, the
+    workload driver and the ``quick_*`` helpers.
+
+    ``cache_entries=None`` is each kind's default (TCAM-sized intra, no
+    cache inter).  ``name`` names the intradomain topology and so seeds
+    the network's RNG streams: the same name is the same network.
+    """
+    if kind == "intra":
+        topo = synthetic_isp(n_routers=n_routers, seed=seed, name=name)
+        kwargs = {} if cache_entries is None else {
+            "cache_entries": cache_entries}
+        net = IntraDomainNetwork(topo, seed=seed, **kwargs)
+    elif kind == "inter":
+        asg = synthetic_as_graph(n_ases=n_ases, seed=seed)
+        net = InterDomainNetwork(asg, n_fingers=n_fingers, seed=seed,
+                                 cache_entries=cache_entries or 0)
+    else:
+        raise ValueError("kind must be 'intra' or 'inter', got "
+                         "{!r}".format(kind))
+    if hosts:
+        net.join_random_hosts(hosts)
+        net.flush_indexes()
+    return net
 
 
 def quick_intradomain(n_routers=40, n_hosts=100, seed=0, cache_entries=1024):
@@ -52,15 +81,11 @@ def quick_intradomain(n_routers=40, n_hosts=100, seed=0, cache_entries=1024):
     it generates a synthetic PoP-structured ISP, brings up the link-state
     substrate and joins ``n_hosts`` hosts onto the ring.
     """
-    topo = synthetic_isp(n_routers=n_routers, seed=seed)
-    net = IntraDomainNetwork(topo, cache_entries=cache_entries, seed=seed)
-    net.join_random_hosts(n_hosts)
-    return net
+    return build_network("intra", seed, n_routers=n_routers, hosts=n_hosts,
+                         cache_entries=cache_entries)
 
 
 def quick_interdomain(n_ases=60, n_hosts=300, seed=0, n_fingers=16):
     """Build a small interdomain ROFL network over a synthetic AS graph."""
-    graph = synthetic_as_graph(n_ases=n_ases, seed=seed)
-    net = InterDomainNetwork(graph, n_fingers=n_fingers, seed=seed)
-    net.join_random_hosts(n_hosts)
-    return net
+    return build_network("inter", seed, n_ases=n_ases, hosts=n_hosts,
+                         n_fingers=n_fingers)

@@ -2,8 +2,10 @@
 
 Commands:
 
-* ``figures [--full] [--only PREFIX]`` — regenerate the paper's
-  evaluation figures (same as ``examples/reproduce_paper.py``).
+* ``figures [--full] [--only PREFIX]`` — run the figure registry
+  (``repro.harness.report.FIGURES``): the evaluation blocks of
+  ``examples/reproduce_paper.py``, same sizes and order, then the
+  ROFL-vs-Disco head-to-head.
 * ``workload <scenario.json|builtin> [--seed N] [--json PATH]`` — run a
   declarative churn/traffic/fault scenario (``--list`` names builtins).
   ``--trace-out out.jsonl`` records a causal packet trace; ``--probes``
@@ -26,7 +28,8 @@ Commands:
 * ``report [--metrics m.jsonl] [--perf result.json] [--bench
   BENCH_scaling.json] [--compare compare_stretch.json] [--out
   report.html]`` — render telemetry artifacts into one self-contained
-  HTML or markdown document (``repro.obs.report``).
+  HTML or markdown document (``repro.obs.report``); an input of the
+  wrong shape exits 2 with ``report: <file>: <what is wrong>``.
 * ``quickstart`` — a 30-second end-to-end tour of the intradomain system.
 * ``info`` — package, paper, and inventory summary.
 
@@ -37,82 +40,86 @@ status 2 and a usage message on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
-    from repro.harness import experiments as E
-    from repro.harness import report as R
-    from repro.topology.isp import TCAM_ENTRIES
+def _write_json(payload, path: str) -> None:
+    """``--json PATH``: sorted, indented; ``-`` is stdout."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if path == "-":
+        print(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+        print("wrote {}".format(path))
 
-    k = 3 if args.full else 1
-    plan = {
-        "fig5a": (lambda: E.fig5a_intra_join_overhead(
-            host_counts=(10, 100, 1000 * k)), R.format_fig5a),
-        "fig5b": (lambda: E.fig5b_join_overhead_cdf(n_hosts=500 * k),
-                  R.format_fig5b),
-        "fig5c": (lambda: E.fig5c_join_latency_cdf(n_hosts=300 * k),
-                  R.format_fig5c),
-        "fig6a": (lambda: E.fig6a_stretch_vs_cache(
-            cache_sizes=(0, 64, 1024, TCAM_ENTRIES),
-            n_hosts=800 * k, n_packets=400 * k), R.format_fig6a),
-        "fig6b": (lambda: E.fig6b_load_balance(n_hosts=500 * k,
-                                               n_packets=2000 * k),
-                  R.format_fig6b),
-        "fig6c": (lambda: E.fig6c_memory(host_counts=(10, 100, 1000 * k)),
-                  R.format_fig6c),
-        "fig7": (lambda: E.fig7_partition_repair(), R.format_fig7),
-        "fig7b": (lambda: E.fig7b_host_failure(n_hosts=500 * k),
-                  R.format_fig7b),
-        "fig7c": (lambda: E.fig7c_router_recovery(n_hosts=300 * k,
-                                                  n_failures=3 * k),
-                  R.format_fig7c),
-        "fig8a": (lambda: E.fig8a_inter_join(n_hosts=400 * k),
-                  R.format_fig8a),
-        "fig8b": (lambda: E.fig8b_inter_stretch(n_hosts=300 * k,
-                                                n_packets=300 * k),
-                  R.format_fig8b),
-        "fig8c": (lambda: E.fig8c_inter_cache_stretch(n_hosts=300 * k,
-                                                      n_packets=300 * k),
-                  R.format_fig8c),
-        "fig8d": (lambda: E.fig8d_stub_failure(n_hosts=400 * k),
-                  R.format_fig8d),
-        "fig8e": (lambda: E.fig8e_bloom_peering(n_hosts=300 * k,
-                                                n_packets=300 * k),
-                  R.format_fig8e),
-        "headtohead": (lambda: E.headtohead_stretch(n_hosts=150 * k,
-                                                    n_packets=300 * k),
-                       R.format_headtohead),
-    }
-    selected = {name: entry for name, entry in plan.items()
-                if args.only is None or name.startswith(args.only)}
-    if not selected:
-        print("no figure matches {!r}; choices: {}".format(
-            args.only, ", ".join(plan)), file=sys.stderr)
-        return 2
-    tracer = None
-    if args.trace_out is not None:
-        from repro.obs import trace as obs_trace
-        tracer = obs_trace.install(obs_trace.Tracer(
-            sink=obs_trace.JsonlSink(args.trace_out),
-            sample=args.trace_sample))
-    start = time.time()
+
+def _load_scenario(command: str, name: str, seed):
+    """The builtin scenario or scenario JSON file ``name``, reseeded when
+    ``--seed`` was given.  A bad name or file is reported on stderr under
+    ``command`` and returns None."""
+    from repro.workload import (BUILTIN_SCENARIOS, Scenario, ScenarioError,
+                                builtin_scenario)
     try:
-        for name, (build, render) in selected.items():
-            step = time.time()
-            print(render(build()))
-            print("[{} took {:.1f}s]\n".format(name, time.time() - step))
+        if name in BUILTIN_SCENARIOS:
+            scenario = builtin_scenario(name)
+        elif os.path.exists(name):
+            scenario = Scenario.load(name)
+        else:
+            raise ScenarioError(
+                "no such builtin or file: {!r} (builtins: {})".format(
+                    name, ", ".join(sorted(BUILTIN_SCENARIOS))))
+    except ScenarioError as exc:
+        print("{}: {}".format(command, exc), file=sys.stderr)
+        return None
+    if seed is not None:
+        scenario.seed = seed
+    return scenario
+
+
+@contextlib.contextmanager
+def _tracing(args: argparse.Namespace, sink=None):
+    """One command's tracing session: a tracer at ``--trace-sample``
+    installed for the block and closed after it.  Records go to ``sink``
+    when the caller brings one, else stream to ``--trace-out`` (summarised
+    on stderr at the end); with neither there is no tracer and the block
+    gets None."""
+    from repro.obs import trace as obs_trace
+    streamed = sink is None and args.trace_out is not None
+    if streamed:
+        sink = obs_trace.JsonlSink(args.trace_out)
+    if sink is None:
+        yield None
+        return
+    tracer = obs_trace.Tracer(sink=sink, sample=args.trace_sample)
+    try:
+        with obs_trace.tracing(tracer):
+            yield tracer
     finally:
-        if tracer is not None:
-            from repro.obs import trace as obs_trace
-            obs_trace.uninstall()
-            tracer.close()
-            print("trace: {} records -> {}".format(tracer.records_emitted,
-                                                   args.trace_out),
-                  file=sys.stderr)
+        tracer.close()
+        if streamed:
+            print("trace: {} records ({} spans, {} sampled out) -> {}".format(
+                tracer.records_emitted, tracer.spans_started,
+                tracer.spans_dropped, args.trace_out), file=sys.stderr)
+
+
+def _cmd_figures(args: argparse.Namespace) -> int:
+    from repro.harness.report import FIGURES, run_figures
+
+    only = args.only or ""
+    if not any(name.startswith(only) for name in FIGURES):
+        print("no figure matches {!r}; choices: {}".format(
+            args.only, ", ".join(FIGURES)), file=sys.stderr)
+        return 2
+    start = time.time()
+    with _tracing(args):
+        for name, text, took in run_figures(args.full, only):
+            print(text)
+            print("[{} took {:.1f}s]\n".format(name, took))
     print("done in {:.1f}s".format(time.time() - start))
     return 0
 
@@ -142,8 +149,7 @@ def _cmd_quickstart(_args: argparse.Namespace) -> int:
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
-    from repro.workload import (BUILTIN_SCENARIOS, Scenario, ScenarioError,
-                                builtin_scenario, run_scenario)
+    from repro.workload import BUILTIN_SCENARIOS, builtin_scenario, run_scenario
 
     if args.list:
         for name in sorted(BUILTIN_SCENARIOS):
@@ -158,43 +164,18 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         print("workload: need a scenario (builtin name or JSON file); "
               "--list shows builtins", file=sys.stderr)
         return 2
-
-    try:
-        if args.scenario in BUILTIN_SCENARIOS:
-            scenario = builtin_scenario(args.scenario, seed=args.seed)
-        elif os.path.exists(args.scenario):
-            scenario = Scenario.load(args.scenario)
-            if args.seed != 0:
-                scenario.seed = args.seed
-        else:
-            raise ScenarioError(
-                "no such builtin or file: {!r} (builtins: {})".format(
-                    args.scenario, ", ".join(sorted(BUILTIN_SCENARIOS))))
-    except ScenarioError as exc:
-        print("workload: {}".format(exc), file=sys.stderr)
+    scenario = _load_scenario("workload", args.scenario, args.seed)
+    if scenario is None:
         return 2
 
-    tracer = None
-    if args.trace_out is not None or args.probes:
-        from repro.obs import trace as obs_trace
-        sink = (obs_trace.JsonlSink(args.trace_out)
-                if args.trace_out is not None else obs_trace.NullSink())
-        tracer = obs_trace.Tracer(sink=sink, sample=args.trace_sample)
-        obs_trace.install(tracer)
-    try:
+    sink = None
+    if args.probes and args.trace_out is None:
+        from repro.obs.trace import NullSink    # probes listen on a tracer
+        sink = NullSink()
+    with _tracing(args, sink) as tracer:
         result = run_scenario(scenario, tracer=tracer, probes=args.probes,
                               metrics_out=args.metrics_out,
                               metrics_window=args.metrics_window)
-    finally:
-        if tracer is not None:
-            from repro.obs import trace as obs_trace
-            obs_trace.uninstall()
-            tracer.close()
-            if args.trace_out is not None:
-                print("trace: {} records ({} spans, {} sampled out) -> {}"
-                      .format(tracer.records_emitted, tracer.spans_started,
-                              tracer.spans_dropped, args.trace_out),
-                      file=sys.stderr)
     if result.violations:
         print("probes: {} violation(s)".format(len(result.violations)),
               file=sys.stderr)
@@ -204,46 +185,10 @@ def _cmd_workload(args: argparse.Namespace) -> int:
             file=sys.stderr)
 
     if args.json is not None:
-        payload = json.dumps(result.deterministic_view(), indent=2,
-                             sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(payload + "\n")
-            print("wrote {}".format(args.json))
-        return 0
-
-    print("scenario {!r} (seed {}): {} virtual time units, {} events "
-          "({:.0f} events/sec wall)".format(
-              scenario.name, scenario.seed, scenario.duration,
-              result.totals["events_run"], result.events_per_sec))
-    print("{:>8} {:>6} {:>6} {:>9} {:>8} {:>10} {:>7}".format(
-        "t", "hosts", "sent", "delivery", "stretch", "ctrl msgs", "state"))
-    for row in result.samples:
-        print("{:>8.1f} {:>6} {:>6} {:>9} {:>8} {:>10} {:>7}".format(
-            row["t"], row["live_hosts"], row["sent"],
-            "-" if row["delivery_rate"] is None
-            else "{:.3f}".format(row["delivery_rate"]),
-            "-" if row["mean_stretch"] is None
-            else "{:.2f}".format(row["mean_stretch"]),
-            row["control_messages"], row["state_entries"]))
-    for record in result.fault_log:
-        print("fault @{:>6.1f}: {}".format(
-            record["at"], {k: v for k, v in record.items() if k != "at"}))
-    summary = result.summary
-    print("joins {} (+{} warmup), departures {}, delivery {}, "
-          "min-window delivery {}".format(
-              result.totals["joins"], result.totals["warmup_hosts"],
-              result.totals["departures"],
-              "-" if summary["delivery_rate"] is None
-              else "{:.4f}".format(summary["delivery_rate"]),
-              "-" if summary["min_window_delivery_rate"] is None
-              else "{:.4f}".format(summary["min_window_delivery_rate"])))
-    if "stretch" in summary:
-        print("stretch mean {:.2f} p95 {:.2f}; control messages {}".format(
-            summary["stretch"]["mean"], summary["stretch"]["p95"],
-            summary["control_messages"]))
+        _write_json(result.deterministic_view(), args.json)
+    else:
+        from repro.obs.report import emit_text
+        print(emit_text(result.blocks()))
     return 0
 
 
@@ -251,33 +196,18 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Route packets under the tracer and explain each decision tree."""
     from repro.obs import explain
     from repro.obs import trace as obs_trace
-    from repro.obs.probes import ProbeSet
 
-    tracer = obs_trace.Tracer(sink=obs_trace.RingBufferSink(capacity=None),
-                              sample=args.trace_sample)
-
+    sink = obs_trace.RingBufferSink(capacity=None)
     if args.scenario is not None:
         # Replay a scenario window with tracing + probes on, then explain
         # the last packets it routed.
-        from repro.workload import (BUILTIN_SCENARIOS, Scenario,
-                                    ScenarioError, builtin_scenario,
-                                    run_scenario)
-        try:
-            if args.scenario in BUILTIN_SCENARIOS:
-                scenario = builtin_scenario(args.scenario, seed=args.seed)
-            elif os.path.exists(args.scenario):
-                scenario = Scenario.load(args.scenario)
-                if args.seed != 0:
-                    scenario.seed = args.seed
-            else:
-                raise ScenarioError(
-                    "no such builtin or file: {!r}".format(args.scenario))
-        except ScenarioError as exc:
-            print("trace: {}".format(exc), file=sys.stderr)
+        from repro.workload import run_scenario
+        scenario = _load_scenario("trace", args.scenario, args.seed)
+        if scenario is None:
             return 2
-        with obs_trace.tracing(tracer):
+        with _tracing(args, sink) as tracer:
             result = run_scenario(scenario, tracer=tracer, probes=True)
-        records = tracer.sink.records()
+        records = sink.records()
         packets = explain.explain_packets(records)
         print("scenario {!r}: {} trace records, {} packet spans, "
               "{} probe violation(s)".format(
@@ -290,57 +220,70 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print()
             print(packet.render())
         if args.trace_out is not None:
-            obs_trace.dump_jsonl(records, args.trace_out)
-            print("\nwrote {} records to {}".format(len(records),
-                                                    args.trace_out))
-        return 0
-
-    # Standalone: build a small network, route packets, explain each.
-    if args.inter:
-        from repro.inter.network import InterDomainNetwork
-        from repro.topology.asgraph import synthetic_as_graph
-        net = InterDomainNetwork(synthetic_as_graph(n_ases=args.ases,
-                                                    seed=args.seed),
-                                 seed=args.seed, cache_entries=256)
+            print()
     else:
-        from repro.intra.network import IntraDomainNetwork
-        from repro.topology.isp import synthetic_isp
-        net = IntraDomainNetwork(synthetic_isp(n_routers=args.routers,
-                                               seed=args.seed),
-                                 seed=args.seed)
-    net.join_random_hosts(args.hosts)
-    results = []
-    with obs_trace.tracing(tracer):
-        probes = ProbeSet.for_network(net, tracer=tracer)
-        for _ in range(args.packets):
-            a, b = net.random_host_pair()
-            results.append((a, b, net.send(a, b)))
-        probes.tick(0.0)
-
-    records = tracer.sink.records()
-    packets = explain.explain_packets(records)
-    for (a, b, result), packet in zip(results, packets):
-        print("{} -> {}:".format(a, b))
-        print(packet.render(result.optimal_hops))
-        attributed = packet.total_stretch(result.optimal_hops)
-        print("  attribution: {} segment(s) summing to stretch {:.3f} "
-              "(PathResult.stretch {:.3f})".format(
-                  len(packet.segments), attributed, result.stretch))
-        print()
-    if probes.violations:
-        print("probes: {} violation(s)".format(len(probes.violations)))
-        for violation in probes.summary():
-            print("  {}".format(violation))
-    else:
-        print("probes: ring/SPF/isolation invariants clean")
+        # Standalone: build a small network, route packets, explain each.
+        from repro import build_network
+        from repro.obs.probes import ProbeSet
+        net = build_network("inter" if args.inter else "intra",
+                            args.seed or 0, n_routers=args.routers,
+                            n_ases=args.ases, hosts=args.hosts,
+                            cache_entries=256 if args.inter else None,
+                            n_fingers=16)
+        results = []
+        with _tracing(args, sink) as tracer:
+            probes = ProbeSet.for_network(net, tracer=tracer)
+            for _ in range(args.packets):
+                a, b = net.random_host_pair()
+                results.append((a, b, net.send(a, b)))
+            probes.tick(0.0)
+        records = sink.records()
+        for (a, b, result), packet in zip(results,
+                                          explain.explain_packets(records)):
+            print("{} -> {}:".format(a, b))
+            print(packet.render(result.optimal_hops))
+            attributed = packet.total_stretch(result.optimal_hops)
+            print("  attribution: {} segment(s) summing to stretch {:.3f} "
+                  "(PathResult.stretch {:.3f})".format(
+                      len(packet.segments), attributed, result.stretch))
+            print()
+        if probes.violations:
+            print("probes: {} violation(s)".format(len(probes.violations)))
+            for violation in probes.summary():
+                print("  {}".format(violation))
+        else:
+            print("probes: ring/SPF/isolation invariants clean")
     if args.trace_out is not None:
         obs_trace.dump_jsonl(records, args.trace_out)
         print("wrote {} records to {}".format(len(records), args.trace_out))
     return 0
 
 
+def _add_network_args(parser: argparse.ArgumentParser) -> None:
+    """The network ``serve`` and ``snapshot save`` build when not handed
+    a snapshot (see :func:`_network_from_args`)."""
+    parser.add_argument("--kind", choices=("intra", "inter"), default="intra",
+                        help="network kind to build (default intra)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--routers", type=int, default=40,
+                        help="intra: router count (default 40)")
+    parser.add_argument("--ases", type=int, default=60,
+                        help="inter: AS count (default 60)")
+    parser.add_argument("--hosts", type=int, default=200,
+                        help="hosts to join after building (default 200)")
+    parser.add_argument("--cache-entries", type=int, default=None,
+                        help="pointer-cache size override")
+
+
+def _network_from_args(args: argparse.Namespace):
+    from repro.serve import build_network
+    return build_network(kind=args.kind, seed=args.seed,
+                         n_routers=args.routers, n_ases=args.ases,
+                         hosts=args.hosts, cache_entries=args.cache_entries)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ReproServer, build_network
+    from repro.serve import ReproServer
 
     if args.snapshot is not None:
         from repro import snapshot
@@ -349,10 +292,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.snapshot, snapshot.describe(args.snapshot)["counts"]),
             file=sys.stderr)
     else:
-        net = build_network(kind=args.kind, seed=args.seed,
-                            n_routers=args.routers, n_ases=args.ases,
-                            hosts=args.hosts,
-                            cache_entries=args.cache_entries)
+        net = _network_from_args(args)
         print("serve: built {} network (seed {}, {} hosts)".format(
             args.kind, args.seed, args.hosts), file=sys.stderr)
     server = ReproServer(net)
@@ -380,11 +320,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     from repro import snapshot
 
     if args.action == "save":
-        from repro.serve import build_network
-        net = build_network(kind=args.kind, seed=args.seed,
-                            n_routers=args.routers, n_ases=args.ases,
-                            hosts=args.hosts,
-                            cache_entries=args.cache_entries)
+        net = _network_from_args(args)
         digest = snapshot.save(net, args.path, meta={"source": "cli"})
         print("saved {} ({} hosts) state_hash={}".format(
             args.path, len(net.hosts), digest[:16]))
@@ -416,56 +352,37 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 def _cmd_compare_stretch(args: argparse.Namespace) -> int:
     """ROFL vs Disco (vs CMU/OSPF) head-to-head; nonzero exit on any
     stretch-bound breach, probe violation, or attribution mismatch."""
-    from repro.harness.experiments import headtohead_stretch
-    from repro.harness.report import format_headtohead
+    from repro.harness.report import FIGURES, render
 
-    result = headtohead_stretch(
+    result = FIGURES["headtohead"].driver(
         profile=args.profile, n_hosts=args.hosts, n_packets=args.packets,
         n_ases=args.ases, inter_hosts=args.inter_hosts,
         inter_packets=args.inter_packets, seed=args.seed,
         full_scale=args.full, landmark_factor=args.landmark_factor,
         all_pairs_hosts=args.all_pairs_hosts)
-    print(format_headtohead(result))
-
+    print(render("headtohead", result))
     if args.json is not None:
-        payload = json.dumps(result, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(payload + "\n")
-            print("wrote {}".format(args.json))
+        _write_json(result, args.json)
 
-    failures = []
-    for scope in ("intra", "inter"):
-        for label, row in result[scope].items():
-            where = "{}/{}".format(scope, label)
-            if row["bound_violations"]:
-                failures.append("{}: {} stretch-bound violation(s)".format(
-                    where, row["bound_violations"]))
-            if row["probe_violations"]:
-                failures.append("{}: {} probe violation(s)".format(
-                    where, len(row["probe_violations"])))
-            if row["attribution_mismatches"]:
-                failures.append("{}: {} attribution mismatch(es)".format(
-                    where, row["attribution_mismatches"]))
     sweep = result["disco_all_pairs"]
-    if sweep["undelivered"]:
-        failures.append("all-pairs: {} undelivered".format(
-            sweep["undelivered"]))
-    if sweep["violations"]:
-        failures.append("all-pairs: {} probe violation(s)".format(
-            len(sweep["violations"])))
-    if failures:
-        for failure in failures:
-            print("compare-stretch: FAIL {}".format(failure),
-                  file=sys.stderr)
-        return 1
-    return 0
+    checks = [("{}/{}".format(scope, label), count, what)
+              for scope in ("intra", "inter")
+              for label, row in result[scope].items()
+              for count, what in (
+                  (row["bound_violations"], "stretch-bound violation(s)"),
+                  (len(row["probe_violations"]), "probe violation(s)"),
+                  (row["attribution_mismatches"], "attribution mismatch(es)"))]
+    checks += [("all-pairs", sweep["undelivered"], "undelivered"),
+               ("all-pairs", len(sweep["violations"]), "probe violation(s)")]
+    failed = [check for check in checks if check[1]]
+    for where, count, what in failed:
+        print("compare-stretch: FAIL {}: {} {}".format(where, count, what),
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.obs.report import generate_report
+    from repro.obs.report import ReportError, generate_report
 
     if (args.metrics is None and args.perf is None and args.bench is None
             and args.compare is None):
@@ -478,7 +395,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                                    perf_path=args.perf,
                                    bench_path=args.bench,
                                    compare_path=args.compare, fmt=fmt)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ReportError) as exc:
         print("report: {}".format(exc), file=sys.stderr)
         return 2
     if args.out == "-":
@@ -524,7 +441,7 @@ def main(argv=None) -> int:
     workload.add_argument("scenario", nargs="?", default=None,
                           help="builtin scenario name or path to a "
                                "scenario JSON file")
-    workload.add_argument("--seed", type=int, default=0,
+    workload.add_argument("--seed", type=int, default=None,
                           help="override the scenario seed")
     workload.add_argument("--json", default=None, metavar="PATH",
                           help="write the deterministic result as JSON "
@@ -559,7 +476,9 @@ def main(argv=None) -> int:
                           help="hosts to join before routing (default 60)")
     tracecmd.add_argument("--packets", type=int, default=1,
                           help="packets to route and explain (default 1)")
-    tracecmd.add_argument("--seed", type=int, default=0)
+    tracecmd.add_argument("--seed", type=int, default=None,
+                          help="network seed (default 0), or an override "
+                               "of the --scenario seed")
     tracecmd.add_argument("--scenario", default=None,
                           help="replay this workload scenario under tracing "
                                "instead of routing standalone packets")
@@ -572,17 +491,7 @@ def main(argv=None) -> int:
     serve = sub.add_parser(
         "serve",
         help="hold a network resident and answer JSON-line requests")
-    serve.add_argument("--kind", choices=("intra", "inter"), default="intra",
-                       help="network kind to build (default intra)")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--routers", type=int, default=40,
-                       help="intra: router count (default 40)")
-    serve.add_argument("--ases", type=int, default=60,
-                       help="inter: AS count (default 60)")
-    serve.add_argument("--hosts", type=int, default=200,
-                       help="hosts to join before serving (default 200)")
-    serve.add_argument("--cache-entries", type=int, default=None,
-                       help="pointer-cache size override")
+    _add_network_args(serve)
     serve.add_argument("--snapshot", default=None, metavar="PATH",
                        help="warm-load this snapshot instead of building")
     serve.add_argument("--verify", action="store_true",
@@ -604,14 +513,7 @@ def main(argv=None) -> int:
         help="save, inspect, or verify a network state snapshot")
     snap.add_argument("action", choices=("save", "info", "verify"))
     snap.add_argument("path", help="snapshot file")
-    snap.add_argument("--kind", choices=("intra", "inter"), default="intra",
-                      help="save: network kind to build (default intra)")
-    snap.add_argument("--seed", type=int, default=0)
-    snap.add_argument("--routers", type=int, default=40)
-    snap.add_argument("--ases", type=int, default=60)
-    snap.add_argument("--hosts", type=int, default=200,
-                      help="save: hosts to join before saving (default 200)")
-    snap.add_argument("--cache-entries", type=int, default=None)
+    _add_network_args(snap)
     snap.set_defaults(func=_cmd_snapshot)
 
     compare = sub.add_parser(

@@ -64,10 +64,6 @@ class LandmarkPlan:
     def is_landmark(self, router: str) -> bool:
         return self.radius.get(router) == 0
 
-    def max_ball_size(self) -> int:
-        return max((len(members) for members in self.ball.values()),
-                   default=0)
-
 
 def landmark_count(n_routers: int, factor: float = 1.0) -> int:
     """``ceil(factor · sqrt(R))`` clamped to ``[1, R]`` — the

@@ -57,6 +57,17 @@ def _mean(samples: Sequence[float]) -> Optional[float]:
     return sum(samples) / len(samples) if samples else None
 
 
+def _send_random(net, n_packets: int) -> List:
+    """Route ``n_packets`` between random host pairs; the results."""
+    return [net.send(*net.random_host_pair()) for _ in range(n_packets)]
+
+
+def _stretches(results) -> List[float]:
+    """The stretch samples of a result list: delivered packets whose
+    endpoints are not on the same router."""
+    return [r.stretch for r in results if r.delivered and r.optimal_hops > 0]
+
+
 #: Scaled-down router counts for fast benchmark runs; pass
 #: ``full_scale=True`` to use the paper's Rocketfuel sizes.
 FAST_PROFILES = {
@@ -170,12 +181,7 @@ def fig6a_stretch_vs_cache(profile: str = "AS3967",
         topo = _isp(profile, seed, full_scale)
         net = IntraDomainNetwork(topo, cache_entries=cache, seed=seed)
         net.join_random_hosts(n_hosts)
-        stretches = []
-        for _ in range(n_packets):
-            a, b = net.random_host_pair()
-            result = net.send(a, b)
-            if result.delivered and result.optimal_hops > 0:
-                stretches.append(result.stretch)
+        stretches = _stretches(_send_random(net, n_packets))
         series.append((cache, _mean(stretches)))
     return {"profile": profile, "series": series,
             "tcam_entries": TCAM_ENTRIES}
@@ -194,7 +200,6 @@ def fig6b_load_balance(profile: str = "AS3967", n_hosts: int = 500,
     net.join_random_hosts(n_hosts)
     net.stats.reset_load()
     ospf = OspfHostRouting(topo)
-    rng = derive_rng(seed, "fig6b")
     for _ in range(n_packets):
         a, b = net.random_host_pair()
         net.send(a, b)
@@ -443,12 +448,7 @@ def fig8b_inter_stretch(n_ases: int = 80, n_hosts: int = 300,
         net = InterDomainNetwork(asg, n_fingers=fingers, seed=seed,
                                  strategy=JoinStrategy.MULTIHOMED)
         net.join_random_hosts(n_hosts)
-        stretches = []
-        for _ in range(n_packets):
-            a, b = net.random_host_pair()
-            result = net.send(a, b)
-            if result.delivered and result.optimal_hops > 0:
-                stretches.append(result.stretch)
+        stretches = _stretches(_send_random(net, n_packets))
         out["fingers"][fingers] = {
             "cdf": cdf_points(stretches),
             "mean": _mean(stretches),
@@ -487,12 +487,7 @@ def fig8c_inter_cache_stretch(n_ases: int = 80, n_hosts: int = 300,
                                  cache_entries=cache,
                                  strategy=JoinStrategy.MULTIHOMED)
         net.join_random_hosts(n_hosts)
-        stretches = []
-        for _ in range(n_packets):
-            a, b = net.random_host_pair()
-            result = net.send(a, b)
-            if result.delivered and result.optimal_hops > 0:
-                stretches.append(result.stretch)
+        stretches = _stretches(_send_random(net, n_packets))
         mbits = cache * net.space.bits / 1e6
         series.append({"cache_entries": cache, "cache_mbits_per_as": mbits,
                        "mean_stretch": _mean(stretches)})
@@ -570,14 +565,9 @@ def fig8e_bloom_peering(n_ases: int = 80, n_hosts: int = 250,
                                  peering_mode=mode)
         receipts = net.join_random_hosts(n_hosts)
         costs = [r.messages for r in receipts]
-        stretches = []
-        delivered = 0
-        for _ in range(n_packets):
-            a, b = net.random_host_pair()
-            result = net.send(a, b)
-            delivered += result.delivered
-            if result.delivered and result.optimal_hops > 0:
-                stretches.append(result.stretch)
+        results = _send_random(net, n_packets)
+        stretches = _stretches(results)
+        delivered = sum(result.delivered for result in results)
         out[mode] = {
             "mean_join": sum(costs) / len(costs),
             "mean_stretch": sum(stretches) / max(1, len(stretches)),
@@ -612,8 +602,7 @@ def _measure_headtohead(net, pairs) -> Dict:
     probes.detach()
 
     bound = getattr(net, "stretch_bound", float("inf"))
-    stretches = [r.stretch for r in results
-                 if r.delivered and r.optimal_hops > 0]
+    stretches = _stretches(results)
     row: Dict = {
         "sent": len(results),
         "delivered": sum(r.delivered for r in results),

@@ -28,6 +28,10 @@ from repro.util.ringmap import CandidateIndex
 if TYPE_CHECKING:  # pragma: no cover
     from repro.inter.network import InterDomainNetwork
 
+#: Ring positions :meth:`RoflAS.best_match` walks back from the
+#: destination before it gives up on finding an admissible candidate.
+MAX_SCAN = 512
+
 
 @dataclass
 class ASBestMatch:
@@ -134,8 +138,7 @@ class RoflAS:
     def best_match(self, net: "InterDomainNetwork", dest: FlatId,
                    scope: Optional[Hashable] = None,
                    arrived_from: Optional[Hashable] = None,
-                   use_cache: bool = True,
-                   max_scan: int = 512) -> Optional[ASBestMatch]:
+                   use_cache: bool = True) -> Optional[ASBestMatch]:
         """The closest admissible candidate to ``dest`` (not past it).
 
         Admissibility: scoped searches only see ring members / pointers
@@ -152,7 +155,7 @@ class RoflAS:
             dest_iv = dest.value
             mask = self.space.mask
             start = (index.rank_right(dest_iv) - 1) % n
-            for offset in range(min(n, max_scan)):
+            for offset in range(min(n, MAX_SCAN)):
                 position = (start - offset) % n
                 iv = ivalues[position]
                 entry = entries[position]

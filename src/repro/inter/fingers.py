@@ -162,16 +162,3 @@ def _pick_nearest(net: "InterDomainNetwork", vn: InterVirtualNode,
         if best_key is None or key < best_key:
             best_vn, best_key = cand, key
     return best_vn
-
-
-def refresh_fingers_after_failure(net: "InterDomainNetwork",
-                                  vn: InterVirtualNode) -> int:
-    """Drop fingers to dead IDs and re-acquire replacements (charged)."""
-    live = [f for f in vn.fingers if f.dest_id in net.id_owner_index
-            and net.as_is_up(f.dest_as)]
-    lost = len(vn.fingers) - len(live)
-    vn.fingers = live
-    net.ases[vn.home_as].mark_dirty(vn)
-    if lost:
-        net.stats.charge_hops(lost, "repair")
-    return lost

@@ -74,9 +74,6 @@ class InterVirtualNode:
     #: Levels this node joined at, innermost first.
     joined_levels: List[Hashable] = field(default_factory=list)
 
-    def all_successor_pointers(self) -> List[ASPointer]:
-        return list(self.succ_by_level.values())
-
     def candidate_pointers(self) -> List[ASPointer]:
         """Every onward pointer usable for greedy progress."""
         return list(self.succ_by_level.values()) + self.fingers

@@ -69,7 +69,6 @@ def route(
     scope: Optional[Hashable] = None,
     category: str = "data",
     use_cache: bool = True,
-    max_pointer_hops: int = MAX_POINTER_HOPS,
 ) -> InterOutcome:
     """Greedy-route from ``start_as`` toward ``dest_id``.
 
@@ -81,11 +80,10 @@ def route(
     perf.counter("inter.fwd.packets")
     with perf.timed("inter.route." + mode):
         return _route(net, start_as, dest_id, mode, scope, category,
-                      use_cache, max_pointer_hops)
+                      use_cache)
 
 
-def _route(net, start_as, dest_id, mode, scope, category, use_cache,
-           max_pointer_hops):
+def _route(net, start_as, dest_id, mode, scope, category, use_cache):
     tr = trace.packet_span("inter.packet", start=str(start_as),
                            dest=dest_id.to_hex(), mode=mode,
                            scope=str(scope) if scope is not None
@@ -101,7 +99,7 @@ def _route(net, start_as, dest_id, mode, scope, category, use_cache,
     committed_dist = space.size
     arrived_from: Optional[Hashable] = None
 
-    while outcome.pointer_hops <= max_pointer_hops:
+    while outcome.pointer_hops <= MAX_POINTER_HOPS:
         node = net.ases[current]
 
         if mode == "data" and node.hosts_id(dest_id):

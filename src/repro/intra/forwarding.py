@@ -60,7 +60,6 @@ def route(
     dest_id: FlatId,
     mode: str = "data",
     category: str = "data",
-    max_pointer_hops: int = MAX_POINTER_HOPS,
 ) -> ForwardingOutcome:
     """Route a packet (or control lookup) greedily from ``start_router``.
 
@@ -71,11 +70,10 @@ def route(
         raise ValueError("unknown mode {!r}".format(mode))
     perf.counter("fwd.packets")
     with perf.timed("intra.route." + mode):
-        return _route(net, start_router, dest_id, mode, category,
-                      max_pointer_hops)
+        return _route(net, start_router, dest_id, mode, category)
 
 
-def _route(net, start_router, dest_id, mode, category, max_pointer_hops):
+def _route(net, start_router, dest_id, mode, category):
     tr = trace.packet_span("intra.packet", start=start_router,
                            dest=dest_id.to_hex(),
                            mode=mode) if trace.ENABLED else None
@@ -92,7 +90,7 @@ def _route(net, start_router, dest_id, mode, category, max_pointer_hops):
     committed_step = 0
     committed_dist = space.size  # +infinity: any real candidate beats it
 
-    while outcome.pointer_hops <= max_pointer_hops:
+    while outcome.pointer_hops <= MAX_POINTER_HOPS:
         router = net.routers[current]
 
         if mode == "data" and router.hosts_id(dest_id):

@@ -144,9 +144,6 @@ class LinkStateMap:
             return False
         return all(self._live.has_edge(a, b) for a, b in zip(path, path[1:]))
 
-    def failed_routers(self) -> Set[str]:
-        return set(self._failed_routers)
-
     def __repr__(self) -> str:
         return "LinkStateMap({!r}, live={}/{} routers, gen={})".format(
             self.topology.name, self._live.number_of_nodes(),

@@ -1,14 +1,17 @@
-"""Self-contained run reports: metrics stream, timer tree, trajectory.
+"""The one report renderer: a small block model and three emitters.
 
-``python -m repro report`` takes the telemetry artifacts other parts of
-the pipeline write — a window-metrics JSONL stream (``--metrics-out``),
-a perf snapshot with timers (any JSON carrying a registry dump, e.g. a
-workload result or one ``BENCH_scaling.json`` row), and the scaling
-bench's ``BENCH_scaling.json`` — and renders them into one document a
-human can read without re-running anything.  Markdown by default; a
-``.html`` output path produces a self-contained HTML file (inline CSS,
-inline SVG sparklines, zero external assets) suitable for a CI artifact.
+Everything ``repro`` prints as a table or a document — the evaluation
+figures, the head-to-head, a workload run, the telemetry report — is
+*built once* as a list of blocks (:class:`Heading`, :class:`Table` of
+string cells, :class:`Note`, :class:`Pre`, :class:`Sparkline`) and then
+emitted as fixed-width text (:func:`emit_text`), markdown
+(:func:`emit_markdown`) or one self-contained HTML file
+(:func:`emit_html`: inline CSS, inline SVG, zero external assets).
 
+``python -m repro report`` feeds it the telemetry artifacts other parts
+of the pipeline write — a window-metrics JSONL stream
+(``--metrics-out``), a perf snapshot with timers (any JSON carrying a
+registry dump), ``BENCH_scaling.json`` and ``compare_stretch.json``.
 The hierarchical timer tree folds dotted timer names
 (``inter.join.fingers`` under ``inter.join`` under ``inter``) and
 aggregates seconds/calls bottom-up, so the expensive subtree is obvious
@@ -17,9 +20,180 @@ at a glance even in a registry with dozens of flat names.
 
 from __future__ import annotations
 
+import functools
 import html as _html
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence
+
+# ---------------------------------------------------------------------------
+# Block model.
+# ---------------------------------------------------------------------------
+
+
+class Heading(NamedTuple):
+    text: str
+    level: int = 2
+
+
+class Column(NamedTuple):
+    """One table column.  ``width``/``align`` matter to fixed-width text
+    only; ``fmt`` turns a raw value into the cell (:func:`table`).
+    ``cell_width`` is for the few columns whose rows were always set one
+    narrower than their header."""
+    label: str
+    width: int = 0
+    fmt: str = "{}"
+    align: str = ">"
+    cell_width: Optional[int] = None
+
+
+class Table(NamedTuple):
+    columns: Sequence[Column]
+    rows: Sequence[Sequence[str]]
+
+
+class Note(NamedTuple):
+    """Lines of prose: a paragraph each, or one bullet list."""
+    lines: Sequence[str]
+    bullets: bool = False
+
+
+class Pre(NamedTuple):
+    lines: Sequence[str]
+
+
+class Sparkline(NamedTuple):
+    """A per-window series; only HTML can draw it."""
+    label: str
+    series: Sequence[float]
+
+
+def cell(value, fmt: str = "{:.2f}", absent: str = "n/a") -> str:
+    """Format a possibly-absent statistic; empty series arrive as None
+    (see ``repro.harness.experiments._mean``) and render as ``n/a``."""
+    return absent if value is None else fmt.format(value)
+
+
+def table(columns: Sequence[Column], rows: Iterable[Sequence]) -> Table:
+    """A :class:`Table` from raw values, each through its column's ``fmt``."""
+    return Table(columns, [[cell(value, column.fmt)
+                            for column, value in zip(columns, row)]
+                           for row in rows])
+
+
+# ---------------------------------------------------------------------------
+# Emitters.
+# ---------------------------------------------------------------------------
+
+def text_row(columns: Sequence[Column], cells: Sequence[str]) -> str:
+    return " ".join(
+        format(text, "{}{}".format(column.align,
+                                   column.cell_width or column.width))
+        for column, text in zip(columns, cells))
+
+
+def emit_text(blocks: Iterable) -> str:
+    """Fixed-width text, the layout the figures have always printed."""
+    lines: List[str] = []
+    for block in blocks:
+        if isinstance(block, Heading):
+            lines.append("\n{}\n{}\n".format(block.text,
+                                             "-" * len(block.text)))
+        elif isinstance(block, Table):
+            lines.append(" ".join(format(c.label, c.align + str(c.width))
+                                  for c in block.columns))
+            lines += [text_row(block.columns, row) for row in block.rows]
+        elif isinstance(block, (Note, Pre)):
+            lines += block.lines
+    return "\n".join(lines)
+
+
+def emit_markdown(blocks: Iterable) -> str:
+    lines: List[str] = []
+    for block in blocks:
+        if isinstance(block, Heading):
+            lines.append("{} {}".format("#" * block.level, block.text))
+        elif isinstance(block, Table):
+            lines.append("| " + " | ".join(c.label for c in block.columns)
+                         + " |")
+            lines.append("|" + "|".join(" --- " for _ in block.columns) + "|")
+            lines += ["| " + " | ".join(row) + " |" for row in block.rows]
+        elif isinstance(block, Note):
+            lines += [("- " if block.bullets else "") + line
+                      for line in block.lines]
+        elif isinstance(block, Pre):
+            lines += ["```", *block.lines, "```"]
+        else:
+            continue
+        lines.append("")
+    return "\n".join(lines).rstrip() + "\n"
+
+
+_CSS = """
+body { font: 14px/1.45 system-ui, sans-serif; margin: 2em auto;
+       max-width: 70em; color: #1a1a2e; padding: 0 1em; }
+h1 { border-bottom: 2px solid #444; padding-bottom: .2em; }
+table { border-collapse: collapse; margin: 1em 0; }
+th, td { border: 1px solid #bbb; padding: .25em .6em; text-align: right; }
+th { background: #eef; }
+td:first-child, th:first-child { text-align: left; }
+pre { background: #f6f6fa; padding: 1em; overflow-x: auto; }
+svg { background: #fbfbff; border: 1px solid #ddd; margin: .5em 0; }
+.legend { font-size: 12px; color: #555; }
+"""
+
+
+def _svg(series: Sequence[float], width: int = 640, height: int = 80) -> str:
+    """One inline SVG polyline for a per-window series."""
+    top = max(series) or 1.0
+    step = width / (len(series) - 1)
+    points = " ".join(
+        "{:.1f},{:.1f}".format(i * step,
+                               height - (value / top) * (height - 6) - 3)
+        for i, value in enumerate(series))
+    return ('<svg width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
+            '<polyline fill="none" stroke="#3355bb" stroke-width="1.5" '
+            'points="{p}"/></svg>').format(w=width, h=height, p=points)
+
+
+def _html_block(block) -> str:
+    esc = _html.escape
+    if isinstance(block, Heading):
+        return "<h{0}>{1}</h{0}>".format(block.level, esc(block.text))
+    if isinstance(block, Table):
+        head = "".join("<th>{}</th>".format(esc(c.label))
+                       for c in block.columns)
+        body = "".join(
+            "<tr>{}</tr>".format("".join("<td>{}</td>".format(esc(text))
+                                         for text in row))
+            for row in block.rows)
+        return "<table><tr>{}</tr>{}</table>".format(head, body)
+    if isinstance(block, Note):
+        if block.bullets:
+            return "<ul>{}</ul>".format("".join(
+                "<li>{}</li>".format(esc(line)) for line in block.lines))
+        return "\n".join("<p>{}</p>".format(esc(line))
+                         for line in block.lines)
+    if isinstance(block, Pre):
+        return "<pre>{}</pre>".format(esc("\n".join(block.lines)))
+    return ("<div class=\"legend\">{} per window (peak {:g})</div>{}".format(
+        esc(block.label), max(block.series), _svg(block.series)))
+
+
+def emit_html(blocks: Sequence) -> str:
+    """One self-contained page; the first block's text is its title.  A
+    heading shares a line with the table or listing it captions."""
+    parts = ["<!DOCTYPE html><html><head><meta charset=\"utf-8\">\n"
+             "<title>{}</title>\n<style>{}</style></head><body>".format(
+                 _html.escape(blocks[0].text), _CSS)]
+    previous = None
+    for block in blocks:
+        captioned = (isinstance(previous, Heading)
+                     and isinstance(block, (Table, Pre)))
+        parts.append(("" if captioned else "\n") + _html_block(block))
+        previous = block
+    return "".join(parts) + "\n</body></html>\n"
+
 
 # ---------------------------------------------------------------------------
 # Timer tree.
@@ -75,7 +249,7 @@ def render_timer_tree(timers: Dict[str, Dict[str, Any]]) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Metrics stream summary.
+# Metrics stream.
 # ---------------------------------------------------------------------------
 
 def summarize_metrics(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -92,62 +266,60 @@ def summarize_metrics(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     }
 
 
-def _top_counters(rows: List[Dict[str, Any]], limit: int = 6) -> List[str]:
-    """The counter names worth plotting/tabulating, biggest totals first."""
-    totals = summarize_metrics(rows)["counter_totals"]
-    return [name for name, _ in sorted(totals.items(),
-                                       key=lambda kv: (-kv[1], kv[0]))
-            ][:limit]
-
-
-def _metrics_table(rows: List[Dict[str, Any]],
-                   names: List[str]) -> List[List[str]]:
-    table = [["window", "t"] + names]
-    for row in rows:
-        cells = [str(row.get("window", "")), "{:g}".format(row["t"])]
-        for name in names:
-            value = row.get("counters", {}).get(name, 0)
-            cells.append("{:g}".format(value))
-        table.append(cells)
-    return table
+def _metrics_blocks(rows: List[Dict[str, Any]]) -> List:
+    """Window span, a sparkline for the three busiest counters, and the
+    per-window table of the six busiest."""
+    info = summarize_metrics(rows)
+    names = [name for name, _ in sorted(info["counter_totals"].items(),
+                                        key=lambda kv: (-kv[1], kv[0]))][:6]
+    blocks = [Heading("Metrics stream"),
+              Note(["{} windows over t = {:g} .. {:g}.".format(
+                  info["windows"], info["t_start"], info["t_end"])])]
+    if len(rows) >= 2:
+        blocks += [Sparkline(name, [float(row.get("counters", {}).get(name, 0))
+                                    for row in rows]) for name in names[:3]]
+    if names:
+        blocks.append(Table(
+            [Column(label) for label in ["window", "t"] + names],
+            [[str(row.get("window", "")), "{:g}".format(row["t"])]
+             + ["{:g}".format(row.get("counters", {}).get(name, 0))
+                for name in names] for row in rows]))
+    return blocks
 
 
 # ---------------------------------------------------------------------------
 # Trajectory (BENCH_scaling.json).
 # ---------------------------------------------------------------------------
 
-def _bench_tables(bench: Dict[str, Any]) -> Dict[str, List[List[str]]]:
-    out: Dict[str, List[List[str]]] = {}
+_SCALING_COLUMNS = [Column("hosts"), Column("join s", fmt="{:g}"),
+                    Column("joins/s", fmt="{:g}"),
+                    Column("send s", fmt="{:g}"),
+                    Column("sends/s", fmt="{:g}"),
+                    Column("peak MiB", fmt="{:g}")]
+_SCALING_KEYS = ("join_seconds", "joins_per_sec", "send_seconds",
+                 "sends_per_sec", "peak_rss_mb")
+_WORKLOAD_COLUMNS = [Column("scenario"), Column("rate x", fmt="{:g}"),
+                     Column("events"), Column("events/s", fmt="{:g}"),
+                     Column("delivery")]
+
+
+def _bench_blocks(bench: Dict[str, Any]) -> List:
+    blocks: List = [Heading("Scaling trajectory")]
     for section in ("interdomain", "intradomain"):
         rows = bench.get(section) or []
-        if not rows:
-            continue
-        table = [["hosts", "join s", "joins/s", "send s", "sends/s",
-                  "peak MiB"]]
-        for row in rows:
-            table.append([
-                str(row.get("hosts", "")),
-                "{:g}".format(row.get("join_seconds", 0)),
-                "{:g}".format(row.get("joins_per_sec", 0)),
-                "{:g}".format(row.get("send_seconds", 0)),
-                "{:g}".format(row.get("sends_per_sec", 0)),
-                "{:g}".format(row.get("peak_rss_mb", 0)),
-            ])
-        out[section] = table
+        if rows:
+            blocks += [Heading(section, 3), table(_SCALING_COLUMNS, [
+                [row.get("hosts", "")] + [row.get(key, 0)
+                                          for key in _SCALING_KEYS]
+                for row in rows])]
     workload = bench.get("workload") or []
     if workload:
-        table = [["scenario", "rate x", "events", "events/s", "delivery"]]
-        for row in workload:
-            rate = row.get("delivery_rate")
-            table.append([
-                str(row.get("scenario", "")),
-                "{:g}".format(row.get("rate_multiplier", 0)),
-                str(row.get("events_run", "")),
-                "{:g}".format(row.get("events_per_sec", 0)),
-                "-" if rate is None else "{:.4f}".format(rate),
-            ])
-        out["workload"] = table
-    return out
+        blocks += [Heading("workload", 3), table(_WORKLOAD_COLUMNS, [
+            [row.get("scenario", ""), row.get("rate_multiplier", 0),
+             row.get("events_run", ""), row.get("events_per_sec", 0),
+             cell(row.get("delivery_rate"), "{:.4f}", "-")]
+            for row in workload])]
+    return blocks
 
 
 def _bench_perf(bench: Dict[str, Any]) -> Optional[Dict[str, Any]]:
@@ -177,211 +349,52 @@ def extract_perf_snapshot(payload: Dict[str, Any]
 
 
 # ---------------------------------------------------------------------------
-# Head-to-head stretch comparison (compare_stretch.json).
+# The telemetry report (``python -m repro report``).
 # ---------------------------------------------------------------------------
 
-def _cmp(value, spec: str = "{:.2f}") -> str:
-    return "n/a" if value is None else spec.format(value)
+class ReportError(ValueError):
+    """An input file that is not JSON, or JSON of the wrong shape."""
 
 
-def _compare_tables(result: Dict[str, Any]) -> Dict[str, List[List[str]]]:
-    """Tables for a ``headtohead_stretch`` result (the JSON written by
-    ``python -m repro compare-stretch --json``)."""
-    header = ["proto", "sent", "delivered", "mean", "p99", "worst",
-              "bound", "violations", "mismatches"]
-
-    def row_of(label: str, row: Dict[str, Any]) -> List[str]:
-        bound = row.get("stretch_bound")
-        return [label, str(row["sent"]), str(row["delivered"]),
-                _cmp(row["mean"]), _cmp(row["p99"]), _cmp(row["worst"]),
-                "inf" if bound is None else "{:g}".format(bound),
-                str(row["bound_violations"] + len(row["probe_violations"])),
-                str(row["attribution_mismatches"])]
-
-    out: Dict[str, List[List[str]]] = {}
-    intra = result.get("intra") or {}
-    if intra:
-        out["intradomain ({})".format(result.get("profile", "?"))] = (
-            [header] + [row_of(label, intra[label])
-                        for label in ("rofl", "disco", "cmu", "ospf")
-                        if label in intra])
-    inter = result.get("inter") or {}
-    if inter:
-        out["interdomain"] = (
-            [header + ["denominator"]]
-            + [row_of(label, inter[label])
-               + [str(inter[label].get("denominator", ""))]
-               for label in ("rofl", "disco") if label in inter])
-    return out
-
-
-def _compare_notes(result: Dict[str, Any]) -> List[str]:
-    notes = []
-    sweep = result.get("disco_all_pairs")
-    if sweep:
-        notes.append(
-            "Disco all-pairs sweep: {} pairs, max stretch {} (bound {:g}), "
-            "{} undelivered, {} probe violation(s).".format(
-                sweep["pairs"], _cmp(sweep["max_stretch"], "{:.3f}"),
-                sweep["bound"], sweep["undelivered"],
-                len(sweep["violations"])))
-    for label in ("rofl", "disco"):
-        row = (result.get("intra") or {}).get(label)
-        if row and row.get("tail_attribution"):
-            parts = ", ".join(
-                "{} +{:.2f}".format(rule, share) for rule, share in
-                sorted(row["tail_attribution"].items(),
-                       key=lambda kv: -kv[1]))
-            notes.append("{} stretch tail (≥p99) by decision: {}.".format(
-                label, parts))
-    return notes
-
-
-# ---------------------------------------------------------------------------
-# Markdown rendering.
-# ---------------------------------------------------------------------------
-
-def _md_table(table: List[List[str]]) -> List[str]:
-    lines = ["| " + " | ".join(table[0]) + " |",
-             "|" + "|".join(" --- " for _ in table[0]) + "|"]
-    for row in table[1:]:
-        lines.append("| " + " | ".join(row) + " |")
-    return lines
-
-
-def render_markdown(title: str,
-                    metrics_rows: Optional[List[Dict[str, Any]]] = None,
-                    perf_snapshot: Optional[Dict[str, Any]] = None,
-                    bench: Optional[Dict[str, Any]] = None,
-                    compare: Optional[Dict[str, Any]] = None) -> str:
-    lines = ["# {}".format(title), ""]
+def report_blocks(metrics_rows: Optional[List[Dict[str, Any]]] = None,
+                  perf_snapshot: Optional[Dict[str, Any]] = None,
+                  bench: Optional[Dict[str, Any]] = None,
+                  compare: Optional[Dict[str, Any]] = None) -> List:
+    """The document's sections in order, built once for whichever
+    emitter is asked."""
+    blocks: List = []
     if compare:
-        lines += ["## Stretch head-to-head", ""]
-        for section, table in _compare_tables(compare).items():
-            lines += ["### {}".format(section), ""]
-            lines += _md_table(table)
-            lines.append("")
-        notes = _compare_notes(compare)
-        lines += ["- {}".format(note) for note in notes]
-        if notes:
-            lines.append("")
+        from repro.harness.report import headtohead_blocks
+        blocks += headtohead_blocks(compare, document=True)
     if metrics_rows:
-        info = summarize_metrics(metrics_rows)
-        lines += ["## Metrics stream", "",
-                  "{} windows over t = {:g} .. {:g}.".format(
-                      info["windows"], info["t_start"], info["t_end"]), ""]
-        names = _top_counters(metrics_rows)
-        if names:
-            lines += _md_table(_metrics_table(metrics_rows, names))
-            lines.append("")
+        blocks += _metrics_blocks(metrics_rows)
     if perf_snapshot and perf_snapshot.get("timers"):
-        lines += ["## Timer tree", "", "```"]
-        lines += render_timer_tree(perf_snapshot["timers"])
-        lines += ["```", ""]
+        blocks += [Heading("Timer tree"),
+                   Pre(render_timer_tree(perf_snapshot["timers"]))]
     if bench:
-        lines += ["## Scaling trajectory", ""]
-        for section, table in _bench_tables(bench).items():
-            lines += ["### {}".format(section), ""]
-            lines += _md_table(table)
-            lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
+        blocks += _bench_blocks(bench)
+    return blocks
 
 
-# ---------------------------------------------------------------------------
-# HTML rendering (self-contained: inline CSS + inline SVG).
-# ---------------------------------------------------------------------------
-
-_CSS = """
-body { font: 14px/1.45 system-ui, sans-serif; margin: 2em auto;
-       max-width: 70em; color: #1a1a2e; padding: 0 1em; }
-h1 { border-bottom: 2px solid #444; padding-bottom: .2em; }
-table { border-collapse: collapse; margin: 1em 0; }
-th, td { border: 1px solid #bbb; padding: .25em .6em; text-align: right; }
-th { background: #eef; }
-td:first-child, th:first-child { text-align: left; }
-pre { background: #f6f6fa; padding: 1em; overflow-x: auto; }
-svg { background: #fbfbff; border: 1px solid #ddd; margin: .5em 0; }
-.legend { font-size: 12px; color: #555; }
-"""
+def render_markdown(title: str, **artifacts) -> str:
+    """:func:`report_blocks` (same keywords) under ``title``, as markdown."""
+    return emit_markdown([Heading(title, 1)] + report_blocks(**artifacts))
 
 
-def _sparkline(series: List[float], width: int = 640,
-               height: int = 80) -> str:
-    """One inline SVG polyline for a per-window series."""
-    if len(series) < 2:
-        return ""
-    top = max(series) or 1.0
-    step = width / (len(series) - 1)
-    points = " ".join(
-        "{:.1f},{:.1f}".format(i * step,
-                               height - (value / top) * (height - 6) - 3)
-        for i, value in enumerate(series))
-    return ('<svg width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
-            '<polyline fill="none" stroke="#3355bb" stroke-width="1.5" '
-            'points="{p}"/></svg>').format(w=width, h=height, p=points)
+def render_html(title: str, **artifacts) -> str:
+    """:func:`report_blocks` (same keywords) under ``title``, as one HTML
+    page."""
+    return emit_html([Heading(title, 1)] + report_blocks(**artifacts))
 
 
-def _html_table(table: List[List[str]]) -> str:
-    head = "".join("<th>{}</th>".format(_html.escape(cell))
-                   for cell in table[0])
-    body = "".join(
-        "<tr>{}</tr>".format("".join("<td>{}</td>".format(_html.escape(cell))
-                                     for cell in row))
-        for row in table[1:])
-    return "<table><tr>{}</tr>{}</table>".format(head, body)
+def _load_object(path: str) -> Dict[str, Any]:
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ReportError("expected a JSON object, got {}".format(
+            type(payload).__name__))
+    return payload
 
-
-def render_html(title: str,
-                metrics_rows: Optional[List[Dict[str, Any]]] = None,
-                perf_snapshot: Optional[Dict[str, Any]] = None,
-                bench: Optional[Dict[str, Any]] = None,
-                compare: Optional[Dict[str, Any]] = None) -> str:
-    parts = ["<!DOCTYPE html><html><head><meta charset=\"utf-8\">",
-             "<title>{}</title>".format(_html.escape(title)),
-             "<style>{}</style></head><body>".format(_CSS),
-             "<h1>{}</h1>".format(_html.escape(title))]
-    if compare:
-        parts.append("<h2>Stretch head-to-head</h2>")
-        for section, table in _compare_tables(compare).items():
-            parts.append("<h3>{}</h3>{}".format(_html.escape(section),
-                                                _html_table(table)))
-        notes = _compare_notes(compare)
-        if notes:
-            parts.append("<ul>{}</ul>".format("".join(
-                "<li>{}</li>".format(_html.escape(note))
-                for note in notes)))
-    if metrics_rows:
-        info = summarize_metrics(metrics_rows)
-        parts.append("<h2>Metrics stream</h2>")
-        parts.append("<p>{} windows over t = {:g} .. {:g}.</p>".format(
-            info["windows"], info["t_start"], info["t_end"]))
-        for name in _top_counters(metrics_rows, limit=3):
-            series = [row.get("counters", {}).get(name, 0)
-                      for row in metrics_rows]
-            svg = _sparkline([float(v) for v in series])
-            if svg:
-                parts.append("<div class=\"legend\">{} per window "
-                             "(peak {:g})</div>{}".format(
-                                 _html.escape(name), max(series), svg))
-        names = _top_counters(metrics_rows)
-        if names:
-            parts.append(_html_table(_metrics_table(metrics_rows, names)))
-    if perf_snapshot and perf_snapshot.get("timers"):
-        parts.append("<h2>Timer tree</h2><pre>{}</pre>".format(
-            _html.escape("\n".join(
-                render_timer_tree(perf_snapshot["timers"])))))
-    if bench:
-        parts.append("<h2>Scaling trajectory</h2>")
-        for section, table in _bench_tables(bench).items():
-            parts.append("<h3>{}</h3>{}".format(_html.escape(section),
-                                                _html_table(table)))
-    parts.append("</body></html>")
-    return "\n".join(parts) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Top-level entry used by the CLI.
-# ---------------------------------------------------------------------------
 
 def generate_report(title: str,
                     metrics_path: Optional[str] = None,
@@ -389,23 +402,27 @@ def generate_report(title: str,
                     bench_path: Optional[str] = None,
                     compare_path: Optional[str] = None,
                     fmt: str = "markdown") -> str:
-    """Load the named artifacts and render one report document."""
+    """Load the named artifacts and render one report document.  The
+    timer tree comes from ``perf_path``, else from the bench's largest
+    row.  A file that is not JSON, or is JSON of the wrong shape (a
+    missing key, a list where an object belongs), raises
+    :class:`ReportError` naming it."""
     from repro.obs.metrics import read_metrics_jsonl
-    metrics_rows = read_metrics_jsonl(metrics_path) if metrics_path else None
-    perf_snapshot = None
-    if perf_path:
-        with open(perf_path) as fh:
-            perf_snapshot = extract_perf_snapshot(json.load(fh))
-    bench = None
-    if bench_path:
-        with open(bench_path) as fh:
-            bench = json.load(fh)
-        if perf_snapshot is None:
-            perf_snapshot = _bench_perf(bench)
-    compare = None
-    if compare_path:
-        with open(compare_path) as fh:
-            compare = json.load(fh)
-    render = render_html if fmt == "html" else render_markdown
-    return render(title, metrics_rows=metrics_rows,
-                  perf_snapshot=perf_snapshot, bench=bench, compare=compare)
+    load = functools.lru_cache(maxsize=None)(_load_object)
+    sources = (     # in document order: file, report_blocks keyword, reader
+        (compare_path, "compare", load),
+        (metrics_path, "metrics_rows", read_metrics_jsonl),
+        (perf_path or bench_path, "perf_snapshot",
+         lambda path: extract_perf_snapshot(load(path))),
+        (bench_path, "bench", load))
+    blocks: List = [Heading(title, 1)]
+    for path, keyword, read in sources:
+        if not path:
+            continue
+        try:
+            blocks += report_blocks(**{keyword: read(path)})
+        except (LookupError, TypeError, AttributeError, ValueError) as exc:
+            what = ("missing key {}".format(exc) if isinstance(exc, KeyError)
+                    else str(exc))
+            raise ReportError("{}: {}".format(path, what)) from exc
+    return emit_html(blocks) if fmt == "html" else emit_markdown(blocks)

@@ -203,15 +203,12 @@ class Tracer:
     """
 
     def __init__(self, sink=None, clock: Optional[Callable[[], float]] = None,
-                 sample: float = 1.0, loop_events: bool = False):
+                 sample: float = 1.0):
         if not 0.0 <= sample <= 1.0:
             raise ValueError("sample must be in [0, 1]")
         self.sink = sink if sink is not None else RingBufferSink()
         self.clock = clock or (lambda: 0.0)
         self.sample = sample
-        #: Whether the event-loop observer hook should emit ``sim.event``
-        #: records (high volume; off unless explicitly requested).
-        self.loop_events = loop_events
         #: The span the forwarding engine is currently inside, so nested
         #: components (pointer-cache lookups, policy filters) can attach
         #: records without threading a span through every call.
@@ -268,14 +265,6 @@ class Tracer:
     def remove_observer(self, observer: Callable[[TraceRecord], None]) -> None:
         if observer in self._observers:
             self._observers.remove(observer)
-
-    # -- event-loop hook -----------------------------------------------------
-
-    def on_loop_event(self, event) -> None:
-        """Observer for :meth:`repro.sim.engine.EventLoop.step`; records
-        each fired event when ``loop_events`` is on."""
-        if self.loop_events:
-            self.emit("sim.event", parent=-1, event_seq=event.seq)
 
     def close(self) -> None:
         self.sink.close()

@@ -117,10 +117,6 @@ class SortedRingMap:
         """The sorted raw int values, zero-copy.  Do not mutate."""
         return self._ivalues
 
-    def payloads(self) -> dict:
-        """The int-value-keyed payload dict, zero-copy.  Do not mutate."""
-        return self._payloads
-
     def insert(self, key: FlatId, value: Any = None) -> None:
         """Insert or replace the value stored at ``key``."""
         iv = key.value
@@ -211,16 +207,6 @@ class SortedRingMap:
         start = (bisect.bisect_right(self._ivalues, iv) - 1) % len(self._keys)
         for offset in range(len(self._keys)):
             yield self._keys[(start - offset) % len(self._keys)]
-
-    def iter_predecessor_values(self, key: Union[FlatId, int]) -> Iterator[int]:
-        """Int-domain :meth:`iter_predecessors`: yields raw values."""
-        ivalues = self._ivalues
-        n = len(ivalues)
-        if not n:
-            return
-        start = (bisect.bisect_right(ivalues, _ival(key)) - 1) % n
-        for offset in range(n):
-            yield ivalues[(start - offset) % n]
 
     def in_arc(self, low: Union[FlatId, int],
                high: Union[FlatId, int]) -> List[FlatId]:

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import build_network
 from repro.sim.engine import EventLoop
 from repro.sim.stats import PathResult
 from repro.util.rng import RngRegistry
@@ -112,25 +113,6 @@ class _InterAdapter:
         self.net.check_rings()
 
 
-def _build_network(scenario: Scenario):
-    spec = scenario.network
-    if spec.kind == "intra":
-        from repro.intra.network import IntraDomainNetwork
-        from repro.topology.isp import synthetic_isp
-        topo = synthetic_isp(n_routers=spec.n_routers, seed=scenario.seed,
-                             name=spec.name)
-        kwargs = {}
-        if spec.cache_entries is not None:
-            kwargs["cache_entries"] = spec.cache_entries
-        return IntraDomainNetwork(topo, seed=scenario.seed, **kwargs)
-    from repro.inter.network import InterDomainNetwork
-    from repro.topology.asgraph import synthetic_as_graph
-    asg = synthetic_as_graph(n_ases=spec.n_ases, seed=scenario.seed)
-    return InterDomainNetwork(asg, n_fingers=spec.n_fingers,
-                              seed=scenario.seed,
-                              cache_entries=spec.cache_entries or 0)
-
-
 # ---------------------------------------------------------------------------
 # Result.
 # ---------------------------------------------------------------------------
@@ -167,6 +149,43 @@ class WorkloadResult:
             "violations": self.violations,
         }
 
+    def blocks(self) -> List:
+        """The run as :mod:`repro.obs.report` blocks (what ``python -m
+        repro workload`` prints): headline, per-sample table, fault log,
+        summary."""
+        from repro.obs.report import Column, Note, Table, cell
+        columns = [Column("t", 8, "{:.1f}"), Column("hosts", 6),
+                   Column("sent", 6), Column("delivery", 9, "{:.3f}"),
+                   Column("stretch", 8, "{:.2f}"), Column("ctrl msgs", 10),
+                   Column("state", 7)]
+        keys = ("t", "live_hosts", "sent", "delivery_rate", "mean_stretch",
+                "control_messages", "state_entries")
+        scenario, totals, summary = self.scenario, self.totals, self.summary
+        notes = ["fault @{:>6.1f}: {}".format(
+            record["at"], {k: v for k, v in record.items() if k != "at"})
+            for record in self.fault_log]
+        notes.append(
+            "joins {} (+{} warmup), departures {}, delivery {}, "
+            "min-window delivery {}".format(
+                totals["joins"], totals["warmup_hosts"], totals["departures"],
+                cell(summary["delivery_rate"], "{:.4f}", "-"),
+                cell(summary["min_window_delivery_rate"], "{:.4f}", "-")))
+        if "stretch" in summary:
+            notes.append("stretch mean {:.2f} p95 {:.2f}; control messages {}"
+                         .format(summary["stretch"]["mean"],
+                                 summary["stretch"]["p95"],
+                                 summary["control_messages"]))
+        return [
+            Note(["scenario {!r} (seed {}): {} virtual time units, {} events "
+                  "({:.0f} events/sec wall)".format(
+                      scenario["name"], scenario["seed"],
+                      scenario["duration"], totals["events_run"],
+                      self.events_per_sec)]),
+            Table(columns, [[cell(row[key], column.fmt, "-")
+                             for key, column in zip(keys, columns)]
+                            for row in self.samples]),
+            Note(notes)]
+
 
 # ---------------------------------------------------------------------------
 # Driver.
@@ -180,9 +199,12 @@ class WorkloadDriver:
                  metrics_window: Optional[float] = None):
         scenario.validate()
         self.scenario = scenario
-        self.net = network if network is not None else _build_network(scenario)
-        kind = scenario.network.kind
-        self.adapter = (_IntraAdapter(self.net) if kind == "intra"
+        spec = scenario.network
+        self.net = network if network is not None else build_network(
+            spec.kind, scenario.seed, n_routers=spec.n_routers,
+            n_ases=spec.n_ases, cache_entries=spec.cache_entries,
+            n_fingers=spec.n_fingers, name=spec.name)
+        self.adapter = (_IntraAdapter(self.net) if spec.kind == "intra"
                         else _InterAdapter(self.net))
         self.loop = EventLoop()
         self.fault_log: List[Dict] = []
@@ -208,8 +230,6 @@ class WorkloadDriver:
         self.probes = None
         if tracer is not None:
             tracer.clock = lambda: self.loop.now
-            if tracer.loop_events:
-                self.loop.on_event = tracer.on_loop_event
         if probes:
             from repro.obs.probes import ProbeSet
             self.probes = ProbeSet.for_network(self.net, tracer=tracer)

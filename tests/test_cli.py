@@ -1,6 +1,9 @@
 """The ``python -m repro`` command-line interface."""
 
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,36 @@ def test_figures_single(capsys):
 def test_figures_unknown_prefix(capsys):
     assert main(["figures", "--only", "fig99"]) == 2
     assert "no figure matches" in capsys.readouterr().err
+
+
+def test_figures_and_reproduce_paper_run_the_same_registry(monkeypatch,
+                                                          capsys):
+    """``repro figures`` is the example's blocks — same ids, same
+    parameters, same order — followed by the head-to-head."""
+    from repro.harness import report as R
+    from tests import golden_figures
+    calls = []
+    for figure_id, figure in list(R.FIGURES.items()):
+        def driver(_id=figure_id, **kwargs):
+            calls.append((_id, kwargs))
+            return golden_figures.RESULTS[_id]
+        monkeypatch.setitem(R.FIGURES, figure_id,
+                            figure._replace(driver=driver))
+
+    assert main(["figures"]) == 0
+    cli_calls, cli_out = list(calls), capsys.readouterr().out
+    del calls[:]
+    monkeypatch.setattr(sys, "argv", ["reproduce_paper.py"])
+    runpy.run_path(str(Path(__file__).resolve().parent.parent / "examples"
+                       / "reproduce_paper.py"), run_name="__main__")
+    example_out = capsys.readouterr().out
+
+    assert [figure_id for figure_id, _ in cli_calls] == list(R.FIGURES)
+    assert cli_calls[-1][0] == "headtohead"
+    assert calls == cli_calls[:-1]
+    for figure_id, text in golden_figures.TEXT.items():
+        assert text in cli_out
+        assert (text in example_out) == (figure_id != "headtohead")
 
 
 def test_quickstart(capsys):
@@ -155,6 +188,35 @@ def test_workload_seed_override_changes_result(tmp_path, capsys):
     assert base["samples"] != reseeded["samples"]
 
 
+def test_seed_zero_overrides_a_scenario_file_seed(tmp_path, capsys):
+    """``--seed 0`` is an override like any other, for ``workload`` and
+    for ``trace --scenario``."""
+    def scenario_file(seed):
+        path = tmp_path / "seed{}.json".format(seed)
+        path.write_text(json.dumps({
+            "name": "tiny", "seed": seed, "duration": 10.0,
+            "warmup_hosts": 20, "sample_interval": 5.0,
+            "network": {"kind": "intra", "n_routers": 12},
+            "phases": [{"name": "p", "start": 0.0, "end": 10.0,
+                        "churn": {"arrival_rate": 1.0},
+                        "traffic": {"rate": 3.0}}]}))
+        return str(path)
+
+    assert main(["workload", scenario_file(5), "--seed", "0",
+                 "--json", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["scenario"]["seed"] == 0
+    assert main(["workload", scenario_file(5), "--json", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["scenario"]["seed"] == 5
+
+    assert main(["trace", "--scenario", scenario_file(0)]) == 0
+    seeded_zero = capsys.readouterr().out
+    assert main(["trace", "--scenario", scenario_file(5)]) == 0
+    assert capsys.readouterr().out != seeded_zero
+    assert main(["trace", "--scenario", scenario_file(5),
+                 "--seed", "0"]) == 0
+    assert capsys.readouterr().out == seeded_zero
+
+
 def test_snapshot_save_info_verify_cycle(tmp_path, capsys):
     path = tmp_path / "net.snap"
     assert main(["snapshot", "save", str(path), "--hosts", "30",
@@ -252,6 +314,29 @@ def test_report_rejects_unreadable_input(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["report", "--perf", str(bad)]) == 2
     assert "report:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, payload, complaint", [
+    ("--compare", {"intra": {"rofl": {}}}, "missing key 'sent'"),
+    ("--compare", [1, 2], "expected a JSON object, got list"),
+    ("--perf", [1, 2], "expected a JSON object, got list"),
+    ("--bench", [1, 2], "expected a JSON object, got list"),
+    ("--bench", {"interdomain": [1]}, "'int' object"),
+    ("--perf", {"timers": {"a": 5}}, "'int' object"),
+    ("--metrics", {"window": 0}, "missing key 't'"),
+])
+def test_report_rejects_json_of_the_wrong_shape(tmp_path, capsys, flag,
+                                                payload, complaint):
+    """Well-formed JSON that is not the artifact: exit 2 and one line
+    naming the file and what is wrong with it, never a traceback."""
+    path = tmp_path / "wrong.json"
+    path.write_text(json.dumps(payload))
+    assert main(["report", flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("report: {}: ".format(path))
+    assert complaint in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_report_markdown_to_stdout(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.harness import experiments as E
 from repro.harness import report as R
+from tests import golden_figures
 
 
 @pytest.fixture(scope="module")
@@ -116,15 +117,20 @@ def test_fig8e_bloom_tradeoff(tiny):
 
 
 def test_all_formatters_render(tiny):
-    rendered = [
-        R.format_fig5a(tiny["fig5a"]), R.format_fig5b(tiny["fig5b"]),
-        R.format_fig5c(tiny["fig5c"]), R.format_fig6a(tiny["fig6a"]),
-        R.format_fig6b(tiny["fig6b"]), R.format_fig6c(tiny["fig6c"]),
-        R.format_fig7(tiny["fig7"]), R.format_fig7b(tiny["fig7b"]),
-        R.format_fig8a(tiny["fig8a"]), R.format_fig8b(tiny["fig8b"]),
-        R.format_fig8c(tiny["fig8c"]), R.format_fig8d(tiny["fig8d"]),
-        R.format_fig8e(tiny["fig8e"]),
-    ]
-    for text in rendered:
+    for figure_id, result in tiny.items():
+        text = R.render(figure_id, result)
         assert "paper:" in text
         assert len(text.splitlines()) >= 3
+
+
+def test_golden_covers_the_registry():
+    assert list(golden_figures.TEXT) == list(R.FIGURES)
+
+
+@pytest.mark.parametrize("figure_id", list(R.FIGURES))
+def test_render_is_byte_identical_to_the_retired_formatters(figure_id):
+    """The registry's table specs against what the hand-written
+    ``format_*`` functions printed for the same results (captured at the
+    commit before they were deleted)."""
+    assert (R.render(figure_id, golden_figures.RESULTS[figure_id])
+            == golden_figures.TEXT[figure_id])

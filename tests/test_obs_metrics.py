@@ -207,6 +207,33 @@ class TestReport:
         assert "Scaling trajectory" in doc
         assert "http" not in doc.split("</style>")[1]  # no external assets
 
+    def test_markdown_and_html_emit_the_same_tables(self):
+        """One build, two emitters: every table cell of the markdown
+        document is in the HTML document, in the same order — and the
+        markdown head-to-head is what the parent commit rendered."""
+        import html
+        import re
+        from tests import golden_figures
+        artifacts = dict(
+            compare=golden_figures.RESULTS["headtohead"],
+            metrics_rows=self.METRICS,
+            bench={"interdomain": [
+                {"hosts": 100, "join_seconds": 1.5, "joins_per_sec": 66.7,
+                 "send_seconds": 0.5, "sends_per_sec": 200.0,
+                 "peak_rss_mb": 50.0}],
+                "workload": [{"scenario": "s", "rate_multiplier": 2,
+                              "events_run": 9, "events_per_sec": 4.5,
+                              "delivery_rate": None}]})
+        markdown = render_markdown("Golden", **artifacts)
+        assert markdown.startswith(golden_figures.HEADTOHEAD_MARKDOWN)
+        md_cells = [cell for line in markdown.splitlines()
+                    if line.startswith("| ") and not line.startswith("| ---")
+                    for cell in line[2:-2].split(" | ")]
+        html_cells = [html.unescape(cell) for cell in re.findall(
+            r"<t[hd]>(.*?)</t[hd]>", render_html("Golden", **artifacts))]
+        assert len(md_cells) > 100
+        assert md_cells == html_cells
+
     def test_extract_perf_snapshot_shapes(self):
         assert extract_perf_snapshot({"timers": self.TIMERS}) == {
             "timers": self.TIMERS}

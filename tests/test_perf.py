@@ -175,6 +175,6 @@ def test_report_formatters_skip_perf_key():
 
     result = experiments.fig5b_join_overhead_cdf(
         profiles=("AS3967",), n_hosts=30, seed=0)
-    text = report.format_fig5b(result)
+    text = report.render("fig5b", result)
     assert "AS3967" in text
     assert "perf" not in text
