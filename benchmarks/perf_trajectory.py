@@ -41,10 +41,6 @@ QUICK_POPULATIONS = (100, 300)
 #: Opt-in (``--extended``) top end for the interdomain sweep.
 EXTENDED_INTER_POPULATIONS = INTER_POPULATIONS + (25000,)
 
-#: Scaling-cliff gate: sends/sec and joins/sec at the largest population
-#: must stay at least this fraction of the smallest population's rate.
-CLIFF_FLOOR = 0.6
-
 #: (scenario, arrival-rate multiplier) points for the workload sweep —
 #: the same builtin churn scenario driven harder and harder.
 WORKLOAD_SWEEP = (1.0, 2.0, 4.0, 8.0)
@@ -284,39 +280,6 @@ def sweep_workload(multipliers, scenario_name: str = "steady-churn",
     return rows
 
 
-def check_scaling_cliff(rows: list, section: str,
-                        floor: float = CLIFF_FLOOR,
-                        metrics=("joins_per_sec", "sends_per_sec")) -> None:
-    """Fail unless throughput stays roughly flat across the sweep.
-
-    Compares the largest population's rate for each metric against the
-    smallest population's; a ratio below ``floor`` is the 10k-host
-    cliff this harness exists to keep dead.  Raises ``ValueError``.
-
-    Callers gate intradomain *sends only*: intradomain join lookups pay
-    an intrinsically growing pointer-hop count (greedy routing over
-    successor pointers with a bounded pointer cache — the Fig 6a
-    stretch-vs-cache-size tradeoff), so join throughput there declines
-    with ring size by protocol design, not by implementation regression.
-    """
-    if len(rows) < 2:
-        return
-    first, last = rows[0], rows[-1]
-    for metric in metrics:
-        if not first[metric]:
-            continue
-        ratio = last[metric] / first[metric]
-        if ratio < floor:
-            raise ValueError(
-                "scaling cliff in {}: {} fell to {:.2f}x between {} and "
-                "{} hosts (floor {:.2f}x)".format(
-                    section, metric, ratio, first["hosts"], last["hosts"],
-                    floor))
-        print("  cliff check {} {}: {:.2f}x of the {}-host rate (floor "
-              "{:.2f}x)".format(section, metric, ratio, first["hosts"],
-                                floor))
-
-
 def write_bench_metrics(path: str, inter_rows: list, intra_rows: list,
                         workload_rows: list) -> int:
     """Re-emit the sweep as a window-metrics JSONL stream (one window
@@ -394,9 +357,6 @@ def main(argv=None) -> int:
                         help="small populations for CI smoke runs")
     parser.add_argument("--extended", action="store_true",
                         help="opt-in 25k-host interdomain sweep")
-    parser.add_argument("--cliff-floor", type=float, default=CLIFF_FLOOR,
-                        help="minimum largest/smallest throughput ratio "
-                             "(0 disables the gate; default %(default)s)")
     parser.add_argument("--out", default=None,
                         help="output path (default: repo-root "
                              "BENCH_scaling.json)")
@@ -429,18 +389,6 @@ def main(argv=None) -> int:
     intra_rows = sweep_intra(intra_pops, snapshot_dir=args.snapshot_dir)
     print("workload sweep (rate multipliers {}):".format(workload_mults))
     workload_rows = sweep_workload(workload_mults)
-
-    if args.cliff_floor > 0:
-        # Warm rows' "join" phase is a snapshot load, not protocol joins,
-        # so the joins/sec cliff metric is meaningless there; sends still
-        # run live against the loaded network and stay gated.
-        inter_metrics = (("sends_per_sec",)
-                         if any(r.get("warm_start") for r in inter_rows)
-                         else ("joins_per_sec", "sends_per_sec"))
-        check_scaling_cliff(inter_rows, "interdomain", args.cliff_floor,
-                            metrics=inter_metrics)
-        check_scaling_cliff(intra_rows, "intradomain", args.cliff_floor,
-                            metrics=("sends_per_sec",))
 
     data = {
         "generated_unix": int(time.time()),

@@ -251,7 +251,7 @@ class RoflAS:
     def drop_pointer(self, pointer: ASPointer) -> None:
         self.cache.invalidate_id(pointer.dest_id)
         for vn in self.hosted.values():
-            if vn.drop_dead_target(pointer.dest_id):
+            if vn.drop_dead_targets((pointer.dest_id,)):
                 self.mark_dirty(vn)
 
     def reroute_pointer(self, new: ASPointer) -> None:

@@ -27,7 +27,7 @@ from typing import Hashable, Optional, TYPE_CHECKING
 
 from repro.idspace.crypto import authenticate
 from repro.idspace.identifier import FlatId
-from repro.inter import routing
+from repro.inter import fingers, routing
 from repro.inter.pointers import ASPointer, InterVirtualNode
 from repro.inter.policy import JoinStrategy
 from repro.topology.hosts import PlannedHost
@@ -98,8 +98,7 @@ def join_inter(net: "InterDomainNetwork", host: PlannedHost,
                 _join_level(net, vn, level)
         _update_blooms(net, vn)
         if n_fingers:
-            from repro.inter.fingers import acquire_fingers
-            acquire_fingers(net, vn, n_fingers)
+            fingers.acquire_fingers(net, vn, n_fingers)
         messages = op["messages"]
 
     net.hosts[host.name] = vn
@@ -113,8 +112,6 @@ def join_inter(net: "InterDomainNetwork", host: PlannedHost,
 def _join_level(net: "InterDomainNetwork", vn: InterVirtualNode,
                 level: Hashable) -> None:
     """Join one hierarchy level."""
-    from repro.inter.routing import effective_successor
-
     ring = net.ring_at(level)
 
     if len(ring) == 0:
@@ -132,7 +129,7 @@ def _join_level(net: "InterDomainNetwork", vn: InterVirtualNode,
     # an already-joined level *contained in this one* already reaches this
     # level's true successor, the lookup resolves to a known successor —
     # charge only the confirmation probe and store nothing new.
-    effective = effective_successor(net, vn, level)
+    effective = routing.effective_successor(net, vn, level)
     deduped = effective is not None and effective.dest_id == oracle_succ.id
 
     if deduped:
@@ -320,6 +317,11 @@ def _fill_as_caches(net: "InterDomainNetwork", route: tuple,
 
 def _update_blooms(net: "InterDomainNetwork", vn: InterVirtualNode) -> None:
     """Add the new ID to the subtree bloom filter of every ancestor
-    ("these bloom filters are also updated during the join process")."""
-    for asn in net.policy.hierarchy.up_chain(vn.home_as):
-        net.ases[asn].subtree_bloom.add(vn.id)
+    ("these bloom filters are also updated during the join process").
+    Every AS's filter has the network's one geometry, so the ID is hashed
+    once and the same bits set in each."""
+    blooms = [net.ases[asn].subtree_bloom
+              for asn in net.policy.hierarchy.up_chain(vn.home_as)]
+    mask = blooms[0].mask_of(vn.id)
+    for bloom in blooms:
+        bloom.add_mask(mask)

@@ -22,6 +22,7 @@ join cost exactly as observed in Section 6.3.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Hashable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.idspace.identifier import FlatId
@@ -95,16 +96,18 @@ def select_fingers(net: "InterDomainNetwork", vn: InterVirtualNode,
                    ) -> Tuple[List[ASPointer], int]:
     """Choose ``vn``'s fingers without installing them or charging stats.
 
-    Pure with respect to network state: reads the global ring, the
-    id-owner oracle, and the memoised policy-path profile; draws from a
-    per-call ``derive_rng`` stream (no registry stream is consumed);
-    :func:`apply_fingers` installs the result.  Returns
+    Pure with respect to network state: reads the global ring (whose
+    payloads are the member VNs) and the memoised policy-path profile;
+    draws from a per-call ``derive_rng`` stream (no registry stream is
+    consumed); :func:`apply_fingers` installs the result.  Returns
     ``(fingers, message_cost)`` — the cost is the three-phase scaffolding
     (~2 messages per up-chain hop) plus one insertion notification per
     acquired finger.
     """
     rng = derive_rng(net.seed, "fingers", vn.id.value)
     fingers: List[ASPointer] = []
+    ring = net.global_ring
+    ivalues = ring.key_values()
 
     depth = len(net.policy.hierarchy.up_chain(vn.home_as))
     charged = 2 * max(1, depth)
@@ -118,13 +121,18 @@ def select_fingers(net: "InterDomainNetwork", vn: InterVirtualNode,
                 continue
             if len(fingers) >= n_fingers:
                 break
+            # A slot arc never wraps, so its members are one index range
+            # of the ring's sorted column; sampling positions draws exactly
+            # what sampling a copied slice of keys would.
             low, high = slot_arc(vn.id, row, digit, base_bits)
-            candidates = net.global_ring.in_arc(low, high)
-            if not candidates:
+            positions = range(bisect_left(ivalues, low.value),
+                              bisect_right(ivalues, high.value))
+            if not positions:
                 continue
-            if len(candidates) > CANDIDATE_SAMPLE:
-                candidates = rng.sample(candidates, CANDIDATE_SAMPLE)
-            chosen = _pick_nearest(net, vn, candidates)
+            if len(positions) > CANDIDATE_SAMPLE:
+                positions = rng.sample(positions, CANDIDATE_SAMPLE)
+            chosen = _pick_nearest(net, vn, [ring[ivalues[position]]
+                                             for position in positions])
             if chosen is None:
                 continue
             level = lowest_containing_level(net, vn, chosen.home_as)
@@ -151,12 +159,12 @@ def apply_fingers(net: "InterDomainNetwork", vn: InterVirtualNode,
 
 
 def _pick_nearest(net: "InterDomainNetwork", vn: InterVirtualNode,
-                  candidate_ids) -> Optional[InterVirtualNode]:
+                  candidates: List[InterVirtualNode]
+                  ) -> Optional[InterVirtualNode]:
     best_vn = None
     best_key = None
-    for cand_id in candidate_ids:
-        cand = net.id_owner_index.get(cand_id)
-        if cand is None or cand.id == vn.id:
+    for cand in candidates:
+        if cand is vn:
             continue
         key = up_links_between(net, vn.home_as, cand.home_as)
         if best_key is None or key < best_key:

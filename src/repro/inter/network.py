@@ -239,16 +239,13 @@ class InterDomainNetwork:
                     self._repair_gap(vn, level)
 
             # Everyone else drops pointers naming dead IDs (LSA-driven).
-            # One mark_dirty per VN however many dead targets it held, so
-            # the next flush re-diffs each touched VN exactly once.
+            # One pass and one mark_dirty per VN however many dead targets
+            # it held, so the next flush re-diffs each touched VN once.
             for other in self.ases.values():
                 other.cache.invalidate_where(
                     lambda p: p.dest_id in dead_ids or asn in p.as_route)
                 for hosted in other.hosted.values():
-                    dropped = 0
-                    for dead in dead_ids:
-                        dropped += hosted.drop_dead_target(dead)
-                    if dropped:
+                    if hosted.drop_dead_targets(dead_ids):
                         other.mark_dirty(hosted)
             return op["messages"]
 

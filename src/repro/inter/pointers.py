@@ -11,7 +11,7 @@ predecessor and successor identifiers" (Section 2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Collection, Dict, Hashable, List, Optional, Tuple
 
 from repro.idspace.identifier import FlatId
 
@@ -81,18 +81,18 @@ class InterVirtualNode:
     def set_successor(self, level: Optional[Hashable], ptr: ASPointer) -> None:
         self.succ_by_level[level] = ptr
 
-    def drop_dead_target(self, dead_id: FlatId) -> int:
-        """Remove every pointer naming ``dead_id``; returns count dropped."""
+    def drop_dead_targets(self, dead_ids: Collection[FlatId]) -> int:
+        """Remove every pointer naming one of ``dead_ids``, in one pass
+        over the tables; returns count dropped."""
         dropped = 0
         for table in (self.succ_by_level, self.pred_by_level):
-            doomed = [lvl for lvl, p in table.items() if p.dest_id == dead_id]
+            doomed = [lvl for lvl, p in table.items() if p.dest_id in dead_ids]
             for lvl in doomed:
                 del table[lvl]
-                dropped += 1
+            dropped += len(doomed)
         before = len(self.fingers)
-        self.fingers = [p for p in self.fingers if p.dest_id != dead_id]
-        dropped += before - len(self.fingers)
-        return dropped
+        self.fingers = [p for p in self.fingers if p.dest_id not in dead_ids]
+        return dropped + before - len(self.fingers)
 
     def state_entries(self) -> int:
         """Routing-state entries this ID consumes at its hosting AS."""

@@ -20,10 +20,12 @@ This module owns three things:
 from __future__ import annotations
 
 import enum
+from collections import deque
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.topology.asgraph import ASGraph, Relationship
 from repro.topology.hierarchy import HierarchyIndex
+from repro.util import perf
 
 
 class JoinStrategy(enum.Enum):
@@ -72,7 +74,8 @@ class PolicyView:
             for member in vas.members:
                 self._vas_by_member.setdefault(member, []).append(vas)
         self._subtree_cache: Dict[Hashable, Set[Hashable]] = {}
-        self._policy_path_cache: Dict[Tuple, Optional[Tuple[Hashable, ...]]] = {}
+        #: ``(src, scope, use_backup)`` → destination → path, one BFS each.
+        self._policy_path_cache: Dict[Tuple, Dict[Hashable, Tuple]] = {}
         self._step_cache: Dict[Tuple[Hashable, Hashable], Optional[str]] = {}
         self._profile_cache: Dict[Tuple[Hashable, Hashable],
                                   Tuple[int, int]] = {}
@@ -278,14 +281,16 @@ class PolicyView:
                     use_backup: bool = False) -> Optional[Tuple[Hashable, ...]]:
         """Shortest valley-free AS path from ``src`` to ``dst``, restricted
         to ``scope``'s subtree (peer hops only where the scope's virtual
-        AS covers them, or anywhere when unscoped)."""
-        key = (src, dst, scope, use_backup)
-        cached = self._policy_path_cache.get(key, _MISSING)
-        if cached is not _MISSING:
-            return cached
-        path = self._policy_path_bfs(src, dst, scope, use_backup)
-        self._policy_path_cache[key] = path
-        return path
+        AS covers them, or anywhere when unscoped).
+
+        One BFS tree per ``(src, scope, use_backup)`` answers every
+        destination (the AS graph is static for the lifetime of a
+        policy), so a query is two dict hits."""
+        key = (src, scope, use_backup)
+        tree = self._policy_path_cache.get(key)
+        if tree is None:
+            tree = self._policy_path_cache[key] = self._policy_tree(*key)
+        return tree.get(dst)
 
     def path_profile(self, src: Hashable,
                      dst: Hashable) -> Tuple[int, int]:
@@ -325,49 +330,46 @@ class PolicyView:
                     if a != b and self.asg.relationship(a, b) is Relationship.PEER}
         return set()
 
-    def _policy_path_bfs(self, src, dst, scope, use_backup):
-        if src == dst:
-            return (src,)
+    def _policy_tree(self, src, scope, use_backup) -> Dict[Hashable, Tuple]:
+        """Every destination's valley-free path from ``src`` within
+        ``scope``: one layered BFS over (AS, phase) states, phase
+        0=may-ascend, 1=descending.  A destination keeps the path of its
+        first-discovered state, which is the path a search stopping at
+        that destination returns."""
+        perf.counter("inter.policy.bfs_trees")
+        tree = {src: (src,)}
         allowed = self.subtree(scope) if scope is not None else None
-        if allowed is not None and (src not in allowed or dst not in allowed):
-            return None
+        if allowed is not None and src not in allowed:
+            return tree
         peer_ok = self._allowed_peer_pairs(scope)
-        # Layered BFS over (AS, phase) with phase 0=may-ascend, 1=descending.
-        from collections import deque
+        asg = self.asg
         start = (src, 0)
-        parents: Dict[Tuple, Tuple] = {start: None}
+        paths = {start: tree[src]}          # BFS-state paths, build-time only
         queue = deque([start])
         while queue:
-            asn, phase = queue.popleft()
+            state = queue.popleft()
+            asn, phase = state
             steps: List[Tuple[Hashable, int]] = []
             if phase == 0:
-                uplinks = list(self.asg.providers(asn))
+                uplinks = asg.providers(asn)
                 if use_backup:
-                    uplinks += self.asg.backup_providers(asn)
+                    uplinks += asg.backup_providers(asn)
                 steps.extend((p, 0) for p in uplinks)
-                for peer in self.asg.peers(asn):
-                    pair = frozenset((asn, peer))
-                    if peer_ok is None or pair in peer_ok:
+                for peer in asg.peers(asn):
+                    if peer_ok is None or frozenset((asn, peer)) in peer_ok:
                         steps.append((peer, 1))
-            for customer in self.asg.customers(asn,
-                                               include_backup=use_backup):
+            for customer in asg.customers(asn, include_backup=use_backup):
                 steps.append((customer, 1))
-            for nxt, nxt_phase in steps:
-                if allowed is not None and nxt not in allowed:
+            path = paths[state]
+            for step in steps:
+                nxt = step[0]
+                if step in paths or (allowed is not None
+                                     and nxt not in allowed):
                     continue
-                state = (nxt, nxt_phase)
-                if state in parents:
-                    continue
-                parents[state] = (asn, phase)
-                if nxt == dst:
-                    path = [nxt]
-                    cur = (asn, phase)
-                    while cur is not None:
-                        path.append(cur[0])
-                        cur = parents[cur]
-                    return tuple(reversed(path))
-                queue.append(state)
-        return None
+                paths[step] = reached = path + (nxt,)
+                tree.setdefault(nxt, reached)
+                queue.append(step)
+        return tree
 
     def shortcut_allowed(self, arrived_from: Optional[Hashable],
                          at_as: Hashable, pointer_route: Sequence[Hashable]) -> bool:
@@ -388,5 +390,3 @@ class PolicyView:
             return True
         return self.step_type(pointer_route[0], pointer_route[1]) == "down"
 
-
-_MISSING = object()

@@ -69,10 +69,20 @@ class BloomFilter:
         for i in range(self.n_hashes):
             yield (h1 + i * h2) % self.n_bits
 
-    def add(self, item: Hashable) -> None:
+    def mask_of(self, item: Hashable) -> int:
+        """The bits ``item`` sets, as one int that :meth:`add_mask` applies
+        to any filter of this geometry — one hash for many filters."""
+        mask = 0
         for pos in self._positions(item):
-            self._bits |= 1 << pos
+            mask |= 1 << pos
+        return mask
+
+    def add_mask(self, mask: int) -> None:
+        self._bits |= mask
         self.n_items += 1
+
+    def add(self, item: Hashable) -> None:
+        self.add_mask(self.mask_of(item))
 
     def update(self, items: Iterable[Hashable]) -> None:
         for item in items:
@@ -124,6 +134,9 @@ class CountingBloomFilter(BloomFilter):
             self._counts[pos] += 1
             self._bits |= 1 << pos
         self.n_items += 1
+
+    def add_mask(self, mask: int) -> None:
+        raise TypeError("a counting filter counts per position; use add()")
 
     def remove(self, item: Hashable) -> bool:
         """Remove ``item`` if (apparently) present; returns success."""

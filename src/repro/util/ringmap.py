@@ -208,21 +208,6 @@ class SortedRingMap:
         for offset in range(len(self._keys)):
             yield self._keys[(start - offset) % len(self._keys)]
 
-    def in_arc(self, low: Union[FlatId, int],
-               high: Union[FlatId, int]) -> List[FlatId]:
-        """All stored keys on the clockwise arc ``[low, high]`` inclusive."""
-        if not self._keys:
-            return []
-        low_v, high_v = _ival(low), _ival(high)
-        if low_v <= high_v:
-            lo = bisect.bisect_left(self._ivalues, low_v)
-            hi = bisect.bisect_right(self._ivalues, high_v)
-            return self._keys[lo:hi]
-        # Wrapping arc: [low, top] + [bottom, high].
-        lo = bisect.bisect_left(self._ivalues, low_v)
-        hi = bisect.bisect_right(self._ivalues, high_v)
-        return self._keys[lo:] + self._keys[:hi]
-
     def __repr__(self) -> str:
         return "SortedRingMap(n={})".format(len(self._keys))
 
@@ -386,10 +371,12 @@ class CandidateIndex:
     exactly which keys it contributed (its own ID plus its pointer
     targets).  Code that mutates one owner's pointer state calls
     ``mark_dirty(vn)`` afterwards; marks coalesce until the next
-    :meth:`flush`, which re-diffs each distinct dirty owner once — an
-    O(group size) refresh instead of an O(resident state) rebuild.
-    ``mark_dirty()`` with no argument remains the big hammer (full
-    rebuild) for bulk mutations.
+    :meth:`flush`, which re-diffs each distinct dirty owner once, slot by
+    slot — work in the pointers that changed, not in the owner's group
+    size, let alone the resident state.  Pointers are replaced, never
+    mutated: the object an owner still lists at a slot is the unchanged
+    pointer.  ``mark_dirty()`` with no argument remains the big hammer
+    (full rebuild) for bulk mutations.
 
     ``perf_prefix`` names the ``<prefix>.index.*`` counters and the flush
     timer.  ``pointers_of(vn)`` lists what ``vn`` contributes besides its
@@ -413,11 +400,14 @@ class CandidateIndex:
         self._flush_timer = names + "flush"
         self._flushes_counter = names + "refresh.flushes"
         self._owners_counter = names + "refresh.owners"
+        self._slots_counter = names + "refresh.slots"
         self._owners: Dict[int, Any] = {}       # vn.id.value -> vn, registration order
         self._index = ColumnarRingIndex(space)
         self._seq = itertools.count()
         self._owner_seq: Dict[int, int] = {}    # vn.id.value -> registration seq
-        self._contrib: Dict[int, tuple] = {}    # vn.id.value -> (seq, [key values])
+        #: vn.id.value -> (seq, the owner's ``Candidate.ptrs`` tuples in slot
+        #: order) — the stored tuples themselves, no copies.
+        self._contrib: Dict[int, tuple] = {}
         self._dirty_owners: set = set()         # vn.id.values needing a re-diff
         self._dirty_all = True                  # full rebuild pending
         #: Monotonic flush-epoch counter: one increment per flush that
@@ -473,36 +463,55 @@ class CandidateIndex:
             self._index.set(key_iv, cand)
         return cand
 
-    def _add_contrib(self, vn: Any) -> None:
-        """Insert one owner's keys: its own ID plus its pointer targets."""
-        iv = vn.id.value
-        seq = self._owner_seq[iv]
-        keys = [iv]
-        self._entry_for(iv).vn = vn
-        for cand_seq, entry in enumerate(self._pointers_of(vn)):
-            dest_iv = entry[0].dest_id.value
-            bisect.insort(self._entry_for(dest_iv).ptrs, (seq, cand_seq) + entry)
-            keys.append(dest_iv)
-        self._contrib[iv] = (seq, keys)
-
-    def _remove_contrib(self, owner_iv: int) -> None:
-        """Remove every key contribution a (possibly departed) owner made."""
-        record = self._contrib.pop(owner_iv, None)
-        if record is None:
-            return
-        seq, keys = record
-        index = self._index
-        for key_iv in keys:
-            cand = index.get(key_iv)
-            if cand is None:
+    def _rediff(self, owner_iv: int) -> int:
+        """Bring one owner's keys — its own ID plus its pointer targets —
+        in line with its pointer list, slot by slot; returns the slots
+        touched.  A pointer object unchanged at its ``cand_seq`` is left
+        alone, a changed slot is one remove plus one ``insort``.  A new
+        owner diffs from the empty list and a departed one to it; an
+        owner re-registered within the epoch (new ``seq``) does both.
+        """
+        vn = self._owners.get(owner_iv)
+        seq = self._owner_seq.get(owner_iv)             # None once departed
+        old_seq, old = self._contrib.pop(owner_iv, (None, ()))
+        touched = 0
+        if old_seq != seq:
+            for was in old:
+                self._unlink(was[2].dest_id.value, was)
+            touched, old = len(old), ()
+            if old_seq is not None:
+                self._unlink(owner_iv, None)
+            if vn is not None:
+                self._entry_for(owner_iv).vn = vn
+        if vn is None:
+            return touched
+        kept: List[tuple] = []
+        for cand_seq, (was, now) in enumerate(
+                itertools.zip_longest(old, self._pointers_of(vn))):
+            if was is not None and now is not None \
+                    and was[2] is now[0] and was[3:] == now[1:]:
+                kept.append(was)
                 continue
-            if key_iv == owner_iv and cand.vn is not None \
-                    and cand.vn.id.value == owner_iv:
-                cand.vn = None
-            if cand.ptrs:
-                cand.ptrs = [t for t in cand.ptrs if t[0] != seq]
-            if cand.vn is None and not cand.ptrs:
-                index.delete(key_iv)
+            touched += 1
+            if was is not None:
+                self._unlink(was[2].dest_id.value, was)
+            if now is not None:
+                now = (seq, cand_seq) + now
+                bisect.insort(self._entry_for(now[2].dest_id.value).ptrs, now)
+                kept.append(now)
+        self._contrib[owner_iv] = (seq, kept)
+        return touched
+
+    def _unlink(self, key_iv: int, ptr_entry: Optional[tuple]) -> None:
+        """Take one pointer contribution (or, with ``None``, the resident
+        VN) out of ``key_iv``'s entry; an entry left empty is deleted."""
+        cand = self._index.get(key_iv)
+        if ptr_entry is None:
+            cand.vn = None
+        else:
+            del cand.ptrs[bisect.bisect_left(cand.ptrs, ptr_entry)]
+        if cand.vn is None and not cand.ptrs:
+            self._index.delete(key_iv)
 
     def flush(self) -> ColumnarRingIndex:
         """Apply pending maintenance; returns the up-to-date index whose
@@ -515,8 +524,8 @@ class CandidateIndex:
                 self._contrib = {}
                 self._seq = itertools.count()
                 self._owner_seq = {iv: next(self._seq) for iv in self._owners}
-                for vn in self._owners.values():
-                    self._add_contrib(vn)
+                for owner_iv in self._owners:
+                    self._rediff(owner_iv)
                 self._dirty_all = False
                 self._dirty_owners.clear()
         elif self._dirty_owners:
@@ -524,10 +533,7 @@ class CandidateIndex:
                 perf.counter(self._flushes_counter)
                 perf.counter(self._owners_counter, len(self._dirty_owners))
                 self.flush_epoch += 1
-                for owner_iv in self._dirty_owners:
-                    self._remove_contrib(owner_iv)
-                    vn = self._owners.get(owner_iv)
-                    if vn is not None:
-                        self._add_contrib(vn)
+                perf.counter(self._slots_counter,
+                             sum(map(self._rediff, self._dirty_owners)))
                 self._dirty_owners.clear()
         return self._index

@@ -30,6 +30,15 @@ class TestBloomFilter:
             bf.add(item)
         assert "a" in bf and "b" in bf and 42 in bf and b"bytes" in bf
 
+    def test_one_mask_sets_the_same_bits_in_any_filter_of_the_geometry(self):
+        """What a join relies on to hash an ID once for all its ancestors."""
+        direct = BloomFilter(n_bits=1 << 10, n_hashes=4)
+        masked = BloomFilter(n_bits=1 << 10, n_hashes=4)
+        for item in range(50):
+            direct.add(item)
+            masked.add_mask(direct.mask_of(item))
+        assert (masked._bits, masked.n_items) == (direct._bits, direct.n_items)
+
     def test_empty_filter_contains_nothing(self):
         bf = BloomFilter(capacity=10)
         assert "x" not in bf
@@ -83,6 +92,12 @@ class TestCountingBloom:
         cbf.add("a")
         assert cbf.remove("a")
         assert "a" in cbf  # second copy still counted
+
+    def test_counting_filter_refuses_a_mask(self):
+        cbf = CountingBloomFilter(n_bits=128, n_hashes=2)
+        with pytest.raises(TypeError):
+            cbf.add_mask(cbf.mask_of("x"))
+        assert "x" not in cbf and cbf.n_items == 0
 
     def test_counting_size_includes_counters(self):
         cbf = CountingBloomFilter(n_bits=128, n_hashes=2)

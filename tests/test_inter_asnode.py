@@ -180,9 +180,8 @@ class TestFlushCoalescing:
         net = FakeNet()
         node.best_match(net, SPACE.make(10))
         owners0 = perf.value("asnode.index.refresh.owners")
-        dropped = 0
-        for dead in (SPACE.make(200), SPACE.make(300), SPACE.make(400)):
-            dropped += vn.drop_dead_target(dead)
+        dropped = vn.drop_dead_targets({SPACE.make(200), SPACE.make(300),
+                                        SPACE.make(400)})
         if dropped:
             node.mark_dirty(vn)
         assert dropped == 3
@@ -229,7 +228,37 @@ class TestPointerValidation:
         vn.set_successor("L", ptr(200, level="L"))
         vn.pred_by_level["L"] = ptr(50, kind="predecessor")
         vn.fingers = [ptr(200, kind="finger")]
-        dropped = vn.drop_dead_target(SPACE.make(200))
+        dropped = vn.drop_dead_targets({SPACE.make(200)})
         assert dropped == 3
         assert not vn.succ_by_level and not vn.fingers
         assert "L" in vn.pred_by_level  # different target survives
+
+    def test_drop_dead_targets_at_once_equals_one_at_a_time(self):
+        def table():
+            vn = make_vn(100)
+            vn.set_successor(None, ptr(200))
+            vn.set_successor("L", ptr(300, level="L"))
+            vn.set_successor("M", ptr(200, level="M"))
+            vn.pred_by_level["L"] = ptr(400, kind="predecessor")
+            vn.pred_by_level["M"] = ptr(50, kind="predecessor")
+            vn.fingers = [ptr(t, kind="finger") for t in (300, 500, 400, 600)]
+            return vn
+        dead = [SPACE.make(t) for t in (200, 400, 500, 700)]
+        together, singly = table(), table()
+        assert together.drop_dead_targets(set(dead)) \
+            == sum(singly.drop_dead_targets({d}) for d in dead) == 5
+        assert together == singly
+        assert list(together.succ_by_level) == ["L"]
+        assert [f.dest_id.value for f in together.fingers] == [300, 600]
+
+
+def test_index_bookkeeping_adds_no_state_key():
+    """The candidate index and anything it remembers between flushes are
+    derived; a new key here would move every interdomain state hash."""
+    node = RoflAS("AS-X", SPACE, cache_entries=8)
+    vn = make_vn(100)
+    vn.set_successor(None, ptr(200))
+    node.host(vn)
+    node.flush_index()
+    assert set(node.__getstate__()) == {
+        "asn", "space", "hosted", "cache", "subtree_bloom", "flush_epoch"}

@@ -9,6 +9,7 @@ from repro.inter.network import InterDomainNetwork
 from repro.inter.policy import JoinStrategy
 from repro.topology.asgraph import synthetic_as_graph
 from repro.topology.hosts import PlannedHost
+from repro.util import perf
 
 
 class TestJoinBasics:
@@ -173,3 +174,42 @@ class TestJoinIndexMarks:
                 <= stored
             deduped_levels += len(vn.joined_levels) - len(vn.succ_by_level)
         assert deduped_levels > 40  # the case under test did occur
+
+
+class TestJoinHotPathGuards:
+    """Counts, not timings: what a join may redo, on the graph and the
+    parameters of the ``inter_5k`` benchmark workload."""
+
+    def test_500_joins_build_one_tree_per_source_and_rediff_few_slots(
+            self, monkeypatch):
+        net = InterDomainNetwork(synthetic_as_graph(n_ases=100, seed=0),
+                                 n_fingers=8, seed=3, cache_entries=0,
+                                 strategy=JoinStrategy.MULTIHOMED)
+        asked = set()
+        policy_path = net.policy.policy_path
+
+        def recording(src, dst, scope=None, use_backup=False):
+            asked.add((src, scope, use_backup))
+            return policy_path(src, dst, scope, use_backup)
+
+        monkeypatch.setattr(net.policy, "policy_path", recording)
+        before = {name: perf.value(name) for name in (
+            "inter.policy.bfs_trees", "asnode.index.refresh.owners",
+            "asnode.index.refresh.slots")}
+        net.join_random_hosts(500)
+        net.flush_indexes()
+        spent = {name: perf.value(name) - start
+                 for name, start in before.items()}
+        # The valley-free BFS runs once per (source, scope), however many
+        # destinations are asked for (17 030 searches for 429 pairs over
+        # 5 000 joins before the trees).
+        assert 0 < spent["inter.policy.bfs_trees"] <= len(asked)
+        # A join changes a pointer or two of the VNs it touches; the
+        # re-diff must not re-insert the ~13 keys each of them holds.
+        # Measured 2.93-3.04 slots per re-diff over seeds 0-3 and 7 here
+        # (2.8 over 5 000 joins): of ~20 slots a join touches, 8 are the
+        # joiner's new fingers and ~6 are a predecessor's fingers moving
+        # down one position when it gains a successor level.
+        assert spent["asnode.index.refresh.owners"] > 500
+        assert spent["asnode.index.refresh.slots"] \
+            <= 3.5 * spent["asnode.index.refresh.owners"]

@@ -1,9 +1,13 @@
 """Policy view: virtual ASes, join chains, valley-free paths, import rules."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.inter.policy import JoinStrategy, PolicyView, VirtualAS
-from repro.topology.asgraph import ASGraph
+from repro.topology.asgraph import ASGraph, synthetic_as_graph
+from repro.util import perf
+from tests.policy_reference import _policy_path_bfs
 
 
 @pytest.fixture()
@@ -148,3 +152,54 @@ class TestImportRule:
 
     def test_fresh_packet_unrestricted(self, view):
         assert view.shortcut_allowed(None, "T2a", ("T2a", "T1a"))
+
+
+class TestPathTreeOracle:
+    """``policy_path`` answers from one BFS tree per ``(src, scope,
+    use_backup)``; ``tests/policy_reference.py`` is the per-destination
+    early-exit search it replaced, kept verbatim as the specification."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(n_ases=st.integers(min_value=8, max_value=22),
+           seed=st.integers(min_value=0, max_value=10 ** 6))
+    def test_every_query_equals_the_early_exit_search(self, n_ases, seed):
+        asg = synthetic_as_graph(n_ases=n_ases, seed=seed,
+                                 second_provider_backup_prob=0.6)
+        view = PolicyView(asg)
+        ases = asg.ases()
+        scopes = [None] + ases + view.virtual_ases
+        for use_backup in (False, True):
+            for scope in scopes:
+                for src in ases:
+                    for dst in ases:
+                        assert view.policy_path(src, dst, scope, use_backup) \
+                            == _policy_path_bfs(view, src, dst, scope,
+                                                use_backup), \
+                            (src, dst, scope, use_backup)
+
+    def test_one_tree_answers_every_destination(self, view):
+        trees = perf.value("inter.policy.bfs_trees")
+        for dst in ("S1", "S2", "S3", "T2a", "T2b", "T1a", "T1b", "nowhere"):
+            view.policy_path("S1", dst)
+            view.policy_path("S1", dst, scope="T2a")
+        assert perf.value("inter.policy.bfs_trees") == trees + 2
+
+    def test_one_path_object_per_query_key(self, view):
+        """The state hash sees which pointers share a route tuple, so a
+        key must keep handing out one object — also for ``src == dst``,
+        and a different one under a different scope."""
+        for dst in ("S1", "S2"):
+            assert view.policy_path("S1", dst) is view.policy_path("S1", dst)
+            assert view.policy_path("S1", dst, scope="T2a") \
+                is not view.policy_path("S1", dst)
+
+    def test_memo_adds_no_state_key(self, view):
+        """A memo stored under a new attribute would move every state hash
+        (``__getstate__`` is what the codec walks)."""
+        view.policy_path("S1", "S2")
+        state = view.__getstate__()
+        assert set(state) == {
+            "asg", "hierarchy", "virtual_ases", "_vas_by_member",
+            "_subtree_cache", "_policy_path_cache", "_step_cache",
+            "_profile_cache", "root"}
+        assert state["_policy_path_cache"] == {}

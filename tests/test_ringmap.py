@@ -77,13 +77,6 @@ class TestCircularQueries:
         assert ring.closest_not_past(SPACE.make(0), SPACE.make(60)).value == 50
         assert ring.closest_not_past(SPACE.make(60), SPACE.make(80)) is None
 
-    def test_in_arc_plain_and_wrapping(self):
-        ring = make_map([10, 20, 30, 60000])
-        plain = ring.in_arc(SPACE.make(10), SPACE.make(30))
-        assert [k.value for k in plain] == [10, 20, 30]
-        wrap = ring.in_arc(SPACE.make(50000), SPACE.make(15))
-        assert [k.value for k in wrap] == [60000, 10]
-
     def test_iter_predecessors_order(self):
         ring = make_map([10, 20, 30])
         seq = [k.value for k in ring.iter_predecessors(SPACE.make(25))]
