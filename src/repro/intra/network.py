@@ -154,7 +154,7 @@ class IntraDomainNetwork:
         """Check a pointer's source route against the live map; repair it
         (network map reroute) or tear it down (invariant (b))."""
         start = from_router or pointer.owner_router
-        if pointer.path[0] == start and self.lsmap.path_is_live(list(pointer.path)):
+        if pointer.path[0] == start and self.lsmap.path_is_live(pointer.path):
             return pointer
         target_vn = self.vn_index.get(pointer.dest_id)
         hosting = target_vn.router if target_vn is not None else pointer.hosting_router

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Hashable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -136,13 +136,23 @@ class LinkStateMap:
     def components(self) -> List[Set[str]]:
         return [set(c) for c in nx.connected_components(self._live)]
 
-    def path_is_live(self, path: List[str]) -> bool:
-        """Is a stored source route still usable on the live map?"""
-        if len(path) < 1:
+    def path_is_live(self, path: Sequence[str]) -> bool:
+        """Is a stored source route still usable on the live map?  One
+        pass: its first router is up and every consecutive pair is a live
+        edge (which implies the other routers are up).  Reads ``_adj``,
+        never ``.adj``: networkx caches that view in the graph's
+        ``__dict__``, which the canonical state hash walks."""
+        if not path:
             return False
-        if any(router not in self._live for router in path):
+        adj = self._live._adj
+        nbrs = adj.get(path[0])
+        if nbrs is None:
             return False
-        return all(self._live.has_edge(a, b) for a, b in zip(path, path[1:]))
+        for router in path[1:]:
+            if router not in nbrs:
+                return False
+            nbrs = adj[router]
+        return True
 
     def __repr__(self) -> str:
         return "LinkStateMap({!r}, live={}/{} routers, gen={})".format(

@@ -243,12 +243,9 @@ class WorkloadDriver:
     # -- membership ---------------------------------------------------------
 
     def live_hosts(self) -> List[str]:
-        """Join-ordered live hosts, pruned of crash/fault casualties."""
-        hosts = self.net.hosts
-        if len(self._live_set) != len(self._live) or any(
-                name not in hosts for name in self._live):
-            self._live = [name for name in self._live if name in hosts]
-            self._live_set = set(self._live)
+        """Join-ordered live hosts.  O(1): the list is kept current where
+        hosts go (:meth:`_departure`, :meth:`fault_done`), not re-checked
+        against ``net.hosts`` per packet."""
         return self._live
 
     def note_join(self, host_name: str) -> None:
@@ -256,12 +253,25 @@ class WorkloadDriver:
             self._live.append(host_name)
             self._live_set.add(host_name)
 
-    def note_departure(self, host_name: str) -> None:
+    def _drop(self, host_name: str) -> None:
         if host_name in self._live_set:
             self._live_set.discard(host_name)
             self._live.remove(host_name)
+
+    def note_departure(self, host_name: str) -> None:
+        self._drop(host_name)
         if self.metrics is not None:
             self.metrics.record_departure()
+
+    def fault_done(self, record: Dict) -> None:
+        """Log one finished injection or scheduled restore.  Only inside
+        one can hosts leave ``net.hosts`` behind the driver's back (a
+        crash or de-peering it was not told of, a re-homing that finds
+        no live router), so the live list is reconciled here, once."""
+        hosts = self.net.hosts
+        for name in [name for name in self._live if name not in hosts]:
+            self._drop(name)
+        self.fault_log.append(record)
 
     # -- event handlers -----------------------------------------------------
 
@@ -288,13 +298,10 @@ class WorkloadDriver:
                                                      lifetime))
 
     def _departure(self, host_name: str, mode: str) -> None:
-        if host_name not in self.net.hosts:
-            return  # already crashed or de-peered away
-        messages = self.adapter.depart(host_name, mode)
-        if host_name in self._live_set:
-            self._live_set.discard(host_name)
-            self._live.remove(host_name)
-        self.metrics.record_departure(messages)
+        if host_name in self.net.hosts:  # else crashed or de-peered away
+            self.metrics.record_departure(
+                self.adapter.depart(host_name, mode))
+        self._drop(host_name)
 
     def _packet(self, phase: Phase, index: int, process: PoissonProcess,
                 popularity) -> None:

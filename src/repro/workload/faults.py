@@ -7,9 +7,10 @@ machinery — :mod:`repro.intra.failure`, :mod:`repro.intra.partition`,
 driver.  Victim selection is deterministic: each injector draws from its
 own ``derive_rng`` scope keyed on ``(seed, "faults", kind, at)``.
 
-Every injection appends a JSON-ready record to the driver's fault log
-(kind, time, victims, repair cost), which is how the Figure 7 experiment
-rewrites read their measurements back out.
+Every injection and scheduled restore hands a JSON-ready record (kind,
+time, victims, repair cost) to ``driver.fault_done``, which reconciles the
+live-host list and appends it to the fault log — how the Figure 7
+experiment rewrites read their measurements back out.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ class FaultInjector:
         record = self.inject(driver)
         record.setdefault("kind", self.kind)
         record.setdefault("at", driver.loop.now)
-        driver.fault_log.append(record)
+        driver.fault_done(record)
 
 
 class LinkCut(FaultInjector):
@@ -70,7 +71,7 @@ class LinkCut(FaultInjector):
             def restore():
                 for a, b in victims:
                     net.restore_link(a, b)
-                driver.fault_log.append({
+                driver.fault_done({
                     "kind": "link_restore", "at": driver.loop.now,
                     "links": [list(v) for v in victims]})
             driver.loop.schedule(float(restore_after), restore)
@@ -178,9 +179,9 @@ class ASDepeer(FaultInjector):
         if restore_after is not None:
             def restore():
                 net.restore_as(asn)
-                driver.fault_log.append({"kind": "as_restore",
-                                         "at": driver.loop.now,
-                                         "asn": str(asn)})
+                driver.fault_done({"kind": "as_restore",
+                                   "at": driver.loop.now,
+                                   "asn": str(asn)})
             driver.loop.schedule(float(restore_after), restore)
         return {"asn": str(asn), "ids": ids, "repair_messages": messages}
 

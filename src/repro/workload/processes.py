@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence
-
-from repro.util.rng import zipf_weights
 
 
 class SpecError(ValueError):
@@ -249,28 +248,33 @@ class ZipfPopularity:
     """Zipf destination popularity over an ordered live population.
 
     Rank is join order (oldest host = rank 1), matching the observation
-    that long-lived members accumulate the most inbound traffic.  Weight
-    vectors are cached per population size — churn changes the size by
-    one at a time, so the cache stays small across a run.
+    that long-lived members accumulate the most inbound traffic.  One
+    prefix-sum column of the raw weights ``1/k^s`` serves every
+    population size: it grows by appending when a larger population shows
+    up, and a pick bisects its first ``n`` entries — the draw
+    ``random.choices`` makes (one ``random()``, ``hi = n - 1``) without a
+    normalised vector per size; scaling both sides of the comparison by
+    the total leaves the chosen index where it was.
     """
 
     def __init__(self, exponent: float = 1.0):
         if exponent < 0:
             raise SpecError("zipf exponent must be non-negative")
         self.exponent = exponent
-        self._weights_cache: Dict[int, List[float]] = {}
-
-    def _weights(self, n: int) -> List[float]:
-        weights = self._weights_cache.get(n)
-        if weights is None:
-            weights = self._weights_cache[n] = zipf_weights(n, self.exponent)
-        return weights
+        self._cum: List[float] = []  # _cum[k-1] = sum of 1/j^s over j <= k
 
     def pick(self, rng: random.Random, population: Sequence[str]) -> str:
-        if not population:
+        n = len(population)
+        if not n:
             raise ValueError("empty population")
-        weights = self._weights(len(population))
-        return rng.choices(list(population), weights=weights, k=1)[0]
+        cum = self._cum
+        if len(cum) < n:
+            total = cum[-1] if cum else 0.0
+            for k in range(len(cum) + 1, n + 1):
+                total += 1.0 / (k ** self.exponent)
+                cum.append(total)
+        return population[bisect_right(cum, rng.random() * cum[n - 1],
+                                       0, n - 1)]
 
 
 class UniformPopularity:
@@ -279,7 +283,7 @@ class UniformPopularity:
     def pick(self, rng: random.Random, population: Sequence[str]) -> str:
         if not population:
             raise ValueError("empty population")
-        return rng.choice(list(population))
+        return rng.choice(population)
 
 
 def popularity_from_spec(spec: Optional[Dict]):

@@ -75,6 +75,37 @@ class TestLiveMap:
         assert not lsmap.path_is_live(path)
         assert not lsmap.path_is_live([])
 
+    def test_path_is_live_one_pass_agrees_with_the_two_pass_definition(self):
+        """Every router up *and* every consecutive pair an edge, over
+        random walks and random jumps (tuples, as pointers store them) on
+        a map with failed links and routers; and the check reads the raw
+        adjacency, so it warms none of the networkx views the canonical
+        state hash would then walk."""
+        import random
+        lsmap = LinkStateMap(synthetic_isp(n_routers=30, seed=1))
+        rng = random.Random(5)
+        everyone = sorted(lsmap.topology.routers)
+        for a, b in rng.sample(sorted(lsmap.topology.links()), 6):
+            lsmap.fail_link(a, b)
+        for router in rng.sample(everyone, 3):
+            lsmap.fail_router(router)
+        warm = set(vars(lsmap.live_graph))
+        graph = lsmap.topology.graph
+        verdicts = set()
+        for _ in range(600):
+            path = [rng.choice(everyone)]
+            for _ in range(rng.randrange(5)):
+                path.append(rng.choice(sorted(graph[path[-1]]))
+                            if rng.random() < 0.9 else rng.choice(everyone))
+            expected = (all(lsmap.is_router_up(r) for r in path)
+                        and all(lsmap.is_link_up(a, b)
+                                for a, b in zip(path, path[1:])))
+            assert lsmap.path_is_live(tuple(path)) == expected, path
+            verdicts.add((len(path) > 1, expected))
+        assert len(verdicts) == 4    # single/multi-hop, live and dead
+        assert set(vars(lsmap.live_graph)) == warm
+        assert not lsmap.path_is_live(())
+
 
 class TestPathCache:
     def test_hop_path_endpoints(self, lsmap):

@@ -156,6 +156,23 @@ class TestSameSeedSameHash:
         assert snapshot.state_hash(cold) == snapshot.state_hash(warm)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known determinism carve-out (ROADMAP aim 3, found in PR 17): networkx "
+    "keeps Graph.nodes/.adj/.edges as cached_property views in the graph's "
+    "__dict__, which the canonical codec walks, so a pure lsmap query "
+    "changes the hash; the fix moves every intradomain state hash and "
+    "snapshot header, so it is its own PR"))
+def test_hash_ignores_networkx_view_warmth():
+    """On this 20-router, 50-host network the hash goes d98f0125… →
+    b129075f… → 00679fcf… across two queries that change nothing."""
+    net = build_intra(hosts=50)
+    cold = snapshot.state_hash(net)
+    net.lsmap.live_routers()                    # materialises Graph.nodes
+    after_nodes = snapshot.state_hash(net)
+    net.lsmap.reachable(*sorted(net.routers)[:2])   # nx.has_path: Graph.adj
+    assert (after_nodes, snapshot.state_hash(net)) == (cold, cold)
+
+
 # ---------------------------------------------------------------------------
 # Round trips.
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """End-to-end tests for the workload driver and metrics recorder."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro import build_network
+from repro.topology.hosts import HostTable
 from repro.workload.driver import WorkloadDriver, run_scenario
 from repro.workload.scenario import (ChurnSpec, FaultSpec, NetworkSpec, Phase,
                                      Scenario, ScenarioError, TrafficSpec,
                                      builtin_scenario)
+from tests import workload_reference
 
 
 def _small_scenario(seed=0, **overrides) -> Scenario:
@@ -185,3 +191,168 @@ def test_metrics_window_defaults_to_sample_interval(tmp_path):
 def test_no_metrics_out_means_no_windows():
     result = run_scenario(_small_scenario(seed=0))
     assert result.totals["metrics_windows"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Event-driven membership (PR 17): the live list is kept current at the
+# departure and fault sites; tests/workload_reference.py is the parent's
+# per-packet scan it must agree with.
+# ---------------------------------------------------------------------------
+
+class _ReferenceMembership:
+    """The parent's bookkeeping beside a driver: told of the same joins,
+    it finds out about everything else by scanning ``net.hosts``."""
+
+    live_hosts = workload_reference.live_hosts
+    note_join = workload_reference.note_join
+
+    def __init__(self, net):
+        self.net, self._live, self._live_set = net, [], set()
+
+
+def _run_beside_reference(scenario: Scenario):
+    """Run ``scenario`` asserting, after *every* event, that the driver's
+    live list is what the reference scan would return."""
+    driver = WorkloadDriver(scenario)
+    shadow = _ReferenceMembership(driver.net)
+    note_join = driver.note_join
+
+    def note_join_both(name):
+        note_join(name)
+        shadow.note_join(name)
+    driver.note_join = note_join_both
+    compared = []
+
+    def on_event(event):
+        callback = event.callback
+
+        def run_then_compare():
+            callback()
+            assert driver.live_hosts() == shadow.live_hosts(), \
+                "live list diverged at t={}".format(driver.loop.now)
+            compared.append(driver.loop.now)
+        event.callback = run_then_compare
+    driver.loop.on_event = on_event
+    result = driver.run()
+    assert len(compared) == result.totals["events_run"] > 0
+    assert result.totals["final_live_hosts"] == len(shadow.live_hosts())
+    return result
+
+
+def _churn_phase(name, start, end, departure):
+    return Phase(name=name, start=start, end=end,
+                 churn=ChurnSpec(arrival_rate=2.0, departure=departure,
+                                 lifetime={"kind": "pareto", "shape": 1.5,
+                                           "scale": 3.0}),
+                 traffic=TrafficSpec(rate=4.0, popularity={"kind": "zipf",
+                                                           "exponent": 0.9}))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_live_list_tracks_reference_scan_through_every_intra_fault(seed):
+    result = _run_beside_reference(_small_scenario(
+        seed=seed, duration=40.0, warmup_hosts=40,
+        phases=[_churn_phase("graceful", 0.0, 20.0, "leave"),
+                _churn_phase("crashy", 20.0, 40.0, "fail")],
+        faults=[FaultSpec("link_cut", 6.0, {"count": 2,
+                                            "restore_after": 5.0}),
+                FaultSpec("host_crash", 9.0, {"count": 5}),
+                FaultSpec("pop_partition", 14.0),
+                FaultSpec("router_crash", 24.0, {"count": 2}),
+                FaultSpec("host_crash", 30.0, {"count": 4}),
+                FaultSpec("pop_partition", 34.0)]))
+    assert [r["kind"] for r in result.fault_log] == [
+        "link_cut", "host_crash", "link_restore", "pop_partition",
+        "router_crash", "host_crash", "pop_partition"]
+    # Scheduled departures of both modes, on top of the nine crash victims
+    # (some of whose own departures then find them already gone).
+    assert result.totals["departures"] > 9 + 10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_live_list_tracks_reference_scan_through_depeering(seed):
+    scenario = builtin_scenario("depeering", seed=seed)
+    scenario.duration, scenario.warmup_hosts = 30.0, 60
+    scenario.phases[0].end = 30.0
+    scenario.faults = [
+        FaultSpec("as_depeer", 8.0, {"stub_only": True,
+                                     "restore_after": 6.0}),
+        FaultSpec("as_depeer", 20.0, {"stub_only": False})]
+    result = _run_beside_reference(scenario)
+    assert [r["kind"] for r in result.fault_log] == [
+        "as_depeer", "as_restore", "as_depeer"]
+    assert result.totals["departures"] > 0
+
+
+def test_fault_done_reconciles_hosts_lost_behind_the_drivers_back():
+    driver = WorkloadDriver(_small_scenario(faults=[]))
+    driver._warmup()
+    before = list(driver.live_hosts())
+    lost = [before[3], before[17]]
+    for name in lost:
+        driver.net.fail_host(name)          # the driver is not told
+    driver.fault_done({"kind": "test", "at": 0.0})
+    assert driver.live_hosts() == [n for n in before if n not in lost]
+    assert driver.fault_log == [{"kind": "test", "at": 0.0}]
+
+
+def test_departure_of_an_already_gone_host_still_drops_its_name():
+    driver = WorkloadDriver(_small_scenario(faults=[]))
+    driver._warmup()
+    victim = driver.live_hosts()[5]
+    driver.net.fail_host(victim)
+    driver._departure(victim, "leave")      # early path: nothing to depart
+    assert victim not in driver.live_hosts()
+    assert len(driver.live_hosts()) == 29
+
+
+GOLDEN_VIEWS = json.loads(
+    (Path(__file__).parent / "golden_workload_views.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_VIEWS))
+def test_builtin_views_match_the_parent_capture(key):
+    """``deterministic_view()`` of every builtin at seeds 0-3 against JSON
+    captured at the parent commit of PR 17 (the per-packet scan and the
+    normalised Zipf vectors) — never regenerate it from the current code."""
+    name, seed = key.split("@")
+    view = run_scenario(builtin_scenario(name, seed=int(seed))) \
+        .deterministic_view()
+    assert json.loads(json.dumps(view)) == GOLDEN_VIEWS[key]
+
+
+class _CountingHosts(HostTable):
+    """``net.hosts`` that counts membership probes (``name in hosts``)."""
+
+    __slots__ = ("probes",)
+
+    def __init__(self):
+        super().__init__()
+        self.probes = 0
+
+    def __contains__(self, name):
+        self.probes += 1
+        return super().__contains__(name)
+
+
+@pytest.mark.parametrize("live", [500, 4000])
+def test_membership_probes_per_packet_do_not_grow_with_live_hosts(live):
+    """Noise-free scaling guard (a count, not a clock): with no fault and
+    no departure the driver has no reason to ask ``net.hosts`` about
+    anyone.  The parent probed about once per live host per packet."""
+    scenario = _small_scenario(
+        warmup_hosts=0, duration=10.0, faults=[],
+        phases=[Phase(name="traffic", start=0.0, end=10.0,
+                      traffic=TrafficSpec(rate=20.0,
+                                          popularity={"kind": "zipf"}))])
+    net = build_network("intra", scenario.seed, n_routers=16,
+                        name="test-small")
+    net.hosts = hosts = _CountingHosts()
+    driver = WorkloadDriver(scenario, network=net)
+    for _ in range(live):       # joined by the caller, as bench/ does
+        driver.note_join(net.join_host(net.next_planned_host()).host_name)
+    hosts.probes = 0
+    result = driver.run()
+    packets = result.totals["packets_sent"]
+    assert result.totals["final_live_hosts"] == live and packets > 100
+    assert hosts.probes <= 2 * packets

@@ -1,6 +1,11 @@
 """Tests for the workload stochastic processes."""
 
+import random
+from collections.abc import Sequence
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.util.rng import derive_rng
 from repro.workload.processes import (DiurnalModulation, FixedLifetime,
@@ -9,6 +14,7 @@ from repro.workload.processes import (DiurnalModulation, FixedLifetime,
                                       UniformPopularity, ZipfPopularity,
                                       lifetime_from_spec, modulation_from_spec,
                                       popularity_from_spec)
+from tests import workload_reference
 
 
 def test_poisson_mean_interarrival_matches_rate():
@@ -97,8 +103,78 @@ def test_zipf_popularity_prefers_low_ranks():
     head = sum(1 for p in picks if p in population[:5])
     tail = sum(1 for p in picks if p in population[-5:])
     assert head > 3 * tail
-    # The per-size weight vector is computed once and reused.
-    assert set(pop._weights_cache) == {50}
+    # One prefix column serves every pick: as long as the largest
+    # population seen, never one vector per call or per size.
+    assert len(pop._cum) == 50
+
+
+class _IndexOnly(Sequence):
+    """A population that can be measured and indexed but counts every
+    element read: a ``list(population)`` copy reads all of them."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.items[index]
+
+
+@given(exponent=st.floats(min_value=0.0, max_value=3.0),
+       seed=st.integers(min_value=0, max_value=2 ** 32),
+       sizes=st.lists(st.integers(min_value=1, max_value=5000),
+                      min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_zipf_pick_matches_the_per_size_reference(exponent, seed, sizes):
+    """The raw-weight prefix column against the parent's normalised
+    per-size vectors (``tests/workload_reference.py``): populations
+    growing and shrinking between picks, same element, and the stream
+    left in the same state (one ``random()`` per pick)."""
+    new, old = ZipfPopularity(exponent), \
+        workload_reference.ZipfPopularity(exponent)
+    rng_new, rng_old = random.Random(seed), random.Random(seed)
+    hosts = list(range(max(sizes)))
+    for n in sizes:
+        for _ in range(3):
+            assert new.pick(rng_new, hosts[:n]) == old.pick(rng_old, hosts[:n])
+        assert rng_new.getstate() == rng_old.getstate()
+
+
+def test_zipf_column_is_bounded_by_the_largest_population():
+    """Noise-free memory guard: 1 000 distinct sizes cost max-n floats
+    (the parent kept one normalised vector per size, the sum of them)."""
+    pop, rng = ZipfPopularity(exponent=1.0), derive_rng(4, "zipf-sizes")
+    hosts = list(range(1500))
+    sizes = list(range(500, 1500))
+    rng.shuffle(sizes)
+    for n in sizes:
+        pop.pick(rng, hosts[:n])
+    assert len(pop._cum) == max(sizes)
+
+
+@pytest.mark.parametrize("popularity",
+                         [ZipfPopularity(exponent=0.9), UniformPopularity()],
+                         ids=["zipf", "uniform"])
+def test_pick_reads_one_element_not_a_copy_of_the_population(popularity):
+    population = _IndexOnly(["h{}".format(i) for i in range(400)])
+    rng = derive_rng(5, "no-copy")
+    picks = [popularity.pick(rng, population) for _ in range(50)]
+    assert population.reads == 50
+    assert set(picks) <= set(population.items)
+    with pytest.raises(ValueError):
+        popularity.pick(rng, _IndexOnly([]))
+
+
+def test_uniform_pick_draws_what_the_list_copy_drew():
+    population = tuple("h{}".format(i) for i in range(37))
+    a, b = derive_rng(6, "uniform"), derive_rng(6, "uniform")
+    for _ in range(200):
+        assert UniformPopularity().pick(a, population) == \
+            b.choice(list(population))
+    assert a.getstate() == b.getstate()
 
 
 def test_popularity_from_spec_and_empty_population():
