@@ -27,6 +27,8 @@ Quickstart::
 from repro.idspace.identifier import FlatId, RingSpace
 from repro.intra.network import IntraDomainNetwork
 from repro.inter.network import InterDomainNetwork
+from repro import baselines, compact  # noqa: F401  (defining registers)
+from repro.network import KINDS
 from repro.topology.isp import synthetic_isp, ROCKETFUEL_PROFILES
 from repro.topology.asgraph import synthetic_as_graph
 
@@ -48,26 +50,21 @@ __all__ = [
 
 def build_network(kind="intra", seed=0, n_routers=40, n_ases=60, hosts=0,
                   cache_entries=None, n_fingers=8, name=None):
-    """Build a fresh network and join ``hosts`` hosts onto it — the one
-    constructor behind ``repro serve``, ``snapshot save``, ``trace``, the
-    workload driver and the ``quick_*`` helpers.
+    """Build a fresh network of a registered kind (:data:`KINDS`) and join
+    ``hosts`` hosts onto it — the one constructor behind ``repro serve``,
+    ``snapshot save``, ``trace``, the workload driver and the ``quick_*``
+    helpers.
 
     ``cache_entries=None`` is each kind's default (TCAM-sized intra, no
-    cache inter).  ``name`` names the intradomain topology and so seeds
-    the network's RNG streams: the same name is the same network.
+    cache inter).  ``name`` names the ISP topology and so seeds the
+    network's RNG streams: the same name is the same network.
     """
-    if kind == "intra":
-        topo = synthetic_isp(n_routers=n_routers, seed=seed, name=name)
-        kwargs = {} if cache_entries is None else {
-            "cache_entries": cache_entries}
-        net = IntraDomainNetwork(topo, seed=seed, **kwargs)
-    elif kind == "inter":
-        asg = synthetic_as_graph(n_ases=n_ases, seed=seed)
-        net = InterDomainNetwork(asg, n_fingers=n_fingers, seed=seed,
-                                 cache_entries=cache_entries or 0)
-    else:
-        raise ValueError("kind must be 'intra' or 'inter', got "
-                         "{!r}".format(kind))
+    if kind not in KINDS:
+        raise ValueError("kind must be one of {}, got {!r}".format(
+            ", ".join(KINDS), kind))
+    net = KINDS[kind].build(
+        seed, n_routers=n_routers, n_ases=n_ases,
+        cache_entries=cache_entries, n_fingers=n_fingers, name=name)
     if hosts:
         net.join_random_hosts(hosts)
         net.flush_indexes()

@@ -15,10 +15,10 @@ Commands:
 * ``trace`` — route packets under the ``repro.obs`` tracer and render
   each decision tree with per-hop stretch attribution; ``--scenario``
   replays a workload window instead.
-* ``serve [--kind intra|inter] [--hosts N] [--snapshot PATH] [--tcp PORT]``
-  — build (or warm-load) a network once and answer line-delimited JSON
-  requests against it (``repro.serve``; ``--requests FILE`` scripts a
-  session for tests and CI).
+* ``serve [--kind intra|inter|cmu|ospf|disco] [--hosts N] [--snapshot
+  PATH] [--tcp PORT]`` — build (or warm-load) a network once and answer
+  line-delimited JSON requests against it (``repro.serve``; ``--requests
+  FILE`` scripts a session for tests and CI).
 * ``snapshot {save,info,verify} PATH`` — checkpoint/restore of complete
   network state with canonical state hashing (``repro.snapshot``).
 * ``compare-stretch [--profile ISP] [--hosts N] [--json PATH]`` — run
@@ -156,8 +156,8 @@ def _cmd_workload(args: argparse.Namespace) -> int:
             scenario = builtin_scenario(name)
             print("{:<16} {:>5.0f}s  {}/{}  phases={} faults={}".format(
                 name, scenario.duration, scenario.network.kind,
-                scenario.network.n_routers if scenario.network.kind == "intra"
-                else scenario.network.n_ases,
+                scenario.network.n_ases if scenario.network.kind == "inter"
+                else scenario.network.n_routers,
                 len(scenario.phases), len(scenario.faults)))
         return 0
     if args.scenario is None:
@@ -262,7 +262,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _add_network_args(parser: argparse.ArgumentParser) -> None:
     """The network ``serve`` and ``snapshot save`` build when not handed
     a snapshot (see :func:`_network_from_args`)."""
-    parser.add_argument("--kind", choices=("intra", "inter"), default="intra",
+    from repro.network import KINDS
+    parser.add_argument("--kind", choices=tuple(KINDS), default="intra",
                         help="network kind to build (default intra)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--routers", type=int, default=40,

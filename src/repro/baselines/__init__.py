@@ -9,72 +9,14 @@
   stretch baseline.
 * :class:`repro.compact.DiscoNetwork` — Disco-style compact routing on
   flat names with a provable stretch bound (the post-paper baseline the
-  compact-routing literature calls for; imported lazily here to keep
-  ``repro.baselines`` free of the ``repro.compact`` dependency at
-  import time).
+  compact-routing literature calls for; it lives in ``repro.compact``).
 
-All three satisfy :class:`FlatLabelBaseline`, so the harness, the
-parametrized baseline tests and the head-to-head experiment drive them
-through one interface.
+All three are :class:`repro.network.Network` kinds (``"cmu"``, ``"ospf"``,
+``"disco"``), so the harness, the workload driver, ``repro serve`` and the
+contract tests drive them exactly as they drive ROFL.
 """
-
-from typing import Dict, List, Protocol, Tuple, runtime_checkable
 
 from repro.baselines.cmu_ethernet import CmuEthernetNetwork
 from repro.baselines.ospf_routing import OspfHostRouting
-from repro.sim.stats import PathResult, StatsCollector
-from repro.topology.hosts import PlannedHost
 
-
-@runtime_checkable
-class FlatLabelBaseline(Protocol):
-    """What every flat-label baseline must provide.
-
-    **Message accounting contract**: :meth:`join_host` returns the
-    number of *network-level messages* attributed to the join operation
-    — the value of the closed ``stats.operation("join", ...)`` record's
-    ``"messages"`` field, where one message traversing one link costs
-    one unit (:meth:`repro.sim.stats.StatsCollector.charge_path` /
-    ``charge_hops`` semantics).  "Cost" and "messages" are the same
-    number everywhere; there is no separate cost unit.  A baseline
-    whose joins are free by construction (OSPF: the address *is* the
-    location) returns 0 rather than omitting the method.
-
-    ``stretch_bound`` is the protocol's provable worst-case data-path
-    stretch (``float("inf")`` if it has no guarantee); the obs layer
-    asserts observed stretch against it.
-    """
-
-    stats: StatsCollector
-    stretch_bound: float
-
-    def join_host(self, host: PlannedHost) -> int:
-        """Join one host; returns the network-level messages charged to
-        the join operation."""
-        ...
-
-    def join_random_hosts(self, n: int) -> List[int]:
-        """Join ``n`` hosts from the deterministic host plan; returns
-        the per-join message counts."""
-        ...
-
-    def send(self, src_host: str, dst_host: str) -> PathResult:
-        """Route one data packet between two joined hosts (by name)."""
-        ...
-
-    def random_host_pair(self) -> Tuple[str, str]:
-        """A uniform random ordered pair of distinct joined hosts,
-        drawn from the baseline's own seeded stream."""
-        ...
-
-    def memory_entries_per_router(self) -> Dict[str, int]:
-        """Host-routing state per router, in table entries (shared
-        infrastructure like the link-state DB is not counted)."""
-        ...
-
-    @property
-    def n_hosts(self) -> int:
-        ...
-
-
-__all__ = ["CmuEthernetNetwork", "FlatLabelBaseline", "OspfHostRouting"]
+__all__ = ["CmuEthernetNetwork", "OspfHostRouting"]

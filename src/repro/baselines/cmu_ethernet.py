@@ -14,48 +14,38 @@ CMU-ETHERNET needing 37–181× more join messages and 34–1200× more
 memory than ROFL on the same four ISPs; the Fig 5a/6c benches reproduce
 those ratios with this implementation.
 
-Implements :class:`repro.baselines.FlatLabelBaseline`: delivery is
-always over the shortest path (every router knows every host), so the
-provable stretch bound is exactly 1.0.
+A :class:`repro.network.Network` kind: delivery is always over the
+shortest path (every router knows every host), so the provable stretch
+bound is exactly 1.0.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.idspace.identifier import FlatId, RingSpace
-from repro.linkstate.lsdb import LinkStateMap
 from repro.linkstate.protocol import flood_message_cost
-from repro.linkstate.spf import PathCache
-from repro.sim.stats import PathResult, StatsCollector
+from repro.network import Network
+from repro.sim.stats import PathResult
 from repro.topology.graph import RouterTopology
-from repro.topology.hosts import HostPlan, HostTable, PlannedHost
-from repro.util.rng import RngRegistry
+from repro.topology.hosts import PlannedHost
 
 
-class CmuEthernetNetwork:
+class CmuEthernetNetwork(Network):
     """Flood-based flat routing over one ISP topology."""
 
+    kind = "cmu"
     #: Every router holds every host's route, so data paths are always
     #: shortest — the guarantee is stretch 1.
     stretch_bound = 1.0
 
     def __init__(self, topology: RouterTopology, seed: int = 0):
-        self.topology = topology
-        self.seed = seed
-        self.lsmap = LinkStateMap(topology)
-        self.paths = PathCache(self.lsmap)
+        super().__init__(seed, ("cmu", "traffic"), topology=topology)
         self.space = RingSpace()
-        self.stats = StatsCollector()
-        self.rngs = RngRegistry(seed)
-        self._rng = self.rngs.derive("cmu", "traffic")
         #: host ID → attachment router, replicated at every router (we
-        #: store it once and account for the replication in memory math).
+        #: store it once and account for the replication in memory math);
+        #: ``hosts`` maps name → host ID.
         self.host_location: Dict[FlatId, str] = {}
-        self.hosts: HostTable = HostTable()          # name → FlatId
-        self._plan = HostPlan(
-            attachment_points=topology.edge_routers() or topology.routers,
-            seed=seed, registry=self.rngs)
 
     # -- joining ---------------------------------------------------------------
 
@@ -63,9 +53,8 @@ class CmuEthernetNetwork:
         """Join one host: flood its attachment over every live link.
 
         Returns the network-level messages charged to this join's
-        operation scope (the :class:`repro.baselines.FlatLabelBaseline`
-        contract) — here exactly the flood's per-link message count;
-        "cost" and "messages" are the same unit by definition.
+        operation scope (the :meth:`Network.join_host` contract) — here
+        exactly the flood's per-link message count.
         """
         with self.stats.operation("join", host=host.name) as op:
             self.stats.charge_hops(
@@ -73,9 +62,6 @@ class CmuEthernetNetwork:
         self.host_location[host.flat_id] = host.attach_at
         self.hosts[host.name] = host.flat_id
         return op["messages"]
-
-    def join_random_hosts(self, n: int) -> List[int]:
-        return [self.join_host(self._plan.next_host()) for _ in range(n)]
 
     # -- data plane ----------------------------------------------------------------
 
@@ -91,12 +77,6 @@ class CmuEthernetNetwork:
         return PathResult(delivered=True, path=path, hops=hops,
                           optimal_hops=hops)
 
-    def random_host_pair(self) -> Tuple[str, str]:
-        if len(self.hosts.names) < 2:
-            raise ValueError("need at least two hosts")
-        pair = self._rng.sample(self.hosts.names, 2)
-        return pair[0], pair[1]
-
     # -- accounting -------------------------------------------------------------------
 
     def memory_entries_per_router(self) -> Dict[str, int]:
@@ -105,10 +85,3 @@ class CmuEthernetNetwork:
         n = len(self.host_location)
         return {router: n for router in self.topology.routers}
 
-    @property
-    def n_hosts(self) -> int:
-        return len(self.hosts)
-
-    def __repr__(self) -> str:
-        return "CmuEthernetNetwork({!r}, hosts={})".format(
-            self.topology.name, len(self.hosts))

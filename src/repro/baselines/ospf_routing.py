@@ -7,11 +7,11 @@ path between the endpoints' attachment routers and tallies per-router
 traversal counts with the same :class:`StatsCollector` plumbing ROFL
 uses, so the two load series are directly comparable.
 
-Implements :class:`repro.baselines.FlatLabelBaseline` as the
-*location-dependent* contrast: an OSPF "address" encodes the attachment
-router, so a host join installs no per-host routing state anywhere and
-costs **zero** network-level messages (``join_host`` returns 0 by the
-shared accounting contract) — the exact property flat labels give up,
+A :class:`repro.network.Network` kind, the *location-dependent*
+contrast: an OSPF "address" encodes the attachment router, so a host
+join installs no per-host routing state anywhere and costs **zero**
+network-level messages (``join_host`` returns 0 by the shared
+accounting contract) — the exact property flat labels give up,
 which is why every flat design pays join/lookup overhead to win
 location independence.  Delivery is always shortest-path, so the
 provable stretch bound is 1.0.
@@ -19,55 +19,44 @@ provable stretch bound is 1.0.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.idspace.identifier import FlatId
 from repro.linkstate.lsdb import LinkStateMap
-from repro.linkstate.spf import PathCache
-from repro.sim.stats import PathResult, StatsCollector
+from repro.network import Network
+from repro.sim.stats import PathResult
 from repro.topology.graph import RouterTopology
-from repro.topology.hosts import HostPlan, HostTable, PlannedHost
-from repro.util.rng import RngRegistry
+from repro.topology.hosts import PlannedHost
 
 
-class OspfHostRouting:
+class OspfHostRouting(Network):
     """Shortest-path routing between attachment routers."""
 
+    kind = "ospf"
     #: Packets follow the SPF path between attachment routers — the
     #: addressing scheme guarantees stretch 1.
     stretch_bound = 1.0
 
     def __init__(self, topology: RouterTopology,
                  lsmap: Optional[LinkStateMap] = None, seed: int = 0):
-        self.topology = topology
-        self.seed = seed
-        self.lsmap = lsmap or LinkStateMap(topology)
-        self.paths = PathCache(self.lsmap)
-        self.stats = StatsCollector()
-        self.rngs = RngRegistry(seed)
-        self._rng = self.rngs.derive("ospf", "traffic")
+        super().__init__(seed, ("ospf", "traffic"), topology=topology,
+                         lsmap=lsmap)
+        #: host ID → attachment router (``hosts`` maps name → host ID).
         self.host_location: Dict[FlatId, str] = {}
-        self.hosts: HostTable = HostTable()          # name → FlatId
-        self._plan = HostPlan(
-            attachment_points=topology.edge_routers() or topology.routers,
-            seed=seed, registry=self.rngs)
 
     # -- joining ---------------------------------------------------------------
 
     def join_host(self, host: PlannedHost) -> int:
         """Join one host for free: its address *is* its location, so no
         router learns anything.  Returns 0 messages — the degenerate
-        case of the shared :class:`~repro.baselines.FlatLabelBaseline`
-        accounting contract, recorded as a closed operation so join-cost
-        CDFs can still include it."""
+        case of the :meth:`Network.join_host` accounting contract,
+        recorded as a closed operation so join-cost CDFs can still
+        include it."""
         with self.stats.operation("join", host=host.name) as op:
             pass
         self.host_location[host.flat_id] = host.attach_at
         self.hosts[host.name] = host.flat_id
         return op["messages"]
-
-    def join_random_hosts(self, n: int) -> List[int]:
-        return [self.join_host(self._plan.next_host()) for _ in range(n)]
 
     # -- data plane ----------------------------------------------------------------
 
@@ -88,12 +77,6 @@ class OspfHostRouting:
         return PathResult(delivered=True, path=path, hops=hops,
                           optimal_hops=hops)
 
-    def random_host_pair(self) -> Tuple[str, str]:
-        if len(self.hosts.names) < 2:
-            raise ValueError("need at least two hosts")
-        pair = self._rng.sample(self.hosts.names, 2)
-        return pair[0], pair[1]
-
     # -- accounting -------------------------------------------------------------------
 
     def memory_entries_per_router(self) -> Dict[str, int]:
@@ -101,10 +84,6 @@ class OspfHostRouting:
         need is (as in the other baselines) not counted, and addresses
         carry the location."""
         return {router: 0 for router in self.topology.routers}
-
-    @property
-    def n_hosts(self) -> int:
-        return len(self.hosts)
 
     def load_series(self) -> Dict[Hashable, int]:
         return self.stats.load_series()
@@ -116,7 +95,3 @@ class OspfHostRouting:
         for src, dst in pairs:
             delivered += self.send_routers(src, dst).delivered
         return delivered
-
-    def __repr__(self) -> str:
-        return "OspfHostRouting({!r}, hosts={})".format(
-            self.topology.name, len(self.hosts))

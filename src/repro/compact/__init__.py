@@ -8,8 +8,8 @@ stretch bound — the counterpoint baseline to ROFL's unbounded tail:
 * :mod:`repro.compact.resolve` — name-independent locator directory
   (flat ID → resolver landmark) and per-router locator caches;
 * :mod:`repro.compact.network` — :class:`DiscoNetwork`, the
-  :class:`repro.baselines.FlatLabelBaseline` implementation with traced
-  forwarding and ``stretch_bound = 3.0``.
+  :class:`repro.network.Network` kind ``"disco"``, with traced forwarding
+  and ``stretch_bound = 3.0``.
 """
 
 from repro.compact.landmarks import (LandmarkPlan, build_plan,

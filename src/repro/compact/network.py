@@ -52,20 +52,19 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.compact.landmarks import LandmarkPlan, build_plan, elect_landmarks
 from repro.compact.resolve import Locator, LocatorCache, ResolverDirectory
 from repro.idspace.identifier import FlatId
-from repro.linkstate.lsdb import LinkStateMap
 from repro.linkstate.protocol import flood_message_cost
-from repro.linkstate.spf import PathCache
+from repro.network import Network
 from repro.obs import trace
-from repro.sim.stats import PathResult, StatsCollector
+from repro.sim.stats import PathResult
 from repro.topology.graph import RouterTopology
-from repro.topology.hosts import HostPlan, HostTable, PlannedHost
+from repro.topology.hosts import PlannedHost
 from repro.util import perf
-from repro.util.rng import RngRegistry
 
 
-class DiscoNetwork:
+class DiscoNetwork(Network):
     """Compact flat-name routing over one ISP topology."""
 
+    kind = "disco"
     #: Provable worst-case data-path stretch (Thorup–Zwick argument in
     #: the module docstring); every ``end`` trace record carries it and
     #: the stretch-bound probe asserts ``hops ≤ bound · optimal``.
@@ -76,13 +75,8 @@ class DiscoNetwork:
                  locator_cache_entries: int = 64,
                  authority=None,
                  attachment_weights: Optional[List[float]] = None):
-        self.topology = topology
-        self.seed = seed
-        self.lsmap = LinkStateMap(topology)
-        self.paths = PathCache(self.lsmap)
-        self.stats = StatsCollector()
-        self.rngs = RngRegistry(seed)
-        self._rng = self.rngs.derive("compact", "traffic")
+        super().__init__(seed, ("compact", "traffic"), topology=topology,
+                         weights=attachment_weights, authority=authority)
 
         election_rng = self.rngs.derive("compact", "landmarks")
         self.plan: LandmarkPlan = build_plan(
@@ -100,13 +94,9 @@ class DiscoNetwork:
         self.vicinity_ids: Dict[str, Set[FlatId]] = {
             router: set() for router in topology.routers}
 
-        self.hosts: HostTable = HostTable()          # name → FlatId
-        self.host_location: Dict[FlatId, str] = {}   # FlatId → router
+        #: host ID → attachment router (``hosts`` maps name → host ID).
+        self.host_location: Dict[FlatId, str] = {}
         self._host_names: Dict[FlatId, str] = {}
-        self._plan = HostPlan(
-            attachment_points=topology.edge_routers() or topology.routers,
-            seed=seed, weights=attachment_weights, authority=authority,
-            registry=self.rngs)
         self._bootstrap()
 
     # -- control plane -------------------------------------------------------
@@ -129,7 +119,7 @@ class DiscoNetwork:
 
     def join_host(self, host: PlannedHost) -> int:
         """Join one host; returns the network-level messages charged to
-        the join operation (the :class:`FlatLabelBaseline` contract).
+        the join operation (the :meth:`Network.join_host` contract).
 
         Two control actions: register the locator at the ID's resolver
         landmark (one message along the attach → resolver path) and
@@ -156,9 +146,6 @@ class DiscoNetwork:
         self.host_location[host.flat_id] = attach
         self._host_names[host.flat_id] = host.name
         return op["messages"]
-
-    def join_random_hosts(self, n: int) -> List[int]:
-        return [self.join_host(self._plan.next_host()) for _ in range(n)]
 
     def leave_host(self, host_name: str) -> int:
         """Withdraw a host: unregister its locator and retract the ball
@@ -327,12 +314,6 @@ class DiscoNetwork:
         return PathResult(delivered=delivered, path=route_path, hops=hops,
                           optimal_hops=optimal)
 
-    def random_host_pair(self) -> Tuple[str, str]:
-        if len(self.hosts.names) < 2:
-            raise ValueError("need at least two hosts")
-        pair = self._rng.sample(self.hosts.names, 2)
-        return pair[0], pair[1]
-
     # -- accounting ----------------------------------------------------------
 
     def memory_entries_per_router(self) -> Dict[str, int]:
@@ -347,13 +328,17 @@ class DiscoNetwork:
                      + len(self.caches[router]))
             for router in self.topology.routers}
 
+    def check(self) -> None:
+        """Every joined ID is registered with its true attachment router."""
+        for host_id, attach in self.host_location.items():
+            locator = self.directory.lookup(host_id)
+            if locator is None or locator.attach_router != attach:
+                raise AssertionError("{} attached at {} but registered as "
+                                     "{}".format(host_id, attach, locator))
+
     @property
     def landmarks(self) -> List[str]:
         return self.plan.landmarks
-
-    @property
-    def n_hosts(self) -> int:
-        return len(self.hosts)
 
     def cache_stats(self) -> Dict[str, int]:
         """Aggregate locator-cache counters across all routers."""
@@ -364,7 +349,3 @@ class DiscoNetwork:
             totals["evictions"] += cache.evictions
             totals["invalidations"] += cache.invalidations
         return totals
-
-    def __repr__(self) -> str:
-        return "DiscoNetwork({!r}, hosts={}, landmarks={})".format(
-            self.topology.name, len(self.hosts), self.plan.n_landmarks)

@@ -601,7 +601,7 @@ def _measure_headtohead(net, pairs) -> Dict:
         probes.tick(0.0)
     probes.detach()
 
-    bound = getattr(net, "stretch_bound", float("inf"))
+    bound = net.stretch_bound
     stretches = _stretches(results)
     row: Dict = {
         "sent": len(results),
@@ -614,12 +614,9 @@ def _measure_headtohead(net, pairs) -> Dict:
         "messages": {k: v for k, v in sorted(net.stats.messages.items())},
         "probe_violations": probes.summary(),
     }
-    if hasattr(net, "memory_entries_per_router"):
-        memory = net.memory_entries_per_router()
-        row["memory"] = {"mean": _mean(list(memory.values())),
-                         "max": max(memory.values()) if memory else None}
-    else:
-        row["memory"] = {"mean": None, "max": None}
+    memory = net.state_entries()
+    row["memory"] = {"mean": _mean(list(memory.values())),
+                     "max": max(memory.values())}
 
     # Per-decision attribution (protocols that emit packet spans only).
     expls = explain_packets(sink.records())
@@ -651,8 +648,6 @@ def _measure_headtohead(net, pairs) -> Dict:
     row["tail_attribution"] = {rule: tail_attribution[rule]
                                for rule in sorted(tail_attribution)}
     row["attribution_mismatches"] = mismatches
-    if hasattr(net, "cache_stats"):
-        row["cache"] = net.cache_stats()
     return row
 
 
@@ -706,6 +701,8 @@ def headtohead_stretch(profile: str = "AS3967", n_hosts: int = 200,
                  "intra": {label: _measure_headtohead(net, pairs)
                            for label, net in nets.items()}}
     out["intra"]["disco"]["landmarks"] = nets["disco"].plan.n_landmarks
+    for label in ("rofl", "disco"):     # the two kinds that cache pointers
+        out["intra"][label]["cache"] = nets[label].cache_stats()
 
     # Exhaustive bound check: every ordered pair among the first
     # ``all_pairs_hosts`` hosts, stretch-bound probe attached.
@@ -732,6 +729,7 @@ def headtohead_stretch(profile: str = "AS3967", n_hosts: int = 200,
     disco_row = _measure_headtohead(disco_inter, disco_pairs)
     disco_row["denominator"] = "shortest-as-path"
     disco_row["landmarks"] = disco_inter.plan.n_landmarks
+    disco_row["cache"] = disco_inter.cache_stats()
     out["inter"] = {"rofl": inter_row, "disco": disco_row}
     return out
 

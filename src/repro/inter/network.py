@@ -9,7 +9,7 @@ injection for the Section 6.3 experiments.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set
 
 from repro.idspace.crypto import SignatureAuthority
 from repro.idspace.identifier import FlatId, RingSpace
@@ -18,19 +18,21 @@ from repro.inter.asnode import RoflAS
 from repro.inter.bgp import BgpBaseline
 from repro.inter.pointers import ASPointer, InterVirtualNode
 from repro.inter.policy import JoinStrategy, PolicyView
-from repro.sim.stats import PathResult, StatsCollector
-from repro.topology.asgraph import ASGraph
-from repro.topology.hosts import HostPlan, HostTable, PlannedHost
+from repro.network import Network
+from repro.sim.stats import PathResult
+from repro.topology.asgraph import ASGraph, synthetic_as_graph
+from repro.topology.hosts import PlannedHost
 from repro.util.ringmap import SortedRingMap
-from repro.util.rng import RngRegistry
 
 
 class InterRingInconsistency(AssertionError):
     """Raised by :meth:`InterDomainNetwork.check_rings` on misconvergence."""
 
 
-class InterDomainNetwork:
+class InterDomainNetwork(Network):
     """Internet-scale ROFL over an annotated AS graph."""
+
+    kind = "inter"
 
     def __init__(
         self,
@@ -50,18 +52,12 @@ class InterDomainNetwork:
         self.policy = PolicyView(asg)
         self.bgp = BgpBaseline(asg)
         self.space = RingSpace()
-        self.stats = StatsCollector()
         self.authority = authority or SignatureAuthority()
         self.n_fingers = n_fingers
-        self.seed = seed
         self.default_strategy = strategy
         self.peering_mode = peering_mode
         self.cache_fill_enabled = cache_fill_enabled and cache_entries > 0
         self.lookup_mismatches = 0
-        #: Every long-lived derived stream of this network, enumerable so
-        #: :mod:`repro.snapshot` can capture/restore stream positions.
-        self.rngs = RngRegistry(seed)
-        self._rng = self.rngs.derive("internet")
         self._failed: Set[Hashable] = set()
 
         self.ases: Dict[Hashable, RoflAS] = {
@@ -73,16 +69,22 @@ class InterDomainNetwork:
         self.rings: Dict[Hashable, SortedRingMap] = {}
         #: Oracle over every joined identifier.
         self.id_owner_index: Dict[FlatId, InterVirtualNode] = {}
-        self.hosts: HostTable = HostTable()
         self.host_records: Dict[str, PlannedHost] = {}
 
         bearers = [asn for asn in asg.ases() if asg.hosts(asn) > 0]
         weights = [float(asg.hosts(asn)) for asn in bearers]
         if not bearers:
             bearers, weights = asg.stubs(), None
-        self._plan = HostPlan(attachment_points=bearers, seed=seed,
-                              weights=weights, authority=self.authority,
-                              registry=self.rngs)
+        super().__init__(seed, ("internet",), bearers, weights=weights,
+                         authority=self.authority)
+
+    @classmethod
+    def build(cls, seed, n_ases=60, cache_entries=None, n_fingers=8,
+              **other_kinds):
+        """Over a synthetic AS graph; ``cache_entries=None`` is no cache."""
+        return cls(synthetic_as_graph(n_ases=n_ases, seed=seed),
+                   n_fingers=n_fingers, seed=seed,
+                   cache_entries=cache_entries or 0)
 
     # -- rings -------------------------------------------------------------------
 
@@ -116,23 +118,21 @@ class InterDomainNetwork:
                                 flat_id_override=flat_id_override,
                                 prune=prune)
 
-    def join_random_hosts(self, n: int,
-                          strategy: Optional[JoinStrategy] = None
-                          ) -> List[canon.InterJoinReceipt]:
-        receipts = []
-        for _ in range(n):
-            host = self._plan.next_host()
-            # A host whose home AS is currently down attaches elsewhere
-            # (re-draw from the plan), mirroring real-world behaviour.
-            guard = 0
-            while not self.as_is_up(host.attach_at) and guard < 64:
-                host = self._plan.next_host()
-                guard += 1
-            receipts.append(self.join_host(host, strategy=strategy))
-        return receipts
+    def next_joinable_host(self) -> Optional[PlannedHost]:
+        # A host whose home AS is currently down attaches elsewhere (re-draw
+        # from the plan, 64 times at most), mirroring real-world behaviour.
+        for _ in range(65):
+            host = self.next_planned_host()
+            if self.as_is_up(host.attach_at):
+                return host
+        return None
 
-    def next_planned_host(self) -> PlannedHost:
-        return self._plan.next_host()
+    def join_next(self):
+        host = self.next_joinable_host()
+        if host is None:
+            return None
+        receipt = self.join_host(host)
+        return receipt.host_name, receipt.messages, None
 
     # -- data plane ----------------------------------------------------------------
 
@@ -159,21 +159,8 @@ class InterDomainNetwork:
             used_cache=outcome.used_cache,
         )
 
-    def random_host_pair(self) -> Tuple[str, str]:
-        names = self.hosts.names
-        if len(names) < 2:
-            raise ValueError("need at least two joined hosts")
-        a, b = self._rng.sample(names, 2)
-        return a, b
-
     def flush_indexes(self) -> None:
-        """Flush every AS's pending candidate-index maintenance now.
-
-        Index refresh is normally deferred to the next lookup; a join
-        storm therefore dumps its flush work onto the first packets sent
-        afterwards.  Benchmarks call this at a phase boundary so each
-        phase's measurement covers the maintenance it caused.
-        """
+        """Flush every AS's pending candidate-index maintenance now."""
         for node in self.ases.values():
             node.flush_index()
 
@@ -308,6 +295,8 @@ class InterDomainNetwork:
                         "level {}: {} effective successor {} != {}".format(
                             level, member_id, eff, expected))
 
+    check = check_rings
+
     def _member_effective_successor(self, vn: InterVirtualNode,
                                     level: Hashable, ring) -> Optional[FlatId]:
         """Closest successor-pointer target at levels within ``level``
@@ -349,10 +338,8 @@ class InterDomainNetwork:
     def bloom_bits_total(self) -> int:
         return sum(node.subtree_bloom.size_bits for node in self.ases.values())
 
-    @property
-    def n_hosts(self) -> int:
-        return len(self.hosts)
+    state_entries = state_entries_per_as
 
-    def __repr__(self) -> str:
-        return "InterDomainNetwork(ases={}, hosts={}, strategy={})".format(
-            self.asg.n_ases, len(self.hosts), self.default_strategy.value)
+    def describe(self) -> Dict:
+        return {"hosts": len(self.hosts), "rng_streams": len(self.rngs),
+                "ases": len(self.ases), "peering_mode": self.peering_mode}

@@ -35,6 +35,9 @@ class Probe:
 
     name = "probe"
 
+    def __init__(self, net=None):
+        self.net = net
+
     def check(self, report) -> None:
         """Periodic invariant sweep; call ``report(**detail)`` per breach."""
 
@@ -44,34 +47,21 @@ class Probe:
 
 class RingConsistencyProbe(Probe):
     """Intra: live members must form one sorted successor ring per
-    component (wraps :meth:`IntraDomainNetwork.check_ring`)."""
+    component (wraps the network's own :meth:`Network.check`)."""
 
     name = "ring-consistency"
 
-    def __init__(self, net):
-        self.net = net
-
     def check(self, report) -> None:
         try:
-            self.net.check_ring()
+            self.net.check()
         except AssertionError as exc:
             report(error=str(exc))
 
 
-class InterRingConsistencyProbe(Probe):
-    """Inter: every hierarchy level's merged ring must be consistent
-    (wraps :meth:`InterDomainNetwork.check_rings`)."""
+class InterRingConsistencyProbe(RingConsistencyProbe):
+    """Inter: every hierarchy level's merged ring must be consistent."""
 
     name = "inter-ring-consistency"
-
-    def __init__(self, net):
-        self.net = net
-
-    def check(self, report) -> None:
-        try:
-            self.net.check_rings()
-        except AssertionError as exc:
-            report(error=str(exc))
 
 
 class CacheIsolationProbe(Probe):
@@ -87,9 +77,6 @@ class CacheIsolationProbe(Probe):
     """
 
     name = "cache-isolation"
-
-    def __init__(self, net):
-        self.net = net
 
     def on_record(self, record: TraceRecord, report) -> None:
         if record.kind != "cache.hit":
@@ -127,9 +114,6 @@ class SpfAgreementProbe(Probe):
 
     #: Pairs checked per tick; deterministic picks, no RNG draw.
     MAX_PAIRS = 8
-
-    def __init__(self, net):
-        self.net = net
 
     def _sample_pairs(self):
         routers = sorted(self.net.routers)
@@ -187,9 +171,6 @@ class StretchBoundProbe(Probe):
 
     #: Slack for float comparison of ``hops ≤ bound · optimal``.
     EPSILON = 1e-9
-
-    def __init__(self, net=None):
-        self.net = net
 
     def on_record(self, record: TraceRecord, report) -> None:
         if record.kind != "end":
@@ -261,21 +242,18 @@ class ProbeSet:
         if tracer is not None:
             tracer.add_observer(self.on_record)
 
+    #: The standard bundle per ``Network.kind`` (none: ``check()`` is all).
+    STANDARD = {
+        "intra": (RingConsistencyProbe, SpfAgreementProbe),
+        "inter": (InterRingConsistencyProbe, CacheIsolationProbe),
+        "disco": (StretchBoundProbe,),
+    }
+
     @classmethod
     def for_network(cls, net, tracer: Optional[Tracer] = None) -> "ProbeSet":
-        """The standard probe bundle for an intra or inter network."""
-        from repro.compact.network import DiscoNetwork
-        from repro.inter.network import InterDomainNetwork
-        from repro.intra.network import IntraDomainNetwork
-        probes: List[Probe] = []
-        if isinstance(net, IntraDomainNetwork):
-            probes = [RingConsistencyProbe(net), SpfAgreementProbe(net)]
-        elif isinstance(net, InterDomainNetwork):
-            probes = [InterRingConsistencyProbe(net),
-                      CacheIsolationProbe(net)]
-        elif isinstance(net, DiscoNetwork):
-            probes = [StretchBoundProbe(net)]
-        return cls(probes, tracer=tracer)
+        """The standard probe bundle for ``net``'s kind."""
+        return cls([probe(net) for probe in cls.STANDARD.get(net.kind, ())],
+                   tracer=tracer)
 
     # -- plumbing ------------------------------------------------------------
 

@@ -71,11 +71,6 @@ class ReproServer:
         self.requests_served = 0
         self._shutdown = False
 
-    @property
-    def kind(self) -> str:
-        return ("intra" if type(self.net).__name__ == "IntraDomainNetwork"
-                else "inter")
-
     # -- dispatch ----------------------------------------------------------
 
     def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -130,29 +125,18 @@ class ReproServer:
         return {"pong": True}
 
     def _op_info(self, request: Dict) -> Dict:
-        net = self.net
-        info: Dict[str, Any] = {
-            "kind": self.kind,
-            "seed": net.seed,
-            "hosts": len(net.hosts),
-            "rng_streams": len(net.rngs),
-            "requests_served": self.requests_served,
-        }
-        if self.kind == "intra":
-            info["routers"] = len(net.routers)
-            info["topology"] = net.topology.name
-        else:
-            info["ases"] = len(net.ases)
-            info["peering_mode"] = net.peering_mode
-        return info
+        return {"kind": self.net.kind, "seed": self.net.seed,
+                "requests_served": self.requests_served,
+                **self.net.describe()}
 
     def _op_join(self, request: Dict) -> Dict:
         n = int(request.get("n", 1))
         if n < 1:
             raise ServeError("n must be >= 1")
-        receipts = self.net.join_random_hosts(n)
-        names = [r.host_name for r in receipts]
-        return {"joined": len(receipts), "hosts": names,
+        before = len(self.net.hosts)
+        self.net.join_random_hosts(n)
+        names = self.net.hosts.names[before:]
+        return {"joined": len(names), "hosts": names,
                 "total_hosts": len(self.net.hosts)}
 
     def _op_leave(self, request: Dict) -> Dict:
@@ -161,10 +145,6 @@ class ReproServer:
             raise ServeError("leave needs a 'host' name")
         if host not in self.net.hosts:
             raise ServeError("unknown host {!r}".format(host))
-        if self.kind != "intra":
-            raise ServeError(
-                "graceful leave is an intradomain operation; "
-                "interdomain departures are AS failures (fail_as)")
         messages = self.net.leave_host(host)
         return {"left": host, "messages": messages,
                 "total_hosts": len(self.net.hosts)}
@@ -216,10 +196,10 @@ class ReproServer:
             raise ServeError("workload needs 'scenario': a builtin name "
                              "or a full scenario object")
         expected = scenario.network.kind
-        if expected != self.kind:
+        if expected != self.net.kind:
             raise ServeError(
                 "scenario targets a {!r} network but the resident network "
-                "is {!r}".format(expected, self.kind))
+                "is {!r}".format(expected, self.net.kind))
         result = run_scenario(scenario, network=self.net)
         view = result.deterministic_view()
         return {

@@ -47,9 +47,8 @@ def validate_network(net: Any) -> List[Dict[str, Any]]:
     """Run the standard invariant probes once; returns violations found.
 
     A loaded snapshot should be indistinguishable from a live network —
-    this sweeps ring consistency / SPF agreement (intra) or inter-ring
-    consistency (inter) and returns ``probe.summary()`` so callers can
-    assert it is empty.
+    this sweeps the standard probes of its kind and returns
+    ``probe.summary()`` so callers can assert it is empty.
     """
     from repro.obs.probes import ProbeSet
 

@@ -106,23 +106,6 @@ def state_hash(net: Any) -> str:
         return state_hash_of(net)
 
 
-def _network_counts(net: Any) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    hosts = getattr(net, "hosts", None)
-    if hosts is not None:
-        counts["hosts"] = len(hosts)
-    routers = getattr(net, "routers", None)
-    if routers is not None:
-        counts["routers"] = len(routers)
-    ases = getattr(net, "ases", None)
-    if ases is not None:
-        counts["ases"] = len(ases)
-    rngs = getattr(net, "rngs", None)
-    if rngs is not None:
-        counts["rng_streams"] = len(rngs)
-    return counts
-
-
 def save(net: Any, path: str, meta: Optional[Dict[str, Any]] = None) -> str:
     """Serialize ``net`` to ``path``; returns the recorded state hash.
 
@@ -130,16 +113,15 @@ def save(net: Any, path: str, meta: Optional[Dict[str, Any]] = None) -> str:
     (and its hash) reflect settled state rather than whichever epoch the
     deferred flush happened to be in.
     """
-    flush = getattr(net, "flush_indexes", None)
-    if flush is not None:
-        flush()
+    net.flush_indexes()
     digest = state_hash(net)
     header = {
         "magic": MAGIC,
         "schema": SCHEMA_VERSION,
         "kind": type(net).__name__,
         "state_hash": digest,
-        "counts": _network_counts(net),
+        "counts": {name: value for name, value in net.describe().items()
+                   if isinstance(value, int)},
         "meta": dict(meta or {}),
     }
     with perf.timed("snapshot.save"):

@@ -13,8 +13,8 @@ load-generator + chaos harness:
   existing recovery machinery.
 * :mod:`repro.workload.scenario` — the declarative, JSON-round-trippable
   :class:`Scenario` spec plus builtin example scenarios.
-* :mod:`repro.workload.driver` — binds a scenario to an intra- or
-  interdomain network on the :class:`repro.sim.engine.EventLoop`.
+* :mod:`repro.workload.driver` — binds a scenario to a network of any
+  kind on the :class:`repro.sim.engine.EventLoop`.
 * :mod:`repro.workload.metrics` — periodic time-series sampling of
   delivery rate, stretch, control overhead, and routing-state size.
 

@@ -1,7 +1,9 @@
 """Binds a :class:`Scenario` to a network on the discrete-event loop.
 
-The driver owns one :class:`repro.sim.engine.EventLoop` and schedules
-three event families against a churning membership:
+The network is any :class:`repro.network.Network` kind, driven through
+that contract alone.  The driver owns one
+:class:`repro.sim.engine.EventLoop` and schedules three event families
+against a churning membership:
 
 * **arrivals** — per-phase Poisson (optionally modulated) host joins,
   each with an optional sampled session lifetime that schedules the
@@ -19,98 +21,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import build_network
 from repro.sim.engine import EventLoop
-from repro.sim.stats import PathResult
 from repro.util.rng import RngRegistry
-from repro.workload.faults import injector_from_spec
+from repro.workload.faults import INJECTORS
 from repro.workload.metrics import MetricsRecorder
 from repro.workload.processes import (PoissonProcess, lifetime_from_spec,
                                       modulation_from_spec,
                                       popularity_from_spec)
-from repro.workload.scenario import Phase, Scenario, ScenarioError
-
-
-# ---------------------------------------------------------------------------
-# Network adapters — one uniform surface over intra/inter networks.
-# ---------------------------------------------------------------------------
-
-class _IntraAdapter:
-    """Drives an :class:`repro.intra.network.IntraDomainNetwork`."""
-
-    kind = "intra"
-    supports_departure = True
-
-    def __init__(self, net):
-        self.net = net
-
-    def join_one(self) -> Optional[Tuple[str, int, Optional[float]]]:
-        from repro.intra.ring import JoinError
-        net = self.net
-        host = net.next_planned_host()
-        via = None
-        if not net.lsmap.is_router_up(host.attach_at):
-            via = net.failover_router(host.attach_at, host.name)
-            if via is None:
-                return None  # whole ISP down; nothing to join at
-        try:
-            receipt = net.join_host(host, via_router=via)
-        except JoinError:
-            # A join attempted while the substrate is partitioned can
-            # fail its predecessor lookup; a real host would back off and
-            # retry.  Count it and move on.
-            return None
-        return receipt.host_name, receipt.messages, receipt.latency_ms
-
-    def depart(self, host_name: str, mode: str) -> int:
-        if mode == "fail":
-            return self.net.fail_host(host_name)
-        return self.net.leave_host(host_name)
-
-    def send(self, src: str, dst: str) -> PathResult:
-        return self.net.send(src, dst)
-
-    def state_entries(self) -> int:
-        return sum(self.net.memory_entries_per_router().values())
-
-    def check(self) -> None:
-        self.net.check_ring()
-
-
-class _InterAdapter:
-    """Drives an :class:`repro.inter.network.InterDomainNetwork`."""
-
-    kind = "inter"
-    supports_departure = False
-
-    def __init__(self, net):
-        self.net = net
-
-    def join_one(self) -> Optional[Tuple[str, int, Optional[float]]]:
-        net = self.net
-        host = net.next_planned_host()
-        guard = 0
-        while not net.as_is_up(host.attach_at) and guard < 64:
-            host = net.next_planned_host()
-            guard += 1
-        if not net.as_is_up(host.attach_at):
-            return None
-        receipt = net.join_host(host)
-        return receipt.host_name, receipt.messages, None
-
-    def depart(self, host_name: str, mode: str) -> int:
-        raise ScenarioError("interdomain hosts cannot depart")
-
-    def send(self, src: str, dst: str) -> PathResult:
-        return self.net.send(src, dst)
-
-    def state_entries(self) -> int:
-        return sum(self.net.state_entries_per_as().values())
-
-    def check(self) -> None:
-        self.net.check_rings()
+from repro.workload.scenario import Phase, Scenario
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +125,6 @@ class WorkloadDriver:
             spec.kind, scenario.seed, n_routers=spec.n_routers,
             n_ases=spec.n_ases, cache_entries=spec.cache_entries,
             n_fingers=spec.n_fingers, name=spec.name)
-        self.adapter = (_IntraAdapter(self.net) if spec.kind == "intra"
-                        else _InterAdapter(self.net))
         self.loop = EventLoop()
         self.fault_log: List[Dict] = []
         self.rngs = RngRegistry(scenario.seed)
@@ -279,12 +198,12 @@ class WorkloadDriver:
                  lifetime) -> None:
         if self.loop.now >= phase.end:
             return
-        joined = self.adapter.join_one()
+        joined = self.net.join_next()
         if joined is not None:
             name, messages, latency = joined
             self.note_join(name)
             self.metrics.record_join(messages, latency)
-            if lifetime is not None and self.adapter.supports_departure:
+            if lifetime is not None:
                 dt = lifetime.sample(self.rng("lifetime", index))
                 mode = phase.churn.departure
                 self.loop.schedule(dt, lambda: self._departure(name, mode))
@@ -299,8 +218,9 @@ class WorkloadDriver:
 
     def _departure(self, host_name: str, mode: str) -> None:
         if host_name in self.net.hosts:  # else crashed or de-peered away
-            self.metrics.record_departure(
-                self.adapter.depart(host_name, mode))
+            depart = (self.net.fail_host if mode == "fail"
+                      else self.net.leave_host)
+            self.metrics.record_departure(depart(host_name))
         self._drop(host_name)
 
     def _packet(self, phase: Phase, index: int, process: PoissonProcess,
@@ -316,7 +236,7 @@ class WorkloadDriver:
                         break
                     dst = popularity.pick(rng, live)
                 if dst != src:
-                    self.metrics.record_packet(self.adapter.send(src, dst))
+                    self.metrics.record_packet(self.net.send(src, dst))
                 else:
                     self._skipped_sends += 1
             else:
@@ -393,7 +313,7 @@ class WorkloadDriver:
     def _warmup(self) -> int:
         joined = 0
         for _ in range(self.scenario.warmup_hosts):
-            result = self.adapter.join_one()
+            result = self.net.join_next()
             if result is not None:
                 self.note_join(result[0])
                 joined += 1
@@ -407,7 +327,8 @@ class WorkloadDriver:
         # The recorder baselines its control-overhead window *after*
         # warmup so sample 1 reports churn-era overhead, not setup cost.
         self.metrics = MetricsRecorder(
-            self.net.stats, self.adapter.state_entries)
+            self.net.stats,
+            lambda: sum(self.net.state_entries().values()))
         if self.metrics_out is not None:
             from repro.obs.metrics import MetricsExporter
             self.exporter = MetricsExporter(
@@ -421,7 +342,7 @@ class WorkloadDriver:
         for index, phase in enumerate(scenario.phases):
             self._schedule_phase(phase, index)
         for spec in scenario.faults:
-            injector = injector_from_spec(spec)
+            injector = INJECTORS[spec.kind](spec)
             self.loop.schedule_at(spec.at,
                                   lambda inj=injector: inj.fire(self))
         first_sample = min(scenario.sample_interval, scenario.duration)

@@ -11,24 +11,29 @@ Every injection and scheduled restore hands a JSON-ready record (kind,
 time, victims, repair cost) to ``driver.fault_done``, which reconciles the
 live-host list and appends it to the fault log — how the Figure 7
 experiment rewrites read their measurements back out.
+
+Each injector names in ``needs`` the :class:`repro.network.Network`
+operations it calls, which is how ``Scenario.validate`` knows, before
+anything runs, that a network kind cannot take a fault.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, TYPE_CHECKING
-
-from repro.workload.scenario import FaultSpec, ScenarioError
+from typing import Dict, List, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workload.driver import WorkloadDriver
+    from repro.workload.scenario import FaultSpec
 
 
 class FaultInjector:
     """One scheduled injection; subclasses implement :meth:`inject`."""
 
     kind = "abstract"
+    #: The network operations this injector calls.
+    needs: Tuple[str, ...] = ()
 
-    def __init__(self, spec: FaultSpec):
+    def __init__(self, spec: "FaultSpec"):
         self.spec = spec
         self.at = spec.at
         self.params = spec.params
@@ -51,6 +56,7 @@ class LinkCut(FaultInjector):
     ``restore_after`` the same links come back later."""
 
     kind = "link_cut"
+    needs = ("fail_link", "restore_link")
 
     def _pick_links(self, driver: "WorkloadDriver") -> List[tuple]:
         explicit = self.params.get("links")
@@ -83,6 +89,7 @@ class LinkRestore(FaultInjector):
     """Restore explicitly named links."""
 
     kind = "link_restore"
+    needs = ("restore_link",)
 
     def inject(self, driver: "WorkloadDriver") -> Dict:
         links = [tuple(link) for link in self.params.get("links", [])]
@@ -96,6 +103,7 @@ class RouterCrash(FaultInjector):
     resident hosts re-home and rejoin via the failover protocol."""
 
     kind = "router_crash"
+    needs = ("fail_router",)
 
     def inject(self, driver: "WorkloadDriver") -> Dict:
         net = driver.net
@@ -118,6 +126,7 @@ class PopPartition(FaultInjector):
     PoP (``pop`` explicit, otherwise a seeded random choice)."""
 
     kind = "pop_partition"
+    needs = ("partition_pop",)
 
     def inject(self, driver: "WorkloadDriver") -> Dict:
         net = driver.net
@@ -138,6 +147,7 @@ class HostCrash(FaultInjector):
     graceful leave)."""
 
     kind = "host_crash"
+    needs = ("fail_host",)
 
     def inject(self, driver: "WorkloadDriver") -> Dict:
         net = driver.net
@@ -157,6 +167,7 @@ class ASDepeer(FaultInjector):
     optionally restore it ``restore_after`` later."""
 
     kind = "as_depeer"
+    needs = ("fail_as", "restore_as")
 
     def inject(self, driver: "WorkloadDriver") -> Dict:
         net = driver.net
@@ -190,22 +201,17 @@ class ASRestore(FaultInjector):
     """Restore an explicitly named AS."""
 
     kind = "as_restore"
+    needs = ("restore_as",)
 
     def inject(self, driver: "WorkloadDriver") -> Dict:
         asn = self.params.get("asn")
         if asn is None:
-            raise ScenarioError("as_restore fault needs an 'asn'")
+            raise ValueError("as_restore fault needs an 'asn'")
         driver.net.restore_as(asn)
         return {"asn": str(asn)}
 
 
-_INJECTORS = {cls.kind: cls for cls in (LinkCut, LinkRestore, RouterCrash,
-                                        PopPartition, HostCrash, ASDepeer,
-                                        ASRestore)}
-
-
-def injector_from_spec(spec: FaultSpec) -> FaultInjector:
-    cls = _INJECTORS.get(spec.kind)
-    if cls is None:
-        raise ScenarioError("unknown fault kind {!r}".format(spec.kind))
-    return cls(spec)
+#: Fault kind → injector class: the fault vocabulary of a scenario.
+INJECTORS = {cls.kind: cls for cls in (LinkCut, LinkRestore, RouterCrash,
+                                       PopPartition, HostCrash, ASDepeer,
+                                       ASRestore)}

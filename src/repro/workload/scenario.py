@@ -22,6 +22,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.network import KINDS
+from repro.workload.faults import INJECTORS
 from repro.workload.processes import (SpecError, lifetime_from_spec,
                                       modulation_from_spec,
                                       popularity_from_spec)
@@ -30,10 +32,6 @@ from repro.workload.processes import (SpecError, lifetime_from_spec,
 class ScenarioError(ValueError):
     """A malformed or inconsistent scenario description."""
 
-
-VALID_FAULT_KINDS = ("link_cut", "link_restore", "router_crash",
-                     "as_depeer", "as_restore", "pop_partition",
-                     "host_crash")
 
 VALID_DEPARTURES = ("leave", "fail")
 
@@ -49,11 +47,10 @@ def _as_mapping(value, what: str) -> Dict:
 class NetworkSpec:
     """What network the scenario runs against.
 
-    ``kind`` is ``"intra"`` (one ISP, router-level) or ``"inter"``
-    (AS-level Internet).  Sizing knobs map straight onto
-    :func:`repro.topology.isp.synthetic_isp` /
-    :func:`repro.topology.asgraph.synthetic_as_graph` and the network
-    constructors.
+    ``kind`` is a :data:`repro.network.KINDS` key: ``"inter"`` (AS-level
+    Internet, sized by ``n_ases``) or one of the kinds over one ISP
+    (``"intra"`` and the baselines, sized by ``n_routers``).  Sizing knobs
+    map straight onto :func:`repro.build_network`.
     """
 
     kind: str = "intra"
@@ -64,21 +61,21 @@ class NetworkSpec:
     n_fingers: int = 8
 
     def validate(self) -> None:
-        if self.kind not in ("intra", "inter"):
-            raise ScenarioError("network kind must be 'intra' or 'inter', "
-                                "got {!r}".format(self.kind))
-        if self.kind == "intra" and self.n_routers < 2:
-            raise ScenarioError("need at least 2 routers")
+        if self.kind not in KINDS:
+            raise ScenarioError("network kind must be one of {}, got "
+                                "{!r}".format(", ".join(KINDS), self.kind))
         if self.kind == "inter" and self.n_ases < 2:
             raise ScenarioError("need at least 2 ASes")
+        if self.kind != "inter" and self.n_routers < 2:
+            raise ScenarioError("need at least 2 routers")
 
     def to_dict(self) -> Dict:
         out: Dict = {"kind": self.kind, "name": self.name,
                      "n_fingers": self.n_fingers}
-        if self.kind == "intra":
-            out["n_routers"] = self.n_routers
-        else:
+        if self.kind == "inter":
             out["n_ases"] = self.n_ases
+        else:
+            out["n_routers"] = self.n_routers
         if self.cache_entries is not None:
             out["cache_entries"] = self.cache_entries
         return out
@@ -221,10 +218,10 @@ class Phase:
 class FaultSpec:
     """One scheduled injection.
 
-    ``kind`` names the injector (see :data:`VALID_FAULT_KINDS` and
-    :mod:`repro.workload.faults`); ``at`` is the absolute virtual time;
-    ``params`` carries injector-specific knobs (``count``,
-    ``restore_after``, ``pop``, ``stub_only``, explicit victims, ...).
+    ``kind`` names the injector (a :data:`repro.workload.faults.INJECTORS`
+    key); ``at`` is the absolute virtual time; ``params`` carries
+    injector-specific knobs (``count``, ``restore_after``, ``pop``,
+    ``stub_only``, explicit victims, ...).
     """
 
     kind: str
@@ -232,9 +229,9 @@ class FaultSpec:
     params: Dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.kind not in VALID_FAULT_KINDS:
+        if self.kind not in INJECTORS:
             raise ScenarioError("unknown fault kind {!r}; valid: {}".format(
-                self.kind, ", ".join(VALID_FAULT_KINDS)))
+                self.kind, ", ".join(INJECTORS)))
         if self.at < 0:
             raise ScenarioError("fault {!r}: negative time".format(self.kind))
 
@@ -276,32 +273,33 @@ class Scenario:
         if self.sample_interval <= 0:
             raise ScenarioError("sample_interval must be positive")
         self.network.validate()
+        kind = self.network.kind
+
+        def need(what: str, operations) -> None:
+            # Read off the kind's class, so it fails here and not mid-run.
+            missing = KINDS[kind].unsupported(operations)
+            if missing:
+                raise ScenarioError(
+                    "{} needs {}, which {!r} networks do not support".format(
+                        what, ", ".join(missing), kind))
         for phase in self.phases:
             phase.validate()
             if phase.start >= self.duration:
                 raise ScenarioError(
                     "phase {!r} starts at {} but the run ends at {}".format(
                         phase.name, phase.start, self.duration))
-            if (self.network.kind == "inter" and phase.churn is not None
-                    and phase.churn.lifetime is not None):
-                raise ScenarioError(
-                    "interdomain hosts have no graceful-departure protocol; "
-                    "omit 'lifetime' in phase {!r}".format(phase.name))
+            churn = phase.churn
+            if churn is not None and churn.lifetime is not None:
+                need("'lifetime' in phase {!r}".format(phase.name),
+                     ["fail_host" if churn.departure == "fail"
+                      else "leave_host"])
         for fault in self.faults:
             fault.validate()
             if fault.at > self.duration:
                 raise ScenarioError(
                     "fault {!r} at {} is past the run end {}".format(
                         fault.kind, fault.at, self.duration))
-            if self.network.kind == "intra" and fault.kind in ("as_depeer",
-                                                               "as_restore"):
-                raise ScenarioError("{!r} faults need an interdomain "
-                                    "network".format(fault.kind))
-            if self.network.kind == "inter" and fault.kind in (
-                    "link_cut", "link_restore", "router_crash",
-                    "pop_partition", "host_crash"):
-                raise ScenarioError("{!r} faults need an intradomain "
-                                    "network".format(fault.kind))
+            need("fault {!r}".format(fault.kind), INJECTORS[fault.kind].needs)
 
     # -- (de)serialisation --------------------------------------------------
 

@@ -1,20 +1,88 @@
-"""The flat-label baselines behind one contract: CMU-ETHERNET, OSPF,
-and the Disco-style compact-routing network all satisfy
-:class:`repro.baselines.FlatLabelBaseline`, so the head-to-head harness
-can drive them interchangeably."""
+"""The one ``Network`` contract (``repro.network``) over all five kinds,
+and the flat-label baselines behind it: CMU-ETHERNET, OSPF and the
+Disco-style compact-routing network, which the head-to-head harness
+drives interchangeably with ROFL."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import FlatLabelBaseline
+from repro import build_network
 from repro.baselines.cmu_ethernet import CmuEthernetNetwork
 from repro.baselines.ospf_routing import OspfHostRouting
 from repro.compact import DiscoNetwork
 from repro.intra.network import IntraDomainNetwork
+from repro.network import KINDS, Network, Unsupported
+from repro.sim.stats import PathResult
 from repro.topology.isp import synthetic_isp
 
 BASELINES = [CmuEthernetNetwork, OspfHostRouting, DiscoNetwork]
+
+#: Every operation of the contract a kind may leave to the base class,
+#: with arguments enough to call it.
+OPTIONAL = {"leave_host": ("h0",), "fail_host": ("h0",),
+            "fail_router": ("r0",), "fail_link": ("r0", "r1"),
+            "restore_link": ("r0", "r1"), "partition_pop": (0,),
+            "fail_as": (1,), "restore_as": (1,)}
+
+#: What each kind implements of them today (DESIGN.md §4's table).
+IMPLEMENTS = {"intra": {"leave_host", "fail_host", "fail_router", "fail_link",
+                        "restore_link", "partition_pop"},
+              "inter": {"fail_as", "restore_as"},
+              "cmu": set(), "ospf": set(), "disco": {"leave_host"}}
+
+
+def test_registry_holds_the_five_kinds_in_order():
+    assert list(KINDS) == ["intra", "inter", "cmu", "ospf", "disco"]
+    assert all(cls.kind == kind for kind, cls in KINDS.items())
+
+    class Instrumented(DiscoNetwork):       # e.g. a test double
+        pass
+    assert KINDS["disco"] is DiscoNetwork and len(KINDS) == 5
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_network_contract(kind):
+    """Every registered kind builds through the one entry point, the
+    operations every consumer needs work on it, and whatever it does not
+    implement raises ``Unsupported`` naming the operation and the kind —
+    never ``AttributeError``."""
+    net = build_network(kind, 3, n_routers=16, n_ases=16, hosts=12)
+    assert isinstance(net, Network) and type(net) is KINDS[kind]
+    assert net.kind == kind and net.n_hosts == 12 and net.seed == 3
+
+    name, messages, latency = net.join_next()
+    assert name in net.hosts and net.n_hosts == 13
+    assert isinstance(messages, int) and messages >= 0
+    assert latency is None or latency >= 0
+    assert messages == net.stats.operation_costs("join")[-1]
+
+    src, dst = net.random_host_pair()
+    result = net.send(src, dst)
+    assert isinstance(result, PathResult) and result.delivered
+    if result.optimal_hops > 0:
+        assert result.stretch <= net.stretch_bound + 1e-9
+    entries = net.state_entries()
+    assert entries and all(isinstance(v, int) and v >= 0
+                           for v in entries.values())
+    net.check()
+    net.flush_indexes()
+    described = net.describe()
+    assert described["hosts"] == 13
+    assert described["rng_streams"] == len(net.rngs)
+
+    missing = type(net).unsupported(OPTIONAL)
+    assert set(missing) == set(OPTIONAL) - IMPLEMENTS[kind]
+    for operation in missing:
+        with pytest.raises(Unsupported, match="{}.*{}|{}.*{}".format(
+                operation, kind, kind, operation)):
+            getattr(net, operation)(*OPTIONAL[operation])
+    assert net.n_hosts == 13        # a refused operation changed nothing
+
+
+def test_unknown_kind_names_the_registry():
+    with pytest.raises(ValueError, match="intra, inter, cmu, ospf, disco"):
+        build_network("galactic")
 
 
 @pytest.fixture()
@@ -25,10 +93,6 @@ def topo():
 @pytest.mark.parametrize("cls", BASELINES)
 class TestFlatLabelContract:
     """Every baseline satisfies the shared protocol the harness drives."""
-
-    def test_satisfies_protocol(self, topo, cls):
-        net = cls(topo, seed=0)
-        assert isinstance(net, FlatLabelBaseline)
 
     def test_join_host_returns_messages(self, topo, cls):
         """``join_host`` returns the operation's message count — the

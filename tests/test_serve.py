@@ -122,7 +122,31 @@ class TestMutatingOps:
         server = ReproServer(build_network(kind="inter", seed=2, n_ases=20,
                                            hosts=10))
         name = ok(server, op="join", n=1)["hosts"][0]
-        assert "intradomain" in err(server, op="leave", host=name)
+        error = err(server, op="leave", host=name)
+        assert error == "Unsupported: 'inter' networks do not support " \
+                        "leave_host"
+        assert name in server.net.hosts
+
+    @pytest.mark.parametrize("kind", ["cmu", "ospf", "disco"])
+    def test_baseline_kinds_serve_under_their_own_name(self, kind):
+        """``info`` reports the resident kind and its own counts (any
+        non-intra class used to answer "inter"); ``leave`` works where the
+        kind has a leave protocol and is refused by name where not."""
+        server = ReproServer(build_network(kind=kind, seed=2, n_routers=16,
+                                           hosts=10))
+        info = ok(server, op="info")
+        assert info["kind"] == kind and info["hosts"] == 10
+        assert info["routers"] == 16 and info["topology"] == "serve"
+        joined = ok(server, op="join", n=3)
+        assert joined["hosts"] == ["h10", "h11", "h12"]
+        assert ok(server, op="send", n=20)["delivered"] == 20
+        assert ok(server, op="route", src="h0", dst="h12")["delivered"]
+        assert len(ok(server, op="state_hash")["state_hash"]) == 64
+        if kind == "disco":
+            assert ok(server, op="leave", host="h11")["total_hosts"] == 12
+        else:
+            assert "{!r} networks do not support leave_host".format(kind) \
+                in err(server, op="leave", host="h11")
 
     def test_save_then_warm_start_equivalence(self, tmp_path):
         server = ReproServer(build_network(kind="intra", seed=4,

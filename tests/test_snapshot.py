@@ -5,11 +5,18 @@ pure function of simulation state — same seed gives the same hash across
 fresh builds, a loaded snapshot hashes identically to the network it was
 saved from, and every random draw after a load replays byte-for-byte
 what the original network would have produced.
+
+``tests/golden_state_hashes.json`` pins four state-hash literals captured
+at the parent commit of PR 18 — the tripwire for refactors that must not
+move a hash.  Never regenerate it from the current code to make a test
+pass; a *deliberate* hash change (the networkx view-warmth fix, ROADMAP
+aim 3) regenerates it in that PR and says so.
 """
 
 import json
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +178,26 @@ def test_hash_ignores_networkx_view_warmth():
     after_nodes = snapshot.state_hash(net)
     net.lsmap.reachable(*sorted(net.routers)[:2])   # nx.has_path: Graph.adj
     assert (after_nodes, snapshot.state_hash(net)) == (cold, cold)
+
+
+GOLDEN_HASHES = json.loads(
+    (Path(__file__).parent / "golden_state_hashes.json").read_text())
+
+
+@pytest.mark.parametrize("kind, sizing, scenario", [
+    ("intra", {"n_routers": 40}, "steady-churn"),
+    ("inter", {"n_ases": 60}, "depeering")])
+def test_state_hashes_match_the_parent_capture(kind, sizing, scenario):
+    """A 300-host network, freshly built and again after a builtin churn
+    and fault scenario ran on it, hashes to the literals captured at the
+    parent of PR 18 (see the module docstring before touching them)."""
+    from repro import build_network
+    from repro.workload import builtin_scenario, run_scenario
+
+    net = build_network(kind, 0, hosts=300, **sizing)
+    assert snapshot.state_hash(net) == GOLDEN_HASHES[kind]["fresh"]
+    run_scenario(builtin_scenario(scenario), network=net)
+    assert snapshot.state_hash(net) == GOLDEN_HASHES[kind]["after " + scenario]
 
 
 # ---------------------------------------------------------------------------

@@ -356,3 +356,125 @@ def test_membership_probes_per_packet_do_not_grow_with_live_hosts(live):
     packets = result.totals["packets_sent"]
     assert result.totals["final_live_hosts"] == live and packets > 100
     assert hosts.probes <= 2 * packets
+
+
+# ---------------------------------------------------------------------------
+# The Network contract (PR 18): any registered kind binds to the unmodified
+# driver, and the fault vocabulary no run used to reach.
+# ---------------------------------------------------------------------------
+
+def _disco_churn(seed=5) -> Scenario:
+    return Scenario(
+        name="disco-churn", seed=seed, duration=20.0, warmup_hosts=80,
+        sample_interval=5.0,
+        network=NetworkSpec(kind="disco", n_routers=24, name="disco-churn"),
+        phases=[Phase(
+            name="churn", start=0.0, end=20.0,
+            churn=ChurnSpec(arrival_rate=5.0, departure="leave",
+                            lifetime={"kind": "pareto", "shape": 1.5,
+                                      "scale": 2.0}),
+            traffic=TrafficSpec(rate=60.0, popularity={"kind": "zipf",
+                                                       "exponent": 0.9}))])
+
+
+def _run_probed(scenario: Scenario):
+    """Run with the kind's standard probes live on a tracer (the event-driven
+    ones, ``StretchBoundProbe`` among them, see every packet's ``end``)."""
+    from repro.obs import NullSink, Tracer, trace
+    tracer = Tracer(NullSink())
+    driver = WorkloadDriver(scenario, tracer=tracer, probes=True)
+    with trace.tracing(tracer):
+        return driver, driver.run()
+
+
+def test_disco_runs_a_churn_scenario_through_the_unmodified_driver():
+    """Compact routing under arrivals, graceful leaves and Zipf traffic:
+    every packet delivered within the provable stretch bound *while* the
+    vicinity tables and the locator directory churn."""
+    driver, result = _run_probed(_disco_churn())
+    assert driver.net.kind == "disco"
+    assert [type(p).__name__ for p in driver.probes.probes] == [
+        "StretchBoundProbe"]
+    assert result.violations == []
+    totals, summary = result.totals, result.summary
+    assert (totals["joins"], totals["departures"]) == (107, 84)
+    assert totals["failed_joins"] == 0
+    assert totals["packets_delivered"] == totals["packets_sent"] == 1244
+    assert summary["delivery_rate"] == 1.0
+    assert 1.0 < summary["stretch"]["p99"] <= driver.net.stretch_bound
+    assert totals["final_live_hosts"] == driver.net.n_hosts
+    driver.net.check()
+    assert _run_probed(_disco_churn())[1].deterministic_view() == \
+        result.deterministic_view()
+
+
+def _cycle_link(net):
+    """A link whose cut cannot partition the ISP (it lies on a cycle)."""
+    import networkx as nx
+    bridges = {frozenset(edge) for edge in nx.bridges(net.topology.graph)}
+    return next([a, b] for a, b in sorted(net.topology.links())
+                if frozenset((a, b)) not in bridges)
+
+
+def test_explicit_link_cut_then_link_restore():
+    net = build_network("intra", 2, n_routers=16, name="test-small")
+    link = _cycle_link(net)
+    scenario = _small_scenario(
+        seed=2, phases=[Phase(
+            name="grow", start=0.0, end=20.0,
+            churn=ChurnSpec(arrival_rate=1.5),
+            traffic=TrafficSpec(rate=4.0))],
+        faults=[FaultSpec("link_cut", 5.0, {"links": [link]}),
+                FaultSpec("link_restore", 12.0, {"links": [link]})])
+    scenario = Scenario.from_json(scenario.to_json())    # as a file would
+    down_at_8 = []
+    driver = WorkloadDriver(scenario, network=net)
+    driver.loop.schedule_at(8.0, lambda: down_at_8.append(
+        not net.lsmap.is_link_up(*link)))
+    result = driver.run()
+    cut, restore = result.fault_log
+    assert cut == {"kind": "link_cut", "at": 5.0, "links": [link],
+                   "cache_entries_dropped": cut["cache_entries_dropped"]}
+    assert restore == {"kind": "link_restore", "at": 12.0, "links": [link]}
+    assert down_at_8 == [True] and net.lsmap.is_link_up(*link)
+    assert result.summary["delivery_rate"] == 1.0
+    net.check()
+
+
+def test_explicit_as_depeer_then_as_restore():
+    net = build_network("inter", 4, n_ases=20, hosts=60, name="test-depeer")
+    asn = next(a for a in sorted(net.asg.stubs(), key=str)
+               if net.ases[a].hosted)
+    ids = len(net.ases[asn].hosted)
+    scenario = Scenario(
+        name="test-depeer", seed=4, duration=20.0, warmup_hosts=30,
+        sample_interval=5.0,
+        network=NetworkSpec(kind="inter", n_ases=20, name="test-depeer"),
+        phases=[Phase(name="grow", start=0.0, end=20.0,
+                      churn=ChurnSpec(arrival_rate=1.5),
+                      traffic=TrafficSpec(rate=4.0))],
+        faults=[FaultSpec("as_depeer", 5.0, {"asn": asn}),
+                FaultSpec("as_restore", 12.0, {"asn": asn})])
+    scenario = Scenario.from_json(scenario.to_json())
+    down_at_8 = []
+    driver = WorkloadDriver(scenario, network=net)
+    driver.loop.schedule_at(8.0,
+                            lambda: down_at_8.append(not net.as_is_up(asn)))
+    result = driver.run()
+    depeer, restore = result.fault_log
+    assert depeer == {"kind": "as_depeer", "at": 5.0, "asn": str(asn),
+                      "ids": depeer["ids"],
+                      "repair_messages": depeer["repair_messages"]}
+    # Arrivals before t=5 may have landed there too.
+    assert depeer["ids"] >= ids > 0 and depeer["repair_messages"] > 0
+    assert restore == {"kind": "as_restore", "at": 12.0, "asn": str(asn)}
+    assert down_at_8 == [True] and net.as_is_up(asn)
+    assert result.summary["delivery_rate"] == 1.0
+    net.check()
+
+
+def test_as_restore_needs_its_asn():
+    scenario = builtin_scenario("depeering")
+    scenario.faults = [FaultSpec("as_restore", 1.0)]
+    with pytest.raises(ValueError, match="needs an 'asn'"):
+        run_scenario(scenario)

@@ -79,14 +79,15 @@ def test_phase_end_before_start_rejected():
 def test_as_faults_need_inter_network():
     scenario = Scenario(name="x", network=NetworkSpec(kind="intra"),
                         faults=[FaultSpec(kind="as_depeer", at=1.0)])
-    with pytest.raises(ScenarioError, match="interdomain"):
+    with pytest.raises(ScenarioError, match="'as_depeer'.*fail_as.*'intra'"):
         scenario.validate()
 
 
 def test_router_faults_need_intra_network():
     scenario = Scenario(name="x", network=NetworkSpec(kind="inter"),
                         faults=[FaultSpec(kind="router_crash", at=1.0)])
-    with pytest.raises(ScenarioError, match="intradomain"):
+    with pytest.raises(ScenarioError,
+                       match="'router_crash'.*fail_router.*'inter'"):
         scenario.validate()
 
 
@@ -97,7 +98,7 @@ def test_inter_network_rejects_lifetimes():
                       churn=ChurnSpec(arrival_rate=1.0,
                                       lifetime={"kind": "fixed",
                                                 "value": 5.0}))])
-    with pytest.raises(ScenarioError, match="graceful-departure"):
+    with pytest.raises(ScenarioError, match="'lifetime'.*leave_host.*'inter'"):
         scenario.validate()
 
 
@@ -115,7 +116,7 @@ def test_bad_subspec_surfaces_as_scenario_error():
 
 
 def test_network_spec_validation():
-    with pytest.raises(ScenarioError, match="intra.*inter|'intra' or 'inter'"):
+    with pytest.raises(ScenarioError, match="intra, inter, cmu, ospf, disco"):
         NetworkSpec(kind="galactic").validate()
     with pytest.raises(ScenarioError):
         NetworkSpec(kind="intra", n_routers=1).validate()
@@ -123,3 +124,37 @@ def test_network_spec_validation():
         Scenario(name="x", duration=-1.0).validate()
     with pytest.raises(ScenarioError):
         Scenario(name="x", sample_interval=0.0).validate()
+
+
+@pytest.mark.parametrize("kind, fault, departure, rejected", [
+    ("disco", None, "leave", None),             # Disco has a leave protocol
+    ("disco", None, "fail", "'lifetime'.*fail_host.*'disco'"),
+    ("disco", "link_cut", None, "'link_cut'.*fail_link.*'disco'"),
+    ("cmu", None, "leave", "'lifetime'.*leave_host.*'cmu'"),
+    ("ospf", "host_crash", None, "'host_crash'.*fail_host.*'ospf'"),
+    ("inter", "as_restore", None, None),
+    ("intra", "link_restore", "fail", None),
+])
+def test_support_is_read_off_the_network_class(kind, fault, departure,
+                                               rejected):
+    """What a kind can run is whatever its class overrides: a fault or a
+    ``lifetime`` it has no operation for is refused at validation, by
+    name, with the kind."""
+    churn = None if departure is None else ChurnSpec(
+        arrival_rate=1.0, departure=departure,
+        lifetime={"kind": "fixed", "value": 5.0})
+    scenario = Scenario(
+        name="x", network=NetworkSpec(kind=kind),
+        phases=[Phase(name="p", start=0.0, end=10.0, churn=churn)],
+        faults=[] if fault is None else [FaultSpec(kind=fault, at=1.0)])
+    if rejected is None:
+        scenario.validate()
+    else:
+        with pytest.raises(ScenarioError, match=rejected):
+            scenario.validate()
+
+
+def test_baseline_network_spec_round_trips_with_router_sizing():
+    spec = NetworkSpec.from_dict({"kind": "disco", "n_routers": 24})
+    assert spec.to_dict() == {"kind": "disco", "name": "workload",
+                              "n_fingers": 8, "n_routers": 24}
