@@ -15,6 +15,7 @@ counters.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, TYPE_CHECKING
 
@@ -147,14 +148,13 @@ class RoflAS:
         rule; cached pointers additionally pass the bloom-filter isolation
         guard and lose to equally good non-cache state.
         """
-        index = self._candidates.flush()
-        ivalues, entries = index.columns()
+        ivalues, entries = self._candidates.columns()
         n = len(ivalues)
         best: Optional[ASBestMatch] = None
         if n:
             dest_iv = dest.value
             mask = self.space.mask
-            start = (index.rank_right(dest_iv) - 1) % n
+            start = (bisect_right(ivalues, dest_iv) - 1) % n
             for offset in range(min(n, MAX_SCAN)):
                 position = (start - offset) % n
                 iv = ivalues[position]

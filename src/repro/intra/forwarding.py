@@ -74,179 +74,185 @@ def route(
 
 
 def _route(net, start_router, dest_id, mode, category):
+    """The walk: one :meth:`RoflRouter.best_match` per router crossed and
+    otherwise only locals — the routers, the live adjacency and the
+    committed pointer's source route are bound once, not re-fetched per
+    hop."""
     tr = trace.packet_span("intra.packet", start=start_router,
                            dest=dest_id.to_hex(),
                            mode=mode) if trace.ENABLED else None
-    space = net.space
-    include_ephemeral = mode == "data"
+    data = mode == "data"   # doubles as Algorithm 2's ``include_ephemeral``
+    routers = net.routers
+    live = net.lsmap.live_graph
+    adj = live._adj
+    infinity = net.space.size  # any real candidate beats it
+    dest_iv = dest_id.value
     # Lookups aim at the spot just before the target so greedy routing
     # converges on the target's predecessor even if the target exists.
-    greedy_dest = dest_id if mode == "data" else space.make(dest_id.value - 1)
+    greedy_dest = dest_id if data else net.space.make(dest_iv - 1)
 
     current = start_router
-    outcome = ForwardingOutcome(delivered=False, reason="in-flight",
-                                path=[start_router])
+    path = [start_router]
+    delivered, reason, final_vn = False, "in-flight", None
+    pointer_hops, used_cache, latency_ms = 0, False, 0.0
     committed: Optional[Pointer] = None
-    committed_step = 0
-    committed_dist = space.size  # +infinity: any real candidate beats it
+    committed_dist = infinity
+    source_route, hosting, step = (), None, 0   # of ``committed``
 
-    while outcome.pointer_hops <= MAX_POINTER_HOPS:
-        router = net.routers[current]
+    try:
+        while pointer_hops <= MAX_POINTER_HOPS:
+            router = routers[current]
+            resident = router.resident
 
-        if mode == "data" and router.hosts_id(dest_id):
-            outcome.delivered = True
-            outcome.reason = "delivered"
-            outcome.final_vn = router.vn_table[dest_id]
-            net.stats.charge_path(outcome.path, category)
-            if tr is not None:
-                tr.end(delivered=True, reason="delivered", router=current)
-                trace.close_span(tr)
-            return outcome
+            if data and dest_iv in resident:
+                delivered, reason = True, "delivered"
+                final_vn = resident[dest_iv]
+                break
 
-        if committed is not None and current == committed.hosting_router \
-                and not router.hosts_id(committed.dest_id):
-            # NACK: the source route was live but its target ID is not
-            # here — a stale pointer beyond the teardown/move notification
-            # window.  Invariant (b) is enforced lazily: if the ID now
-            # lives elsewhere (host moved), the owner re-routes its
-            # pointer; if it is gone, the owner deletes it.  Either way,
-            # routing restarts from this router.
-            owner = net.routers.get(committed.path[0])
-            target_vn = net.vn_index.get(committed.dest_id)
-            if (target_vn is not None
-                    and net.lsmap.is_router_up(target_vn.router)
-                    and net.routers[target_vn.router].hosts_id(committed.dest_id)):
-                new_path = net.paths.hop_path(committed.path[0],
-                                              target_vn.router)
-                if owner is not None and new_path is not None:
-                    owner.reroute_pointer(committed,
-                                          committed.rerouted(tuple(new_path)))
+            if committed is not None and current != hosting:
+                # Mid-source-route routers may shortcut onto a strictly
+                # closer cached pointer (Section 4.1, "shortcuts if it
+                # observes a cached pointer is numerically closer").
+                closer = router.best_match(greedy_dest, data, committed_dist)
+                if closer is not None:
+                    if tr is not None:
+                        tr.event("shortcut", router=current, distance=closer)
+                    committed = None
+                    continue
+            elif committed is not None \
+                    and committed.dest_id.value not in resident:
+                # NACK: the source route was live but its target ID is not
+                # here — a stale pointer beyond the teardown/move
+                # notification window.  Invariant (b) is enforced lazily: if
+                # the ID now lives elsewhere (host moved), the owner
+                # re-routes its pointer; if it is gone, the owner deletes
+                # it.  Either way, routing restarts from this router.
+                owner = routers.get(source_route[0])
+                target_vn = net.vn_index.get(committed.dest_id)
+                if (target_vn is not None
+                        and net.lsmap.is_router_up(target_vn.router)
+                        and routers[target_vn.router].hosts_id(committed.dest_id)):
+                    new_path = net.paths.hop_path(source_route[0],
+                                                  target_vn.router)
+                    if owner is not None and new_path is not None:
+                        owner.reroute_pointer(
+                            committed, committed.rerouted(tuple(new_path)))
+                    action = "reroute"
+                else:
+                    if owner is not None:
+                        owner.drop_pointer(committed)
+                    router.cache.invalidate_id(committed.dest_id)
+                    action = "teardown"
                 if tr is not None:
-                    tr.event("nack", router=current, action="reroute",
+                    tr.event("nack", router=current, action=action,
                              target=committed.dest_id.to_hex())
+                committed = None
+                committed_dist = infinity
+                continue
             else:
-                if owner is not None:
-                    owner.drop_pointer(committed)
-                router.cache.invalidate_id(committed.dest_id)
+                # Decision point: (re-)run Algorithm 2 at this router.
+                match = router.best_match(greedy_dest, data)
+                if match is None:
+                    reason = "no routing state"
+                    break
+                _, pointer, resident_vn, distance = match
+                stalled = distance >= committed_dist
+                if resident_vn is not None:
+                    # The closest ID we know is resident right here.
+                    if stalled and data:
+                        reason = "destination ID not found"
+                        break
+                    if stalled or (not data and _overshoots_all(
+                            net, resident_vn, greedy_dest)):
+                        # Nothing committed, and nothing this VN points
+                        # at, is closer: it is the destination's predecessor.
+                        delivered, reason = True, "predecessor found"
+                        final_vn = resident_vn
+                        break
+                    # Strictly closer than anything committed: adopt its
+                    # position and re-evaluate (its successors are now
+                    # candidates).
+                    if tr is not None:
+                        tr.decision(router=current, rule="local-adopt",
+                                    target=resident_vn.id.to_hex(),
+                                    distance=distance)
+                    committed = None
+                    committed_dist = distance
+                    continue
+                if stalled:
+                    reason = "no progress available"
+                    break
+                pointer = net.validate_pointer(router, pointer)
+                if pointer is None:
+                    # Stale source route with unreachable target: the
+                    # pointer was torn down; re-evaluate with it gone.
+                    continue
+                committed = pointer
+                source_route, step = pointer.path, 0
+                hosting = source_route[-1]
+                committed_dist = distance
+                pointer_hops += 1
+                used_cache = used_cache or pointer.kind == "cache"
                 if tr is not None:
-                    tr.event("nack", router=current, action="teardown",
-                             target=committed.dest_id.to_hex())
-            committed = None
-            committed_dist = space.size
-            continue
+                    tr.decision(router=current, rule=pointer.kind,
+                                target=pointer.dest_id.to_hex(),
+                                distance=distance)
+                if len(source_route) == 1:
+                    # Zero-hop pointer: the target ID is resident at this
+                    # very router — adopt its ring position and re-decide.
+                    committed = None
+                    continue
 
-        if committed is None or current == committed.hosting_router:
-            # Decision point: (re-)run Algorithm 2 at this router.
-            match = router.best_match(greedy_dest,
-                                      include_ephemeral=include_ephemeral)
-            if match is None:
-                outcome.reason = "no routing state"
-                break
-            if match.distance >= committed_dist and match.is_local:
-                # The closest ID we know is resident right here: this VN is
-                # the destination's predecessor.
-                if mode == "lookup":
-                    outcome.delivered = True
-                    outcome.reason = "predecessor found"
-                    outcome.final_vn = match.resident_vn
-                    net.stats.charge_path(outcome.path, category)
-                    if tr is not None:
-                        tr.end(delivered=True, reason="predecessor found",
-                               router=current)
-                        trace.close_span(tr)
-                    return outcome
-                outcome.reason = "destination ID not found"
-                break
-            if match.distance >= committed_dist:
-                outcome.reason = "no progress available"
-                break
-            if match.is_local:
-                # A resident ID strictly closer than anything committed:
-                # adopt its position and re-evaluate (its successors are
-                # now candidates).
-                if mode == "lookup" and _overshoots_all(net, match.resident_vn,
-                                                        greedy_dest):
-                    outcome.delivered = True
-                    outcome.reason = "predecessor found"
-                    outcome.final_vn = match.resident_vn
-                    net.stats.charge_path(outcome.path, category)
-                    if tr is not None:
-                        tr.end(delivered=True, reason="predecessor found",
-                               router=current)
-                        trace.close_span(tr)
-                    return outcome
+            # Take one physical hop along the committed source route; link
+            # state and latency both come from the one adjacency entry.
+            next_router = source_route[step + 1]
+            nbrs = adj.get(current)
+            link = None if nbrs is None else nbrs.get(next_router)
+            if link is None:
+                # The route broke under us; repair from here or tear down.
+                pointer = net.validate_pointer(router, committed,
+                                               from_router=current)
                 if tr is not None:
-                    tr.decision(router=current, rule="local-adopt",
-                                target=match.resident_vn.id.to_hex(),
-                                distance=match.distance)
-                committed = None
-                committed_dist = match.distance
-                continue
-            pointer = net.validate_pointer(router, match.pointer)
-            if pointer is None:
-                # Stale source route with unreachable target: the pointer
-                # was torn down; re-evaluate with it gone.
-                continue
-            committed = pointer
-            committed_step = 0
-            committed_dist = match.distance
-            outcome.pointer_hops += 1
-            outcome.used_cache = outcome.used_cache or pointer.kind == "cache"
+                    tr.event("repair", router=current,
+                             target=committed.dest_id.to_hex(),
+                             repaired=pointer is not None)
+                if pointer is None:
+                    committed = None
+                    committed_dist = infinity
+                    continue
+                committed = pointer
+                source_route, step = pointer.path, 0
+                hosting = source_route[-1]
+                next_router = source_route[1]
+                link = nbrs[next_router]
+            if len(path) == 1:
+                # Not a no-op: until PR 19 the latency was read through
+                # ``live_graph.edges[a, b]``, and networkx keeps that view,
+                # once built, in the graph's ``__dict__`` — which the
+                # canonical state hash walks (ROADMAP, "view warmth").
+                # Every intradomain network that has routed one multi-hop
+                # packet therefore hashes with ``edges`` warm; the loop
+                # keeps warming it at a route's first physical hop so no
+                # hash moves, and reads the number from ``_adj``.
+                live.edges
+            latency_ms += link["latency_ms"]
+            path.append(next_router)
             if tr is not None:
-                tr.decision(router=current, rule=pointer.kind,
-                            target=pointer.dest_id.to_hex(),
-                            distance=match.distance)
-            if pointer.n_hops == 0:
-                # Zero-hop pointer: the target ID is resident at this very
-                # router — adopt its ring position and re-decide locally.
-                committed = None
-                continue
+                tr.hop(frm=current, to=next_router)
+            current = next_router
+            step += 1
         else:
-            # Mid-source-route routers may shortcut onto a strictly closer
-            # cached pointer (Section 4.1, "shortcuts if it observes a
-            # cached pointer is numerically closer").
-            shortcut = router.best_match(greedy_dest,
-                                         include_ephemeral=include_ephemeral)
-            if shortcut is not None and shortcut.distance < committed_dist:
-                if tr is not None:
-                    tr.event("shortcut", router=current,
-                             distance=shortcut.distance)
-                committed = None
-                continue
+            reason = "pointer hop limit exceeded (routing loop?)"
+    finally:
+        if len(path) > 1:  # once per packet, whichever way the walk ends
+            perf.counter("fwd.hops", len(path) - 1)
 
-        # Take one physical hop along the committed source route.
-        next_router = committed.path[committed_step + 1]
-        if not net.lsmap.is_link_up(current, next_router):
-            # The route broke under us; repair from here or tear down.
-            pointer = net.validate_pointer(router, committed, from_router=current)
-            if tr is not None:
-                tr.event("repair", router=current,
-                         target=committed.dest_id.to_hex(),
-                         repaired=pointer is not None)
-            if pointer is None:
-                committed = None
-                committed_dist = space.size
-                continue
-            committed = pointer
-            committed_step = 0
-            next_router = committed.path[1]
-        perf.counter("fwd.hops")
-        outcome.latency_ms += net.lsmap.live_graph.edges[current, next_router]["latency_ms"]
-        outcome.path.append(next_router)
-        if tr is not None:
-            tr.hop(frm=current, to=next_router)
-        current = next_router
-        committed_step += 1
-
-    else:
-        outcome.reason = "pointer hop limit exceeded (routing loop?)"
-
-    outcome.delivered = False
-    net.stats.charge_path(outcome.path, category)
+    net.stats.charge_path(path, category)
     if tr is not None:
-        tr.end(delivered=False, reason=outcome.reason, router=current)
+        tr.end(delivered=delivered, reason=reason, router=current)
         trace.close_span(tr)
-    return outcome
+    return ForwardingOutcome(delivered, reason, path, pointer_hops,
+                             used_cache, final_vn, latency_ms)
 
 
 def _overshoots_all(net: "IntraDomainNetwork", vn: VirtualNode,

@@ -71,7 +71,18 @@ class PointerCache:
     def best_match(self, dest: FlatId) -> Optional[Pointer]:
         """Algorithm 2's ``PC.best_match``: the cached pointer closest to
         ``dest`` without passing it — i.e. the entry minimising the
-        clockwise distance to ``dest``.  Touches recency on a hit."""
+        clockwise distance to ``dest``.  Touches recency on a hit.
+
+        A "hit" here is a probe that found *any* entry — in a non-empty
+        cache, every probe — and its recency is touched even when
+        Algorithm 2 then rejects the entry as no closer than the router's
+        own state.  So ``hits / (hits + misses)`` (``cache_stats()
+        ["hit_rate"]``) says how often the cache was non-empty, not how
+        often it helped; the meaningful hit rate is the share of packets
+        with ``PathResult.used_cache``.  Both counters and the LRU order
+        are serialized state, which is why every router a packet crosses
+        must still probe.  :meth:`RoflRouter.best_match` inlines this
+        method on the per-hop path; keep the two in step."""
         match = self._ring.predecessor(dest, strict=False)
         if match is None:
             self.misses += 1

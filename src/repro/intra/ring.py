@@ -212,33 +212,30 @@ def _fill_caches(net: "IntraDomainNetwork", path: Sequence[str],
     """
     if not net.cache_fill_enabled and not force:
         return
+    path = list(path)   # so every slice below is a fresh object
+    routers = net.routers
     for target in ids:
         vn = net.vn_index.get(target)
         if vn is None:
             continue
+        # Where the hosting router sits on the control path (a greedy
+        # lookup path may revisit it); ``passed`` counts those behind us.
+        at = [j for j, name in enumerate(path) if name == vn.router]
+        if not at:
+            continue
+        passed = 0
         for i, router_name in enumerate(path):
             if router_name == vn.router:
-                continue
-            suffix = _route_toward(net, path, i, vn.router)
-            if suffix is None:
-                continue
-            net.routers[router_name].cache.put(
-                Pointer(target, tuple(suffix), "cache"))
-            vn.cached_at.add(router_name)
-
-
-def _route_toward(net: "IntraDomainNetwork", path: Sequence[str], index: int,
-                  hosting_router: str) -> Optional[List[str]]:
-    """A source route from ``path[index]`` to ``hosting_router``: the path
-    suffix when the hosting router lies further along the control path,
-    otherwise the reversed prefix (the message came from there)."""
-    for j in range(index + 1, len(path)):
-        if path[j] == hosting_router:
-            return list(path[index:j + 1])
-    for j in range(index - 1, -1, -1):
-        if path[j] == hosting_router:
-            return list(reversed(path[j:index + 1]))
-    return None
+                passed += 1
+            else:
+                # Its first occurrence ahead, else the nearest one behind
+                # (the message came from there: reversed prefix).  One new
+                # tuple per pointer: the state hash sees shared objects.
+                route = path[i:at[passed] + 1] if passed < len(at) \
+                    else reversed(path[at[-1]:i + 1])
+                routers[router_name].cache.put(
+                    Pointer(target, tuple(route), "cache"))
+                vn.cached_at.add(router_name)
 
 
 def bootstrap_router_ring(net: "IntraDomainNetwork") -> None:

@@ -22,8 +22,8 @@ VN's contribution is diffed on the next lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from bisect import bisect_right
+from typing import Dict, List, NamedTuple, Optional, Union
 
 from repro.idspace.identifier import FlatId, RingSpace
 from repro.intra.pointercache import PointerCache
@@ -32,8 +32,7 @@ from repro.obs import trace
 from repro.util.ringmap import CandidateIndex
 
 
-@dataclass
-class BestMatch:
+class BestMatch(NamedTuple):
     """Result of a router's local best-match evaluation."""
 
     dest_id: FlatId
@@ -74,6 +73,10 @@ class RoflRouter:
 
     def _build_candidates(self) -> None:
         self._candidates = CandidateIndex(self.space, "router", _contributed)
+        #: ``vn_table`` keyed by raw int value (the index's owner map, kept
+        #: in lock-step by register/remove): the forwarding loop's
+        #: residency test, with no ``FlatId`` hashed per hop.
+        self.resident: Dict[int, VirtualNode] = self._candidates.owners
         for vn in self.vn_table.values():
             self._candidates.add_owner(vn)
 
@@ -85,12 +88,13 @@ class RoflRouter:
     # -- serialization ------------------------------------------------------------
 
     def __getstate__(self):
-        """The candidate index is derived from ``vn_table`` and rebuilt on
-        load.  ``flush_epoch`` stays in the snapshot schema as a constant
-        0: how often an index flushed follows read traffic, not routing
-        state, and must not reach the canonical state hash."""
+        """The candidate index (and ``resident``, its owner map) is derived
+        from ``vn_table`` and rebuilt on load.  ``flush_epoch`` stays in the
+        snapshot schema as a constant 0: how often an index flushed follows
+        read traffic, not routing state, and must not reach the canonical
+        state hash."""
         state = self.__dict__.copy()
-        del state["_candidates"]
+        del state["_candidates"], state["resident"]
         state["flush_epoch"] = 0
         return state
 
@@ -138,45 +142,84 @@ class RoflRouter:
         that caused them."""
         self._candidates.flush()
 
-    # -- Algorithm 2 lookups -------------------------------------------------------
+    # -- Algorithm 2 -----------------------------------------------------------------
 
-    def vn_best_match(self, dest: FlatId,
-                      include_ephemeral: bool = True) -> Optional[BestMatch]:
-        """``VN.best_match``: the closest ID to ``dest`` (not past it) among
-        all resident IDs, their successor groups, and parked ephemeral IDs.
+    def best_match(self, dest: FlatId, include_ephemeral: bool = True,
+                   closer_than: Optional[int] = None
+                   ) -> Union[BestMatch, int, None]:
+        """Algorithm 2's whole per-hop decision, one call in the int domain:
+        ``VN.best_match`` — the closest ID to ``dest`` (not past it, i.e.
+        minimising the clockwise distance) among the resident IDs, their
+        successor groups and parked ephemeral IDs — then ``PC.best_match``,
+        which wins only when strictly closer (lines 5–10).
 
-        "Closest, not past" on a circle is the candidate minimising the
-        clockwise distance to the destination; the scan below runs
-        entirely on raw int values (no ``FlatId`` allocation per hop).
+        Returns a :class:`BestMatch`, or ``None`` with no routing state.
+        Mid-source-route routers only ask whether anything beats what is
+        committed: with ``closer_than`` the answer is the best distance if
+        it is strictly below that bound, else ``None``, and nothing is
+        built.  Either way the cache is probed exactly as
+        :meth:`PointerCache.best_match` would (inlined here: hit/miss
+        accounting and the LRU touch are serialized state).
         """
-        index = self._candidates.flush()
-        ivalues, candidates = index.columns()
-        n = len(ivalues)
-        if not n:
-            return None
         dest_iv = dest.value
         mask = self.space.mask
-        start = (index.rank_right(dest_iv) - 1) % n
-        for offset in range(n):
-            position = (start - offset) % n
-            iv = ivalues[position]
+        ivalues, candidates = self._candidates.columns()
+        vn = pointer = distance = None
+        # The paper's TCAM lookup: the entry at or right before ``dest`` in
+        # sorted order (index -1 wraps); walk back past inadmissible ones.
+        position = bisect_right(ivalues, dest_iv) - 1
+        stop = position - len(ivalues)
+        while position > stop:
             cand = candidates[position]
-            vn = cand.vn
-            if vn is not None and (include_ephemeral
-                                   or not (vn.ephemeral or vn.joining)):
-                return BestMatch(vn.id, None, vn, (dest_iv - iv) & mask)
-            if cand.ptrs:
-                first = cand.ptrs[0]
-                if include_ephemeral or not first[3]:
-                    ptr = first[2]
-                    return BestMatch(ptr.dest_id, ptr, None,
-                                     (dest_iv - iv) & mask)
-        return None
+            here = cand.vn
+            if here is not None and (include_ephemeral
+                                     or not (here.ephemeral or here.joining)):
+                vn = here
+                distance = (dest_iv - ivalues[position]) & mask
+                break
+            if cand.ptrs and (include_ephemeral or not cand.ptrs[0][3]):
+                pointer = cand.ptrs[0][2]
+                distance = (dest_iv - ivalues[position]) & mask
+                break
+            position -= 1
+
+        cache = self.cache
+        cached = cache._ring._ivalues   # its sorted key column, no call
+        if not cached:
+            cache.misses += 1
+            if trace.ENABLED:
+                trace.event_in_current("cache.miss", router=self.name,
+                                       dest=dest.to_hex())
+        else:
+            cached_iv = cached[bisect_right(cached, dest_iv) - 1]
+            cache.hits += 1
+            cache._lru.move_to_end(cached_iv)
+            cached_dist = (dest_iv - cached_iv) & mask
+            if distance is not None and cached_dist >= distance:
+                if trace.ENABLED:
+                    trace.event_in_current(
+                        "cache.reject", router=self.name, dest=dest.to_hex(),
+                        target=cache._lru[cached_iv].dest_id.to_hex())
+            else:
+                vn, pointer, distance = None, cache._lru[cached_iv], cached_dist
+                if trace.ENABLED:
+                    trace.event_in_current("cache.hit", router=self.name,
+                                           dest=dest.to_hex(),
+                                           target=pointer.dest_id.to_hex())
+
+        if closer_than is not None:
+            return distance if distance is not None \
+                and distance < closer_than else None
+        if distance is None:
+            return None
+        return BestMatch(vn.id if pointer is None else pointer.dest_id,
+                         pointer, vn, distance)
 
     def vn_best_match_scan(self, dest: FlatId,
                            include_ephemeral: bool = True) -> Optional[BestMatch]:
-        """Reference brute-force implementation of :meth:`vn_best_match`;
-        the property tests cross-check the index against it."""
+        """Reference brute-force ``VN.best_match`` (no cache); the property
+        tests cross-check :meth:`best_match` on a zero-capacity cache
+        against it."""
         best: Optional[BestMatch] = None
 
         def consider(cand_id: FlatId, pointer: Optional[Pointer],
@@ -198,38 +241,6 @@ class RoflRouter:
                 for eph_id, ptr in vn.ephemeral_children.items():
                     consider(eph_id, ptr, None)
         return best
-
-    def cache_best_match(self, dest: FlatId,
-                         better_than: Optional[int] = None) -> Optional[BestMatch]:
-        """``PC.best_match``, returned only if strictly better (closer to
-        ``dest``) than ``better_than``."""
-        ptr = self.cache.best_match(dest)
-        if ptr is None:
-            if trace.ENABLED:
-                trace.event_in_current("cache.miss", router=self.name,
-                                       dest=dest.to_hex())
-            return None
-        dist = self.space.distance_cw_i(ptr.dest_id.value, dest.value)
-        if better_than is not None and dist >= better_than:
-            if trace.ENABLED:
-                trace.event_in_current("cache.reject", router=self.name,
-                                       dest=dest.to_hex(),
-                                       target=ptr.dest_id.to_hex())
-            return None
-        if trace.ENABLED:
-            trace.event_in_current("cache.hit", router=self.name,
-                                   dest=dest.to_hex(),
-                                   target=ptr.dest_id.to_hex())
-        return BestMatch(ptr.dest_id, ptr, None, dist)
-
-    def best_match(self, dest: FlatId,
-                   include_ephemeral: bool = True) -> Optional[BestMatch]:
-        """Combined Algorithm 2 decision: VN state first, cache shortcut if
-        it is numerically closer (lines 5–10)."""
-        vn_match = self.vn_best_match(dest, include_ephemeral=include_ephemeral)
-        threshold = vn_match.distance if vn_match is not None else None
-        cache_match = self.cache_best_match(dest, better_than=threshold)
-        return cache_match or vn_match
 
     # -- pointer upkeep ---------------------------------------------------------------
 

@@ -323,13 +323,7 @@ class ColumnarRingIndex:
 
     def key_values(self) -> List[int]:
         """The synced sorted key column, zero-copy.  Do not mutate."""
-        self._sync()
-        return self._keys
-
-    def rank_right(self, key: int) -> int:
-        """``bisect_right`` position of ``key`` in the synced column."""
-        self._sync()
-        return bisect.bisect_right(self._keys, key)
+        return self.columns()[0]
 
     def closest_not_past_value(self, current: int, dest: int) -> Optional[int]:
         """Greedy best match in the int domain (see
@@ -401,7 +395,7 @@ class CandidateIndex:
         self._flushes_counter = names + "refresh.flushes"
         self._owners_counter = names + "refresh.owners"
         self._slots_counter = names + "refresh.slots"
-        self._owners: Dict[int, Any] = {}       # vn.id.value -> vn, registration order
+        self.owners: Dict[int, Any] = {}    # vn.id.value -> vn, registration order
         self._index = ColumnarRingIndex(space)
         self._seq = itertools.count()
         self._owner_seq: Dict[int, int] = {}    # vn.id.value -> registration seq
@@ -410,6 +404,7 @@ class CandidateIndex:
         self._contrib: Dict[int, tuple] = {}
         self._dirty_owners: set = set()         # vn.id.values needing a re-diff
         self._dirty_all = True                  # full rebuild pending
+        self._columns: tuple = ([], [])         # synced (keys, entries), see flush
         #: Monotonic flush-epoch counter: one increment per flush that
         #: actually re-diffed or rebuilt state.  Mark-dirty storms
         #: between two lookups all land in the same epoch.
@@ -417,7 +412,7 @@ class CandidateIndex:
 
     def __getstate__(self):
         return (self.space, self._perf_prefix, self._pointers_of,
-                list(self._owners.values()))
+                list(self.owners.values()))
 
     def __setstate__(self, state) -> None:
         *args, owners = state
@@ -429,13 +424,13 @@ class CandidateIndex:
 
     def add_owner(self, vn: Any) -> None:
         iv = vn.id.value
-        self._owners[iv] = vn
+        self.owners[iv] = vn
         self._owner_seq[iv] = next(self._seq)
         self.mark_dirty(vn)
 
     def remove_owner(self, vn: Any) -> None:
         iv = vn.id.value
-        self._owners.pop(iv, None)
+        self.owners.pop(iv, None)
         self._owner_seq.pop(iv, None)
         if not self._dirty_all:
             self._dirty_owners.add(iv)
@@ -471,7 +466,7 @@ class CandidateIndex:
         owner diffs from the empty list and a departed one to it; an
         owner re-registered within the epoch (new ``seq``) does both.
         """
-        vn = self._owners.get(owner_iv)
+        vn = self.owners.get(owner_iv)
         seq = self._owner_seq.get(owner_iv)             # None once departed
         old_seq, old = self._contrib.pop(owner_iv, (None, ()))
         touched = 0
@@ -514,26 +509,31 @@ class CandidateIndex:
             self._index.delete(key_iv)
 
     def flush(self) -> ColumnarRingIndex:
-        """Apply pending maintenance; returns the up-to-date index whose
-        payloads are :class:`Candidate` entries."""
-        if self._dirty_all:
+        """Apply pending maintenance and sync; returns the up-to-date index."""
+        if self._dirty_all or self._dirty_owners:
             with perf.timed(self._flush_timer):
-                perf.counter(self._rebuild_counter)
+                if self._dirty_all:
+                    perf.counter(self._rebuild_counter)
+                    self._index, self._contrib = ColumnarRingIndex(self.space), {}
+                    self._seq = itertools.count()
+                    self._owner_seq = dict(zip(self.owners, self._seq))
+                    for owner_iv in self.owners:
+                        self._rediff(owner_iv)
+                    self._dirty_all = False
+                else:
+                    perf.counter(self._flushes_counter)
+                    perf.counter(self._owners_counter, len(self._dirty_owners))
+                    perf.counter(self._slots_counter,
+                                 sum(map(self._rediff, self._dirty_owners)))
                 self.flush_epoch += 1
-                self._index = ColumnarRingIndex(self.space)
-                self._contrib = {}
-                self._seq = itertools.count()
-                self._owner_seq = {iv: next(self._seq) for iv in self._owners}
-                for owner_iv in self._owners:
-                    self._rediff(owner_iv)
-                self._dirty_all = False
                 self._dirty_owners.clear()
-        elif self._dirty_owners:
-            with perf.timed(self._flush_timer):
-                perf.counter(self._flushes_counter)
-                perf.counter(self._owners_counter, len(self._dirty_owners))
-                self.flush_epoch += 1
-                perf.counter(self._slots_counter,
-                             sum(map(self._rediff, self._dirty_owners)))
-                self._dirty_owners.clear()
+                self._columns = self._index.columns()
         return self._index
+
+    def columns(self) -> Tuple[List[int], List[Candidate]]:
+        """The flushed-and-synced ``(sorted int keys, lock-step entries)``
+        columns, the per-hop read of Algorithm 2: one dirty check, no sync
+        (only :meth:`flush` stages keys, and it syncs).  Zero-copy."""
+        if self._dirty_all or self._dirty_owners:
+            self.flush()
+        return self._columns

@@ -137,7 +137,7 @@ def contributed(vn):
 
 
 def view(index):
-    keys, entries = index.flush().columns()
+    keys, entries = index.columns()
     return [(key, id(entry.vn),
              [(id(tail[0]),) + tail[1:]
               for tail in (stored[2:] for stored in entry.ptrs)])

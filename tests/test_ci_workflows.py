@@ -2,7 +2,10 @@
 gate at all, and nothing else notices."""
 
 import ast
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,48 @@ def test_inline_scripts_import_only_what_perf_trajectory_defines(path):
             for names in re.findall(r"from perf_trajectory import ([\w, ]+)",
                                     step.get("run", "")):
                 assert set(names.replace(",", " ").split()) <= defined, step
+
+
+def _digest_step():
+    """The inline script of the bench-smoke step that holds the smoke run's
+    ``sim_digest``s against ``tests/golden_bench_digests.json``; it must
+    directly follow the smoke run whose ``result.json`` it reads."""
+    [path] = [p for p in WORKFLOWS if p.name == "ci.yml"]
+    steps = yaml.safe_load(path.read_text())["jobs"]["bench-smoke"]["steps"]
+    [at] = [i for i, step in enumerate(steps)
+            if "golden_bench_digests.json" in step.get("run", "")]
+    assert "bench/run.py --smoke" in steps[at - 1]["run"]
+    return re.search(r"<<'EOF'\n(.*)\nEOF", steps[at]["run"], re.S).group(1)
+
+
+def test_pinned_digests_cover_every_benchmark_workload():
+    root = Path(__file__).resolve().parent.parent
+    golden = json.loads((root / "tests" / "golden_bench_digests.json").read_text())
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    assert set(golden["sim_digest"]) == {w["name"] for w in spec["workloads"]}
+    assert all(re.fullmatch(r"[0-9a-f]{64}", digest)
+               for digest in golden["sim_digest"].values())
+
+
+@pytest.mark.parametrize("moved", [None, "churn_intra"])
+def test_digest_step_passes_on_the_pinned_run_and_fails_on_a_moved_one(
+        tmp_path, moved):
+    """The step is a heredoc nothing else executes: run it over a made-up
+    ``bench/out/result.json``, once as pinned and once with one workload's
+    digest moved (LRU order under ``churn_intra``'s small cache is what a
+    forwarding "speed-up" moves first)."""
+    golden_path = Path(__file__).resolve().parent / "golden_bench_digests.json"
+    golden = json.loads(golden_path.read_text())
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / golden_path.name).write_text(golden_path.read_text())
+    (tmp_path / "bench" / "out").mkdir(parents=True)
+    (tmp_path / "bench" / "out" / "result.json").write_text(json.dumps({
+        "runs": [{"workload": name, "seed": golden["seed"],
+                  "scale": golden["scale"],
+                  "sim_digest": digest if name != moved else "0" * 64}
+                 for name, digest in golden["sim_digest"].items()]}))
+    done = subprocess.run([sys.executable, "-c", _digest_step()],
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert (done.returncode == 0) == (moved is None), done.stderr
+    if moved:
+        assert moved in done.stderr

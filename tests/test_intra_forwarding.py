@@ -1,11 +1,23 @@
 """Greedy forwarding (Algorithm 2): delivery, stretch, caches, lookups."""
 
-import pytest
+import contextlib
+import json
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import build_network, snapshot
 from repro.idspace.identifier import FlatId
 from repro.intra import forwarding
 from repro.intra.network import IntraDomainNetwork
-from repro.topology.isp import synthetic_isp
+from repro.intra.ring import JoinError
+from repro.obs import trace
+from repro.topology.isp import TCAM_ENTRIES, synthetic_isp
+from repro.util import perf
+
+from tests import forwarding_reference
 
 
 class TestDelivery:
@@ -139,3 +151,276 @@ class TestAccounting:
         result = net.send(a, b)
         if result.hops > 0:
             assert result.pointer_hops >= 1
+
+
+# ---------------------------------------------------------------------------
+# The fused engine against the parent's, kept verbatim in
+# tests/forwarding_reference.py: twin networks from one seed, one driven by
+# each, compared after every operation.
+# ---------------------------------------------------------------------------
+
+class _Lines:
+    """A trace sink keeping each record as its ``JsonlSink`` line, plus the
+    order its data fields were given in (which sorted JSON hides)."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, record):
+        self.lines.append((json.dumps(record.to_dict(), sort_keys=True,
+                                      separators=(",", ":")),
+                           tuple(record.data)))
+
+    def close(self):
+        pass
+
+
+class _Twins:
+    """Two networks built alike; ``new`` runs the engine under ``src/``,
+    ``old`` the reference.  :meth:`both` applies one operation to each and
+    requires everything observable to agree."""
+
+    ENGINES = {"new": contextlib.nullcontext,
+               "old": forwarding_reference.installed}
+
+    def __init__(self, seed, cache_entries, traced, n_routers=10, n_hosts=12):
+        self.tracers = {side: trace.Tracer(_Lines()) if traced else None
+                        for side in self.ENGINES}
+        self.nets = {}
+        self.both(lambda net: None, build=lambda: IntraDomainNetwork(
+            synthetic_isp(n_routers=n_routers, seed=seed),
+            cache_entries=cache_entries, seed=seed, ephemeral_fraction=0.25))
+        for _ in range(n_hosts):
+            self.both(lambda net: net.join_next())
+
+    def _one(self, side, op, build):
+        tracer = self.tracers[side]
+        perf.reset()
+        with self.ENGINES[side](), \
+                trace.tracing(tracer) if tracer else contextlib.nullcontext():
+            if build is not None:
+                self.nets[side] = build()
+            net = self.nets[side]
+            try:
+                result = op(net)
+            except (KeyError, ValueError, JoinError) as exc:
+                result = repr(exc)
+        return {
+            "result": result,       # every ForwardingOutcome / PathResult field
+            "counters": perf.snapshot()["counters"],
+            "caches": {name: (r.cache.hits, r.cache.misses, r.cache.evictions,
+                              list(r.cache._lru))
+                       for name, r in net.routers.items()},
+            "trace": list(tracer.sink.lines) if tracer else None,
+            "state_hash": snapshot.state_hash(net),
+            "warm_views": set(net.lsmap._live.__dict__),
+        }
+
+    def both(self, op, build=None):
+        new, old = self._one("new", op, build), self._one("old", op, build)
+        for key in new:
+            assert new[key] == old[key], key
+        return new
+
+    def kinds(self):
+        """``(kind, action / rule / repaired)`` of every record traced so
+        far — which branches of the walk have run."""
+        records = [json.loads(line) for line, _ in self.tracers["new"].sink.lines]
+        return {(r["kind"], r["data"].get("action", r["data"].get(
+            "rule", r["data"].get("repaired")))) for r in records}
+
+
+def _pick(items, index):
+    items = sorted(items)
+    return items[index % len(items)]
+
+
+def _apply(net, op):
+    """One drawn operation; the indices pick from what the network holds
+    now, so the same draw means the same thing on both twins."""
+    kind, i, j = op
+    if kind == "join":
+        return net.join_next()
+    if kind == "fail_link":
+        return net.fail_link(*_pick(net.lsmap.live_graph.edges, i))
+    if kind == "fail_router":
+        return net.fail_router(_pick(net.lsmap.live_graph, i))
+    host, router = _pick(net.hosts, i), _pick(net.routers, j)
+    if kind == "send":
+        return net.send(host, _pick(net.hosts, j))
+    if kind == "data":
+        return forwarding.route(net, router, net.hosts[host].id)
+    if kind == "lookup":
+        # At, just before and just after a live ID.
+        target = FlatId(net.hosts[host].id.value + j % 3 - 1)
+        return forwarding.route(net, router, target, mode="lookup",
+                                category="test")
+    if kind == "move":
+        return net.move_host(host, router).rejoin_messages
+    return getattr(net, kind)(host)     # fail_host / leave_host
+
+
+_TRAFFIC = st.tuples(st.sampled_from(["send", "data", "lookup", "join"]),
+                     st.integers(0, 999), st.integers(0, 999))
+_CHURN = st.tuples(st.sampled_from(["fail_link", "fail_router", "fail_host",
+                                    "leave_host", "move"]),
+                   st.integers(0, 999), st.integers(0, 999))
+
+
+@pytest.fixture()
+def cut_under_packet(monkeypatch):
+    """Arm with ``"link"`` or ``"router"``: the next source route a packet
+    commits to loses its last link (or its hosting router) right after it
+    validated — the only way a route breaks *under* a packet when one
+    ``route()`` call is one instant of simulated time."""
+    armed = []
+    validate = IntraDomainNetwork.validate_pointer
+
+    def cutting(net, router, pointer, from_router=None):
+        valid = validate(net, router, pointer, from_router)
+        if armed and valid is not None and valid.n_hops >= 2:
+            if armed.pop() == "link":
+                net.lsmap.fail_link(*valid.path[-2:])
+            else:
+                net.lsmap.fail_router(valid.path[-1])
+        return valid
+
+    monkeypatch.setattr(IntraDomainNetwork, "validate_pointer", cutting)
+    return armed
+
+
+class TestReferenceEngine:
+    @pytest.mark.parametrize("cache_entries", [0, 8, 256, TCAM_ENTRIES])
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), traced=st.booleans(),
+           tape=st.lists(st.one_of(_TRAFFIC, _TRAFFIC, _TRAFFIC, _CHURN),
+                         min_size=10, max_size=30))
+    def test_any_tape_agrees_with_the_reference(self, cache_entries, seed,
+                                                traced, tape):
+        twins = _Twins(seed, cache_entries, traced)
+        for op in tape:
+            twins.both(lambda net: _apply(net, op))
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_rare_branches_agree_with_the_reference(self, traced,
+                                                    cut_under_packet):
+        """The branches a random tape seldom reaches, each set up by hand
+        on both twins: NACK-teardown and NACK-reroute (stale cached
+        pointers after a leave and a move), a route breaking under the
+        packet (repaired, then torn down), a zero-hop pointer, and a
+        router with no state a lookup may use."""
+        twins = _Twins(5, 256, traced, n_routers=14, n_hosts=24)
+        net = twins.nets["new"]
+
+        def cached_afar():
+            return sorted(h for h, vn in net.hosts.items()
+                          if not vn.ephemeral and len(vn.cached_at) > 1)[0]
+
+        # Every ID once from afar, as data and as a lookup: ephemeral
+        # targets, local adoption, shortcuts.
+        walks = []
+        for vn in sorted(net.hosts.values(), key=lambda vn: vn.id):
+            far = sorted(net.routers, key=lambda r: (r == vn.router, r))[0]
+            walks.append((twins.both(lambda net: forwarding.route(
+                net, far, vn.id))["result"].hops, far, vn.id))
+            twins.both(lambda net: forwarding.route(
+                net, far, vn.id, mode="lookup", category="test"))
+
+        # A graceful leave floods no invalidation: the cached pointer
+        # still leads to the old hosting router, which NACKs (teardown).
+        gone = cached_afar()
+        left = net.hosts[gone]
+        twins.both(lambda net: net.leave_host(gone))
+        for holder in sorted(left.cached_at - {left.router}):
+            twins.both(lambda net: forwarding.route(net, holder, left.id))
+        # A move re-homes the ID: the old router NACKs whoever still
+        # follows a cached route there, and the owner re-routes.
+        mover = cached_afar()
+        moved = net.hosts[mover]
+        holders = sorted(moved.cached_at - {moved.router})
+        elsewhere = next(r for r in sorted(net.routers)
+                         if r != moved.router and r not in holders)
+        twins.both(lambda net: net.move_host(mover, elsewhere).rejoin_messages)
+        for holder in holders:
+            twins.both(lambda net: forwarding.route(net, holder, moved.id))
+
+        # A resident ID that is still joining may not answer a lookup; its
+        # neighbour's zero-hop successor pointer to it is taken instead,
+        # and leads nowhere new.
+        def zero_hop(net):
+            for router in net.routers.values():
+                for vn in router.resident_vns(include_ephemeral=False):
+                    first = vn.primary_successor()
+                    if first is not None and first.n_hops == 0:
+                        target = net.vn_index[first.dest_id]
+                        target.joining = True
+                        try:
+                            return forwarding.route(
+                                net, router.name, FlatId(target.id.value + 1),
+                                mode="lookup", category="test")
+                        finally:
+                            target.joining = False
+        assert twins.both(zero_hop)["result"].reason == "no progress available"
+
+        def no_state(net):
+            router = next(r for _, r in sorted(net.routers.items())
+                          if len(r.vn_table) == 1)
+            vn = router.default_vn
+            held, vn.successors, vn.joining = vn.successors, [], True
+            router.mark_dirty(vn)
+            router.cache.clear()
+            try:
+                return forwarding.route(net, router.name, FlatId(1),
+                                        mode="lookup", category="test")
+            finally:
+                vn.successors, vn.joining = held, False
+                router.mark_dirty(vn)
+        assert twins.both(no_state)["result"].reason == "no routing state"
+
+        # The route breaks under the packet on the two longest walks:
+        # repaired mid-route, then (the hosting router itself gone) torn
+        # down.
+        walks.sort(reverse=True)
+        for cut, (_, far, target) in zip(("link", "router"), walks):
+            def route_with_cut(net):
+                cut_under_packet[:] = [cut]
+                try:
+                    return forwarding.route(net, far, target)
+                finally:
+                    del cut_under_packet[:]
+            twins.both(route_with_cut)
+
+        if traced:
+            assert twins.kinds() >= {
+                ("nack", "teardown"), ("nack", "reroute"), ("repair", True),
+                ("repair", False), ("shortcut", None), ("cache.miss", None),
+                ("cache.reject", None), ("cache.hit", None),
+                ("decision", "local-adopt"), ("decision", "successor"),
+                ("decision", "cache"), ("decision", "ephemeral")}
+
+
+def test_a_hop_costs_at_most_eight_python_calls():
+    """The forwarding layer's stated budget (ROADMAP aim 1), as a count:
+    Python-level calls per physical hop over a fixed batch of sends — every
+    call under ``send``, per-packet overhead included.  Deterministic for
+    the seed and clock-free.  28.1 until PR 19 fused Algorithm 2 into one
+    ``RoflRouter.best_match`` per router crossed; 5.7 since.  It fails the
+    day someone re-wraps the kernel."""
+    net = build_network("intra", 0, n_routers=40, hosts=600)
+    pairs = [net.random_host_pair() for _ in range(500)]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    hops = perf.value("fwd.hops")
+    sys.setprofile(count)
+    try:
+        for src, dst in pairs:
+            net.send(src, dst)
+    finally:
+        sys.setprofile(None)
+    hops = perf.value("fwd.hops") - hops
+    assert hops > 2000
+    assert calls / hops <= 8, calls / hops

@@ -83,15 +83,15 @@ class TestBestMatch:
         node.ephemeral_children[SPACE.make(150)] = Pointer(
             SPACE.make(150), ("r0", "r9"), "ephemeral")
         router.register_virtual_node(node)
-        data = router.vn_best_match(SPACE.make(150), include_ephemeral=True)
+        data = router.best_match(SPACE.make(150), include_ephemeral=True)
         assert data.dest_id.value == 150
-        ctl = router.vn_best_match(SPACE.make(150), include_ephemeral=False)
+        ctl = router.best_match(SPACE.make(150), include_ephemeral=False)
         assert ctl.dest_id.value == 100
 
     def test_ephemeral_residents_skipped_in_lookup(self):
         router = make_router()
         router.register_virtual_node(vn(100, ephemeral=True))
-        match = router.vn_best_match(SPACE.make(100), include_ephemeral=False)
+        match = router.best_match(SPACE.make(100), include_ephemeral=False)
         assert match.dest_id.value != 100
 
     def test_cache_shortcut_only_when_strictly_closer(self):
@@ -208,7 +208,8 @@ def test_index_matches_reference_scan(specs, dest_v, include_eph):
                                if s != vid]
         router.register_virtual_node(node)
     dest = SPACE.make(dest_v)
-    fast = router.vn_best_match(dest, include_ephemeral=include_eph)
+    # A zero-capacity cache makes best_match the VN-only query.
+    fast = router.best_match(dest, include_ephemeral=include_eph)
     slow = router.vn_best_match_scan(dest, include_ephemeral=include_eph)
     assert (fast is None) == (slow is None)
     if fast is not None:

@@ -194,7 +194,8 @@ def test_intra_incremental_index_matches_scan_under_churn():
 
     rng = random.Random(0x17A)
     topo = synthetic_isp(n_routers=30, seed=3)
-    net = IntraDomainNetwork(topo, seed=3)
+    # No pointer caches: best_match is then the VN-only index query.
+    net = IntraDomainNetwork(topo, cache_entries=0, seed=3)
     net.join_random_hosts(80)
 
     def crosscheck():
@@ -204,7 +205,7 @@ def test_intra_incremental_index_matches_scan_under_churn():
                 dest = space.make(rng.randrange(space.size))
                 for include_ephemeral in (True, False):
                     _assert_matches(
-                        router.vn_best_match(dest, include_ephemeral),
+                        router.best_match(dest, include_ephemeral),
                         router.vn_best_match_scan(dest, include_ephemeral),
                         dest.value)
 
