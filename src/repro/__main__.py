@@ -20,7 +20,10 @@ Commands:
   line-delimited JSON requests against it (``repro.serve``; ``--requests
   FILE`` scripts a session for tests and CI).
 * ``snapshot {save,info,verify} PATH`` — checkpoint/restore of complete
-  network state with canonical state hashing (``repro.snapshot``).
+  network state with canonical state hashing (``repro.snapshot``).  A
+  file that is not a snapshot, is corrupt or has another schema version
+  exits 2 with ``repro: <what is wrong>``, here and under ``serve
+  --snapshot``.
 * ``compare-stretch [--profile ISP] [--hosts N] [--json PATH]`` — run
   the ROFL-vs-Disco (vs CMU-ETHERNET / OSPF) stretch head-to-head with
   the stretch-bound probe live; exits nonzero on any bound breach,
@@ -573,7 +576,14 @@ def main(argv=None) -> int:
     info.set_defaults(func=_cmd_info)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    from repro.snapshot import SnapshotError
+    try:
+        return args.func(args)
+    except SnapshotError as exc:
+        # A file that is not a snapshot, is corrupt, or was written under
+        # another schema version: the message says which, and what to do.
+        print("repro: {}".format(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

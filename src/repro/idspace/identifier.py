@@ -163,10 +163,11 @@ class RingSpace:
         This is the rule of Algorithm 2 in the paper, evaluated by a linear
         scan — the right tool for small, *unsorted* candidate iterables
         (a successor group, one VN's pointer set).  For a maintained sorted
-        key set, :meth:`repro.util.ringmap.SortedRingMap.closest_not_past`
-        answers the same query with one bisect; the two are cross-checked
-        against each other by the ring-invariant tests.  Returns ``None``
-        when no candidate makes strictly positive progress.
+        key set, ``SortedRingMap.closest_not_past_value``
+        (:mod:`repro.util.ringmap`) answers the same query with one bisect;
+        the two are cross-checked against each other by the ring-invariant
+        tests.  Returns ``None`` when no candidate makes strictly positive
+        progress.
         """
         best = None
         best_advance = 0

@@ -82,18 +82,14 @@ class RoflAS:
 
     def __getstate__(self):
         """The candidate index is derived from ``hosted`` and rebuilt on
-        load, like SPF/BGP caches.  ``flush_epoch`` stays in the snapshot
-        schema as a constant 0: which ASes happened to flush, and how
-        often, depends on read traffic, not on routing state, so the
-        canonical state hash must not see it."""
+        load, like SPF/BGP caches: which ASes happened to flush, and how
+        often, depends on read traffic, not on routing state."""
         state = self.__dict__.copy()
         del state["_candidates"]
-        state["flush_epoch"] = 0
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        del self.__dict__["flush_epoch"]
         self._build_candidates()
 
     # -- hosting -----------------------------------------------------------------

@@ -83,8 +83,7 @@ def _route(net, start_router, dest_id, mode, category):
                            mode=mode) if trace.ENABLED else None
     data = mode == "data"   # doubles as Algorithm 2's ``include_ephemeral``
     routers = net.routers
-    live = net.lsmap.live_graph
-    adj = live._adj
+    adj = net.lsmap.live_graph._adj
     infinity = net.space.size  # any real candidate beats it
     dest_iv = dest_id.value
     # Lookups aim at the spot just before the target so greedy routing
@@ -225,16 +224,6 @@ def _route(net, start_router, dest_id, mode, category):
                 hosting = source_route[-1]
                 next_router = source_route[1]
                 link = nbrs[next_router]
-            if len(path) == 1:
-                # Not a no-op: until PR 19 the latency was read through
-                # ``live_graph.edges[a, b]``, and networkx keeps that view,
-                # once built, in the graph's ``__dict__`` — which the
-                # canonical state hash walks (ROADMAP, "view warmth").
-                # Every intradomain network that has routed one multi-hop
-                # packet therefore hashes with ``edges`` warm; the loop
-                # keeps warming it at a route's first physical hop so no
-                # hash moves, and reads the number from ``_adj``.
-                live.edges
             latency_ms += link["latency_ms"]
             path.append(next_router)
             if tr is not None:

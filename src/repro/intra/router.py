@@ -89,18 +89,14 @@ class RoflRouter:
 
     def __getstate__(self):
         """The candidate index (and ``resident``, its owner map) is derived
-        from ``vn_table`` and rebuilt on load.  ``flush_epoch`` stays in the
-        snapshot schema as a constant 0: how often an index flushed follows
-        read traffic, not routing state, and must not reach the canonical
-        state hash."""
+        from ``vn_table`` and rebuilt on load: how often an index flushed
+        follows read traffic, not routing state."""
         state = self.__dict__.copy()
         del state["_candidates"], state["resident"]
-        state["flush_epoch"] = 0
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        del self.__dict__["flush_epoch"]
         self._build_candidates()
 
     # -- virtual-node management ------------------------------------------------
@@ -184,7 +180,7 @@ class RoflRouter:
             position -= 1
 
         cache = self.cache
-        cached = cache._ring._ivalues   # its sorted key column, no call
+        cached = cache._ivalues   # its sorted key column, no call
         if not cached:
             cache.misses += 1
             if trace.ENABLED:

@@ -138,14 +138,9 @@ class LinkStateMap:
 
     def path_is_live(self, path: Sequence[str]) -> bool:
         """Is a stored source route still usable on the live map?  One
-        pass: its first router is up and every consecutive pair is a live
-        edge (which implies the other routers are up).  Reads ``_adj``,
-        never ``.adj``: networkx caches a view, once built, in the graph's
-        ``__dict__``, which the canonical state hash walks.  (``.edges`` is
-        the one view hashed paths *do* warm — ``forwarding._route`` at a
-        route's first hop, ``PathCache.path_latency_ms`` and
-        ``protocol_sim._hop`` — so every network that has routed a packet
-        hashes with it; ROADMAP, "view warmth", before changing that.)"""
+        pass over the raw adjacency: its first router is up and every
+        consecutive pair is a live edge (which implies the other routers
+        are up)."""
         if not path:
             return False
         adj = self._live._adj

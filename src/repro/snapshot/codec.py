@@ -18,7 +18,11 @@ byte stream with exactly those properties:
   round-tripped through :mod:`repro.snapshot.store`) hash identically;
 * RNG streams hash by their ``getstate()`` tuples — a stream that has
   advanced is different state, which is what makes
-  "same seed → same hash" a *checkable* invariant rather than a slogan.
+  "same seed → same hash" a *checkable* invariant rather than a slogan;
+* a networkx graph hashes as its attributes, nodes and adjacency and
+  never through its ``__dict__``, where networkx also parks the
+  ``nodes`` / ``adj`` / ``edges`` / ``degree`` views once something has
+  read them — what a query warmed is not state.
 
 The byte grammar is tabulated in DESIGN.md §10 and pinned by
 ``tests/codec_reference.py``, the walker this one replaced, which the
@@ -42,6 +46,8 @@ import itertools
 import random
 from array import array
 from typing import Any, Callable, Dict, Iterable, Tuple
+
+import networkx as nx
 
 from repro.idspace.identifier import FlatId
 
@@ -233,6 +239,9 @@ class _Walker:
                     self.emit(b"G")
                     self.encode(obj.getstate())
                 return
+            if isinstance(obj, nx.Graph):
+                self._graph(obj)
+                return
             if kind is array:
                 self.emit(_len_prefixed(
                     b"A", obj.typecode.encode("ascii") + b":"
@@ -289,6 +298,18 @@ class _Walker:
         self.emit(b"{")
         self._pairs(zip(shape[0], map(state.__getitem__, shape[1])))
         self.emit(b"}")
+
+    def _graph(self, obj: nx.Graph) -> None:
+        if self._enter(obj):
+            return
+        kind = type(obj)
+        self.emit(_len_prefixed(
+            b"X", "{}.{}".format(kind.__module__,
+                                 kind.__qualname__).encode("utf-8")))
+        self.encode(obj.graph)
+        self.encode(obj._node)
+        self.encode(obj._adj)
+        self.emit(b"x")
 
     def _callable(self, obj: Any) -> None:
         bound = getattr(obj, "__self__", None)

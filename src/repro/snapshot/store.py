@@ -2,7 +2,7 @@
 
 Format — self-describing, one file::
 
-    line 1   JSON header: {"magic": "repro-snapshot", "schema": 1,
+    line 1   JSON header: {"magic": "repro-snapshot", "schema": 2,
                            "kind": "...", "state_hash": "...",
                            "counts": {...}, "meta": {...}}
     line 2+  zlib-compressed pickle of the network object graph
@@ -43,8 +43,9 @@ from typing import Any, Dict, Iterable, Optional
 from repro.snapshot.codec import state_hash_of
 from repro.util import perf
 
-#: Bump on any incompatible change to the header or payload layout.
-SCHEMA_VERSION = 1
+#: Bump on any incompatible change to the header, payload layout or
+#: canonical byte stream (2: DESIGN.md §10, "Schema 2").
+SCHEMA_VERSION = 2
 MAGIC = "repro-snapshot"
 
 #: What every header carries besides ``magic`` and ``schema``, and as what.

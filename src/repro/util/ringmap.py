@@ -1,17 +1,18 @@
 """Sorted circular maps over flat identifiers.
 
-:class:`SortedRingMap` is the eager, persisted map behind rings and
-pointer caches; :class:`ColumnarRingIndex` is the write-batching int
-index behind :class:`CandidateIndex`, the derived candidate index every
-router and AS keeps.
+:class:`SortedRingMap` is the eager, persisted map behind the
+interdomain level rings; :class:`ColumnarRingIndex` is the write-batching
+int index behind :class:`CandidateIndex`, the derived candidate index
+every router and AS keeps.
 
-Rings, virtual-node tables and pointer caches all need the same three
-queries, each in ``O(log n)``:
+Rings and virtual-node tables need the same three queries, each in
+``O(log n)``:
 
 * ``successor(id)`` — the next key clockwise (wrapping), Chord convention:
   the smallest key strictly greater than ``id``, else the smallest key.
 * ``predecessor(id)`` — the previous key counter-clockwise.
-* ``closest_not_past(current, dest)`` — the greedy next hop of Algorithm 2.
+* ``closest_not_past_value(current, dest)`` — the greedy next hop of
+  Algorithm 2.
 
 The paper notes the last query is cheap on real hardware: "given a list of
 IDs in sorted order, the closest namespace distance match is either the
@@ -24,9 +25,7 @@ lock-step ``_ivalues`` array of raw ``int`` values.  Every bisect runs on
 the int array (native int comparisons instead of ``total_ordering``
 dispatch) and payloads are stored in a dict keyed by int value (native
 int hashing instead of tuple hashing), which is where the greedy-routing
-inner loops spend their time.  The ``*_value`` methods expose the same
-queries directly in the int domain for callers that avoid ``FlatId``
-allocation altogether.
+inner loops spend their time.
 """
 
 from __future__ import annotations
@@ -97,14 +96,6 @@ class SortedRingMap:
     def __getitem__(self, key: Union[FlatId, int]) -> Any:
         return self._payloads[_ival(key)]
 
-    def get(self, key: Union[FlatId, int], default: Any = None) -> Any:
-        return self._payloads.get(_ival(key), default)
-
-    def items(self) -> Iterator[Tuple[FlatId, Any]]:
-        payloads = self._payloads
-        for key in self._keys:
-            yield key, payloads[key.value]
-
     def keys(self) -> RingKeysView:
         """A read-only, zero-copy view of the sorted keys.
 
@@ -168,28 +159,15 @@ class SortedRingMap:
             index = bisect.bisect_right(self._ivalues, iv) - 1
         return self._keys[index % len(self._keys)]
 
-    def closest_not_past(self, current: Union[FlatId, int],
-                         dest: Union[FlatId, int]) -> Optional[FlatId]:
-        """Greedy best match: the stored key closest to ``dest`` without
-        passing it, and strictly past ``current``.  ``None`` if no key
-        makes progress.
-        """
-        if not self._keys:
-            return None
-        # The best admissible key is the predecessor of dest (allowing
-        # equality): it is the closest key counter-clockwise of dest.
-        candidate = self.predecessor(dest, strict=False)
-        if candidate is None:
-            return None
-        if self.space.progress_i(_ival(current), candidate.value, _ival(dest)):
-            return candidate
-        return None
-
     def closest_not_past_value(self, current: int, dest: int) -> Optional[int]:
-        """Int-domain :meth:`closest_not_past`: raw values in and out."""
+        """Greedy best match in the int domain: the stored key closest to
+        ``dest`` without passing it, and strictly past ``current``;
+        ``None`` if no key makes progress."""
         ivalues = self._ivalues
         if not ivalues:
             return None
+        # The best admissible key is the predecessor of dest (allowing
+        # equality): it is the closest key counter-clockwise of dest.
         index = (bisect.bisect_right(ivalues, dest) - 1) % len(ivalues)
         candidate = ivalues[index]
         mask = self.space.mask
@@ -197,16 +175,6 @@ class SortedRingMap:
         if advanced and advanced <= ((dest - current) & mask):
             return candidate
         return None
-
-    def iter_predecessors(self, key: Union[FlatId, int]) -> Iterator[FlatId]:
-        """Yield stored keys counter-clockwise starting at ``key`` itself
-        (if stored) or its predecessor, wrapping once around the ring."""
-        if not self._keys:
-            return
-        iv = _ival(key)
-        start = (bisect.bisect_right(self._ivalues, iv) - 1) % len(self._keys)
-        for offset in range(len(self._keys)):
-            yield self._keys[(start - offset) % len(self._keys)]
 
     def __repr__(self) -> str:
         return "SortedRingMap(n={})".format(len(self._keys))
@@ -327,7 +295,7 @@ class ColumnarRingIndex:
 
     def closest_not_past_value(self, current: int, dest: int) -> Optional[int]:
         """Greedy best match in the int domain (see
-        :meth:`SortedRingMap.closest_not_past`)."""
+        :meth:`SortedRingMap.closest_not_past_value`)."""
         self._sync()
         keys = self._keys
         if not keys:

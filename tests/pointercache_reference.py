@@ -1,34 +1,28 @@
-"""The per-router pointer cache (paper Sections 2.2, 3.3, 6.2).
+"""``repro.intra.pointercache.PointerCache`` as it was before snapshot
+schema 2 (PR 20), kept verbatim as the oracle of the model-based test in
+``tests/test_pointercache.py``: the LRU order, the ``hits`` / ``misses`` /
+``evictions`` counters and every answer of the one-column cache must equal
+what this ``OrderedDict`` + ``SortedRingMap`` pair gives.
 
-"Whenever a source route is established, the routers along the path can
-cache the route … The pointer-cache of routers is limited in size, and
-precedence is given to pointers [from resident IDs]."  Caches are sized in
-*entries*; the paper's hardware framing is 9 Mbit of TCAM ≈ 70 000 entries
-of 128-bit IDs (see :data:`repro.topology.isp.TCAM_ENTRIES`).
-
-Eviction is LRU over cached pointers only — resident-ID state never lives
-here, so the paper's precedence rule holds by construction.
+Do not optimise or tidy this file; its value is that it does not change.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from typing import Callable, List, Optional
 
 from repro.idspace.identifier import FlatId, RingSpace
 from repro.intra.virtualnode import Pointer
+from repro.util.ringmap import SortedRingMap
 
 
 class PointerCache:
     """A fixed-capacity LRU cache of pointers with greedy lookup.
 
-    Two indexes are kept in lock-step: an :class:`OrderedDict` of the
-    pointers in LRU recency order and one sorted column of its keys — the
-    paper's "list of IDs in sorted order" (Section 3.3) — for the
-    ``O(log n)`` closest-not-past query, its modified longest-prefix-match
-    lookup.  The column changes only when a key enters or leaves; a
-    refresh or :meth:`replace` touches the dict alone.
+    Two indexes are kept in lock-step: an :class:`OrderedDict` for LRU
+    recency and a :class:`SortedRingMap` for ``O(log n)`` closest-not-past
+    queries (the paper's modified longest-prefix-match lookup).
     """
 
     def __init__(self, space: RingSpace, capacity: int):
@@ -39,7 +33,7 @@ class PointerCache:
         # LRU keyed by raw int ID value: native int hashing on the
         # per-hop lookup path instead of FlatId hashing.
         self._lru: "OrderedDict[int, Pointer]" = OrderedDict()
-        self._ivalues: List[int] = []       # the keys of ``_lru``, sorted
+        self._ring = SortedRingMap(space)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -54,19 +48,16 @@ class PointerCache:
         """Insert/refresh a cached pointer, evicting LRU on overflow."""
         if self.capacity == 0:
             return
-        iv = pointer.dest_id.value
+        dest = pointer.dest_id
+        iv = dest.value
         if iv in self._lru:
             self._lru.pop(iv)
-        else:
-            if len(self._lru) >= self.capacity:
-                self._forget(self._lru.popitem(last=False)[0])
-                self.evictions += 1
-            insort(self._ivalues, iv)
+        elif len(self._lru) >= self.capacity:
+            evicted_iv, _ = self._lru.popitem(last=False)
+            self._ring.discard(evicted_iv)
+            self.evictions += 1
         self._lru[iv] = pointer
-
-    def _forget(self, iv: int) -> None:
-        """Take a key that has left ``_lru`` out of the sorted column."""
-        del self._ivalues[bisect_left(self._ivalues, iv)]
+        self._ring.insert(dest, pointer)
 
     def get(self, dest_id: FlatId) -> Optional[Pointer]:
         pointer = self._lru.get(dest_id.value)
@@ -89,14 +80,13 @@ class PointerCache:
         are serialized state, which is why every router a packet crosses
         must still probe.  :meth:`RoflRouter.best_match` inlines this
         method on the per-hop path; keep the two in step."""
-        ivalues = self._ivalues
-        if not ivalues:
+        match = self._ring.predecessor(dest, strict=False)
+        if match is None:
             self.misses += 1
             return None
-        iv = ivalues[bisect_right(ivalues, dest.value) - 1]   # -1 wraps
         self.hits += 1
-        self._lru.move_to_end(iv)
-        return self._lru[iv]
+        self._lru.move_to_end(match.value)
+        return self._lru[match.value]
 
     def invalidate_id(self, dest_id: FlatId) -> bool:
         """Drop the entry for a failed identifier (teardown handling)."""
@@ -104,7 +94,7 @@ class PointerCache:
         if iv not in self._lru:
             return False
         self._lru.pop(iv)
-        self._forget(iv)
+        self._ring.discard(iv)
         return True
 
     def invalidate_where(self, predicate: Callable[[Pointer], bool]) -> int:
@@ -113,7 +103,7 @@ class PointerCache:
         doomed = [iv for iv, ptr in self._lru.items() if predicate(ptr)]
         for iv in doomed:
             self._lru.pop(iv)
-            self._forget(iv)
+            self._ring.discard(iv)
         return len(doomed)
 
     def replace(self, pointer: Pointer) -> None:
@@ -121,13 +111,14 @@ class PointerCache:
         iv = pointer.dest_id.value
         if iv in self._lru:
             self._lru[iv] = pointer
+            self._ring.insert(pointer.dest_id, pointer)
 
     def entries(self) -> List[Pointer]:
         return list(self._lru.values())
 
     def clear(self) -> None:
         self._lru.clear()
-        self._ivalues.clear()
+        self._ring = SortedRingMap(self.space)
 
     @property
     def hit_rate(self) -> float:

@@ -1,6 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
 import json
+import os
 import runpy
 import sys
 from pathlib import Path
@@ -233,26 +234,53 @@ def test_snapshot_save_info_verify_cycle(tmp_path, capsys):
     assert "OK" in capsys.readouterr().out
 
 
-def test_snapshot_info_rejects_non_snapshot(tmp_path):
-    from repro.snapshot import SnapshotError
+def test_snapshot_info_rejects_non_snapshot(tmp_path, capsys):
     noise = tmp_path / "noise.bin"
     noise.write_bytes(b"\x00 not a snapshot")
-    with pytest.raises(SnapshotError):
-        main(["snapshot", "info", str(noise)])
+    assert main(["snapshot", "info", str(noise)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("repro: ") and captured.out == ""
+    assert "not a repro snapshot" in captured.err
 
 
-@pytest.mark.parametrize("action", ["info", "verify"])
-def test_snapshot_cli_rejects_header_without_state_hash(tmp_path, action):
-    from repro.snapshot import SnapshotError
+def _saved_with_header(tmp_path, edit):
+    """A 5-host snapshot whose JSON header went through ``edit``."""
     path = tmp_path / "net.snap"
     assert main(["snapshot", "save", str(path), "--hosts", "5",
                  "--routers", "16"]) == 0
     head, _, payload = path.read_bytes().partition(b"\n")
     header = json.loads(head)
-    del header["state_hash"]
+    edit(header)
     path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-    with pytest.raises(SnapshotError, match="state_hash"):
-        main(["snapshot", action, str(path)])
+    return path
+
+
+@pytest.mark.parametrize("action", ["info", "verify"])
+def test_snapshot_cli_rejects_header_without_state_hash(tmp_path, capsys,
+                                                        action):
+    path = _saved_with_header(tmp_path, lambda h: h.pop("state_hash"))
+    capsys.readouterr()
+    assert main(["snapshot", action, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("repro: ") and "state_hash" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["snapshot", "info"], ["snapshot", "verify"],
+    ["serve", "--requests", os.devnull, "--snapshot"]])
+def test_a_schema_1_snapshot_is_refused_with_exit_2(tmp_path, capsys,
+                                                    command):
+    """What a user holding a pre-PR-20 file meets: one line saying which
+    schema the file has, which one this build reads and what to do."""
+    path = _saved_with_header(tmp_path, lambda h: h.update(schema=1))
+    capsys.readouterr()
+    assert main(command + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("repro: snapshot ")
+    for part in ("schema version 1", "reads version 2", "re-create"):
+        assert part in captured.err
 
 
 def test_serve_requests_file_session(tmp_path, capsys):

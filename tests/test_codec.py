@@ -1,8 +1,9 @@
 """The compiled canonical encoder against the walker it replaced.
 
-``tests/codec_reference.py`` is the parent commit's ``_Walker``, verbatim:
-the byte format every stored snapshot header and CI hash gate was written
-against.  The shipped encoder must emit the same *stream* — memo numbering,
+``tests/codec_reference.py`` is the pre-PR-14 ``_Walker``, verbatim but for
+the one production snapshot schema 2 added (``nx.Graph``): the byte format
+every stored snapshot header and CI hash gate is written against.  The
+shipped encoder must emit the same *stream* — memo numbering,
 back-references and sort order included — so every test here compares
 concatenated bytes, not digests.
 """
@@ -15,6 +16,7 @@ import random
 import weakref
 from array import array
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,7 +159,7 @@ class GraphBuilder:
 
     LEAVES = 19
     HASHABLE_CONTAINERS = 3
-    CONTAINERS = 14
+    CONTAINERS = 15
 
     def __init__(self, rng):
         self.rng = rng
@@ -296,11 +298,33 @@ class GraphBuilder:
             out = self.pooled(Stateful(None, cache=object()))
             out.kept = self.value(depth)
             return out
+        if pick == 13:
+            return self.graph(depth, size)
         state = rng.choice((None, 7, "s"))
         if rng.random() < 0.7:
             state = dict(self.items(depth))
             state.update(self.attrs(depth))
         return self.pooled(CustomState(state))
+
+
+    def graph(self, depth, size):
+        """A graph whose attributes at every level are drawn values, with
+        some of its views read (networkx then keeps them in ``__dict__``)."""
+        rng = self.rng
+        out = self.pooled(rng.choice((nx.Graph, nx.DiGraph))())
+        out.graph.update(self.attrs(depth))
+        for _ in range(size):
+            node = self.hashable(1)     # anything hashable but ``None``
+            out.add_node("none" if node is None else node,
+                         **self.attrs(depth))
+        nodes = list(out)
+        for _ in range(size if nodes else 0):
+            out.add_edge(rng.choice(nodes), rng.choice(nodes),
+                         **self.attrs(depth))
+        for view in rng.sample(("nodes", "adj", "edges", "degree"),
+                               rng.randint(0, 4)):
+            getattr(out, view)
+        return out
 
 
 class TestStreamEquality:
@@ -327,6 +351,36 @@ class TestStreamEquality:
         node.me = node
         node.peers.append(node.__dict__)
         assert_same_stream([ring, shared, node, node, {shared: ring}])
+
+    def test_a_graph_is_its_attributes_nodes_and_adjacency(self):
+        """Schema 2's one production: ``X``, the three dicts as ordinary
+        values, ``x`` — whatever else sits in the graph's ``__dict__``."""
+        def build(kind=nx.Graph):
+            graph = kind(name="isp")
+            graph.add_node("a", pop=1)
+            graph.add_edge("a", "b", latency_ms=2.5)
+            return graph
+
+        cold = stream(canonical_update, build())
+        assert cold == stream(reference_update, build())
+        assert cold == (
+            b"X28:networkx.classes.graph.Graph{s4:names3:isp}"
+            b"{s1:a{s3:popi0x1;}s1:b{}}"
+            b"{s1:a{s1:b{s10:latency_msf2.5;}}s1:b{s1:aR7;}}x")
+        warm = build()
+        warm.nodes, warm.adj, warm.edges, warm.degree
+        warm.__networkx_cache__["derived"] = [1]
+        assert stream(canonical_update, warm) == cold
+        assert_same_stream([warm, warm, {"held": warm}])    # memoised
+        changed = [build(nx.DiGraph), build(), build(), build(), build()]
+        changed[1].graph["name"] = "other"
+        changed[2].nodes["a"]["pop"] = 2
+        changed[3].edges["a", "b"]["latency_ms"] = 3.5
+        changed[4].add_edge("b", "c")
+        streams = {stream(canonical_update, graph) for graph in changed}
+        assert len(streams) == 5 and cold not in streams
+        for graph in changed:
+            assert_same_stream(graph)
 
     def test_container_keys_share_the_memo(self):
         # A tuple key seen first as a value is a back-reference in the

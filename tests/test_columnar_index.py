@@ -122,7 +122,8 @@ def test_equivalent_to_sorted_ring_map(space, widen, ops, probes):
     probes = [widen(v) for v in probes]
     for probe in probes:
         assert (probe in index) == (probe in reference)
-        assert index.get(probe) == reference.get(probe)
+        assert index.get(probe) == (reference[probe] if probe in reference
+                                    else None)
     for current, dest in zip(probes, reversed(probes)):
         assert index.closest_not_past_value(current, dest) == \
             reference.closest_not_past_value(current, dest)

@@ -261,4 +261,4 @@ def test_index_bookkeeping_adds_no_state_key():
     node.host(vn)
     node.flush_index()
     assert set(node.__getstate__()) == {
-        "asn", "space", "hosted", "cache", "subtree_bloom", "flush_epoch"}
+        "asn", "space", "hosted", "cache", "subtree_bloom"}

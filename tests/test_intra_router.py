@@ -188,6 +188,22 @@ class TestFlushCoalescing:
         assert perf.value("router.index.refresh.flushes") == flushes0
 
 
+def test_index_bookkeeping_adds_no_state_key():
+    """The candidate index, its owner map and anything they remember
+    between flushes are derived and rebuilt on load; a new key here would
+    move every intradomain state hash."""
+    router = make_router()
+    node = vn(100)
+    node.successors = [succ(200)]
+    router.register_virtual_node(node)
+    router.flush_index()
+    assert set(router.__getstate__()) == {
+        "name", "space", "router_id", "vn_table", "cache", "default_vn"}
+    assert set(vars(router.cache)) == {
+        "space", "capacity", "_lru", "_ivalues", "hits", "misses",
+        "evictions"}
+
+
 @settings(max_examples=60)
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=65535),
                           st.lists(st.integers(min_value=0, max_value=65535),

@@ -1,12 +1,13 @@
 """LRU pointer cache tests."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.idspace.identifier import RingSpace
 from repro.intra.pointercache import PointerCache
 from repro.intra.virtualnode import Pointer
+from tests import pointercache_reference
 
 SPACE = RingSpace(bits=16)
 
@@ -134,3 +135,57 @@ def test_capacity_never_exceeded(values):
     for v in values:
         cache.put(ptr(v))
     assert len(cache) <= 10
+
+
+# ---------------------------------------------------------------------------
+# The one-column cache against the OrderedDict + SortedRingMap pair it
+# replaced (tests/pointercache_reference.py, verbatim), step by step.
+# ---------------------------------------------------------------------------
+
+#: Mostly puts, so that a capacity of 8 fills and evicts (a list of steps
+#: drawn one by one almost never gets there).
+_OPS = ["put"] * 5 + ["replace", "get", "best_match", "invalidate_id",
+                      "invalidate_where"]
+
+
+def _draw(rng):
+    """One step.  32 IDs make refreshes, exact hits and wrap-arounds
+    common; a route goes via one of three routers, so ``invalidate_where``
+    drops about a third of the entries."""
+    op = rng.choice(_OPS) if rng.random() < 0.98 else "clear"
+    return op, rng.randrange(32), rng.choice("xyz")
+
+
+def _step(cache, step):
+    op, value, via = step
+    if op in ("put", "replace"):
+        return getattr(cache, op)(ptr(value, path=("r0", via)))
+    if op == "invalidate_where":
+        return cache.invalidate_where(lambda p: p.traverses(via))
+    if op == "clear":
+        return cache.clear()
+    return getattr(cache, op)(SPACE.make(value))
+
+
+@pytest.mark.parametrize("capacity", [0, 1, 8])
+@settings(max_examples=100, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n_steps=st.integers(0, 150))
+def test_any_step_sequence_agrees_with_the_parent_cache(capacity, rng,
+                                                        n_steps):
+    cache = PointerCache(SPACE, capacity)
+    oracle = pointercache_reference.PointerCache(SPACE, capacity)
+    for _ in range(n_steps):
+        step = _draw(rng)
+        assert _step(cache, step) == _step(oracle, step), step
+        assert list(cache._lru.items()) == list(oracle._lru.items())  # order
+        assert (cache.hits, cache.misses, cache.evictions) == (
+            oracle.hits, oracle.misses, oracle.evictions)
+        assert cache._ivalues == sorted(cache._lru)
+        assert len(cache) == len(oracle) <= capacity
+        # ``best_match`` against a linear scan (probing moves both alike).
+        for probe in (0, 13, 31):
+            scan = min(cache._lru, default=None,
+                       key=lambda iv: (probe - iv) % SPACE.size)
+            for side in (cache, oracle):
+                got = side.best_match(SPACE.make(probe))
+                assert got is (None if scan is None else side._lru[scan])

@@ -1,4 +1,4 @@
-"""SortedRingMap: the circular index under rings, caches and routers."""
+"""SortedRingMap: the circular index under the interdomain level rings."""
 
 import pytest
 from hypothesis import given
@@ -70,20 +70,12 @@ class TestCircularQueries:
         ring = SortedRingMap(SPACE)
         assert ring.successor(SPACE.make(1)) is None
         assert ring.predecessor(SPACE.make(1)) is None
-        assert ring.closest_not_past(SPACE.make(0), SPACE.make(5)) is None
+        assert ring.closest_not_past_value(0, 5) is None
 
     def test_closest_not_past(self):
         ring = make_map([5, 50, 90])
-        assert ring.closest_not_past(SPACE.make(0), SPACE.make(60)).value == 50
-        assert ring.closest_not_past(SPACE.make(60), SPACE.make(80)) is None
-
-    def test_iter_predecessors_order(self):
-        ring = make_map([10, 20, 30])
-        seq = [k.value for k in ring.iter_predecessors(SPACE.make(25))]
-        assert seq == [20, 10, 30]
-        # Starting exactly on a stored key includes it first.
-        seq = [k.value for k in ring.iter_predecessors(SPACE.make(20))]
-        assert seq == [20, 10, 30]
+        assert ring.closest_not_past_value(0, 60) == 50
+        assert ring.closest_not_past_value(60, 80) is None
 
 
 @given(st.sets(st.integers(min_value=0, max_value=(1 << 16) - 1),
@@ -110,12 +102,3 @@ def test_nonstrict_predecessor_minimises_cw_distance(values, probe):
     assert SPACE.distance_cw(
         ring.predecessor(probe, strict=False), probe) == SPACE.distance_cw(
         SPACE.make(best), probe)
-
-
-@given(st.sets(st.integers(min_value=0, max_value=(1 << 16) - 1),
-               min_size=1, max_size=40), ids16)
-def test_iter_predecessors_visits_everything_once(values, probe):
-    ring = make_map(sorted(values))
-    seen = list(ring.iter_predecessors(probe))
-    assert len(seen) == len(values)
-    assert len(set(seen)) == len(values)

@@ -6,11 +6,11 @@ fresh builds, a loaded snapshot hashes identically to the network it was
 saved from, and every random draw after a load replays byte-for-byte
 what the original network would have produced.
 
-``tests/golden_state_hashes.json`` pins four state-hash literals captured
-at the parent commit of PR 18 — the tripwire for refactors that must not
-move a hash.  Never regenerate it from the current code to make a test
-pass; a *deliberate* hash change (the networkx view-warmth fix, ROADMAP
-aim 3) regenerates it in that PR and says so.
+``tests/golden_state_hashes.json`` pins four state-hash literals — the
+tripwire for refactors that must not move a hash.  Never regenerate it
+from the current code to make a test pass; a *deliberate* change of the
+canonical stream regenerates it in that PR and says so in the file's
+``captured`` line (done once so far: snapshot schema 2, PR 20).
 """
 
 import json
@@ -163,21 +163,72 @@ class TestSameSeedSameHash:
         assert snapshot.state_hash(cold) == snapshot.state_hash(warm)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known determinism carve-out (ROADMAP aim 3, found in PR 17): networkx "
-    "keeps Graph.nodes/.adj/.edges as cached_property views in the graph's "
-    "__dict__, which the canonical codec walks, so a pure lsmap query "
-    "changes the hash; the fix moves every intradomain state hash and "
-    "snapshot header, so it is its own PR"))
-def test_hash_ignores_networkx_view_warmth():
-    """On this 20-router, 50-host network the hash goes d98f0125… →
-    b129075f… → 00679fcf… across two queries that change nothing."""
-    net = build_intra(hosts=50)
+def _graphs(net):
+    """Every ``nx.Graph`` a network holds."""
+    if net.kind == "inter":
+        return {"asg.graph": net.asg.graph}
+    return {"topology.graph": net.topology.graph,
+            "lsmap._live": net.lsmap.live_graph}
+
+
+def _pure_reads(net):
+    """Reads that change nothing and make networkx park a view in a graph's
+    ``__dict__``: the four cached views of every graph held, and the
+    queries over one ISP that reach them (``Graph.nodes`` under
+    ``live_routers``, ``Graph.adj`` under ``nx.has_path`` and friends)."""
+    reads = {"{}.{}".format(holder, view): lambda g=graph, v=view: getattr(g, v)
+             for holder, graph in _graphs(net).items()
+             for view in ("nodes", "adj", "edges", "degree")}
+    if net.kind != "inter":
+        a, b = sorted(net.topology.routers)[:2]
+        reads.update({
+            "live_routers": net.lsmap.live_routers,
+            "reachable": lambda: net.lsmap.reachable(a, b),
+            "components": net.lsmap.components,
+            "topology.diameter": net.topology.diameter,
+            "paths.live_diameter": net.paths.live_diameter})
+    return reads
+
+
+@pytest.mark.parametrize("kind", ["intra", "inter", "disco"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_hash_ignores_networkx_view_warmth(kind, data):
+    """The hash is a pure function of state: no interleaving of pure reads
+    moves it, on any graph holder of any kind (until schema 2 the codec
+    walked ``Graph.__dict__`` and two such reads moved it twice)."""
+    from repro import build_network
+
+    net = build_network(kind, 3, n_routers=16, n_ases=20, hosts=20)
     cold = snapshot.state_hash(net)
-    net.lsmap.live_routers()                    # materialises Graph.nodes
-    after_nodes = snapshot.state_hash(net)
-    net.lsmap.reachable(*sorted(net.routers)[:2])   # nx.has_path: Graph.adj
-    assert (after_nodes, snapshot.state_hash(net)) == (cold, cold)
+    reads = _pure_reads(net)
+    for name in data.draw(st.lists(st.sampled_from(sorted(reads)),
+                                   min_size=1, max_size=6)):
+        reads[name]()
+        assert snapshot.state_hash(net) == cold, name
+    for read in reads.values():
+        read()
+    for graph in _graphs(net).values():     # the test warmed what it meant to
+        assert {"nodes", "adj", "edges", "degree"} <= set(vars(graph))
+    assert snapshot.state_hash(net) == cold
+
+
+@pytest.mark.parametrize("kind", ["intra", "disco"])
+def test_hash_still_tracks_the_live_map(kind):
+    """What the views show *is* state: a link going down and coming back
+    moves the hash each time, warm views or cold."""
+    from repro import build_network
+
+    net = build_network(kind, 3, n_routers=16, hosts=20)
+    for read in _pure_reads(net).values():
+        read()
+    a, b = sorted(net.topology.links())[0]
+    seen = [snapshot.state_hash(net)]
+    net.lsmap.fail_link(a, b)
+    seen.append(snapshot.state_hash(net))
+    net.lsmap.restore_link(a, b)
+    seen.append(snapshot.state_hash(net))       # ``generation`` moved on
+    assert len(set(seen)) == 3
 
 
 GOLDEN_HASHES = json.loads(
@@ -189,8 +240,8 @@ GOLDEN_HASHES = json.loads(
     ("inter", {"n_ases": 60}, "depeering")])
 def test_state_hashes_match_the_parent_capture(kind, sizing, scenario):
     """A 300-host network, freshly built and again after a builtin churn
-    and fault scenario ran on it, hashes to the literals captured at the
-    parent of PR 18 (see the module docstring before touching them)."""
+    and fault scenario ran on it, hashes to the pinned literals (see the
+    module docstring before touching them)."""
     from repro import build_network
     from repro.workload import builtin_scenario, run_scenario
 
@@ -294,13 +345,19 @@ class TestFormat:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
             payload = fh.read()
-        header["schema"] = snapshot.SCHEMA_VERSION + 1
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header).encode() + b"\n" + payload)
-        with pytest.raises(snapshot.SchemaMismatchError) as exc:
-            snapshot.load(path)
-        assert "re-create the snapshot" in str(exc.value)
-        assert exc.value.found == snapshot.SCHEMA_VERSION + 1
+        assert snapshot.SCHEMA_VERSION == 2
+        # A file from the future, and one from before the canonical stream
+        # changed (schema 1, up to PR 19): refused before the payload is
+        # touched, by the reader that only wants the header too.
+        for found in (snapshot.SCHEMA_VERSION + 1, 1):
+            header["schema"] = found
+            with open(path, "wb") as fh:
+                fh.write(json.dumps(header).encode() + b"\n" + payload)
+            for read in (snapshot.load, snapshot.describe):
+                with pytest.raises(snapshot.SchemaMismatchError) as exc:
+                    read(path)
+                assert "re-create the snapshot" in str(exc.value)
+                assert exc.value.found == found
 
     def test_not_a_snapshot(self, tmp_path):
         path = str(tmp_path / "noise.bin")
