@@ -97,10 +97,11 @@ def _heal_one_component(net: "IntraDomainNetwork", component: Set[str]) -> None:
 
     for i, vn in enumerate(members):
         # Shift the successor group down past unreachable IDs (free: "it
-        # knows no closer IDs may exist").
+        # knows no closer IDs may exist").  ``vn.router`` is in the
+        # component, so what it can reach is what the component holds.
         before = len(vn.successors)
         vn.successors = [p for p in vn.successors if p.dest_id in member_ids
-                         and net.lsmap.reachable(vn.router, p.hosting_router)]
+                         and p.hosting_router in component]
         if len(vn.successors) != before:
             net.routers[vn.router].mark_dirty(vn)
         expected = members[(i + 1) % n]
@@ -129,7 +130,7 @@ def _heal_one_component(net: "IntraDomainNetwork", component: Set[str]) -> None:
 
         # Ephemeral children stranded outside the component detach.
         doomed = [eid for eid, p in vn.ephemeral_children.items()
-                  if not net.lsmap.reachable(vn.router, p.hosting_router)]
+                  if p.hosting_router not in component]
         for eid in doomed:
             del vn.ephemeral_children[eid]
             net.routers[vn.router].mark_dirty(vn)

@@ -69,6 +69,32 @@ class TestPartitionCycle:
         P.merge_rings(net, set(net.topology.routers_in_pop(0)))
         net.check_ring()
 
+    def test_healing_asks_the_component_not_a_path_search(
+            self, intra_net_factory, monkeypatch):
+        """A member keeps exactly the successors and parked ephemeral
+        children hosted inside its own component; "inside" is a set test
+        (the member's router is in the component), never a BFS per
+        pointer."""
+        from repro.intra import partition as P
+        from repro.linkstate.lsdb import LinkStateMap
+        net = intra_net_factory(n_hosts=150, seed=6, ephemeral_fraction=0.4)
+
+        def parked():
+            return sum(len(vn.ephemeral_children) for vn in net.ring_members())
+
+        before = parked()
+        for a, b in P.pop_boundary_links(net, 0):
+            net.lsmap.fail_link(a, b)
+        monkeypatch.setattr(LinkStateMap, "reachable", None)    # not callable
+        P.heal_components(net)
+        monkeypatch.undo()
+        assert 0 < parked() < before        # some stranded, some kept
+        for vn in net.ring_members():
+            for ptr in list(vn.successors) + list(
+                    vn.ephemeral_children.values()):
+                assert net.lsmap.reachable(vn.router, ptr.hosting_router)
+        net.check_ring()
+
     def test_repair_cost_tracks_pop_population(self, intra_net_factory):
         """Fig 7's shape: overhead grows with the IDs in the PoP and is
         on the order of rejoining them."""
