@@ -65,6 +65,12 @@ def _len_prefixed(tag: bytes, payload: bytes) -> bytes:
     return b"%b%d:%b" % (tag, len(payload), payload)
 
 
+def _class_header(tag: bytes, kind: type) -> bytes:
+    """``<tag><len>:<module.qualname>`` — what opens an ``O`` or ``X``."""
+    return _len_prefixed(tag, "{}.{}".format(
+        kind.__module__, kind.__qualname__).encode("utf-8"))
+
+
 # -- leaves -------------------------------------------------------------------
 # One function per exact leaf type, value -> bytes.  Leaves never touch the
 # memo, so the same encoders serve values, dict keys and set members.
@@ -240,7 +246,11 @@ class _Walker:
                     self.encode(obj.getstate())
                 return
             if isinstance(obj, nx.Graph):
-                self._graph(obj)
+                if not self._enter(obj):
+                    self.emit(_class_header(b"X", kind))
+                    for part in (obj.graph, obj._node, obj._adj):
+                        self.encode(part)
+                    self.emit(b"x")
                 return
             if kind is array:
                 self.emit(_len_prefixed(
@@ -254,9 +264,7 @@ class _Walker:
             if kind is itertools.count:
                 self.emit(_len_prefixed(b"C", repr(obj).encode("ascii")))
                 return
-            header = _len_prefixed(
-                b"O", "{}.{}".format(kind.__module__,
-                                     kind.__qualname__).encode("utf-8"))
+            header = _class_header(b"O", kind)
             # Every test above but ``hasattr(obj, "__qualname__")`` looks
             # at the type alone; non-callable classes skip them next time.
             if not callable(obj):
@@ -298,18 +306,6 @@ class _Walker:
         self.emit(b"{")
         self._pairs(zip(shape[0], map(state.__getitem__, shape[1])))
         self.emit(b"}")
-
-    def _graph(self, obj: nx.Graph) -> None:
-        if self._enter(obj):
-            return
-        kind = type(obj)
-        self.emit(_len_prefixed(
-            b"X", "{}.{}".format(kind.__module__,
-                                 kind.__qualname__).encode("utf-8")))
-        self.encode(obj.graph)
-        self.encode(obj._node)
-        self.encode(obj._adj)
-        self.emit(b"x")
 
     def _callable(self, obj: Any) -> None:
         bound = getattr(obj, "__self__", None)

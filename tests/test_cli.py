@@ -268,7 +268,8 @@ def test_snapshot_cli_rejects_header_without_state_hash(tmp_path, capsys,
 
 @pytest.mark.parametrize("command", [
     ["snapshot", "info"], ["snapshot", "verify"],
-    ["serve", "--requests", os.devnull, "--snapshot"]])
+    ["serve", "--requests", os.devnull, "--snapshot"]],
+    ids=["info", "verify", "serve"])
 def test_a_schema_1_snapshot_is_refused_with_exit_2(tmp_path, capsys,
                                                     command):
     """What a user holding a pre-PR-20 file meets: one line saying which
