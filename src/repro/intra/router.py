@@ -168,8 +168,7 @@ class RoflRouter:
         while position > stop:
             cand = candidates[position]
             here = cand.vn
-            if here is not None and (include_ephemeral
-                                     or not (here.ephemeral or here.joining)):
+            if here is not None and (include_ephemeral or not here.ephemeral):
                 vn = here
                 distance = (dest_iv - ivalues[position]) & mask
                 break
@@ -227,7 +226,7 @@ class RoflRouter:
                 best = BestMatch(cand_id, pointer, vn, dist)
 
         for vn in self.vn_table.values():
-            if include_ephemeral or not (vn.ephemeral or vn.joining):
+            if include_ephemeral or not vn.ephemeral:
                 consider(vn.id, None, vn)
             if vn.ephemeral:
                 continue

@@ -71,10 +71,9 @@ class VirtualNode:
     router: str
     host_name: Optional[str] = None   # None for a router's default VN
     ephemeral: bool = False
-    #: True while an (asynchronous) join is still in flight: the ID is
-    #: already resident and deliverable, but may not yet serve as a ring
-    #: position for control lookups (like ephemeral IDs, it "cannot serve
-    #: as successor or predecessor" until fully joined).
+    #: Constant: nothing writes or reads it since the message-level join
+    #: engine was retired.  A hashed state key, so it leaves with the next
+    #: snapshot schema bump (ROADMAP).
     joining: bool = False
     successors: List[Pointer] = field(default_factory=list)
     predecessor: Optional[Pointer] = None

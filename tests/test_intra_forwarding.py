@@ -353,36 +353,36 @@ class TestReferenceEngine:
         for holder in holders:
             twins.both(lambda net: forwarding.route(net, holder, moved.id))
 
-        # A resident ID that is still joining may not answer a lookup; its
-        # neighbour's zero-hop successor pointer to it is taken instead,
-        # and leads nowhere new.
+        # A resident ID that holds no ring position (made ephemeral for
+        # the one walk) may not answer a lookup; its neighbour's zero-hop
+        # successor pointer to it is taken instead, and leads nowhere new.
         def zero_hop(net):
             for router in net.routers.values():
                 for vn in router.resident_vns(include_ephemeral=False):
                     first = vn.primary_successor()
                     if first is not None and first.n_hops == 0:
                         target = net.vn_index[first.dest_id]
-                        target.joining = True
+                        target.ephemeral = True
                         try:
                             return forwarding.route(
                                 net, router.name, FlatId(target.id.value + 1),
                                 mode="lookup", category="test")
                         finally:
-                            target.joining = False
+                            target.ephemeral = False
         assert twins.both(zero_hop)["result"].reason == "no progress available"
 
         def no_state(net):
             router = next(r for _, r in sorted(net.routers.items())
                           if len(r.vn_table) == 1)
             vn = router.default_vn
-            held, vn.successors, vn.joining = vn.successors, [], True
+            held, vn.successors, vn.ephemeral = vn.successors, [], True
             router.mark_dirty(vn)
             router.cache.clear()
             try:
                 return forwarding.route(net, router.name, FlatId(1),
                                         mode="lookup", category="test")
             finally:
-                vn.successors, vn.joining = held, False
+                vn.successors, vn.ephemeral = held, False
                 router.mark_dirty(vn)
         assert twins.both(no_state)["result"].reason == "no routing state"
 
