@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Iterable, List, Set, TYPE_CHECKING
 
 from repro.idspace.identifier import FlatId
+from repro.intra.ring import join_internal, splice_out
 from repro.intra.virtualnode import Pointer, VirtualNode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,27 +55,25 @@ def host_failure(net: "IntraDomainNetwork", host_name: str) -> int:
         gateway.remove_virtual_node(vn.id)
 
     with net.stats.operation("host_failure", host=host_name) as op:
-        if vn.ephemeral:
-            _teardown_ephemeral(net, vn)
-        else:
+        if not vn.ephemeral:
             _teardown_stable(net, vn)
+        # Ring repair around the gap; the predecessor then sets up a route
+        # to its new primary and refills its group from the tail.
+        pred_vn = splice_out(net, vn, "teardown")
+        if pred_vn is not None:
+            new_primary = pred_vn.primary_successor()
+            if new_primary is not None:
+                setup = net.paths.hop_path(pred_vn.router,
+                                           new_primary.hosting_router)
+                if setup is not None:
+                    net.stats.charge_path(setup, "repair")
+                    net.stats.charge_path(list(reversed(setup)), "repair")
+            refill_successor_group(net, pred_vn)
         return op["messages"]
 
 
-def _teardown_ephemeral(net: "IntraDomainNetwork", vn: VirtualNode) -> None:
-    """An ephemeral ID only has state at its ring predecessor."""
-    if vn.predecessor is None:
-        return
-    pred_vn = net.vn_index.get(vn.predecessor.dest_id)
-    path = net.paths.hop_path(vn.router, vn.predecessor.hosting_router)
-    if path is not None:
-        net.stats.charge_path(path, "teardown")
-    if pred_vn is not None and vn.id in pred_vn.ephemeral_children:
-        del pred_vn.ephemeral_children[vn.id]
-        net.routers[pred_vn.router].mark_dirty(pred_vn)
-
-
 def _teardown_stable(net: "IntraDomainNetwork", vn: VirtualNode) -> None:
+    """What a failure does before the ring repair, and a leave does not."""
     # (1) Teardowns to every successor-group member and to the chain of
     # predecessors that may hold this ID in *their* successor groups (the
     # paper: "tear-down messages to each of the ID's successors and
@@ -121,71 +120,6 @@ def _teardown_stable(net: "IntraDomainNetwork", vn: VirtualNode) -> None:
     # link-state layer reports the hosting router's session gone.
     for router in net.routers.values():
         router.cache.invalidate_id(vn.id)
-
-    # (3) Ring repair around the gap.
-    pred_vn = (net.vn_index.get(vn.predecessor.dest_id)
-               if vn.predecessor is not None else None)
-    succ_ptr = vn.primary_successor()
-    succ_vn = net.vn_index.get(succ_ptr.dest_id) if succ_ptr is not None else None
-
-    if pred_vn is not None:
-        if pred_vn.drop_successor(vn.id):
-            net.routers[pred_vn.router].mark_dirty(pred_vn)
-        # The teardown message carries the failed node's (accurate)
-        # successor list; the predecessor merges it with its own group,
-        # which may be stale — nodes that joined between the failed ID
-        # and the predecessor's older entries are only known to the
-        # failed node.  Then it sets up a route to its new primary.
-        merged: List[Pointer] = [p for p in pred_vn.successors
-                                 if net.id_is_live(p.dest_id)]
-        for ptr in vn.successors:
-            if ptr.dest_id == pred_vn.id or not net.id_is_live(ptr.dest_id):
-                continue
-            path = net.paths.hop_path(pred_vn.router, ptr.hosting_router)
-            if path is None:
-                continue
-            merged.append(Pointer(ptr.dest_id, tuple(path), "successor"))
-        merged.sort(key=lambda p: net.space.distance_cw(pred_vn.id, p.dest_id))
-        pred_vn.set_successors(merged, net.successor_group_size)
-        net.routers[pred_vn.router].mark_dirty(pred_vn)
-        new_primary = pred_vn.primary_successor()
-        if new_primary is not None:
-            setup = net.paths.hop_path(pred_vn.router,
-                                       new_primary.hosting_router)
-            if setup is not None:
-                net.stats.charge_path(setup, "repair")
-                net.stats.charge_path(list(reversed(setup)), "repair")
-        refill_successor_group(net, pred_vn)
-        # Orphaned ephemeral children re-home to the predecessor.
-        for eph_id, eph_ptr in vn.ephemeral_children.items():
-            eph_vn = net.vn_index.get(eph_id)
-            if eph_vn is None:
-                continue
-            path = net.paths.hop_path(pred_vn.router, eph_vn.router)
-            if path is None:
-                continue
-            net.stats.charge_path(path, "teardown")
-            pred_vn.ephemeral_children[eph_id] = Pointer(eph_id, tuple(path),
-                                                         "ephemeral")
-            back = net.paths.hop_path(eph_vn.router, pred_vn.router)
-            if back is not None:
-                eph_vn.predecessor = Pointer(pred_vn.id, tuple(back),
-                                             "predecessor")
-            net.routers[pred_vn.router].mark_dirty(pred_vn)
-
-    if succ_vn is not None and pred_vn is not None and succ_vn is not pred_vn:
-        if (succ_vn.predecessor is None
-                or succ_vn.predecessor.dest_id == vn.id):
-            path = net.paths.hop_path(succ_vn.router, pred_vn.router)
-            if path is not None:
-                succ_vn.predecessor = Pointer(pred_vn.id, tuple(path),
-                                              "predecessor")
-    elif succ_vn is not None and succ_vn is pred_vn:
-        # Two-node ring collapsing to one.
-        if succ_vn.predecessor is not None and succ_vn.predecessor.dest_id == vn.id:
-            succ_vn.predecessor = None
-        succ_vn.drop_successor(vn.id)
-        net.routers[succ_vn.router].mark_dirty(succ_vn)
 
 
 def refill_successor_group(net: "IntraDomainNetwork", vn: VirtualNode) -> None:
@@ -262,7 +196,6 @@ def router_failure(net: "IntraDomainNetwork", router_name: str) -> int:
             target = net.failover_router(router_name, vn.host_name)
             if target is None:
                 continue
-            from repro.intra.ring import join_internal
             join_internal(net, record, via_router=target)
         return op["messages"]
 

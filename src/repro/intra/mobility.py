@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from repro.idspace.identifier import FlatId
 from repro.intra import ring
-from repro.intra.virtualnode import Pointer, VirtualNode
+from repro.intra.virtualnode import VirtualNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.intra.network import IntraDomainNetwork
@@ -58,87 +58,23 @@ def leave_host(net: "IntraDomainNetwork", host_name: str) -> int:
         raise KeyError("unknown host {!r}".format(host_name))
 
     with net.stats.operation("leave", host=host_name) as op:
-        if vn.ephemeral:
-            _leave_ephemeral(net, vn)
-        else:
-            _leave_stable(net, vn)
+        if not vn.ephemeral:
+            # One goodbye message each way; the goodbye to the predecessor
+            # carries the successor list so it can splice without a lookup.
+            for ptr in (vn.predecessor, vn.primary_successor()):
+                target = net.vn_index.get(ptr.dest_id) if ptr else None
+                if target is None or target is vn:
+                    continue
+                path = net.paths.hop_path(vn.router, target.router)
+                if path is not None:
+                    net.stats.charge_path(path, "leave")
+        ring.splice_out(net, vn, "leave")
         net.hosts.pop(host_name, None)
         net.vn_index.pop(vn.id, None)
         gateway = net.routers[vn.router]
         if gateway.hosts_id(vn.id):
             gateway.remove_virtual_node(vn.id)
         return op["messages"]
-
-
-def _leave_ephemeral(net: "IntraDomainNetwork", vn: VirtualNode) -> None:
-    if vn.predecessor is None:
-        return
-    pred_vn = net.vn_index.get(vn.predecessor.dest_id)
-    path = net.paths.hop_path(vn.router, vn.predecessor.hosting_router)
-    if path is not None:
-        net.stats.charge_path(path, "leave")
-    if pred_vn is not None and vn.id in pred_vn.ephemeral_children:
-        del pred_vn.ephemeral_children[vn.id]
-        net.routers[pred_vn.router].mark_dirty(pred_vn)
-
-
-def _leave_stable(net: "IntraDomainNetwork", vn: VirtualNode) -> None:
-    pred_vn = (net.vn_index.get(vn.predecessor.dest_id)
-               if vn.predecessor is not None else None)
-    succ_ptr = vn.primary_successor()
-    succ_vn = net.vn_index.get(succ_ptr.dest_id) if succ_ptr else None
-
-    # One goodbye message each way; the goodbye to the predecessor
-    # carries the successor list so it can splice without a lookup.
-    for target in (pred_vn, succ_vn):
-        if target is None or target is vn:
-            continue
-        path = net.paths.hop_path(vn.router, target.router)
-        if path is not None:
-            net.stats.charge_path(path, "leave")
-
-    if pred_vn is not None and pred_vn is not vn:
-        if pred_vn.drop_successor(vn.id):
-            net.routers[pred_vn.router].mark_dirty(pred_vn)
-        merged = [p for p in pred_vn.successors if net.id_is_live(p.dest_id)]
-        for ptr in vn.successors:
-            if ptr.dest_id == pred_vn.id or not net.id_is_live(ptr.dest_id):
-                continue
-            path = net.paths.hop_path(pred_vn.router, ptr.hosting_router)
-            if path is not None:
-                merged.append(Pointer(ptr.dest_id, tuple(path), "successor"))
-        merged.sort(key=lambda p: net.space.distance_cw(pred_vn.id, p.dest_id))
-        pred_vn.set_successors(merged, net.successor_group_size)
-        net.routers[pred_vn.router].mark_dirty(pred_vn)
-        # Orphaned ephemeral children re-home to the predecessor.
-        for eph_id in list(vn.ephemeral_children):
-            eph_vn = net.vn_index.get(eph_id)
-            if eph_vn is None:
-                continue
-            path = net.paths.hop_path(pred_vn.router, eph_vn.router)
-            if path is None:
-                continue
-            net.stats.charge_path(path, "leave")
-            pred_vn.ephemeral_children[eph_id] = Pointer(eph_id, tuple(path),
-                                                         "ephemeral")
-            back = net.paths.hop_path(eph_vn.router, pred_vn.router)
-            if back is not None:
-                eph_vn.predecessor = Pointer(pred_vn.id, tuple(back),
-                                             "predecessor")
-            net.routers[pred_vn.router].mark_dirty(pred_vn)
-
-    if succ_vn is not None and pred_vn is not None and succ_vn is not vn \
-            and succ_vn is not pred_vn:
-        if succ_vn.predecessor is None or succ_vn.predecessor.dest_id == vn.id:
-            path = net.paths.hop_path(succ_vn.router, pred_vn.router)
-            if path is not None:
-                succ_vn.predecessor = Pointer(pred_vn.id, tuple(path),
-                                              "predecessor")
-    elif succ_vn is pred_vn and succ_vn is not None:
-        succ_vn.drop_successor(vn.id)
-        if succ_vn.predecessor is not None and succ_vn.predecessor.dest_id == vn.id:
-            succ_vn.predecessor = None
-        net.routers[succ_vn.router].mark_dirty(succ_vn)
 
 
 def move_host(net: "IntraDomainNetwork", host_name: str,

@@ -199,6 +199,87 @@ def _join_ephemeral(net: "IntraDomainNetwork", router, vn: VirtualNode) -> float
     return latency
 
 
+def splice_out(net: "IntraDomainNetwork", vn: VirtualNode,
+               category: str) -> Optional[VirtualNode]:
+    """The ring repair around a departing ``vn`` — the one way out, for a
+    graceful leave (``category`` ``"leave"``) and a host failure
+    (``"teardown"``) alike; what the two say to whom beforehand, and what
+    a failure does afterwards, stays with the caller.
+
+    The departing node's (accurate) successor list reaches its
+    predecessor, which merges it with its own group — possibly stale:
+    nodes that joined between ``vn`` and the predecessor's older entries
+    are known only to ``vn`` — adopts ``vn``'s orphaned ephemeral
+    children, and becomes the predecessor of ``vn``'s successor.  An
+    ephemeral ``vn`` only has state at its ring predecessor.  Returns the
+    predecessor whose group was re-spliced, if any.
+
+    A leaver is still in ``vn_index`` while it says goodbye, a failed
+    host is not: hence the ``is not vn`` guards.
+    """
+    pred_vn = (net.vn_index.get(vn.predecessor.dest_id)
+               if vn.predecessor is not None else None)
+    if vn.ephemeral:
+        if vn.predecessor is None:
+            return None
+        path = net.paths.hop_path(vn.router, vn.predecessor.hosting_router)
+        if path is not None:
+            net.stats.charge_path(path, category)
+        if pred_vn is not None and vn.id in pred_vn.ephemeral_children:
+            del pred_vn.ephemeral_children[vn.id]
+            net.routers[pred_vn.router].mark_dirty(pred_vn)
+        return None
+
+    succ_ptr = vn.primary_successor()
+    succ_vn = net.vn_index.get(succ_ptr.dest_id) if succ_ptr else None
+    spliced = pred_vn is not None and pred_vn is not vn
+    if spliced:
+        router = net.routers[pred_vn.router]
+        if pred_vn.drop_successor(vn.id):
+            router.mark_dirty(pred_vn)
+        merged = [p for p in pred_vn.successors if net.id_is_live(p.dest_id)]
+        for ptr in vn.successors:
+            if ptr.dest_id == pred_vn.id or not net.id_is_live(ptr.dest_id):
+                continue
+            path = net.paths.hop_path(pred_vn.router, ptr.hosting_router)
+            if path is not None:
+                merged.append(Pointer(ptr.dest_id, tuple(path), "successor"))
+        merged.sort(key=lambda p: net.space.distance_cw(pred_vn.id, p.dest_id))
+        pred_vn.set_successors(merged, net.successor_group_size)
+        router.mark_dirty(pred_vn)
+        # Orphaned ephemeral children re-home to the predecessor.
+        for eph_id in vn.ephemeral_children:
+            eph_vn = net.vn_index.get(eph_id)
+            if eph_vn is None:
+                continue
+            path = net.paths.hop_path(pred_vn.router, eph_vn.router)
+            if path is None:
+                continue
+            net.stats.charge_path(path, category)
+            pred_vn.ephemeral_children[eph_id] = Pointer(eph_id, tuple(path),
+                                                         "ephemeral")
+            back = net.paths.hop_path(eph_vn.router, pred_vn.router)
+            if back is not None:
+                eph_vn.predecessor = Pointer(pred_vn.id, tuple(back),
+                                             "predecessor")
+            router.mark_dirty(pred_vn)
+
+    if succ_vn is not None and pred_vn is not None and succ_vn is not vn \
+            and succ_vn is not pred_vn:
+        if succ_vn.predecessor is None or succ_vn.predecessor.dest_id == vn.id:
+            path = net.paths.hop_path(succ_vn.router, pred_vn.router)
+            if path is not None:
+                succ_vn.predecessor = Pointer(pred_vn.id, tuple(path),
+                                              "predecessor")
+    elif succ_vn is not None and succ_vn is pred_vn:
+        # Two-node ring collapsing to one.
+        succ_vn.drop_successor(vn.id)
+        if succ_vn.predecessor is not None and succ_vn.predecessor.dest_id == vn.id:
+            succ_vn.predecessor = None
+        net.routers[succ_vn.router].mark_dirty(succ_vn)
+    return pred_vn if spliced else None
+
+
 def _fill_caches(net: "IntraDomainNetwork", path: Sequence[str],
                  ids: List[FlatId], force: bool = False) -> None:
     """Populate pointer caches along a control path.
