@@ -19,7 +19,7 @@ provable stretch bound is 1.0.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional
 
 from repro.idspace.identifier import FlatId
 from repro.linkstate.lsdb import LinkStateMap
@@ -87,11 +87,3 @@ class OspfHostRouting(Network):
 
     def load_series(self) -> Dict[Hashable, int]:
         return self.stats.load_series()
-
-    def replay_pairs(self, pairs: Sequence[Tuple[str, str]]) -> int:
-        """Route a batch of (src_router, dst_router) pairs; returns how
-        many were delivered."""
-        delivered = 0
-        for src, dst in pairs:
-            delivered += self.send_routers(src, dst).delivered
-        return delivered

@@ -100,9 +100,7 @@ class FlatId:
 class RingSpace:
     """Circular-namespace arithmetic over ``2**bits`` labels.
 
-    All interval conventions follow Chord: ``successor`` relations use
-    half-open intervals ``(a, b]`` clockwise, so that an ID is its own
-    successor only in a single-node ring.
+    Distances are clockwise (increasing value, wrapping), as in Chord.
     """
 
     def __init__(self, bits: int = DEFAULT_BITS):
@@ -124,23 +122,6 @@ class RingSpace:
         """Clockwise (increasing-value, wrapping) distance from ``a`` to ``b``."""
         return (b.value - a.value) % self.size
 
-    def in_interval_oc(self, x: FlatId, a: FlatId, b: FlatId) -> bool:
-        """True iff ``x`` lies in the clockwise interval ``(a, b]``.
-
-        When ``a == b`` the interval is the whole ring (everything except
-        nothing), matching the Chord convention for single-node rings.
-        """
-        if a == b:
-            return True
-        return 0 < self.distance_cw(a, x) <= self.distance_cw(a, b)
-
-    def in_interval_oo(self, x: FlatId, a: FlatId, b: FlatId) -> bool:
-        """True iff ``x`` lies strictly inside the clockwise interval ``(a, b)``."""
-        if a == b:
-            return x != a
-        da = self.distance_cw(a, x)
-        return 0 < da < self.distance_cw(a, b)
-
     def progress(self, current: FlatId, candidate: FlatId, dest: FlatId) -> Optional[int]:
         """Clockwise progress made by ``candidate`` toward ``dest``.
 
@@ -161,13 +142,10 @@ class RingSpace:
         """The greedy next hop: closest candidate to ``dest`` that is not past it.
 
         This is the rule of Algorithm 2 in the paper, evaluated by a linear
-        scan — the right tool for small, *unsorted* candidate iterables
-        (a successor group, one VN's pointer set).  For a maintained sorted
-        key set, ``SortedRingMap.closest_not_past_value``
-        (:mod:`repro.util.ringmap`) answers the same query with one bisect;
-        the two are cross-checked against each other by the ring-invariant
-        tests.  Returns ``None`` when no candidate makes strictly positive
-        progress.
+        scan: the oracle the ring-invariant tests hold
+        ``SortedRingMap.closest_not_past_value`` (:mod:`repro.util.ringmap`,
+        one bisect over a maintained sorted key set) against.  Returns
+        ``None`` when no candidate makes strictly positive progress.
         """
         best = None
         best_advance = 0
@@ -176,10 +154,6 @@ class RingSpace:
             if advanced is not None and advanced > best_advance:
                 best, best_advance = cand, advanced
         return best
-
-    def midpoint(self, a: FlatId, b: FlatId) -> FlatId:
-        """The ID halfway along the clockwise arc from ``a`` to ``b``."""
-        return self.make(a.value + self.distance_cw(a, b) // 2)
 
     # -- int-domain fast paths ---------------------------------------------------
     #
@@ -193,21 +167,6 @@ class RingSpace:
         """Int-domain :meth:`distance_cw` over raw ``.value`` ints."""
         return (b - a) & self.mask
 
-    def in_interval_oc_i(self, x: int, a: int, b: int) -> bool:
-        """Int-domain :meth:`in_interval_oc` (clockwise ``(a, b]``)."""
-        if a == b:
-            return True
-        mask = self.mask
-        return 0 < ((x - a) & mask) <= ((b - a) & mask)
-
-    def in_interval_oo_i(self, x: int, a: int, b: int) -> bool:
-        """Int-domain :meth:`in_interval_oo` (clockwise ``(a, b)``)."""
-        if a == b:
-            return x != a
-        mask = self.mask
-        da = (x - a) & mask
-        return 0 < da < ((b - a) & mask)
-
     def progress_i(self, current: int, candidate: int, dest: int) -> Optional[int]:
         """Int-domain :meth:`progress`."""
         mask = self.mask
@@ -215,19 +174,6 @@ class RingSpace:
         if advanced > ((dest - current) & mask):
             return None
         return advanced
-
-    def closest_not_past_i(self, current: int, dest: int,
-                           candidates: Iterable[int]) -> Optional[int]:
-        """Int-domain :meth:`closest_not_past` over raw values."""
-        mask = self.mask
-        to_dest = (dest - current) & mask
-        best = None
-        best_advance = 0
-        for cand in candidates:
-            advanced = (cand - current) & mask
-            if advanced <= to_dest and advanced > best_advance:
-                best, best_advance = cand, advanced
-        return best
 
     def __repr__(self) -> str:
         return "RingSpace(bits={})".format(self.bits)

@@ -73,11 +73,6 @@ class RoflAS:
         for vn in self.hosted.values():
             self._candidates.add_owner(vn)
 
-    @property
-    def flush_epoch(self) -> int:
-        """See :attr:`CandidateIndex.flush_epoch`."""
-        return self._candidates.flush_epoch
-
     # -- serialization ------------------------------------------------------------
 
     def __getstate__(self):
@@ -248,28 +243,6 @@ class RoflAS:
         self.cache.invalidate_id(pointer.dest_id)
         for vn in self.hosted.values():
             if vn.drop_dead_targets((pointer.dest_id,)):
-                self.mark_dirty(vn)
-
-    def reroute_pointer(self, new: ASPointer) -> None:
-        """Swap in a repaired route for every pointer naming its target."""
-        self.cache.replace(new)
-        for vn in self.hosted.values():
-            changed = False
-            for table in (vn.succ_by_level, vn.pred_by_level):
-                for lvl, ptr in list(table.items()):
-                    if ptr.dest_id == new.dest_id:
-                        table[lvl] = ASPointer(new.dest_id, new.dest_as,
-                                               new.as_route, level=lvl,
-                                               kind=ptr.kind)
-                        changed = True
-            fingers = [ASPointer(new.dest_id, new.dest_as, new.as_route,
-                                 level=f.level, kind=f.kind)
-                       if f.dest_id == new.dest_id else f
-                       for f in vn.fingers]
-            if any(a is not b for a, b in zip(fingers, vn.fingers)):
-                changed = True
-            vn.fingers = fingers
-            if changed:
                 self.mark_dirty(vn)
 
     def state_entries(self, include_cache: bool = True) -> int:

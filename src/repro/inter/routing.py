@@ -115,34 +115,15 @@ def _route(net, start_as, dest_id, mode, scope, category, use_cache):
 
         if committed is not None and current == committed.dest_as \
                 and not node.hosts_id(committed.dest_id):
-            # NACK: stale pointer to an ID no longer hosted here; if the
-            # ID lives elsewhere the owner re-routes, otherwise it tears
-            # the pointer down.  Routing restarts from this AS.
+            # NACK: stale pointer to an ID no longer hosted here; its
+            # owner tears it down (an ID never moves between ASes, so there
+            # is nowhere to re-route it to).  Routing restarts from this AS.
             owner = net.ases.get(committed.as_route[0])
-            target = net.id_owner_index.get(committed.dest_id)
-            repaired = None
-            if target is not None and net.as_is_up(target.home_as) \
-                    and net.ases[target.home_as].hosts_id(committed.dest_id):
-                new_route = net.policy.policy_path(committed.as_route[0],
-                                                   target.home_as,
-                                                   scope=committed.level)
-                if new_route is None:
-                    new_route = net.policy.policy_path(
-                        committed.as_route[0], target.home_as)
-                if new_route is not None:
-                    repaired = ASPointer(committed.dest_id, target.home_as,
-                                         tuple(new_route),
-                                         level=committed.level,
-                                         kind=committed.kind)
-            if repaired is not None and owner is not None:
-                owner.reroute_pointer(repaired)
-            elif owner is not None:
+            if owner is not None:
                 owner.drop_pointer(committed)
                 node.cache.invalidate_id(committed.dest_id)
             if tr is not None:
-                tr.event("nack", router=str(current),
-                         action="reroute" if repaired is not None
-                         else "teardown",
+                tr.event("nack", router=str(current), action="teardown",
                          target=committed.dest_id.to_hex())
             committed = None
             committed_dist = space.size

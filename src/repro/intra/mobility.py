@@ -7,10 +7,9 @@ Two mechanisms from the paper:
 * **Graceful leave/move** — unlike a failure (detected by timeout and
   repaired with teardown floods), a departing host's gateway router can
   hand the ring position over directly: the predecessor splices to the
-  successor with one exchange, and cached state is left to expire via
-  the lazy invariant-(b) teardown.  "Join overhead may be reduced
-  further by … having the router maintain the virtual node when the
-  host fails or moves temporarily" — the *parked* option below.
+  successor with one exchange (:func:`repro.intra.ring.splice_out`, the
+  ring repair a host failure performs too), and cached state is left to
+  expire via the lazy invariant-(b) teardown.
 * **Move = leave + rejoin** — the measured cost the paper compares to
   join overhead ("the overhead triggered by host failure and mobility
   [is] comparable to join overhead").
@@ -23,7 +22,6 @@ from typing import TYPE_CHECKING
 
 from repro.idspace.identifier import FlatId
 from repro.intra import ring
-from repro.intra.virtualnode import VirtualNode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.intra.network import IntraDomainNetwork
@@ -39,7 +37,6 @@ class MoveReceipt:
     new_router: str
     leave_messages: int
     rejoin_messages: int
-    parked: bool = False
 
     @property
     def total_messages(self) -> int:
@@ -107,26 +104,3 @@ def move_host(net: "IntraDomainNetwork", host_name: str,
                        old_router=old_router, new_router=new_router,
                        leave_messages=leave_cost,
                        rejoin_messages=receipt.messages)
-
-
-def park_host(net: "IntraDomainNetwork", host_name: str) -> VirtualNode:
-    """The paper's optimisation for temporary absence: "having the router
-    maintain the virtual node when the host fails or moves temporarily".
-
-    The virtual node stays in the ring (zero messages); only the local
-    delivery leg is marked absent.  Returns the parked virtual node.
-    """
-    vn = net.hosts.get(host_name)
-    if vn is None:
-        raise KeyError("unknown host {!r}".format(host_name))
-    vn.host_name = "(parked):" + host_name
-    return vn
-
-
-def unpark_host(net: "IntraDomainNetwork", host_name: str) -> VirtualNode:
-    """Reattach a parked host at its maintained virtual node (free)."""
-    vn = net.hosts.get(host_name)
-    if vn is None or not (vn.host_name or "").startswith("(parked):"):
-        raise KeyError("host {!r} is not parked".format(host_name))
-    vn.host_name = host_name
-    return vn

@@ -20,9 +20,8 @@ in full.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Hashable, List, Set, Tuple, TYPE_CHECKING
 
-from repro.idspace.identifier import FlatId
 from repro.intra.virtualnode import Pointer, VirtualNode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,18 +41,6 @@ class PartitionReport:
     @property
     def total_messages(self) -> int:
         return self.disconnect_messages + self.reconnect_messages
-
-
-def zero_id(net: "IntraDomainNetwork", component: Set[str]) -> Optional[FlatId]:
-    """The smallest live ring ID hosted inside ``component``.
-
-    This is what the zero-ID advertisements converge to within one
-    partition (the paper uses router-IDs "to reduce sensitivity to churn",
-    and router default VNs are ring members here, so the minimum is taken
-    over the same population).
-    """
-    ids = [vn.id for vn in net.ring_members() if vn.router in component]
-    return min(ids) if ids else None
 
 
 def pop_boundary_links(net: "IntraDomainNetwork",

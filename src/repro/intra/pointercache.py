@@ -122,9 +122,6 @@ class PointerCache:
         if iv in self._lru:
             self._lru[iv] = pointer
 
-    def entries(self) -> List[Pointer]:
-        return list(self._lru.values())
-
     def clear(self) -> None:
         self._lru.clear()
         self._ivalues.clear()

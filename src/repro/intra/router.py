@@ -80,11 +80,6 @@ class RoflRouter:
         for vn in self.vn_table.values():
             self._candidates.add_owner(vn)
 
-    @property
-    def flush_epoch(self) -> int:
-        """See :attr:`CandidateIndex.flush_epoch`."""
-        return self._candidates.flush_epoch
-
     # -- serialization ------------------------------------------------------------
 
     def __getstate__(self):
@@ -116,10 +111,6 @@ class RoflRouter:
         vn = self.vn_table.pop(vn_id)
         self._candidates.remove_owner(vn)
         return vn
-
-    def resident_vns(self, include_ephemeral: bool = True) -> List[VirtualNode]:
-        return [vn for vn in self.vn_table.values()
-                if include_ephemeral or not vn.ephemeral]
 
     def hosts_id(self, vn_id: FlatId) -> bool:
         return vn_id in self.vn_table

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.idspace.identifier import FlatId, RingSpace
+from repro.idspace.identifier import FlatId
 
 #: Default successor-group size (successor + its successors).
 DEFAULT_SUCCESSOR_GROUP = 4
@@ -116,14 +116,6 @@ class VirtualNode:
         before = len(self.successors)
         self.successors = [p for p in self.successors if p.dest_id != dest_id]
         return len(self.successors) != before
-
-    def knows(self, space: RingSpace) -> List[FlatId]:
-        """All IDs this VN can make greedy progress toward: itself, its
-        successor group and any parked ephemeral children."""
-        ids = [self.id]
-        ids.extend(self.successor_ids())
-        ids.extend(self.ephemeral_children.keys())
-        return ids
 
     def state_entries(self) -> int:
         """Forwarding-state entries this VN consumes (Fig 6c accounting)."""

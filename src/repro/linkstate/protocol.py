@@ -61,19 +61,12 @@ def flood_latency_ms(lsmap: LinkStateMap, origin: str,
 
 
 class FloodModel:
-    """Convenience bundle: charge floods to a stats collector."""
+    """The OSPF recovery clock over one link-state map."""
 
-    def __init__(self, lsmap: LinkStateMap, stats=None,
+    def __init__(self, lsmap: LinkStateMap,
                  timers: OspfTimers = OspfTimers()):
         self.lsmap = lsmap
-        self.stats = stats
         self.timers = timers
-
-    def lsa_flood(self, origin: str, category: str = "lsa") -> int:
-        cost = flood_message_cost(self.lsmap, origin)
-        if self.stats is not None:
-            self.stats.charge_hops(cost, category)
-        return cost
 
     def recovery_time_ms(self, origin: str,
                          paths: Optional[PathCache] = None) -> float:

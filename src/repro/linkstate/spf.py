@@ -148,13 +148,3 @@ class PathCache:
         for a, b in zip(path, path[1:]):
             total += self.lsmap.live_graph.edges[a, b]["latency_ms"]
         return total
-
-    # -- diameter (used by the join-cost sanity checks) -----------------------------
-
-    def live_diameter(self) -> int:
-        graph = self.lsmap.live_graph
-        if graph.number_of_nodes() == 0:
-            return 0
-        if not nx.is_connected(graph):
-            raise ValueError("live graph is partitioned; diameter undefined")
-        return nx.diameter(graph)

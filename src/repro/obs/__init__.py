@@ -16,7 +16,7 @@ from repro.obs.report import (build_timer_tree, generate_report,
                               render_timer_tree, summarize_metrics)
 from repro.obs.trace import (JsonlSink, NullSink, RingBufferSink, Span,
                              TraceRecord, Tracer, get_tracer, install,
-                             read_jsonl, tracing, uninstall)
+                             tracing, uninstall)
 
 __all__ = [
     "CacheIsolationProbe", "InterRingConsistencyProbe", "JsonlSink",
@@ -26,7 +26,7 @@ __all__ = [
     "Violation",
     "build_timer_tree", "explain_packets", "explain_span", "generate_report",
     "get_tracer", "install", "last_packet", "packet_spans",
-    "read_jsonl", "read_metrics_jsonl", "render_html", "render_markdown",
+    "read_metrics_jsonl", "render_html", "render_markdown",
     "render_prometheus", "render_timer_tree", "summarize_metrics",
     "tracing", "uninstall",
 ]

@@ -61,12 +61,6 @@ class TraceRecord:
         return {"seq": self.seq, "t": self.t, "span": self.span,
                 "parent": self.parent, "kind": self.kind, "data": self.data}
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "TraceRecord":
-        return cls(seq=payload["seq"], t=payload["t"], span=payload["span"],
-                   parent=payload["parent"], kind=payload["kind"],
-                   data=dict(payload.get("data", {})))
-
 
 # ---------------------------------------------------------------------------
 # Sinks.
@@ -135,17 +129,6 @@ def dump_jsonl(records: List[TraceRecord], path: str) -> None:
             sink.write(record)
     finally:
         sink.close()
-
-
-def read_jsonl(path: str) -> List[TraceRecord]:
-    """Load the records a :class:`JsonlSink` wrote."""
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(TraceRecord.from_dict(json.loads(line)))
-    return records
 
 
 # ---------------------------------------------------------------------------

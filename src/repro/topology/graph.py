@@ -63,21 +63,8 @@ class RouterTopology:
         return [r for r, data in self.graph.nodes(data=True)
                 if data.get("role") == "edge"]
 
-    def backbone_routers(self) -> List[str]:
-        return [r for r, data in self.graph.nodes(data=True)
-                if data.get("role") == "backbone"]
-
-    def pop_of(self, router: str) -> Hashable:
-        return self.graph.nodes[router].get("pop")
-
     def routers_in_pop(self, pop: Hashable) -> List[str]:
         return list(self.pops.get(pop, []))
-
-    def neighbors(self, router: str) -> List[str]:
-        return list(self.graph.neighbors(router))
-
-    def latency(self, a: str, b: str) -> float:
-        return self.graph.edges[a, b]["latency_ms"]
 
     def is_connected(self) -> bool:
         return self.n_routers > 0 and nx.is_connected(self.graph)
@@ -88,12 +75,6 @@ class RouterTopology:
 
     def links(self) -> Iterable[Tuple[str, str]]:
         return self.graph.edges()
-
-    def copy(self) -> "RouterTopology":
-        clone = RouterTopology(self.name)
-        clone.graph = self.graph.copy()
-        clone.pops = {pop: list(routers) for pop, routers in self.pops.items()}
-        return clone
 
     def validate(self) -> None:
         """Raise if the topology violates basic invariants."""

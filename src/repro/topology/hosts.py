@@ -10,11 +10,11 @@ seeds give identical populations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterator, List, Optional
+from typing import Hashable, List, Optional
 
 from repro.idspace.crypto import KeyPair, SignatureAuthority
 from repro.idspace.identifier import FlatId
-from repro.util.rng import RngRegistry, derive_rng, sample_zipf_counts
+from repro.util.rng import RngRegistry, derive_rng
 
 #: The Internet size the paper normalises to (Section 6.1).
 PAPER_INTERNET_HOSTS = 600_000_000
@@ -166,23 +166,3 @@ class HostPlan:
 
     def take(self, n: int) -> List[PlannedHost]:
         return [self.next_host() for _ in range(n)]
-
-    def __iter__(self) -> Iterator[PlannedHost]:
-        while True:
-            yield self.next_host()
-
-
-def scale_down(paper_count: int, paper_total: int = PAPER_INTERNET_HOSTS,
-               sim_total: int = 10_000) -> int:
-    """Scale a paper-reported host count to simulation size, keeping the
-    per-AS/ISP proportions (at least 1 host for any nonzero count)."""
-    if paper_count <= 0:
-        return 0
-    return max(1, round(paper_count * sim_total / paper_total))
-
-
-def zipf_host_counts(n_bins: int, total: int, seed: int = 0,
-                     exponent: float = 1.0) -> List[int]:
-    """Zipf-distributed host counts for ``n_bins`` attachment points."""
-    rng = derive_rng(seed, "zipf-hosts", n_bins, total)
-    return sample_zipf_counts(rng, n_bins, total, exponent)

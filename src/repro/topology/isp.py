@@ -131,13 +131,3 @@ def _link_pops(topo: RouterTopology, backbone_by_pop: Dict[int, list],
         # Jitter backbone latency ±50% so paths are not all equal cost.
         jitter = latency_ms * rng.uniform(0.5, 1.5)
         topo.add_link(router_a, router_b, latency_ms=jitter)
-
-
-def rocketfuel_like(profile: str, seed: int = 0, **overrides) -> RouterTopology:
-    """Build the synthetic stand-in for one of the paper's four ISPs."""
-    if profile not in ROCKETFUEL_PROFILES:
-        raise KeyError("unknown profile {!r}; choose from {}".format(
-            profile, sorted(ROCKETFUEL_PROFILES)))
-    params = ROCKETFUEL_PROFILES[profile]
-    return synthetic_isp(n_routers=params["routers"], seed=seed,
-                         name=profile, **overrides)

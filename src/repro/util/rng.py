@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 
 def stable_hash(*parts) -> int:
@@ -96,13 +96,6 @@ def zipf_weights(n: int, exponent: float = 1.0) -> List[float]:
     raw = [1.0 / (k ** exponent) for k in range(1, n + 1)]
     total = sum(raw)
     return [w / total for w in raw]
-
-
-def weighted_choice(rng: random.Random, items: Sequence, weights: Sequence[float]):
-    """Pick one item according to ``weights`` (need not be normalised)."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have equal length")
-    return rng.choices(list(items), weights=list(weights), k=1)[0]
 
 
 def sample_zipf_counts(rng: random.Random, n_bins: int, total: int,

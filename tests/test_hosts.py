@@ -3,8 +3,7 @@
 import pytest
 
 from repro.idspace.crypto import SignatureAuthority
-from repro.topology.hosts import (PAPER_INTERNET_HOSTS, HostPlan, scale_down,
-                                  zipf_host_counts)
+from repro.topology.hosts import HostPlan
 
 
 def test_plan_is_deterministic():
@@ -57,16 +56,3 @@ def test_keys_registered_with_shared_authority():
     proof = host.key_pair.prove_ownership(b"c")
     from repro.idspace.crypto import authenticate
     assert authenticate(proof, authority) == host.flat_id
-
-
-def test_scale_down_proportions():
-    assert scale_down(0) == 0
-    assert scale_down(PAPER_INTERNET_HOSTS, sim_total=10_000) == 10_000
-    # Tiny nonzero populations keep at least one host.
-    assert scale_down(1, sim_total=10) == 1
-
-
-def test_zipf_host_counts():
-    counts = zipf_host_counts(10, 1000, seed=3)
-    assert sum(counts) == 1000
-    assert zipf_host_counts(10, 1000, seed=3) == counts

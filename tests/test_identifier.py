@@ -70,22 +70,6 @@ class TestRingSpace:
         a = SPACE.make(42)
         assert SPACE.distance_cw(a, a) == 0
 
-    def test_interval_oc_wraps(self):
-        a, b = SPACE.make(SPACE.size - 5), SPACE.make(5)
-        assert SPACE.in_interval_oc(SPACE.make(0), a, b)
-        assert SPACE.in_interval_oc(b, a, b)
-        assert not SPACE.in_interval_oc(a, a, b)
-
-    def test_interval_oc_degenerate_is_full_ring(self):
-        a = SPACE.make(7)
-        assert SPACE.in_interval_oc(SPACE.make(123), a, a)
-
-    def test_interval_oo_excludes_endpoints(self):
-        a, b = SPACE.make(10), SPACE.make(20)
-        assert SPACE.in_interval_oo(SPACE.make(15), a, b)
-        assert not SPACE.in_interval_oo(a, a, b)
-        assert not SPACE.in_interval_oo(b, a, b)
-
     def test_progress_rejects_overshoot(self):
         cur, dest = SPACE.make(0), SPACE.make(10)
         assert SPACE.progress(cur, SPACE.make(11), dest) is None
@@ -102,10 +86,6 @@ class TestRingSpace:
         assert SPACE.closest_not_past(cur, dest,
                                       [SPACE.make(20), SPACE.make(50)]) is None
 
-    def test_midpoint_wraps(self):
-        a = SPACE.make(SPACE.size - 10)
-        b = SPACE.make(10)
-        assert SPACE.distance_cw(a, SPACE.midpoint(a, b)) == 10
 
 
 # -- property tests --------------------------------------------------------------
@@ -142,9 +122,3 @@ def test_progress_never_exceeds_distance_to_dest(cur, cand, dest):
     adv = SPACE.progress(cur, cand, dest)
     if adv is not None:
         assert 0 <= adv <= SPACE.distance_cw(cur, dest)
-
-
-@given(ids16, ids16, ids16)
-def test_interval_oc_consistent_with_distance(x, a, b):
-    expected = (a == b) or (0 < SPACE.distance_cw(a, x) <= SPACE.distance_cw(a, b))
-    assert SPACE.in_interval_oc(x, a, b) == expected

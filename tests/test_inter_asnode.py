@@ -141,13 +141,13 @@ class TestFlushCoalescing:
         node.host(vn)
         net = FakeNet()
         node.best_match(net, SPACE.make(300))  # settle the initial rebuild
-        epoch0 = node.flush_epoch
+        epoch0 = node._candidates.flush_epoch
         flushes0 = perf.value("asnode.index.refresh.flushes")
         owners0 = perf.value("asnode.index.refresh.owners")
         for _ in range(5):
             node.mark_dirty(vn)
         node.best_match(net, SPACE.make(300))
-        assert node.flush_epoch == epoch0 + 1
+        assert node._candidates.flush_epoch == epoch0 + 1
         assert perf.value("asnode.index.refresh.flushes") == flushes0 + 1
         assert perf.value("asnode.index.refresh.owners") == owners0 + 1
 

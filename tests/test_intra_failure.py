@@ -116,7 +116,7 @@ class TestLinkFailure:
         a, b = next(iter(net.lsmap.live_graph.edges()))
         net.fail_link(a, b)
         for router in net.routers.values():
-            for ptr in router.cache.entries():
+            for ptr in router.cache._lru.values():
                 assert not ptr.uses_link(a, b)
 
     def test_delivery_survives_link_failures(self, intra_net_factory):

@@ -358,9 +358,10 @@ class TestReferenceEngine:
         # successor pointer to it is taken instead, and leads nowhere new.
         def zero_hop(net):
             for router in net.routers.values():
-                for vn in router.resident_vns(include_ephemeral=False):
+                for vn in router.vn_table.values():
                     first = vn.primary_successor()
-                    if first is not None and first.n_hops == 0:
+                    if not vn.ephemeral and first is not None \
+                            and first.n_hops == 0:
                         target = net.vn_index[first.dest_id]
                         target.ephemeral = True
                         try:

@@ -4,8 +4,6 @@ import random
 
 import pytest
 
-from repro.intra import mobility
-
 
 class TestGracefulLeave:
     def test_ring_heals_after_leave(self, intra_net_factory):
@@ -95,29 +93,3 @@ class TestMove:
                      if vn.router != victim_router)
         with pytest.raises(ValueError):
             net.move_host(mover, victim_router)
-
-
-class TestParking:
-    def test_park_and_unpark_are_free(self, intra_net_factory):
-        net = intra_net_factory(n_hosts=30, seed=27)
-        host = sorted(net.hosts)[2]
-        before = net.stats.total_messages()
-        vn = mobility.park_host(net, host)
-        assert vn.host_name.startswith("(parked):")
-        mobility.unpark_host(net, host)
-        assert net.hosts[host].host_name == host
-        assert net.stats.total_messages() == before
-        net.check_ring()
-
-    def test_parked_vn_still_serves_the_ring(self, intra_net_factory):
-        net = intra_net_factory(n_hosts=30, seed=28)
-        host = sorted(net.hosts)[2]
-        mobility.park_host(net, host)
-        for _ in range(20):
-            a, b = net.random_host_pair()
-            assert net.send(a, b).delivered
-
-    def test_unpark_requires_parked(self, intra_net_factory):
-        net = intra_net_factory(n_hosts=10, seed=29)
-        with pytest.raises(KeyError):
-            mobility.unpark_host(net, sorted(net.hosts)[0])

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.intra.partition import pop_boundary_links, zero_id
+from repro.intra.partition import pop_boundary_links
 
 
 class TestBoundary:
@@ -18,18 +18,6 @@ class TestBoundary:
         net = intra_net_factory(n_hosts=0)
         with pytest.raises(KeyError):
             pop_boundary_links(net, "no-such-pop")
-
-
-class TestZeroId:
-    def test_zero_id_is_component_minimum(self, intra_net_factory):
-        net = intra_net_factory(n_hosts=30)
-        component = set(net.lsmap.live_routers())
-        zid = zero_id(net, component)
-        assert zid == min(vn.id for vn in net.ring_members())
-
-    def test_zero_id_empty_component(self, intra_net_factory):
-        net = intra_net_factory(n_hosts=5)
-        assert zero_id(net, set()) is None
 
 
 class TestPartitionCycle:

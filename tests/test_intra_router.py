@@ -54,12 +54,6 @@ class TestVnTable:
         with pytest.raises(ValueError):
             router.remove_virtual_node(router.default_vn.id)
 
-    def test_resident_vns_filters_ephemeral(self):
-        router = make_router()
-        router.register_virtual_node(vn(1, ephemeral=True))
-        assert len(router.resident_vns()) == 2
-        assert len(router.resident_vns(include_ephemeral=False)) == 1
-
 
 class TestBestMatch:
     def test_local_resident_wins_on_exact_distance(self):
@@ -162,13 +156,13 @@ class TestFlushCoalescing:
         node.successors = [old, succ(300)]
         router.register_virtual_node(node)
         router.best_match(SPACE.make(1))  # settle the initial rebuild
-        epoch0 = router.flush_epoch
+        epoch0 = router._candidates.flush_epoch
         flushes0 = perf.value("router.index.refresh.flushes")
         owners0 = perf.value("router.index.refresh.owners")
         router.reroute_pointer(old, succ(200, path=("r0", "r2", "r1")))
         router.drop_pointer(succ(300))
         router.flush_index()
-        assert router.flush_epoch == epoch0 + 1
+        assert router._candidates.flush_epoch == epoch0 + 1
         assert perf.value("router.index.refresh.flushes") == flushes0 + 1
         assert perf.value("router.index.refresh.owners") == owners0 + 1
         assert node.successors[0].path == ("r0", "r2", "r1")
@@ -180,11 +174,11 @@ class TestFlushCoalescing:
         router = make_router()
         router.register_virtual_node(vn(100))
         router.flush_index()
-        epoch0 = router.flush_epoch
+        epoch0 = router._candidates.flush_epoch
         flushes0 = perf.value("router.index.refresh.flushes")
         router.flush_index()
         router.flush_index()
-        assert router.flush_epoch == epoch0
+        assert router._candidates.flush_epoch == epoch0
         assert perf.value("router.index.refresh.flushes") == flushes0
 
 

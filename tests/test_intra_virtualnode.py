@@ -84,11 +84,3 @@ class TestVirtualNode:
         vn.ephemeral_children[SPACE.make(120)] = Pointer(
             SPACE.make(120), ("r0", "r7"), "ephemeral")
         assert vn.state_entries() == 1 + 2 + 1 + 1
-
-    def test_knows_lists_all_progress_ids(self):
-        vn = self.make()
-        vn.set_successors([ptr(200)], group_size=4)
-        vn.ephemeral_children[SPACE.make(120)] = Pointer(
-            SPACE.make(120), ("r0", "r7"), "ephemeral")
-        known = {k.value for k in vn.knows(SPACE)}
-        assert known == {100, 200, 120}

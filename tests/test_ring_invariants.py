@@ -59,44 +59,6 @@ def test_distance_cw_triangle_identity():
             == SPACE.distance_cw(a, c)
 
 
-def test_interval_oc_convention():
-    rng = random.Random(0x0C)
-    for _ in range(500):
-        x, a, b = rand_ids(rng, 3)
-        inside = SPACE.in_interval_oc(x, a, b)
-        if a == b:
-            # Degenerate (a, a] is the full ring (single-node ring).
-            assert inside
-        else:
-            da_x = SPACE.distance_cw(a, x)
-            da_b = SPACE.distance_cw(a, b)
-            assert inside == (0 < da_x <= da_b)
-    # Explicit wrap-around: the interval crossing zero.
-    a, b = SPACE.make(SIZE - 4), SPACE.make(3)
-    assert SPACE.in_interval_oc(SPACE.make(0), a, b)
-    assert SPACE.in_interval_oc(SPACE.make(3), a, b)          # closed end
-    assert not SPACE.in_interval_oc(a, a, b)                  # open start
-    assert not SPACE.in_interval_oc(SPACE.make(4), a, b)
-
-
-def test_interval_oo_convention():
-    rng = random.Random(0x00)
-    for _ in range(500):
-        x, a, b = rand_ids(rng, 3)
-        inside = SPACE.in_interval_oo(x, a, b)
-        if a == b:
-            # Degenerate (a, a) is everything except a itself.
-            assert inside == (x != a)
-        else:
-            da_x = SPACE.distance_cw(a, x)
-            da_b = SPACE.distance_cw(a, b)
-            assert inside == (0 < da_x < da_b)
-    a, b = SPACE.make(SIZE - 4), SPACE.make(3)
-    assert SPACE.in_interval_oo(SPACE.make(0), a, b)
-    assert not SPACE.in_interval_oo(SPACE.make(3), a, b)      # open end
-    assert not SPACE.in_interval_oo(a, a, b)
-
-
 # ---------------------------------------------------------------------------
 # int fast paths ≡ FlatId originals
 # ---------------------------------------------------------------------------
@@ -106,23 +68,8 @@ def test_int_fast_paths_match_flatid_originals():
     for _ in range(500):
         x, a, b, c = rand_ids(rng, 4)
         assert SPACE.distance_cw_i(a.value, b.value) == SPACE.distance_cw(a, b)
-        assert SPACE.in_interval_oc_i(x.value, a.value, b.value) \
-            == SPACE.in_interval_oc(x, a, b)
-        assert SPACE.in_interval_oo_i(x.value, a.value, b.value) \
-            == SPACE.in_interval_oo(x, a, b)
         assert SPACE.progress_i(a.value, b.value, c.value) \
             == SPACE.progress(a, b, c)
-
-
-def test_closest_not_past_int_matches_flatid():
-    rng = random.Random(0xC10)
-    for _ in range(200):
-        current, dest = rand_ids(rng, 2)
-        cands = rand_ids(rng, rng.randrange(0, 12))
-        expect = SPACE.closest_not_past(current, dest, cands)
-        got = SPACE.closest_not_past_i(current.value, dest.value,
-                                       [c.value for c in cands])
-        assert got == (None if expect is None else expect.value)
 
 
 # ---------------------------------------------------------------------------

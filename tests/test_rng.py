@@ -3,7 +3,7 @@
 import pytest
 
 from repro.util.rng import (derive_rng, sample_zipf_counts, stable_hash,
-                            weighted_choice, zipf_weights)
+                            zipf_weights)
 
 
 def test_stable_hash_is_stable_and_scoped():
@@ -45,14 +45,3 @@ def test_sample_zipf_counts_sum_and_determinism():
     assert sum(c1) == 1000
     assert c1 == c2
     assert min(c1) >= 0
-
-
-def test_weighted_choice_respects_zero_weights():
-    rng = derive_rng(0, "wc")
-    picks = {weighted_choice(rng, ["a", "b"], [1.0, 0.0]) for _ in range(20)}
-    assert picks == {"a"}
-
-
-def test_weighted_choice_length_mismatch():
-    with pytest.raises(ValueError):
-        weighted_choice(derive_rng(0), ["a"], [0.5, 0.5])

@@ -185,8 +185,7 @@ def _pure_reads(net):
             "live_routers": net.lsmap.live_routers,
             "reachable": lambda: net.lsmap.reachable(a, b),
             "components": net.lsmap.components,
-            "topology.diameter": net.topology.diameter,
-            "paths.live_diameter": net.paths.live_diameter})
+            "topology.diameter": net.topology.diameter})
     return reads
 
 
