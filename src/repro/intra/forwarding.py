@@ -197,9 +197,12 @@ def _route(net, start_router, dest_id, mode, category):
                                 target=pointer.dest_id.to_hex(),
                                 distance=distance)
                 if len(source_route) == 1:
-                    # Zero-hop pointer: the target ID is resident at this
-                    # very router — adopt its ring position and re-decide.
-                    committed = None
+                    # Zero-hop pointer: if the target ID is (still)
+                    # resident at this very router, adopt its ring position
+                    # and re-decide; if not, the pointer stays committed and
+                    # the NACK branch above takes it on the next turn.
+                    if pointer.dest_id.value in resident:
+                        committed = None
                     continue
 
             # Take one physical hop along the committed source route; link

@@ -1,5 +1,14 @@
-"""The pre-PR-19 intradomain forwarding engine, verbatim — never edit (or
-tidy) it.
+"""The pre-PR-19 intradomain forwarding engine, verbatim but for the one
+sanctioned change below — never edit (or tidy) it.
+
+The sanctioned change (PR 21, ROADMAP item 1(a)): the parent's walk
+adopted a *zero-hop* pointer's ring position without asking whether its
+target was still resident, so a stale same-router successor entry stalled
+every walk that chose it.  ``_route``'s zero-hop branch now asks
+``router.hosts_id(pointer.dest_id)`` — the condition ``forwarding._route``
+tests as ``pointer.dest_id.value in resident`` — and otherwise leaves the
+pointer committed for the NACK branch.  That one ``if`` is the only line
+that differs from the parent's file.
 
 Until PR 19 one physical hop cost 28 Python-level calls: ``_route`` asked
 ``RoflRouter.best_match`` → ``vn_best_match`` (``flush`` / ``columns`` /
@@ -259,7 +268,8 @@ def _route(net, start_router, dest_id, mode, category):
             if pointer.n_hops == 0:
                 # Zero-hop pointer: the target ID is resident at this very
                 # router — adopt its ring position and re-decide locally.
-                committed = None
+                if router.hosts_id(pointer.dest_id):
+                    committed = None
                 continue
         else:
             # Mid-source-route routers may shortcut onto a strictly closer

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import random
 import sys
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro import build_network, snapshot
 from repro.idspace.identifier import FlatId
-from repro.intra import forwarding
+from repro.intra import forwarding, ring
 from repro.intra.network import IntraDomainNetwork
 from repro.intra.ring import JoinError
 from repro.obs import trace
@@ -151,6 +152,59 @@ class TestAccounting:
         result = net.send(a, b)
         if result.hops > 0:
             assert result.pointer_hops >= 1
+
+
+class TestStaleZeroHopPointers:
+    """Invariant (b) is lazy: a successor-group entry deeper than the
+    departure repair reaches goes stale, and the walk that picks it must
+    tear it down or re-route it — also when it is a *zero-hop* pointer,
+    whose holder shares a router with where the ID used to live."""
+
+    @pytest.mark.parametrize("departure", ["leave_host", "fail_host"])
+    def test_departures_do_not_poison_later_walks(self, departure):
+        """ROADMAP item 1's recipe at seed 0 (22 failed joins and 12
+        undelivered sends with ``leave_host``, 12 and 7 with ``fail_host``,
+        before the walk asked whether a zero-hop target is resident)."""
+        net = build_network("intra", 0, n_routers=67, hosts=1500,
+                            cache_entries=0)
+        rng = random.Random(0)
+        for _ in range(3000):
+            draw = rng.random()
+            if draw < 0.45:
+                assert net.join_next() is not None
+            elif draw < 0.65:
+                getattr(net, departure)(rng.choice(net.hosts.names))
+            else:
+                assert net.send(*rng.sample(net.hosts.names, 2)).delivered
+        net.check_ring()
+
+    def test_a_moved_host_is_rerouted_not_adopted(self):
+        net = IntraDomainNetwork(synthetic_isp(n_routers=14, seed=5),
+                                 cache_entries=0, seed=5)
+        net.join_random_hosts(24)
+        members = sorted(net.ring_members(), key=lambda vn: vn.id)
+        at = next(i for i, vn in enumerate(members) if vn.host_name)
+        mover, holder = members[at], members[at - 2]
+        # Co-resident with the holder of a deep (second-slot) entry for it.
+        net.move_host(mover.host_name, holder.router)
+        ring.refresh_ring_pointers(net)
+        stale = holder.successors[1]
+        assert stale.dest_id == mover.id and stale.path == (holder.router,)
+        # A graceful move tells the predecessor only: the holder's entry
+        # still says "resident right here".
+        elsewhere = next(r for r in sorted(net.routers) if r != holder.router)
+        net.move_host(mover.host_name, elsewhere)
+        assert holder.successors[1] is stale
+
+        tracer = trace.Tracer()
+        with trace.tracing(tracer):
+            outcome = forwarding.route(net, holder.router, mover.id)
+        assert outcome.delivered and outcome.path[-1] == elsewhere
+        nacks = [r.data for r in tracer.sink.records() if r.kind == "nack"]
+        assert nacks == [{"router": holder.router, "action": "reroute",
+                          "target": mover.id.to_hex()}]
+        assert holder.successors[1].path[-1] == elsewhere
+        net.check_ring()
 
 
 # ---------------------------------------------------------------------------
