@@ -8,7 +8,10 @@ B or the path to B fails, then A will delete its pointer."
 * **Host failure** — the gateway detects a session timeout, sends
   teardowns to the ID's successors and predecessor, and a *directed
   flood* over the constrained set of routers that may hold cached state
-  (the route record accumulated at join time).
+  (the route record accumulated at join time); the ring repair around
+  the gap is :func:`repro.intra.ring.splice_out`, shared with a graceful
+  leave, after which the predecessor sets up its new primary and refills
+  its group.
 * **Router failure** — hosts re-home via the pre-agreed failover list and
   rejoin; remote routers monitoring link-state advertisements delete
   pointers to IDs resident at unreachable routers.

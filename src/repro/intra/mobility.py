@@ -38,10 +38,6 @@ class MoveReceipt:
     leave_messages: int
     rejoin_messages: int
 
-    @property
-    def total_messages(self) -> int:
-        return self.leave_messages + self.rejoin_messages
-
 
 def leave_host(net: "IntraDomainNetwork", host_name: str) -> int:
     """Graceful departure: splice predecessor → successor directly.

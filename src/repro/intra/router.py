@@ -41,10 +41,6 @@ class BestMatch(NamedTuple):
     resident_vn: Optional[VirtualNode]
     distance: int
 
-    @property
-    def is_local(self) -> bool:
-        return self.resident_vn is not None
-
 
 def _contributed(vn: VirtualNode) -> List[tuple]:
     """The ``(pointer, ephemeral)`` candidates ``vn`` adds to its router's

@@ -5,7 +5,7 @@ Zero-dependency observability for the whole stack.  See DESIGN.md §7
 """
 
 from repro.obs.explain import (PacketExplanation, Segment, explain_packets,
-                               explain_span, last_packet, packet_spans)
+                               explain_span, packet_spans)
 from repro.obs.metrics import (MetricsExporter, read_metrics_jsonl,
                                render_prometheus)
 from repro.obs.probes import (CacheIsolationProbe, InterRingConsistencyProbe,
@@ -25,7 +25,7 @@ __all__ = [
     "SpfAgreementProbe", "StretchBoundProbe", "TraceRecord", "Tracer",
     "Violation",
     "build_timer_tree", "explain_packets", "explain_span", "generate_report",
-    "get_tracer", "install", "last_packet", "packet_spans",
+    "get_tracer", "install", "packet_spans",
     "read_metrics_jsonl", "render_html", "render_markdown",
     "render_prometheus", "render_timer_tree", "summarize_metrics",
     "tracing", "uninstall",

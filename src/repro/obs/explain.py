@@ -203,9 +203,3 @@ def explain_span(span_records: Sequence[TraceRecord]) -> PacketExplanation:
 def explain_packets(records: Sequence[TraceRecord]) -> List[PacketExplanation]:
     return [explain_span(span_records)
             for span_records in packet_spans(records)]
-
-
-def last_packet(records: Sequence[TraceRecord]) -> Optional[PacketExplanation]:
-    """Explanation of the most recent packet span, if any."""
-    groups = packet_spans(records)
-    return explain_span(groups[-1]) if groups else None

@@ -61,7 +61,7 @@ class TestBestMatch:
         node = vn(100)
         router.register_virtual_node(node)
         match = router.best_match(SPACE.make(100))
-        assert match.is_local and match.resident_vn is node
+        assert match.resident_vn is node
 
     def test_successor_pointers_are_candidates(self):
         router = make_router()
@@ -69,7 +69,7 @@ class TestBestMatch:
         node.successors = [succ(200)]
         router.register_virtual_node(node)
         match = router.best_match(SPACE.make(210))
-        assert match.dest_id.value == 200 and not match.is_local
+        assert match.dest_id.value == 200 and match.resident_vn is None
 
     def test_ephemeral_children_visible_only_to_data(self):
         router = make_router()

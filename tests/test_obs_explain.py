@@ -30,7 +30,7 @@ class TestSyntheticSpans:
     def test_segments_group_hops_under_their_decision(self):
         tracer = Tracer()
         _synthetic_span(tracer)
-        packet = explain.last_packet(tracer.sink.records())
+        packet = explain.explain_packets(tracer.sink.records())[-1]
         assert packet.delivered and packet.hops == 3
         assert [seg.rule for seg in packet.segments] == ["successor", "cache"]
         assert [seg.n_hops for seg in packet.segments] == [2, 1]
@@ -39,7 +39,7 @@ class TestSyntheticSpans:
     def test_attribution_sums_to_hops_over_optimal(self):
         tracer = Tracer()
         _synthetic_span(tracer)
-        packet = explain.last_packet(tracer.sink.records())
+        packet = explain.explain_packets(tracer.sink.records())[-1]
         assert packet.attributions(2) == [1.0, 0.5]
         assert packet.total_stretch(2) == pytest.approx(1.5)
         # No baseline -> everything attributes to 0.0 (stretch contract).
@@ -48,7 +48,7 @@ class TestSyntheticSpans:
     def test_render_mentions_every_rule_and_hop_walk(self):
         tracer = Tracer()
         _synthetic_span(tracer)
-        text = explain.last_packet(tracer.sink.records()).render(2)
+        text = explain.explain_packets(tracer.sink.records())[-1].render(2)
         assert "successor" in text and "cache" in text
         assert "r1 -> r2 -> r3" in text and "stretch 1.500" in text
 
@@ -73,7 +73,6 @@ class TestSyntheticSpans:
         tracer = Tracer()
         tracer.span("sim.tick")
         assert explain.explain_packets(tracer.sink.records()) == []
-        assert explain.last_packet(tracer.sink.records()) is None
 
 
 class TestLiveTraces:
@@ -89,7 +88,7 @@ class TestLiveTraces:
         with trace.tracing() as tracer:
             a, b = net.random_host_pair()
             result = net.send(a, b)
-        packet = explain.last_packet(tracer.sink.records())
+        packet = explain.explain_packets(tracer.sink.records())[-1]
         assert packet.delivered == result.delivered
         assert packet.hops == result.hops
         tagged = sum(seg.n_hops for seg in packet.segments)
@@ -103,7 +102,7 @@ class TestLiveTraces:
             for _ in range(10):
                 a, b = net.random_host_pair()
                 result = net.send(a, b)
-                packet = explain.last_packet(tracer.sink.records())
+                packet = explain.explain_packets(tracer.sink.records())[-1]
                 total = packet.total_stretch(result.optimal_hops)
                 assert total == pytest.approx(result.stretch)
                 tracer.sink.clear()

@@ -131,7 +131,8 @@ def _assert_matches(index_match, scan_match, dest):
         return
     assert index_match is not None, dest
     assert index_match.distance == scan_match.distance
-    assert index_match.is_local == scan_match.is_local
+    assert (index_match.resident_vn is None) \
+        == (scan_match.resident_vn is None)
 
 
 def test_intra_incremental_index_matches_scan_under_churn():
