@@ -220,11 +220,11 @@ def splice_out(net: "IntraDomainNetwork", vn: VirtualNode,
     pred_vn = (net.vn_index.get(vn.predecessor.dest_id)
                if vn.predecessor is not None else None)
     if vn.ephemeral:
-        if vn.predecessor is None:
-            return None
-        path = net.paths.hop_path(vn.router, vn.predecessor.hosting_router)
-        if path is not None:
-            net.stats.charge_path(path, category)
+        if vn.predecessor is not None:
+            path = net.paths.hop_path(vn.router,
+                                      vn.predecessor.hosting_router)
+            if path is not None:
+                net.stats.charge_path(path, category)
         if pred_vn is not None and vn.id in pred_vn.ephemeral_children:
             del pred_vn.ephemeral_children[vn.id]
             net.routers[pred_vn.router].mark_dirty(pred_vn)

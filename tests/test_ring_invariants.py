@@ -2,8 +2,8 @@
 
 Covers the invariants the hot-path optimizations rely on:
 
-* ``distance_cw`` anti-symmetry and the Chord interval conventions at
-  wrap-around and degenerate (``a == b``) inputs;
+* ``distance_cw`` anti-symmetry and composition around the ring,
+  wrap-around and degenerate (``a == b``) inputs included;
 * every int-domain fast path (``*_i`` on :class:`RingSpace`) agrees with
   its FlatId original on random inputs;
 * the linear-scan ``RingSpace.closest_not_past`` and the bisect-based
