@@ -26,7 +26,7 @@ def run_experiment():
     model = FloodModel(net.lsmap, timers=OspfTimers())
     rng = derive_rng(0, "fig7c")
     rows = []
-    edges = list(net.lsmap.live_graph.edges())
+    edges = list(net.lsmap.links())
     rng.shuffle(edges)
     for a, b in edges[:20]:
         net.lsmap.fail_link(a, b)

@@ -577,11 +577,13 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     from repro.snapshot import SnapshotError
+    from repro.workload import ScenarioError
     try:
         return args.func(args)
-    except SnapshotError as exc:
+    except (SnapshotError, ScenarioError) as exc:
         # A file that is not a snapshot, is corrupt, or was written under
-        # another schema version: the message says which, and what to do.
+        # another schema version; a scenario naming a link or router the
+        # network lacks: the message says which, and what to do.
         print("repro: {}".format(exc), file=sys.stderr)
         return 2
 

@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.topology.asgraph import ASGraph, Relationship
+from repro.topology.graph import bfs_paths, topological_order
 
 
 class BgpBaseline:
@@ -65,12 +64,12 @@ class BgpBaseline:
         """ASes ordered providers-first (the provider DAG is acyclic)."""
         if self._topo_order is not None:
             return self._topo_order
-        dag = nx.DiGraph()
-        dag.add_nodes_from(self.asg.ases())
-        for asn in self.asg.ases():
+        customers: Dict[Hashable, List[Hashable]] = {
+            asn: [] for asn in self.asg.ases()}
+        for asn in customers:
             for provider in self._providers(asn):
-                dag.add_edge(provider, asn)  # provider → customer
-        self._topo_order = list(nx.topological_sort(dag))
+                customers[provider].append(asn)
+        self._topo_order = topological_order(customers)
         return self._topo_order
 
     def routes_to(self, dest: Hashable) -> Dict[Hashable, Tuple[int, int]]:
@@ -154,10 +153,8 @@ class BgpBaseline:
 
     def shortest_distance(self, src: Hashable, dest: Hashable) -> Optional[int]:
         """Plain (policy-oblivious) shortest AS-hop distance."""
-        try:
-            return nx.shortest_path_length(self.asg.graph, src, dest)
-        except nx.NetworkXNoPath:
-            return None
+        path = bfs_paths(self.asg.adjacency, src).get(dest)
+        return None if path is None else len(path) - 1
 
     def policy_stretch(self, src: Hashable, dest: Hashable) -> Optional[float]:
         """The Fig 8b "BGP-policy" series: policy path over shortest path."""

@@ -24,7 +24,7 @@ from collections import deque
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.topology.asgraph import ASGraph, Relationship
-from repro.topology.hierarchy import HierarchyIndex
+from repro.topology.hierarchy import HierarchyIndex, up_hierarchy
 from repro.util import perf
 
 
@@ -204,8 +204,7 @@ class PolicyView:
                 levels.append(current)
         else:  # MULTIHOMED and PEERING share the provider DAG coverage.
             if prune:
-                dag = self._pruned_up_dag(home_as, prune)
-                chain = list(dag.nodes)
+                chain = list(up_hierarchy(self.asg, home_as, prune=prune))
             else:
                 chain = [asn for asn in self.hierarchy.up_chain(home_as)]
             levels = list(chain)
@@ -229,11 +228,6 @@ class PolicyView:
             # ring membership, which costs nothing extra to model).
             return [home_as, self.root] if home_as != self.root else [self.root]
         return levels
-
-    def _pruned_up_dag(self, home_as: Hashable, prune: Set[Hashable]):
-        """The up-hierarchy DAG with the pruned ASes removed."""
-        from repro.topology.hierarchy import up_hierarchy
-        return up_hierarchy(self.asg, home_as, prune=prune)
 
     # -- valley-free paths ------------------------------------------------------------
 

@@ -83,7 +83,7 @@ def _route(net, start_router, dest_id, mode, category):
                            mode=mode) if trace.ENABLED else None
     data = mode == "data"   # doubles as Algorithm 2's ``include_ephemeral``
     routers = net.routers
-    adj = net.lsmap.live_graph._adj
+    adj = net.lsmap.adjacency
     infinity = net.space.size  # any real candidate beats it
     dest_iv = dest_id.value
     # Lookups aim at the spot just before the target so greedy routing
@@ -209,8 +209,8 @@ def _route(net, start_router, dest_id, mode, category):
             # state and latency both come from the one adjacency entry.
             next_router = source_route[step + 1]
             nbrs = adj.get(current)
-            link = None if nbrs is None else nbrs.get(next_router)
-            if link is None:
+            hop_ms = None if nbrs is None else nbrs.get(next_router)
+            if hop_ms is None:
                 # The route broke under us; repair from here or tear down.
                 pointer = net.validate_pointer(router, committed,
                                                from_router=current)
@@ -226,8 +226,8 @@ def _route(net, start_router, dest_id, mode, category):
                 source_route, step = pointer.path, 0
                 hosting = source_route[-1]
                 next_router = source_route[1]
-                link = nbrs[next_router]
-            latency_ms += link["latency_ms"]
+                hop_ms = nbrs[next_router]
+            latency_ms += hop_ms
             path.append(next_router)
             if tr is not None:
                 tr.hop(frm=current, to=next_router)

@@ -71,10 +71,6 @@ class VirtualNode:
     router: str
     host_name: Optional[str] = None   # None for a router's default VN
     ephemeral: bool = False
-    #: Constant: nothing writes or reads it since the message-level join
-    #: engine was retired.  A hashed state key, so it leaves with the next
-    #: snapshot schema bump (ROADMAP).
-    joining: bool = False
     successors: List[Pointer] = field(default_factory=list)
     predecessor: Optional[Pointer] = None
     #: Ephemeral IDs parked at this VN (we are their ring predecessor).

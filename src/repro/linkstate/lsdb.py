@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Hashable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
-import networkx as nx
-
+from repro.topology import graph
 from repro.topology.graph import RouterTopology
 
 
@@ -34,6 +34,11 @@ class TopologyEvent:
 class LinkStateMap:
     """Mutable live view over a static topology.
 
+    The map itself is ``adjacency`` (read it freely, change it only through
+    the methods here): the topology's ``router → {neighbour → latency_ms}``
+    less every failed router and link.  What is restored re-enters at the
+    *end* of each dict it rejoins, and shortest-path ties break by that order.
+
     ``generation`` increments on every change; path caches key their
     validity on it.  Failed routers take all their incident links down
     with them (and those links return when the router returns, unless the
@@ -47,7 +52,13 @@ class LinkStateMap:
         self._failed_routers: Set[str] = set()
         self._failed_links: Set[frozenset] = set()
         self._subscribers: List[Callable[[TopologyEvent], None]] = []
-        self._live: nx.Graph = topology.graph.copy()
+        # Not a copy of each neighbour dict: laid router by router, both
+        # ends at once, a dict lists the routers inserted before its owner first.
+        self.adjacency: Dict[str, Dict[str, float]] = {
+            router: {} for router in topology.adjacency}
+        for router, nbrs in topology.adjacency.items():
+            for nbr, latency in nbrs.items():
+                self._link_up(router, nbr, latency)
 
     # -- subscriptions --------------------------------------------------------
 
@@ -61,43 +72,49 @@ class LinkStateMap:
 
     # -- mutation ---------------------------------------------------------------
 
+    def _link_up(self, a: str, b: str, latency_ms: float) -> None:
+        self.adjacency[a][b] = self.adjacency[b][a] = latency_ms
+
+    def _link_key(self, a: str, b: str) -> frozenset:
+        if not self.topology.has_link(a, b):
+            raise KeyError("unknown link {!r} - {!r}".format(a, b))
+        return frozenset((a, b))
+
     def fail_link(self, a: str, b: str) -> None:
-        key = frozenset((a, b))
+        key = self._link_key(a, b)
         if key in self._failed_links:
             return
         self._failed_links.add(key)
-        if self._live.has_edge(a, b):
-            self._live.remove_edge(a, b)
+        if self.is_link_up(a, b):
+            del self.adjacency[a][b], self.adjacency[b][a]
         self._notify(TopologyEvent(EventKind.LINK_DOWN, link=(a, b)))
 
     def restore_link(self, a: str, b: str) -> None:
-        key = frozenset((a, b))
+        key = self._link_key(a, b)
         if key not in self._failed_links:
             return
         self._failed_links.discard(key)
-        if (a not in self._failed_routers and b not in self._failed_routers
-                and self.topology.graph.has_edge(a, b)):
-            self._live.add_edge(a, b, **self.topology.graph.edges[a, b])
+        if a in self.adjacency and b in self.adjacency:
+            self._link_up(a, b, self.topology.adjacency[a][b])
         self._notify(TopologyEvent(EventKind.LINK_UP, link=(a, b)))
 
     def fail_router(self, router: str) -> None:
         if router in self._failed_routers:
             return
         self._failed_routers.add(router)
-        if router in self._live:
-            self._live.remove_node(router)
+        for nbr in self.adjacency.pop(router, ()):
+            del self.adjacency[nbr][router]
         self._notify(TopologyEvent(EventKind.ROUTER_DOWN, router=router))
 
     def restore_router(self, router: str) -> None:
         if router not in self._failed_routers:
             return
         self._failed_routers.discard(router)
-        self._live.add_node(router, **self.topology.graph.nodes[router])
-        for nbr in self.topology.graph.neighbors(router):
-            if (nbr in self._live
+        self.adjacency[router] = {}
+        for nbr, latency in self.topology.adjacency[router].items():
+            if (nbr in self.adjacency
                     and frozenset((router, nbr)) not in self._failed_links):
-                self._live.add_edge(router, nbr,
-                                    **self.topology.graph.edges[router, nbr])
+                self._link_up(router, nbr, latency)
         self._notify(TopologyEvent(EventKind.ROUTER_UP, router=router))
 
     def fail_pop(self, pop: Hashable) -> List[str]:
@@ -115,45 +132,43 @@ class LinkStateMap:
 
     # -- queries -----------------------------------------------------------------
 
-    @property
-    def live_graph(self) -> nx.Graph:
-        return self._live
-
     def is_router_up(self, router: str) -> bool:
-        return router in self._live
+        return router in self.adjacency
 
     def is_link_up(self, a: str, b: str) -> bool:
-        return self._live.has_edge(a, b)
+        return b in self.adjacency.get(a, ())
 
     def live_routers(self) -> List[str]:
-        return list(self._live.nodes)
+        return list(self.adjacency)
+
+    def links(self) -> Iterator[Tuple[str, str]]:
+        """The live links, oriented and ordered as ``graph.links``."""
+        return graph.links(self.adjacency)
 
     def reachable(self, a: str, b: str) -> bool:
-        if a not in self._live or b not in self._live:
-            return False
-        return nx.has_path(self._live, a, b)
+        return a in self.adjacency and b in graph.bfs_paths(self.adjacency, a)
 
     def components(self) -> List[Set[str]]:
-        return [set(c) for c in nx.connected_components(self._live)]
+        return graph.components(self.adjacency)
 
     def path_is_live(self, path: Sequence[str]) -> bool:
         """Is a stored source route still usable on the live map?  One
-        pass over the raw adjacency: its first router is up and every
+        pass over the adjacency: its first router is up and every
         consecutive pair is a live edge (which implies the other routers
         are up)."""
         if not path:
             return False
-        adj = self._live._adj
-        nbrs = adj.get(path[0])
+        adjacency = self.adjacency
+        nbrs = adjacency.get(path[0])
         if nbrs is None:
             return False
         for router in path[1:]:
             if router not in nbrs:
                 return False
-            nbrs = adj[router]
+            nbrs = adjacency[router]
         return True
 
     def __repr__(self) -> str:
         return "LinkStateMap({!r}, live={}/{} routers, gen={})".format(
-            self.topology.name, self._live.number_of_nodes(),
+            self.topology.name, len(self.adjacency),
             self.topology.n_routers, self.generation)

@@ -42,10 +42,10 @@ def flood_message_cost(lsmap: LinkStateMap,
     ``2·|E|`` minus the origin's savings, and simply model ``2·|E|``
     when no origin is given.
     """
-    n_links = lsmap.live_graph.number_of_edges()
+    both_ways = sum(map(len, lsmap.adjacency.values()))
     if origin is None:
-        return 2 * n_links
-    return max(0, 2 * n_links - lsmap.live_graph.degree(origin))
+        return both_ways
+    return max(0, both_ways - len(lsmap.adjacency[origin]))
 
 
 def flood_latency_ms(lsmap: LinkStateMap, origin: str,

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-import networkx as nx
-
 from repro.linkstate.lsdb import EventKind, LinkStateMap, TopologyEvent
+from repro.topology.graph import bfs_paths, dijkstra_lengths
 from repro.util import perf
 
 
@@ -99,11 +98,8 @@ class PathCache:
         tree = self._hop_paths.get(src)
         if tree is None:
             with perf.timed("spf.hop_tree"):
-                if src not in self.lsmap.live_graph:
-                    tree = {}
-                else:
-                    tree = nx.single_source_shortest_path(
-                        self.lsmap.live_graph, src)
+                live = self.lsmap.adjacency
+                tree = bfs_paths(live, src) if src in live else {}
             self._hop_paths[src] = tree
         return tree
 
@@ -134,17 +130,12 @@ class PathCache:
         dists = self._latency_dist.get(src)
         if dists is None:
             with perf.timed("spf.latency_tree"):
-                if src not in self.lsmap.live_graph:
-                    dists = {}
-                else:
-                    dists = nx.single_source_dijkstra_path_length(
-                        self.lsmap.live_graph, src, weight="latency_ms")
+                live = self.lsmap.adjacency
+                dists = dijkstra_lengths(live, src) if src in live else {}
             self._latency_dist[src] = dists
         return dists.get(dst)
 
     def path_latency_ms(self, path: List[str]) -> float:
         """Latency along an explicit source route."""
-        total = 0.0
-        for a, b in zip(path, path[1:]):
-            total += self.lsmap.live_graph.edges[a, b]["latency_ms"]
-        return total
+        live = self.lsmap.adjacency
+        return sum((live[a][b] for a, b in zip(path, path[1:])), 0.0)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.obs.trace import Tracer, TraceRecord
+from repro.topology.graph import bfs_paths
 
 
 @dataclass
@@ -125,19 +126,14 @@ class SpfAgreementProbe(Probe):
             yield routers[i], routers[(i + n // 2) % n]
 
     def check(self, report) -> None:
-        import networkx as nx
-        graph = self.net.lsmap.live_graph
+        live = self.net.lsmap.adjacency
         for src, dst in self._sample_pairs():
             if src == dst:
                 continue
             cached = self.net.paths.hop_dist(src, dst)
-            if src not in graph or dst not in graph:
-                fresh = None
-            else:
-                try:
-                    fresh = nx.shortest_path_length(graph, src, dst)
-                except nx.NetworkXNoPath:
-                    fresh = None
+            # The oracle: a BFS of its own, never the cache under test.
+            path = bfs_paths(live, src).get(dst) if src in live else None
+            fresh = None if path is None else len(path) - 1
             if cached != fresh:
                 report(src=src, dst=dst, cached=cached, fresh=fresh)
 

@@ -2,14 +2,10 @@
 
 Events fire in (time, insertion-order) order, so two events scheduled for
 the same instant run in the order they were scheduled — determinism the
-test-suite relies on.  The loop supports cancellation and a bounded run
-(``run(until=...)``) used to model timeouts.
-
-Cancellation is lazy (cancelled entries stay heaped until popped), but
-the loop tracks the live count so ``pending`` is O(1), and it compacts
-the heap whenever cancelled entries outnumber live ones — long-running
-churn workloads that schedule-and-cancel keepalive timers no longer leak
-heap memory or drag every push/pop through dead entries.
+test-suite relies on.  The loop supports a bounded run
+(``run(until=...)``) used to model timeouts.  A scheduled event cannot be
+withdrawn (nothing in the package needs to since the message-level join
+engine went): a callback that may have become moot checks when it fires.
 """
 
 from __future__ import annotations
@@ -27,16 +23,6 @@ class Event:
     time: float
     seq: int
     callback: Callable[[], Any] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    _on_cancel: Optional[Callable[[], None]] = field(
-        default=None, compare=False, repr=False)
-
-    def cancel(self) -> None:
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._on_cancel is not None:
-            self._on_cancel()
 
 
 class EventLoop:
@@ -46,12 +32,9 @@ class EventLoop:
         self.now: float = 0.0
         self._heap: list = []
         self._counter = itertools.count()
-        self._cancelled = 0  # cancelled events still sitting in the heap
         self.events_run = 0
-        self.events_cancelled = 0  # total pending events ever cancelled
-        #: Observer invoked with each live event just before its callback
-        #: runs (after ``now`` advances).  Cancelled events are skipped in
-        #: the pop loop and never reach it.  Used by ``repro.obs``.
+        #: Observer invoked with each event just before its callback runs
+        #: (after ``now`` advances).  Used by ``repro.obs``.
         self.on_event = on_event
 
     def schedule(self, delay: float, callback: Callable[[], Any]) -> Event:
@@ -60,8 +43,7 @@ class EventLoop:
             raise ValueError(
                 "negative delay {!r}: cannot schedule in the past "
                 "(now={!r})".format(delay, self.now))
-        event = Event(self.now + delay, next(self._counter), callback,
-                      _on_cancel=self._note_cancel)
+        event = Event(self.now + delay, next(self._counter), callback)
         heapq.heappush(self._heap, event)
         return event
 
@@ -73,51 +55,24 @@ class EventLoop:
                 "in the past".format(time, self.now))
         return self.schedule(time - self.now, callback)
 
-    def _note_cancel(self) -> None:
-        self._cancelled += 1
-        self.events_cancelled += 1
-        # Compact once dead entries dominate: O(live) rebuild, amortised
-        # O(1) per cancellation.
-        if self._cancelled > len(self._heap) // 2:
-            self._heap = [e for e in self._heap if not e.cancelled]
-            heapq.heapify(self._heap)
-            self._cancelled = 0
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` when idle."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-            self._cancelled -= 1
-        return self._heap[0].time if self._heap else None
-
     def step(self) -> bool:
         """Run the single next event.  Returns False when idle."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            # Out of the heap: a late cancel() must not skew the count.
-            event._on_cancel = None
-            self.now = event.time
-            if self.on_event is not None:
-                self.on_event(event)
-            event.callback()
-            self.events_run += 1
-            return True
-        return False
+        if not self._heap:
+            return False
+        event = heapq.heappop(self._heap)
+        self.now = event.time
+        if self.on_event is not None:
+            self.on_event(event)
+        event.callback()
+        self.events_run += 1
+        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Drain events; stop at virtual time ``until`` or after
         ``max_events`` callbacks.  Returns how many events ran."""
         ran = 0
-        while True:
-            if max_events is not None and ran >= max_events:
-                break
-            next_time = self.peek_time()
-            if next_time is None:
-                break
-            if until is not None and next_time > until:
+        while self._heap and (max_events is None or ran < max_events):
+            if until is not None and self._heap[0].time > until:
                 # Advance to the bound, never backwards: ``run(until=t)``
                 # with ``t < now`` must not rewind the clock — the
                 # past-scheduling guards assume ``now`` is monotone.
@@ -129,31 +84,22 @@ class EventLoop:
 
     @property
     def pending(self) -> int:
-        return len(self._heap) - self._cancelled
+        return len(self._heap)
 
     # -- snapshot support ---------------------------------------------------
 
-    def pending_events(self) -> list:
-        """The live (non-cancelled) events in firing order."""
-        return sorted(e for e in self._heap if not e.cancelled)
-
     def __getstate__(self):
-        """Serialize the virtual clock and the *live* pending queue.
+        """Serialize the virtual clock and the pending queue.
 
-        Cancelled heap entries are compacted away (they are garbage, and
-        their callbacks may not be serializable), and the ``on_event``
-        observer is dropped — observers (e.g. an installed tracer with an
-        open file sink) are process-local wiring that the loading side
-        re-attaches explicitly.  Event callbacks themselves must be
-        picklable for a mid-run loop to snapshot; a quiescent (drained)
-        loop always is.
+        The queue is written in firing order — a heap's layout depends on
+        its push history, which is not state, and a sorted list is a valid
+        heap to load — and the ``on_event`` observer is dropped: observers
+        (e.g. an installed tracer with an open file sink) are
+        process-local wiring that the loading side re-attaches
+        explicitly.  Event callbacks themselves must be picklable for a
+        mid-run loop to snapshot; a quiescent (drained) loop always is.
         """
         state = self.__dict__.copy()
-        state["_heap"] = self.pending_events()
-        state["_cancelled"] = 0
+        state["_heap"] = sorted(self._heap)
         state["on_event"] = None
         return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        heapq.heapify(self._heap)

@@ -18,11 +18,7 @@ byte stream with exactly those properties:
   round-tripped through :mod:`repro.snapshot.store`) hash identically;
 * RNG streams hash by their ``getstate()`` tuples — a stream that has
   advanced is different state, which is what makes
-  "same seed → same hash" a *checkable* invariant rather than a slogan;
-* a networkx graph hashes as its attributes, nodes and adjacency and
-  never through its ``__dict__``, where networkx also parks the
-  ``nodes`` / ``adj`` / ``edges`` / ``degree`` views once something has
-  read them — what a query warmed is not state.
+  "same seed → same hash" a *checkable* invariant rather than a slogan.
 
 The byte grammar is tabulated in DESIGN.md §10 and pinned by
 ``tests/codec_reference.py``, the walker this one replaced, which the
@@ -47,8 +43,6 @@ import random
 from array import array
 from typing import Any, Callable, Dict, Iterable, Tuple
 
-import networkx as nx
-
 from repro.idspace.identifier import FlatId
 
 
@@ -63,12 +57,6 @@ _FLUSH_PIECES = 2048
 
 def _len_prefixed(tag: bytes, payload: bytes) -> bytes:
     return b"%b%d:%b" % (tag, len(payload), payload)
-
-
-def _class_header(tag: bytes, kind: type) -> bytes:
-    """``<tag><len>:<module.qualname>`` — what opens an ``O`` or ``X``."""
-    return _len_prefixed(tag, "{}.{}".format(
-        kind.__module__, kind.__qualname__).encode("utf-8"))
 
 
 # -- leaves -------------------------------------------------------------------
@@ -245,13 +233,6 @@ class _Walker:
                     self.emit(b"G")
                     self.encode(obj.getstate())
                 return
-            if isinstance(obj, nx.Graph):
-                if not self._enter(obj):
-                    self.emit(_class_header(b"X", kind))
-                    for part in (obj.graph, obj._node, obj._adj):
-                        self.encode(part)
-                    self.emit(b"x")
-                return
             if kind is array:
                 self.emit(_len_prefixed(
                     b"A", obj.typecode.encode("ascii") + b":"
@@ -264,7 +245,8 @@ class _Walker:
             if kind is itertools.count:
                 self.emit(_len_prefixed(b"C", repr(obj).encode("ascii")))
                 return
-            header = _class_header(b"O", kind)
+            header = _len_prefixed(b"O", "{}.{}".format(
+                kind.__module__, kind.__qualname__).encode("utf-8"))
             # Every test above but ``hasattr(obj, "__qualname__")`` looks
             # at the type alone; non-callable classes skip them next time.
             if not callable(obj):

@@ -44,8 +44,8 @@ from repro.snapshot.codec import state_hash_of
 from repro.util import perf
 
 #: Bump on any incompatible change to the header, payload layout or
-#: canonical byte stream (2: DESIGN.md §10, "Schema 2").
-SCHEMA_VERSION = 2
+#: canonical byte stream (3: DESIGN.md §10, "Schema 3").
+SCHEMA_VERSION = 3
 MAGIC = "repro-snapshot"
 
 #: What every header carries besides ``magic`` and ``schema``, and as what.

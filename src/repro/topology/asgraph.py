@@ -21,8 +21,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
+from repro.topology import graph
 from repro.util.rng import derive_rng, sample_zipf_counts
 
 
@@ -37,13 +36,15 @@ class Relationship(enum.Enum):
 class ASGraph:
     """An annotated AS-level topology.
 
-    Internally an undirected multigraph-free graph whose edges carry a
-    :class:`Relationship` plus, for directional relationships, which
-    endpoint is the provider.
+    ``adjacency[a][b]`` is the one attribute dict of link ``a — b`` (held
+    under both endpoints): its :class:`Relationship` ``rel``, for
+    directional relationships which endpoint is the ``provider``, and its
+    ``latency``.  ``nodes[asn]`` holds an AS's ``tier`` and ``hosts``.
     """
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        self.nodes: Dict[Hashable, dict] = {}
+        self.adjacency: Dict[Hashable, Dict[Hashable, dict]] = {}
         # Relationship queries are on the hot path of every policy-path
         # BFS and finger selection; the graph is static once built, so
         # neighbour lists are memoised (invalidated by the mutators).
@@ -60,60 +61,51 @@ class ASGraph:
     # -- construction -------------------------------------------------------
 
     def add_as(self, asn: Hashable, tier: int = 3, hosts: int = 0) -> None:
-        if asn in self.graph:
+        if asn in self.nodes:
             raise ValueError("duplicate AS {!r}".format(asn))
-        self.graph.add_node(asn, tier=tier, hosts=hosts)
+        self.nodes[asn] = {"tier": tier, "hosts": hosts}
+        self.adjacency[asn] = {}
         self._rel_cache.clear()
 
     def add_customer_provider(self, customer: Hashable, provider: Hashable,
                               backup: bool = False,
                               latency: float = 1.0) -> None:
         """Add a transit link: ``customer`` buys transit from ``provider``."""
-        self._check_nodes(customer, provider)
-        self._check_latency(latency)
         rel = Relationship.BACKUP if backup else Relationship.CUSTOMER_PROVIDER
-        self.graph.add_edge(customer, provider, rel=rel, provider=provider,
-                            latency=latency)
-        self._rel_cache.clear()
+        self._add_link(customer, provider, rel, provider, latency)
 
     def add_peering(self, a: Hashable, b: Hashable,
                     latency: float = 1.0) -> None:
-        self._check_nodes(a, b)
-        self._check_latency(latency)
-        self.graph.add_edge(a, b, rel=Relationship.PEER, provider=None,
-                            latency=latency)
-        self._rel_cache.clear()
+        self._add_link(a, b, Relationship.PEER, None, latency)
 
-    @staticmethod
-    def _check_latency(latency: float) -> None:
+    def _add_link(self, a: Hashable, b: Hashable, rel: Relationship,
+                  provider: Optional[Hashable], latency: float) -> None:
+        for asn in (a, b):
+            if asn not in self.nodes:
+                raise KeyError("unknown AS {!r}".format(asn))
+        if a == b:
+            raise ValueError("self-relationship")
         if latency <= 0:
             raise ValueError(
                 "link latency must be positive, got {!r}".format(latency))
-
-    def _check_nodes(self, *asns: Hashable) -> None:
-        for asn in asns:
-            if asn not in self.graph:
-                raise KeyError("unknown AS {!r}".format(asn))
-        if len(set(asns)) != len(asns):
-            raise ValueError("self-relationship")
+        self.adjacency[a][b] = self.adjacency[b][a] = {
+            "rel": rel, "provider": provider, "latency": latency}
+        self._rel_cache.clear()
 
     def set_hosts(self, asn: Hashable, hosts: int) -> None:
-        self.graph.nodes[asn]["hosts"] = hosts
+        self.nodes[asn]["hosts"] = hosts
 
     # -- relationship queries -------------------------------------------------
 
     def ases(self) -> List[Hashable]:
-        return list(self.graph.nodes)
+        return list(self.nodes)
 
     @property
     def n_ases(self) -> int:
-        return self.graph.number_of_nodes()
-
-    def tier(self, asn: Hashable) -> int:
-        return self.graph.nodes[asn]["tier"]
+        return len(self.nodes)
 
     def hosts(self, asn: Hashable) -> int:
-        return self.graph.nodes[asn].get("hosts", 0)
+        return self.nodes[asn]["hosts"]
 
     def _related(self, asn: Hashable, rel: Relationship,
                  as_provider: Optional[bool] = None) -> List[Hashable]:
@@ -121,8 +113,7 @@ class ASGraph:
         cached = self._rel_cache.get(key)
         if cached is None:
             out = []
-            adj = self.graph.adj[asn]
-            for nbr, data in adj.items():
+            for nbr, data in self.adjacency[asn].items():
                 if data["rel"] is not rel:
                     continue
                 if as_provider is True and data["provider"] != nbr:
@@ -153,66 +144,55 @@ class ASGraph:
         return self._related(asn, Relationship.PEER)
 
     def relationship(self, a: Hashable, b: Hashable) -> Optional[Relationship]:
-        if not self.graph.has_edge(a, b):
-            return None
-        return self.graph.edges[a, b]["rel"]
+        data = self.adjacency.get(a, {}).get(b)
+        return None if data is None else data["rel"]
 
     def is_provider_of(self, provider: Hashable, customer: Hashable) -> bool:
-        if not self.graph.has_edge(provider, customer):
-            return False
-        data = self.graph.edges[provider, customer]
-        return (data["rel"] in (Relationship.CUSTOMER_PROVIDER, Relationship.BACKUP)
+        data = self.adjacency.get(provider, {}).get(customer)
+        return (data is not None and data["rel"] is not Relationship.PEER
                 and data["provider"] == provider)
 
     def stubs(self) -> List[Hashable]:
         """ASes with no customers — the unstable edge of the Internet."""
-        return [asn for asn in self.graph if not self.customers(asn)]
+        return [asn for asn in self.nodes if not self.customers(asn)]
 
     def tier1(self) -> List[Hashable]:
         """ASes with no providers at all (primary or backup)."""
-        return [asn for asn in self.graph
+        return [asn for asn in self.nodes
                 if not self.providers(asn) and not self.backup_providers(asn)]
 
     def links(self) -> Iterable[Tuple[Hashable, Hashable, Relationship]]:
-        for a, b, data in self.graph.edges(data=True):
-            yield a, b, data["rel"]
+        for a, b in graph.links(self.adjacency):
+            yield a, b, self.adjacency[a][b]["rel"]
 
     def link_latency(self, a: Hashable, b: Hashable) -> float:
-        """Propagation latency of one AS link, in virtual time units.
-
-        Graphs built before latencies existed (older snapshots) default
-        every link to 1.0 — one virtual time unit per AS hop, matching
-        how the message-charging simulation counts hops.
-        """
-        return self.graph.edges[a, b].get("latency", 1.0)
+        """Propagation latency of one AS link in virtual time units (1.0 by
+        default: one per AS hop, as the message-charging simulation counts)."""
+        return self.adjacency[a][b]["latency"]
 
     def multihomed(self) -> List[Hashable]:
-        return [asn for asn in self.graph
+        return [asn for asn in self.nodes
                 if len(self.providers(asn)) + len(self.backup_providers(asn)) > 1]
 
     def validate(self) -> None:
         """Check the annotation invariants the routing layer relies on."""
         if self.n_ases == 0:
             raise ValueError("empty AS graph")
-        if not nx.is_connected(self.graph):
+        if len(graph.components(self.adjacency)) != 1:
             raise ValueError("AS graph is not connected")
-        # The provider relation must be acyclic (it is a hierarchy).
-        dag = nx.DiGraph()
-        dag.add_nodes_from(self.graph.nodes)
-        for a, b, data in self.graph.edges(data=True):
-            if data["rel"] in (Relationship.CUSTOMER_PROVIDER, Relationship.BACKUP):
-                customer = a if data["provider"] == b else b
-                dag.add_edge(customer, data["provider"])
-        if not nx.is_directed_acyclic_graph(dag):
-            raise ValueError("customer-provider relation contains a cycle")
-        # Every non-tier-1 AS must reach some tier-1 via provider links.
-        tier1 = set(self.tier1())
-        if not tier1:
-            raise ValueError("no tier-1 ASes")
+        # The provider relation must be acyclic (it is a hierarchy) — so
+        # some AS has no provider, and every other reaches such a tier-1.
+        try:
+            graph.topological_order({
+                asn: self.providers(asn) + self.backup_providers(asn)
+                for asn in self.nodes})
+        except ValueError:
+            raise ValueError(
+                "customer-provider relation contains a cycle") from None
 
     def __repr__(self) -> str:
         return "ASGraph(ases={}, links={})".format(
-            self.n_ases, self.graph.number_of_edges())
+            self.n_ases, sum(map(len, self.adjacency.values())) // 2)
 
 
 def synthetic_as_graph(
@@ -319,9 +299,7 @@ def as_router_topology(asg: ASGraph, name: str = "as-graph"):
     their AS-level latencies (relationship annotations carry no meaning
     for shortest-path protocols and are dropped).
     """
-    from repro.topology.graph import RouterTopology
-
-    topo = RouterTopology(name)
+    topo = graph.RouterTopology(name)
     for asn in sorted(asg.ases(), key=repr):
         topo.add_router(str(asn), role="edge")
     for a, b, _rel in asg.links():

@@ -11,36 +11,33 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Set
 
-import networkx as nx
-
 from repro.topology.asgraph import ASGraph
 
 
 def up_hierarchy(asg: ASGraph, asn: Hashable,
                  include_backup: bool = False,
-                 prune: Optional[Set[Hashable]] = None) -> nx.DiGraph:
-    """X's up-hierarchy graph G_X as a customer→provider DAG.
+                 prune: Optional[Set[Hashable]] = None) -> Dict[Hashable, list]:
+    """X's up-hierarchy graph G_X as a customer→provider DAG (``{AS: its
+    providers}``, in discovery order).
 
     Contains ``asn`` itself plus every AS reachable by repeatedly following
     (primary, and optionally backup) provider links.  ``prune`` removes the
     given ASes — the paper allows X to "prune G_X to reduce its join and
     maintenance overhead".
     """
-    dag = nx.DiGraph()
-    dag.add_node(asn)
+    dag: Dict[Hashable, List[Hashable]] = {asn: []}
     frontier = [asn]
-    seen = {asn}
     while frontier:
         current = frontier.pop()
-        uplinks = list(asg.providers(current))
+        uplinks = asg.providers(current)
         if include_backup:
             uplinks += asg.backup_providers(current)
         for provider in uplinks:
             if prune and provider in prune:
                 continue
-            dag.add_edge(current, provider)
-            if provider not in seen:
-                seen.add(provider)
+            dag[current].append(provider)
+            if provider not in dag:
+                dag[provider] = []
                 frontier.append(provider)
     return dag
 
@@ -57,7 +54,7 @@ def up_hierarchy_levels(asg: ASGraph, asn: Hashable,
         seen |= current
         nxt: Set[Hashable] = set()
         for node in current:
-            nxt |= set(dag.successors(node)) - seen
+            nxt |= set(dag[node]) - seen
         current = nxt
     return levels
 

@@ -94,12 +94,12 @@ def _wire_pop(topo: RouterTopology, members: list, rng,
         return
     for i in range(n):
         a, b = members[i], members[(i + 1) % n]
-        if not topo.graph.has_edge(a, b) and a != b:
+        if not topo.has_link(a, b) and a != b:
             topo.add_link(a, b, latency_ms=latency_ms)
     # One random chord for redundancy in PoPs of 4+.
     if n >= 4:
         a, b = rng.sample(members, 2)
-        if not topo.graph.has_edge(a, b):
+        if not topo.has_link(a, b):
             topo.add_link(a, b, latency_ms=latency_ms)
 
 
@@ -127,7 +127,7 @@ def _link_pops(topo: RouterTopology, backbone_by_pop: Dict[int, list],
                pop_a: int, pop_b: int, rng, latency_ms: float) -> None:
     router_a = rng.choice(backbone_by_pop[pop_a])
     router_b = rng.choice(backbone_by_pop[pop_b])
-    if router_a != router_b and not topo.graph.has_edge(router_a, router_b):
+    if router_a != router_b and not topo.has_link(router_a, router_b):
         # Jitter backbone latency ±50% so paths are not all equal cost.
         jitter = latency_ms * rng.uniform(0.5, 1.5)
         topo.add_link(router_a, router_b, latency_ms=jitter)

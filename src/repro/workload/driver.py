@@ -125,6 +125,10 @@ class WorkloadDriver:
             spec.kind, scenario.seed, n_routers=spec.n_routers,
             n_ases=spec.n_ases, cache_entries=spec.cache_entries,
             n_fingers=spec.n_fingers, name=spec.name)
+        self._injectors = [INJECTORS[spec.kind](spec)
+                           for spec in scenario.faults]
+        for injector in self._injectors:
+            injector.check(self.net)
         self.loop = EventLoop()
         self.fault_log: List[Dict] = []
         self.rngs = RngRegistry(scenario.seed)
@@ -341,9 +345,8 @@ class WorkloadDriver:
 
         for index, phase in enumerate(scenario.phases):
             self._schedule_phase(phase, index)
-        for spec in scenario.faults:
-            injector = INJECTORS[spec.kind](spec)
-            self.loop.schedule_at(spec.at,
+        for injector in self._injectors:
+            self.loop.schedule_at(injector.at,
                                   lambda inj=injector: inj.fire(self))
         first_sample = min(scenario.sample_interval, scenario.duration)
         self.loop.schedule_at(first_sample, self._sample)

@@ -41,6 +41,20 @@ class FaultInjector:
     def rng(self, driver: "WorkloadDriver"):
         return driver.rng("faults", self.kind, self.at)
 
+    def check(self, net) -> None:
+        """Refuse a spec whose explicit ``links`` or ``routers`` name one
+        that ``net`` does not have.  The driver asks before it touches the
+        network: a bad name ends the run before it starts, not mid-way."""
+        from repro.workload.scenario import ScenarioError
+        for a, b in self.params.get("links") or ():
+            if not net.topology.has_link(a, b):
+                raise ScenarioError("fault {!r} at {}: unknown link {!r} - "
+                                    "{!r}".format(self.kind, self.at, a, b))
+        for router in self.params.get("routers") or ():
+            if router not in net.topology.nodes:
+                raise ScenarioError("fault {!r} at {}: unknown router "
+                                    "{!r}".format(self.kind, self.at, router))
+
     def inject(self, driver: "WorkloadDriver") -> Dict:  # pragma: no cover
         raise NotImplementedError
 

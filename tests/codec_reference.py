@@ -4,9 +4,11 @@ format: ``tests/test_codec.py`` requires the shipped encoder to emit the
 same *stream* — not just the same digest — for every graph it can draw.
 
 Do not optimise or tidy this file; its value is that it does not change.
-The one sanctioned edit since is snapshot schema 2 (PR 20): the ``X``
-production for ``nx.Graph`` below, added here and to the shipped encoder
-together.  Every other byte of the stream is as PR 14 found it.
+The one sanctioned edit since came and went with its subject: snapshot
+schema 2 (PR 20) added an ``X`` production for ``nx.Graph`` here and to
+the shipped encoder together, and schema 3 (PR 22) took it out of both
+again — the package holds no networkx graph any more, its adjacency dicts
+are ordinary values.  The file is byte for byte as PR 14 found it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import itertools
 import random
 from array import array
 from typing import Any, Callable, Dict
-
-import networkx as nx
 
 from repro.idspace.identifier import FlatId
 from repro.snapshot.codec import CanonicalizationError
@@ -128,19 +128,6 @@ class _Walker:
                 return
             update(b"G")
             self.encode(obj.getstate())
-            return
-        if isinstance(obj, nx.Graph):
-            # Schema 2: attributes, nodes, adjacency — not ``__dict__``,
-            # where networkx caches whichever views have been read.
-            if self._enter(obj):
-                return
-            update(_len_prefixed(
-                b"X", "{}.{}".format(kind.__module__,
-                                     kind.__qualname__).encode("utf-8")))
-            self.encode(obj.graph)
-            self.encode(obj._node)
-            self.encode(obj._adj)
-            update(b"x")
             return
         if kind is array:
             update(_len_prefixed(

@@ -1,14 +1,22 @@
-"""The pre-PR-19 intradomain forwarding engine, verbatim but for the one
-sanctioned change below — never edit (or tidy) it.
+"""The pre-PR-19 intradomain forwarding engine, verbatim but for the
+sanctioned changes below — never edit (or tidy) it.
 
-The sanctioned change (PR 21, ROADMAP item 1(a)): the parent's walk
+Sanctioned, PR 22 (snapshot schema 3): two reads of things that no longer
+exist.  ``_route`` took a hop's latency from a networkx ``EdgeView``
+(``lsmap.live_graph.edges[a, b]["latency_ms"]``) and now reads the live
+map's own adjacency (``lsmap.adjacency[a][b]``, the same float); and
+``vn_best_match`` skipped a resident VN that was ``ephemeral or joining``
+— ``VirtualNode.joining`` was constant ``False`` since PR 21 and left
+with the schema bump, so the test reads ``ephemeral`` alone.
+
+Sanctioned, PR 21 (ROADMAP item 1(a)): the parent's walk
 adopted a *zero-hop* pointer's ring position without asking whether its
 target was still resident, so a stale same-router successor entry stalled
 every walk that chose it.  ``_route``'s zero-hop branch now asks
 ``router.hosts_id(pointer.dest_id)`` — the condition ``forwarding._route``
 tests as ``pointer.dest_id.value in resident`` — and otherwise leaves the
-pointer committed for the NACK branch.  That one ``if`` is the only line
-that differs from the parent's file.
+pointer committed for the NACK branch.  That ``if`` and the two reads
+above are the only lines that differ from the parent's file.
 
 Until PR 19 one physical hop cost 28 Python-level calls: ``_route`` asked
 ``RoflRouter.best_match`` → ``vn_best_match`` (``flush`` / ``columns`` /
@@ -98,7 +106,7 @@ def vn_best_match(self, dest: FlatId,
         cand = candidates[position]
         vn = cand.vn
         if vn is not None and (include_ephemeral
-                               or not (vn.ephemeral or vn.joining)):
+                               or not vn.ephemeral):
             return BestMatch(vn.id, None, vn, (dest_iv - iv) & mask)
         if cand.ptrs:
             first = cand.ptrs[0]
@@ -301,7 +309,7 @@ def _route(net, start_router, dest_id, mode, category):
             committed_step = 0
             next_router = committed.path[1]
         perf.counter("fwd.hops")
-        outcome.latency_ms += net.lsmap.live_graph.edges[current, next_router]["latency_ms"]
+        outcome.latency_ms += net.lsmap.adjacency[current][next_router]
         outcome.path.append(next_router)
         if tr is not None:
             tr.hop(frm=current, to=next_router)

@@ -150,6 +150,31 @@ def test_workload_invalid_scenario_contents(tmp_path, capsys):
     assert "unknown fault kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault", [
+    {"kind": "link_cut", "at": 0.5, "links": [["r0", "nope"]]},
+    {"kind": "link_restore", "at": 0.5, "links": [["r0", "nope"]]},
+    {"kind": "router_crash", "at": 0.5, "routers": ["nope"]}],
+    ids=lambda fault: fault["kind"])
+def test_workload_fault_naming_an_unknown_victim_exits_2(tmp_path, capsys,
+                                                         fault):
+    """It used to print ``fault @ 0.5: {'links': [['r0', 'nope']], ...`` as
+    done and exit 0."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({
+        "name": "bad", "duration": 2.0, "warmup_hosts": 5,
+        "sample_interval": 1.0,
+        "network": {"kind": "intra", "n_routers": 12},
+        "phases": [{"name": "p", "start": 0.0, "end": 2.0,
+                    "traffic": {"rate": 3.0}}],
+        "faults": [fault]}))
+    assert main(["workload", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(
+        "repro: fault '{}' at 0.5: unknown ".format(fault["kind"]))
+    assert "'nope'" in captured.err
+
+
 def test_workload_builtin_runs_and_reports(capsys):
     assert main(["workload", "steady-churn"]) == 0
     out = capsys.readouterr().out
@@ -272,16 +297,19 @@ def test_snapshot_cli_rejects_header_without_state_hash(tmp_path, capsys,
     ids=["info", "verify", "serve"])
 def test_a_schema_1_snapshot_is_refused_with_exit_2(tmp_path, capsys,
                                                     command):
-    """What a user holding a pre-PR-20 file meets: one line saying which
-    schema the file has, which one this build reads and what to do."""
-    path = _saved_with_header(tmp_path, lambda h: h.update(schema=1))
-    capsys.readouterr()
-    assert main(command + [str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("repro: snapshot ")
-    for part in ("schema version 1", "reads version 2", "re-create"):
-        assert part in captured.err
+    """What a user holding a pre-PR-20 file (schema 1) meets, and one
+    holding a PR 20-21 file (schema 2): one line saying which schema the
+    file has, which one this build reads and what to do."""
+    for old in (1, 2):
+        path = _saved_with_header(tmp_path, lambda h: h.update(schema=old))
+        capsys.readouterr()
+        assert main(command + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("repro: snapshot ")
+        for part in ("schema version {}".format(old), "reads version 3",
+                     "re-create"):
+            assert part in captured.err
 
 
 def test_serve_requests_file_session(tmp_path, capsys):

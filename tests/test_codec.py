@@ -1,9 +1,8 @@
 """The compiled canonical encoder against the walker it replaced.
 
-``tests/codec_reference.py`` is the pre-PR-14 ``_Walker``, verbatim but for
-the one production snapshot schema 2 added (``nx.Graph``): the byte format
-every stored snapshot header and CI hash gate is written against.  The
-shipped encoder must emit the same *stream* — memo numbering,
+``tests/codec_reference.py`` is the pre-PR-14 ``_Walker``, verbatim: the
+byte format every stored snapshot header and CI hash gate is written
+against.  The shipped encoder must emit the same *stream* — memo numbering,
 back-references and sort order included — so every test here compares
 concatenated bytes, not digests.
 """
@@ -16,7 +15,6 @@ import random
 import weakref
 from array import array
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +23,7 @@ from repro.idspace.identifier import FlatId
 from repro.snapshot.codec import (CanonicalizationError, canonical_update,
                                   state_hash_of)
 from tests.codec_reference import reference_update
+from repro.topology.graph import RouterTopology
 from tests.test_snapshot import build_inter, build_intra
 
 
@@ -159,7 +158,7 @@ class GraphBuilder:
 
     LEAVES = 19
     HASHABLE_CONTAINERS = 3
-    CONTAINERS = 15
+    CONTAINERS = 14
 
     def __init__(self, rng):
         self.rng = rng
@@ -298,33 +297,11 @@ class GraphBuilder:
             out = self.pooled(Stateful(None, cache=object()))
             out.kept = self.value(depth)
             return out
-        if pick == 13:
-            return self.graph(depth, size)
         state = rng.choice((None, 7, "s"))
         if rng.random() < 0.7:
             state = dict(self.items(depth))
             state.update(self.attrs(depth))
         return self.pooled(CustomState(state))
-
-
-    def graph(self, depth, size):
-        """A graph whose attributes at every level are drawn values, with
-        some of its views read (networkx then keeps them in ``__dict__``)."""
-        rng = self.rng
-        out = self.pooled(rng.choice((nx.Graph, nx.DiGraph))())
-        out.graph.update(self.attrs(depth))
-        for _ in range(size):
-            node = self.hashable(1)     # anything hashable but ``None``
-            out.add_node("none" if node is None else node,
-                         **self.attrs(depth))
-        nodes = list(out)
-        for _ in range(size if nodes else 0):
-            out.add_edge(rng.choice(nodes), rng.choice(nodes),
-                         **self.attrs(depth))
-        for view in rng.sample(("nodes", "adj", "edges", "degree"),
-                               rng.randint(0, 4)):
-            getattr(out, view)
-        return out
 
 
 class TestStreamEquality:
@@ -353,34 +330,33 @@ class TestStreamEquality:
         assert_same_stream([ring, shared, node, node, {shared: ring}])
 
     def test_a_graph_is_its_attributes_nodes_and_adjacency(self):
-        """Schema 2's one production: ``X``, the three dicts as ordinary
-        values, ``x`` — whatever else sits in the graph's ``__dict__``."""
-        def build(kind=nx.Graph):
-            graph = kind(name="isp")
-            graph.add_node("a", pop=1)
-            graph.add_edge("a", "b", latency_ms=2.5)
-            return graph
+        """Through the ordinary ``O`` production since schema 3 (schema 2 had
+        an ``X`` for ``nx.Graph``): the package's graphs are dicts of dicts
+        on plain objects, and a pure query leaves nothing behind on one."""
+        def build():
+            topo = RouterTopology("isp")
+            topo.add_router("a", pop=1)
+            topo.add_router("b")
+            topo.add_link("a", "b", latency_ms=2.5)
+            return topo
 
         cold = stream(canonical_update, build())
         assert cold == stream(reference_update, build())
         assert cold == (
-            b"X28:networkx.classes.graph.Graph{s4:names3:isp}"
-            b"{s1:a{s3:popi0x1;}s1:b{}}"
-            b"{s1:a{s1:b{s10:latency_msf2.5;}}s1:b{s1:aR7;}}x")
-        warm = build()
-        warm.nodes, warm.adj, warm.edges, warm.degree
-        warm.__networkx_cache__["derived"] = [1]
-        assert stream(canonical_update, warm) == cold
-        assert_same_stream([warm, warm, {"held": warm}])    # memoised
-        changed = [build(nx.DiGraph), build(), build(), build(), build()]
-        changed[1].graph["name"] = "other"
-        changed[2].nodes["a"]["pop"] = 2
-        changed[3].edges["a", "b"]["latency_ms"] = 3.5
-        changed[4].add_edge("b", "c")
-        streams = {stream(canonical_update, graph) for graph in changed}
-        assert len(streams) == 5 and cold not in streams
-        for graph in changed:
-            assert_same_stream(graph)
+            b"O35:repro.topology.graph.RouterTopology{"
+            b"s4:names3:isp"
+            b"s4:pops{i0x1;[s1:a]}"
+            b"s5:nodes{s1:a{s3:popi0x1;s4:roles4:edge}"
+            b"s1:b{s3:popN;s4:roles4:edge}}"
+            b"s9:adjacency{s1:a{s1:bf2.5;}s1:b{s1:af2.5;}}}o")
+        asked = build()
+        asked.diameter(), asked.is_connected(), list(asked.links())
+        asked.routers, asked.n_links, asked.edge_routers(), asked.validate()
+        assert stream(canonical_update, asked) == cold
+        relinked = build()
+        relinked.add_link("a", "b", latency_ms=3.5)
+        assert stream(canonical_update, relinked) != cold
+        assert_same_stream(relinked)
 
     def test_container_keys_share_the_memo(self):
         # A tuple key seen first as a value is a back-reference in the

@@ -163,3 +163,26 @@ def test_package_imports_without_numpy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     assert subprocess.run([sys.executable, "-c", script], env=env,
                           timeout=60).returncode == 0
+
+
+def test_package_imports_without_networkx(tmp_path):
+    """Nor is networkx (a test oracle only since snapshot schema 3): a
+    process that builds both kinds of network, joins, sends, hashes, saves
+    and loads never imports it."""
+    script = """
+import sys
+import repro, repro.serve
+from repro import snapshot
+for kind in ("intra", "inter"):
+    net = repro.build_network(kind, 1, n_routers=16, n_ases=20, hosts=20)
+    net.join_next()
+    assert net.send(*net.random_host_pair()).delivered
+    path = sys.argv[1] + kind
+    assert snapshot.save(net, path) == snapshot.state_hash(net)
+    assert snapshot.state_hash(snapshot.load(path, verify=True)) \
+        == snapshot.state_hash(net)
+sys.exit(any(name.split(".")[0] == "networkx" for name in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", script, str(tmp_path / "s.")],
+                          env=env, timeout=60).returncode == 0

@@ -34,7 +34,7 @@ class TestIntradomainChurn:
             elif op < 0.75 and len(net.hosts) > 5:
                 net.fail_host(rng.choice(sorted(net.hosts)))
             elif op < 0.9:
-                a, b = rng.choice(list(net.lsmap.live_graph.edges()))
+                a, b = rng.choice(list(net.lsmap.links()))
                 net.fail_link(a, b)
                 if len(net.lsmap.components()) > 1:
                     net.restore_link(a, b)

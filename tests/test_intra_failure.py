@@ -107,13 +107,13 @@ class TestLinkFailure:
     def test_no_ring_change_on_link_failure(self, intra_net_factory):
         net = intra_net_factory(n_hosts=50, seed=8)
         members_before = {vn.id for vn in net.ring_members()}
-        a, b = next(iter(net.lsmap.live_graph.edges()))
+        a, b = next(iter(net.lsmap.links()))
         net.fail_link(a, b)
         assert {vn.id for vn in net.ring_members()} == members_before
 
     def test_cached_routes_over_link_invalidated(self, intra_net_factory):
         net = intra_net_factory(n_hosts=80, seed=8)
-        a, b = next(iter(net.lsmap.live_graph.edges()))
+        a, b = next(iter(net.lsmap.links()))
         net.fail_link(a, b)
         for router in net.routers.values():
             for ptr in router.cache._lru.values():
@@ -122,7 +122,7 @@ class TestLinkFailure:
     def test_delivery_survives_link_failures(self, intra_net_factory):
         net = intra_net_factory(n_hosts=60, seed=8)
         rng = random.Random(5)
-        edges = list(net.lsmap.live_graph.edges())
+        edges = list(net.lsmap.links())
         rng.shuffle(edges)
         failed = 0
         for a, b in edges[:5]:

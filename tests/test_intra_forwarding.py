@@ -300,9 +300,9 @@ def _apply(net, op):
     if kind == "join":
         return net.join_next()
     if kind == "fail_link":
-        return net.fail_link(*_pick(net.lsmap.live_graph.edges, i))
+        return net.fail_link(*_pick(net.lsmap.links(), i))
     if kind == "fail_router":
-        return net.fail_router(_pick(net.lsmap.live_graph, i))
+        return net.fail_router(_pick(net.lsmap.live_routers(), i))
     host, router = _pick(net.hosts, i), _pick(net.routers, j)
     if kind == "send":
         return net.send(host, _pick(net.hosts, j))
@@ -468,8 +468,9 @@ def test_a_hop_costs_at_most_eight_python_calls():
     Python-level calls per physical hop over a fixed batch of sends — every
     call under ``send``, per-packet overhead included.  Deterministic for
     the seed and clock-free.  28.1 until PR 19 fused Algorithm 2 into one
-    ``RoflRouter.best_match`` per router crossed; 5.7 since.  It fails the
-    day someone re-wraps the kernel."""
+    ``RoflRouter.best_match`` per router crossed; 5.7 since, 5.6 once the
+    live map became an attribute (PR 22).  It fails the day someone
+    re-wraps the kernel."""
     net = build_network("intra", 0, n_routers=40, hosts=600)
     pairs = [net.random_host_pair() for _ in range(500)]
     calls = 0

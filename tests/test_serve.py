@@ -173,6 +173,20 @@ class TestMutatingOps:
     def test_workload_needs_scenario(self, server):
         assert "scenario" in err(server, op="workload")
 
+    def test_workload_naming_an_unknown_link_leaves_the_network_alone(
+            self, server):
+        before = ok(server, op="state_hash")["state_hash"]
+        scenario = {
+            "name": "bad", "duration": 2.0, "warmup_hosts": 5,
+            "network": {"kind": "intra", "n_routers": 20},
+            "phases": [{"name": "p", "start": 0.0, "end": 2.0,
+                        "churn": {"arrival_rate": 2.0}}],
+            "faults": [{"kind": "link_cut", "at": 0.5,
+                        "links": [["r0", "nope"]]}]}
+        assert "ScenarioError: fault 'link_cut' at 0.5: unknown link" in err(
+            server, op="workload", scenario=scenario)
+        assert ok(server, op="state_hash")["state_hash"] == before
+
 
 class TestLineProtocol:
     def test_twenty_request_session(self):

@@ -38,16 +38,6 @@ def test_cannot_schedule_in_past():
         EventLoop().schedule(-1.0, lambda: None)
 
 
-def test_cancelled_events_do_not_fire():
-    loop = EventLoop()
-    fired = []
-    event = loop.schedule(1.0, lambda: fired.append("x"))
-    event.cancel()
-    loop.run()
-    assert fired == []
-    assert loop.pending == 0
-
-
 def test_run_until_stops_at_boundary():
     loop = EventLoop()
     fired = []
@@ -91,45 +81,6 @@ def test_schedule_at_absolute_time():
     assert seen == [7.5]
 
 
-def test_peek_time_skips_cancelled():
-    loop = EventLoop()
-    first = loop.schedule(1.0, lambda: None)
-    loop.schedule(2.0, lambda: None)
-    first.cancel()
-    assert loop.peek_time() == 2.0
-
-
-def test_pending_is_exact_with_cancellations():
-    loop = EventLoop()
-    events = [loop.schedule(float(i), lambda: None) for i in range(10)]
-    assert loop.pending == 10
-    for event in events[:4]:
-        event.cancel()
-    assert loop.pending == 6
-    loop.run()
-    assert loop.pending == 0
-    assert loop.events_run == 6
-
-
-def test_double_cancel_counts_once():
-    loop = EventLoop()
-    event = loop.schedule(1.0, lambda: None)
-    loop.schedule(2.0, lambda: None)
-    event.cancel()
-    event.cancel()
-    assert loop.pending == 1
-
-
-def test_cancel_after_run_is_harmless():
-    loop = EventLoop()
-    event = loop.schedule(1.0, lambda: None)
-    loop.schedule(2.0, lambda: None)
-    loop.step()
-    event.cancel()  # already executed; must not skew the live count
-    assert loop.pending == 1
-    assert loop.run() == 1
-
-
 def test_negative_delay_message_names_now():
     loop = EventLoop()
     loop.schedule(2.0, lambda: None)
@@ -168,36 +119,6 @@ def test_run_until_and_max_events_interact():
     assert loop.pending == 5
 
 
-def test_cancelled_event_accounting():
-    loop = EventLoop()
-    events = [loop.schedule(float(i), lambda: None) for i in range(6)]
-    events[0].cancel()
-    events[1].cancel()
-    events[1].cancel()  # double-cancel counts once
-    assert loop.events_cancelled == 2
-    loop.run()
-    assert loop.events_run == 4
-    # Cancelling an already-run event is a no-op for the tally.
-    events[5].cancel()
-    assert loop.events_cancelled == 2
-    assert loop.pending == 0
-
-
-def test_heap_compacts_when_cancelled_dominate():
-    loop = EventLoop()
-    keep = loop.schedule(100.0, lambda: None)
-    doomed = [loop.schedule(float(i), lambda: None) for i in range(1000)]
-    for event in doomed:
-        event.cancel()
-    # Compaction keeps the heap near the live size instead of 1001.
-    assert len(loop._heap) <= 2 * loop.pending + 1
-    assert loop.pending == 1
-    assert loop.peek_time() == 100.0
-    keep.cancel()
-    assert loop.pending == 0
-    assert not loop.run()
-
-
 class TestOnEventObserver:
     def test_observer_sees_live_events_before_callbacks(self):
         seen = []
@@ -210,24 +131,6 @@ class TestOnEventObserver:
         assert fired == ["a", "b"]
         # Observer fires once per event, after now advances.
         assert seen == [(1.0, 0), (2.0, 1)]
-
-    def test_cancelled_events_never_reach_observer(self):
-        seen = []
-        loop = EventLoop(on_event=seen.append)
-        live = loop.schedule(2.0, lambda: None)
-        doomed = loop.schedule(1.0, lambda: None)
-        doomed.cancel()
-        loop.run()
-        assert [ev.seq for ev in seen] == [live.seq]
-
-    def test_event_cancelled_by_earlier_callback_skips_observer(self):
-        seen = []
-        loop = EventLoop(on_event=seen.append)
-        victim = loop.schedule(2.0, lambda: None)
-        loop.schedule(1.0, victim.cancel)
-        loop.run()
-        # Only the cancelling event itself is observed.
-        assert len(seen) == 1 and seen[0] is not victim
 
 
 class TestClockNeverRewinds:
@@ -257,14 +160,14 @@ class TestClockNeverRewinds:
 
 class TestClockMonotoneProperty:
     """Property: ``now`` is non-decreasing under arbitrary interleavings
-    of schedule / schedule_at / cancel / run(until=...) / step."""
+    of schedule / schedule_at / run(until=...) / step."""
 
     def test_monotone_under_arbitrary_interleavings(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
 
         op = st.tuples(
-            st.sampled_from(("schedule", "schedule_at", "cancel",
+            st.sampled_from(("schedule", "schedule_at",
                              "run_until", "run_all", "step")),
             st.floats(min_value=0.0, max_value=50.0,
                       allow_nan=False, allow_infinity=False))
@@ -273,16 +176,12 @@ class TestClockMonotoneProperty:
         @hypothesis.settings(max_examples=200, deadline=None)
         def check(ops):
             loop = EventLoop()
-            events = []
             floor = loop.now
             for name, x in ops:
                 if name == "schedule":
-                    events.append(loop.schedule(x, lambda: None))
+                    loop.schedule(x, lambda: None)
                 elif name == "schedule_at":
-                    events.append(loop.schedule_at(loop.now + x,
-                                                   lambda: None))
-                elif name == "cancel" and events:
-                    events[int(x) % len(events)].cancel()
+                    loop.schedule_at(loop.now + x, lambda: None)
                 elif name == "run_until":
                     # x is absolute and may lie before now — the
                     # rewind-prone case this property exists to pin.

@@ -72,7 +72,7 @@ class RingMachine(RuleBasedStateMachine):
             self.net.restore_link(*self.flapped_link)
             self.flapped_link = None
             return
-        edges = sorted(self.net.lsmap.live_graph.edges())
+        edges = sorted(self.net.lsmap.links())
         a, b = edges[pick % len(edges)]
         self.net.fail_link(a, b)
         if len(self.net.lsmap.components()) > 1:

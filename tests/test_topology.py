@@ -20,10 +20,10 @@ class TestRouterTopology:
     def test_basic_queries(self):
         topo = self.make()
         assert topo.n_routers == 3 and topo.n_links == 2
-        assert topo.graph.nodes["a"]["pop"] == 0
+        assert topo.nodes["a"]["pop"] == 0
         assert set(topo.routers_in_pop(0)) == {"a", "b"}
         assert set(topo.edge_routers()) == {"b", "c"}
-        assert topo.graph.edges["b", "c"]["latency_ms"] == 2.0
+        assert topo.adjacency["b"]["c"] == topo.adjacency["c"]["b"] == 2.0
 
     def test_duplicate_router_rejected(self):
         topo = self.make()
@@ -48,7 +48,7 @@ class TestRouterTopology:
 
     def test_validate_catches_bad_latency(self):
         topo = self.make()
-        topo.graph.edges["a", "b"]["latency_ms"] = 0
+        topo.adjacency["a"]["b"] = 0
         with pytest.raises(ValueError):
             topo.validate()
 
@@ -78,12 +78,12 @@ class TestSyntheticIsp:
         for pop, members in topo.pops.items():
             assert 7 <= len(members) <= 9
             # Every PoP elects at least one backbone router.
-            assert any(topo.graph.nodes[r]["role"] == "backbone"
+            assert any(topo.nodes[r]["role"] == "backbone"
                        for r in members)
 
     def test_every_router_has_a_pop(self):
         topo = synthetic_isp(n_routers=40, seed=2)
-        assert all(topo.graph.nodes[r]["pop"] is not None
+        assert all(topo.nodes[r]["pop"] is not None
                    for r in topo.routers)
 
     def test_rejects_tiny_inputs(self):
@@ -94,8 +94,7 @@ class TestSyntheticIsp:
 
     def test_latency_jitter_present(self):
         topo = synthetic_isp(n_routers=80, seed=5)
-        latencies = {round(d["latency_ms"], 4)
-                     for _, _, d in topo.graph.edges(data=True)}
+        latencies = {round(topo.adjacency[a][b], 4) for a, b in topo.links()}
         assert len(latencies) > 3  # not all equal
 
     def test_rocketfuel_profiles(self):

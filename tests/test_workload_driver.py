@@ -411,7 +411,8 @@ def test_disco_runs_a_churn_scenario_through_the_unmodified_driver():
 def _cycle_link(net):
     """A link whose cut cannot partition the ISP (it lies on a cycle)."""
     import networkx as nx
-    bridges = {frozenset(edge) for edge in nx.bridges(net.topology.graph)}
+    bridges = {frozenset(edge) for edge in nx.bridges(
+        nx.Graph(list(net.topology.links())))}
     return next([a, b] for a, b in sorted(net.topology.links())
                 if frozenset((a, b)) not in bridges)
 
@@ -439,6 +440,28 @@ def test_explicit_link_cut_then_link_restore():
     assert down_at_8 == [True] and net.lsmap.is_link_up(*link)
     assert result.summary["delivery_rate"] == 1.0
     net.check()
+
+
+@pytest.mark.parametrize("fault", [
+    FaultSpec("link_cut", 5.0, {"links": [["r0", "nope"]]}),
+    FaultSpec("link_restore", 5.0, {"links": [["r0", "r0"]]}),
+    FaultSpec("router_crash", 5.0, {"routers": ["nope"]})],
+    ids=lambda fault: fault.kind)
+def test_a_fault_naming_an_unknown_victim_refuses_the_run(fault):
+    """Before anything is scheduled or joined — these used to log the
+    fault as done (``link_cut`` also moved the state hash) and carry on."""
+    from repro import snapshot
+    net = build_network("intra", 2, n_routers=16, hosts=10, name="test-small")
+    before = snapshot.state_hash(net)
+    scenario = _small_scenario(seed=2, faults=[
+        FaultSpec("link_cut", 1.0, {"links": [_cycle_link(net)]}), fault])
+    with pytest.raises(ScenarioError,
+                       match="fault '{}' at 5.0: unknown ".format(fault.kind)):
+        WorkloadDriver(scenario, network=net)
+    assert snapshot.state_hash(net) == before
+    with pytest.raises(KeyError, match="unknown link"):
+        net.fail_link("r0", "nope")
+    assert snapshot.state_hash(net) == before
 
 
 def test_explicit_as_depeer_then_as_restore():
