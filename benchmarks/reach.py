@@ -101,8 +101,8 @@ def smokes(tmp: Path) -> Iterator[Tuple[str, List[str]]]:
     repro = [py, "-m", "repro"]
     requests = tmp / "requests.jsonl"
     requests.write_text("".join(json.dumps(request) + "\n" for request in (
-        [{"op": op} for op in ("ping", "info", "metrics", "metrics_text",
-                               "state_hash", "verify")]
+        [{"op": op} for op in ("ping", "info", "metrics", "state_hash",
+                               "verify")]
         + [{"op": "join", "n": 3}, {"op": "send", "n": 20},
            {"op": "route", "src": "h0", "dst": "h1"},
            {"op": "leave", "host": "h2"},
@@ -136,17 +136,16 @@ def smokes(tmp: Path) -> Iterator[Tuple[str, List[str]]]:
     yield "serve-warm", repro + ["serve", "--snapshot", out("inter.snap"),
                                  "--verify", "--requests", str(requests)]
     yield "serve-stdio", repro + ["serve", "--hosts", "100", "--routers", "20"]
-    yield "perf-trajectory", [
-        py, "benchmarks/perf_trajectory.py", "--quick", "--snapshot-dir",
-        out("snaps"), "--out", out("scaling.json"), "--metrics-out",
-        out("bench-metrics.jsonl")]
+    yield "perf-trajectory", [py, "benchmarks/perf_trajectory.py", "--quick",
+                              "--out", out("scaling.json")]
     yield "compare-stretch", repro + [
         "compare-stretch", "--hosts", "60", "--packets", "150", "--ases",
         "30", "--inter-hosts", "60", "--inter-packets", "80",
         "--all-pairs-hosts", "24", "--json", out("compare.json")]
-    yield "trace-overhead", [py, "benchmarks/trace_overhead.py"]
+    yield "trace-overhead", [py, "benchmarks/trace_overhead.py",
+                             "--baseline", out("scaling.json")]
     yield "report", repro + [
-        "report", "--metrics", out("bench-metrics.jsonl"), "--bench",
+        "report", "--metrics", out("m.jsonl"), "--bench",
         out("scaling.json"), "--compare", out("compare.json"), "--out",
         out("report.html")]
     yield "quickstart", repro + ["quickstart"]
@@ -171,7 +170,7 @@ def run_traced(label: str, argv: List[str], tmp: Path) -> None:
           file=sys.stderr, flush=True)
     done = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True,
-                          input='{"op": "metrics_text"}\n{"op": "shutdown"}\n')
+                          input='{"op": "metrics"}\n{"op": "shutdown"}\n')
     if done.returncode:         # report and carry on: this is not a gate
         print("reach:   exit {}: {}".format(
             done.returncode, done.stderr.strip().splitlines()[-1:]),

@@ -5,8 +5,8 @@ The ``repro.obs`` emit sites live on the forwarding hot paths, guarded
 by the module-level ``trace.ENABLED`` flag.  This script re-runs the
 quick join/send sweep from :mod:`perf_trajectory` with tracing disabled
 and compares throughput against a ``BENCH_scaling.json`` generated on
-the *same machine* (CI regenerates the quick baseline in the same job,
-immediately before this step).  If either joins/sec or sends/sec drops
+the *same machine* (it is git-ignored: CI writes the quick baseline in
+the same job, immediately before this step).  If either joins/sec or sends/sec drops
 more than ``--budget`` (default 10%) below the baseline at a matching
 host count, the guard has stopped being free and the script exits 1.
 
@@ -30,7 +30,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.dirname(__file__))
 
-from perf_trajectory import sweep_inter, sweep_intra  # noqa: E402
+from perf_trajectory import sweep                     # noqa: E402
 
 from repro.obs import trace                           # noqa: E402
 from repro.obs.trace import NullSink, Tracer          # noqa: E402
@@ -42,11 +42,11 @@ REPEATS = 3
 METRICS = ("joins_per_sec", "sends_per_sec")
 
 
-def _best_rows(sweep_fn, populations, repeats: int = REPEATS) -> dict:
+def _best_rows(kind: str, populations, repeats: int = REPEATS) -> dict:
     """Per-population best-of-N throughput per metric, keyed by hosts."""
     best = {}
     for _ in range(repeats):
-        for row in sweep_fn(populations):
+        for row in sweep(kind, populations):
             slot = best.setdefault(row["hosts"],
                                    {metric: 0.0 for metric in METRICS})
             for metric in METRICS:
@@ -114,8 +114,8 @@ def main(argv=None) -> int:
     assert not trace.ENABLED, "tracing must start disabled"
     print("disabled-tracing sweep (baseline: {}, budget {:.0f}%)".format(
         os.path.normpath(path), args.budget * 100))
-    inter_off = _best_rows(sweep_inter, inter_pops)
-    intra_off = _best_rows(sweep_intra, intra_pops)
+    inter_off = _best_rows("inter", inter_pops)
+    intra_off = _best_rows("intra", intra_pops)
 
     failures = _compare("inter", baseline["interdomain"], inter_off,
                         args.budget)
@@ -124,8 +124,8 @@ def main(argv=None) -> int:
 
     # Informational: what does tracing cost when ON (NullSink, full sample)?
     with trace.tracing(Tracer(sink=NullSink())) as tracer:
-        inter_on = _best_rows(sweep_inter, inter_pops[-1:], repeats=1)
-        intra_on = _best_rows(sweep_intra, intra_pops[-1:], repeats=1)
+        inter_on = _best_rows("inter", inter_pops[-1:], repeats=1)
+        intra_on = _best_rows("intra", intra_pops[-1:], repeats=1)
     for label, off, on in (("inter", inter_off, inter_on),
                            ("intra", intra_off, intra_on)):
         hosts, row = max(on.items())

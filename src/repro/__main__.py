@@ -9,9 +9,9 @@ Commands:
 * ``workload <scenario.json|builtin> [--seed N] [--json PATH]`` — run a
   declarative churn/traffic/fault scenario (``--list`` names builtins).
   ``--trace-out out.jsonl`` records a causal packet trace; ``--probes``
-  runs live invariant probes; ``--metrics-out m.jsonl`` streams one
-  JSONL line of perf-registry deltas per ``--metrics-window`` of
-  virtual time (deterministic: same seed, byte-identical stream).
+  runs live invariant probes; ``--metrics-out m.jsonl`` streams the
+  run's window rows as they close, one JSONL line per sample — line for
+  line the ``samples`` of ``--json`` (same seed, byte-identical stream).
 * ``trace`` — route packets under the ``repro.obs`` tracer and render
   each decision tree with per-hop stretch attribution; ``--scenario``
   replays a workload window instead.
@@ -29,10 +29,11 @@ Commands:
   the stretch-bound probe live; exits nonzero on any bound breach,
   probe violation, or attribution mismatch (the CI gate).
 * ``report [--metrics m.jsonl] [--perf result.json] [--bench
-  BENCH_scaling.json] [--compare compare_stretch.json] [--out
-  report.html]`` — render telemetry artifacts into one self-contained
-  HTML or markdown document (``repro.obs.report``); an input of the
-  wrong shape exits 2 with ``report: <file>: <what is wrong>``.
+  sweep.json] [--compare compare_stretch.json] [--out report.html]`` —
+  render telemetry artifacts into one self-contained HTML or markdown
+  document (``repro.obs.report``); an input of the wrong shape, or a
+  ``--perf`` file with no timers in it, exits 2 with ``report: <file>:
+  <what is wrong>``.
 * ``quickstart`` — a 30-second end-to-end tour of the intradomain system.
 * ``info`` — package, paper, and inventory summary.
 
@@ -177,8 +178,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         sink = NullSink()
     with _tracing(args, sink) as tracer:
         result = run_scenario(scenario, tracer=tracer, probes=args.probes,
-                              metrics_out=args.metrics_out,
-                              metrics_window=args.metrics_window)
+                              metrics_out=args.metrics_out)
     if result.violations:
         print("probes: {} violation(s)".format(len(result.violations)),
               file=sys.stderr)
@@ -459,12 +459,8 @@ def main(argv=None) -> int:
     workload.add_argument("--probes", action="store_true",
                           help="run live invariant probes during the run")
     workload.add_argument("--metrics-out", default=None, metavar="PATH",
-                          help="stream windowed perf-registry deltas as "
-                               "JSONL (deterministic per seed)")
-    workload.add_argument("--metrics-window", type=float, default=None,
-                          metavar="T",
-                          help="virtual-time span of one metrics window "
-                               "(default: the scenario's sample interval)")
+                          help="stream each window row (the samples of "
+                               "--json) as one JSONL line as it closes")
     workload.set_defaults(func=_cmd_workload)
 
     tracecmd = sub.add_parser(
@@ -554,12 +550,14 @@ def main(argv=None) -> int:
         "report",
         help="render telemetry artifacts into one HTML/markdown report")
     report.add_argument("--metrics", default=None, metavar="PATH",
-                        help="window-metrics JSONL (from --metrics-out)")
+                        help="window rows as JSONL (from workload "
+                             "--metrics-out)")
     report.add_argument("--perf", default=None, metavar="PATH",
                         help="JSON result carrying a perf snapshot "
                              "(timer tree source)")
     report.add_argument("--bench", default=None, metavar="PATH",
-                        help="BENCH_scaling.json scaling trajectory")
+                        help="population sweep JSON (from "
+                             "benchmarks/perf_trajectory.py)")
     report.add_argument("--compare", default=None, metavar="PATH",
                         help="compare_stretch.json head-to-head result "
                              "(from 'compare-stretch --json')")

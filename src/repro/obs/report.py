@@ -9,13 +9,15 @@ emitted as fixed-width text (:func:`emit_text`), markdown
 (:func:`emit_html`: inline CSS, inline SVG, zero external assets).
 
 ``python -m repro report`` feeds it the telemetry artifacts other parts
-of the pipeline write — a window-metrics JSONL stream
-(``--metrics-out``), a perf snapshot with timers (any JSON carrying a
-registry dump), ``BENCH_scaling.json`` and ``compare_stretch.json``.
-The hierarchical timer tree folds dotted timer names
-(``inter.join.fingers`` under ``inter.join`` under ``inter``) and
-aggregates seconds/calls bottom-up, so the expensive subtree is obvious
-at a glance even in a registry with dozens of flat names.
+of the pipeline write — the window rows of a workload run
+(``--metrics-out``: one JSONL line per sample, the run's ``samples``), a
+perf snapshot with timers (any JSON carrying a registry dump), the
+population sweep of ``benchmarks/perf_trajectory.py`` and
+``compare_stretch.json``.  The hierarchical timer tree folds dotted
+timer names (``inter.join.fingers`` under ``inter.join`` under
+``inter``) and aggregates seconds/calls bottom-up, so the expensive
+subtree is obvious at a glance even in a registry with dozens of flat
+names.
 """
 
 from __future__ import annotations
@@ -249,46 +251,48 @@ def render_timer_tree(timers: Dict[str, Dict[str, Any]]) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Metrics stream.
+# Window rows (a workload run's ``samples``; ``--metrics-out`` streams them).
 # ---------------------------------------------------------------------------
 
-def summarize_metrics(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Totals over a window stream: counter deltas summed, span of t."""
-    totals: Dict[str, float] = {}
-    for row in rows:
-        for name, delta in row.get("counters", {}).items():
-            totals[name] = totals.get(name, 0) + delta
-    return {
-        "windows": len(rows),
-        "t_start": rows[0]["t"] if rows else None,
-        "t_end": rows[-1]["t"] if rows else None,
-        "counter_totals": totals,
-    }
+_WINDOW_COLUMNS = [Column("t", 8, "{:.1f}"), Column("hosts", 6),
+                   Column("sent", 6), Column("delivery", 9, "{:.3f}"),
+                   Column("stretch", 8, "{:.2f}"), Column("ctrl msgs", 10),
+                   Column("state", 7)]
+_WINDOW_KEYS = ("t", "live_hosts", "sent", "delivery_rate", "mean_stretch",
+                "control_messages", "state_entries")
 
 
-def _metrics_blocks(rows: List[Dict[str, Any]]) -> List:
-    """Window span, a sparkline for the three busiest counters, and the
-    per-window table of the six busiest."""
-    info = summarize_metrics(rows)
-    names = [name for name, _ in sorted(info["counter_totals"].items(),
-                                        key=lambda kv: (-kv[1], kv[0]))][:6]
+def window_table(rows: Sequence[Dict[str, Any]]) -> Table:
+    """The one table of window rows: what ``repro workload`` prints and
+    what ``repro report --metrics`` renders."""
+    return Table(_WINDOW_COLUMNS, [[cell(row[key], column.fmt, "-")
+                                    for key, column in zip(_WINDOW_KEYS,
+                                                           _WINDOW_COLUMNS)]
+                                   for row in rows])
+
+
+def read_metrics_jsonl(path: str) -> List[Dict[str, Any]]:
+    """The window rows of a ``--metrics-out`` stream, blank lines skipped."""
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def _window_blocks(rows: List[Dict[str, Any]]) -> List:
+    """Window span, the window table, and how delivery, stretch and
+    control overhead moved (a window that sent nothing draws at zero)."""
     blocks = [Heading("Metrics stream"),
               Note(["{} windows over t = {:g} .. {:g}.".format(
-                  info["windows"], info["t_start"], info["t_end"])])]
+                  len(rows), rows[0]["t"], rows[-1]["t"])]),
+              window_table(rows)]
     if len(rows) >= 2:
-        blocks += [Sparkline(name, [float(row.get("counters", {}).get(name, 0))
-                                    for row in rows]) for name in names[:3]]
-    if names:
-        blocks.append(Table(
-            [Column(label) for label in ["window", "t"] + names],
-            [[str(row.get("window", "")), "{:g}".format(row["t"])]
-             + ["{:g}".format(row.get("counters", {}).get(name, 0))
-                for name in names] for row in rows]))
+        blocks += [Sparkline(key, [float(row[key] or 0) for row in rows])
+                   for key in ("delivery_rate", "mean_stretch",
+                               "control_messages")]
     return blocks
 
 
 # ---------------------------------------------------------------------------
-# Trajectory (BENCH_scaling.json).
+# Trajectory (the sweep ``benchmarks/perf_trajectory.py`` writes).
 # ---------------------------------------------------------------------------
 
 _SCALING_COLUMNS = [Column("hosts"), Column("join s", fmt="{:g}"),
@@ -298,9 +302,6 @@ _SCALING_COLUMNS = [Column("hosts"), Column("join s", fmt="{:g}"),
                     Column("peak MiB", fmt="{:g}")]
 _SCALING_KEYS = ("join_seconds", "joins_per_sec", "send_seconds",
                  "sends_per_sec", "peak_rss_mb")
-_WORKLOAD_COLUMNS = [Column("scenario"), Column("rate x", fmt="{:g}"),
-                     Column("events"), Column("events/s", fmt="{:g}"),
-                     Column("delivery")]
 
 
 def _bench_blocks(bench: Dict[str, Any]) -> List:
@@ -312,13 +313,6 @@ def _bench_blocks(bench: Dict[str, Any]) -> List:
                 [row.get("hosts", "")] + [row.get(key, 0)
                                           for key in _SCALING_KEYS]
                 for row in rows])]
-    workload = bench.get("workload") or []
-    if workload:
-        blocks += [Heading("workload", 3), table(_WORKLOAD_COLUMNS, [
-            [row.get("scenario", ""), row.get("rate_multiplier", 0),
-             row.get("events_run", ""), row.get("events_per_sec", 0),
-             cell(row.get("delivery_rate"), "{:.4f}", "-")]
-            for row in workload])]
     return blocks
 
 
@@ -338,7 +332,7 @@ def extract_perf_snapshot(payload: Dict[str, Any]
                           ) -> Optional[Dict[str, Any]]:
     """Find a registry snapshot inside an arbitrary result JSON: the
     object itself (has ``timers``), its ``perf`` key, or — for a
-    ``BENCH_scaling.json`` — the biggest row's dump."""
+    population sweep — the biggest row's dump."""
     if not isinstance(payload, dict):
         return None
     if isinstance(payload.get("timers"), dict):
@@ -367,7 +361,7 @@ def report_blocks(metrics_rows: Optional[List[Dict[str, Any]]] = None,
         from repro.harness.report import headtohead_blocks
         blocks += headtohead_blocks(compare, document=True)
     if metrics_rows:
-        blocks += _metrics_blocks(metrics_rows)
+        blocks += _window_blocks(metrics_rows)
     if perf_snapshot and perf_snapshot.get("timers"):
         blocks += [Heading("Timer tree"),
                    Pre(render_timer_tree(perf_snapshot["timers"]))]
@@ -405,15 +399,20 @@ def generate_report(title: str,
     """Load the named artifacts and render one report document.  The
     timer tree comes from ``perf_path``, else from the bench's largest
     row.  A file that is not JSON, or is JSON of the wrong shape (a
-    missing key, a list where an object belongs), raises
-    :class:`ReportError` naming it."""
-    from repro.obs.metrics import read_metrics_jsonl
+    missing key, a list where an object belongs, a ``perf_path`` with no
+    timers to draw), raises :class:`ReportError` naming it."""
     load = functools.lru_cache(maxsize=None)(_load_object)
+
+    def read_perf(path: str) -> Optional[Dict[str, Any]]:
+        snapshot = extract_perf_snapshot(load(path))
+        if perf_path and not (snapshot and snapshot.get("timers")):
+            raise ReportError("no perf snapshot")
+        return snapshot
+
     sources = (     # in document order: file, report_blocks keyword, reader
         (compare_path, "compare", load),
         (metrics_path, "metrics_rows", read_metrics_jsonl),
-        (perf_path or bench_path, "perf_snapshot",
-         lambda path: extract_perf_snapshot(load(path))),
+        (perf_path or bench_path, "perf_snapshot", read_perf),
         (bench_path, "bench", load))
     blocks: List = [Heading(title, 1)]
     for path, keyword, read in sources:

@@ -16,13 +16,12 @@ Every response echoes ``op`` (and ``id`` when the request carried one)
 and has ``ok``; failures carry ``error`` instead of result fields, and a
 bad request never kills the server.  Supported ops: ``ping``, ``info``,
 ``join``, ``leave``, ``send``, ``route``, ``workload``, ``metrics``,
-``metrics_text``, ``save``, ``state_hash``, ``verify``, ``shutdown``.
+``save``, ``state_hash``, ``verify``, ``shutdown``.
 Per-request latency is recorded through :mod:`repro.util.perf` as a
 ``serve.request.<op>`` timer plus a ``serve.latency.<op>`` histogram;
-the ``metrics`` op reports both back out (with per-op p50/p95/p99), and
-``metrics_text`` renders the whole registry in the Prometheus text
-exposition format for external scrapers (see
-:func:`repro.obs.metrics.render_prometheus`).
+the ``metrics`` op reports both back out as JSON (the network's message
+counters, the whole perf registry, per-op p50/p95/p99) — the one
+telemetry op: a line-JSON socket is not something a scraper can reach.
 
 Transports: stdio (default — pipe-friendly), or TCP via ``--tcp PORT``
 (line-delimited JSON over a socket, one resident network shared by
@@ -230,34 +229,12 @@ class ReproServer:
                 }
         return out
 
-    def _metrics_registry_snapshot(self) -> Dict[str, Any]:
-        """The registry view ``metrics_text`` renders: the process perf
-        registry plus the resident network's protocol message counters
-        and a few liveness gauges."""
-        snap = perf.snapshot()
-        counters = dict(snap.get("counters", {}))
-        for name, value in self.net.stats.messages.items():
-            counters["net.messages." + name] = value
-        snap["counters"] = counters
-        gauges = dict(snap.get("gauges", {}))
-        gauges["net.hosts"] = len(self.net.hosts)
-        gauges["serve.requests_served"] = self.requests_served
-        snap["gauges"] = gauges
-        return snap
-
     def _op_metrics(self, request: Dict) -> Dict:
         return {
             "stats": self.net.stats.snapshot(),
             "perf": perf.snapshot(),
             "latency": self._latency_summary(),
             "requests_served": self.requests_served,
-        }
-
-    def _op_metrics_text(self, request: Dict) -> Dict:
-        from repro.obs.metrics import render_prometheus
-        return {
-            "content_type": "text/plain; version=0.0.4",
-            "text": render_prometheus(self._metrics_registry_snapshot()),
         }
 
     def _op_save(self, request: Dict) -> Dict:

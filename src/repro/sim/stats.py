@@ -18,6 +18,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence
 
+from repro.util.perf import nearest_rank
+
 
 @dataclass
 class PathResult:
@@ -132,10 +134,4 @@ def cdf_points(samples: Sequence[float]) -> List[tuple]:
 
 def percentile(samples: Sequence[float], fraction: float) -> float:
     """The ``fraction``-quantile (nearest-rank) of ``samples``."""
-    if not samples:
-        raise ValueError("no samples")
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, max(0, int(round(fraction * (len(ordered) - 1)))))
-    return ordered[index]
+    return nearest_rank(sorted(samples), fraction)

@@ -8,15 +8,27 @@ instrumentation on costs well under a microsecond per call and the
 benchmarks can report counter dumps alongside wall-clock numbers.
 
 The harness attaches ``PERF.snapshot()`` to every experiment result (see
-:mod:`repro.harness.experiments`), and ``benchmarks/perf_trajectory.py``
-persists the dump into ``BENCH_scaling.json`` so the repo's performance
-trajectory is machine-checkable across PRs.
+:mod:`repro.harness.experiments`), ``benchmarks/perf_trajectory.py``
+writes the dump into each row of its population sweep, and ``repro
+serve``'s ``metrics`` op returns it live; ``repro report`` folds the
+timers of any of them into one tree.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List
+from typing import Dict, List, Sequence
+
+
+def nearest_rank(ordered: Sequence[float], fraction: float) -> float:
+    """The ``fraction``-quantile of an already sorted sequence, by the
+    repo's one nearest-rank rule; ``ValueError`` when it is empty."""
+    if not ordered:
+        raise ValueError("no samples")
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must be in [0, 1]")
+    last = len(ordered) - 1
+    return ordered[min(last, max(0, int(round(fraction * last))))]
 
 
 class _Timer:
@@ -75,14 +87,7 @@ class Histogram:
 
     def percentile(self, fraction: float) -> float:
         """Nearest-rank quantile; raises ``ValueError`` when empty."""
-        ordered = self._ordered()
-        if not ordered:
-            raise ValueError("empty histogram")
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        index = min(len(ordered) - 1,
-                    max(0, int(round(fraction * (len(ordered) - 1)))))
-        return ordered[index]
+        return nearest_rank(self._ordered(), fraction)
 
     def snapshot(self) -> Dict[str, float]:
         """JSON-ready summary: count/min/max/mean plus p50/p90/p95/p99."""

@@ -74,13 +74,7 @@ class WorkloadResult:
         """The run as :mod:`repro.obs.report` blocks (what ``python -m
         repro workload`` prints): headline, per-sample table, fault log,
         summary."""
-        from repro.obs.report import Column, Note, Table, cell
-        columns = [Column("t", 8, "{:.1f}"), Column("hosts", 6),
-                   Column("sent", 6), Column("delivery", 9, "{:.3f}"),
-                   Column("stretch", 8, "{:.2f}"), Column("ctrl msgs", 10),
-                   Column("state", 7)]
-        keys = ("t", "live_hosts", "sent", "delivery_rate", "mean_stretch",
-                "control_messages", "state_entries")
+        from repro.obs.report import Note, cell, window_table
         scenario, totals, summary = self.scenario, self.totals, self.summary
         notes = ["fault @{:>6.1f}: {}".format(
             record["at"], {k: v for k, v in record.items() if k != "at"})
@@ -102,9 +96,7 @@ class WorkloadResult:
                       scenario["name"], scenario["seed"],
                       scenario["duration"], totals["events_run"],
                       self.events_per_sec)]),
-            Table(columns, [[cell(row[key], column.fmt, "-")
-                             for key, column in zip(keys, columns)]
-                            for row in self.samples]),
+            window_table(self.samples),
             Note(notes)]
 
 
@@ -116,8 +108,7 @@ class WorkloadDriver:
     """One scenario bound to one network on one event loop."""
 
     def __init__(self, scenario: Scenario, network=None, tracer=None,
-                 probes: bool = False, metrics_out=None,
-                 metrics_window: Optional[float] = None):
+                 probes: bool = False, metrics_out=None):
         scenario.validate()
         self.scenario = scenario
         spec = scenario.network
@@ -137,14 +128,10 @@ class WorkloadDriver:
         self._skipped_sends = 0
         self._failed_joins = 0
         self.metrics: Optional[MetricsRecorder] = None
-        #: Streaming telemetry (``repro.obs.metrics``): when ``metrics_out``
-        #: is a path or file object, the run emits one JSONL line of
-        #: registry deltas per ``metrics_window`` of virtual time
-        #: (default: the scenario's sample interval).  Deterministic —
-        #: same seed, byte-identical stream.
+        #: A path or text file: the run writes each window row there as
+        #: it closes (``MetricsRecorder.stream``), one JSONL line per
+        #: sample — same seed, byte-identical stream.
         self.metrics_out = metrics_out
-        self.metrics_window = metrics_window
-        self.exporter = None
         #: Optional ``repro.obs`` wiring.  The tracer's clock is re-bound
         #: to this loop's virtual time so records replay byte-for-byte;
         #: probes tick on the sampling cadence and their violations land
@@ -204,9 +191,9 @@ class WorkloadDriver:
             return
         joined = self.net.join_next()
         if joined is not None:
-            name, messages, latency = joined
+            name, messages, _latency = joined
             self.note_join(name)
-            self.metrics.record_join(messages, latency)
+            self.metrics.record_join(messages)
             if lifetime is not None:
                 dt = lifetime.sample(self.rng("lifetime", index))
                 mode = phase.churn.departure
@@ -224,7 +211,8 @@ class WorkloadDriver:
         if host_name in self.net.hosts:  # else crashed or de-peered away
             depart = (self.net.fail_host if mode == "fail"
                       else self.net.leave_host)
-            self.metrics.record_departure(depart(host_name))
+            depart(host_name)
+            self.metrics.record_departure()
         self._drop(host_name)
 
     def _packet(self, phase: Phase, index: int, process: PoissonProcess,
@@ -260,28 +248,6 @@ class WorkloadDriver:
         nxt = self.loop.now + self.scenario.sample_interval
         if nxt <= self.scenario.duration:
             self.loop.schedule_at(nxt, self._sample)
-
-    # -- streaming metrics export -------------------------------------------
-
-    def _exporter_counters(self) -> Dict[str, float]:
-        """Cumulative counters the exporter diffs per window: the
-        network's protocol message counters plus run totals.  All are
-        functions of simulation state only (deterministic)."""
-        out = {"messages." + name: value
-               for name, value in self.net.stats.messages.items()}
-        out["packets.sent"] = self.metrics.total_sent
-        out["packets.delivered"] = self.metrics.total_delivered
-        out["joins"] = self.metrics.total_joins
-        out["departures"] = self.metrics.total_departures
-        return out
-
-    def _emit_metrics_window(self, interval: float) -> None:
-        self.exporter.emit_window(
-            self.loop.now, extra={"live_hosts": len(self.live_hosts())})
-        nxt = self.loop.now + interval
-        if nxt <= self.scenario.duration:
-            self.loop.schedule_at(
-                nxt, lambda: self._emit_metrics_window(interval))
 
     # -- setup & run --------------------------------------------------------
 
@@ -324,6 +290,13 @@ class WorkloadDriver:
         return joined
 
     def run(self) -> WorkloadResult:
+        out = self.metrics_out
+        if out is None or hasattr(out, "write"):
+            return self._run(out)
+        with open(out, "w") as stream:
+            return self._run(stream)
+
+    def _run(self, stream) -> WorkloadResult:
         scenario = self.scenario
         started = time.perf_counter()
 
@@ -333,15 +306,7 @@ class WorkloadDriver:
         self.metrics = MetricsRecorder(
             self.net.stats,
             lambda: sum(self.net.state_entries().values()))
-        if self.metrics_out is not None:
-            from repro.obs.metrics import MetricsExporter
-            self.exporter = MetricsExporter(
-                self.metrics.perf, self.metrics_out,
-                counters_fn=self._exporter_counters,
-                source=scenario.name)
-            window = self.metrics_window or scenario.sample_interval
-            self.loop.schedule_at(min(window, scenario.duration),
-                                  lambda: self._emit_metrics_window(window))
+        self.metrics.stream = stream
 
         for index, phase in enumerate(scenario.phases):
             self._schedule_phase(phase, index)
@@ -356,16 +321,6 @@ class WorkloadDriver:
                 self.metrics.samples[-1]["t"] < scenario.duration:
             self.metrics.sample(scenario.duration, len(self.live_hosts()),
                                 pending_events=self.loop.pending)
-        if self.exporter is not None:
-            # Close the stream on a final window at the scenario horizon
-            # so the tail of the run is never silently dropped.
-            if self.exporter.last_t is None or \
-                    self.exporter.last_t < scenario.duration:
-                self.exporter.emit_window(
-                    scenario.duration,
-                    extra={"live_hosts": len(self.live_hosts())})
-            self.exporter.close()
-
         wall = time.perf_counter() - started
         totals = {
             "warmup_hosts": warmed,
@@ -378,8 +333,10 @@ class WorkloadDriver:
             "faults_fired": len(self.fault_log),
             "events_run": self.loop.events_run,
             "final_live_hosts": len(self.live_hosts()),
-            "metrics_windows": (self.exporter.windows_emitted
-                                if self.exporter is not None else 0),
+            # Rows streamed.  The one key of the view that says whether
+            # the run was observed; it leaves on the next view bump.
+            "metrics_windows": (len(self.metrics.samples)
+                                if stream is not None else 0),
         }
         return WorkloadResult(
             scenario=scenario.to_dict(),
@@ -396,9 +353,7 @@ class WorkloadDriver:
 
 
 def run_scenario(scenario: Scenario, network=None, tracer=None,
-                 probes: bool = False, metrics_out=None,
-                 metrics_window: Optional[float] = None) -> WorkloadResult:
+                 probes: bool = False, metrics_out=None) -> WorkloadResult:
     """Convenience one-shot: build a driver, run it, return the result."""
     return WorkloadDriver(scenario, network=network, tracer=tracer,
-                          probes=probes, metrics_out=metrics_out,
-                          metrics_window=metrics_window).run()
+                          probes=probes, metrics_out=metrics_out).run()

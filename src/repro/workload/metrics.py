@@ -1,12 +1,14 @@
 """Periodic time-series sampling for workload runs.
 
-The recorder owns a *private* :class:`repro.util.perf.PerfRegistry` (so
-runs never pollute the process-global registry the harness snapshots)
-and uses its histogram/gauge primitives for the distributions the
-serving-stack framing cares about: packet stretch, join latency, and
-repair cost.  Every ``sample_interval`` of virtual time it appends one
-JSON-ready row with windowed delivery rate, stretch, control-message
-overhead, routing-state size, and churn counts.
+The recorder keeps its own two :class:`repro.util.perf.Histogram`
+objects (so runs never pollute the process-global registry the harness
+snapshots) for the distributions the end-of-run summary reports: packet
+stretch and join messages.  Every ``sample_interval`` of virtual time it
+appends one JSON-ready row with windowed delivery rate, stretch,
+control-message overhead, routing-state size, and churn counts — the
+run's one window row: with :attr:`MetricsRecorder.stream` set, the same
+row is also written out as one JSONL line, so a metrics stream is line
+for line the ``samples`` of the result (DESIGN.md §12).
 
 All sampled quantities are functions of simulation state only — no wall
 clock — so the time series is byte-for-byte reproducible from one seed
@@ -15,29 +17,33 @@ clock — so the time series is byte-for-byte reproducible from one seed
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import json
+from typing import IO, Callable, Dict, List, Optional
 
 from repro.sim.stats import PathResult, StatsCollector, percentile
-from repro.util.perf import PerfRegistry
+from repro.util.perf import Histogram
 
 
 class MetricsRecorder:
     """Accumulates per-window counts and emits periodic samples."""
 
     def __init__(self, stats: StatsCollector,
-                 state_entries_fn: Callable[[], int],
-                 registry: Optional[PerfRegistry] = None):
+                 state_entries_fn: Callable[[], int]):
         self.stats = stats
         self.state_entries_fn = state_entries_fn
-        self.perf = registry or PerfRegistry()
+        self._stretch = Histogram()
+        self._join_messages = Histogram()
         self.samples: List[Dict] = []
+        #: Set to a text file to have :meth:`sample` write each row it
+        #: appends (sorted keys, compact, flushed: tail-able, and
+        #: byte-identical per seed like the rows themselves).
+        self.stream: Optional[IO[str]] = None
 
         # Run totals.
         self.total_sent = 0
         self.total_delivered = 0
         self.total_joins = 0
         self.total_departures = 0
-        self.total_join_messages = 0
 
         # Current-window accumulators (reset at each sample).
         self._win_sent = 0
@@ -59,22 +65,16 @@ class MetricsRecorder:
             if result.optimal_hops > 0:
                 stretch = result.stretch
                 self._win_stretches.append(stretch)
-                self.perf.observe("packet.stretch", stretch)
+                self._stretch.record(stretch)
 
-    def record_join(self, messages: int,
-                    latency_ms: Optional[float] = None) -> None:
+    def record_join(self, messages: int) -> None:
         self.total_joins += 1
         self._win_joins += 1
-        self.total_join_messages += messages
-        self.perf.observe("join.messages", messages)
-        if latency_ms is not None:
-            self.perf.observe("join.latency_ms", latency_ms)
+        self._join_messages.record(messages)
 
-    def record_departure(self, messages: int = 0) -> None:
+    def record_departure(self) -> None:
         self.total_departures += 1
         self._win_departures += 1
-        if messages:
-            self.perf.observe("departure.messages", messages)
 
     # -- sampling -----------------------------------------------------------
 
@@ -107,10 +107,10 @@ class MetricsRecorder:
             "queue_depth": pending_events,
         }
         self.samples.append(row)
-
-        self.perf.gauge("live_hosts", live_hosts)
-        self.perf.gauge("state_entries", state_entries)
-        self.perf.observe("sample.queue_depth", pending_events)
+        if self.stream is not None:
+            self.stream.write(json.dumps(row, sort_keys=True,
+                                         separators=(",", ":")) + "\n")
+            self.stream.flush()
 
         self._last_total_messages = total_messages
         self._last_data_messages = data_messages
@@ -127,8 +127,6 @@ class MetricsRecorder:
         """Whole-run roll-up with percentile summaries."""
         rates = [s["delivery_rate"] for s in self.samples
                  if s["delivery_rate"] is not None]
-        stretch_hist = self.perf.histograms.get("packet.stretch")
-        join_hist = self.perf.histograms.get("join.messages")
         out: Dict = {
             "delivery_rate": (self.total_delivered / self.total_sent
                               if self.total_sent else None),
@@ -142,12 +140,11 @@ class MetricsRecorder:
             "final_state_entries": (self.samples[-1]["state_entries"]
                                     if self.samples else None),
         }
-        if stretch_hist is not None and len(stretch_hist):
-            snap = stretch_hist.snapshot()
-            out["stretch"] = {"mean": snap["mean"], "p50": snap["p50"],
-                              "p95": stretch_hist.percentile(0.95),
-                              "p99": snap["p99"]}
-        if join_hist is not None and len(join_hist):
-            out["join_messages"] = {"mean": join_hist.snapshot()["mean"],
-                                    "p95": join_hist.percentile(0.95)}
+        if len(self._stretch):
+            snap = self._stretch.snapshot()
+            out["stretch"] = {key: snap[key]
+                              for key in ("mean", "p50", "p95", "p99")}
+        if len(self._join_messages):
+            snap = self._join_messages.snapshot()
+            out["join_messages"] = {"mean": snap["mean"], "p95": snap["p95"]}
         return out

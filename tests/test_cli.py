@@ -346,18 +346,18 @@ def test_serve_warm_loads_snapshot(tmp_path, capsys):
 
 
 def test_workload_metrics_out_streams_windows(tmp_path, capsys):
-    path = tmp_path / "metrics.jsonl"
+    path, result = tmp_path / "metrics.jsonl", tmp_path / "result.json"
     assert main(["workload", "steady-churn", "--metrics-out", str(path),
-                 "--metrics-window", "20"]) == 0
+                 "--json", str(result)]) == 0
     captured = capsys.readouterr()
-    assert "metrics:" in captured.err and "window(s)" in captured.err
+    assert "metrics: 12 window(s)" in captured.err
+    # The stream is the --json samples, row for row.
     rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert rows
-    assert all(row["source"] == "steady-churn" for row in rows)
+    assert rows == json.loads(result.read_text())["samples"]
     # Deterministic stream: re-running the same seed reproduces it.
     again = tmp_path / "metrics-again.jsonl"
-    assert main(["workload", "steady-churn", "--metrics-out", str(again),
-                 "--metrics-window", "20"]) == 0
+    assert main(["workload", "steady-churn",
+                 "--metrics-out", str(again)]) == 0
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -381,6 +381,12 @@ def test_report_rejects_unreadable_input(tmp_path, capsys):
     ("--bench", {"interdomain": [1]}, "'int' object"),
     ("--perf", {"timers": {"a": 5}}, "'int' object"),
     ("--metrics", {"window": 0}, "missing key 't'"),
+    # A workload --json result carries no registry dump.
+    ("--perf", {"samples": [], "totals": {}}, "no perf snapshot"),
+    # A line of the exporter format --metrics-out wrote until PR 23.
+    ("--metrics", {"t": 5.0, "window": 0, "counters": {"joins": 3},
+                   "gauges": {}, "histograms": {}, "timers": {}},
+     "missing key 'live_hosts'"),
 ])
 def test_report_rejects_json_of_the_wrong_shape(tmp_path, capsys, flag,
                                                 payload, complaint):
@@ -398,15 +404,17 @@ def test_report_rejects_json_of_the_wrong_shape(tmp_path, capsys, flag,
 
 def test_report_markdown_to_stdout(tmp_path, capsys):
     metrics = tmp_path / "m.jsonl"
-    result = tmp_path / "r.json"
-    assert main(["workload", "steady-churn", "--metrics-out", str(metrics),
-                 "--json", str(result)]) == 0
+    assert main(["workload", "steady-churn",
+                 "--metrics-out", str(metrics)]) == 0
     capsys.readouterr()
     assert main(["report", "--metrics", str(metrics),
-                 "--perf", str(result), "--title", "Smoke"]) == 0
+                 "--title", "Smoke"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("# Smoke")
     assert "## Metrics stream" in out
+    assert "12 windows over t = 5 .. 60." in out
+    assert "| t | hosts | sent | delivery | stretch | ctrl msgs | state |" \
+        in out
 
 
 def test_report_writes_html_file(tmp_path, capsys):
@@ -420,4 +428,6 @@ def test_report_writes_html_file(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
     html = out_path.read_text()
     assert html.startswith("<!DOCTYPE html>")
-    assert "<svg" in html
+    assert html.count("<svg") == 3
+    for series in ("delivery_rate", "mean_stretch", "control_messages"):
+        assert "{} per window".format(series) in html

@@ -1,176 +1,53 @@
-"""The streaming metrics exporter, Prometheus renderer, and report
-builder (``repro.obs.metrics`` / ``repro.obs.report``)."""
+"""The report builder over window rows, perf snapshots and sweeps
+(``repro.obs.report``), and its reader of ``--metrics-out`` streams."""
 
-import io
 import json
 
 import pytest
 
-from repro.obs.metrics import (MetricsExporter, read_metrics_jsonl,
-                               render_prometheus)
-from repro.obs.report import (build_timer_tree, extract_perf_snapshot,
-                              render_html, render_markdown,
-                              render_timer_tree, summarize_metrics)
-from repro.util.perf import PerfRegistry
+from repro.obs.report import (ReportError, build_timer_tree,
+                              extract_perf_snapshot, generate_report,
+                              read_metrics_jsonl, render_html,
+                              render_markdown, render_timer_tree)
 
 
-def _rows(buffer: io.StringIO):
-    return [json.loads(line) for line in buffer.getvalue().splitlines()]
+def _window(t: float, **overrides):
+    """One window row as ``MetricsRecorder.sample()`` closes it."""
+    row = {"t": t, "live_hosts": 30, "sent": 20, "delivered": 19,
+           "delivery_rate": 0.95, "mean_stretch": 1.25, "p95_stretch": 2.0,
+           "control_messages": 140, "state_entries": 900, "joins": 4,
+           "departures": 2, "queue_depth": 7}
+    row.update(overrides)
+    return row
 
 
-class TestExporter:
-    def test_counter_deltas_per_window(self):
-        reg = PerfRegistry()
-        out = io.StringIO()
-        exporter = MetricsExporter(reg, out)
-        reg.counter("pkts", 5)
-        exporter.emit_window(1.0)
-        reg.counter("pkts", 3)
-        reg.counter("drops", 1)
-        exporter.emit_window(2.0)
-        exporter.emit_window(3.0)
-        rows = _rows(out)
-        assert rows[0]["counters"] == {"pkts": 5}
-        assert rows[1]["counters"] == {"pkts": 3, "drops": 1}
-        # Zero deltas are omitted entirely.
-        assert rows[2]["counters"] == {}
-        assert [row["window"] for row in rows] == [0, 1, 2]
-        assert [row["t"] for row in rows] == [1.0, 2.0, 3.0]
+class TestReader:
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n{}\n\n   \n{}\n".format(
+            json.dumps(_window(5.0)), json.dumps(_window(10.0))))
+        assert read_metrics_jsonl(str(path)) == [_window(5.0), _window(10.0)]
 
-    def test_deterministic_mode_drops_wall_clock_timer_fields(self):
-        reg = PerfRegistry()
-        out = io.StringIO()
-        exporter = MetricsExporter(reg, out)
-        with reg.timed("work"):
-            pass
-        exporter.emit_window(1.0)
-        row = _rows(out)[0]
-        assert row["timers"]["work"] == {"calls": 1}
-
-    def test_non_deterministic_mode_keeps_seconds(self):
-        reg = PerfRegistry()
-        out = io.StringIO()
-        exporter = MetricsExporter(reg, out, deterministic=False)
-        with reg.timed("work"):
-            pass
-        exporter.emit_window(1.0)
-        row = _rows(out)[0]
-        timer = row["timers"]["work"]
-        assert timer["calls"] == 1
-        assert "seconds" in timer and "mean" in timer and "max" in timer
-
-    def test_counters_fn_folds_external_source(self):
-        reg = PerfRegistry()
-        out = io.StringIO()
-        external = {"messages.join": 0}
-        exporter = MetricsExporter(reg, out, counters_fn=lambda: external)
-        external["messages.join"] = 7
-        exporter.emit_window(1.0)
-        external["messages.join"] = 9
-        exporter.emit_window(2.0)
-        rows = _rows(out)
-        assert rows[0]["counters"] == {"messages.join": 7}
-        assert rows[1]["counters"] == {"messages.join": 2}
-
-    def test_histogram_rows_report_cumulative_and_new(self):
-        reg = PerfRegistry()
-        out = io.StringIO()
-        exporter = MetricsExporter(reg, out)
-        for v in (1, 2, 3):
-            reg.observe("lat", v)
-        exporter.emit_window(1.0)
-        reg.observe("lat", 10)
-        exporter.emit_window(2.0)
-        rows = _rows(out)
-        assert rows[0]["histograms"]["lat"]["count"] == 3
-        assert rows[0]["histograms"]["lat"]["new"] == 3
-        assert rows[1]["histograms"]["lat"]["count"] == 4
-        assert rows[1]["histograms"]["lat"]["new"] == 1
-        assert rows[1]["histograms"]["lat"]["max"] == 10
-        for key in ("p50", "p95", "p99"):
-            assert key in rows[1]["histograms"]["lat"]
-
-    def test_identical_update_sequences_are_byte_identical(self):
-        def run() -> str:
-            reg = PerfRegistry()
-            out = io.StringIO()
-            exporter = MetricsExporter(reg, out, source="det")
-            for window in range(4):
-                reg.counter("a", window + 1)
-                reg.gauge("depth", 10 - window)
-                reg.observe("lat", window * 0.5)
-                with reg.timed("t"):
-                    pass
-                exporter.emit_window(float(window))
-            return out.getvalue()
-
-        assert run() == run()
-
-    def test_extra_fields_and_source_stamped(self):
-        reg = PerfRegistry()
-        out = io.StringIO()
-        exporter = MetricsExporter(reg, out, source="scenario-x")
-        exporter.emit_window(1.0, extra={"live_hosts": 12})
-        row = _rows(out)[0]
-        assert row["source"] == "scenario-x"
-        assert row["live_hosts"] == 12
-
-    def test_file_path_roundtrip_and_close(self, tmp_path):
-        path = str(tmp_path / "m.jsonl")
-        reg = PerfRegistry()
-        with MetricsExporter(reg, path) as exporter:
-            reg.counter("x")
-            exporter.emit_window(1.0)
-        rows = read_metrics_jsonl(path)
-        assert rows[0]["counters"] == {"x": 1}
-        with pytest.raises(ValueError):
-            exporter.emit_window(2.0)
-
-
-class TestPrometheus:
-    def test_sections_and_name_mangling(self):
-        reg = PerfRegistry()
-        reg.counter("fwd.packets", 12)
-        reg.gauge("ring.depth", 3)
-        with reg.timed("spf.rebuild"):
-            pass
-        reg.observe("lat", 2.0)
-        text = render_prometheus(reg)
-        assert "# TYPE repro_fwd_packets_total counter" in text
-        assert "repro_fwd_packets_total 12" in text
-        assert "repro_ring_depth 3" in text
-        assert "repro_spf_rebuild_calls_total 1" in text
-        assert "repro_spf_rebuild_seconds_total" in text
-        assert 'repro_lat{quantile="0.5"} 2' in text
-        assert "repro_lat_count 1" in text
-        assert text.endswith("\n")
-
-    def test_accepts_snapshot_dict_and_sorts_deterministically(self):
-        snap = {"counters": {"b": 2, "a": 1}, "gauges": {}}
-        text = render_prometheus(snap, prefix="x")
-        assert text.index("x_a_total") < text.index("x_b_total")
-        assert render_prometheus(snap, prefix="x") == text
+    def test_a_malformed_line_is_a_report_error_naming_the_file(
+            self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(_window(5.0)) + "\n{not json\n")
+        with pytest.raises(ReportError) as caught:
+            generate_report("T", metrics_path=str(path))
+        assert str(caught.value).startswith(str(path) + ": ")
 
 
 class TestReport:
-    METRICS = [
-        {"t": 1.0, "window": 0, "counters": {"pkts": 5, "joins": 2},
-         "gauges": {}, "timers": {}, "histograms": {}},
-        {"t": 2.0, "window": 1, "counters": {"pkts": 7},
-         "gauges": {}, "timers": {}, "histograms": {}},
-    ]
+    # The second window sent nothing: no rate, no stretch.
+    METRICS = [_window(5.0),
+               _window(10.0, sent=0, delivered=0, delivery_rate=None,
+                       mean_stretch=None, p95_stretch=None)]
     TIMERS = {
         "inter.join": {"calls": 4, "seconds": 2.0, "mean": 0.5, "max": 1.0},
         "inter.join.fingers": {"calls": 4, "seconds": 1.5, "mean": 0.375,
                                "max": 0.9},
         "spf.rebuild": {"calls": 1, "seconds": 0.2, "mean": 0.2, "max": 0.2},
     }
-
-    def test_summarize_metrics_totals(self):
-        info = summarize_metrics(self.METRICS)
-        assert info["windows"] == 2
-        assert info["t_start"] == 1.0 and info["t_end"] == 2.0
-        assert info["counter_totals"] == {"pkts": 12, "joins": 2}
 
     def test_timer_tree_nests_dotted_names(self):
         tree = build_timer_tree(self.TIMERS)
@@ -190,8 +67,10 @@ class TestReport:
                               perf_snapshot={"timers": self.TIMERS})
         assert doc.startswith("# Title")
         assert "## Metrics stream" in doc
+        assert "2 windows over t = 5 .. 10." in doc
         assert "## Timer tree" in doc
-        assert "| window | t |" in doc
+        assert "| 5.0 | 30 | 20 | 0.950 | 1.25 | 140 | 900 |" in doc
+        assert "| 10.0 | 30 | 0 | - | - | 140 | 900 |" in doc
 
     def test_html_report_is_self_contained(self):
         doc = render_html("T&T", metrics_rows=self.METRICS,
@@ -203,7 +82,8 @@ class TestReport:
                                "perf": {"timers": {}}}]})
         assert doc.startswith("<!DOCTYPE html>")
         assert "T&amp;T" in doc
-        assert "<style>" in doc and "<svg" in doc
+        assert "<style>" in doc and doc.count("<svg") == 3
+        assert "mean_stretch per window (peak 1.25)" in doc
         assert "Scaling trajectory" in doc
         assert "http" not in doc.split("</style>")[1]  # no external assets
 
@@ -220,10 +100,7 @@ class TestReport:
             bench={"interdomain": [
                 {"hosts": 100, "join_seconds": 1.5, "joins_per_sec": 66.7,
                  "send_seconds": 0.5, "sends_per_sec": 200.0,
-                 "peak_rss_mb": 50.0}],
-                "workload": [{"scenario": "s", "rate_multiplier": 2,
-                              "events_run": 9, "events_per_sec": 4.5,
-                              "delivery_rate": None}]})
+                 "peak_rss_mb": 50.0}]})
         markdown = render_markdown("Golden", **artifacts)
         assert markdown.startswith(golden_figures.HEADTOHEAD_MARKDOWN)
         md_cells = [cell for line in markdown.splitlines()

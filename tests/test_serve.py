@@ -83,15 +83,16 @@ class TestDispatch:
         assert row["count"] >= 1
         assert 0 <= row["p50"] <= row["p95"] <= row["p99"] <= row["max"]
 
-    def test_metrics_text_renders_prometheus(self, server):
-        ok(server, op="ping")
-        reply = ok(server, op="metrics_text")
-        assert reply["content_type"].startswith("text/plain")
-        text = reply["text"]
-        assert "# TYPE repro_net_hosts gauge" in text
-        assert "repro_net_hosts 40" in text
-        assert "repro_serve_request_ping_calls_total" in text
-        assert 'quantile="0.99"' in text  # serve.latency summaries
+    def test_metrics_text_is_an_unknown_op(self, server):
+        """The Prometheus op is retired (``metrics`` returns the same
+        registry as JSON): asking for it is the ordinary structured
+        unknown-op error and leaves the resident network as it was."""
+        before = ok(server, op="state_hash")["state_hash"]
+        reply = server.handle({"op": "metrics_text", "id": 3})
+        assert reply["ok"] is False and reply["id"] == 3
+        assert reply["error"].startswith("unknown op 'metrics_text'")
+        assert "metrics," in reply["error"]
+        assert ok(server, op="state_hash")["state_hash"] == before
 
     def test_unknown_op_lists_choices(self, server):
         message = err(server, op="frobnicate")

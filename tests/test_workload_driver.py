@@ -154,38 +154,71 @@ def test_builtin_steady_churn_acceptance():
     assert any(r["kind"] == "link_cut" for r in a.fault_log)
 
 
-def test_metrics_stream_is_deterministic_across_replays(tmp_path):
-    import json
+def test_observing_a_run_does_not_change_its_view(tmp_path):
+    """One window row per run: the metrics stream is the rows ``sample()``
+    already closes, so a run with ``metrics_out`` set, a run under a
+    tracer and an unobserved run have one deterministic view — but for
+    ``totals["metrics_windows"]``, which counts the rows streamed.  (The
+    stream used to be a second event chain on the loop: ``events_run`` and
+    every ``queue_depth`` moved when it was on.)"""
+    import io
 
+    from repro.obs import NullSink, Tracer, trace
+
+    def view(result):
+        view = result.deterministic_view()
+        return dict(view, totals={key: value
+                                  for key, value in view["totals"].items()
+                                  if key != "metrics_windows"})
+
+    plain = run_scenario(_small_scenario(seed=5))
+    buffer = io.StringIO()
+    streamed = run_scenario(_small_scenario(seed=5), metrics_out=buffer)
+    tracer = Tracer(NullSink())
+    with trace.tracing(tracer):
+        traced = run_scenario(_small_scenario(seed=5), tracer=tracer)
+    assert tracer.records_emitted > 0
+    assert view(streamed) == view(plain) == view(traced)
+    assert traced.totals == plain.totals
+    assert plain.totals["metrics_windows"] == 0
+    assert streamed.totals["metrics_windows"] == len(streamed.samples) == 4
+
+    # The stream is the samples, line for line.
+    lines = buffer.getvalue().splitlines()
+    assert [json.loads(line) for line in lines] == streamed.samples
+    assert all(line == json.dumps(json.loads(line), sort_keys=True,
+                                  separators=(",", ":")) for line in lines)
+
+    # A path works like a file object, and is closed when the run ends.
+    path = tmp_path / "metrics.jsonl"
+    run_scenario(_small_scenario(seed=5), metrics_out=str(path))
+    assert path.read_text() == buffer.getvalue()
+    assert not buffer.closed
+
+
+def test_metrics_stream_is_deterministic_across_replays(tmp_path):
     def run(tag):
         path = tmp_path / "metrics-{}.jsonl".format(tag)
-        result = run_scenario(_small_scenario(seed=5),
-                              metrics_out=str(path), metrics_window=5.0)
+        result = run_scenario(_small_scenario(seed=5), metrics_out=str(path))
         return path.read_bytes(), result
 
     first_bytes, first = run("a")
     second_bytes, _ = run("b")
-    # Same seed -> byte-identical metrics JSONL (wall clock excluded).
+    # Same seed -> byte-identical metrics JSONL (no wall clock in a row).
     assert first_bytes and first_bytes == second_bytes
-    assert first.totals["metrics_windows"] > 0
     rows = [json.loads(line) for line in first_bytes.decode().splitlines()]
-    assert len(rows) == first.totals["metrics_windows"]
-    assert [row["window"] for row in rows] == list(range(len(rows)))
-    # Virtual-time stamps, scenario source, and the live-host gauge.
-    assert all(row["t"] <= 20.0 for row in rows)
-    assert all(row["source"] == "test-small" for row in rows)
-    assert all("live_hosts" in row for row in rows)
-    # Deterministic mode: timer rows carry call deltas only, never
-    # wall-clock seconds.
-    for row in rows:
-        for timer in row["timers"].values():
-            assert set(timer) == {"calls"}
+    assert len(rows) == first.totals["metrics_windows"] > 0
+    # Virtual-time stamps on the sampling cadence.
+    assert [row["t"] for row in rows] == [5.0, 10.0, 15.0, 20.0]
 
 
-def test_metrics_window_defaults_to_sample_interval(tmp_path):
+def test_one_streamed_row_per_sample(tmp_path):
+    """There is one window, the scenario's ``sample_interval``: a run
+    streams as many rows as it has samples."""
     path = tmp_path / "metrics.jsonl"
     result = run_scenario(_small_scenario(seed=1), metrics_out=str(path))
     assert result.totals["metrics_windows"] == len(result.samples)
+    assert len(path.read_text().splitlines()) == len(result.samples)
 
 
 def test_no_metrics_out_means_no_windows():
