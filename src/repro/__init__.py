@@ -18,7 +18,7 @@ Quickstart::
 
     from repro import quick_intradomain
 
-    net = quick_intradomain(n_routers=40, n_hosts=200, seed=1)
+    net = quick_intradomain(n_routers=60, n_hosts=200, seed=1)
     a, b = net.random_host_pair()
     result = net.send(a, b)
     print(result.hops, result.stretch)
@@ -28,7 +28,6 @@ from repro.idspace.identifier import FlatId, RingSpace
 from repro.intra.network import IntraDomainNetwork
 from repro.inter.network import InterDomainNetwork
 from repro import baselines, compact  # noqa: F401  (defining registers)
-from repro.network import KINDS
 from repro.topology.isp import synthetic_isp, ROCKETFUEL_PROFILES
 from repro.topology.asgraph import synthetic_as_graph
 
@@ -48,41 +47,39 @@ __all__ = [
 ]
 
 
-def build_network(kind="intra", seed=0, n_routers=40, n_ases=60, hosts=0,
-                  cache_entries=None, n_fingers=8, name=None):
-    """Build a fresh network of a registered kind (:data:`KINDS`) and join
-    ``hosts`` hosts onto it — the one constructor behind ``repro serve``,
-    ``snapshot save``, ``trace``, the workload driver and the ``quick_*``
-    helpers.
+def build_network(kind="intra", seed=0, hosts=0, name=None, **sizing):
+    """Build a fresh network of a registered kind
+    (:data:`repro.network.KINDS`) and join ``hosts`` hosts onto it — the
+    one constructor behind ``repro serve``, ``snapshot save``, ``trace``
+    and the ``quick_*`` helpers.
 
-    ``cache_entries=None`` is each kind's default (TCAM-sized intra, no
-    cache inter).  ``name`` names the ISP topology and so seeds the
-    network's RNG streams: the same name is the same network.
+    ``sizing`` is the other fields of
+    :class:`repro.workload.scenario.NetworkSpec` (``n_routers``,
+    ``n_ases``, ``cache_entries``, ``n_fingers``), which states their
+    defaults and is what a scenario builds its own network from.  ``name``
+    names the ISP topology and so seeds the network's RNG streams: the
+    same name is the same network.
     """
-    if kind not in KINDS:
-        raise ValueError("kind must be one of {}, got {!r}".format(
-            ", ".join(KINDS), kind))
-    net = KINDS[kind].build(
-        seed, n_routers=n_routers, n_ases=n_ases,
-        cache_entries=cache_entries, n_fingers=n_fingers, name=name)
+    from repro.workload.scenario import NetworkSpec
+    net = NetworkSpec(kind=kind, name=name, **sizing).build(seed)
     if hosts:
         net.join_random_hosts(hosts)
         net.flush_indexes()
     return net
 
 
-def quick_intradomain(n_routers=40, n_hosts=100, seed=0, cache_entries=1024):
+def quick_intradomain(n_hosts=100, seed=0, cache_entries=1024, **sizing):
     """Build a small intradomain ROFL network ready to route packets.
 
     This is the two-line entry point used by ``examples/quickstart.py``:
     it generates a synthetic PoP-structured ISP, brings up the link-state
     substrate and joins ``n_hosts`` hosts onto the ring.
     """
-    return build_network("intra", seed, n_routers=n_routers, hosts=n_hosts,
-                         cache_entries=cache_entries)
+    return build_network("intra", seed, hosts=n_hosts,
+                         cache_entries=cache_entries, **sizing)
 
 
-def quick_interdomain(n_ases=60, n_hosts=300, seed=0, n_fingers=16):
+def quick_interdomain(n_hosts=300, seed=0, n_fingers=16, **sizing):
     """Build a small interdomain ROFL network over a synthetic AS graph."""
-    return build_network("inter", seed, n_ases=n_ases, hosts=n_hosts,
-                         n_fingers=n_fingers)
+    return build_network("inter", seed, hosts=n_hosts, n_fingers=n_fingers,
+                         **sizing)

@@ -64,8 +64,9 @@ def _write_json(payload, path: str) -> None:
 
 def _load_scenario(command: str, name: str, seed):
     """The builtin scenario or scenario JSON file ``name``, reseeded when
-    ``--seed`` was given.  A bad name or file is reported on stderr under
-    ``command`` and returns None."""
+    ``--seed`` was given.  A bad name, a path that cannot be read or a
+    malformed file is reported on stderr under ``command`` and returns
+    None."""
     from repro.workload import (BUILTIN_SCENARIOS, Scenario, ScenarioError,
                                 builtin_scenario)
     try:
@@ -77,7 +78,7 @@ def _load_scenario(command: str, name: str, seed):
             raise ScenarioError(
                 "no such builtin or file: {!r} (builtins: {})".format(
                     name, ", ".join(sorted(BUILTIN_SCENARIOS))))
-    except ScenarioError as exc:
+    except (OSError, UnicodeError, ScenarioError) as exc:
         print("{}: {}".format(command, exc), file=sys.stderr)
         return None
     if seed is not None:
@@ -266,16 +267,20 @@ def _add_network_args(parser: argparse.ArgumentParser) -> None:
     """The network ``serve`` and ``snapshot save`` build when not handed
     a snapshot (see :func:`_network_from_args`)."""
     from repro.network import KINDS
-    parser.add_argument("--kind", choices=tuple(KINDS), default="intra",
-                        help="network kind to build (default intra)")
+    from repro.workload.scenario import NetworkSpec
+    parser.add_argument("--kind", choices=tuple(KINDS),
+                        default=NetworkSpec.kind,
+                        help="network kind to build (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--routers", type=int, default=40,
-                        help="intra: router count (default 40)")
-    parser.add_argument("--ases", type=int, default=60,
-                        help="inter: AS count (default 60)")
+    parser.add_argument("--routers", type=int,
+                        default=NetworkSpec.n_routers,
+                        help="intra: router count (default %(default)s)")
+    parser.add_argument("--ases", type=int, default=NetworkSpec.n_ases,
+                        help="inter: AS count (default %(default)s)")
     parser.add_argument("--hosts", type=int, default=200,
                         help="hosts to join after building (default 200)")
-    parser.add_argument("--cache-entries", type=int, default=None,
+    parser.add_argument("--cache-entries", type=int,
+                        default=NetworkSpec.cache_entries,
                         help="pointer-cache size override")
 
 

@@ -61,9 +61,6 @@ class LandmarkPlan:
     def ball_size(self, router: str) -> int:
         return len(self.ball[router])
 
-    def is_landmark(self, router: str) -> bool:
-        return self.radius.get(router) == 0
-
 
 def landmark_count(n_routers: int, factor: float = 1.0) -> int:
     """``ceil(factor · sqrt(R))`` clamped to ``[1, R]`` — the

@@ -336,10 +336,6 @@ class DiscoNetwork(Network):
                 raise AssertionError("{} attached at {} but registered as "
                                      "{}".format(host_id, attach, locator))
 
-    @property
-    def landmarks(self) -> List[str]:
-        return self.plan.landmarks
-
     def cache_stats(self) -> Dict[str, int]:
         """Aggregate locator-cache counters across all routers."""
         totals = {"hits": 0, "misses": 0, "evictions": 0, "invalidations": 0}

@@ -34,7 +34,8 @@ def _with_perf(fn):
     attached to the result dict under the ``"perf"`` key — so every
     figure's output carries the hot-path counters (forwarding hops,
     index rebuilds, SPF evictions) that produced it.  Report formatters
-    skip the key; ``benchmarks/perf_trajectory.py`` persists it.
+    skip the key; ``repro report --perf`` reads it off a ``compare-stretch
+    --json`` file.
     """
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -68,8 +69,8 @@ def _stretches(results) -> List[float]:
     return [r.stretch for r in results if r.delivered and r.optimal_hops > 0]
 
 
-#: Scaled-down router counts for fast benchmark runs; pass
-#: ``full_scale=True`` to use the paper's Rocketfuel sizes.
+#: Scaled-down router counts: what every figure runs at.  The paper's
+#: Rocketfuel sizes are the head-to-head's ``full_scale=True``.
 FAST_PROFILES = {
     "AS1221": 106,
     "AS1239": 201,
@@ -78,7 +79,7 @@ FAST_PROFILES = {
 }
 
 
-def _isp(profile: str, seed: int, full_scale: bool):
+def _isp(profile: str, seed: int, full_scale: bool = False):
     n_routers = (ROCKETFUEL_PROFILES[profile]["routers"] if full_scale
                  else FAST_PROFILES[profile])
     return synthetic_isp(n_routers=n_routers, seed=seed, name=profile)
@@ -91,12 +92,11 @@ def _isp(profile: str, seed: int, full_scale: bool):
 @_with_perf
 def fig5a_intra_join_overhead(profiles: Sequence[str] = ("AS1221", "AS3967"),
                               host_counts: Sequence[int] = (10, 100, 1000),
-                              seed: int = 0,
-                              full_scale: bool = False) -> Dict:
+                              seed: int = 0) -> Dict:
     """Cumulative join messages vs number of hosts, ROFL vs CMU-ETHERNET."""
     out: Dict = {"profiles": {}, "host_counts": list(host_counts)}
     for profile in profiles:
-        topo = _isp(profile, seed, full_scale)
+        topo = _isp(profile, seed)
         rofl = IntraDomainNetwork(topo, seed=seed)
         cmu = CmuEthernetNetwork(topo, seed=seed)
         rofl_series: List[int] = []
@@ -124,11 +124,10 @@ def fig5a_intra_join_overhead(profiles: Sequence[str] = ("AS1221", "AS3967"),
 
 @_with_perf
 def fig5b_join_overhead_cdf(profiles: Sequence[str] = ("AS1221", "AS3967"),
-                            n_hosts: int = 600, seed: int = 0,
-                            full_scale: bool = False) -> Dict:
+                            n_hosts: int = 600, seed: int = 0) -> Dict:
     out: Dict = {}
     for profile in profiles:
-        topo = _isp(profile, seed, full_scale)
+        topo = _isp(profile, seed)
         net = IntraDomainNetwork(topo, seed=seed)
         net.join_random_hosts(n_hosts)
         costs = net.stats.operation_costs("join")
@@ -149,11 +148,10 @@ def fig5b_join_overhead_cdf(profiles: Sequence[str] = ("AS1221", "AS3967"),
 
 @_with_perf
 def fig5c_join_latency_cdf(profiles: Sequence[str] = ("AS1221", "AS3967"),
-                           n_hosts: int = 400, seed: int = 0,
-                           full_scale: bool = False) -> Dict:
+                           n_hosts: int = 400, seed: int = 0) -> Dict:
     out: Dict = {}
     for profile in profiles:
-        topo = _isp(profile, seed, full_scale)
+        topo = _isp(profile, seed)
         net = IntraDomainNetwork(topo, seed=seed)
         latencies = [net.join_host(net.next_planned_host()).latency_ms
                      for _ in range(n_hosts)]
@@ -175,10 +173,10 @@ def fig6a_stretch_vs_cache(profile: str = "AS3967",
                            cache_sizes: Sequence[int] = (0, 16, 64, 256, 1024,
                                                          8192, TCAM_ENTRIES),
                            n_hosts: int = 800, n_packets: int = 400,
-                           seed: int = 0, full_scale: bool = False) -> Dict:
+                           seed: int = 0) -> Dict:
     series: List[Tuple[int, float]] = []
     for cache in cache_sizes:
-        topo = _isp(profile, seed, full_scale)
+        topo = _isp(profile, seed)
         net = IntraDomainNetwork(topo, cache_entries=cache, seed=seed)
         net.join_random_hosts(n_hosts)
         stretches = _stretches(_send_random(net, n_packets))
@@ -193,9 +191,8 @@ def fig6a_stretch_vs_cache(profile: str = "AS3967",
 
 @_with_perf
 def fig6b_load_balance(profile: str = "AS3967", n_hosts: int = 500,
-                       n_packets: int = 1500, seed: int = 0,
-                       full_scale: bool = False) -> Dict:
-    topo = _isp(profile, seed, full_scale)
+                       n_packets: int = 1500, seed: int = 0) -> Dict:
+    topo = _isp(profile, seed)
     net = IntraDomainNetwork(topo, seed=seed)
     net.join_random_hosts(n_hosts)
     net.stats.reset_load()
@@ -232,8 +229,8 @@ def fig6b_load_balance(profile: str = "AS3967", n_hosts: int = 500,
 @_with_perf
 def fig6c_memory(profile: str = "AS3967",
                  host_counts: Sequence[int] = (10, 100, 1000),
-                 seed: int = 0, full_scale: bool = False) -> Dict:
-    topo = _isp(profile, seed, full_scale)
+                 seed: int = 0) -> Dict:
+    topo = _isp(profile, seed)
     net = IntraDomainNetwork(topo, seed=seed)
     cmu = CmuEthernetNetwork(topo, seed=seed)
     series = []
@@ -276,13 +273,13 @@ def _recovery_scenario(name: str, seed: int, warmup_hosts: int,
 @_with_perf
 def fig7_partition_repair(profile: str = "AS3967",
                           ids_per_pop: Sequence[int] = (1, 4, 16, 64),
-                          seed: int = 0, full_scale: bool = False) -> Dict:
+                          seed: int = 0) -> Dict:
     from repro.workload.driver import run_scenario
     from repro.workload.scenario import FaultSpec
 
     series = []
     for per_pop in ids_per_pop:
-        topo = _isp(profile, seed, full_scale)
+        topo = _isp(profile, seed)
         net = IntraDomainNetwork(topo, seed=seed)
         n_pops = len(topo.pops)
         rng = derive_rng(seed, "fig7", per_pop)
@@ -311,12 +308,11 @@ def fig7_partition_repair(profile: str = "AS3967",
 
 @_with_perf
 def fig7b_host_failure(profile: str = "AS3967", n_hosts: int = 500,
-                       n_failures: int = 100, seed: int = 0,
-                       full_scale: bool = False) -> Dict:
+                       n_failures: int = 100, seed: int = 0) -> Dict:
     from repro.workload.driver import run_scenario
     from repro.workload.scenario import FaultSpec
 
-    topo = _isp(profile, seed, full_scale)
+    topo = _isp(profile, seed)
     net = IntraDomainNetwork(topo, seed=seed)
     scenario = _recovery_scenario(
         "fig7b-host-failure", seed, n_hosts,
@@ -342,14 +338,14 @@ def fig7b_host_failure(profile: str = "AS3967", n_hosts: int = 500,
 @_with_perf
 def fig7c_router_recovery(profile: str = "AS3967", n_hosts: int = 300,
                           n_failures: int = 3, probe_rate: float = 40.0,
-                          seed: int = 0, full_scale: bool = False) -> Dict:
+                          seed: int = 0) -> Dict:
     """Crash routers one at a time under open-loop probe traffic and
     measure per-crash repair cost plus the delivery rate the survivors
     sustain while the ring heals."""
     from repro.workload.driver import run_scenario
     from repro.workload.scenario import FaultSpec, Phase, TrafficSpec
 
-    topo = _isp(profile, seed, full_scale)
+    topo = _isp(profile, seed)
     net = IntraDomainNetwork(topo, seed=seed)
     duration = float(n_failures + 1)
     scenario = _recovery_scenario(

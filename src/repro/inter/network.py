@@ -79,12 +79,12 @@ class InterDomainNetwork(Network):
                          authority=self.authority)
 
     @classmethod
-    def build(cls, seed, n_ases=60, cache_entries=None, n_fingers=8,
-              **other_kinds):
-        """Over a synthetic AS graph; ``cache_entries=None`` is no cache."""
-        return cls(synthetic_as_graph(n_ases=n_ases, seed=seed),
-                   n_fingers=n_fingers, seed=seed,
-                   cache_entries=cache_entries or 0)
+    def build(cls, seed, spec):
+        """Over a synthetic AS graph; ``spec.cache_entries=None`` is no
+        cache."""
+        return cls(synthetic_as_graph(n_ases=spec.n_ases, seed=seed),
+                   n_fingers=spec.n_fingers, seed=seed,
+                   cache_entries=spec.cache_entries or 0)
 
     # -- rings -------------------------------------------------------------------
 

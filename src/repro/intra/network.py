@@ -76,12 +76,12 @@ class IntraDomainNetwork(Network):
         ring.bootstrap_router_ring(self)
 
     @classmethod
-    def build(cls, seed, n_routers=40, cache_entries=None, name=None,
-              **other_kinds):
-        """``cache_entries=None`` is the TCAM-sized default."""
-        return cls(synthetic_isp(n_routers=n_routers, seed=seed, name=name),
-                   TCAM_ENTRIES if cache_entries is None else cache_entries,
-                   seed=seed)
+    def build(cls, seed, spec):
+        """``spec.cache_entries=None`` is the TCAM-sized default."""
+        return cls(synthetic_isp(n_routers=spec.n_routers, seed=seed,
+                                 name=spec.name),
+                   TCAM_ENTRIES if spec.cache_entries is None
+                   else spec.cache_entries, seed=seed)
 
     # -- joining -----------------------------------------------------------------
 

@@ -78,11 +78,11 @@ class Network:
                               registry=self.rngs, **plan)
 
     @classmethod
-    def build(cls, seed: int, n_routers: int = 40,
-              name: Optional[str] = None, **other_kinds) -> "Network":
-        """This kind at ``repro.build_network``'s sizing (default: an ISP)."""
-        return cls(synthetic_isp(n_routers=n_routers, seed=seed, name=name),
-                   seed=seed)
+    def build(cls, seed: int, spec) -> "Network":
+        """This kind at the sizing of ``spec``, a
+        :class:`repro.workload.scenario.NetworkSpec` (default: an ISP)."""
+        return cls(synthetic_isp(n_routers=spec.n_routers, seed=seed,
+                                 name=spec.name), seed=seed)
 
     @classmethod
     def unsupported(cls, operations: Iterable[str]) -> List[str]:

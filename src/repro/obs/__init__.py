@@ -10,11 +10,9 @@ from repro.obs.probes import (CacheIsolationProbe, InterRingConsistencyProbe,
                               Probe, ProbeSet, RingConsistencyProbe,
                               SpfAgreementProbe, StretchBoundProbe, Violation)
 from repro.obs.report import (build_timer_tree, generate_report,
-                              read_metrics_jsonl, render_html,
-                              render_markdown, render_timer_tree)
+                              read_metrics_jsonl, render_timer_tree)
 from repro.obs.trace import (JsonlSink, NullSink, RingBufferSink, Span,
-                             TraceRecord, Tracer, get_tracer, install,
-                             tracing, uninstall)
+                             TraceRecord, Tracer, install, tracing, uninstall)
 
 __all__ = [
     "CacheIsolationProbe", "InterRingConsistencyProbe", "JsonlSink",
@@ -23,8 +21,6 @@ __all__ = [
     "SpfAgreementProbe", "StretchBoundProbe", "TraceRecord", "Tracer",
     "Violation",
     "build_timer_tree", "explain_packets", "explain_span", "generate_report",
-    "get_tracer", "install", "packet_spans",
-    "read_metrics_jsonl", "render_html", "render_markdown",
-    "render_timer_tree",
+    "install", "packet_spans", "read_metrics_jsonl", "render_timer_tree",
     "tracing", "uninstall",
 ]

@@ -370,17 +370,6 @@ def report_blocks(metrics_rows: Optional[List[Dict[str, Any]]] = None,
     return blocks
 
 
-def render_markdown(title: str, **artifacts) -> str:
-    """:func:`report_blocks` (same keywords) under ``title``, as markdown."""
-    return emit_markdown([Heading(title, 1)] + report_blocks(**artifacts))
-
-
-def render_html(title: str, **artifacts) -> str:
-    """:func:`report_blocks` (same keywords) under ``title``, as one HTML
-    page."""
-    return emit_html([Heading(title, 1)] + report_blocks(**artifacts))
-
-
 def _load_object(path: str) -> Dict[str, Any]:
     with open(path) as fh:
         payload = json.load(fh)

@@ -88,9 +88,6 @@ class RingBufferSink:
     def records(self) -> List[TraceRecord]:
         return list(self._buf)
 
-    def clear(self) -> None:
-        self._buf.clear()
-
     def close(self) -> None:
         pass
 
@@ -269,10 +266,6 @@ def uninstall() -> None:
     global _TRACER, ENABLED
     ENABLED = False
     _TRACER = None
-
-
-def get_tracer() -> Optional[Tracer]:
-    return _TRACER
 
 
 @contextmanager

@@ -155,22 +155,24 @@ class ReproServer:
         if "src" in request or "dst" in request:
             raise ServeError("send routes random pairs; use op 'route' "
                              "for a specific src/dst")
-        delivered = cached = 0
+        delivered = cached = stretched = 0
         hops = stretch_sum = 0.0
         for _ in range(n):
             result = self.net.send(*self.net.random_host_pair())
             if result.delivered:
                 delivered += 1
                 hops += result.hops
-                stretch_sum += result.stretch
+                if result.optimal_hops > 0:     # same-router: no ratio
+                    stretched += 1
+                    stretch_sum += result.stretch
             cached += result.used_cache
         return {
             "sent": n,
             "delivered": delivered,
             "cache_hits": cached,
             "mean_hops": round(hops / delivered, 4) if delivered else 0.0,
-            "mean_stretch": round(stretch_sum / delivered, 4)
-            if delivered else 0.0,
+            "mean_stretch": round(stretch_sum / stretched, 4)
+            if stretched else 0.0,
         }
 
     def _op_route(self, request: Dict) -> Dict:

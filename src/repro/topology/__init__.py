@@ -15,7 +15,7 @@
 from repro.topology.graph import RouterTopology
 from repro.topology.isp import synthetic_isp, ROCKETFUEL_PROFILES
 from repro.topology.asgraph import ASGraph, synthetic_as_graph, Relationship
-from repro.topology.hierarchy import up_hierarchy, down_hierarchy, subtree_hosts
+from repro.topology.hierarchy import up_hierarchy, down_hierarchy
 from repro.topology.hosts import HostPlan
 
 __all__ = [
@@ -27,6 +27,5 @@ __all__ = [
     "Relationship",
     "up_hierarchy",
     "down_hierarchy",
-    "subtree_hosts",
     "HostPlan",
 ]

@@ -170,10 +170,6 @@ class ASGraph:
         default: one per AS hop, as the message-charging simulation counts)."""
         return self.adjacency[a][b]["latency"]
 
-    def multihomed(self) -> List[Hashable]:
-        return [asn for asn in self.nodes
-                if len(self.providers(asn)) + len(self.backup_providers(asn)) > 1]
-
     def validate(self) -> None:
         """Check the annotation invariants the routing layer relies on."""
         if self.n_ases == 0:

@@ -118,9 +118,6 @@ class HierarchyIndex:
         """``asn`` first, then its providers level by level."""
         return list(self._up[asn])
 
-    def in_subtree(self, member: Hashable, root: Hashable) -> bool:
-        return member in self._down[root]
-
     def common_ancestors(self, a: Hashable, b: Hashable) -> Set[Hashable]:
         """ASes whose subtree contains both ``a`` and ``b``."""
         return set(self._up[a]) & set(self._up[b])
@@ -148,8 +145,3 @@ class HierarchyIndex:
         for anchor in self.earliest_common_ancestors(a, b):
             region |= self._down[anchor]
         return region
-
-
-def subtree_hosts(asg: ASGraph, asn: Hashable) -> int:
-    """Total endpoint hosts below ``asn`` (used to size bloom filters)."""
-    return sum(asg.hosts(member) for member in down_hierarchy(asg, asn))

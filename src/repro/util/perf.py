@@ -105,31 +105,25 @@ class Histogram:
             "p99": self.percentile(0.99),
         }
 
-    def reset(self) -> None:
-        self._values.clear()
-        self._sorted = True
-
     def __len__(self) -> int:
         return len(self._values)
 
 
 class PerfRegistry:
-    """A named-counter / named-timer / named-gauge / histogram registry.
+    """A named-counter / named-timer / histogram registry.
 
     ``counters`` maps name → running total; ``timers`` maps name →
-    ``[calls, total_seconds, max_seconds]``; ``gauges`` maps name →
-    last-set value;
+    ``[calls, total_seconds, max_seconds]``;
     ``histograms`` maps name → :class:`Histogram`.  Registries are cheap
     enough to keep one global (:data:`PERF`) plus ad-hoc private ones in
     tests.
     """
 
-    __slots__ = ("counters", "timers", "gauges", "histograms")
+    __slots__ = ("counters", "timers", "histograms")
 
     def __init__(self) -> None:
         self.counters: Dict[str, float] = {}
         self.timers: Dict[str, List[float]] = {}
-        self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
 
     def counter(self, name: str, n: float = 1) -> None:
@@ -140,10 +134,6 @@ class PerfRegistry:
     def timed(self, name: str) -> _Timer:
         """``with perf.timed("spf.rebuild"): ...`` wall-clock bracket."""
         return _Timer(self, name)
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set the named gauge to its latest observed value."""
-        self.gauges[name] = value
 
     def histogram(self, name: str) -> Histogram:
         """The named :class:`Histogram`, created empty on first use."""
@@ -161,8 +151,7 @@ class PerfRegistry:
 
     def snapshot(self) -> Dict[str, Dict]:
         """A JSON-ready dump: counters verbatim, timers as
-        calls/seconds/mean/max, gauges verbatim, histograms as summary
-        stats."""
+        calls/seconds/mean/max, histograms as summary stats."""
         out = {
             "counters": dict(self.counters),
             "timers": {name: {"calls": cell[0],
@@ -172,8 +161,6 @@ class PerfRegistry:
                               "max": round(cell[2], 6)}
                        for name, cell in self.timers.items()},
         }
-        if self.gauges:
-            out["gauges"] = dict(self.gauges)
         if self.histograms:
             out["histograms"] = {name: hist.snapshot()
                                  for name, hist in self.histograms.items()}
@@ -182,13 +169,11 @@ class PerfRegistry:
     def reset(self) -> None:
         self.counters.clear()
         self.timers.clear()
-        self.gauges.clear()
         self.histograms.clear()
 
     def __repr__(self) -> str:
-        return "PerfRegistry(counters={}, timers={}, gauges={}, histograms={})".format(
-            len(self.counters), len(self.timers), len(self.gauges),
-            len(self.histograms))
+        return "PerfRegistry(counters={}, timers={}, histograms={})".format(
+            len(self.counters), len(self.timers), len(self.histograms))
 
 
 #: The process-global registry the runtime instrumentation reports into.
@@ -198,7 +183,6 @@ PERF = PerfRegistry()
 #: do ``from repro.util import perf; perf.counter(...)``.
 counter = PERF.counter
 timed = PERF.timed
-gauge = PERF.gauge
 histogram = PERF.histogram
 observe = PERF.observe
 snapshot = PERF.snapshot

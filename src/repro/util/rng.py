@@ -31,20 +31,16 @@ def derive_rng(seed, *scope) -> random.Random:
 
 
 class RngRegistry:
-    """All derived streams of one seeded simulation, enumerable by scope.
+    """All derived streams of one seeded simulation, keyed by scope.
 
     ``derive(*scope)`` returns the cached stream for that scope (creating
     it via :func:`derive_rng` on first use), so every consumer that holds
-    randomness long-term gets it from here and the registry can later
-    enumerate *every* live stream — which is what lets
-    :mod:`repro.snapshot` capture and restore each stream's exact
-    position (``random.Random.getstate()``) instead of silently resetting
-    the tapes on load.
-
-    Registries pickle with their streams, so a snapshotted network
-    resumes every stream mid-tape.  Scope elements must be hashable and
-    ``repr``-stable (strings, ints, tuples — the same contract
-    :func:`stable_hash` already imposes).
+    randomness long-term gets it from here and the registry holds *every*
+    live stream.  Registries pickle with their streams, which is what
+    lets a :mod:`repro.snapshot` resume each stream at its exact position
+    instead of silently resetting the tapes on load.  Scope elements must
+    be hashable and ``repr``-stable (strings, ints, tuples — the same
+    contract :func:`stable_hash` already imposes).
     """
 
     def __init__(self, seed) -> None:
@@ -58,25 +54,8 @@ class RngRegistry:
             stream = self._streams[scope] = derive_rng(self.seed, *scope)
         return stream
 
-    def scopes(self) -> List[Tuple]:
-        """Every registered scope, in a deterministic (sorted) order."""
-        return sorted(self._streams, key=repr)
-
-    def capture(self) -> Dict[Tuple, tuple]:
-        """``scope → getstate()`` for every registered stream."""
-        return {scope: stream.getstate()
-                for scope, stream in self._streams.items()}
-
-    def restore(self, states: Dict[Tuple, tuple]) -> None:
-        """Re-derive each captured scope and rewind it to its position."""
-        for scope, state in states.items():
-            self.derive(*scope).setstate(state)
-
     def __len__(self) -> int:
         return len(self._streams)
-
-    def __contains__(self, scope: Tuple) -> bool:
-        return scope in self._streams
 
     def __repr__(self) -> str:
         return "RngRegistry(seed={!r}, streams={})".format(self.seed,

@@ -23,15 +23,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro import build_network
 from repro.sim.engine import EventLoop
 from repro.util.rng import RngRegistry
-from repro.workload.faults import INJECTORS
 from repro.workload.metrics import MetricsRecorder
-from repro.workload.processes import (PoissonProcess, lifetime_from_spec,
-                                      modulation_from_spec,
-                                      popularity_from_spec)
-from repro.workload.scenario import Phase, Scenario
+from repro.workload.processes import PoissonProcess, UniformPopularity
+from repro.workload.scenario import Phase, Scenario, process
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +107,9 @@ class WorkloadDriver:
                  probes: bool = False, metrics_out=None):
         scenario.validate()
         self.scenario = scenario
-        spec = scenario.network
-        self.net = network if network is not None else build_network(
-            spec.kind, scenario.seed, n_routers=spec.n_routers,
-            n_ases=spec.n_ases, cache_entries=spec.cache_entries,
-            n_fingers=spec.n_fingers, name=spec.name)
-        self._injectors = [INJECTORS[spec.kind](spec)
-                           for spec in scenario.faults]
+        self.net = (network if network is not None
+                    else scenario.network.build(scenario.seed))
+        self._injectors = [fault.injector() for fault in scenario.faults]
         for injector in self._injectors:
             injector.check(self.net)
         self.loop = EventLoop()
@@ -258,8 +250,8 @@ class WorkloadDriver:
         if phase.churn is not None and phase.churn.arrival_rate > 0:
             arrivals = PoissonProcess(
                 phase.churn.arrival_rate,
-                modulation_from_spec(phase.churn.modulation))
-            lifetime = lifetime_from_spec(phase.churn.lifetime)
+                process("modulation", phase.churn.modulation))
+            lifetime = process("lifetime", phase.churn.lifetime)
             first = phase.start + arrivals.next_arrival(
                 self.rng("arrivals", index), phase.start)
             if first < phase.end:
@@ -270,8 +262,9 @@ class WorkloadDriver:
         if phase.traffic is not None and phase.traffic.rate > 0:
             packets = PoissonProcess(
                 phase.traffic.rate,
-                modulation_from_spec(phase.traffic.modulation))
-            popularity = popularity_from_spec(phase.traffic.popularity)
+                process("modulation", phase.traffic.modulation))
+            popularity = (process("popularity", phase.traffic.popularity)
+                          or UniformPopularity())
             first = phase.start + packets.next_arrival(
                 self.rng("traffic-times", index), phase.start)
             if first < phase.end:

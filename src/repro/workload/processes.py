@@ -1,10 +1,12 @@
 """Stochastic processes for the workload engine (arrivals, lifetimes,
 rate modulation, destination popularity).
 
-Everything here is *declarative-friendly*: each process is built from a
-plain ``{"kind": ..., ...}`` spec dict (what :mod:`repro.workload.scenario`
-round-trips through JSON) and draws exclusively from an
-externally-supplied :class:`random.Random`, so the driver controls the
+Everything here is *declarative-friendly*: each process is a dataclass
+whose fields are the parameters a ``{"kind": ..., ...}`` spec dict may
+carry (:data:`PROCESSES` names them; the codec of
+:mod:`repro.workload.scenario` checks a spec against the fields and
+builds the process) and draws exclusively from an externally-supplied
+:class:`random.Random`, so the driver controls the
 :func:`repro.util.rng.derive_rng` scoping and determinism.
 
 The distributions mirror the churn literature the paper sits in:
@@ -19,21 +21,12 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence
 
 
 class SpecError(ValueError):
-    """A malformed process spec (unknown kind / bad parameter)."""
-
-
-def _require_positive(spec: Dict, key: str, default=None) -> float:
-    value = spec.get(key, default)
-    if value is None:
-        raise SpecError("spec {!r} missing {!r}".format(spec, key))
-    value = float(value)
-    if value <= 0:
-        raise SpecError("{!r} must be positive, got {!r}".format(key, value))
-    return value
+    """A process parameter out of its range."""
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +44,7 @@ class RateModulation:
         raise NotImplementedError
 
 
+@dataclass
 class FlatModulation(RateModulation):
     """No modulation: factor 1 at all times."""
 
@@ -61,19 +55,23 @@ class FlatModulation(RateModulation):
         return 1.0
 
 
+@dataclass
 class FlashCrowd(RateModulation):
     """A transient spike: rate multiplies by ``peak`` inside a window,
     with linear ramps of ``ramp`` time units on each side."""
 
-    def __init__(self, start: float, end: float, peak: float,
-                 ramp: float = 0.0):
-        if end <= start:
+    start: float = 0.0
+    end: float = 0.0
+    peak: float = 2.0
+    ramp: float = 0.0
+
+    def __post_init__(self):
+        if self.end <= self.start:
             raise SpecError("flash crowd end must follow start")
-        if peak < 1.0:
+        if self.peak < 1.0:
             raise SpecError("flash crowd peak must be >= 1")
-        if ramp < 0:
+        if self.ramp < 0:
             raise SpecError("ramp must be non-negative")
-        self.start, self.end, self.peak, self.ramp = start, end, peak, ramp
 
     def factor(self, t: float) -> float:
         if self.ramp > 0:
@@ -91,16 +89,20 @@ class FlashCrowd(RateModulation):
         return self.peak
 
 
+@dataclass
 class DiurnalModulation(RateModulation):
     """A day/night sinusoid: factor swings between ``low`` and ``high``
     over one ``period`` (peak at ``period/4``)."""
 
-    def __init__(self, period: float, low: float = 0.5, high: float = 1.5):
-        if period <= 0:
+    period: float
+    low: float = 0.5
+    high: float = 1.5
+
+    def __post_init__(self):
+        if self.period <= 0:
             raise SpecError("period must be positive")
-        if not 0 <= low <= high:
+        if not 0 <= self.low <= self.high:
             raise SpecError("need 0 <= low <= high")
-        self.period, self.low, self.high = period, low, high
 
     def factor(self, t: float) -> float:
         mid = (self.high + self.low) / 2.0
@@ -109,24 +111,6 @@ class DiurnalModulation(RateModulation):
 
     def peak_factor(self) -> float:
         return self.high
-
-
-def modulation_from_spec(spec: Optional[Dict]) -> RateModulation:
-    if spec is None:
-        return FlatModulation()
-    kind = spec.get("kind", "flat")
-    if kind == "flat":
-        return FlatModulation()
-    if kind == "flash_crowd":
-        return FlashCrowd(start=float(spec.get("start", 0.0)),
-                          end=float(spec.get("end", 0.0)),
-                          peak=_require_positive(spec, "peak", 2.0),
-                          ramp=float(spec.get("ramp", 0.0)))
-    if kind == "diurnal":
-        return DiurnalModulation(period=_require_positive(spec, "period"),
-                                 low=float(spec.get("low", 0.5)),
-                                 high=float(spec.get("high", 1.5)))
-    raise SpecError("unknown modulation kind {!r}".format(kind))
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +155,7 @@ class LifetimeDistribution:
         raise NotImplementedError
 
 
+@dataclass
 class ParetoLifetime(LifetimeDistribution):
     """Heavy-tailed session lifetime ``scale * Pareto(shape)``.
 
@@ -178,72 +163,65 @@ class ParetoLifetime(LifetimeDistribution):
     measures for peer sessions; ``scale`` is the minimum lifetime.
     """
 
-    def __init__(self, shape: float, scale: float):
-        if shape <= 0 or scale <= 0:
+    shape: float
+    scale: float
+
+    def __post_init__(self):
+        if self.shape <= 0 or self.scale <= 0:
             raise SpecError("pareto shape and scale must be positive")
-        self.shape, self.scale = shape, scale
 
     def sample(self, rng: random.Random) -> float:
         return self.scale * rng.paretovariate(self.shape)
 
 
+@dataclass
 class WeibullLifetime(LifetimeDistribution):
     """Weibull lifetime (shape < 1: bursty departures; > 1: aging)."""
 
-    def __init__(self, shape: float, scale: float):
-        if shape <= 0 or scale <= 0:
+    shape: float
+    scale: float
+
+    def __post_init__(self):
+        if self.shape <= 0 or self.scale <= 0:
             raise SpecError("weibull shape and scale must be positive")
-        self.shape, self.scale = shape, scale
 
     def sample(self, rng: random.Random) -> float:
         return rng.weibullvariate(self.scale, self.shape)
 
 
+@dataclass
 class ExponentialLifetime(LifetimeDistribution):
     """Memoryless lifetime with the given mean."""
 
-    def __init__(self, mean: float):
-        if mean <= 0:
+    mean: float
+
+    def __post_init__(self):
+        if self.mean <= 0:
             raise SpecError("mean lifetime must be positive")
-        self.mean = mean
 
     def sample(self, rng: random.Random) -> float:
         return rng.expovariate(1.0 / self.mean)
 
 
+@dataclass
 class FixedLifetime(LifetimeDistribution):
     """Deterministic lifetime (useful in tests)."""
 
-    def __init__(self, value: float):
-        if value <= 0:
+    value: float
+
+    def __post_init__(self):
+        if self.value <= 0:
             raise SpecError("fixed lifetime must be positive")
-        self.value = value
 
     def sample(self, rng: random.Random) -> float:
         return self.value
-
-
-def lifetime_from_spec(spec: Optional[Dict]) -> Optional[LifetimeDistribution]:
-    if spec is None:
-        return None
-    kind = spec.get("kind")
-    if kind == "pareto":
-        return ParetoLifetime(shape=_require_positive(spec, "shape"),
-                              scale=_require_positive(spec, "scale"))
-    if kind == "weibull":
-        return WeibullLifetime(shape=_require_positive(spec, "shape"),
-                               scale=_require_positive(spec, "scale"))
-    if kind == "exponential":
-        return ExponentialLifetime(mean=_require_positive(spec, "mean"))
-    if kind == "fixed":
-        return FixedLifetime(value=_require_positive(spec, "value"))
-    raise SpecError("unknown lifetime kind {!r}".format(kind))
 
 
 # ---------------------------------------------------------------------------
 # Destination popularity.
 # ---------------------------------------------------------------------------
 
+@dataclass
 class ZipfPopularity:
     """Zipf destination popularity over an ordered live population.
 
@@ -257,11 +235,13 @@ class ZipfPopularity:
     the total leaves the chosen index where it was.
     """
 
-    def __init__(self, exponent: float = 1.0):
-        if exponent < 0:
+    exponent: float = 1.0
+    #: ``_cum[k-1]`` = sum of ``1/j^s`` over ``j <= k``.
+    _cum: List[float] = field(default_factory=list, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.exponent < 0:
             raise SpecError("zipf exponent must be non-negative")
-        self.exponent = exponent
-        self._cum: List[float] = []  # _cum[k-1] = sum of 1/j^s over j <= k
 
     def pick(self, rng: random.Random, population: Sequence[str]) -> str:
         n = len(population)
@@ -277,6 +257,7 @@ class ZipfPopularity:
                                        0, n - 1)]
 
 
+@dataclass
 class UniformPopularity:
     """Every live destination equally likely."""
 
@@ -286,12 +267,13 @@ class UniformPopularity:
         return rng.choice(population)
 
 
-def popularity_from_spec(spec: Optional[Dict]):
-    if spec is None:
-        return UniformPopularity()
-    kind = spec.get("kind", "uniform")
-    if kind == "uniform":
-        return UniformPopularity()
-    if kind == "zipf":
-        return ZipfPopularity(exponent=float(spec.get("exponent", 1.0)))
-    raise SpecError("unknown popularity kind {!r}".format(kind))
+#: What a scenario may say in a ``lifetime``, ``modulation`` or
+#: ``popularity`` spec: kind → the dataclass whose fields are its
+#: parameters.  No spec is no departure, no modulation, uniform picks.
+PROCESSES = {
+    "lifetime": {"pareto": ParetoLifetime, "weibull": WeibullLifetime,
+                 "exponential": ExponentialLifetime, "fixed": FixedLifetime},
+    "modulation": {"flat": FlatModulation, "flash_crowd": FlashCrowd,
+                   "diurnal": DiurnalModulation},
+    "popularity": {"uniform": UniformPopularity, "zipf": ZipfPopularity},
+}

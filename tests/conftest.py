@@ -6,12 +6,18 @@ their own instances from the factory fixtures.
 """
 
 import pytest
+from hypothesis import settings
 
 from repro.intra.network import IntraDomainNetwork
 from repro.inter.network import InterDomainNetwork
 from repro.inter.policy import JoinStrategy
 from repro.topology.asgraph import synthetic_as_graph
 from repro.topology.isp import synthetic_isp
+
+#: ``--hypothesis-profile fuzz``: ROADMAP item 2's exit bar, 10⁴ cases per
+#: surface.  CI's bench-smoke job runs the fuzz tests under it; tier-1
+#: runs them at the default 100.
+settings.register_profile("fuzz", max_examples=10_000, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -90,3 +90,33 @@ def test_digest_step_passes_on_the_pinned_run_and_fails_on_a_moved_one(
     assert (done.returncode == 0) == (moved is None), done.stderr
     if moved:
         assert moved in done.stderr
+
+
+def _bench_smoke_step(marker):
+    [path] = [p for p in WORKFLOWS if p.name == "ci.yml"]
+    steps = yaml.safe_load(path.read_text())["jobs"]["bench-smoke"]["steps"]
+    [step] = [step for step in steps if marker in step.get("run", "")]
+    return step["run"]
+
+
+def test_malformed_scenario_step_expects_exit_2_and_one_line(tmp_path):
+    """Three malformed files, each under ``timeout`` (``Infinity`` used to
+    parse and never return), each expected to exit 2 with one
+    ``workload:`` line naming the key; the step is run here as CI runs it
+    (``bash -e``).  The fuzz step beside it runs the tier-1 test under the
+    10⁴-example profile ``tests/conftest.py`` registers."""
+    script = _bench_smoke_step("Infinity")
+    for expected in ('"seed": "abc"', '"lifetime": 5', "timeout 20",
+                     "test $status -eq 2", 'wc -l < $dir/err)" -eq 1'):
+        assert expected in script
+    done = subprocess.run(
+        ["bash", "-e", "-c", script.replace("python -m", sys.executable
+                                            + " -m")],
+        cwd=Path(__file__).resolve().parent.parent, capture_output=True,
+        text=True, env={"TMPDIR": str(tmp_path), "PATH": "/usr/bin:/bin"})
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count("workload: ") == 3
+    fuzz = _bench_smoke_step("--hypothesis-profile")
+    assert "tests/test_workload_scenario.py" in fuzz and "-k fuzz" in fuzz
+    from hypothesis import settings
+    assert settings.get_profile("fuzz").max_examples == 10 ** 4

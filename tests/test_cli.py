@@ -150,6 +150,38 @@ def test_workload_invalid_scenario_contents(tmp_path, capsys):
     assert "unknown fault kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, label", [
+    (["workload"], "workload: "), (["trace", "--scenario"], "trace: ")],
+    ids=["workload", "trace"])
+@pytest.mark.parametrize("content", [
+    '{"name": "bad", "seed": "abc"}',
+    '{"name": "bad", "phases": [{"start": 0, "end": 1, "churn": '
+    '{"arrival_rate": 1, "lifetime": 5}}]}',
+    '{"name": "bad", "duration": Infinity}',
+    '{"name": "bad", "sample_intervall": 1}',
+    b"\xff\xfe not text",
+    None,
+], ids=["wrong-type", "number-for-mapping", "infinity", "misspelt-key",
+        "not-text", "a-directory"])
+def test_a_scenario_that_cannot_be_read_or_parsed_exits_2_with_one_line(
+        tmp_path, capsys, command, label, content):
+    """Never a traceback, never a hang (``Infinity`` parsed and the run
+    never returned), never a silent default (the misspelt key was
+    dropped); a path that exists but cannot be read (``IsADirectoryError``,
+    ``UnicodeDecodeError``) is reported like a missing one."""
+    path = tmp_path / "bad.json"
+    if content is None:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    assert main(command + [str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(label) and err.count("\n") == 1
+    assert err.endswith("\n") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("fault", [
     {"kind": "link_cut", "at": 0.5, "links": [["r0", "nope"]]},
     {"kind": "link_restore", "at": 0.5, "links": [["r0", "nope"]]},

@@ -65,7 +65,6 @@ class TestLandmarks:
             assert plan.radius[router] == best
             assert dists[plan.home[router]] == best
         for landmark in landmarks:
-            assert plan.is_landmark(landmark)
             assert plan.radius[landmark] == 0
             assert plan.ball[landmark] == set()
 
@@ -214,7 +213,7 @@ class TestDiscoNetwork:
     def test_memory_counts_all_four_tables(self, net):
         mem = net.memory_entries_per_router()
         assert set(mem) == set(net.topology.routers)
-        landmark = net.landmarks[0]
+        landmark = net.plan.landmarks[0]
         assert mem[landmark] >= net.plan.n_landmarks
         total_vicinity = sum(len(v) for v in net.vicinity_ids.values())
         total_shard = len(net.directory)
@@ -225,7 +224,7 @@ class TestDiscoNetwork:
         b = DiscoNetwork(topo, seed=5)
         a.join_random_hosts(12)
         b.join_random_hosts(12)
-        assert a.landmarks == b.landmarks
+        assert a.plan.landmarks == b.plan.landmarks
         assert list(a.hosts) == list(b.hosts)
         pair = a.random_host_pair()
         assert pair == b.random_host_pair()

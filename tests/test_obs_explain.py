@@ -105,7 +105,6 @@ class TestLiveTraces:
                 packet = explain.explain_packets(tracer.sink.records())[-1]
                 total = packet.total_stretch(result.optimal_hops)
                 assert total == pytest.approx(result.stretch)
-                tracer.sink.clear()
 
     def test_disabled_tracing_emits_nothing(self, net):
         tracer = Tracer()

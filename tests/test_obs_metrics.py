@@ -5,10 +5,16 @@ import json
 
 import pytest
 
-from repro.obs.report import (ReportError, build_timer_tree,
+from repro.obs.report import (Heading, ReportError, build_timer_tree,
+                              emit_html, emit_markdown,
                               extract_perf_snapshot, generate_report,
-                              read_metrics_jsonl, render_html,
-                              render_markdown, render_timer_tree)
+                              read_metrics_jsonl, render_timer_tree,
+                              report_blocks)
+
+
+def _document(title: str, **artifacts):
+    """The blocks ``generate_report`` emits, from artifacts in memory."""
+    return [Heading(title, 1)] + report_blocks(**artifacts)
 
 
 def _window(t: float, **overrides):
@@ -63,8 +69,9 @@ class TestReport:
         assert "fingers" in lines
 
     def test_markdown_report_sections(self):
-        doc = render_markdown("Title", metrics_rows=self.METRICS,
-                              perf_snapshot={"timers": self.TIMERS})
+        doc = emit_markdown(_document(
+            "Title", metrics_rows=self.METRICS,
+            perf_snapshot={"timers": self.TIMERS}))
         assert doc.startswith("# Title")
         assert "## Metrics stream" in doc
         assert "2 windows over t = 5 .. 10." in doc
@@ -73,13 +80,13 @@ class TestReport:
         assert "| 10.0 | 30 | 0 | - | - | 140 | 900 |" in doc
 
     def test_html_report_is_self_contained(self):
-        doc = render_html("T&T", metrics_rows=self.METRICS,
-                          perf_snapshot={"timers": self.TIMERS},
-                          bench={"interdomain": [
-                              {"hosts": 100, "join_seconds": 1.0,
-                               "joins_per_sec": 100.0, "send_seconds": 0.5,
-                               "sends_per_sec": 200.0, "peak_rss_mb": 50.0,
-                               "perf": {"timers": {}}}]})
+        doc = emit_html(_document(
+            "T&T", metrics_rows=self.METRICS,
+            perf_snapshot={"timers": self.TIMERS},
+            bench={"interdomain": [
+                {"hosts": 100, "join_seconds": 1.0, "joins_per_sec": 100.0,
+                 "send_seconds": 0.5, "sends_per_sec": 200.0,
+                 "peak_rss_mb": 50.0, "perf": {"timers": {}}}]}))
         assert doc.startswith("<!DOCTYPE html>")
         assert "T&amp;T" in doc
         assert "<style>" in doc and doc.count("<svg") == 3
@@ -101,13 +108,14 @@ class TestReport:
                 {"hosts": 100, "join_seconds": 1.5, "joins_per_sec": 66.7,
                  "send_seconds": 0.5, "sends_per_sec": 200.0,
                  "peak_rss_mb": 50.0}]})
-        markdown = render_markdown("Golden", **artifacts)
+        blocks = _document("Golden", **artifacts)
+        markdown = emit_markdown(blocks)
         assert markdown.startswith(golden_figures.HEADTOHEAD_MARKDOWN)
         md_cells = [cell for line in markdown.splitlines()
                     if line.startswith("| ") and not line.startswith("| ---")
                     for cell in line[2:-2].split(" | ")]
         html_cells = [html.unescape(cell) for cell in re.findall(
-            r"<t[hd]>(.*?)</t[hd]>", render_html("Golden", **artifacts))]
+            r"<t[hd]>(.*?)</t[hd]>", emit_html(blocks))]
         assert len(md_cells) > 100
         assert md_cells == html_cells
 

@@ -103,13 +103,13 @@ class TestInstall:
     def test_enabled_flag_tracks_install(self):
         assert trace.ENABLED is False
         tracer = trace.install(Tracer())
-        assert trace.ENABLED is True and trace.get_tracer() is tracer
+        assert trace.ENABLED is True and trace._TRACER is tracer
         trace.uninstall()
-        assert trace.ENABLED is False and trace.get_tracer() is None
+        assert trace.ENABLED is False and trace._TRACER is None
 
     def test_tracing_contextmanager_scopes_install(self):
         with trace.tracing() as tracer:
-            assert trace.get_tracer() is tracer
+            assert trace._TRACER is tracer
         assert trace.ENABLED is False
 
     def test_event_in_current_attaches_to_open_packet_span(self):

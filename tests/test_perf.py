@@ -78,15 +78,6 @@ def test_module_aliases_hit_global_registry():
     assert PERF.counters == {}
 
 
-def test_gauge_keeps_last_value():
-    reg = PerfRegistry()
-    reg.gauge("depth", 3)
-    reg.gauge("depth", 7)
-    assert reg.gauges["depth"] == 7
-    snap = reg.snapshot()
-    assert snap["gauges"] == {"depth": 7}
-
-
 def test_histogram_percentiles_and_snapshot():
     reg = PerfRegistry()
     for v in [5, 1, 3, 2, 4]:
@@ -118,40 +109,23 @@ def test_registry_snapshot_omits_empty_sections():
     reg = PerfRegistry()
     reg.counter("a")
     snap = reg.snapshot()
-    assert "gauges" not in snap and "histograms" not in snap
+    assert sorted(snap) == ["counters", "timers"]
     reg.observe("h", 1.5)
-    reg.gauge("g", 2)
     snap = reg.snapshot()
     assert snap["histograms"]["h"]["count"] == 1
-    assert snap["gauges"]["g"] == 2
 
 
-def test_reset_clears_gauges_and_histograms():
+def test_reset_clears_histograms():
     reg = PerfRegistry()
-    reg.gauge("g", 1)
     reg.observe("h", 1)
     reg.reset()
-    assert reg.gauges == {}
     assert reg.histograms == {}
 
 
-def test_histogram_reset_only_clears_values():
-    reg = PerfRegistry()
-    reg.observe("h", 9)
-    hist = reg.histogram("h")
-    hist.reset()
-    assert len(hist) == 0
-    assert hist.snapshot() == {"count": 0}
-    # Still registered under the same name.
-    assert reg.histogram("h") is hist
-
-
-def test_module_aliases_for_gauge_histogram():
+def test_module_aliases_for_histogram():
     PERF.reset()
     try:
-        perf.gauge("alias.g", 4)
         perf.observe("alias.h", 2.0)
-        assert PERF.gauges["alias.g"] == 4
         assert perf.histogram("alias.h").percentile(0.5) == 2.0
     finally:
         perf.reset()

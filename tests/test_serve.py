@@ -149,6 +149,31 @@ class TestMutatingOps:
             assert "{!r} networks do not support leave_host".format(kind) \
                 in err(server, op="leave", host="h11")
 
+    def test_send_mean_stretch_leaves_same_router_deliveries_out(self):
+        """Two of three hosts share a router: a delivery between them has
+        ``optimal_hops == 0`` and no stretch ratio (``PathResult.stretch``
+        says 0.0 and that aggregators filter it).  ``send`` averaged it
+        in, so its mean read below 1 where the recorder, the figures and
+        the quickstart read the same packets at ≥ 1."""
+        def three_hosts():
+            net = build_network(kind="intra", seed=3, n_routers=16)
+            first = net.next_planned_host()
+            net.join_host(first)
+            net.join_host(net.next_planned_host(), via_router=first.attach_at)
+            far = net.next_planned_host()
+            while far.attach_at == first.attach_at:
+                far = net.next_planned_host()
+            net.join_host(far)
+            return net
+        twin = three_hosts()
+        results = [twin.send(*twin.random_host_pair()) for _ in range(60)]
+        stretches = [r.stretch for r in results if r.optimal_hops > 0]
+        assert 0 < len(stretches) < 60 == sum(r.delivered for r in results)
+        reply = ok(ReproServer(three_hosts()), op="send", n=60)
+        assert reply["delivered"] == 60
+        assert reply["mean_stretch"] == round(
+            sum(stretches) / len(stretches), 4) >= 1.0
+
     def test_save_then_warm_start_equivalence(self, tmp_path):
         server = ReproServer(build_network(kind="intra", seed=4,
                                            n_routers=16, hosts=20))
@@ -186,6 +211,27 @@ class TestMutatingOps:
                         "links": [["r0", "nope"]]}]}
         assert "ScenarioError: fault 'link_cut' at 0.5: unknown link" in err(
             server, op="workload", scenario=scenario)
+        assert ok(server, op="state_hash")["state_hash"] == before
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("seed", "abc", "seed"), ("duration", float("inf"), "duration"),
+        ("sample_intervall", 1, "sample_intervall"),
+        ("faults", [{"kind": "link_cut", "at": 0.5, "restor_after": 1}],
+         "restor_after")],
+        ids=["wrong-type", "infinity", "misspelt-key", "misspelt-parameter"])
+    def test_a_malformed_workload_is_refused_with_the_parser_s_message(
+            self, server, key, value, named):
+        """``ok: false`` carrying what ``repro workload FILE`` prints, the
+        resident network untouched (``Infinity`` used to hang it)."""
+        from repro.workload import Scenario, ScenarioError
+        before = ok(server, op="state_hash")["state_hash"]
+        scenario = {"name": "bad", "duration": 2.0, key: value,
+                    "network": {"kind": "intra", "n_routers": 20}}
+        with pytest.raises(ScenarioError) as refusal:
+            Scenario.from_dict(scenario)
+        assert named in str(refusal.value)
+        assert err(server, op="workload", scenario=scenario) == \
+            "ScenarioError: {}".format(refusal.value)
         assert ok(server, op="state_hash")["state_hash"] == before
 
 

@@ -530,7 +530,9 @@ def test_explicit_as_depeer_then_as_restore():
 
 
 def test_as_restore_needs_its_asn():
+    """Refused before the run (it was a ``ValueError`` at t = 1 inside
+    it): a spec built in Python is checked like a parsed one."""
     scenario = builtin_scenario("depeering")
     scenario.faults = [FaultSpec("as_restore", 1.0)]
-    with pytest.raises(ValueError, match="needs an 'asn'"):
-        run_scenario(scenario)
+    with pytest.raises(ScenarioError, match="'as_restore' missing 'asn'"):
+        WorkloadDriver(scenario, network=object())

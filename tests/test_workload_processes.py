@@ -11,9 +11,8 @@ from repro.util.rng import derive_rng
 from repro.workload.processes import (DiurnalModulation, FixedLifetime,
                                       FlashCrowd, FlatModulation,
                                       PoissonProcess, SpecError,
-                                      UniformPopularity, ZipfPopularity,
-                                      lifetime_from_spec, modulation_from_spec,
-                                      popularity_from_spec)
+                                      UniformPopularity, ZipfPopularity)
+from repro.workload.scenario import ScenarioError, process
 from tests import workload_reference
 
 
@@ -65,34 +64,40 @@ def test_diurnal_factor_stays_in_band():
 
 
 def test_modulation_from_spec_kinds():
-    assert isinstance(modulation_from_spec(None), FlatModulation)
-    assert isinstance(modulation_from_spec({"kind": "flat"}), FlatModulation)
-    mod = modulation_from_spec({"kind": "flash_crowd", "start": 1.0,
-                                "end": 2.0, "peak": 4.0})
-    assert isinstance(mod, FlashCrowd) and mod.peak == 4.0
-    with pytest.raises(SpecError):
-        modulation_from_spec({"kind": "square-wave"})
-    with pytest.raises(SpecError):
-        modulation_from_spec({"kind": "diurnal", "period": -1.0})
+    assert process("modulation", None) is None    # PoissonProcess: flat
+    assert isinstance(process("modulation", {"kind": "flat"}), FlatModulation)
+    mod = process("modulation", {"kind": "flash_crowd", "start": 1,
+                                 "end": 2.0, "peak": 4.0})
+    assert mod == FlashCrowd(start=1.0, end=2.0, peak=4.0, ramp=0.0)
+    assert isinstance(mod.start, float)     # a declared float, widened
+    for kind in ({"kind": "square-wave"}, {}, {"kind": ["flat"]}):
+        with pytest.raises(ScenarioError, match="unknown modulation kind"):
+            process("modulation", kind)
+    with pytest.raises(ScenarioError, match="period must be positive"):
+        process("modulation", {"kind": "diurnal", "period": -1.0})
+    with pytest.raises(ScenarioError, match="'diurnal' missing 'period'"):
+        process("modulation", {"kind": "diurnal"})
+    with pytest.raises(ScenarioError, match="unknown key 'peak'"):
+        process("modulation", {"kind": "diurnal", "period": 1.0, "peak": 2})
 
 
 def test_lifetime_from_spec_kinds_and_sampling():
-    assert lifetime_from_spec(None) is None
+    assert process("lifetime", None) is None
     rng = derive_rng(2, "life")
-    fixed = lifetime_from_spec({"kind": "fixed", "value": 7.0})
+    fixed = process("lifetime", {"kind": "fixed", "value": 7.0})
     assert isinstance(fixed, FixedLifetime)
     assert fixed.sample(rng) == 7.0
-    pareto = lifetime_from_spec({"kind": "pareto", "shape": 1.5,
-                                 "scale": 10.0})
+    pareto = process("lifetime", {"kind": "pareto", "shape": 1.5,
+                                  "scale": 10.0})
     samples = [pareto.sample(rng) for _ in range(2000)]
     assert min(samples) >= 10.0  # scale is the minimum lifetime
-    exp = lifetime_from_spec({"kind": "exponential", "mean": 5.0})
+    exp = process("lifetime", {"kind": "exponential", "mean": 5.0})
     mean = sum(exp.sample(rng) for _ in range(4000)) / 4000
     assert 4.5 < mean < 5.5
-    with pytest.raises(SpecError):
-        lifetime_from_spec({"kind": "pareto", "shape": -1, "scale": 1})
-    with pytest.raises(SpecError):
-        lifetime_from_spec({"kind": "lognormal"})
+    with pytest.raises(ScenarioError, match="must be positive"):
+        process("lifetime", {"kind": "pareto", "shape": -1, "scale": 1})
+    with pytest.raises(ScenarioError, match="unknown lifetime kind"):
+        process("lifetime", {"kind": "lognormal"})
 
 
 def test_zipf_popularity_prefers_low_ranks():
@@ -178,10 +183,11 @@ def test_uniform_pick_draws_what_the_list_copy_drew():
 
 
 def test_popularity_from_spec_and_empty_population():
-    assert isinstance(popularity_from_spec(None), UniformPopularity)
-    assert isinstance(popularity_from_spec({"kind": "zipf"}), ZipfPopularity)
-    with pytest.raises(SpecError):
-        popularity_from_spec({"kind": "lru"})
+    assert process("popularity", None) is None    # the driver: uniform
+    assert process("popularity", {"kind": "uniform"}) == UniformPopularity()
+    assert process("popularity", {"kind": "zipf"}) == ZipfPopularity(1.0)
+    with pytest.raises(ScenarioError, match="unknown popularity kind"):
+        process("popularity", {"kind": "lru"})
     rng = derive_rng(0)
     with pytest.raises(ValueError):
         UniformPopularity().pick(rng, [])
