@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, TYPE_CHECKING
+from typing import Dict, Hashable, List, Optional, TYPE_CHECKING, Union
 
 from repro.idspace.identifier import FlatId, RingSpace
 from repro.inter.pointers import ASPointer, InterVirtualNode
@@ -70,17 +70,22 @@ class RoflAS:
 
     def _build_candidates(self) -> None:
         self._candidates = CandidateIndex(self.space, "asnode", _contributed)
+        #: ``hosted`` keyed by raw int value (the index's owner map, kept in
+        #: lock-step by host/unhost): the routing loop's residency test,
+        #: with no ``FlatId`` hashed per AS.
+        self.resident: Dict[int, InterVirtualNode] = self._candidates.owners
         for vn in self.hosted.values():
             self._candidates.add_owner(vn)
 
     # -- serialization ------------------------------------------------------------
 
     def __getstate__(self):
-        """The candidate index is derived from ``hosted`` and rebuilt on
-        load, like SPF/BGP caches: which ASes happened to flush, and how
-        often, depends on read traffic, not on routing state."""
+        """The candidate index (and ``resident``, its owner map) is derived
+        from ``hosted`` and rebuilt on load, like SPF/BGP caches: which ASes
+        happened to flush, and how often, depends on read traffic, not on
+        routing state."""
         state = self.__dict__.copy()
-        del state["_candidates"]
+        del state["_candidates"], state["resident"]
         return state
 
     def __setstate__(self, state) -> None:
@@ -119,123 +124,118 @@ class RoflAS:
         that caused them."""
         self._candidates.flush()
 
-    @staticmethod
-    def _vn_in_ring(vn: InterVirtualNode, scope: Optional[Hashable]) -> bool:
-        """Ring membership: an ID belongs to a level's merged ring iff it
-        joined that level (its home ring always counts)."""
-        if scope is None:
-            return True
-        return scope == vn.home_as or scope in vn.joined_levels
-
     def best_match(self, net: "InterDomainNetwork", dest: FlatId,
                    scope: Optional[Hashable] = None,
                    arrived_from: Optional[Hashable] = None,
-                   use_cache: bool = True) -> Optional[ASBestMatch]:
-        """The closest admissible candidate to ``dest`` (not past it).
+                   use_cache: bool = True,
+                   closer_than: Optional[int] = None
+                   ) -> Union[ASBestMatch, int, None]:
+        """Algorithm 2 at AS granularity in one call, in the int domain: the
+        closest admissible candidate to ``dest`` (not past it) among the
+        hosted IDs and their pointers, then the cache if strictly closer.
 
-        Admissibility: scoped searches only see ring members / pointers
-        formed at levels inside the scope (Algorithm 3's pruning); transit
-        shortcuts (``arrived_from`` set) must obey the BGP-like import
-        rule; cached pointers additionally pass the bloom-filter isolation
-        guard and lose to equally good non-cache state.
+        Admissibility: scoped searches see ring members and successor
+        pointers formed inside the scope (Algorithm 3's pruning); a packet
+        that came from a peer or provider (``arrived_from``) may only be
+        relayed onto a route that starts downward (the BGP-like import
+        rule); a cached pointer must pass the bloom isolation guard.
+
+        Returns an :class:`ASBestMatch`, or ``None``.  With ``closer_than``
+        (a transit AS) it is the winning distance if strictly below that
+        bound, else ``None``, and nothing is built.  Either way an unscoped
+        ``use_cache`` lookup probes a non-empty cache as
+        :meth:`PointerCache.best_match` would (``hits`` and the LRU touch
+        are serialized state).
         """
+        dest_iv = dest.value
+        policy = net.policy
+        asn = self.asn
+        # Whether the import rule lets every pointer through (the packet
+        # came from a customer); asked once, when a pointer is first tried.
+        free = True if arrived_from is None else None
         ivalues, entries = self._candidates.columns()
-        n = len(ivalues)
-        best: Optional[ASBestMatch] = None
-        if n:
-            dest_iv = dest.value
-            mask = self.space.mask
-            start = (bisect_right(ivalues, dest_iv) - 1) % n
-            for offset in range(min(n, MAX_SCAN)):
-                position = (start - offset) % n
-                iv = ivalues[position]
-                entry = entries[position]
-                vn = entry.vn
-                if vn is not None and self._vn_in_ring(vn, scope):
-                    best = ASBestMatch(vn.id, None, vn, (dest_iv - iv) & mask)
-                    break
-                pointer = self._pick_pointer(net, entry.ptrs, scope,
-                                             arrived_from)
-                if pointer is not None:
-                    best = ASBestMatch(pointer.dest_id, pointer, None,
-                                       (dest_iv - iv) & mask)
-                    break
-        if use_cache:
-            cached = self._cache_match(net, dest, scope, arrived_from,
-                                       best.distance if best else None)
-            if cached is not None:
-                return cached
-        return best
+        vn = pointer = distance = None
+        # The entry at or right before ``dest`` in sorted order (index -1
+        # wraps); walk back past inadmissible ones, MAX_SCAN at most.
+        position = bisect_right(ivalues, dest_iv) - 1
+        stop = position - min(len(ivalues), MAX_SCAN)
+        while position > stop:
+            entry = entries[position]
+            here = entry.vn
+            if here is not None and (scope is None or scope == here.home_as
+                                     or scope in here.joined_levels):
+                vn = here
+                break
+            for cand in entry.ptrs:
+                ptr = cand[2]
+                # Scoped (join-time) searches walk successors only: a
+                # finger's level records its owner's isolation constraint,
+                # not its target's ring membership.
+                if scope is not None and (ptr.kind == "finger" or (
+                        not policy.level_contains(scope, ptr.dest_as)
+                        if ptr.level is None
+                        else not policy.level_contained_in(ptr.level, scope))):
+                    continue
+                if free is None:
+                    free = policy.step_type(arrived_from, asn) == "up"
+                route = ptr.as_route
+                if not free and len(route) > 1 \
+                        and policy.step_type(route[0], route[1]) != "down":
+                    if trace.ENABLED:
+                        trace.event_in_current(
+                            "policy.filter", asn=str(asn),
+                            target=ptr.dest_id.to_hex(), rule=ptr.trace_tag)
+                    continue
+                pointer = ptr
+                break
+            if pointer is not None:
+                break
+            position -= 1
+        mask = self.space.mask
+        if vn is not None or pointer is not None:
+            distance = (dest_iv - ivalues[position]) & mask
 
-    def _pick_pointer(self, net: "InterDomainNetwork",
-                      ptr_entries: List[tuple], scope: Optional[Hashable],
-                      arrived_from: Optional[Hashable]) -> Optional[ASPointer]:
-        for entry in ptr_entries:
-            ptr = entry[2]
-            if scope is not None and ptr.kind == "finger":
-                # Scoped (join-time) searches walk the successor structure
-                # only: a finger may target an ID that is not a member of
-                # the ring being merged (its level records the owner's
-                # isolation constraint, not the target's membership).
-                continue
-            if scope is not None and ptr.level is not None \
-                    and not net.policy.level_contained_in(ptr.level, scope):
-                continue
-            if scope is not None and ptr.level is None \
-                    and not net.policy.level_contains(scope, ptr.dest_as):
-                continue
-            if arrived_from is not None and not net.policy.shortcut_allowed(
-                    arrived_from, self.asn, ptr.as_route):
+        cache = self.cache
+        cached = cache._ivalues   # its sorted key column, no call
+        # Scoped (join-time) searches never use caches: they would escape
+        # the level being merged.  Nor may a destination (apparently) below
+        # this AS: a cached shortcut could pull its traffic up a provider.
+        if use_cache and scope is None and cached:
+            if dest in self.subtree_bloom:
                 if trace.ENABLED:
-                    trace.event_in_current("policy.filter", asn=str(self.asn),
-                                           target=ptr.dest_id.to_hex(),
-                                           rule=ptr.trace_tag)
-                continue
-            return ptr
-        return None
+                    trace.event_in_current("cache.bloom-guard", asn=str(asn),
+                                           dest=dest.to_hex())
+            else:
+                cached_iv = cached[bisect_right(cached, dest_iv) - 1]
+                cache.hits += 1
+                cache._lru.move_to_end(cached_iv)
+                ptr = cache._lru[cached_iv]
+                cached_dist = (dest_iv - cached_iv) & mask
+                route = ptr.as_route
+                if distance is not None and cached_dist >= distance:
+                    event = "cache.reject"
+                elif len(route) > 1 and not (free or policy.step_type(
+                        arrived_from, asn) == "up") \
+                        and policy.step_type(route[0], route[1]) != "down":
+                    event = "policy.filter"
+                else:
+                    event = "cache.hit"
+                    vn, pointer, distance = None, ptr, cached_dist
+                if trace.ENABLED:
+                    target = ptr.dest_id.to_hex()
+                    if event == "policy.filter":
+                        trace.event_in_current(event, asn=str(asn),
+                                               target=target, rule="cache")
+                    else:
+                        trace.event_in_current(event, asn=str(asn),
+                                               dest=dest.to_hex(),
+                                               target=target)
 
-    def _cache_match(self, net: "InterDomainNetwork", dest: FlatId,
-                     scope: Optional[Hashable],
-                     arrived_from: Optional[Hashable],
-                     better_than: Optional[int]) -> Optional[ASBestMatch]:
-        if len(self.cache) == 0 or scope is not None:
-            # Scoped (join-time) searches never use caches — they would
-            # escape the hierarchy level being merged.
-            return None
-        # Bloom-filter isolation guard: if the destination is (apparently)
-        # below this AS, the cache must not be used — a cached shortcut
-        # could pull intra-subtree traffic up through a provider.
-        if dest in self.subtree_bloom:
-            if trace.ENABLED:
-                trace.event_in_current("cache.bloom-guard",
-                                       asn=str(self.asn),
-                                       dest=dest.to_hex())
-            return None
-        ptr = self.cache.best_match(dest)
-        if ptr is None:
-            if trace.ENABLED:
-                trace.event_in_current("cache.miss", asn=str(self.asn),
-                                       dest=dest.to_hex())
-            return None
-        dist = self.space.distance_cw_i(ptr.dest_id.value, dest.value)
-        if better_than is not None and dist >= better_than:
-            if trace.ENABLED:
-                trace.event_in_current("cache.reject", asn=str(self.asn),
-                                       dest=dest.to_hex(),
-                                       target=ptr.dest_id.to_hex())
-            return None
-        if arrived_from is not None and not net.policy.shortcut_allowed(
-                arrived_from, self.asn, ptr.as_route):
-            if trace.ENABLED:
-                trace.event_in_current("policy.filter", asn=str(self.asn),
-                                       target=ptr.dest_id.to_hex(),
-                                       rule="cache")
-            return None
-        if trace.ENABLED:
-            trace.event_in_current("cache.hit", asn=str(self.asn),
-                                   dest=dest.to_hex(),
-                                   target=ptr.dest_id.to_hex())
-        return ASBestMatch(ptr.dest_id, ptr, None, dist)
+        if closer_than is not None:
+            return distance if distance is not None \
+                and distance < closer_than else None
+        return None if distance is None else ASBestMatch(
+            vn.id if pointer is None else pointer.dest_id, pointer, vn, distance)
 
     # -- upkeep -------------------------------------------------------------------
 

@@ -172,7 +172,7 @@ class InterDomainNetwork(Network):
     def validate_pointer(self, node: RoflAS, pointer: ASPointer,
                          from_as: Optional[Hashable] = None
                          ) -> Optional[ASPointer]:
-        start = from_as or pointer.owner_as
+        start = pointer.owner_as if from_as is None else from_as
         route_ok = (pointer.as_route[0] == start
                     and all(self.as_is_up(asn) for asn in pointer.as_route))
         if route_ok:

@@ -5,20 +5,16 @@ in-packet AS-level source-routes. … greedy routing is used to determine
 the closest candidate pointer, whose source-route is tacked on to the
 packet."
 
-The engine mirrors the intradomain one at AS granularity:
-
-* at a decision point the current AS picks, among every pointer its
-  hosted IDs hold (successors at all levels, fingers) and its pointer
-  cache, the ID numerically closest to the destination without passing
-  it;
-* the packet then follows that pointer's AS-level source route hop by
-  hop; transit ASes may shortcut onto strictly closer pointers of their
-  own, subject to the BGP-like import rule (an AS that received the
-  packet from a peer or provider only relays toward customers) and the
-  bloom-filter isolation guard for cached entries (Section 4.1);
-* ``lookup`` mode routes toward an ID's predecessor *within a hierarchy
-  level's subtree* — the scoped search Canon joins are built on
-  (Algorithm 3's pruning of route entries to the current hierarchy).
+The engine mirrors the intradomain one at AS granularity: at a decision
+point one :meth:`RoflAS.best_match` picks the admissible ID numerically
+closest to the destination without passing it, among every pointer the
+AS's hosted IDs hold and its pointer cache; the packet follows that
+pointer's AS-level source route, and every transit AS asks the same
+kernel whether it can shortcut onto a strictly closer pointer of its own
+(subject to the BGP-like import rule and, for cached entries, the
+bloom-filter isolation guard of Section 4.1).  ``lookup`` mode routes
+toward an ID's predecessor *within a hierarchy level's subtree* — the
+scoped search Canon joins are built on (Algorithm 3's pruning).
 
 Isolation needs no explicit enforcement for successor pointers: the
 pointer formed at the lowest level containing both endpoints always
@@ -84,145 +80,155 @@ def route(
 
 
 def _route(net, start_as, dest_id, mode, scope, category, use_cache):
+    """The walk: one :meth:`RoflAS.best_match` per AS crossed, otherwise only
+    locals bound once — the ASes, the failed set, the policy's step memo and
+    the committed pointer's source route — not re-fetched per hop."""
     tr = trace.packet_span("inter.packet", start=str(start_as),
                            dest=dest_id.to_hex(), mode=mode,
                            scope=str(scope) if scope is not None
                            else None) if trace.ENABLED else None
-    space = net.space
-    greedy_dest = dest_id if mode == "data" else space.make(dest_id.value - 1)
+    data = mode == "data"
+    ases = net.ases
+    failed = net._failed
+    steps = net.policy._step_cache
+    infinity = net.space.size  # any real candidate beats it
+    dest_iv = dest_id.value
+    # Lookups aim at the spot just before the target so greedy routing
+    # converges on the target's predecessor even if the target exists.
+    greedy_dest = dest_id if data else net.space.make(dest_iv - 1)
 
     current = start_as
-    outcome = InterOutcome(delivered=False, reason="in-flight",
-                           as_path=[start_as])
+    as_path = [start_as]
+    delivered, reason, final_vn = False, "in-flight", None
+    pointer_hops, used_cache, crossed_peer = 0, False, False
     committed: Optional[ASPointer] = None
-    committed_step = 0
-    committed_dist = space.size
+    committed_dist = infinity
+    route, step = (), 0   # of ``committed``
     arrived_from: Optional[Hashable] = None
 
-    while outcome.pointer_hops <= MAX_POINTER_HOPS:
-        node = net.ases[current]
+    try:
+        while pointer_hops <= MAX_POINTER_HOPS:
+            node = ases[current]
+            resident = node.resident
 
-        if mode == "data" and node.hosts_id(dest_id):
-            outcome.delivered = True
-            outcome.reason = "delivered"
-            outcome.final_vn = node.hosted[dest_id]
-            net.stats.charge_path(outcome.as_path, category)
-            if tr is not None:
-                tr.end(delivered=True, reason="delivered",
-                       router=str(current))
-                trace.close_span(tr)
-            return outcome
-
-        if committed is not None and current == committed.dest_as \
-                and not node.hosts_id(committed.dest_id):
-            # NACK: stale pointer to an ID no longer hosted here; its
-            # owner tears it down (an ID never moves between ASes, so there
-            # is nowhere to re-route it to).  Routing restarts from this AS.
-            owner = net.ases.get(committed.as_route[0])
-            if owner is not None:
-                owner.drop_pointer(committed)
-                node.cache.invalidate_id(committed.dest_id)
-            if tr is not None:
-                tr.event("nack", router=str(current), action="teardown",
-                         target=committed.dest_id.to_hex())
-            committed = None
-            committed_dist = space.size
-            continue
-
-        at_decision = committed is None or current == committed.dest_as
-        if at_decision:
-            match = node.best_match(net, greedy_dest, scope=scope,
-                                    arrived_from=None, use_cache=use_cache)
-            if match is None:
-                outcome.reason = "no routing state"
+            if data and dest_iv in resident:
+                delivered, reason = True, "delivered"
+                final_vn = resident[dest_iv]
                 break
-            if match.distance >= committed_dist and match.is_local:
-                if mode == "lookup":
-                    outcome.delivered = True
-                    outcome.reason = "predecessor found"
-                    outcome.final_vn = match.resident_vn
-                    net.stats.charge_path(outcome.as_path, category)
+
+            if committed is not None and current != route[-1]:
+                # Transit shortcut onto a strictly closer pointer, gated by
+                # the BGP-like import rule.
+                closer = node.best_match(net, greedy_dest, scope,
+                                         arrived_from, use_cache,
+                                         committed_dist)
+                if closer is not None:
                     if tr is not None:
-                        tr.end(delivered=True, reason="predecessor found",
-                               router=str(current))
-                        trace.close_span(tr)
-                    return outcome
-                outcome.reason = "destination ID not found"
-                break
-            if match.distance >= committed_dist:
-                outcome.reason = "no progress available"
-                break
-            if match.is_local:
+                        tr.event("shortcut", router=str(current),
+                                 distance=closer)
+                    committed = None
+                    continue
+            elif committed is not None \
+                    and committed.dest_id.value not in resident:
+                # NACK: a stale pointer to an ID no longer hosted here; its
+                # owner tears it down (IDs never move between ASes) and
+                # routing restarts from this AS.
+                owner = ases.get(route[0])
+                if owner is not None:
+                    owner.drop_pointer(committed)
+                    node.cache.invalidate_id(committed.dest_id)
                 if tr is not None:
-                    tr.decision(router=str(current), rule="local-adopt",
-                                target=match.dest_id.to_hex(),
-                                distance=match.distance)
+                    tr.event("nack", router=str(current), action="teardown",
+                             target=committed.dest_id.to_hex())
                 committed = None
-                committed_dist = match.distance
+                committed_dist = infinity
                 continue
-            pointer = net.validate_pointer(node, match.pointer)
-            if pointer is None:
-                continue
-            committed = pointer
-            committed_step = 0
-            committed_dist = match.distance
-            outcome.pointer_hops += 1
-            outcome.used_cache = outcome.used_cache or pointer.kind == "cache"
+            else:
+                # Decision point: (re-)run Algorithm 2 at this AS.
+                match = node.best_match(net, greedy_dest, scope, None,
+                                        use_cache)
+                if match is None:
+                    reason = "no routing state"
+                    break
+                distance = match.distance
+                stalled = distance >= committed_dist
+                if match.resident_vn is not None:
+                    if stalled:
+                        # The closest ID we know is hosted right here.
+                        if data:
+                            reason = "destination ID not found"
+                        else:
+                            delivered, reason = True, "predecessor found"
+                            final_vn = match.resident_vn
+                        break
+                    if tr is not None:
+                        tr.decision(router=str(current), rule="local-adopt",
+                                    target=match.dest_id.to_hex(),
+                                    distance=distance)
+                    committed = None
+                    committed_dist = distance
+                    continue
+                if stalled:
+                    reason = "no progress available"
+                    break
+                pointer = match.pointer
+                if failed and not failed.isdisjoint(pointer.as_route):
+                    pointer = net.validate_pointer(node, pointer)
+                    if pointer is None:
+                        continue
+                committed = pointer
+                route, step = pointer.as_route, 0
+                committed_dist = distance
+                pointer_hops += 1
+                used_cache = used_cache or pointer.kind == "cache"
+                if tr is not None:
+                    tr.decision(router=str(current), rule=pointer.trace_tag,
+                                target=pointer.dest_id.to_hex(),
+                                distance=distance)
+                if len(route) == 1:
+                    # Zero-hop: the target is hosted right here (but no
+                    # admissible local position, e.g. a non-member in a
+                    # scoped search) — adopt its position and re-decide.
+                    committed = None
+                    continue
+
+            next_as = route[step + 1]
+            if next_as in failed:
+                # The route broke under us; repair from here or tear down.
+                pointer = net.validate_pointer(node, committed,
+                                               from_as=current)
+                if tr is not None:
+                    tr.event("repair", router=str(current),
+                             target=committed.dest_id.to_hex(),
+                             repaired=pointer is not None)
+                if pointer is None:
+                    committed = None
+                    committed_dist = infinity
+                    continue
+                committed = pointer
+                route, step = pointer.as_route, 0
+                next_as = route[1]
+            if (steps.get((current, next_as))    # a miss asks the policy
+                    or net.policy.step_type(current, next_as)) == "peer":
+                crossed_peer = True
+            as_path.append(next_as)
             if tr is not None:
-                tr.decision(router=str(current), rule=pointer.trace_tag,
-                            target=pointer.dest_id.to_hex(),
-                            distance=match.distance)
-            if pointer.n_hops == 0:
-                # Zero-hop pointer: the target is hosted right here (but
-                # was not an admissible local position, e.g. a non-member
-                # in a scoped search) — adopt its position and re-decide.
-                committed = None
-                continue
+                tr.hop(frm=str(current), to=str(next_as))
+            arrived_from = current
+            current = next_as
+            step += 1
         else:
-            # Transit shortcut, gated by the BGP-like import rule.
-            shortcut = node.best_match(net, greedy_dest, scope=scope,
-                                       arrived_from=arrived_from,
-                                       use_cache=use_cache)
-            if shortcut is not None and shortcut.distance < committed_dist:
-                if tr is not None:
-                    tr.event("shortcut", router=str(current),
-                             distance=shortcut.distance)
-                committed = None
-                continue
+            reason = "pointer hop limit exceeded (routing loop?)"
+    finally:
+        if len(as_path) > 1:  # once per packet, whichever way the walk ends
+            perf.counter("inter.fwd.hops", len(as_path) - 1)
 
-        next_as = committed.as_route[committed_step + 1]
-        if not net.as_is_up(next_as):
-            pointer = net.validate_pointer(node, committed, from_as=current)
-            if tr is not None:
-                tr.event("repair", router=str(current),
-                         target=committed.dest_id.to_hex(),
-                         repaired=pointer is not None)
-            if pointer is None:
-                committed = None
-                committed_dist = space.size
-                continue
-            committed = pointer
-            committed_step = 0
-            next_as = committed.as_route[1]
-        perf.counter("inter.fwd.hops")
-        if net.policy.step_type(current, next_as) == "peer":
-            outcome.crossed_peer = True
-        outcome.as_path.append(next_as)
-        if tr is not None:
-            tr.hop(frm=str(current), to=str(next_as))
-        arrived_from = current
-        current = next_as
-        committed_step += 1
-
-    else:
-        outcome.reason = "pointer hop limit exceeded (routing loop?)"
-
-    outcome.delivered = False
-    net.stats.charge_path(outcome.as_path, category)
+    net.stats.charge_path(as_path, category)
     if tr is not None:
-        tr.end(delivered=False, reason=outcome.reason, router=str(current))
+        tr.end(delivered=delivered, reason=reason, router=str(current))
         trace.close_span(tr)
-    return outcome
+    return InterOutcome(delivered, reason, as_path, pointer_hops, used_cache,
+                        crossed_peer, final_vn)
 
 
 def effective_successor(net: "InterDomainNetwork", vn: InterVirtualNode,
@@ -231,17 +237,11 @@ def effective_successor(net: "InterDomainNetwork", vn: InterVirtualNode,
     closest target among its successor pointers at levels contained in
     ``level`` (condition (b) of Section 4.1 means the pointer may be
     stored at an inner level)."""
-    best: Optional[ASPointer] = None
-    best_dist = None
-    mask = net.space.mask
-    own_iv = vn.id.value
-    for lvl, ptr in vn.succ_by_level.items():
-        if lvl is not None and not net.policy.level_contained_in(lvl, level):
-            continue
-        dist = (ptr.dest_id.value - own_iv) & mask
-        if best_dist is None or dist < best_dist:
-            best, best_dist = ptr, dist
-    return best
+    own_iv, mask = vn.id.value, net.space.mask
+    return min((ptr for lvl, ptr in vn.succ_by_level.items()
+                if lvl is None or net.policy.level_contained_in(lvl, level)),
+               key=lambda ptr: (ptr.dest_id.value - own_iv) & mask,
+               default=None)
 
 
 def _scoped_descent(net: "InterDomainNetwork", root: Hashable,

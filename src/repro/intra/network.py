@@ -145,7 +145,7 @@ class IntraDomainNetwork(Network):
                          from_router: Optional[str] = None) -> Optional[Pointer]:
         """Check a pointer's source route against the live map; repair it
         (network map reroute) or tear it down (invariant (b))."""
-        start = from_router or pointer.owner_router
+        start = pointer.owner_router if from_router is None else from_router
         if pointer.path[0] == start and self.lsmap.path_is_live(pointer.path):
             return pointer
         target_vn = self.vn_index.get(pointer.dest_id)

@@ -50,6 +50,16 @@ class ServeError(ValueError):
     """A request the server understood enough to reject cleanly."""
 
 
+def _count(request: Dict) -> int:
+    """A request's ``n`` (default 1): an ``int`` of at least 1 — never a
+    ``bool``, a float or a numeric string coerced into one."""
+    n = request.get("n", 1)
+    if type(n) is not int or n < 1:
+        raise ServeError("n must be an integer >= 1, got {}".format(
+            json.dumps(n)))
+    return n
+
+
 def _path_result_dict(result) -> Dict[str, Any]:
     return {
         "delivered": result.delivered,
@@ -129,9 +139,7 @@ class ReproServer:
                 **self.net.describe()}
 
     def _op_join(self, request: Dict) -> Dict:
-        n = int(request.get("n", 1))
-        if n < 1:
-            raise ServeError("n must be >= 1")
+        n = _count(request)
         before = len(self.net.hosts)
         self.net.join_random_hosts(n)
         names = self.net.hosts.names[before:]
@@ -149,9 +157,7 @@ class ReproServer:
                 "total_hosts": len(self.net.hosts)}
 
     def _op_send(self, request: Dict) -> Dict:
-        n = int(request.get("n", 1))
-        if n < 1:
-            raise ServeError("n must be >= 1")
+        n = _count(request)
         if "src" in request or "dst" in request:
             raise ServeError("send routes random pairs; use op 'route' "
                              "for a specific src/dst")

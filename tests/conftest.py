@@ -18,6 +18,19 @@ from repro.topology.isp import synthetic_isp
 #: surface.  CI's bench-smoke job runs the fuzz tests under it; tier-1
 #: runs them at the default 100.
 settings.register_profile("fuzz", max_examples=10_000, deadline=None)
+#: ``--hypothesis-profile twins``: CI's bench-smoke job runs both
+#: twin-engine tape tests (``TestReferenceEngine`` in
+#: ``test_intra_forwarding.py`` and ``test_inter_routing.py``) at this
+#: budget, about two minutes together.
+settings.register_profile("twins", max_examples=80, deadline=None)
+
+
+def twin_examples() -> int:
+    """Examples per twin-engine tape test: 4 under hypothesis' default
+    profile (tier-1's time budget), the active profile's count otherwise."""
+    if settings.get_current_profile_name() == "default":
+        return 4
+    return settings.default.max_examples
 
 
 @pytest.fixture(scope="session")

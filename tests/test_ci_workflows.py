@@ -116,7 +116,19 @@ def test_malformed_scenario_step_expects_exit_2_and_one_line(tmp_path):
         text=True, env={"TMPDIR": str(tmp_path), "PATH": "/usr/bin:/bin"})
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.count("workload: ") == 3
-    fuzz = _bench_smoke_step("--hypothesis-profile")
+    fuzz = _bench_smoke_step("--hypothesis-profile fuzz")
     assert "tests/test_workload_scenario.py" in fuzz and "-k fuzz" in fuzz
     from hypothesis import settings
     assert settings.get_profile("fuzz").max_examples == 10 ** 4
+
+
+def test_twin_engine_step_runs_both_reference_engines_at_the_twins_profile():
+    """Tier-1 runs each twin-engine tape test at 4 examples; bench-smoke
+    runs both ``TestReferenceEngine`` classes at the ``twins`` profile's
+    budget, which ``tests/conftest.py`` registers."""
+    step = _bench_smoke_step("--hypothesis-profile twins")
+    for expected in ("tests/test_intra_forwarding.py",
+                     "tests/test_inter_routing.py", "-k TestReferenceEngine"):
+        assert expected in step
+    from hypothesis import settings
+    assert settings.get_profile("twins").max_examples > 4

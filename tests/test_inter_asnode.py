@@ -32,8 +32,10 @@ class FakeNet:
             return scope == asn
 
         @staticmethod
-        def shortcut_allowed(arrived_from, at_as, route):
-            return arrived_from != "blocked"
+        def step_type(a, b):
+            # The import rule's two questions: a packet from "blocked" came
+            # over a peer link, and every pointer route here starts upward.
+            return "peer" if a == "blocked" else "up"
 
     policy = _Policy()
 

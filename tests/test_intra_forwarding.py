@@ -19,6 +19,7 @@ from repro.topology.isp import TCAM_ENTRIES, synthetic_isp
 from repro.util import perf
 
 from tests import forwarding_reference
+from tests.conftest import twin_examples
 
 
 class TestDelivery:
@@ -236,6 +237,13 @@ class _Twins:
 
     ENGINES = {"new": contextlib.nullcontext,
                "old": forwarding_reference.installed}
+    #: What an operation may raise on both twins alike.
+    ERRORS = (KeyError, ValueError, JoinError)
+
+    @staticmethod
+    def nodes(net):
+        """The nodes whose pointer caches are compared."""
+        return net.routers
 
     def __init__(self, seed, cache_entries, traced, n_routers=10, n_hosts=12):
         self.tracers = {side: trace.Tracer(_Lines()) if traced else None
@@ -257,14 +265,14 @@ class _Twins:
             net = self.nets[side]
             try:
                 result = op(net)
-            except (KeyError, ValueError, JoinError) as exc:
+            except self.ERRORS as exc:
                 result = repr(exc)
         return {
-            "result": result,       # every ForwardingOutcome / PathResult field
+            "result": result,       # every outcome / PathResult field
             "counters": perf.snapshot()["counters"],
             "caches": {name: (r.cache.hits, r.cache.misses, r.cache.evictions,
                               list(r.cache._lru))
-                       for name, r in net.routers.items()},
+                       for name, r in self.nodes(net).items()},
             "trace": list(tracer.sink.lines) if tracer else None,
             "state_hash": snapshot.state_hash(net),
         }
@@ -349,7 +357,7 @@ def cut_under_packet(monkeypatch):
 
 class TestReferenceEngine:
     @pytest.mark.parametrize("cache_entries", [0, 8, 256, TCAM_ENTRIES])
-    @settings(max_examples=4, deadline=None)
+    @settings(max_examples=twin_examples(), deadline=None)
     @given(seed=st.integers(0, 2 ** 16), traced=st.booleans(),
            tape=st.lists(st.one_of(_TRAFFIC, _TRAFFIC, _TRAFFIC, _CHURN),
                          min_size=10, max_size=30))

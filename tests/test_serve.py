@@ -108,6 +108,20 @@ class TestDispatch:
         assert "n must be" in err(server, op="join", n=-1)
         assert ok(server, op="ping")["pong"] is True
 
+    @pytest.mark.parametrize("op", ["send", "join"])
+    @pytest.mark.parametrize("n", [True, 1.5, "3", None, [1], 0],
+                             ids=["true", "1.5", "str3", "null", "list", "0"])
+    def test_n_is_a_positive_int_and_nothing_coerced_into_one(self, server,
+                                                               op, n):
+        """``true`` once sent one packet, ``1.5`` joined one host and
+        ``"3"`` sent three: ``n`` is refused unless it is an ``int`` (not a
+        ``bool``) of at least 1, and the refusal leaves the network as it
+        was."""
+        before = ok(server, op="state_hash")["state_hash"]
+        error = err(server, op=op, n=n)
+        assert error.startswith("ServeError: n must be an integer >= 1"), error
+        assert ok(server, op="state_hash")["state_hash"] == before
+
 
 class TestMutatingOps:
     def test_join_leave_cycle(self):
