@@ -20,7 +20,7 @@ def main() -> None:
     frontends = AnycastGroup(net, "cdn-frontend")
     replica_routers = edge[::9][:5]
     for router in replica_routers:
-        frontends.add_server(router)
+        frontends.add_member(router)
     net.check_ring()
     print("Anycast group 'cdn-frontend' with {} replicas".format(
         len(frontends.members)))
@@ -30,6 +30,11 @@ def main() -> None:
         print("  client@{:<5} reached a replica in {:>2} hops "
               "(nearest replica is {} hops away)".format(
                   client, result.hops, nearest))
+    frontends.remove_member(0)
+    net.check_ring()
+    result = frontends.send(edge[3])
+    print("  replica 0 retired: client@{} now served at {} in {} hops".format(
+        edge[3], result.path[-1], result.hops))
 
     # --- Multicast feed: origin pushes to all replicas -------------------
     feed = MulticastGroup(net, "cdn-invalidation")
@@ -37,10 +42,13 @@ def main() -> None:
         feed.join("replica-{}".format(i), router)
     report = feed.multicast("replica-0")
     print("\nMulticast invalidation from replica-0: {} replicas reached "
-          "with {} messages over a {}-edge tree".format(
+          "with {} messages over a {}-edge tree (unicast fan-out: {})".format(
               len(report.receivers), report.messages,
-              feed.tree_edge_count()))
+              feed.tree_edge_count(), feed.unicast_equivalent_cost("replica-0")))
     assert report.receivers == {"replica-{}".format(i) for i in range(5)}
+    feed.leave("replica-4")
+    print("replica-4 left: {}-edge tree after pruning".format(
+        feed.tree_edge_count()))
 
     # --- Default-off + capabilities for the origin server ----------------
     origin_key = KeyPair.generate(b"origin-server", net.authority)

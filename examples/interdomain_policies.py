@@ -7,6 +7,8 @@ Run:  python examples/interdomain_policies.py
 
 from repro import quick_interdomain
 from repro.idspace.crypto import KeyPair
+from repro.services.anycast import AnycastGroup
+from repro.services.multicast import MulticastGroup
 from repro.services.traffic_eng import (MultihomedSuffixJoin,
                                         negotiate_path_set, send_negotiated)
 from repro.topology.hosts import PlannedHost
@@ -70,6 +72,22 @@ def main() -> None:
     print("\nFailed stub {} ({} IDs): {} repair messages; all surviving "
           "pairs still reachable: {}".format(stub, ids, messages,
                                              survivors_ok))
+
+    # --- The same anycast and multicast services, one AS per node ---------
+    bearers = [asn for asn in net.asg.ases()
+               if net.asg.hosts(asn) > 0 and net.as_is_up(asn)]
+    resolvers, feed = AnycastGroup(net, "resolver"), MulticastGroup(net, "feed")
+    for i, asn in enumerate(bearers[:12:3]):
+        resolvers.add_member(asn)
+        feed.join("replica-{}".format(i), asn)
+    result = resolvers.send(bearers[20])
+    report = feed.multicast("replica-0")
+    print("\nAnycast from AS {}: a resolver {} AS hops away (nearest {}); "
+          "multicast: {} replicas, {} copies (unicast fan-out: {})".format(
+              bearers[20], result.hops,
+              resolvers.nearest_member_distance(bearers[20]),
+              len(report.receivers), report.messages,
+              feed.unicast_equivalent_cost("replica-0")))
 
 
 if __name__ == "__main__":

@@ -9,9 +9,9 @@ injection for the Section 6.3 experiments.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.idspace.crypto import SignatureAuthority
+from repro.idspace.crypto import KeyPair, SignatureAuthority
 from repro.idspace.identifier import FlatId, RingSpace
 from repro.inter import canon, routing
 from repro.inter.asnode import RoflAS
@@ -164,10 +164,37 @@ class InterDomainNetwork(Network):
         for node in self.ases.values():
             node.flush_index()
 
+    # -- the services' view: a node is an AS -----------------------------------------
+
+    def join_id(self, name: str, flat_id: FlatId,
+                at: Hashable) -> canon.InterJoinReceipt:
+        """``canon`` joins ``flat_id`` itself; the key pair, drawn from
+        ``name``, only completes the host record."""
+        key_pair = KeyPair.generate(name.encode("utf-8"), self.authority)
+        return self.join_host(PlannedHost(name=name, attach_at=at,
+                                          key_pair=key_pair),
+                              flat_id_override=flat_id)
+
+    def node_of(self, flat_id: FlatId) -> Optional[Hashable]:
+        vn = self.id_owner_index.get(flat_id)
+        return None if vn is None else vn.home_as
+
+    def link_is_up(self, a: Hashable, b: Hashable) -> bool:
+        return self.as_is_up(a) and self.as_is_up(b)
+
+    def node_path(self, a: Hashable,
+                  b: Hashable) -> Optional[Tuple[Hashable, ...]]:
+        return self.policy.policy_path(a, b)
+
+    def node_distance(self, a: Hashable, b: Hashable) -> Optional[int]:
+        return self.bgp.policy_distance(a, b)
+
     # -- liveness & pointer validation ----------------------------------------------
 
     def as_is_up(self, asn: Hashable) -> bool:
         return asn not in self._failed
+
+    node_is_up = as_is_up
 
     def validate_pointer(self, node: RoflAS, pointer: ASPointer,
                          from_as: Optional[Hashable] = None

@@ -134,6 +134,27 @@ class IntraDomainNetwork(Network):
             used_cache=outcome.used_cache,
         )
 
+    # -- the services' view: a node is a router ------------------------------------
+
+    def join_id(self, name: str, flat_id: FlatId, at: str) -> ring.JoinReceipt:
+        return ring.join_with_id(self, flat_id, at, name)
+
+    def node_of(self, flat_id: FlatId) -> Optional[str]:
+        vn = self.vn_index.get(flat_id)
+        return None if vn is None else vn.router
+
+    def node_is_up(self, node: str) -> bool:
+        return self.lsmap.is_router_up(node)
+
+    def link_is_up(self, a: str, b: str) -> bool:
+        return self.lsmap.is_link_up(a, b)
+
+    def node_path(self, a: str, b: str) -> Optional[List[str]]:
+        return self.paths.hop_path(a, b)
+
+    def node_distance(self, a: str, b: str) -> Optional[int]:
+        return self.paths.hop_dist(a, b)
+
     def flush_indexes(self) -> None:
         """Flush every router's pending candidate-index maintenance now."""
         for router in self.routers.values():

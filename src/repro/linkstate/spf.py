@@ -111,17 +111,6 @@ class PathCache:
         path = self.hop_path(src, dst)
         return None if path is None else len(path) - 1
 
-    def nearest(self, src: str, candidates) -> Optional[str]:
-        """The reachable candidate fewest hops from ``src``."""
-        best, best_dist = None, None
-        for cand in candidates:
-            dist = self.hop_dist(src, cand)
-            if dist is None:
-                continue
-            if best_dist is None or dist < best_dist:
-                best, best_dist = cand, dist
-        return best
-
     # -- latency metric ------------------------------------------------------------
 
     def latency_ms(self, src: str, dst: str) -> Optional[float]:

@@ -175,6 +175,20 @@ class Network:
     #: AS-level faults: fail (de-peer) an AS (→ repair messages), restore it.
     fail_as = _left_to_kinds("fail_as")
     restore_as = _left_to_kinds("restore_as")
+    #: What the §5 services (``repro.services``) ask of a kind.  A *node* is
+    #: where the kind attaches hosts: a router, or an AS.  Route one data
+    #: packet from a node toward a flat identifier → PathResult; join a
+    #: group identifier ``(G, x)`` under ``name`` at node ``at``; the node
+    #: hosting an identifier (None if none does); node and link liveness;
+    #: the kind's own routing oracle between two nodes, as a node path and
+    #: as its length (None when unreachable).
+    send_to_id = _left_to_kinds("send_to_id")
+    join_id = _left_to_kinds("join_id")
+    node_of = _left_to_kinds("node_of")
+    node_is_up = _left_to_kinds("node_is_up")
+    link_is_up = _left_to_kinds("link_is_up")
+    node_path = _left_to_kinds("node_path")
+    node_distance = _left_to_kinds("node_distance")
 
     def state_entries(self) -> Dict[Hashable, int]:
         """Routing-state entries per node (router or AS); infrastructure

@@ -3,7 +3,14 @@
 * :mod:`repro.services.anycast` — ``(G, x)`` group joins; routing toward
   ``(G, y)`` reaches the first group member encountered.
 * :mod:`repro.services.multicast` — path-painting trees of bidirectional
-  links over the ROFL ring.
+  links between the nodes of the group's members.
+
+Both run unchanged on the two ROFL kinds — routers on ``intra``, ASes on
+``inter`` — through the :class:`repro.network.Network` operations
+``send_to_id``, ``join_id``, ``node_of``, ``node_is_up``, ``link_is_up``,
+``node_path`` and ``node_distance``; ``cmu`` and ``ospf`` leave all of
+them ``Unsupported``, ``disco`` all but ``send_to_id``.
+
 * :mod:`repro.services.security` — default-off reachability, registration
   and capabilities with lifetimes (TVA-style), path capabilities.
 * :mod:`repro.services.traffic_eng` — endpoint path negotiation over
@@ -12,10 +19,7 @@
 """
 
 from repro.services.anycast import AnycastGroup
-from repro.services.anycast_inter import InterAnycastGroup
-from repro.services.auditing import QuotaPolicy, SybilAuditor
 from repro.services.multicast import MulticastGroup
-from repro.services.multicast_inter import InterMulticastGroup
 from repro.services.security import (AccessController, Capability,
                                      CapabilityAuthority)
 from repro.services.traffic_eng import (MultihomedSuffixJoin,
@@ -23,10 +27,6 @@ from repro.services.traffic_eng import (MultihomedSuffixJoin,
 
 __all__ = [
     "AnycastGroup",
-    "InterAnycastGroup",
-    "InterMulticastGroup",
-    "QuotaPolicy",
-    "SybilAuditor",
     "MulticastGroup",
     "AccessController",
     "Capability",

@@ -1,4 +1,4 @@
-"""Multicast over ROFL (Section 5.2).
+"""Multicast over ROFL (Section 5.2), on either ROFL kind.
 
 "A host wishing to join the multicast group G sends an anycast request
 towards a nearby member of G. At each hop, the message adds a pointer
@@ -9,18 +9,21 @@ The end result is a tree composed of bidirectional links. … Routers
 forward a copy of P out all outgoing links for which there are pointers,
 excluding the link on which P was received."
 
-The tree is router-level state: each on-tree router knows its painted
-neighbour links and its locally attached group members.
+The tree is node-level state — routers on an intradomain network, ASes
+(over policy-valid AS paths) on an interdomain one: each on-tree node
+knows its painted neighbour links and its locally attached group members.
+Data floods along painted links only, so a multicast to N member nodes
+costs one copy per tree edge rather than N unicast paths.  The group
+reads the network through the :class:`repro.network.Network` operations
+``node_is_up``, ``link_is_up``, ``node_path`` and ``node_distance``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.idspace.groups import DEFAULT_GROUP_BITS, make_member_id
-from repro.intra import ring
-from repro.intra.network import IntraDomainNetwork
+from repro.network import Network
 
 
 @dataclass
@@ -29,70 +32,59 @@ class DeliveryReport:
 
     messages: int
     receivers: Set[str] = field(default_factory=set)   # member names reached
-    routers_touched: Set[str] = field(default_factory=set)
 
 
 class MulticastGroup:
     """One multicast group: painted tree plus member bookkeeping."""
 
-    def __init__(self, net: IntraDomainNetwork, name: str,
-                 group_bits: int = DEFAULT_GROUP_BITS):
+    def __init__(self, net: Network, name: str):
         self.net = net
         self.name = name
-        self.group_bits = group_bits
-        #: Painted bidirectional tree links per router.
-        self.tree_links: Dict[str, Set[str]] = {}
-        #: Locally attached members per router: router → set of member names.
-        self.local_members: Dict[str, Set[str]] = {}
-        self.members: Dict[str, str] = {}  # member name → router
-        self._anchor_joined = False
+        #: Painted bidirectional tree links per node.
+        self.tree_links: Dict[Hashable, Set[Hashable]] = {}
+        #: Locally attached members per node: node → set of member names.
+        self.local_members: Dict[Hashable, Set[str]] = {}
+        self.members: Dict[str, Hashable] = {}  # member name → node
 
     # -- membership -----------------------------------------------------------------
 
-    def on_tree(self, router: str) -> bool:
-        return router in self.tree_links or router in self.local_members
+    def on_tree(self, node: Hashable) -> bool:
+        return node in self.tree_links or node in self.local_members
 
-    def join(self, member_name: str, router: str) -> int:
-        """Join ``member_name`` at ``router``; returns the message cost of
-        painting the branch."""
+    def join(self, member_name: str, at: Hashable) -> int:
+        """Join ``member_name`` at node ``at``; returns the message cost of
+        painting the branch.  A name already joined or a node that is down
+        is refused before anything is painted."""
         if member_name in self.members:
             raise ValueError("member {!r} already joined".format(member_name))
+        if not self.net.node_is_up(at):
+            raise ValueError("node {} is down".format(at))
         cost = 0
-        if not self._anchor_joined:
-            # The first member anchors the group on the ring under (G, 0)
-            # so later anycast joins have something to route toward.
-            anchor = make_member_id(self.name, 0, bits=self.net.space.bits,
-                                    group_bits=self.group_bits)
-            receipt = ring.join_with_id(self.net, anchor, router,
-                                        "mcast-anchor:" + self.name)
-            cost += receipt.messages
-            self._anchor_joined = True
-            self._paint_local(router)
-        else:
-            cost += self._paint_branch(router)
-        self.members[member_name] = router
-        self.local_members.setdefault(router, set()).add(member_name)
+        if self.members and not self.on_tree(at):
+            cost = self._paint_branch(at)
+        self.tree_links.setdefault(at, set())
+        self.local_members.setdefault(at, set()).add(member_name)
+        self.members[member_name] = at
         return cost
 
-    def _paint_local(self, router: str) -> None:
-        self.local_members.setdefault(router, set())
-        self.tree_links.setdefault(router, set())
-
-    def _paint_branch(self, new_router: str) -> int:
-        """Anycast toward the nearest on-tree router, painting back-
-        pointers; stops at the first on-tree intersection."""
-        if self.on_tree(new_router):
-            self._paint_local(new_router)
-            return 0
-        tree_routers = [r for r in set(self.tree_links) | set(self.local_members)
-                        if self.net.lsmap.is_router_up(r)]
-        nearest = self.net.paths.nearest(new_router, tree_routers)
-        if nearest is None:
-            raise RuntimeError("multicast tree unreachable from " + new_router)
-        path = self.net.paths.hop_path(new_router, nearest)
+    def _paint_branch(self, new_node: Hashable) -> int:
+        """Anycast toward the nearest live on-tree node (fewest path hops,
+        ties in ``str`` order), painting back-pointers; stops at the first
+        tree intersection."""
         existing = set(self.tree_links) | set(self.local_members)
+        best_path: Optional[Tuple[Hashable, ...]] = None
+        for target in sorted(existing, key=str):
+            if not self.net.node_is_up(target):
+                continue
+            path = self.net.node_path(new_node, target)
+            if path is not None and (best_path is None
+                                     or len(path) < len(best_path)):
+                best_path = path
+        if best_path is None:
+            raise RuntimeError("multicast tree unreachable from "
+                               + str(new_node))
         painted = 0
-        for a, b in zip(path, path[1:]):
+        for a, b in zip(best_path, best_path[1:]):
             self.tree_links.setdefault(a, set()).add(b)
             self.tree_links.setdefault(b, set()).add(a)
             painted += 1
@@ -101,60 +93,61 @@ class MulticastGroup:
                 # of the group, the packet does not traverse any further."
                 break
         self.net.stats.charge_hops(painted, "multicast-join")
-        self._paint_local(new_router)
         return painted
 
     def leave(self, member_name: str) -> None:
         """Remove a member; prune now-useless leaf branches."""
-        router = self.members.pop(member_name, None)
-        if router is None:
+        node = self.members.pop(member_name, None)
+        if node is None:
             raise KeyError("unknown member {!r}".format(member_name))
-        locals_here = self.local_members.get(router, set())
-        locals_here.discard(member_name)
+        self.local_members.get(node, set()).discard(member_name)
         self._prune_leaves()
 
     def _prune_leaves(self) -> None:
         changed = True
         while changed:
             changed = False
-            for router in list(self.tree_links):
-                links = self.tree_links[router]
-                has_members = bool(self.local_members.get(router))
-                if not has_members and len(links) <= 1:
+            for node in list(self.tree_links):
+                links = self.tree_links[node]
+                if not self.local_members.get(node) and len(links) <= 1:
                     for nbr in links:
-                        self.tree_links[nbr].discard(router)
-                    del self.tree_links[router]
-                    self.local_members.pop(router, None)
+                        self.tree_links[nbr].discard(node)
+                    del self.tree_links[node]
+                    self.local_members.pop(node, None)
                     changed = True
 
     # -- data plane ---------------------------------------------------------------------
 
     def multicast(self, from_member: str) -> DeliveryReport:
-        """Flood one packet along the tree from a member's router."""
+        """Flood one packet along the tree from a member's node."""
         if from_member not in self.members:
             raise KeyError("unknown member {!r}".format(from_member))
-        origin = self.members[from_member]
         report = DeliveryReport(messages=0)
-        # BFS over painted links, never re-crossing the arrival link.
-        frontier: List[Tuple[str, Optional[str]]] = [(origin, None)]
-        seen: Set[str] = set()
+        # Depth-first over painted links, never re-crossing the arrival link.
+        frontier: List[Tuple[Hashable, Optional[Hashable]]] = [
+            (self.members[from_member], None)]
+        seen: Set[Hashable] = set()
         while frontier:
-            router, came_from = frontier.pop()
-            if router in seen:
+            node, came_from = frontier.pop()
+            if node in seen:
                 continue
-            seen.add(router)
-            report.routers_touched.add(router)
-            for member in self.local_members.get(router, ()):  # delivery
-                report.receivers.add(member)
-            for nbr in self.tree_links.get(router, ()):  # fan-out
+            seen.add(node)
+            report.receivers |= self.local_members.get(node, set())
+            for nbr in self.tree_links.get(node, ()):
                 if nbr == came_from or nbr in seen:
                     continue
-                if not self.net.lsmap.is_link_up(router, nbr):
+                if not self.net.link_is_up(node, nbr):
                     continue
                 report.messages += 1
-                frontier.append((nbr, router))
+                frontier.append((nbr, node))
         self.net.stats.charge_hops(report.messages, "multicast")
         return report
 
     def tree_edge_count(self) -> int:
         return sum(len(v) for v in self.tree_links.values()) // 2
+
+    def unicast_equivalent_cost(self, from_member: str) -> int:
+        """What delivering by N unicasts would cost (the savings base)."""
+        origin = self.members[from_member]
+        return sum(self.net.node_distance(origin, node) or 0
+                   for node in set(self.members.values()) if node != origin)

@@ -23,13 +23,22 @@ BASELINES = [CmuEthernetNetwork, OspfHostRouting, DiscoNetwork]
 OPTIONAL = {"leave_host": ("h0",), "fail_host": ("h0",),
             "fail_router": ("r0",), "fail_link": ("r0", "r1"),
             "restore_link": ("r0", "r1"), "partition_pop": (0,),
-            "fail_as": (1,), "restore_as": (1,)}
+            "fail_as": (1,), "restore_as": (1,),
+            "send_to_id": ("r0", 0), "join_id": ("g", 0, "r0"),
+            "node_of": (0,), "node_is_up": ("r0",),
+            "link_is_up": ("r0", "r1"), "node_path": ("r0", "r1"),
+            "node_distance": ("r0", "r1")}
+
+#: The operations the §5 services run on (``repro.services``).
+SERVICES = {"send_to_id", "join_id", "node_of", "node_is_up", "link_is_up",
+            "node_path", "node_distance"}
 
 #: What each kind implements of them today (DESIGN.md §4's table).
 IMPLEMENTS = {"intra": {"leave_host", "fail_host", "fail_router", "fail_link",
-                        "restore_link", "partition_pop"},
-              "inter": {"fail_as", "restore_as"},
-              "cmu": set(), "ospf": set(), "disco": {"leave_host"}}
+                        "restore_link", "partition_pop"} | SERVICES,
+              "inter": {"fail_as", "restore_as"} | SERVICES,
+              "cmu": set(), "ospf": set(),
+              "disco": {"leave_host", "send_to_id"}}
 
 
 def test_registry_holds_the_five_kinds_in_order():

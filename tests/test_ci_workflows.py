@@ -122,6 +122,16 @@ def test_malformed_scenario_step_expects_exit_2_and_one_line(tmp_path):
     assert settings.get_profile("fuzz").max_examples == 10 ** 4
 
 
+def test_examples_step_runs_every_file_in_examples():
+    """An example no job runs rots unseen: bench-smoke runs each one."""
+    step = _bench_smoke_step("examples/quickstart.py")
+    examples = sorted((Path(__file__).resolve().parent.parent
+                       / "examples").glob("*.py"))
+    assert examples
+    for example in examples:
+        assert "python examples/{}\n".format(example.name) in step + "\n"
+
+
 def test_twin_engine_step_runs_both_reference_engines_at_the_twins_profile():
     """Tier-1 runs each twin-engine tape test at 4 examples; bench-smoke
     runs both ``TestReferenceEngine`` classes at the ``twins`` profile's

@@ -64,7 +64,7 @@ class TestIntradomainChurn:
         mcast = MulticastGroup(net, "feed")
         routers = net.topology.edge_routers()
         for i in range(3):
-            anycast.add_server(routers[i])
+            anycast.add_member(routers[i])
             mcast.join("m{}".format(i), routers[i + 5])
         rng = random.Random(13)
         for _ in range(10):

@@ -150,13 +150,6 @@ class TestPathCache:
         assert paths.hop_path(a, b) is None
         assert paths.latency_ms(a, b) is None
 
-    def test_nearest(self, lsmap):
-        paths = PathCache(lsmap)
-        routers = lsmap.live_routers()
-        target = paths.nearest(routers[0], routers[5:8])
-        dists = {r: paths.hop_dist(routers[0], r) for r in routers[5:8]}
-        assert dists[target] == min(dists.values())
-
     def test_latency_consistency(self, lsmap):
         paths = PathCache(lsmap)
         a, b = lsmap.live_routers()[0], lsmap.live_routers()[10]
