@@ -16,7 +16,7 @@ from typing import Collection, Dict, Hashable, List, Optional, Tuple
 from repro.idspace.identifier import FlatId
 
 
-@dataclass
+@dataclass(slots=True)
 class ASPointer:
     """A directed identifier-space edge realised as an AS-level source route."""
 
@@ -57,7 +57,7 @@ class ASPointer:
         return self.kind
 
 
-@dataclass
+@dataclass(slots=True)
 class InterVirtualNode:
     """State one hosted identifier keeps in the interdomain design."""
 

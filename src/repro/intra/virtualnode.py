@@ -24,7 +24,7 @@ from repro.idspace.identifier import FlatId
 DEFAULT_SUCCESSOR_GROUP = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class Pointer:
     """A directed edge in identifier space, realised as a source route.
 
@@ -57,13 +57,18 @@ class Pointer:
         return router in self.path
 
     def uses_link(self, a: str, b: str) -> bool:
-        return any({x, y} == {a, b} for x, y in zip(self.path, self.path[1:]))
+        path = self.path
+        # Most pointers miss an end outright: two C-level scans, no pairs.
+        if a not in path or b not in path:
+            return False
+        return any((x == a and y == b) or (x == b and y == a)
+                   for x, y in zip(path, path[1:]))
 
     def rerouted(self, new_path: Tuple[str, ...]) -> "Pointer":
         return Pointer(dest_id=self.dest_id, path=tuple(new_path), kind=self.kind)
 
 
-@dataclass
+@dataclass(slots=True)
 class VirtualNode:
     """Routing state a hosting router keeps for one resident identifier."""
 

@@ -12,7 +12,10 @@ byte stream with exactly those properties:
   reduction pickle uses — so classes that mark derived caches
   rebuild-on-load (``PathCache``, ``BgpBaseline``, ``PolicyView``,
   ``ASGraph``) are hashed without them, and the hash of a saved network
-  equals the hash of its loaded twin by construction;
+  equals the hash of its loaded twin by construction.  A slotted
+  dataclass that keeps ``object.__getstate__`` (the per-ID records) is
+  written as its dict-backed twin would be, without a state dict being
+  built;
 * shared references and cycles are handled with a visit-order memo, so
   structurally identical graphs built in different processes (or
   round-tripped through :mod:`repro.snapshot.store`) hash identically;
@@ -27,10 +30,12 @@ tests keep as the executable specification of the stream.
 The encoder is *compiled* in the sense that whatever depends only on a
 type is worked out once per walk rather than once per value: an
 exact-type table picks the encoder of a leaf or container, the
-``O<len>:<module.qualname>`` header is built once per class, and the
+``O<len>:<module.qualname>`` header is built once per class, the
 encoded, sorted attribute names of an object's state once per
-``__dict__`` shape.  A ``str`` is encoded once per walk (router and host
-names recur in every pointer path), and a back-reference is resolved
+``__dict__`` shape, and a slotted dataclass's sorted fields and the one
+``operator.attrgetter`` that reads them once per class.  A ``str`` is
+encoded once per walk (router and host names recur in every pointer
+path), and a back-reference is resolved
 where the value is met, before any container code runs.  Pieces gather
 in a small buffer that is joined into the sink every couple of thousand
 pieces; nothing else is materialised beyond per-dict key buffers.  The
@@ -40,13 +45,16 @@ walk runs with the cyclic GC paused (:func:`gc_paused`).
 from __future__ import annotations
 
 import contextlib
+import copyreg
+import dataclasses
 import enum
 import gc
 import hashlib
 import itertools
+import operator
 import random
 from array import array
-from typing import Any, Callable, Dict, Iterable, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.idspace.identifier import FlatId
 
@@ -155,6 +163,8 @@ class _Walker:
         self._keepalive: list = []
         #: class -> ``O<len>:<module.qualname>`` for plain-object classes.
         self._headers: Dict[type, bytes] = {}
+        #: slotted-dataclass class -> its :func:`_record_plan`.
+        self._records: Dict[type, tuple] = {}
         #: state-dict key tuple -> (sorted key encodings, keys in that order).
         self._shapes: Dict[tuple, Tuple[tuple, tuple]] = {}
 
@@ -272,7 +282,8 @@ class _Walker:
 
     def _fallback(self, obj: Any) -> None:  # noqa: C901 - a type switch
         kind = type(obj)
-        header = self._headers.get(kind)
+        plan = self._records.get(kind)
+        header = plan[0] if plan is not None else self._headers.get(kind)
         if header is None:
             if isinstance(obj, enum.Enum):
                 self.emit(_len_prefixed(
@@ -307,13 +318,36 @@ class _Walker:
                 return
             header = _len_prefixed(b"O", "{}.{}".format(
                 kind.__module__, kind.__qualname__).encode("utf-8"))
+            plan = _record_plan(kind, header)
             # Every test above but ``hasattr(obj, "__qualname__")`` looks
             # at the type alone; non-callable classes skip them next time.
             if not callable(obj):
-                self._headers[kind] = header
+                if plan is None:
+                    self._headers[kind] = header
+                else:
+                    self._records[kind] = plan
         memo = self._memo
         memo[id(obj)] = len(memo)
         self._keepalive.append(obj)
+        if plan is not None:
+            _, names, keys, values = plan
+            emit = self.emit
+            emit(header)
+            try:
+                pairs = zip(keys, values(obj))
+            except AttributeError:      # a field left unset: those that are
+                self._state_dict({name: getattr(obj, name) for name in names
+                                  if hasattr(obj, name)})
+            else:
+                # The dict-backed twin's ``__dict__`` takes the next visit
+                # number; no object stands behind it, and nothing can ever
+                # refer back to it (``~id`` is negative, no ``id()`` is).
+                memo[~id(obj)] = len(memo)
+                emit(b"{")
+                self._pairs(pairs)
+                emit(b"}")
+            emit(b"o")
+            return
         try:
             state = obj.__getstate__()
         except Exception as exc:
@@ -365,6 +399,30 @@ class _Walker:
                                 name.encode("utf-8")))
         if bound is not None and not isinstance(bound, type):
             self.encode(bound)
+
+
+def _record_plan(kind: type, header: bytes) -> Optional[tuple]:
+    """How an instance of a slotted dataclass streams: exactly as its
+    dict-backed twin would, without ``__getstate__`` or a state dict.
+
+    ``(header, slot names, their encodings sorted, a getter of the values
+    in that order)`` — the slots are the fields — or ``None`` for every
+    other class: one with a ``__dict__``, one with a ``__getstate__`` of
+    its own (a frozen slotted dataclass gets one), or a slotted class
+    that is no dataclass, which keeps its ``(N;{…})`` production.
+    """
+    if (kind.__dictoffset__ or kind.__getstate__ is not object.__getstate__
+            or not dataclasses.is_dataclass(kind)):
+        return None
+    names = tuple(copyreg._slotnames(kind))
+    ordered = sorted((_str(name), name) for name in names)
+    in_order = tuple(name for _, name in ordered)
+    if len(in_order) > 1:
+        values = operator.attrgetter(*in_order)
+    else:                           # attrgetter of one name is no tuple
+        def values(obj):
+            return tuple(getattr(obj, name) for name in in_order)
+    return header, names, tuple(key for key, _ in ordered), values
 
 
 #: Exact container types; subclasses take the ``isinstance`` chain.

@@ -2,7 +2,7 @@
 
 Format — self-describing, one file::
 
-    line 1   JSON header: {"magic": "repro-snapshot", "schema": 3,
+    line 1   JSON header: {"magic": "repro-snapshot", "schema": 4,
                            "kind": "...", "state_hash": "...",
                            "counts": {...}, "meta": {...}}
     line 2+  zlib-compressed pickle of the network object graph
@@ -44,8 +44,8 @@ from repro.snapshot.codec import gc_paused, state_hash_of
 from repro.util import perf
 
 #: Bump on any incompatible change to the header, payload layout or
-#: canonical byte stream (3: DESIGN.md §10, "Schema 3").
-SCHEMA_VERSION = 3
+#: canonical byte stream (4: DESIGN.md §10, "Schema 4").
+SCHEMA_VERSION = 4
 MAGIC = "repro-snapshot"
 
 #: What every header carries besides ``magic`` and ``schema``, and as what.
@@ -58,6 +58,9 @@ _HEADER_FIELDS = {"kind": str, "state_hash": str, "counts": dict,
 #: -> 185.3 MiB), so it stays at 6.  Level 9 costs ~5x the compression
 #: time for a further ~2 % off the file.
 _ZLIB_LEVEL = 6
+
+#: Compressed bytes a load reads at a time.
+_READ_CHUNK = 1 << 16
 
 
 class SnapshotError(RuntimeError):
@@ -165,20 +168,78 @@ def describe(path: str) -> Dict[str, Any]:
         return _read_header(fh, path)
 
 
+class _Inflater:
+    """The zlib payload after a snapshot header, inflated as the unpickler
+    reads it (``read`` and ``readline`` are the file protocol
+    :class:`pickle.Unpickler` asks for), so neither the compressed payload
+    nor the whole pickle is ever in memory.
+
+    A ``decompressobj`` does not raise on a stream that stops early, so a
+    file that ends first is refused here; :meth:`finish` refuses anything
+    after the pickle, inflated or not.
+    """
+
+    def __init__(self, fh: io.BufferedReader):
+        self._fh = fh
+        self._zlib = zlib.decompressobj()
+        self._buffer = bytearray()
+
+    def _inflate(self) -> bool:
+        """Inflate more of the stream into the buffer; False at its end."""
+        stream = self._zlib
+        while not stream.eof:
+            chunk = self._fh.read(_READ_CHUNK)
+            if not chunk:
+                raise ValueError("the zlib stream is truncated")
+            data = stream.decompress(chunk)
+            if data:
+                self._buffer += data
+                return True
+        return False
+
+    def read(self, size: int = -1) -> bytes:
+        buffer = self._buffer
+        while size < 0 or len(buffer) < size:
+            if not self._inflate():
+                break
+        if size < 0:
+            size = len(buffer)
+        data = bytes(buffer[:size])
+        del buffer[:size]
+        return data
+
+    def readline(self) -> bytes:
+        buffer = self._buffer
+        while b"\n" not in buffer:
+            if not self._inflate():
+                break
+        return self.read(buffer.find(b"\n") + 1 or len(buffer))
+
+    def finish(self) -> None:
+        """Check that the pickle ends where the stream and the file do
+        (which also checks the stream's checksum)."""
+        if self.read():
+            raise ValueError("inflated bytes trail the pickle")
+        if self._zlib.unused_data or self._fh.read(1):
+            raise ValueError("bytes trail the zlib stream")
+
+
 def load(path: str, verify: bool = False) -> Any:
     """Revive the network saved at ``path``.
 
-    With ``verify=True`` the canonical state hash is recomputed over the
-    revived graph and checked against the header — catching corrupt
-    payloads *and* code drift that changes serialized state shape.
+    The payload is inflated into the unpickler chunk by chunk, and must
+    end exactly where the file does.  With ``verify=True`` the canonical
+    state hash is recomputed over the revived graph and checked against
+    the header — catching corrupt payloads *and* code drift that changes
+    serialized state shape.
     """
-    with perf.timed("snapshot.load"):
-        with open(path, "rb") as fh:
-            header = _read_header(fh, path)
-            payload = fh.read()
+    with perf.timed("snapshot.load"), open(path, "rb") as fh:
+        header = _read_header(fh, path)
         try:
             with gc_paused():
-                net = pickle.loads(zlib.decompress(payload))
+                payload = _Inflater(fh)
+                net = pickle.Unpickler(payload).load()
+                payload.finish()
                 # Nothing revived is garbage: move it all straight to the
                 # oldest generation (two O(1) list splices), or the first
                 # young collection after the pause traverses the whole

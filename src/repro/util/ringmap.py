@@ -311,7 +311,7 @@ class ColumnarRingIndex:
         return "ColumnarRingIndex(n={})".format(len(self._payloads))
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     """One indexed ID a router or AS can make greedy progress toward.
 

@@ -4,15 +4,24 @@ format: ``tests/test_codec.py`` requires the shipped encoder to emit the
 same *stream* — not just the same digest — for every graph it can draw.
 
 Do not optimise or tidy this file; its value is that it does not change.
-The one sanctioned edit since came and went with its subject: snapshot
+The first sanctioned edit came and went with its subject: snapshot
 schema 2 (PR 20) added an ``X`` production for ``nx.Graph`` here and to
 the shipped encoder together, and schema 3 (PR 22) took it out of both
 again — the package holds no networkx graph any more, its adjacency dicts
-are ordinary values.  The file is byte for byte as PR 14 found it.
+are ordinary values.  The second is snapshot schema 4's, made here and in
+the shipped encoder together: the per-ID records became slotted
+dataclasses, and a slotted dataclass that keeps ``object.__getstate__``
+is written as the ``__dict__`` its dict-backed twin would hand over (its
+set slots, one memo entry), where ``__getstate__`` gives the ``(None,
+{slots})`` pair.  That rule, the ``if`` in ``_encode_object`` and the two
+imports it needs, is the only difference from the walker as it stood
+before the encoder was compiled.
 """
 
 from __future__ import annotations
 
+import copyreg
+import dataclasses
 import enum
 import itertools
 import random
@@ -170,7 +179,15 @@ class _Walker:
             return
         cls = type(obj)
         try:
-            state = obj.__getstate__()
+            if (dataclasses.is_dataclass(cls) and not cls.__dictoffset__
+                    and cls.__getstate__ is object.__getstate__):
+                # Schema 4: a slotted dataclass writes the ``__dict__`` its
+                # dict-backed twin would hand over.
+                state = {name: getattr(obj, name)
+                         for name in copyreg._slotnames(cls)
+                         if hasattr(obj, name)}
+            else:
+                state = obj.__getstate__()
         except Exception as exc:
             raise CanonicalizationError(
                 "cannot canonicalize {!r} instance: {}".format(

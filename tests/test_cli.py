@@ -330,16 +330,17 @@ def test_snapshot_cli_rejects_header_without_state_hash(tmp_path, capsys,
 def test_a_schema_1_snapshot_is_refused_with_exit_2(tmp_path, capsys,
                                                     command):
     """What a user holding a pre-PR-20 file (schema 1) meets, and one
-    holding a PR 20-21 file (schema 2): one line saying which schema the
-    file has, which one this build reads and what to do."""
-    for old in (1, 2):
+    holding a schema-2 file, or a schema-3 one from before the per-ID
+    records were slotted: one line saying which schema the file has, which
+    one this build reads and what to do."""
+    for old in (1, 2, 3):
         path = _saved_with_header(tmp_path, lambda h: h.update(schema=old))
         capsys.readouterr()
         assert main(command + [str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert captured.err.startswith("repro: snapshot ")
-        for part in ("schema version {}".format(old), "reads version 3",
+        for part in ("schema version {}".format(old), "reads version 4",
                      "re-create"):
             assert part in captured.err
 

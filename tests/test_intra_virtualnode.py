@@ -1,15 +1,23 @@
 """Virtual node and pointer data-structure tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.idspace.identifier import RingSpace
 from repro.intra.virtualnode import Pointer, VirtualNode
 
 SPACE = RingSpace(bits=16)
+ROUTERS = ("r0", "r1", "r2", "r3")
 
 
 def ptr(value, path=("r0", "r1", "r2")):
     return Pointer(SPACE.make(value), tuple(path), "successor")
+
+
+# ``Pointer.uses_link`` as it was before it tested both ends first, verbatim.
+def two_set_uses_link(self, a: str, b: str) -> bool:
+    return any({x, y} == {a, b} for x, y in zip(self.path, self.path[1:]))
 
 
 class TestPointer:
@@ -28,6 +36,23 @@ class TestPointer:
         assert p.traverses("r1") and not p.traverses("rX")
         assert p.uses_link("r0", "r1") and p.uses_link("r1", "r0")
         assert not p.uses_link("r0", "r2")
+
+    @given(path=st.lists(st.sampled_from(ROUTERS), min_size=1, max_size=8),
+           a=st.sampled_from(ROUTERS), b=st.sampled_from(ROUTERS))
+    @settings(max_examples=300, deadline=None)
+    def test_uses_link_is_the_two_set_predicate(self, path, a, b):
+        """Against the predicate that built two sets per hop, on paths with
+        repeated routers and with ``a == b``."""
+        p = ptr(5, path)
+        assert p.uses_link(a, b) == two_set_uses_link(p, a, b)
+
+    def test_slotted_records_take_no_stray_attribute(self):
+        p = ptr(5)
+        with pytest.raises(AttributeError):
+            p.note = "not a field"
+        assert not hasattr(p, "__dict__")
+        assert not hasattr(VirtualNode(id=SPACE.make(1), router="r"),
+                           "__dict__")
 
     def test_rerouted_keeps_identity(self):
         p = ptr(5)

@@ -1,0 +1,50 @@
+"""Memory budgets, stated beside the call budgets (DESIGN.md §5, §10).
+
+The paper reports routing state as memory per router (Fig 6c); these pin
+what the simulation spends on it, per resident host, on the shapes the
+call budgets use, after 2 000 sends.  ``tracemalloc`` counts bytes
+allocated through Python's allocators, so the numbers are deterministic
+for one interpreter build; a warm-up build keeps import-time allocations
+out of the window, and the full collection before it empties the free
+lists, so every object the window allocates is counted.
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from repro import build_network
+from repro.snapshot import state_hash
+
+#: Bytes per host a ``state_hash`` call may leave allocated once it returns.
+#: ~1 130 (intra) / ~1 210 (inter) while the walk's ``__getstate__`` gave
+#: every per-ID record a ``__dict__`` that outlived it; ~140 / ~155 since
+#: the records are slotted.
+LEFT_BY_A_HASH = 250
+
+
+@pytest.mark.parametrize("kind, sizing, resident_budget", [
+    # Measured 7 413 / 8 943 B per host with slotted records (8 227 / 9 853
+    # before); each budget is that plus 5 %.
+    ("intra", {"hosts": 500}, 7_784),
+    ("inter", {"n_ases": 60, "hosts": 600}, 9_390),
+])
+def test_bytes_per_host(kind, sizing, resident_budget):
+    build_network(kind, 0, **dict(sizing, hosts=5))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = build_network(kind, 0, **sizing)
+        for _ in range(2_000):
+            net.send(*net.random_host_pair())
+        gc.collect()
+        resident = tracemalloc.get_traced_memory()[0]
+        state_hash(net)
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - resident
+    finally:
+        tracemalloc.stop()
+    hosts = sizing["hosts"]
+    assert left / hosts <= LEFT_BY_A_HASH, left / hosts
+    assert resident / hosts <= resident_budget, resident / hosts

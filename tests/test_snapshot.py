@@ -361,12 +361,12 @@ class TestFormat:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
             payload = fh.read()
-        assert snapshot.SCHEMA_VERSION == 3
+        assert snapshot.SCHEMA_VERSION == 4
         # A file from the future, and one from before each change of the
-        # canonical stream (schema 1, up to PR 19; schema 2, PRs 20-21):
-        # refused before the payload is touched, by the reader that only
-        # wants the header too.
-        for found in (snapshot.SCHEMA_VERSION + 1, 2, 1):
+        # canonical stream or the payload layout (schemas 1-3): refused
+        # before the payload is touched, by the reader that only wants
+        # the header too.
+        for found in (snapshot.SCHEMA_VERSION + 1, 3, 2, 1):
             header["schema"] = found
             with open(path, "wb") as fh:
                 fh.write(json.dumps(header).encode() + b"\n" + payload)
@@ -395,6 +395,43 @@ class TestFormat:
             fh.write(data[:-20] + b"corruptcorruptcorrup")
         with pytest.raises(snapshot.SnapshotError):
             snapshot.load(path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda header, payload: (dict(header, schema=3), payload),
+        lambda header, payload: (header, b""),
+        lambda header, payload: (header, payload[:len(payload) // 2]),
+        lambda header, payload: (header, payload[:-2]),
+        lambda header, payload: (header, _flipped(payload, len(payload) // 2)),
+        lambda header, payload: (header, _flipped(payload, 9)),
+        lambda header, payload: (header, payload + b"\x00"),
+        lambda header, payload: (header, payload + b"trailing"),
+    ], ids=["schema-3", "empty", "cut-in-half", "cut-in-checksum",
+            "flipped-mid-byte", "flipped-early-byte", "one-trailing-byte",
+            "trailing-bytes"])
+    def test_the_streaming_loader_refuses_a_damaged_file(self, tmp_path,
+                                                         damage):
+        """Every case is a ``SnapshotError`` and none returns a network.
+        The payload is inflated as it is unpickled, and a ``decompressobj``
+        does not raise on a stream that stops early: a file cut inside the
+        checksum still unpickles whole.  Bytes after the zlib stream were
+        accepted by the one-shot ``zlib.decompress`` loads used to call."""
+        path = tmp_path / "net.snap"
+        snapshot.save(build_intra(hosts=5), str(path))
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
+            payload = fh.read()
+        snapshot.load(str(path), verify=True)
+        header, payload = damage(header, payload)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        for verify in (False, True):
+            with pytest.raises(snapshot.SnapshotError) as exc:
+                snapshot.load(str(path), verify=verify)
+            if header["schema"] != snapshot.SCHEMA_VERSION:
+                # Refused on the header: the payload, a good one, is unread.
+                assert type(exc.value) is snapshot.SchemaMismatchError
+                assert "corrupt" not in str(exc.value)
+            else:
+                assert "payload is corrupt" in str(exc.value)
 
     def test_verify_catches_hash_drift(self, tmp_path):
         # A tampered header hash loads fine without verify but fails
@@ -475,6 +512,10 @@ class TestFormat:
 # ---------------------------------------------------------------------------
 # What a snapshot operation leaves alone: pending index marks, the collector.
 # ---------------------------------------------------------------------------
+
+def _flipped(data, at):
+    return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
+
 
 def _pending_marks(net):
     """The routers / ASes whose candidate index has maintenance pending."""
