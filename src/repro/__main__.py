@@ -24,10 +24,11 @@ Commands:
   file that is not a snapshot, is corrupt or has another schema version
   exits 2 with ``repro: <what is wrong>``, here and under ``serve
   --snapshot``.
-* ``compare-stretch [--profile ISP] [--hosts N] [--json PATH]`` — run
-  the ROFL-vs-Disco (vs CMU-ETHERNET / OSPF) stretch head-to-head with
-  the stretch-bound probe live; exits nonzero on any bound breach,
-  probe violation, or attribution mismatch (the CI gate).
+* ``compare-stretch [--json PATH]`` — run the registry's ROFL-vs-Disco
+  (vs CMU-ETHERNET / OSPF) stretch head-to-head, the ``figures`` block
+  at its sizes, with the stretch-bound probe live; exits nonzero on any
+  bound breach, probe violation, or attribution mismatch (the CI gate).
+  With ``--json -`` the JSON alone goes to stdout, the table to stderr.
 * ``report [--metrics m.jsonl] [--perf result.json] [--bench
   sweep.json] [--compare compare_stretch.json] [--out report.html]`` —
   render telemetry artifacts into one self-contained HTML or markdown
@@ -359,17 +360,15 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare_stretch(args: argparse.Namespace) -> int:
-    """ROFL vs Disco (vs CMU/OSPF) head-to-head; nonzero exit on any
-    stretch-bound breach, probe violation, or attribution mismatch."""
+    """The registry's ROFL vs Disco (vs CMU/OSPF) head-to-head; nonzero
+    exit on any stretch-bound breach, probe violation, or attribution
+    mismatch."""
     from repro.harness.report import FIGURES, render
 
-    result = FIGURES["headtohead"].driver(
-        profile=args.profile, n_hosts=args.hosts, n_packets=args.packets,
-        n_ases=args.ases, inter_hosts=args.inter_hosts,
-        inter_packets=args.inter_packets, seed=args.seed,
-        full_scale=args.full, landmark_factor=args.landmark_factor,
-        all_pairs_hosts=args.all_pairs_hosts)
-    print(render("headtohead", result))
+    figure = FIGURES["headtohead"]
+    result = figure.driver(**figure.params(1))
+    print(render("headtohead", result),
+          file=sys.stderr if args.json == "-" else sys.stdout)
     if args.json is not None:
         _write_json(result, args.json)
 
@@ -525,30 +524,9 @@ def main(argv=None) -> int:
         "compare-stretch",
         help="ROFL vs compact-routing head-to-head with a stretch-bound "
              "gate (nonzero exit on any violation)")
-    compare.add_argument("--profile", default="AS3967",
-                         help="Rocketfuel ISP profile (default AS3967)")
-    compare.add_argument("--hosts", type=int, default=200,
-                         help="intra: hosts joined per baseline (default 200)")
-    compare.add_argument("--packets", type=int, default=400,
-                         help="intra: packets per baseline (default 400)")
-    compare.add_argument("--ases", type=int, default=60,
-                         help="inter: AS count (default 60)")
-    compare.add_argument("--inter-hosts", type=int, default=150,
-                         help="inter: hosts joined (default 150)")
-    compare.add_argument("--inter-packets", type=int, default=200,
-                         help="inter: packets routed (default 200)")
-    compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument("--full", action="store_true",
-                         help="full-scale topology instead of the sample")
-    compare.add_argument("--landmark-factor", type=float, default=1.0,
-                         metavar="F",
-                         help="landmarks = ceil(F * sqrt(routers))")
-    compare.add_argument("--all-pairs-hosts", type=int, default=40,
-                         metavar="N",
-                         help="exhaustive bound sweep over the first N "
-                              "hosts (default 40)")
     compare.add_argument("--json", default=None, metavar="PATH",
-                         help="write the full result as JSON ('-' = stdout)")
+                         help="write the full result as JSON ('-' = stdout, "
+                              "the table then goes to stderr)")
     compare.set_defaults(func=_cmd_compare_stretch)
 
     report = sub.add_parser(

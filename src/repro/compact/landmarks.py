@@ -71,14 +71,14 @@ def landmark_count(n_routers: int, factor: float = 1.0) -> int:
     return max(1, min(n_routers, math.ceil(factor * math.sqrt(n_routers))))
 
 
-def elect_landmarks(routers: List[str], rng, factor: float = 1.0) -> List[str]:
-    """Sample the landmark set deterministically from ``rng``.
+def elect_landmarks(routers: List[str], rng) -> List[str]:
+    """Sample the ``ceil(sqrt(R))`` landmarks deterministically from ``rng``.
 
     The candidate list is sorted first so the election depends only on
     the RNG stream and the *set* of routers, never on dict/list order.
     """
     ordered = sorted(routers)
-    k = landmark_count(len(ordered), factor)
+    k = landmark_count(len(ordered))
     return sorted(rng.sample(ordered, k))
 
 

@@ -71,7 +71,6 @@ class DiscoNetwork(Network):
     stretch_bound = 3.0
 
     def __init__(self, topology: RouterTopology, seed: int = 0,
-                 landmark_factor: float = 1.0,
                  locator_cache_entries: int = 64,
                  authority=None,
                  attachment_weights: Optional[List[float]] = None):
@@ -81,8 +80,7 @@ class DiscoNetwork(Network):
         election_rng = self.rngs.derive("compact", "landmarks")
         self.plan: LandmarkPlan = build_plan(
             self.paths, list(topology.routers),
-            elect_landmarks(list(topology.routers), election_rng,
-                            landmark_factor))
+            elect_landmarks(list(topology.routers), election_rng))
         self.directory = ResolverDirectory(self.plan.landmarks)
         self.locator_cache_entries = locator_cache_entries
         self.caches: Dict[str, LocatorCache] = {

@@ -50,14 +50,16 @@ class ServeError(ValueError):
     """A request the server understood enough to reject cleanly."""
 
 
-def _count(request: Dict) -> int:
-    """A request's ``n`` (default 1): an ``int`` of at least 1 — never a
-    ``bool``, a float or a numeric string coerced into one."""
-    n = request.get("n", 1)
-    if type(n) is not int or n < 1:
-        raise ServeError("n must be an integer >= 1, got {}".format(
-            json.dumps(n)))
-    return n
+def _integer(request: Dict, key: str, default: int, least=None) -> int:
+    """A request's ``key`` field (``default`` when absent): an ``int``, at
+    least ``least`` when one is given — never a ``bool``, a float or a
+    numeric string coerced into one."""
+    value = request.get(key, default)
+    if type(value) is not int or (least is not None and value < least):
+        raise ServeError("{} must be an integer{}, got {}".format(
+            key, "" if least is None else " >= {}".format(least),
+            json.dumps(value)))
+    return value
 
 
 def _path_result_dict(result) -> Dict[str, Any]:
@@ -139,7 +141,7 @@ class ReproServer:
                 **self.net.describe()}
 
     def _op_join(self, request: Dict) -> Dict:
-        n = _count(request)
+        n = _integer(request, "n", 1, least=1)
         before = len(self.net.hosts)
         self.net.join_random_hosts(n)
         names = self.net.hosts.names[before:]
@@ -157,7 +159,7 @@ class ReproServer:
                 "total_hosts": len(self.net.hosts)}
 
     def _op_send(self, request: Dict) -> Dict:
-        n = _count(request)
+        n = _integer(request, "n", 1, least=1)
         if "src" in request or "dst" in request:
             raise ServeError("send routes random pairs; use op 'route' "
                              "for a specific src/dst")
@@ -195,8 +197,8 @@ class ReproServer:
         from repro.workload.scenario import Scenario, builtin_scenario
         spec = request.get("scenario")
         if isinstance(spec, str):
-            scenario = builtin_scenario(spec, seed=int(request.get(
-                "seed", self.net.seed)))
+            scenario = builtin_scenario(
+                spec, seed=_integer(request, "seed", self.net.seed))
         elif isinstance(spec, dict):
             scenario = Scenario.from_dict(spec)
         else:

@@ -122,6 +122,25 @@ def test_malformed_scenario_step_expects_exit_2_and_one_line(tmp_path):
     assert settings.get_profile("fuzz").max_examples == 10 ** 4
 
 
+def test_compare_stretch_step_passes_no_flag_but_json(tmp_path):
+    """The gate runs the registry's head-to-head at the registry's sizes
+    (the command has no size flags), and its inline asserts hold on the
+    file that run writes."""
+    step = _bench_smoke_step("repro compare-stretch")
+    [command] = [line.split() for line in step.splitlines()
+                 if "repro compare-stretch" in line]
+    assert command[command.index("compare-stretch") + 1:] == [
+        "--json", "compare_stretch.json"]
+    from repro.__main__ import main
+    assert main(["compare-stretch", "--json",
+                 str(tmp_path / "compare_stretch.json")]) == 0
+    script = re.search(r"<<'EOF'\n(.*)\nEOF", step, re.S).group(1)
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "compare-stretch gate OK" in done.stdout
+
+
 def test_examples_step_runs_every_file_in_examples():
     """An example no job runs rots unseen: bench-smoke runs each one."""
     step = _bench_smoke_step("examples/quickstart.py")

@@ -88,16 +88,26 @@ def test_help_lists_every_subcommand(capsys):
 
 
 def test_compare_stretch_gate(tmp_path, capsys):
+    """The registry's head-to-head at its own sizes (``figures`` prints
+    the same block), gated."""
     out_path = tmp_path / "compare_stretch.json"
-    assert main(["compare-stretch", "--hosts", "30", "--packets", "40",
-                 "--ases", "20", "--inter-hosts", "30",
-                 "--inter-packets", "30", "--all-pairs-hosts", "10",
-                 "--json", str(out_path)]) == 0
+    assert main(["compare-stretch", "--json", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert "Head-to-head" in out and "disco all-pairs sweep" in out
     data = json.loads(out_path.read_text())
     assert data["intra"]["disco"]["bound_violations"] == 0
     assert data["disco_all_pairs"]["violations"] == []
+    assert (data["n_hosts"], data["n_packets"]) == (150, 300)
+
+
+def test_compare_stretch_json_to_stdout_is_only_json(capsys):
+    """``--json -`` used to print the table and then the JSON on stdout,
+    so piping it into a JSON reader failed; the table goes to stderr."""
+    assert main(["compare-stretch", "--json", "-"]) == 0
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert data["disco_all_pairs"]["undelivered"] == 0
+    assert "Head-to-head" in captured.err
 
 
 def test_report_compare_section(tmp_path, capsys):

@@ -213,6 +213,27 @@ class TestMutatingOps:
     def test_workload_needs_scenario(self, server):
         assert "scenario" in err(server, op="workload")
 
+    @pytest.mark.parametrize("seed", ["5", 5.7, True, None, [5]],
+                             ids=["str5", "5.7", "true", "null", "list"])
+    def test_workload_seed_is_an_int_and_nothing_coerced_into_one(
+            self, server, seed):
+        """``int()`` turned ``"5"``, ``5.7`` and ``true`` into seeds and
+        ran the scenario; ``null`` and a list escaped as a raw
+        ``TypeError``.  Each is refused by the rule ``n`` follows, naming
+        ``seed``, and the resident network is left as it was."""
+        before = ok(server, op="state_hash")["state_hash"]
+        error = err(server, op="workload", scenario="steady-churn", seed=seed)
+        assert error == "ServeError: seed must be an integer, got {}".format(
+            json.dumps(seed))
+        assert ok(server, op="state_hash")["state_hash"] == before
+
+    def test_workload_int_seed_still_reseeds_the_builtin(self):
+        server = ReproServer(build_network(kind="intra", seed=0,
+                                           n_routers=40, hosts=0))
+        result = ok(server, op="workload", scenario="steady-churn", seed=3)
+        assert result["scenario"] == "steady-churn"
+        assert result["totals"]["joins"] > 0
+
     def test_workload_naming_an_unknown_link_leaves_the_network_alone(
             self, server):
         before = ok(server, op="state_hash")["state_hash"]
