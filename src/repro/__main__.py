@@ -63,6 +63,26 @@ def _write_json(payload, path: str) -> None:
         print("wrote {}".format(path))
 
 
+def _bounded(convert, low, high=float("inf")):
+    """An argparse type: ``convert(text)`` in [low, high], else a usage
+    error naming the flag (NaN is in no range)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError("expected {} in [{}, {}], got "
+                                             "{!r}".format(convert.__name__,
+                                                           low, high, text))
+        return value
+    return parse
+
+
+#: ``--trace-sample``: the fraction of packet spans a tracer keeps.
+_SAMPLE = _bounded(float, 0, 1)
+
+
 def _load_scenario(command: str, name: str, seed):
     """The builtin scenario or scenario JSON file ``name``, reseeded when
     ``--seed`` was given.  A bad name, a path that cannot be read or a
@@ -439,7 +459,7 @@ def main(argv=None) -> int:
                          help="run only figures whose id starts with this")
     figures.add_argument("--trace-out", default=None, metavar="PATH",
                          help="record a JSONL packet trace while figures run")
-    figures.add_argument("--trace-sample", type=float, default=1.0,
+    figures.add_argument("--trace-sample", type=_SAMPLE, default=1.0,
                          metavar="F", help="fraction of packet spans to keep")
     figures.set_defaults(func=_cmd_figures)
 
@@ -458,7 +478,7 @@ def main(argv=None) -> int:
                           help="list builtin scenarios and exit")
     workload.add_argument("--trace-out", default=None, metavar="PATH",
                           help="record a JSONL packet trace of the run")
-    workload.add_argument("--trace-sample", type=float, default=1.0,
+    workload.add_argument("--trace-sample", type=_SAMPLE, default=1.0,
                           metavar="F", help="fraction of packet spans to keep")
     workload.add_argument("--probes", action="store_true",
                           help="run live invariant probes during the run")
@@ -476,9 +496,9 @@ def main(argv=None) -> int:
                           help="intra: router count (default 24)")
     tracecmd.add_argument("--ases", type=int, default=30,
                           help="inter: AS count (default 30)")
-    tracecmd.add_argument("--hosts", type=int, default=60,
+    tracecmd.add_argument("--hosts", type=_bounded(int, 2), default=60,
                           help="hosts to join before routing (default 60)")
-    tracecmd.add_argument("--packets", type=int, default=1,
+    tracecmd.add_argument("--packets", type=_bounded(int, 1), default=1,
                           help="packets to route and explain (default 1)")
     tracecmd.add_argument("--seed", type=int, default=None,
                           help="network seed (default 0), or an override "
@@ -488,7 +508,7 @@ def main(argv=None) -> int:
                                "instead of routing standalone packets")
     tracecmd.add_argument("--trace-out", default=None, metavar="PATH",
                           help="also dump the records as JSONL")
-    tracecmd.add_argument("--trace-sample", type=float, default=1.0,
+    tracecmd.add_argument("--trace-sample", type=_SAMPLE, default=1.0,
                           metavar="F", help="fraction of packet spans to keep")
     tracecmd.set_defaults(func=_cmd_trace)
 

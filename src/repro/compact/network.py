@@ -72,10 +72,9 @@ class DiscoNetwork(Network):
 
     def __init__(self, topology: RouterTopology, seed: int = 0,
                  locator_cache_entries: int = 64,
-                 authority=None,
                  attachment_weights: Optional[List[float]] = None):
         super().__init__(seed, ("compact", "traffic"), topology=topology,
-                         weights=attachment_weights, authority=authority)
+                         weights=attachment_weights)
 
         election_rng = self.rngs.derive("compact", "landmarks")
         self.plan: LandmarkPlan = build_plan(

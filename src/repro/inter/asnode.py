@@ -32,6 +32,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Ring positions :meth:`RoflAS.best_match` walks back from the
 #: destination before it gives up on finding an admissible candidate.
 MAX_SCAN = 512
+#: Width of every AS's subtree Bloom filter: one geometry network-wide,
+#: so a join hashes an ID once for all its ancestors.
+BLOOM_BITS = 1 << 14
 
 
 @dataclass
@@ -58,14 +61,14 @@ class RoflAS:
     """One AS running interdomain ROFL."""
 
     def __init__(self, asn: Hashable, space: RingSpace,
-                 cache_entries: int = 0, bloom_bits: int = 1 << 14):
+                 cache_entries: int = 0):
         self.asn = asn
         self.space = space
         self.hosted: Dict[FlatId, InterVirtualNode] = {}
         self.cache = PointerCache(space, cache_entries)
         #: Hosts joined at or below this AS ("bloom filters that summarize
         #: the set of hosts in the subtree rooted at the AS").
-        self.subtree_bloom = BloomFilter(n_bits=bloom_bits, n_hashes=4)
+        self.subtree_bloom = BloomFilter(n_bits=BLOOM_BITS, n_hashes=4)
         self._build_candidates()
 
     def _build_candidates(self) -> None:

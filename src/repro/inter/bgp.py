@@ -166,8 +166,8 @@ class BgpBaseline:
             return 1.0
         return policy / shortest
 
-    def warm(self, dests=None) -> int:
-        """Precompute routing tables for ``dests`` (default: every AS).
+    def warm(self) -> int:
+        """Precompute the routing table toward every AS.
 
         The baseline is a measurement oracle — it supplies the stretch
         denominator for every delivered packet — so benchmarks warm it
@@ -175,7 +175,7 @@ class BgpBaseline:
         construction out of the measured ROFL send path.  Returns the
         number of tables now resident.
         """
-        targets = list(dests) if dests is not None else list(self.asg.ases())
+        targets = self.asg.ases()
         for dest in targets:
             self.routes_to(dest)
         return len(targets)

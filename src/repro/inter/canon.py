@@ -58,7 +58,6 @@ class InterJoinReceipt:
 
 def join_inter(net: "InterDomainNetwork", host: PlannedHost,
                strategy: JoinStrategy,
-               n_fingers: Optional[int] = None,
                via_provider: Optional[Hashable] = None,
                flat_id_override: Optional[FlatId] = None,
                prune=None) -> InterJoinReceipt:
@@ -85,8 +84,7 @@ def join_inter(net: "InterDomainNetwork", host: PlannedHost,
                           strategy=strategy.value)
     chain = net.policy.join_chain(home, strategy, via_provider=via_provider,
                                   prune=prune)
-    if n_fingers is None:
-        n_fingers = 0 if strategy is JoinStrategy.EPHEMERAL else net.n_fingers
+    n_fingers = 0 if strategy is JoinStrategy.EPHEMERAL else net.n_fingers
 
     with perf.timed("inter.join"), \
             net.stats.operation("join", host=host.name,
@@ -144,7 +142,7 @@ def _join_level(net: "InterDomainNetwork", vn: InterVirtualNode,
             net.lookup_mismatches += 1
             pred = oracle_pred
         # Response: predecessor → home, carrying its successor info.
-        _charge_scoped_path(net, pred.home_as, vn.home_as, level, "join")
+        _charge_scoped_path(net, pred.home_as, vn.home_as, level)
 
     succ = oracle_succ if oracle_succ.id != vn.id else pred
     if not deduped:
@@ -238,9 +236,7 @@ def _route_to_vn(net: "InterDomainNetwork", from_as: Hashable,
                  vn: InterVirtualNode, level: Hashable):
     """An AS-level source route from ``from_as`` to ``vn``, honouring the
     entry-provider constraint of single-homed joins."""
-    route = net.policy.policy_path(from_as, vn.home_as, scope=level)
-    if route is None:
-        route = net.policy.policy_path(from_as, vn.home_as)
+    route = net.policy.level_route(from_as, vn.home_as, level)
     allowed = _allowed_entry_providers(net, vn)
     if route is None or allowed is None or len(route) < 2 \
             or route[-2] in allowed:
@@ -249,9 +245,7 @@ def _route_to_vn(net: "InterDomainNetwork", from_as: Hashable,
     # final down-step into the home AS.
     best = None
     for provider in sorted(allowed, key=str):
-        leg = net.policy.policy_path(from_as, provider, scope=level)
-        if leg is None:
-            leg = net.policy.policy_path(from_as, provider)
+        leg = net.policy.level_route(from_as, provider, level)
         if leg is None:
             continue
         candidate = tuple(leg) + (vn.home_as,)
@@ -277,7 +271,7 @@ def _scoped_lookup(net: "InterDomainNetwork", vn: InterVirtualNode,
     if len(ring) == 0:
         return None
     boot: InterVirtualNode = ring[next(iter(ring))]
-    cost = _charge_scoped_path(net, vn.home_as, boot.home_as, level, "join")
+    cost = _charge_scoped_path(net, vn.home_as, boot.home_as, level)
     if cost is None:
         return None
     outcome = routing.route(net, boot.home_as, vn.id, mode="lookup",
@@ -289,15 +283,12 @@ def _scoped_lookup(net: "InterDomainNetwork", vn: InterVirtualNode,
 
 
 def _charge_scoped_path(net: "InterDomainNetwork", src: Hashable,
-                        dst: Hashable, level: Hashable,
-                        category: str) -> Optional[int]:
-    path = net.policy.policy_path(src, dst, scope=level)
-    if path is None:
-        path = net.policy.policy_path(src, dst)
+                        dst: Hashable, level: Hashable) -> Optional[int]:
+    path = net.policy.level_route(src, dst, level)
     if path is None:
         return None
     hops = len(path) - 1
-    net.stats.charge_hops(hops, category)
+    net.stats.charge_hops(hops, "join")
     return hops
 
 

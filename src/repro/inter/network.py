@@ -42,9 +42,6 @@ class InterDomainNetwork(Network):
         seed: int = 0,
         strategy: JoinStrategy = JoinStrategy.MULTIHOMED,
         peering_mode: str = "virtual_as",
-        bloom_bits: int = 1 << 14,
-        authority: Optional[SignatureAuthority] = None,
-        cache_fill_enabled: bool = True,
     ):
         if peering_mode not in ("virtual_as", "bloom"):
             raise ValueError("peering_mode must be 'virtual_as' or 'bloom'")
@@ -52,17 +49,16 @@ class InterDomainNetwork(Network):
         self.policy = PolicyView(asg)
         self.bgp = BgpBaseline(asg)
         self.space = RingSpace()
-        self.authority = authority or SignatureAuthority()
+        self.authority = SignatureAuthority()
         self.n_fingers = n_fingers
         self.default_strategy = strategy
         self.peering_mode = peering_mode
-        self.cache_fill_enabled = cache_fill_enabled and cache_entries > 0
+        self.cache_fill_enabled = cache_entries > 0
         self.lookup_mismatches = 0
         self._failed: Set[Hashable] = set()
 
         self.ases: Dict[Hashable, RoflAS] = {
-            asn: RoflAS(asn, self.space, cache_entries=cache_entries,
-                        bloom_bits=bloom_bits)
+            asn: RoflAS(asn, self.space, cache_entries=cache_entries)
             for asn in asg.ases()
         }
         #: Per-level ring registry (level → SortedRingMap of member VNs).
@@ -103,7 +99,6 @@ class InterDomainNetwork(Network):
 
     def join_host(self, host: PlannedHost,
                   strategy: Optional[JoinStrategy] = None,
-                  n_fingers: Optional[int] = None,
                   via_provider: Optional[Hashable] = None,
                   flat_id_override: Optional[FlatId] = None,
                   prune: Optional[Set[Hashable]] = None
@@ -113,7 +108,7 @@ class InterDomainNetwork(Network):
             # Bloom-filter peering eliminates joins across peering links;
             # the remaining joins are exactly the multihomed set.
             strategy = JoinStrategy.MULTIHOMED
-        return canon.join_inter(self, host, strategy, n_fingers=n_fingers,
+        return canon.join_inter(self, host, strategy,
                                 via_provider=via_provider,
                                 flat_id_override=flat_id_override,
                                 prune=prune)
@@ -206,10 +201,8 @@ class InterDomainNetwork(Network):
             return pointer
         target = self.id_owner_index.get(pointer.dest_id)
         if target is not None and self.as_is_up(target.home_as):
-            new_route = self.policy.policy_path(start, target.home_as,
-                                                scope=pointer.level)
-            if new_route is None:
-                new_route = self.policy.policy_path(start, target.home_as)
+            new_route = self.policy.level_route(start, target.home_as,
+                                                pointer.level)
             if new_route is not None:
                 return ASPointer(pointer.dest_id, target.home_as,
                                  tuple(new_route), level=pointer.level,
@@ -273,10 +266,7 @@ class InterDomainNetwork(Network):
             return
         pred: InterVirtualNode = ring[pred_id]
         succ: InterVirtualNode = ring[succ_id]
-        route = self.policy.policy_path(pred.home_as, succ.home_as,
-                                        scope=level)
-        if route is None:
-            route = self.policy.policy_path(pred.home_as, succ.home_as)
+        route = self.policy.level_route(pred.home_as, succ.home_as, level)
         if route is None:
             return
         self.stats.charge_hops(2 * (len(route) - 1), "repair")
@@ -297,7 +287,7 @@ class InterDomainNetwork(Network):
 
     # -- verification -----------------------------------------------------------------
 
-    def check_rings(self, levels: Optional[List[Hashable]] = None) -> None:
+    def check_rings(self) -> None:
         """Every level's members must form a consistent merged ring: each
         member's effective successor *among that ring's members* equals
         the next member clockwise.
@@ -307,10 +297,8 @@ class InterDomainNetwork(Network):
         the inner ring but not this one (e.g. an ephemeral neighbour);
         such pointers are legitimate routing state but not part of this
         level's merged ring."""
-        targets = levels if levels is not None else list(self.rings)
-        for level in targets:
-            ring = self.rings.get(level)
-            if ring is None or len(ring) < 2:
+        for level, ring in self.rings.items():
+            if len(ring) < 2:
                 continue
             members = ring.keys()
             for i, member_id in enumerate(members):
@@ -358,14 +346,11 @@ class InterDomainNetwork(Network):
 
     # -- accounting ----------------------------------------------------------------------
 
-    def state_entries_per_as(self, include_cache: bool = True) -> Dict[Hashable, int]:
-        return {asn: node.state_entries(include_cache=include_cache)
-                for asn, node in self.ases.items()}
+    def state_entries(self) -> Dict[Hashable, int]:
+        return {asn: node.state_entries() for asn, node in self.ases.items()}
 
     def bloom_bits_total(self) -> int:
         return sum(node.subtree_bloom.size_bits for node in self.ases.values())
-
-    state_entries = state_entries_per_as
 
     def describe(self) -> Dict:
         return {"hosts": len(self.hosts), "rng_streams": len(self.rngs),

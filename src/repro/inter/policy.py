@@ -74,7 +74,7 @@ class PolicyView:
             for member in vas.members:
                 self._vas_by_member.setdefault(member, []).append(vas)
         self._subtree_cache: Dict[Hashable, Set[Hashable]] = {}
-        #: ``(src, scope, use_backup)`` → destination → path, one BFS each.
+        #: ``(src, scope)`` → destination → path, one BFS each.
         self._policy_path_cache: Dict[Tuple, Dict[Hashable, Tuple]] = {}
         self._step_cache: Dict[Tuple[Hashable, Hashable], Optional[str]] = {}
         self._profile_cache: Dict[Tuple[Hashable, Hashable],
@@ -271,20 +271,29 @@ class PolicyView:
         return True
 
     def policy_path(self, src: Hashable, dst: Hashable,
-                    scope: Optional[Hashable] = None,
-                    use_backup: bool = False) -> Optional[Tuple[Hashable, ...]]:
-        """Shortest valley-free AS path from ``src`` to ``dst``, restricted
-        to ``scope``'s subtree (peer hops only where the scope's virtual
-        AS covers them, or anywhere when unscoped).
+                    scope: Optional[Hashable] = None
+                    ) -> Optional[Tuple[Hashable, ...]]:
+        """Shortest valley-free AS path from ``src`` to ``dst`` over
+        primary links, restricted to ``scope``'s subtree (peer hops only
+        where the scope's virtual AS covers them, or anywhere unscoped).
 
-        One BFS tree per ``(src, scope, use_backup)`` answers every
-        destination (the AS graph is static for the lifetime of a
-        policy), so a query is two dict hits."""
-        key = (src, scope, use_backup)
+        One BFS tree per ``(src, scope)`` answers every destination (the
+        AS graph is static for the lifetime of a policy), so a query is
+        two dict hits."""
+        key = (src, scope)
         tree = self._policy_path_cache.get(key)
         if tree is None:
             tree = self._policy_path_cache[key] = self._policy_tree(*key)
         return tree.get(dst)
+
+    def level_route(self, src: Hashable, dst: Hashable,
+                    level: Hashable) -> Optional[Tuple[Hashable, ...]]:
+        """The AS route a pointer or message formed at ``level`` takes:
+        the path inside the level's subtree, else the unscoped one.  The
+        memoised tuple itself, never a copy — which pointers share a route
+        object is part of the state hash."""
+        path = self.policy_path(src, dst, level)
+        return path if path is not None else self.policy_path(src, dst)
 
     def path_profile(self, src: Hashable,
                      dst: Hashable) -> Tuple[int, int]:
@@ -324,7 +333,7 @@ class PolicyView:
                     if a != b and self.asg.relationship(a, b) is Relationship.PEER}
         return set()
 
-    def _policy_tree(self, src, scope, use_backup) -> Dict[Hashable, Tuple]:
+    def _policy_tree(self, src, scope) -> Dict[Hashable, Tuple]:
         """Every destination's valley-free path from ``src`` within
         ``scope``: one layered BFS over (AS, phase) states, phase
         0=may-ascend, 1=descending.  A destination keeps the path of its
@@ -345,14 +354,11 @@ class PolicyView:
             asn, phase = state
             steps: List[Tuple[Hashable, int]] = []
             if phase == 0:
-                uplinks = asg.providers(asn)
-                if use_backup:
-                    uplinks += asg.backup_providers(asn)
-                steps.extend((p, 0) for p in uplinks)
+                steps.extend((p, 0) for p in asg.providers(asn))
                 for peer in asg.peers(asn):
                     if peer_ok is None or frozenset((asn, peer)) in peer_ok:
                         steps.append((peer, 1))
-            for customer in asg.customers(asn, include_backup=use_backup):
+            for customer in asg.customers(asn, include_backup=False):
                 steps.append((customer, 1))
             path = paths[state]
             for step in steps:

@@ -245,7 +245,7 @@ def effective_successor(net: "InterDomainNetwork", vn: InterVirtualNode,
 
 
 def _scoped_descent(net: "InterDomainNetwork", root: Hashable,
-                    dest_id: FlatId, category: str) -> InterOutcome:
+                    dest_id: FlatId) -> InterOutcome:
     """Greedy descent within ``root``'s subtree toward ``dest_id``.
 
     A transit AS usually hosts no identifiers itself, so the descent
@@ -254,7 +254,7 @@ def _scoped_descent(net: "InterDomainNetwork", root: Hashable,
     join"), exactly like a scoped join lookup does.
     """
     direct = route(net, root, dest_id, mode="data", scope=root,
-                   category=category, use_cache=False)
+                   use_cache=False)
     if direct.delivered or direct.reason != "no routing state":
         return direct
     ring = net.ring_at(root)
@@ -264,19 +264,15 @@ def _scoped_descent(net: "InterDomainNetwork", root: Hashable,
     climb = net.policy.policy_path(root, boot.home_as, scope=root)
     if climb is None:
         return direct
-    net.stats.charge_hops(len(climb) - 1, category)
+    net.stats.charge_hops(len(climb) - 1, "data")
     entered = route(net, boot.home_as, dest_id, mode="data", scope=root,
-                    category=category, use_cache=False)
+                    use_cache=False)
     entered.as_path = list(climb) + entered.as_path[1:]
     return entered
 
 
-def route_bloom_peering(
-    net: "InterDomainNetwork",
-    start_as: Hashable,
-    dest_id: FlatId,
-    category: str = "data",
-) -> InterOutcome:
+def route_bloom_peering(net: "InterDomainNetwork", start_as: Hashable,
+                        dest_id: FlatId) -> InterOutcome:
     """Data routing under the bloom-filter peering option (Section 4.2).
 
     The packet climbs the source's up-hierarchy; at each AS it consults
@@ -300,7 +296,7 @@ def route_bloom_peering(
             outcome.delivered = True
             outcome.reason = "delivered"
             outcome.final_vn = node.hosted[dest_id]
-            net.stats.charge_path(outcome.as_path, category)
+            net.stats.charge_path(outcome.as_path, "data")
             if tr is not None:
                 tr.end(delivered=True, reason="delivered",
                        router=str(current))
@@ -309,7 +305,7 @@ def route_bloom_peering(
 
         if dest_id in node.subtree_bloom:
             # Claimed below us: greedy descent scoped to our subtree.
-            descent = _scoped_descent(net, current, dest_id, category)
+            descent = _scoped_descent(net, current, dest_id)
             if tr is not None:
                 tr.event("bloom.descend", router=str(current),
                          hit=descent.delivered)
@@ -328,7 +324,7 @@ def route_bloom_peering(
             # climbing (the descent cost is already charged).
             outcome.as_path.extend(descent.as_path[1:])
             outcome.as_path.extend(reversed(descent.as_path[:-1]))
-            net.stats.charge_hops(descent.hops, category)
+            net.stats.charge_hops(descent.hops, "data")
 
         crossed = False
         for peer in sorted(net.asg.peers(current), key=str):
@@ -337,8 +333,8 @@ def route_bloom_peering(
             if dest_id in net.ases[peer].subtree_bloom:
                 outcome.as_path.append(peer)
                 outcome.crossed_peer = True
-                net.stats.charge_hops(1, category)
-                descent = _scoped_descent(net, peer, dest_id, category)
+                net.stats.charge_hops(1, "data")
+                descent = _scoped_descent(net, peer, dest_id)
                 outcome.as_path.extend(descent.as_path[1:])
                 outcome.pointer_hops += descent.pointer_hops
                 if tr is not None:
@@ -357,7 +353,7 @@ def route_bloom_peering(
                 # continue on the original path.
                 outcome.as_path.extend(reversed(descent.as_path[:-1]))
                 outcome.as_path.append(current)
-                net.stats.charge_hops(descent.hops + 1, category)
+                net.stats.charge_hops(descent.hops + 1, "data")
                 crossed = True
         if crossed and not net.asg.providers(current):
             break
@@ -371,7 +367,7 @@ def route_bloom_peering(
         outcome.as_path.append(nxt)
         if tr is not None:
             tr.event("bloom.climb", frm=str(current), to=str(nxt))
-        net.stats.charge_hops(1, category)
+        net.stats.charge_hops(1, "data")
         current = nxt
     else:
         outcome.reason = "hop limit exceeded"

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Iterable, List, Set, TYPE_CHECKING
 
 from repro.idspace.identifier import FlatId
+from repro.intra.partition import heal_components
 from repro.intra.ring import join_internal, splice_out
 from repro.intra.virtualnode import Pointer, VirtualNode
 
@@ -189,9 +190,10 @@ def router_failure(net: "IntraDomainNetwork", router_name: str) -> int:
             net.vn_index.pop(vn.id, None)
             if vn.host_name is not None:
                 net.hosts.pop(vn.host_name, None)
-        # Repair ring gaps left by the default VN and any hosts that
-        # cannot rejoin, then rejoin hosts via their failover routers.
-        repair_groups_everywhere(net)
+        # Re-splice the ring per connected component (the crash may have
+        # partitioned the network), then rejoin hosts via their failover
+        # routers.
+        heal_components(net)
         for vn in moved:
             record = net.host_records.get(vn.host_name)
             if record is None:
@@ -233,19 +235,6 @@ def purge_pointers_via(net: "IntraDomainNetwork", dead_router: str,
                 vn.predecessor = None
                 dropped += 1
     return dropped
-
-
-def repair_groups_everywhere(net: "IntraDomainNetwork") -> None:
-    """Re-splice the ring among live members after a router failure.
-
-    A router failure may partition the physical network, in which case
-    each connected component heals into its own consistent ring — the
-    same machinery the partition experiments exercise, so this simply
-    delegates to :func:`repro.intra.partition.heal_components` (which
-    charges the gap-filling exchanges and refills shrunken groups)."""
-    from repro.intra.partition import heal_components
-
-    heal_components(net)
 
 
 def link_failure(net: "IntraDomainNetwork", a: str, b: str) -> int:

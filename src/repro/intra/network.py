@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional
 
-from repro.idspace.crypto import SignatureAuthority
 from repro.idspace.identifier import FlatId, RingSpace
 from repro.intra import failure as failure_mod
 from repro.intra import forwarding, partition, ring
@@ -45,7 +44,6 @@ class IntraDomainNetwork(Network):
         cache_entries: int = TCAM_ENTRIES,
         successor_group_size: int = DEFAULT_SUCCESSOR_GROUP,
         seed: int = 0,
-        authority: Optional[SignatureAuthority] = None,
         cache_fill_enabled: bool = True,
         snoop_data_packets: bool = False,
         ephemeral_fraction: float = 0.0,
@@ -53,8 +51,7 @@ class IntraDomainNetwork(Network):
         if successor_group_size < 1:
             raise ValueError("successor group must hold at least one pointer")
         super().__init__(seed, ("intranet", topology.name), topology=topology,
-                         ephemeral_fraction=ephemeral_fraction,
-                         authority=authority)
+                         ephemeral_fraction=ephemeral_fraction)
         # After the population core: a snapshot that pickles the key oracle
         # first is 4 % larger (+8 MiB peak RSS on the bench's churn_intra).
         self.authority = self._plan.authority

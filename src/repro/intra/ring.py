@@ -335,11 +335,10 @@ def bootstrap_router_ring(net: "IntraDomainNetwork") -> None:
         net.vn_index[vn.id] = vn
         net.stats.charge_hops(flood_message_cost(net.lsmap, vn.router),
                               "bootstrap")
-    refresh_ring_pointers(net, [vn.id for vn in default_vns])
+    refresh_ring_pointers(net)
 
 
-def refresh_ring_pointers(net: "IntraDomainNetwork",
-                          ids: Optional[List[FlatId]] = None) -> None:
+def refresh_ring_pointers(net: "IntraDomainNetwork") -> None:
     """(Re)install successor groups and predecessors from the live global
     membership — the steady state Chord-style stabilisation converges to.
 
@@ -352,10 +351,7 @@ def refresh_ring_pointers(net: "IntraDomainNetwork",
         return
     ordered = sorted(members, key=lambda vn: vn.id)
     n = len(ordered)
-    targets = set(ids) if ids is not None else None
     for i, vn in enumerate(ordered):
-        if targets is not None and vn.id not in targets:
-            continue
         group: List[Pointer] = []
         for k in range(1, min(net.successor_group_size, n - 1) + 1):
             succ = ordered[(i + k) % n]

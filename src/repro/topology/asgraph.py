@@ -191,37 +191,40 @@ class ASGraph:
             self.n_ases, sum(map(len, self.adjacency.values())) // 2)
 
 
-def synthetic_as_graph(
-    n_ases: int = 100,
-    seed: int = 0,
-    tier1_count: Optional[int] = None,
-    tier2_fraction: float = 0.22,
-    multihome_prob: float = 0.35,
-    second_provider_backup_prob: float = 0.3,
-    tier2_peering_prob: float = 0.15,
-    total_hosts: int = 100_000,
-    zipf_exponent: float = 1.0,
-) -> ASGraph:
+#: The generator's one shape (DESIGN.md §3.2).  Tier-2 transit ASes are
+#: this fraction of the graph (at least two); the tier-1 clique is three
+#: ASes, or one in 25 from 100 ASes up.
+TIER2_FRACTION = 0.22
+#: Non-tier-1 ASes that take a second provider, and the share of those
+#: second links that are *backup* relationships.
+MULTIHOME_PROB = 0.35
+SECOND_PROVIDER_BACKUP_PROB = 0.3
+#: Lateral peering between each pair of tier-2 ASes.
+TIER2_PEERING_PROB = 0.15
+#: Hosts spread over stubs and tier-2 ASes by a Zipf law of this exponent.
+TOTAL_HOSTS = 100_000
+ZIPF_EXPONENT = 1.0
+#: The smallest graph of that shape: three tier-1s, two tier-2s, one stub.
+MIN_ASES = 6
+
+
+def synthetic_as_graph(n_ases: int = 100, seed: int = 0) -> ASGraph:
     """Generate a tiered Internet-like AS graph.
 
-    Structure: a tier-1 clique (full peering mesh), a tier-2 transit layer
-    buying from tier-1 (peering among themselves with
-    ``tier2_peering_prob``), and a stub layer buying from tier-2/tier-1.
-    ``multihome_prob`` of non-tier-1 ASes take a second provider; a
-    fraction of those second links are *backup* relationships.  Host
-    counts follow a Zipf law over stubs and tier-2 ASes (DESIGN.md §3.2).
+    Structure, in the proportions above: a tier-1 clique (full peering
+    mesh), a tier-2 transit layer buying from tier-1 and peering among
+    itself, and a stub layer buying from tier-2/tier-1; some non-tier-1
+    ASes take a second provider, some of those as *backup* links.
     """
-    if n_ases < 4:
-        raise ValueError("need at least 4 ASes")
+    if n_ases < MIN_ASES:
+        raise ValueError("need at least {} ASes, got {}".format(MIN_ASES,
+                                                                n_ases))
     rng = derive_rng(seed, "asgraph", n_ases)
     asg = ASGraph()
 
-    if tier1_count is None:
-        tier1_count = max(3, n_ases // 25)
-    n_tier2 = max(2, int(n_ases * tier2_fraction))
+    tier1_count = max(3, n_ases // 25)
+    n_tier2 = max(2, int(n_ases * TIER2_FRACTION))
     n_stub = n_ases - tier1_count - n_tier2
-    if n_stub < 1:
-        raise ValueError("n_ases too small for the requested tier fractions")
 
     tier1 = ["T1-{}".format(i) for i in range(tier1_count)]
     tier2 = ["T2-{}".format(i) for i in range(n_tier2)]
@@ -243,28 +246,25 @@ def synthetic_as_graph(
     # mimicking the uneven size of real tier-1s).
     t1_weights = [1.0 / (i + 1) for i in range(tier1_count)]
     for asn in tier2:
-        _attach_providers(asg, rng, asn, tier1, t1_weights,
-                          multihome_prob, second_provider_backup_prob)
+        _attach_providers(asg, rng, asn, tier1, t1_weights)
 
     # Stubs buy transit mostly from tier-2, occasionally directly tier-1.
     t2_weights = [1.0 / (i + 1) for i in range(n_tier2)]
     for asn in stubs:
         if rng.random() < 0.1:
-            _attach_providers(asg, rng, asn, tier1, t1_weights,
-                              multihome_prob, second_provider_backup_prob)
+            _attach_providers(asg, rng, asn, tier1, t1_weights)
         else:
-            _attach_providers(asg, rng, asn, tier2, t2_weights,
-                              multihome_prob, second_provider_backup_prob)
+            _attach_providers(asg, rng, asn, tier2, t2_weights)
 
     # Lateral tier-2 peering.
     for i, a in enumerate(tier2):
         for b in tier2[i + 1:]:
-            if rng.random() < tier2_peering_prob:
+            if rng.random() < TIER2_PEERING_PROB:
                 asg.add_peering(a, b)
 
     # Hosts: Zipf over stubs + tier-2 (transit cores host few endpoints).
     bearers = stubs + tier2
-    counts = sample_zipf_counts(rng, len(bearers), total_hosts, zipf_exponent)
+    counts = sample_zipf_counts(rng, len(bearers), TOTAL_HOSTS, ZIPF_EXPONENT)
     for asn, count in zip(bearers, counts):
         asg.set_hosts(asn, count)
 
@@ -272,16 +272,15 @@ def synthetic_as_graph(
     return asg
 
 
-def _attach_providers(asg: ASGraph, rng, asn, candidates, weights,
-                      multihome_prob: float, backup_prob: float) -> None:
+def _attach_providers(asg: ASGraph, rng, asn, candidates, weights) -> None:
     primary = rng.choices(candidates, weights=weights, k=1)[0]
     asg.add_customer_provider(asn, primary)
-    if rng.random() < multihome_prob and len(candidates) > 1:
+    if rng.random() < MULTIHOME_PROB and len(candidates) > 1:
         second = primary
         while second == primary:
             second = rng.choices(candidates, weights=weights, k=1)[0]
-        asg.add_customer_provider(asn, second,
-                                  backup=rng.random() < backup_prob)
+        asg.add_customer_provider(
+            asn, second, backup=rng.random() < SECOND_PROVIDER_BACKUP_PROB)
 
 
 def as_router_topology(asg: ASGraph, name: str = "as-graph"):

@@ -59,29 +59,23 @@ def up_hierarchy_levels(asg: ASGraph, asn: Hashable,
     return levels
 
 
-def down_hierarchy(asg: ASGraph, asn: Hashable,
-                   _cache: Optional[Dict] = None,
-                   include_backup: bool = False) -> Set[Hashable]:
+def down_hierarchy(asg: ASGraph, asn: Hashable) -> Set[Hashable]:
     """The subtree rooted at ``asn``: itself plus all transitive customers.
 
-    Backup links are excluded by default, mirroring the join side ("backup
+    Backup links are excluded, mirroring the join side ("backup
     relationships are supported by directing join requests only over
     non-backup links"): an ID below a backup-only customer does not merge
     into this subtree's rings, so it must not count as subtree membership
     either.
     """
-    if _cache is not None and asn in _cache:
-        return _cache[asn]
     members = {asn}
     frontier = [asn]
     while frontier:
         current = frontier.pop()
-        for customer in asg.customers(current, include_backup=include_backup):
+        for customer in asg.customers(current, include_backup=False):
             if customer not in members:
                 members.add(customer)
                 frontier.append(customer)
-    if _cache is not None:
-        _cache[asn] = members
     return members
 
 

@@ -36,31 +36,30 @@ ID_BITS = 128
 TCAM_ENTRIES = TCAM_BITS // ID_BITS
 
 
-def synthetic_isp(
-    n_routers: int = 100,
-    seed: int = 0,
-    name: Optional[str] = None,
-    pop_size: int = 8,
-    extra_backbone_links: float = 0.6,
-    intra_pop_latency_ms: float = 0.3,
-    backbone_latency_ms: float = 4.0,
-) -> RouterTopology:
-    """Generate a PoP-structured ISP router graph.
+#: The generator's one ISP shape (DESIGN.md §3.1): about this many routers
+#: per PoP, a quarter of each PoP's routers (at least one) its backbone.
+POP_SIZE = 8
+#: Backbone links beyond the spanning tree, as a fraction of the number of
+#: PoPs: the path diversity real ISP cores have.
+EXTRA_BACKBONE_LINKS = 0.6
+#: Link latency inside a PoP, and between PoPs before a ±50 % jitter.
+INTRA_POP_LATENCY_MS = 0.3
+BACKBONE_LATENCY_MS = 4.0
+#: The smallest ISP the generator builds.
+MIN_ROUTERS = 2
 
-    ``pop_size`` routers per PoP on average; each PoP elects
-    ``max(1, pop_size // 4)`` backbone routers which join the core mesh.
-    ``extra_backbone_links`` controls redundancy beyond the spanning tree
-    (as a fraction of the number of PoPs), giving the path diversity real
-    ISP cores have.
-    """
-    if n_routers < 2:
-        raise ValueError("need at least 2 routers")
-    if pop_size < 2:
-        raise ValueError("pop_size must be >= 2")
+
+def synthetic_isp(n_routers: int = 100, seed: int = 0,
+                  name: Optional[str] = None) -> RouterTopology:
+    """Generate a PoP-structured ISP router graph of the shape above: PoP
+    backbones joined by a spanning tree plus redundant core links."""
+    if n_routers < MIN_ROUTERS:
+        raise ValueError("need at least {} routers, got {}".format(
+            MIN_ROUTERS, n_routers))
     rng = derive_rng(seed, "isp", name or "anon", n_routers)
     topo = RouterTopology(name or "isp-{}r".format(n_routers))
 
-    n_pops = max(2, round(n_routers / pop_size))
+    n_pops = max(2, round(n_routers / POP_SIZE))
     # Spread routers over PoPs as evenly as possible.
     base, remainder = divmod(n_routers, n_pops)
     pop_sizes = [base + (1 if i < remainder else 0) for i in range(n_pops)]
@@ -77,16 +76,14 @@ def synthetic_isp(
             topo.add_router(router, pop=pop, role=role)
             members.append(router)
         backbone_by_pop[pop] = members[:n_backbone]
-        _wire_pop(topo, members, rng, intra_pop_latency_ms)
+        _wire_pop(topo, members, rng)
 
-    _wire_backbone(topo, backbone_by_pop, rng, backbone_latency_ms,
-                   extra_backbone_links)
+    _wire_backbone(topo, backbone_by_pop, rng)
     topo.validate()
     return topo
 
 
-def _wire_pop(topo: RouterTopology, members: list, rng,
-              latency_ms: float) -> None:
+def _wire_pop(topo: RouterTopology, members: list, rng) -> None:
     """Wire one PoP: a ring plus a chord, dense enough to survive one
     router loss, sparse enough to stay realistic."""
     n = len(members)
@@ -95,16 +92,16 @@ def _wire_pop(topo: RouterTopology, members: list, rng,
     for i in range(n):
         a, b = members[i], members[(i + 1) % n]
         if not topo.has_link(a, b) and a != b:
-            topo.add_link(a, b, latency_ms=latency_ms)
+            topo.add_link(a, b, latency_ms=INTRA_POP_LATENCY_MS)
     # One random chord for redundancy in PoPs of 4+.
     if n >= 4:
         a, b = rng.sample(members, 2)
         if not topo.has_link(a, b):
-            topo.add_link(a, b, latency_ms=latency_ms)
+            topo.add_link(a, b, latency_ms=INTRA_POP_LATENCY_MS)
 
 
 def _wire_backbone(topo: RouterTopology, backbone_by_pop: Dict[int, list],
-                   rng, latency_ms: float, extra_fraction: float) -> None:
+                   rng) -> None:
     """Connect PoP backbones: random spanning tree + preferential extras."""
     pops = sorted(backbone_by_pop)
     attached = [pops[0]]
@@ -113,21 +110,21 @@ def _wire_backbone(topo: RouterTopology, backbone_by_pop: Dict[int, list],
         # Preferential attachment: PoPs with more links attract more.
         weights = [degree[p] for p in attached]
         target = rng.choices(attached, weights=weights, k=1)[0]
-        _link_pops(topo, backbone_by_pop, pop, target, rng, latency_ms)
+        _link_pops(topo, backbone_by_pop, pop, target, rng)
         degree[pop] += 1
         degree[target] += 1
         attached.append(pop)
-    n_extra = int(math.ceil(extra_fraction * len(pops)))
+    n_extra = int(math.ceil(EXTRA_BACKBONE_LINKS * len(pops)))
     for _ in range(n_extra):
         a, b = rng.sample(pops, 2)
-        _link_pops(topo, backbone_by_pop, a, b, rng, latency_ms)
+        _link_pops(topo, backbone_by_pop, a, b, rng)
 
 
 def _link_pops(topo: RouterTopology, backbone_by_pop: Dict[int, list],
-               pop_a: int, pop_b: int, rng, latency_ms: float) -> None:
+               pop_a: int, pop_b: int, rng) -> None:
     router_a = rng.choice(backbone_by_pop[pop_a])
     router_b = rng.choice(backbone_by_pop[pop_b])
     if router_a != router_b and not topo.has_link(router_a, router_b):
         # Jitter backbone latency ±50% so paths are not all equal cost.
-        jitter = latency_ms * rng.uniform(0.5, 1.5)
+        jitter = BACKBONE_LATENCY_MS * rng.uniform(0.5, 1.5)
         topo.add_link(router_a, router_b, latency_ms=jitter)

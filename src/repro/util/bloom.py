@@ -17,19 +17,7 @@ construction (two independent SHA-256-derived hashes combined as
 from __future__ import annotations
 
 import hashlib
-import math
 from typing import Hashable, Iterable, List, Tuple
-
-
-def optimal_parameters(capacity: int, fp_rate: float) -> Tuple[int, int]:
-    """Return ``(n_bits, n_hashes)`` for a target capacity and FP rate."""
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    if not 0.0 < fp_rate < 1.0:
-        raise ValueError("fp_rate must be in (0, 1)")
-    n_bits = max(8, int(math.ceil(-capacity * math.log(fp_rate) / (math.log(2) ** 2))))
-    n_hashes = max(1, int(round(n_bits / capacity * math.log(2))))
-    return n_bits, n_hashes
 
 
 def _hash_pair(item: Hashable) -> Tuple[int, int]:
@@ -53,10 +41,7 @@ def _hash_pair(item: Hashable) -> Tuple[int, int]:
 class BloomFilter:
     """A plain Bloom filter over arbitrary hashable items."""
 
-    def __init__(self, capacity: int = 1024, fp_rate: float = 0.01,
-                 n_bits: int = None, n_hashes: int = None):
-        if n_bits is None or n_hashes is None:
-            n_bits, n_hashes = optimal_parameters(capacity, fp_rate)
+    def __init__(self, n_bits: int, n_hashes: int):
         if n_bits <= 0 or n_hashes <= 0:
             raise ValueError("n_bits and n_hashes must be positive")
         self.n_bits = n_bits
@@ -84,36 +69,13 @@ class BloomFilter:
     def add(self, item: Hashable) -> None:
         self.add_mask(self.mask_of(item))
 
-    def update(self, items: Iterable[Hashable]) -> None:
-        for item in items:
-            self.add(item)
-
     def __contains__(self, item: Hashable) -> bool:
         return all(self._bits >> pos & 1 for pos in self._positions(item))
-
-    def false_positive_rate(self) -> float:
-        """The expected FP rate at the current load."""
-        if self.n_items == 0:
-            return 0.0
-        fill = 1.0 - math.exp(-self.n_hashes * self.n_items / self.n_bits)
-        return fill ** self.n_hashes
-
-    def union(self, other: "BloomFilter") -> "BloomFilter":
-        """Bitwise union; both filters must share parameters."""
-        if (self.n_bits, self.n_hashes) != (other.n_bits, other.n_hashes):
-            raise ValueError("cannot union filters with different parameters")
-        merged = BloomFilter(n_bits=self.n_bits, n_hashes=self.n_hashes)
-        merged._bits = self._bits | other._bits
-        merged.n_items = self.n_items + other.n_items
-        return merged
 
     @property
     def size_bits(self) -> int:
         """State size in bits — the unit the paper reports (e.g. 74 Mbit/AS)."""
         return self.n_bits
-
-    def fill_ratio(self) -> float:
-        return bin(self._bits).count("1") / self.n_bits
 
     def __repr__(self) -> str:
         return "BloomFilter(bits={}, hashes={}, items={})".format(
@@ -124,9 +86,8 @@ class CountingBloomFilter(BloomFilter):
     """A Bloom filter supporting removal, used where host churn must be
     reflected in the subtree summaries (hosts leave as well as join)."""
 
-    def __init__(self, capacity: int = 1024, fp_rate: float = 0.01,
-                 n_bits: int = None, n_hashes: int = None):
-        super().__init__(capacity, fp_rate, n_bits, n_hashes)
+    def __init__(self, n_bits: int, n_hashes: int):
+        super().__init__(n_bits, n_hashes)
         self._counts: List[int] = [0] * self.n_bits
 
     def add(self, item: Hashable) -> None:

@@ -31,6 +31,8 @@ from reprlib import repr as short
 from typing import Dict, List, Optional
 
 from repro.network import KINDS
+from repro.topology.asgraph import MIN_ASES
+from repro.topology.isp import MIN_ROUTERS
 from repro.workload.faults import INJECTORS
 from repro.workload.processes import PROCESSES, SpecError
 
@@ -179,10 +181,15 @@ class NetworkSpec(Spec):
         if self.kind not in KINDS:
             raise ScenarioError("network kind must be one of {}, got "
                                 "{!r}".format(", ".join(KINDS), self.kind))
-        if self.kind == "inter" and self.n_ases < 2:
-            raise ScenarioError("need at least 2 ASes")
-        if self.kind != "inter" and self.n_routers < 2:
-            raise ScenarioError("need at least 2 routers")
+        # The size bound is the generator's own, so a size it would refuse
+        # fails here in one line, not mid-build.
+        size = (("n_ases", MIN_ASES) if self.kind == "inter"
+                else ("n_routers", MIN_ROUTERS))
+        for name, low in (size, ("cache_entries", 0), ("n_fingers", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ScenarioError("{} must be at least {}, got {}".format(
+                    name, low, value))
 
     def to_dict(self) -> Dict:
         out = super().to_dict()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.topology.asgraph import ASGraph, Relationship, synthetic_as_graph
+from repro.topology.asgraph import (MIN_ASES, TOTAL_HOSTS, ASGraph,
+                                    Relationship, synthetic_as_graph)
 
 
 def tiny_graph():
@@ -108,16 +109,16 @@ class TestSyntheticAsGraph:
             assert current & tier1 or asn in tier1
 
     def test_host_totals(self):
-        asg = synthetic_as_graph(n_ases=60, seed=3, total_hosts=5000)
-        assert sum(asg.hosts(a) for a in asg.ases()) == 5000
+        asg = synthetic_as_graph(n_ases=60, seed=3)
+        assert sum(asg.hosts(a) for a in asg.ases()) == TOTAL_HOSTS
         # Transit core carries no endpoints.
         assert all(asg.hosts(t) == 0 for t in asg.tier1())
 
     def test_host_distribution_is_skewed(self):
-        asg = synthetic_as_graph(n_ases=100, seed=4, total_hosts=50_000)
+        asg = synthetic_as_graph(n_ases=100, seed=4)
         counts = sorted((asg.hosts(a) for a in asg.ases()), reverse=True)
         top5 = sum(counts[:5])
-        assert top5 > 0.25 * 50_000  # heavy head, Zipf-like
+        assert top5 > 0.25 * TOTAL_HOSTS  # heavy head, Zipf-like
 
     def test_determinism(self):
         a = synthetic_as_graph(n_ases=50, seed=5)
@@ -132,5 +133,10 @@ class TestSyntheticAsGraph:
         assert any(asg.backup_providers(a) for a in asg.ases())
 
     def test_rejects_tiny_graph(self):
-        with pytest.raises(ValueError):
-            synthetic_as_graph(n_ases=3)
+        """One bound, ``MIN_ASES``: three tier-1s, two tier-2s, one stub.
+        Four and five ASes used to pass a "need at least 4" check and then
+        fail on tier fractions no caller could set."""
+        for n_ases in (3, MIN_ASES - 1):
+            with pytest.raises(ValueError, match="at least 6 ASes"):
+                synthetic_as_graph(n_ases=n_ases)
+        assert synthetic_as_graph(n_ases=MIN_ASES).n_ases == MIN_ASES

@@ -5,27 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.bloom import BloomFilter, CountingBloomFilter, optimal_parameters
+from repro.util.bloom import BloomFilter, CountingBloomFilter
 
 
 class TestParameters:
-    def test_optimal_parameters_reasonable(self):
-        n_bits, n_hashes = optimal_parameters(1000, 0.01)
-        assert n_bits > 1000
-        assert 1 <= n_hashes <= 20
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            optimal_parameters(0, 0.01)
-        with pytest.raises(ValueError):
-            optimal_parameters(10, 1.5)
-        with pytest.raises(ValueError):
             BloomFilter(n_bits=0, n_hashes=1)
+        with pytest.raises(ValueError):
+            CountingBloomFilter(n_bits=64, n_hashes=0)
 
 
 class TestBloomFilter:
     def test_contains_what_was_added(self):
-        bf = BloomFilter(capacity=100)
+        bf = BloomFilter(n_bits=1024, n_hashes=4)
         for item in ("a", "b", 42, b"bytes"):
             bf.add(item)
         assert "a" in bf and "b" in bf and 42 in bf and b"bytes" in bf
@@ -40,50 +33,32 @@ class TestBloomFilter:
         assert (masked._bits, masked.n_items) == (direct._bits, direct.n_items)
 
     def test_empty_filter_contains_nothing(self):
-        bf = BloomFilter(capacity=10)
+        bf = BloomFilter(n_bits=128, n_hashes=4)
         assert "x" not in bf
-        assert bf.false_positive_rate() == 0.0
 
     def test_fp_rate_stays_near_target(self):
-        bf = BloomFilter(capacity=500, fp_rate=0.01)
-        bf.update(("item-%d" % i for i in range(500)))
+        # The textbook geometry for 500 items at a 1 % target.
+        bf = BloomFilter(n_bits=4793, n_hashes=7)
+        for i in range(500):
+            bf.add("item-%d" % i)
         false_hits = sum(1 for i in range(500, 5500)
                          if ("item-%d" % i) in bf)
         assert false_hits / 5000 < 0.05
 
-    def test_union_preserves_membership(self):
-        a = BloomFilter(n_bits=1024, n_hashes=4)
-        b = BloomFilter(n_bits=1024, n_hashes=4)
-        a.add("left")
-        b.add("right")
-        merged = a.union(b)
-        assert "left" in merged and "right" in merged
-
-    def test_union_requires_matching_parameters(self):
-        with pytest.raises(ValueError):
-            BloomFilter(n_bits=64, n_hashes=2).union(
-                BloomFilter(n_bits=128, n_hashes=2))
-
     def test_size_bits_is_reported(self):
         assert BloomFilter(n_bits=4096, n_hashes=3).size_bits == 4096
-
-    def test_fill_ratio_grows(self):
-        bf = BloomFilter(n_bits=256, n_hashes=3)
-        assert bf.fill_ratio() == 0.0
-        bf.update(range(30))
-        assert 0 < bf.fill_ratio() <= 1.0
 
 
 class TestCountingBloom:
     def test_remove_restores_absence(self):
-        cbf = CountingBloomFilter(capacity=64)
+        cbf = CountingBloomFilter(n_bits=1024, n_hashes=4)
         cbf.add("host-1")
         assert "host-1" in cbf
         assert cbf.remove("host-1")
         assert "host-1" not in cbf
 
     def test_remove_absent_item_fails_cleanly(self):
-        cbf = CountingBloomFilter(capacity=64)
+        cbf = CountingBloomFilter(n_bits=1024, n_hashes=4)
         assert not cbf.remove("never-added")
 
     def test_shared_bits_survive_partial_removal(self):
@@ -108,16 +83,18 @@ class TestCountingBloom:
 @given(st.sets(st.integers(), min_size=0, max_size=200))
 def test_no_false_negatives(items):
     """The property everything downstream depends on."""
-    bf = BloomFilter(capacity=max(1, len(items)), fp_rate=0.01)
-    bf.update(items)
+    bf = BloomFilter(n_bits=2048, n_hashes=4)
+    for item in items:
+        bf.add(item)
     assert all(item in bf for item in items)
 
 
 @settings(max_examples=30)
 @given(st.sets(st.integers(), min_size=1, max_size=100))
 def test_counting_bloom_no_false_negatives_after_churn(items):
-    cbf = CountingBloomFilter(capacity=len(items) * 2)
-    cbf.update(items)
+    cbf = CountingBloomFilter(n_bits=1024, n_hashes=4)
+    for item in items:
+        cbf.add(item)
     half = list(items)[: len(items) // 2]
     for item in half:
         assert cbf.remove(item)

@@ -100,13 +100,15 @@ def _bench_smoke_step(marker):
 
 
 def test_malformed_scenario_step_expects_exit_2_and_one_line(tmp_path):
-    """Three malformed files, each under ``timeout`` (``Infinity`` used to
-    parse and never return), each expected to exit 2 with one
-    ``workload:`` line naming the key; the step is run here as CI runs it
+    """Four malformed files, each under ``timeout`` (``Infinity`` used to
+    parse and never return; five ASes failed mid-build), each expected to
+    exit 2 with one ``workload:`` line naming the key; the step is run
+    here as CI runs it
     (``bash -e``).  The fuzz step beside it runs the tier-1 test under the
     10⁴-example profile ``tests/conftest.py`` registers."""
     script = _bench_smoke_step("Infinity")
-    for expected in ('"seed": "abc"', '"lifetime": 5', "timeout 20",
+    for expected in ('"seed": "abc"', '"lifetime": 5', '"n_ases": 5',
+                     "timeout 20",
                      "test $status -eq 2", 'wc -l < $dir/err)" -eq 1'):
         assert expected in script
     done = subprocess.run(
@@ -115,7 +117,7 @@ def test_malformed_scenario_step_expects_exit_2_and_one_line(tmp_path):
         cwd=Path(__file__).resolve().parent.parent, capture_output=True,
         text=True, env={"TMPDIR": str(tmp_path), "PATH": "/usr/bin:/bin"})
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.count("workload: ") == 3
+    assert done.stdout.count("workload: ") == 4
     fuzz = _bench_smoke_step("tests/test_workload_scenario.py")
     assert "--hypothesis-profile fuzz" in fuzz and "-k fuzz" in fuzz
     from hypothesis import settings

@@ -171,8 +171,9 @@ def test_workload_invalid_scenario_contents(tmp_path, capsys):
     '{"name": "bad", "sample_intervall": 1}',
     b"\xff\xfe not text",
     None,
+    '{"name": "bad", "network": {"kind": "inter", "n_ases": 5}}',
 ], ids=["wrong-type", "number-for-mapping", "infinity", "misspelt-key",
-        "not-text", "a-directory"])
+        "not-text", "a-directory", "too-few-ases"])
 def test_a_scenario_that_cannot_be_read_or_parsed_exits_2_with_one_line(
         tmp_path, capsys, command, label, content):
     """Never a traceback, never a hang (``Infinity`` parsed and the run
@@ -215,6 +216,48 @@ def test_workload_fault_naming_an_unknown_victim_exits_2(tmp_path, capsys,
     assert captured.err.startswith(
         "repro: fault '{}' at 0.5: unknown ".format(fault["kind"]))
     assert "'nope'" in captured.err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["snapshot", "save", "{tmp}/s.snap", "--kind", "inter", "--ases", "5"],
+     "n_ases"),
+    (["snapshot", "save", "{tmp}/s.snap", "--cache-entries", "-1"],
+     "cache_entries"),
+    (["serve", "--kind", "inter", "--ases", "3", "--requests",
+      "{tmp}/none.jsonl"], "n_ases"),
+], ids=["save-5-ases", "save-negative-cache", "serve-3-ases"])
+def test_a_network_size_the_builder_refuses_exits_2_with_one_line(
+        tmp_path, capsys, argv, field):
+    """Each was a traceback (tier fractions no caller can set) or a
+    network built with a negative cache."""
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("repro: {} must be".format(field))
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["trace", "--trace-sample", "1.5"], "--trace-sample"),
+    (["workload", "steady-churn", "--trace-out", "{tmp}/t.jsonl",
+      "--trace-sample", "-0.5"], "--trace-sample"),
+    (["figures", "--only", "fig6b", "--trace-out", "{tmp}/t.jsonl",
+      "--trace-sample", "nan"], "--trace-sample"),
+    (["trace", "--hosts", "1"], "--hosts"),
+    (["trace", "--packets", "-2"], "--packets"),
+    (["trace", "--packets", "0"], "--packets"),
+], ids=["trace-sample", "workload-sample", "figures-sample", "hosts",
+        "negative-packets", "no-packets"])
+def test_a_tracing_flag_out_of_range_is_a_usage_error(tmp_path, capsys,
+                                                      argv, flag):
+    """The samples and ``--hosts 1`` were a ``ValueError`` traceback from
+    the tracer or the host sampler; ``--packets -2`` exited 0 having
+    explained nothing."""
+    with pytest.raises(SystemExit) as exited:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument {}: ".format(flag) in err
+    assert "Traceback" not in err
 
 
 def test_workload_builtin_runs_and_reports(capsys):

@@ -5,8 +5,7 @@ import hashlib
 import pytest
 
 from repro.idspace.identifier import FlatId
-from repro.inter.fingers import (lowest_containing_level, slot_arc,
-                                 up_links_between)
+from repro.inter.fingers import lowest_containing_level, slot_arc
 from repro.inter.network import InterDomainNetwork
 from repro.inter.policy import JoinStrategy
 from repro.topology.asgraph import synthetic_as_graph
@@ -76,9 +75,9 @@ class TestProximity:
         net = inter_net_readonly
         stub = net.asg.stubs()[0]
         provider = net.asg.providers(stub)[0]
-        ups, hops = up_links_between(net, stub, provider)
+        ups, hops = net.policy.path_profile(stub, provider)
         assert (ups, hops) == (1, 1)
-        assert up_links_between(net, stub, stub) == (0, 0)
+        assert net.policy.path_profile(stub, stub) == (0, 0)
 
     def test_proximity_choice_beats_random_on_stretch(self):
         """Ablation: proximity-selected fingers give lower mean stretch

@@ -188,9 +188,9 @@ class TestJoinHotPathGuards:
         asked = set()
         policy_path = net.policy.policy_path
 
-        def recording(src, dst, scope=None, use_backup=False):
-            asked.add((src, scope, use_backup))
-            return policy_path(src, dst, scope, use_backup)
+        def recording(src, dst, scope=None):
+            asked.add((src, scope))
+            return policy_path(src, dst, scope)
 
         monkeypatch.setattr(net.policy, "policy_path", recording)
         before = {name: perf.value(name) for name in (

@@ -195,27 +195,25 @@ class TestImportRule:
 
 
 class TestPathTreeOracle:
-    """``policy_path`` answers from one BFS tree per ``(src, scope,
-    use_backup)``; ``tests/policy_reference.py`` is the per-destination
-    early-exit search it replaced, kept verbatim as the specification."""
+    """``policy_path`` answers from one BFS tree per ``(src, scope)``;
+    ``tests/policy_reference.py`` is the per-destination early-exit search
+    it replaced, kept verbatim as the specification (its ``use_backup``
+    is always False: paths never cross backup links)."""
 
     @settings(max_examples=12, deadline=None)
     @given(n_ases=st.integers(min_value=8, max_value=22),
            seed=st.integers(min_value=0, max_value=10 ** 6))
     def test_every_query_equals_the_early_exit_search(self, n_ases, seed):
-        asg = synthetic_as_graph(n_ases=n_ases, seed=seed,
-                                 second_provider_backup_prob=0.6)
+        asg = synthetic_as_graph(n_ases=n_ases, seed=seed)
         view = PolicyView(asg)
         ases = asg.ases()
         scopes = [None] + ases + view.virtual_ases
-        for use_backup in (False, True):
-            for scope in scopes:
-                for src in ases:
-                    for dst in ases:
-                        assert view.policy_path(src, dst, scope, use_backup) \
-                            == _policy_path_bfs(view, src, dst, scope,
-                                                use_backup), \
-                            (src, dst, scope, use_backup)
+        for scope in scopes:
+            for src in ases:
+                for dst in ases:
+                    assert view.policy_path(src, dst, scope) \
+                        == _policy_path_bfs(view, src, dst, scope, False), \
+                        (src, dst, scope)
 
     def test_one_tree_answers_every_destination(self, view):
         trees = perf.value("inter.policy.bfs_trees")
@@ -232,6 +230,16 @@ class TestPathTreeOracle:
             assert view.policy_path("S1", dst) is view.policy_path("S1", dst)
             assert view.policy_path("S1", dst, scope="T2a") \
                 is not view.policy_path("S1", dst)
+
+    def test_level_route_is_the_scoped_tuple_else_the_unscoped_one(self, view):
+        """Every pointer route falls back the same way, and stores the
+        memo's own tuple: which pointers share one is hashed state."""
+        assert view.level_route("S1", "S2", "T2a") \
+            is view.policy_path("S1", "S2", scope="T2a")
+        # S3 hangs below T2b only, outside T2a's subtree.
+        assert view.policy_path("S1", "S3", scope="T2a") is None
+        assert view.level_route("S1", "S3", "T2a") \
+            is view.policy_path("S1", "S3")
 
     def test_memo_adds_no_state_key(self, view):
         """A memo stored under a new attribute would move every state hash

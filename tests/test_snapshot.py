@@ -42,7 +42,7 @@ def build_intra(seed=3, hosts=60, routers=20):
 
 def build_inter(seed=7, hosts=80, ases=30, **kwargs):
     net = InterDomainNetwork(
-        synthetic_as_graph(n_ases=ases, seed=seed, total_hosts=4000),
+        synthetic_as_graph(n_ases=ases, seed=seed),
         seed=seed, **kwargs)
     net.join_random_hosts(hosts)
     return net

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.topology.graph import RouterTopology
-from repro.topology.isp import (ROCKETFUEL_PROFILES, TCAM_ENTRIES,
-                                synthetic_isp)
+from repro.topology.isp import (MIN_ROUTERS, ROCKETFUEL_PROFILES,
+                                TCAM_ENTRIES, synthetic_isp)
 
 
 class TestRouterTopology:
@@ -73,7 +73,7 @@ class TestSyntheticIsp:
         assert sorted(a.links()) != sorted(b.links())
 
     def test_pop_structure(self):
-        topo = synthetic_isp(n_routers=64, seed=0, pop_size=8)
+        topo = synthetic_isp(n_routers=64, seed=0)
         assert len(topo.pops) == 8
         for pop, members in topo.pops.items():
             assert 7 <= len(members) <= 9
@@ -88,9 +88,8 @@ class TestSyntheticIsp:
 
     def test_rejects_tiny_inputs(self):
         with pytest.raises(ValueError):
-            synthetic_isp(n_routers=1)
-        with pytest.raises(ValueError):
-            synthetic_isp(n_routers=10, pop_size=1)
+            synthetic_isp(n_routers=MIN_ROUTERS - 1)
+        synthetic_isp(n_routers=MIN_ROUTERS)
 
     def test_latency_jitter_present(self):
         topo = synthetic_isp(n_routers=80, seed=5)

@@ -225,6 +225,8 @@ _MALFORMED = [
     (("seed",), "5"), (("seed",), True), (("seed",), 5.0),
     (("duration",), 10 ** 400), (_F + ("stub_only",), 1),
     (_F + ("links",), [["r0"]]), (_F + ("links",), [["r0", 1]]),
+    # were accepted: a negative cache or finger count
+    (("network", "cache_entries"), -1), (("network", "n_fingers"), -1),
 ]
 
 
@@ -242,6 +244,20 @@ def test_one_malformed_field_is_a_scenario_error_naming_it(path, value):
     assert key in str(refusal.value)
     assert "\n" not in str(refusal.value) and len(str(refusal.value)) < 250
     assert time.perf_counter() - started < 0.5
+
+
+@pytest.mark.parametrize("network", [
+    {"kind": "inter", "n_ases": 5}, {"kind": "inter", "n_ases": 3},
+    {"kind": "inter", "cache_entries": -1}], ids=reprlib.repr)
+def test_a_network_size_the_builder_refuses_is_refused_by_field(network):
+    """These passed validation and then failed mid-build with a traceback
+    about tier fractions no caller can set (3 to 5 ASes), or were taken
+    (a negative cache).  The bounds are the generators' own constants."""
+    with pytest.raises(ScenarioError) as refusal:
+        Scenario.from_dict({"name": "x", "network": network})
+    [field] = [key for key in network if key != "kind"]
+    assert str(refusal.value).startswith(field + " must be")
+    assert "\n" not in str(refusal.value)
 
 
 def test_a_missing_required_key_is_refused_by_name():
