@@ -39,7 +39,8 @@ Commands:
 * ``info`` — package, paper, and inventory summary.
 
 ``--help`` lists every subcommand; an unknown subcommand exits with
-status 2 and a usage message on stderr.
+status 2 and a usage message on stderr.  A path a command cannot open
+(to read or to write) exits 2 with one ``repro: <error and path>`` line.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
               file=sys.stderr)
     if args.metrics_out is not None:
         print("metrics: {} window(s) -> {}".format(
-            result.totals["metrics_windows"], args.metrics_out),
+            len(result.samples), args.metrics_out),
             file=sys.stderr)
 
     if args.json is not None:
@@ -318,21 +319,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.snapshot is not None:
         from repro import snapshot
         net = snapshot.load(args.snapshot, verify=args.verify)
-        print("serve: loaded {} ({})".format(
-            args.snapshot, snapshot.describe(args.snapshot)["counts"]),
-            file=sys.stderr)
+        made = "loaded {} ({})".format(
+            args.snapshot, snapshot.describe(args.snapshot)["counts"])
     else:
         net = _network_from_args(args)
-        print("serve: built {} network (seed {}, {} hosts)".format(
-            args.kind, args.seed, args.hosts), file=sys.stderr)
+        made = "built {} network (seed {}, {} hosts)".format(
+            args.kind, args.seed, args.hosts)
     server = ReproServer(net)
 
     if args.requests is not None:
-        with open(args.requests) as fh:
-            answered = server.serve_lines(fh, sys.stdout)
+        # Opened before anything is printed, so a path that cannot be
+        # read is the one line on stderr.
+        with open(args.requests) as requests:
+            print("serve: " + made, file=sys.stderr)
+            answered = server.serve_lines(requests, sys.stdout)
         print("serve: answered {} scripted request(s)".format(answered),
               file=sys.stderr)
         return 0
+    print("serve: " + made, file=sys.stderr)
     if args.tcp is not None:
         def ready(port: int) -> None:
             print("serve: listening on {}:{}".format(args.host, port),
@@ -520,9 +524,12 @@ def main(argv=None) -> int:
                        help="warm-load this snapshot instead of building")
     serve.add_argument("--verify", action="store_true",
                        help="verify the snapshot hash while loading")
-    serve.add_argument("--tcp", type=int, default=None, metavar="PORT",
+    serve.add_argument("--tcp", type=_bounded(int, 0, 65535), default=None,
+                       metavar="PORT",
                        help="serve over TCP instead of stdio (0 = ephemeral)")
-    serve.add_argument("--tcp-timeout", type=float, default=60.0,
+    # Positive, and at most a day: a socket refuses one past its time_t.
+    serve.add_argument("--tcp-timeout", type=_bounded(float, 0.001, 86400),
+                       default=60.0,
                        metavar="SECONDS",
                        help="drop a TCP connection idle for this long "
                             "mid-session (default 60)")
@@ -581,10 +588,10 @@ def main(argv=None) -> int:
     from repro.workload import ScenarioError
     try:
         return args.func(args)
-    except (SnapshotError, ScenarioError) as exc:
-        # A file that is not a snapshot, is corrupt, or was written under
-        # another schema version; a scenario naming a link or router the
-        # network lacks: the message says which, and what to do.
+    except (OSError, SnapshotError, ScenarioError) as exc:
+        # A path that cannot be opened; a file that is not a snapshot, is
+        # corrupt, or has another schema version; a scenario naming a link
+        # or router the network lacks: the message says which, and why.
         print("repro: {}".format(exc), file=sys.stderr)
         return 2
 

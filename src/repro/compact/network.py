@@ -60,6 +60,9 @@ from repro.topology.graph import RouterTopology
 from repro.topology.hosts import PlannedHost
 from repro.util import perf
 
+#: Locators each router's sender-side LRU holds.
+LOCATOR_CACHE_ENTRIES = 64
+
 
 class DiscoNetwork(Network):
     """Compact flat-name routing over one ISP topology."""
@@ -71,7 +74,6 @@ class DiscoNetwork(Network):
     stretch_bound = 3.0
 
     def __init__(self, topology: RouterTopology, seed: int = 0,
-                 locator_cache_entries: int = 64,
                  attachment_weights: Optional[List[float]] = None):
         super().__init__(seed, ("compact", "traffic"), topology=topology,
                          weights=attachment_weights)
@@ -81,9 +83,8 @@ class DiscoNetwork(Network):
             self.paths, list(topology.routers),
             elect_landmarks(list(topology.routers), election_rng))
         self.directory = ResolverDirectory(self.plan.landmarks)
-        self.locator_cache_entries = locator_cache_entries
         self.caches: Dict[str, LocatorCache] = {
-            router: LocatorCache(locator_cache_entries)
+            router: LocatorCache(LOCATOR_CACHE_ENTRIES)
             for router in sorted(topology.routers)}
         #: router → flat IDs its vicinity table can route directly
         #: (hosts attached at routers whose ball contains it, plus its

@@ -20,16 +20,16 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.topology.asgraph import ASGraph, Relationship
+from repro.topology.asgraph import ASGraph
 from repro.topology.graph import bfs_paths, topological_order
 
 
 class BgpBaseline:
-    """Per-destination Gao-Rexford route computation with memoisation."""
+    """Per-destination Gao-Rexford route computation with memoisation;
+    backup links carry no routes, as they carry no joins (Section 4.2)."""
 
-    def __init__(self, asg: ASGraph, use_backup: bool = False):
+    def __init__(self, asg: ASGraph):
         self.asg = asg
-        self.use_backup = use_backup
         self._tables: Dict[Hashable, Dict[Hashable, Tuple[int, int]]] = {}
         self._topo_order: Optional[List[Hashable]] = None
 
@@ -48,18 +48,6 @@ class BgpBaseline:
 
     # -- internals --------------------------------------------------------------
 
-    def _providers(self, asn: Hashable) -> List[Hashable]:
-        providers = list(self.asg.providers(asn))
-        if self.use_backup:
-            providers += self.asg.backup_providers(asn)
-        return providers
-
-    def _customers(self, asn: Hashable) -> List[Hashable]:
-        if self.use_backup:
-            return self.asg.customers(asn)
-        return [c for c in self.asg.customers(asn)
-                if self.asg.relationship(asn, c) is not Relationship.BACKUP]
-
     def _topological_order(self) -> List[Hashable]:
         """ASes ordered providers-first (the provider DAG is acyclic)."""
         if self._topo_order is not None:
@@ -67,7 +55,7 @@ class BgpBaseline:
         customers: Dict[Hashable, List[Hashable]] = {
             asn: [] for asn in self.asg.ases()}
         for asn in customers:
-            for provider in self._providers(asn):
+            for provider in self.asg.providers(asn):
                 customers[provider].append(asn)
         self._topo_order = topological_order(customers)
         return self._topo_order
@@ -91,7 +79,7 @@ class BgpBaseline:
         while frontier:
             nxt = []
             for asn in frontier:
-                for provider in self._providers(asn):
+                for provider in self.asg.providers(asn):
                     if provider not in cust:
                         cust[provider] = cust[asn] + 1
                         nxt.append(provider)
@@ -116,7 +104,7 @@ class BgpBaseline:
             choices = [cust.get(asn, inf), peer.get(asn, inf), prov.get(asn, inf)]
             selected = self._select(choices)
             best_len[asn] = selected
-            for customer in self._customers(asn):
+            for customer in self.asg.customers(asn, include_backup=False):
                 if selected < inf:
                     candidate = selected + 1
                     if candidate < prov.get(customer, inf):

@@ -100,7 +100,6 @@ def join_inter(net: "InterDomainNetwork", host: PlannedHost,
         messages = op["messages"]
 
     net.hosts[host.name] = vn
-    net.host_records[host.name] = host
     return InterJoinReceipt(host_name=host.name, flat_id=vn.id, home_as=home,
                             strategy=strategy.value, messages=messages,
                             levels_joined=len(vn.joined_levels),
@@ -295,8 +294,9 @@ def _charge_scoped_path(net: "InterDomainNetwork", src: Hashable,
 def _fill_as_caches(net: "InterDomainNetwork", route: tuple,
                     target: InterVirtualNode) -> None:
     """Transit ASes on a setup path cache a pointer to the target ID
-    (control-packet cache fill, as in the intradomain design)."""
-    if not net.cache_fill_enabled:
+    (control-packet cache fill, as in the intradomain design), unless the
+    network's one cache capacity is zero."""
+    if not net.ases[target.home_as].cache.capacity:
         return
     for i, asn in enumerate(route[:-1]):
         if asn == target.home_as:

@@ -53,7 +53,6 @@ class InterDomainNetwork(Network):
         self.n_fingers = n_fingers
         self.default_strategy = strategy
         self.peering_mode = peering_mode
-        self.cache_fill_enabled = cache_entries > 0
         self.lookup_mismatches = 0
         self._failed: Set[Hashable] = set()
 
@@ -65,7 +64,6 @@ class InterDomainNetwork(Network):
         self.rings: Dict[Hashable, SortedRingMap] = {}
         #: Oracle over every joined identifier.
         self.id_owner_index: Dict[FlatId, InterVirtualNode] = {}
-        self.host_records: Dict[str, PlannedHost] = {}
 
         bearers = [asn for asn in asg.ases() if asg.hosts(asn) > 0]
         weights = [float(asg.hosts(asn)) for asn in bearers]
@@ -304,30 +302,14 @@ class InterDomainNetwork(Network):
             for i, member_id in enumerate(members):
                 vn: InterVirtualNode = ring[member_id]
                 expected = members[(i + 1) % len(members)]
-                eff = self._member_effective_successor(vn, level, ring)
-                if eff is None or eff != expected:
+                eff = routing.effective_successor(self, vn, level,
+                                                  members=ring)
+                if eff is None or eff.dest_id != expected:
                     raise InterRingInconsistency(
                         "level {}: {} effective successor {} != {}".format(
-                            level, member_id, eff, expected))
+                            level, member_id, eff and eff.dest_id, expected))
 
     check = check_rings
-
-    def _member_effective_successor(self, vn: InterVirtualNode,
-                                    level: Hashable, ring) -> Optional[FlatId]:
-        """Closest successor-pointer target at levels within ``level``
-        whose target is a member of this level's ring."""
-        best: Optional[FlatId] = None
-        best_dist = None
-        for lvl, ptr in vn.succ_by_level.items():
-            if lvl is not None and not self.policy.level_contained_in(lvl,
-                                                                      level):
-                continue
-            if ptr.dest_id not in ring:
-                continue
-            dist = self.space.distance_cw(vn.id, ptr.dest_id)
-            if best_dist is None or dist < best_dist:
-                best, best_dist = ptr.dest_id, dist
-        return best
 
     def check_isolation(self, src_as: Hashable, dst_as: Hashable,
                         as_path: List[Hashable]) -> bool:

@@ -232,14 +232,18 @@ def _route(net, start_as, dest_id, mode, scope, category, use_cache):
 
 
 def effective_successor(net: "InterDomainNetwork", vn: InterVirtualNode,
-                        level: Hashable) -> Optional[ASPointer]:
+                        level: Hashable,
+                        members=None) -> Optional[ASPointer]:
     """The ID ``vn`` points to next within ``level``'s merged ring: the
     closest target among its successor pointers at levels contained in
     ``level`` (condition (b) of Section 4.1 means the pointer may be
-    stored at an inner level)."""
+    stored at an inner level), counting only targets in ``members`` when
+    given (the ring check's filter: an inner pointer may name an ID that
+    never joined this ring)."""
     own_iv, mask = vn.id.value, net.space.mask
     return min((ptr for lvl, ptr in vn.succ_by_level.items()
-                if lvl is None or net.policy.level_contained_in(lvl, level)),
+                if (lvl is None or net.policy.level_contained_in(lvl, level))
+                and (members is None or ptr.dest_id in members)),
                key=lambda ptr: (ptr.dest_id.value - own_iv) & mask,
                default=None)
 

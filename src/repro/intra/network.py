@@ -33,7 +33,8 @@ class IntraDomainNetwork(Network):
     Parameters mirror the paper's experimental knobs: ``cache_entries``
     (the 9 Mbit TCAM default ≈ 70 k entries of Fig 6a), the successor
     group size (resilience ablation), and whether control traffic fills
-    pointer caches (the paper's default; data-packet snooping is off).
+    pointer caches (the paper's default).  Data packets never fill them:
+    "we do not snoop on data packet headers for filling caches" (§6.1).
     """
 
     kind = "intra"
@@ -45,7 +46,6 @@ class IntraDomainNetwork(Network):
         successor_group_size: int = DEFAULT_SUCCESSOR_GROUP,
         seed: int = 0,
         cache_fill_enabled: bool = True,
-        snoop_data_packets: bool = False,
         ephemeral_fraction: float = 0.0,
     ):
         if successor_group_size < 1:
@@ -58,10 +58,6 @@ class IntraDomainNetwork(Network):
         self.space = RingSpace()
         self.successor_group_size = successor_group_size
         self.cache_fill_enabled = cache_fill_enabled
-        #: Section 6.1: "we do not snoop on data packet headers for
-        #: filling caches" is the paper's default; turning this on fills
-        #: caches from delivered data paths as well.
-        self.snoop_data_packets = snoop_data_packets
 
         self.routers: Dict[str, RoflRouter] = {
             name: RoflRouter(name, self.space, cache_entries)
@@ -120,8 +116,6 @@ class IntraDomainNetwork(Network):
         optimal = 0
         if outcome.delivered and outcome.final_vn is not None:
             optimal = self.paths.hop_dist(src_router, outcome.final_vn.router) or 0
-            if self.snoop_data_packets:
-                ring._fill_caches(self, outcome.path, [dest_id], force=True)
         return PathResult(
             delivered=outcome.delivered,
             path=outcome.path,

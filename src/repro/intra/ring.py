@@ -281,17 +281,15 @@ def splice_out(net: "IntraDomainNetwork", vn: VirtualNode,
 
 
 def _fill_caches(net: "IntraDomainNetwork", path: Sequence[str],
-                 ids: List[FlatId], force: bool = False) -> None:
+                 ids: List[FlatId]) -> None:
     """Populate pointer caches along a control path.
 
     For each ID named by the control message, every router on the path
     caches a source route toward that ID's hosting router — using the
     suffix of the control path when the hosting router lies ahead, which
     is "contents available from control packets" only (Section 6.1).
-    ``force`` bypasses the control-fill switch (used by the data-packet
-    snooping option, which is governed separately).
     """
-    if not net.cache_fill_enabled and not force:
+    if not net.cache_fill_enabled:
         return
     path = list(path)   # so every slice below is a fresh object
     routers = net.routers

@@ -37,9 +37,10 @@ class ASGraph:
     """An annotated AS-level topology.
 
     ``adjacency[a][b]`` is the one attribute dict of link ``a — b`` (held
-    under both endpoints): its :class:`Relationship` ``rel``, for
-    directional relationships which endpoint is the ``provider``, and its
-    ``latency``.  ``nodes[asn]`` holds an AS's ``tier`` and ``hosts``.
+    under both endpoints): its :class:`Relationship` ``rel`` and, for
+    directional relationships, which endpoint is the ``provider``.  A link
+    carries no latency: an AS hop is the unit of interdomain cost.
+    ``nodes[asn]`` holds an AS's ``tier`` and ``hosts``.
     """
 
     def __init__(self) -> None:
@@ -68,28 +69,23 @@ class ASGraph:
         self._rel_cache.clear()
 
     def add_customer_provider(self, customer: Hashable, provider: Hashable,
-                              backup: bool = False,
-                              latency: float = 1.0) -> None:
+                              backup: bool = False) -> None:
         """Add a transit link: ``customer`` buys transit from ``provider``."""
         rel = Relationship.BACKUP if backup else Relationship.CUSTOMER_PROVIDER
-        self._add_link(customer, provider, rel, provider, latency)
+        self._add_link(customer, provider, rel, provider)
 
-    def add_peering(self, a: Hashable, b: Hashable,
-                    latency: float = 1.0) -> None:
-        self._add_link(a, b, Relationship.PEER, None, latency)
+    def add_peering(self, a: Hashable, b: Hashable) -> None:
+        self._add_link(a, b, Relationship.PEER, None)
 
     def _add_link(self, a: Hashable, b: Hashable, rel: Relationship,
-                  provider: Optional[Hashable], latency: float) -> None:
+                  provider: Optional[Hashable]) -> None:
         for asn in (a, b):
             if asn not in self.nodes:
                 raise KeyError("unknown AS {!r}".format(asn))
         if a == b:
             raise ValueError("self-relationship")
-        if latency <= 0:
-            raise ValueError(
-                "link latency must be positive, got {!r}".format(latency))
         self.adjacency[a][b] = self.adjacency[b][a] = {
-            "rel": rel, "provider": provider, "latency": latency}
+            "rel": rel, "provider": provider}
         self._rel_cache.clear()
 
     def set_hosts(self, asn: Hashable, hosts: int) -> None:
@@ -164,11 +160,6 @@ class ASGraph:
     def links(self) -> Iterable[Tuple[Hashable, Hashable, Relationship]]:
         for a, b in graph.links(self.adjacency):
             yield a, b, self.adjacency[a][b]["rel"]
-
-    def link_latency(self, a: Hashable, b: Hashable) -> float:
-        """Propagation latency of one AS link in virtual time units (1.0 by
-        default: one per AS hop, as the message-charging simulation counts)."""
-        return self.adjacency[a][b]["latency"]
 
     def validate(self) -> None:
         """Check the annotation invariants the routing layer relies on."""
@@ -290,14 +281,15 @@ def as_router_topology(asg: ASGraph, name: str = "as-graph"):
     AS-hop metrics directly comparable to ROFL's interdomain stretch
     denominators.
 
-    Every AS becomes an edge-role router named ``str(asn)``; links keep
-    their AS-level latencies (relationship annotations carry no meaning
-    for shortest-path protocols and are dropped).
+    Every AS becomes an edge-role router named ``str(asn)`` and every AS
+    link a link of the default latency, one unit per AS hop
+    (relationship annotations carry no meaning for shortest-path
+    protocols and are dropped).
     """
     topo = graph.RouterTopology(name)
     for asn in sorted(asg.ases(), key=repr):
         topo.add_router(str(asn), role="edge")
     for a, b, _rel in asg.links():
-        topo.add_link(str(a), str(b), latency_ms=asg.link_latency(a, b))
+        topo.add_link(str(a), str(b))
     topo.validate()
     return topo

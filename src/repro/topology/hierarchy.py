@@ -15,24 +15,20 @@ from repro.topology.asgraph import ASGraph
 
 
 def up_hierarchy(asg: ASGraph, asn: Hashable,
-                 include_backup: bool = False,
                  prune: Optional[Set[Hashable]] = None) -> Dict[Hashable, list]:
     """X's up-hierarchy graph G_X as a customer→provider DAG (``{AS: its
     providers}``, in discovery order).
 
     Contains ``asn`` itself plus every AS reachable by repeatedly following
-    (primary, and optionally backup) provider links.  ``prune`` removes the
-    given ASes — the paper allows X to "prune G_X to reduce its join and
-    maintenance overhead".
+    primary provider links (backup links carry no joins, Section 4.2).
+    ``prune`` removes the given ASes — the paper allows X to "prune G_X to
+    reduce its join and maintenance overhead".
     """
     dag: Dict[Hashable, List[Hashable]] = {asn: []}
     frontier = [asn]
     while frontier:
         current = frontier.pop()
-        uplinks = asg.providers(current)
-        if include_backup:
-            uplinks += asg.backup_providers(current)
-        for provider in uplinks:
+        for provider in asg.providers(current):
             if prune and provider in prune:
                 continue
             dag[current].append(provider)
@@ -42,10 +38,9 @@ def up_hierarchy(asg: ASGraph, asn: Hashable,
     return dag
 
 
-def up_hierarchy_levels(asg: ASGraph, asn: Hashable,
-                        include_backup: bool = False) -> List[Set[Hashable]]:
+def up_hierarchy_levels(asg: ASGraph, asn: Hashable) -> List[Set[Hashable]]:
     """Levels of G_X by provider-hop distance: [ {X}, providers, … ]."""
-    dag = up_hierarchy(asg, asn, include_backup=include_backup)
+    dag = up_hierarchy(asg, asn)
     levels: List[Set[Hashable]] = []
     current = {asn}
     seen: Set[Hashable] = set()
@@ -87,9 +82,8 @@ class HierarchyIndex:
     set operations.
     """
 
-    def __init__(self, asg: ASGraph, include_backup: bool = False):
+    def __init__(self, asg: ASGraph):
         self.asg = asg
-        self.include_backup = include_backup
         self._down: Dict[Hashable, Set[Hashable]] = {}
         self._up: Dict[Hashable, List[Hashable]] = {}
         for asn in asg.ases():
@@ -100,8 +94,7 @@ class HierarchyIndex:
     def _compute_up_chain(self, asn: Hashable) -> List[Hashable]:
         """ASes of G_X ordered by provider-hop level (BFS order)."""
         order: List[Hashable] = []
-        for level in up_hierarchy_levels(self.asg, asn,
-                                         include_backup=self.include_backup):
+        for level in up_hierarchy_levels(self.asg, asn):
             order.extend(sorted(level, key=str))
         return order
 

@@ -326,10 +326,6 @@ class WorkloadDriver:
             "faults_fired": len(self.fault_log),
             "events_run": self.loop.events_run,
             "final_live_hosts": len(self.live_hosts()),
-            # Rows streamed.  The one key of the view that says whether
-            # the run was observed; it leaves on the next view bump.
-            "metrics_windows": (len(self.metrics.samples)
-                                if stream is not None else 0),
         }
         return WorkloadResult(
             scenario=scenario.to_dict(),

@@ -51,8 +51,10 @@ class MetricsRecorder:
         self._win_stretches: List[float] = []
         self._win_joins = 0
         self._win_departures = 0
-        self._last_total_messages = 0
-        self._last_data_messages = 0
+        # The first window counts from here: messages spent before the
+        # recorder exists (bootstrap, warm-up joins) are set-up, not load.
+        self._last_total_messages = stats.total_messages()
+        self._last_data_messages = stats.messages.get("data", 0)
 
     # -- event hooks --------------------------------------------------------
 

@@ -124,6 +124,27 @@ def test_malformed_scenario_step_expects_exit_2_and_one_line(tmp_path):
     assert settings.get_profile("fuzz").max_examples == 10 ** 4
 
 
+def test_unopenable_path_and_bad_port_step_expects_exit_2_and_one_line(
+        tmp_path):
+    """A snapshot that is not there, a metrics stream in a directory that
+    is not there (a traceback after the build) and a port past 65535 (an
+    ``OverflowError`` from ``bind()`` after the build): each exits 2 with
+    nothing on stdout and one line on stderr, run here as CI runs it."""
+    script = _bench_smoke_step("--tcp 70000")
+    for expected in ("snapshot info $dir/missing.snap",
+                     "--metrics-out $dir/no/m.jsonl", "test $status -eq 2",
+                     "test ! -s $dir/out"):
+        assert expected in script
+    done = subprocess.run(
+        ["bash", "-e", "-c", script.replace("python -m", sys.executable
+                                            + " -m")],
+        cwd=Path(__file__).resolve().parent.parent, capture_output=True,
+        text=True, env={"TMPDIR": str(tmp_path), "PATH": "/usr/bin:/bin"})
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count("repro: ") == 2
+    assert done.stdout.count("repro serve: error: argument --tcp: ") == 1
+
+
 def test_compare_stretch_step_passes_no_flag_but_json(tmp_path):
     """The gate runs the registry's head-to-head at the registry's sizes
     (the command has no size flags), and its inline asserts hold on the

@@ -260,6 +260,49 @@ def test_a_tracing_flag_out_of_range_is_a_usage_error(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["workload", "steady-churn", "--metrics-out", "{missing}/m.jsonl"],
+    ["workload", "steady-churn", "--json", "{missing}/v.json"],
+    ["workload", "steady-churn", "--trace-out", "{missing}/t.jsonl"],
+    ["snapshot", "save", "{missing}/s.snap", "--hosts", "20"],
+    ["snapshot", "info", "{missing}/s.snap"],
+    ["serve", "--snapshot", "{missing}/s.snap"],
+    ["serve", "--hosts", "5", "--requests", "{missing}/r.jsonl"],
+    ["report", "--metrics", os.devnull, "--out", "{missing}/r.md"],
+], ids=["metrics-out", "json", "trace-out", "snapshot-save", "snapshot-info",
+        "serve-snapshot", "serve-requests", "report-out"])
+def test_a_path_that_cannot_be_opened_exits_2_with_one_line(tmp_path, capsys,
+                                                            argv):
+    """Each was a ``FileNotFoundError`` traceback with exit 1 (``--json``
+    and ``snapshot save`` only after the whole run or build)."""
+    missing = tmp_path / "no"
+    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("repro: ") and str(missing) in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--tcp", "99999"], "--tcp"),
+    (["--tcp", "-1"], "--tcp"),
+    (["--tcp-timeout", "0"], "--tcp-timeout"),
+    (["--tcp-timeout", "-5"], "--tcp-timeout"),
+    (["--tcp-timeout", "nan"], "--tcp-timeout"),
+    (["--tcp-timeout", "inf"], "--tcp-timeout"),
+], ids=["port-too-high", "negative-port", "zero-timeout", "negative-timeout",
+        "nan-timeout", "infinite-timeout"])
+def test_a_transport_flag_out_of_range_is_a_usage_error(capsys, argv, flag):
+    """The port was an ``OverflowError`` traceback from ``bind()`` after
+    the whole build, and a timeout no socket takes was accepted (both
+    exited 0 here, where ``--requests`` takes the session off TCP)."""
+    with pytest.raises(SystemExit) as exited:
+        main(["serve", "--hosts", "5", "--requests", os.devnull] + argv)
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument {}: ".format(flag) in err
+    assert "Traceback" not in err
+
+
 def test_workload_builtin_runs_and_reports(capsys):
     assert main(["workload", "steady-churn"]) == 0
     out = capsys.readouterr().out
@@ -383,17 +426,18 @@ def test_snapshot_cli_rejects_header_without_state_hash(tmp_path, capsys,
 def test_a_schema_1_snapshot_is_refused_with_exit_2(tmp_path, capsys,
                                                     command):
     """What a user holding a pre-PR-20 file (schema 1) meets, and one
-    holding a schema-2 file, or a schema-3 one from before the per-ID
-    records were slotted: one line saying which schema the file has, which
-    one this build reads and what to do."""
-    for old in (1, 2, 3):
+    holding a schema-2 file, a schema-3 one from before the per-ID records
+    were slotted, or a schema-4 one that still stores the state schema 5
+    retired: one line saying which schema the file has, which one this
+    build reads and what to do."""
+    for old in (1, 2, 3, 4):
         path = _saved_with_header(tmp_path, lambda h: h.update(schema=old))
         capsys.readouterr()
         assert main(command + [str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert captured.err.startswith("repro: snapshot ")
-        for part in ("schema version {}".format(old), "reads version 4",
+        for part in ("schema version {}".format(old), "reads version 5",
                      "re-create"):
             assert part in captured.err
 

@@ -37,8 +37,7 @@ def test_up_hierarchy_covers_all_provider_paths(diamond):
 def test_up_hierarchy_excludes_backup_by_default(diamond):
     gx = up_hierarchy(diamond, "S-backup")
     assert "T2a" not in gx
-    gx_backup = up_hierarchy(diamond, "S-backup", include_backup=True)
-    assert "T2a" in gx_backup
+    assert gx["S-backup"] == ["T2b"]
 
 
 def test_up_hierarchy_pruning(diamond):

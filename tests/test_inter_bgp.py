@@ -79,10 +79,9 @@ def test_backup_links_excluded_by_default():
     asg.add_as("C", tier=3)
     asg.add_peering("P", "Q")
     asg.add_customer_provider("C", "P", backup=True)
-    no_backup = BgpBaseline(asg, use_backup=False)
-    assert no_backup.policy_distance("Q", "C") is None
-    with_backup = BgpBaseline(asg, use_backup=True)
-    assert with_backup.policy_distance("Q", "C") == 2
+    bgp = BgpBaseline(asg)
+    assert bgp.policy_distance("Q", "C") is None
+    assert bgp.policy_distance("C", "Q") is None
 
 
 def test_synthetic_graph_all_pairs_policy_reachable():
