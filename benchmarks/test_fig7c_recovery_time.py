@@ -11,6 +11,7 @@ The bench measures both clocks over random single-link failures.
 from repro.linkstate.protocol import FloodModel, OspfTimers
 from repro.linkstate.spf import PathCache
 from repro.intra.network import IntraDomainNetwork
+from repro.intra.virtualnode import uses_link
 from repro.topology.isp import synthetic_isp
 from repro.util.rng import derive_rng
 
@@ -37,7 +38,7 @@ def run_experiment():
         dropped = 0
         for router in net.routers.values():
             dropped += router.cache.invalidate_where(
-                lambda p: p.uses_link(a, b))
+                lambda iv, route: uses_link(route, a, b))
         rofl_ms = ospf_ms + LOCAL_INVALIDATION_MS
         rows.append({"link": (a, b), "ospf_ms": ospf_ms,
                      "rofl_ms": rofl_ms, "cache_dropped": dropped})

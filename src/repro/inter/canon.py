@@ -302,8 +302,9 @@ def _fill_as_caches(net: "InterDomainNetwork", route: tuple,
         if asn == target.home_as:
             continue
         suffix = tuple(route[i:])
-        net.ases[asn].cache.put(ASPointer(target.id, target.home_as,
-                                          suffix, kind="cache"))
+        net.ases[asn].cache.put(target.id.value,
+                                ASPointer(target.id, target.home_as, suffix,
+                                          kind="cache"))
 
 
 def _update_blooms(net: "InterDomainNetwork", vn: InterVirtualNode) -> None:

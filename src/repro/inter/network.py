@@ -248,7 +248,7 @@ class InterDomainNetwork(Network):
             # it held, so the next flush re-diffs each touched VN once.
             for other in self.ases.values():
                 other.cache.invalidate_where(
-                    lambda p: p.dest_id in dead_ids or asn in p.as_route)
+                    lambda iv, p: p.dest_id in dead_ids or asn in p.as_route)
                 for hosted in other.hosted.values():
                     if hosted.drop_dead_targets(dead_ids):
                         other.mark_dirty(hosted)

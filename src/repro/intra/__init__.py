@@ -12,6 +12,7 @@ Entry point: :class:`repro.intra.network.IntraDomainNetwork`.
 
 from repro.intra.network import IntraDomainNetwork
 from repro.intra.virtualnode import VirtualNode, Pointer
-from repro.intra.pointercache import PointerCache
+from repro.intra.pointercache import PointerCache, RouteCache
 
-__all__ = ["IntraDomainNetwork", "VirtualNode", "Pointer", "PointerCache"]
+__all__ = ["IntraDomainNetwork", "VirtualNode", "Pointer", "PointerCache",
+           "RouteCache"]

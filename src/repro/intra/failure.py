@@ -26,7 +26,8 @@ from typing import Iterable, List, Set, TYPE_CHECKING
 from repro.idspace.identifier import FlatId
 from repro.intra.partition import heal_components
 from repro.intra.ring import join_internal, splice_out
-from repro.intra.virtualnode import Pointer, VirtualNode
+from repro.intra.virtualnode import (Pointer, VirtualNode, traverses,
+                                     uses_link)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.intra.network import IntraDomainNetwork
@@ -210,27 +211,28 @@ def purge_pointers_via(net: "IntraDomainNetwork", dead_router: str,
     """Drop every pointer that traverses ``dead_router`` or targets an ID
     that was resident there.  Local operation (LSA-driven), free."""
     dropped = 0
+    dead_ivs = {flat_id.value for flat_id in dead_ids}
     for router in net.routers.values():
         if router.name == dead_router:
             continue
         dropped += router.cache.invalidate_where(
-            lambda p: p.traverses(dead_router) or p.dest_id in dead_ids)
+            lambda iv, route: traverses(route, dead_router) or iv in dead_ivs)
         for vn in router.vn_table.values():
             before = len(vn.successors)
             vn.successors = [p for p in vn.successors
-                             if not p.traverses(dead_router)
+                             if not traverses(p.path, dead_router)
                              and p.dest_id not in dead_ids]
             if len(vn.successors) != before:
                 router.mark_dirty(vn)
                 dropped += before - len(vn.successors)
             doomed = [eid for eid, p in vn.ephemeral_children.items()
-                      if p.traverses(dead_router) or eid in dead_ids]
+                      if traverses(p.path, dead_router) or eid in dead_ids]
             for eid in doomed:
                 del vn.ephemeral_children[eid]
                 router.mark_dirty(vn)
                 dropped += 1
             if (vn.predecessor is not None
-                    and (vn.predecessor.traverses(dead_router)
+                    and (traverses(vn.predecessor.path, dead_router)
                          or vn.predecessor.dest_id in dead_ids)):
                 vn.predecessor = None
                 dropped += 1
@@ -245,5 +247,6 @@ def link_failure(net: "IntraDomainNetwork", a: str, b: str) -> int:
     net.lsmap.fail_link(a, b)
     dropped = 0
     for router in net.routers.values():
-        dropped += router.cache.invalidate_where(lambda p: p.uses_link(a, b))
+        dropped += router.cache.invalidate_where(
+            lambda iv, route: uses_link(route, a, b))
     return dropped

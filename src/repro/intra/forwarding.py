@@ -77,26 +77,32 @@ def _route(net, start_router, dest_id, mode, category):
     """The walk: one :meth:`RoflRouter.best_match` per router crossed and
     otherwise only locals — the routers, the live adjacency and the
     committed pointer's source route are bound once, not re-fetched per
-    hop."""
+    hop.  A cache win is committed as its target int and route; a
+    :class:`Pointer` is built for it only on the NACK, repair and
+    revalidation branches."""
     tr = trace.packet_span("intra.packet", start=start_router,
                            dest=dest_id.to_hex(),
                            mode=mode) if trace.ENABLED else None
     data = mode == "data"   # doubles as Algorithm 2's ``include_ephemeral``
     routers = net.routers
     adj = net.lsmap.adjacency
-    infinity = net.space.size  # any real candidate beats it
+    space = net.space
+    infinity = space.size  # any real candidate beats it
     dest_iv = dest_id.value
     # Lookups aim at the spot just before the target so greedy routing
     # converges on the target's predecessor even if the target exists.
-    greedy_dest = dest_id if data else net.space.make(dest_iv - 1)
+    greedy_dest = dest_id if data else space.make(dest_iv - 1)
 
     current = start_router
     path = [start_router]
     delivered, reason, final_vn = False, "in-flight", None
     pointer_hops, used_cache, latency_ms = 0, False, 0.0
-    committed: Optional[Pointer] = None
+    # The committed target's ID int, and its ring pointer (``None`` while
+    # the commitment is a cache entry's route).
+    committed: Optional[int] = None
+    held: Optional[Pointer] = None
     committed_dist = infinity
-    source_route, hosting, step = (), None, 0   # of ``committed``
+    source_route, hosting, step = (), None, 0   # of the commitment
 
     try:
         while pointer_hops <= MAX_POINTER_HOPS:
@@ -118,33 +124,34 @@ def _route(net, start_router, dest_id, mode, category):
                         tr.event("shortcut", router=current, distance=closer)
                     committed = None
                     continue
-            elif committed is not None \
-                    and committed.dest_id.value not in resident:
+            elif committed is not None and committed not in resident:
                 # NACK: the source route was live but its target ID is not
                 # here — a stale pointer beyond the teardown/move
                 # notification window.  Invariant (b) is enforced lazily: if
                 # the ID now lives elsewhere (host moved), the owner
                 # re-routes its pointer; if it is gone, the owner deletes
                 # it.  Either way, routing restarts from this router.
+                stale = held if held is not None \
+                    else _cache_pointer(space, committed, source_route)
                 owner = routers.get(source_route[0])
-                target_vn = net.vn_index.get(committed.dest_id)
+                target_vn = net.vn_index.get(stale.dest_id)
                 if (target_vn is not None
                         and net.lsmap.is_router_up(target_vn.router)
-                        and routers[target_vn.router].hosts_id(committed.dest_id)):
+                        and routers[target_vn.router].hosts_id(stale.dest_id)):
                     new_path = net.paths.hop_path(source_route[0],
                                                   target_vn.router)
                     if owner is not None and new_path is not None:
                         owner.reroute_pointer(
-                            committed, committed.rerouted(tuple(new_path)))
+                            stale, stale.rerouted(tuple(new_path)))
                     action = "reroute"
                 else:
                     if owner is not None:
-                        owner.drop_pointer(committed)
-                    router.cache.invalidate_id(committed.dest_id)
+                        owner.drop_pointer(stale)
+                    router.cache.invalidate_id(stale.dest_id)
                     action = "teardown"
                 if tr is not None:
                     tr.event("nack", router=current, action=action,
-                             target=committed.dest_id.to_hex())
+                             target=stale.dest_id.to_hex())
                 committed = None
                 committed_dist = infinity
                 continue
@@ -154,7 +161,7 @@ def _route(net, start_router, dest_id, mode, category):
                 if match is None:
                     reason = "no routing state"
                     break
-                _, pointer, resident_vn, distance = match
+                target, route, pointer, resident_vn, distance = match
                 stalled = distance >= committed_dist
                 if resident_vn is not None:
                     # The closest ID we know is resident right here.
@@ -181,27 +188,33 @@ def _route(net, start_router, dest_id, mode, category):
                 if stalled:
                     reason = "no progress available"
                     break
-                pointer = net.validate_pointer(router, pointer)
-                if pointer is None:
-                    # Stale source route with unreachable target: the
-                    # pointer was torn down; re-evaluate with it gone.
-                    continue
-                committed = pointer
-                source_route, step = pointer.path, 0
-                hosting = source_route[-1]
+                if pointer is not None or not net.lsmap.path_is_live(route):
+                    # A ring pointer, or a cache entry whose route died and
+                    # is revalidated as the pointer it stands for: repaired,
+                    # or torn down (then re-evaluate with it gone).
+                    pointer = net.validate_pointer(
+                        router, pointer if pointer is not None
+                        else _cache_pointer(space, target, route))
+                    if pointer is None:
+                        continue
+                    route = pointer.path
+                committed, held = target, pointer
+                source_route, step = route, 0
+                hosting = route[-1]
                 committed_dist = distance
                 pointer_hops += 1
-                used_cache = used_cache or pointer.kind == "cache"
+                kind = "cache" if pointer is None else pointer.kind
+                used_cache = used_cache or kind == "cache"
                 if tr is not None:
-                    tr.decision(router=current, rule=pointer.kind,
-                                target=pointer.dest_id.to_hex(),
+                    tr.decision(router=current, rule=kind,
+                                target=space.make(target).to_hex(),
                                 distance=distance)
                 if len(source_route) == 1:
                     # Zero-hop pointer: if the target ID is (still)
                     # resident at this very router, adopt its ring position
                     # and re-decide; if not, the pointer stays committed and
                     # the NACK branch above takes it on the next turn.
-                    if pointer.dest_id.value in resident:
+                    if target in resident:
                         committed = None
                     continue
 
@@ -212,18 +225,19 @@ def _route(net, start_router, dest_id, mode, category):
             hop_ms = None if nbrs is None else nbrs.get(next_router)
             if hop_ms is None:
                 # The route broke under us; repair from here or tear down.
-                pointer = net.validate_pointer(router, committed,
-                                               from_router=current)
+                broken = held if held is not None \
+                    else _cache_pointer(space, committed, source_route)
+                held = net.validate_pointer(router, broken,
+                                            from_router=current)
                 if tr is not None:
                     tr.event("repair", router=current,
-                             target=committed.dest_id.to_hex(),
-                             repaired=pointer is not None)
-                if pointer is None:
+                             target=broken.dest_id.to_hex(),
+                             repaired=held is not None)
+                if held is None:
                     committed = None
                     committed_dist = infinity
                     continue
-                committed = pointer
-                source_route, step = pointer.path, 0
+                source_route, step = held.path, 0
                 hosting = source_route[-1]
                 next_router = source_route[1]
                 hop_ms = nbrs[next_router]
@@ -245,6 +259,12 @@ def _route(net, start_router, dest_id, mode, category):
         trace.close_span(tr)
     return ForwardingOutcome(delivered, reason, path, pointer_hops,
                              used_cache, final_vn, latency_ms)
+
+
+def _cache_pointer(space, target: int, route) -> Pointer:
+    """A cache entry as the :class:`Pointer` it stands for, built only for
+    the rare branches that hand a pointer on."""
+    return Pointer(space.make(target), route, "cache")
 
 
 def _overshoots_all(net: "IntraDomainNetwork", vn: VirtualNode,

@@ -80,7 +80,7 @@ def _heal_one_component(net: "IntraDomainNetwork", component: Set[str]) -> None:
     for router_name in component:
         router = net.routers[router_name]
         router.cache.invalidate_where(
-            lambda p: not net.lsmap.path_is_live(p.path))
+            lambda iv, route: not net.lsmap.path_is_live(route))
 
     for i, vn in enumerate(members):
         # Shift the successor group down past unreachable IDs (free: "it

@@ -291,7 +291,6 @@ def _fill_caches(net: "IntraDomainNetwork", path: Sequence[str],
     """
     if not net.cache_fill_enabled:
         return
-    path = list(path)   # so every slice below is a fresh object
     routers = net.routers
     for target in ids:
         vn = net.vn_index.get(target)
@@ -303,17 +302,17 @@ def _fill_caches(net: "IntraDomainNetwork", path: Sequence[str],
         if not at:
             continue
         passed = 0
+        iv = target.value
         for i, router_name in enumerate(path):
             if router_name == vn.router:
                 passed += 1
             else:
                 # Its first occurrence ahead, else the nearest one behind
-                # (the message came from there: reversed prefix).  One new
-                # tuple per pointer: the state hash sees shared objects.
+                # (the message came from there: reversed prefix).  The
+                # cache keeps its own interned copy of the route.
                 route = path[i:at[passed] + 1] if passed < len(at) \
                     else reversed(path[at[-1]:i + 1])
-                routers[router_name].cache.put(
-                    Pointer(target, tuple(route), "cache"))
+                routers[router_name].cache.put(iv, tuple(route))
                 vn.cached_at.add(router_name)
 
 

@@ -6,7 +6,7 @@ Each router owns:
   including the router's *default virtual node* whose ID is the router-ID
   — "its successors act as default routes if it has no other successors
   that it can use to make progress";
-* a bounded :class:`PointerCache` (``PC`` in Algorithm 2);
+* a bounded :class:`RouteCache` (``PC`` in Algorithm 2);
 * an *incrementally maintained* sorted index over every ID the router
   knows (resident IDs, their successor groups, parked ephemeral IDs) so
   Algorithm 2's ``VN.best_match`` runs in ``O(log n)``.  The paper makes
@@ -26,17 +26,22 @@ from bisect import bisect_right
 from typing import Dict, List, NamedTuple, Optional, Union
 
 from repro.idspace.identifier import FlatId, RingSpace
-from repro.intra.pointercache import PointerCache
+from repro.intra.pointercache import Route, RouteCache
 from repro.intra.virtualnode import Pointer, VirtualNode
 from repro.obs import trace
 from repro.util.ringmap import CandidateIndex
 
 
 class BestMatch(NamedTuple):
-    """Result of a router's local best-match evaluation."""
+    """Result of a router's local best-match evaluation: a resident ID, a
+    ring pointer, or a pointer-cache entry — its target and route, with no
+    :class:`Pointer` built for it."""
 
-    dest_id: FlatId
-    #: ``None`` when the match is a locally resident ID (no hop needed).
+    #: The matched ID's int value.
+    target: int
+    #: The source route to it; ``None`` for a locally resident ID.
+    route: Optional[Route]
+    #: The ring pointer; ``None`` for a resident ID or a cache entry.
     pointer: Optional[Pointer]
     resident_vn: Optional[VirtualNode]
     distance: int
@@ -62,7 +67,7 @@ class RoflRouter:
         self.space = space
         self.router_id = space.hash_of(("router:" + name).encode("utf-8"))
         self.vn_table: Dict[FlatId, VirtualNode] = {}
-        self.cache = PointerCache(space, cache_entries)
+        self.cache = RouteCache(space, cache_entries)
         self.default_vn = VirtualNode(id=self.router_id, router=name)
         self.vn_table[self.router_id] = self.default_vn
         self._build_candidates()
@@ -136,18 +141,19 @@ class RoflRouter:
         successor groups and parked ephemeral IDs — then ``PC.best_match``,
         which wins only when strictly closer (lines 5–10).
 
-        Returns a :class:`BestMatch`, or ``None`` with no routing state.
+        Returns a :class:`BestMatch`, or ``None`` with no routing state; a
+        cache win is its entry's ID int and route, no :class:`Pointer`.
         Mid-source-route routers only ask whether anything beats what is
         committed: with ``closer_than`` the answer is the best distance if
         it is strictly below that bound, else ``None``, and nothing is
         built.  Either way the cache is probed exactly as
-        :meth:`PointerCache.best_match` would (inlined here: hit/miss
+        :meth:`RouteCache.best_match` would (inlined here: hit/miss
         accounting and the LRU touch are serialized state).
         """
         dest_iv = dest.value
         mask = self.space.mask
         ivalues, candidates = self._candidates.columns()
-        vn = pointer = distance = None
+        vn = pointer = distance = cached_iv = None
         # The paper's TCAM lookup: the entry at or right before ``dest`` in
         # sorted order (index -1 wraps); walk back past inadmissible ones.
         position = bisect_right(ivalues, dest_iv) - 1
@@ -173,29 +179,31 @@ class RoflRouter:
                 trace.event_in_current("cache.miss", router=self.name,
                                        dest=dest.to_hex())
         else:
-            cached_iv = cached[bisect_right(cached, dest_iv) - 1]
+            probed = cached[bisect_right(cached, dest_iv) - 1]
             cache.hits += 1
-            cache._lru.move_to_end(cached_iv)
-            cached_dist = (dest_iv - cached_iv) & mask
-            if distance is not None and cached_dist >= distance:
-                if trace.ENABLED:
-                    trace.event_in_current(
-                        "cache.reject", router=self.name, dest=dest.to_hex(),
-                        target=cache._lru[cached_iv].dest_id.to_hex())
-            else:
-                vn, pointer, distance = None, cache._lru[cached_iv], cached_dist
-                if trace.ENABLED:
-                    trace.event_in_current("cache.hit", router=self.name,
-                                           dest=dest.to_hex(),
-                                           target=pointer.dest_id.to_hex())
+            cache._lru.move_to_end(probed)
+            cached_dist = (dest_iv - probed) & mask
+            won = distance is None or cached_dist < distance
+            if won:
+                cached_iv, distance = probed, cached_dist
+            if trace.ENABLED:
+                trace.event_in_current(
+                    "cache.hit" if won else "cache.reject", router=self.name,
+                    dest=dest.to_hex(),
+                    target=self.space.make(probed).to_hex())
 
         if closer_than is not None:
             return distance if distance is not None \
                 and distance < closer_than else None
-        if distance is None:
-            return None
-        return BestMatch(vn.id if pointer is None else pointer.dest_id,
-                         pointer, vn, distance)
+        if cached_iv is not None:
+            return BestMatch(cached_iv, cache._lru[cached_iv], None, None,
+                             distance)
+        if pointer is not None:
+            return BestMatch(pointer.dest_id.value, pointer.path, pointer,
+                             None, distance)
+        if vn is not None:
+            return BestMatch(vn.id.value, None, None, vn, distance)
+        return None
 
     def vn_best_match_scan(self, dest: FlatId,
                            include_ephemeral: bool = True) -> Optional[BestMatch]:
@@ -210,7 +218,9 @@ class RoflRouter:
             dist = self.space.distance_cw(cand_id, dest)
             if best is None or dist < best.distance or (
                     dist == best.distance and vn is not None):
-                best = BestMatch(cand_id, pointer, vn, dist)
+                best = BestMatch(cand_id.value,
+                                 None if pointer is None else pointer.path,
+                                 pointer, vn, dist)
 
         for vn in self.vn_table.values():
             if include_ephemeral or not vn.ephemeral:
@@ -238,8 +248,10 @@ class RoflRouter:
                 self.mark_dirty(vn)
 
     def reroute_pointer(self, old: Pointer, new: Pointer) -> None:
-        """Swap in a repaired source route for an existing pointer."""
-        self.cache.replace(new)
+        """Swap in a repaired source route for an existing pointer.  A
+        cache entry for the same ID takes the route alone: it stays a
+        ``"cache"`` entry whatever kind ``new`` is."""
+        self.cache.replace(new.dest_id.value, new.path)
         for vn in self.vn_table.values():
             changed = False
             for i, ptr in enumerate(vn.successors):

@@ -6,7 +6,8 @@ owns:
 
 * a *successor group* — ordered pointers to the next IDs clockwise, each
   carrying a router-level source route ("to increase resilience to ID
-  failure, nodes can hold multiple successors");
+  failure, nodes can hold multiple successors") that :func:`traverses`
+  and :func:`uses_link` test;
 * a predecessor pointer;
 * for the consistency machinery, the set of routers known to cache state
   about this ID ("this list is stored by the router hosting the
@@ -53,19 +54,22 @@ class Pointer:
     def n_hops(self) -> int:
         return len(self.path) - 1
 
-    def traverses(self, router: str) -> bool:
-        return router in self.path
-
-    def uses_link(self, a: str, b: str) -> bool:
-        path = self.path
-        # Most pointers miss an end outright: two C-level scans, no pairs.
-        if a not in path or b not in path:
-            return False
-        return any((x == a and y == b) or (x == b and y == a)
-                   for x, y in zip(path, path[1:]))
-
     def rerouted(self, new_path: Tuple[str, ...]) -> "Pointer":
         return Pointer(dest_id=self.dest_id, path=tuple(new_path), kind=self.kind)
+
+
+# Route predicates: a ring pointer's ``path`` and a cached route alike.
+
+def traverses(path: Tuple[str, ...], router: str) -> bool:
+    return router in path
+
+
+def uses_link(path: Tuple[str, ...], a: str, b: str) -> bool:
+    # Most routes miss an end outright: two C-level scans, no pairs.
+    if a not in path or b not in path:
+        return False
+    return any((x == a and y == b) or (x == b and y == a)
+               for x, y in zip(path, path[1:]))
 
 
 @dataclass(slots=True)

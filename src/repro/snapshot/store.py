@@ -2,7 +2,7 @@
 
 Format — self-describing, one file::
 
-    line 1   JSON header: {"magic": "repro-snapshot", "schema": 5,
+    line 1   JSON header: {"magic": "repro-snapshot", "schema": 6,
                            "kind": "...", "state_hash": "...",
                            "counts": {...}, "meta": {...}}
     line 2+  zlib-compressed pickle of the network object graph
@@ -44,8 +44,8 @@ from repro.snapshot.codec import gc_paused, state_hash_of
 from repro.util import perf
 
 #: Bump on any incompatible change to the header, payload layout or
-#: canonical byte stream (5: DESIGN.md §10, "Schema 5").
-SCHEMA_VERSION = 5
+#: canonical byte stream (6: DESIGN.md §10, "Schema 6").
+SCHEMA_VERSION = 6
 MAGIC = "repro-snapshot"
 
 #: What every header carries besides ``magic`` and ``schema``, and as what.

@@ -14,9 +14,15 @@ adopted a *zero-hop* pointer's ring position without asking whether its
 target was still resident, so a stale same-router successor entry stalled
 every walk that chose it.  ``_route``'s zero-hop branch now asks
 ``router.hosts_id(pointer.dest_id)`` — the condition ``forwarding._route``
-tests as ``pointer.dest_id.value in resident`` — and otherwise leaves the
-pointer committed for the NACK branch.  That ``if`` and the two reads
-above are the only lines that differ from the parent's file.
+tests as ``target in resident`` — and otherwise leaves the pointer
+committed for the NACK branch.
+
+Sanctioned, snapshot schema 6 (flat pointer caches): the cache call
+signature.  ``_fill_caches`` hands a router's cache the target's ID int
+and the route (``cache.put(target.value, tuple(suffix))``), not a
+``Pointer``; the cache keeps no pointer, and its ``best_match`` builds the
+``"cache"`` pointer this engine reads.  That call, the ``if`` and the two
+reads above are the only lines that differ from the parent's file.
 
 Until PR 19 one physical hop cost 28 Python-level calls: ``_route`` asked
 ``RoflRouter.best_match`` → ``vn_best_match`` (``flush`` / ``columns`` /
@@ -363,8 +369,7 @@ def _fill_caches(net: "IntraDomainNetwork", path: Sequence[str],
             suffix = _route_toward(net, path, i, vn.router)
             if suffix is None:
                 continue
-            net.routers[router_name].cache.put(
-                Pointer(target, tuple(suffix), "cache"))
+            net.routers[router_name].cache.put(target.value, tuple(suffix))
             vn.cached_at.add(router_name)
 
 

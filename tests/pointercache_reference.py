@@ -5,6 +5,11 @@ schema 2 (PR 20), kept verbatim as the oracle of the model-based test in
 what this ``OrderedDict`` + ``SortedRingMap`` pair gives.
 
 Do not optimise or tidy this file; its value is that it does not change.
+Sanctioned, snapshot schema 6 (flat pointer caches): the call signature.
+``put`` and ``replace`` take the target's ID int and the entry's value (a
+route), and ``invalidate_where`` hands its predicate ``(iv, value)``; the
+bodies read the ID from ``iv`` where they read ``pointer.dest_id``.  Those
+three methods are the only lines that differ from the parent's file.
 """
 
 from __future__ import annotations
@@ -44,12 +49,11 @@ class PointerCache:
     def __contains__(self, dest_id: FlatId) -> bool:
         return dest_id.value in self._lru
 
-    def put(self, pointer: Pointer) -> None:
+    def put(self, iv: int, pointer: Pointer) -> None:
         """Insert/refresh a cached pointer, evicting LRU on overflow."""
         if self.capacity == 0:
             return
-        dest = pointer.dest_id
-        iv = dest.value
+        dest = self.space.make(iv)
         if iv in self._lru:
             self._lru.pop(iv)
         elif len(self._lru) >= self.capacity:
@@ -97,21 +101,20 @@ class PointerCache:
         self._ring.discard(iv)
         return True
 
-    def invalidate_where(self, predicate: Callable[[Pointer], bool]) -> int:
+    def invalidate_where(self, predicate: Callable[[int, Pointer], bool]) -> int:
         """Drop every entry whose pointer matches ``predicate`` — e.g. all
         routes traversing a failed router or link.  Returns count dropped."""
-        doomed = [iv for iv, ptr in self._lru.items() if predicate(ptr)]
+        doomed = [iv for iv, ptr in self._lru.items() if predicate(iv, ptr)]
         for iv in doomed:
             self._lru.pop(iv)
             self._ring.discard(iv)
         return len(doomed)
 
-    def replace(self, pointer: Pointer) -> None:
+    def replace(self, iv: int, pointer: Pointer) -> None:
         """Refresh an entry's source route in place (path repair)."""
-        iv = pointer.dest_id.value
         if iv in self._lru:
             self._lru[iv] = pointer
-            self._ring.insert(pointer.dest_id, pointer)
+            self._ring.insert(self.space.make(iv), pointer)
 
     def entries(self) -> List[Pointer]:
         return list(self._lru.values())

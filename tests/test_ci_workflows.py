@@ -99,6 +99,21 @@ def _bench_smoke_step(marker):
     return step["run"]
 
 
+def test_the_evicting_snapshot_gate_passes(tmp_path):
+    """The 2k-host twin gate with 64-entry caches and a cut before the
+    save, run as CI runs it: the saved network and its loaded twin go on
+    (restore, joins, sends, another cut) and must still hash alike — the
+    intern tables of the router caches are derived state (~3 s)."""
+    script = re.search(r"<<'EOF'\n(.*)\nEOF", _bench_smoke_step(
+        "evicting 2k-host gate OK"), re.S).group(1)
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "evicting 2k-host gate OK" in done.stdout
+
+
 def test_malformed_scenario_step_expects_exit_2_and_one_line(tmp_path):
     """Four malformed files, each under ``timeout`` (``Infinity`` used to
     parse and never return; five ASes failed mid-build), each expected to

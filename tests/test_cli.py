@@ -427,17 +427,18 @@ def test_a_schema_1_snapshot_is_refused_with_exit_2(tmp_path, capsys,
                                                     command):
     """What a user holding a pre-PR-20 file (schema 1) meets, and one
     holding a schema-2 file, a schema-3 one from before the per-ID records
-    were slotted, or a schema-4 one that still stores the state schema 5
-    retired: one line saying which schema the file has, which one this
+    were slotted, a schema-4 one that still stores the state schema 5
+    retired, or a schema-5 one whose router caches hold a ``Pointer`` per
+    entry: one line saying which schema the file has, which one this
     build reads and what to do."""
-    for old in (1, 2, 3, 4):
+    for old in (1, 2, 3, 4, 5):
         path = _saved_with_header(tmp_path, lambda h: h.update(schema=old))
         capsys.readouterr()
         assert main(command + [str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert captured.err.startswith("repro: snapshot ")
-        for part in ("schema version {}".format(old), "reads version 5",
+        for part in ("schema version {}".format(old), "reads version 6",
                      "re-create"):
             assert part in captured.err
 

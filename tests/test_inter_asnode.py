@@ -111,7 +111,7 @@ class TestBestMatch:
     def test_cache_needs_bloom_clearance(self):
         node = RoflAS("AS-X", SPACE, cache_entries=8)
         node.host(make_vn(10))
-        node.cache.put(ptr(240, kind="cache"))
+        node.cache.put(240, ptr(240, kind="cache"))
         net = FakeNet()
         hit = node.best_match(net, SPACE.make(250))
         assert hit is not None and hit.pointer.kind == "cache"
@@ -198,7 +198,7 @@ class TestUpkeep:
         doomed = ptr(200)
         vn.set_successor(None, doomed)
         node.host(vn)
-        node.cache.put(ptr(200, kind="cache"))
+        node.cache.put(200, ptr(200, kind="cache"))
         node.drop_pointer(doomed)
         assert SPACE.make(200) not in node.cache
         assert not vn.succ_by_level
@@ -209,7 +209,7 @@ class TestUpkeep:
         vn.set_successor(None, ptr(200))
         vn.fingers = [ptr(50, kind="finger")]
         node.host(vn)
-        node.cache.put(ptr(240, kind="cache"))
+        node.cache.put(240, ptr(240, kind="cache"))
         # id itself + 1 succ + 1 finger + 1 cache entry
         assert node.state_entries() == 4
         assert node.state_entries(include_cache=False) == 3

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.intra.failure import directed_flood_cost
+from repro.intra.virtualnode import uses_link
 
 
 class TestHostFailure:
@@ -116,8 +117,8 @@ class TestLinkFailure:
         a, b = next(iter(net.lsmap.links()))
         net.fail_link(a, b)
         for router in net.routers.values():
-            for ptr in router.cache._lru.values():
-                assert not ptr.uses_link(a, b)
+            for route in router.cache._lru.values():
+                assert not uses_link(route, a, b)
 
     def test_delivery_survives_link_failures(self, intra_net_factory):
         net = intra_net_factory(n_hosts=60, seed=8)

@@ -14,6 +14,7 @@ from repro.idspace.identifier import FlatId
 from repro.intra import forwarding, ring
 from repro.intra.network import IntraDomainNetwork
 from repro.intra.ring import JoinError
+from repro.linkstate.lsdb import LinkStateMap
 from repro.obs import trace
 from repro.topology.isp import TCAM_ENTRIES, synthetic_isp
 from repro.util import perf
@@ -350,22 +351,25 @@ _CHURN = st.tuples(st.sampled_from(["fail_link", "fail_router", "fail_host",
 @pytest.fixture()
 def cut_under_packet(monkeypatch):
     """Arm with ``"link"`` or ``"router"``: the next source route a packet
-    commits to loses its last link (or its hosting router) right after it
-    validated — the only way a route breaks *under* a packet when one
-    ``route()`` call is one instant of simulated time."""
+    commits to loses its last link (or its hosting router) right after its
+    liveness check passed — the only way a route breaks *under* a packet
+    when one ``route()`` call is one instant of simulated time.  The check
+    is ``LinkStateMap.path_is_live``: both engines make it on every
+    commitment, the new one on a cached route without building a
+    pointer."""
     armed = []
-    validate = IntraDomainNetwork.validate_pointer
+    is_live = LinkStateMap.path_is_live
 
-    def cutting(net, router, pointer, from_router=None):
-        valid = validate(net, router, pointer, from_router)
-        if armed and valid is not None and valid.n_hops >= 2:
+    def cutting(lsmap, path):
+        live = is_live(lsmap, path)
+        if armed and live and len(path) >= 3:
             if armed.pop() == "link":
-                net.lsmap.fail_link(*valid.path[-2:])
+                lsmap.fail_link(*path[-2:])
             else:
-                net.lsmap.fail_router(valid.path[-1])
-        return valid
+                lsmap.fail_router(path[-1])
+        return live
 
-    monkeypatch.setattr(IntraDomainNetwork, "validate_pointer", cutting)
+    monkeypatch.setattr(LinkStateMap, "path_is_live", cutting)
     return armed
 
 

@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.idspace.identifier import RingSpace
+from repro.intra import forwarding
+from repro.intra.network import IntraDomainNetwork
 from repro.intra.router import RoflRouter
 from repro.intra.virtualnode import Pointer, VirtualNode
+from repro.topology.isp import synthetic_isp
 
 SPACE = RingSpace(bits=16)
 
@@ -69,7 +72,7 @@ class TestBestMatch:
         node.successors = [succ(200)]
         router.register_virtual_node(node)
         match = router.best_match(SPACE.make(210))
-        assert match.dest_id.value == 200 and match.resident_vn is None
+        assert match.target == 200 and match.resident_vn is None
 
     def test_ephemeral_children_visible_only_to_data(self):
         router = make_router()
@@ -78,37 +81,38 @@ class TestBestMatch:
             SPACE.make(150), ("r0", "r9"), "ephemeral")
         router.register_virtual_node(node)
         data = router.best_match(SPACE.make(150), include_ephemeral=True)
-        assert data.dest_id.value == 150
+        assert data.target == 150
         ctl = router.best_match(SPACE.make(150), include_ephemeral=False)
-        assert ctl.dest_id.value == 100
+        assert ctl.target == 100
 
     def test_ephemeral_residents_skipped_in_lookup(self):
         router = make_router()
         router.register_virtual_node(vn(100, ephemeral=True))
         match = router.best_match(SPACE.make(100), include_ephemeral=False)
-        assert match.dest_id.value != 100
+        assert match.target != 100
 
     def test_cache_shortcut_only_when_strictly_closer(self):
         router = make_router()
         node = vn(100)
         node.successors = [succ(150)]
         router.register_virtual_node(node)
-        router.cache.put(Pointer(SPACE.make(180), ("r0", "r2"), "cache"))
+        router.cache.put(180, ("r0", "r2"))
         match = router.best_match(SPACE.make(190))
-        assert match.dest_id.value == 180 and match.pointer.kind == "cache"
+        # A cache win is its entry's int and route: no pointer is built.
+        assert match == (180, ("r0", "r2"), None, None, 10)
         # Cache not closer than VN state → VN wins.
-        router.cache.put(Pointer(SPACE.make(120), ("r0", "r2"), "cache"))
+        router.cache.put(120, ("r0", "r2"))
         match = router.best_match(SPACE.make(151))
-        assert match.dest_id.value == 150
+        assert match.target == 150
 
     def test_index_invalidation_on_mutation(self):
         router = make_router()
         node = vn(100)
         router.register_virtual_node(node)
-        assert router.best_match(SPACE.make(300)).dest_id.value == 100
+        assert router.best_match(SPACE.make(300)).target == 100
         node.successors = [succ(250)]
         router.mark_dirty()
-        assert router.best_match(SPACE.make(300)).dest_id.value == 250
+        assert router.best_match(SPACE.make(300)).target == 250
 
 
 class TestPointerUpkeep:
@@ -117,7 +121,7 @@ class TestPointerUpkeep:
         node = vn(100)
         node.successors = [succ(200)]
         router.register_virtual_node(node)
-        router.cache.put(Pointer(SPACE.make(200), ("r0", "r1"), "cache"))
+        router.cache.put(200, ("r0", "r1"))
         router.drop_pointer(succ(200))
         assert node.successors == []
         assert SPACE.make(200) not in router.cache
@@ -138,10 +142,54 @@ class TestPointerUpkeep:
         node.successors = [succ(200), succ(300)]
         node.predecessor = Pointer(SPACE.make(50), ("r0", "r3"), "predecessor")
         router.register_virtual_node(node)
-        router.cache.put(Pointer(SPACE.make(1), ("r0", "r1"), "cache"))
+        router.cache.put(1, ("r0", "r1"))
         # default VN (1) + node (1 + 2 succ + 1 pred) + 1 cache entry
         assert router.state_entries() == 1 + 4 + 1
         assert router.state_entries(include_cache=False) == 5
+
+
+def _successor_with_a_spare_route(net):
+    """A router, a successor pointer of one of its VNs that leaves it by
+    a link the ISP can lose, and that link."""
+    for name, router in sorted(net.routers.items()):
+        for vn in router.vn_table.values():
+            for ptr in vn.successors:
+                if ptr.n_hops < 1:
+                    continue
+                link = ptr.path[:2]
+                net.lsmap.fail_link(*link)
+                spare = len(net.lsmap.components()) == 1
+                net.lsmap.restore_link(*link)
+                if spare:
+                    return router, ptr, link
+    raise AssertionError("no successor route with a spare link")
+
+
+def test_a_repaired_ring_pointer_leaves_a_cache_entry_a_cache_entry():
+    """``reroute_pointer`` once put the repaired ring pointer itself into
+    the cache, so a later packet that took that cache entry reported
+    ``used_cache=False`` and the trace rule ``"successor"``.  A cache entry
+    takes the repaired route alone."""
+    net = IntraDomainNetwork(synthetic_isp(n_routers=12, seed=1), seed=1)
+    net.join_random_hosts(20)
+    router, succ_ptr, link = _successor_with_a_spare_route(net)
+    target = succ_ptr.dest_id
+    net.fail_link(*link)            # ring pointers keep their dead route
+    spare = tuple(net.paths.hop_path(router.name, succ_ptr.hosting_router))
+    router.cache.put(target.value, spare)
+    # The successor wins the tie with the cache entry; its route is
+    # repaired at commit time, and the owner re-routes every copy.
+    first = forwarding.route(net, router.name, target)
+    assert first.delivered and not first.used_cache
+    repaired = router.cache._lru[target.value]
+    assert repaired == tuple(first.path) and repaired is not spare
+    # With the successor gone, the cache entry is the closest ID known.
+    for vn in router.vn_table.values():
+        if vn.drop_successor(target):
+            router.mark_dirty(vn)
+    assert router.cache.get(target).kind == "cache"
+    second = forwarding.route(net, router.name, target)
+    assert second.delivered and second.used_cache
 
 
 class TestFlushCoalescing:
@@ -193,7 +241,7 @@ def test_index_bookkeeping_adds_no_state_key():
     router.flush_index()
     assert set(router.__getstate__()) == {
         "name", "space", "router_id", "vn_table", "cache", "default_vn"}
-    assert set(vars(router.cache)) == {
+    assert set(router.cache.__getstate__()) == {
         "space", "capacity", "_lru", "_ivalues", "hits", "misses",
         "evictions"}
 

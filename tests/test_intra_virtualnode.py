@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.idspace.identifier import RingSpace
-from repro.intra.virtualnode import Pointer, VirtualNode
+from repro.intra.virtualnode import Pointer, VirtualNode, traverses, uses_link
 
 SPACE = RingSpace(bits=16)
 ROUTERS = ("r0", "r1", "r2", "r3")
@@ -15,7 +15,8 @@ def ptr(value, path=("r0", "r1", "r2")):
     return Pointer(SPACE.make(value), tuple(path), "successor")
 
 
-# ``Pointer.uses_link`` as it was before it tested both ends first, verbatim.
+# ``Pointer.uses_link`` as it was before it tested both ends first, verbatim
+# (a method then, of the pointer ``self``; now a function of its path).
 def two_set_uses_link(self, a: str, b: str) -> bool:
     return any({x, y} == {a, b} for x, y in zip(self.path, self.path[1:]))
 
@@ -32,10 +33,10 @@ class TestPointer:
             Pointer(SPACE.make(1), (), "successor")
 
     def test_traverses_and_uses_link(self):
-        p = ptr(5)
-        assert p.traverses("r1") and not p.traverses("rX")
-        assert p.uses_link("r0", "r1") and p.uses_link("r1", "r0")
-        assert not p.uses_link("r0", "r2")
+        path = ptr(5).path
+        assert traverses(path, "r1") and not traverses(path, "rX")
+        assert uses_link(path, "r0", "r1") and uses_link(path, "r1", "r0")
+        assert not uses_link(path, "r0", "r2")
 
     @given(path=st.lists(st.sampled_from(ROUTERS), min_size=1, max_size=8),
            a=st.sampled_from(ROUTERS), b=st.sampled_from(ROUTERS))
@@ -44,7 +45,7 @@ class TestPointer:
         """Against the predicate that built two sets per hop, on paths with
         repeated routers and with ``a == b``."""
         p = ptr(5, path)
-        assert p.uses_link(a, b) == two_set_uses_link(p, a, b)
+        assert uses_link(p.path, a, b) == two_set_uses_link(p, a, b)
 
     def test_slotted_records_take_no_stray_attribute(self):
         p = ptr(5)

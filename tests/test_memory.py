@@ -1,7 +1,8 @@
 """Memory budgets, stated beside the call budgets (DESIGN.md §5, §10).
 
-The paper reports routing state as memory per router (Fig 6c); these pin
-what the simulation spends on it, per resident host, on the shapes the
+The paper reports routing state as memory per router (Fig 6c) and sizes a
+router's pointer cache in entries (Fig 6a); these pin what the simulation
+spends on it, per resident host and per cached pointer, on the shapes the
 call budgets use, after 2 000 sends.  ``tracemalloc`` counts bytes
 allocated through Python's allocators, so the numbers are deterministic
 for one interpreter build; a warm-up build keeps import-time allocations
@@ -26,8 +27,9 @@ LEFT_BY_A_HASH = 250
 
 @pytest.mark.parametrize("kind, sizing, resident_budget", [
     # Measured 7 413 / 8 943 B per host with slotted records (8 227 / 9 853
-    # before); each budget is that plus 5 %.
-    ("intra", {"hosts": 500}, 7_784),
+    # before), intra 6 836 since the flat router caches of snapshot schema
+    # 6; each budget is the latest plus 5 %.
+    ("intra", {"hosts": 500}, 7_178),
     ("inter", {"n_ases": 60, "hosts": 600}, 9_390),
 ])
 def test_bytes_per_host(kind, sizing, resident_budget):
@@ -48,3 +50,34 @@ def test_bytes_per_host(kind, sizing, resident_budget):
     hosts = sizing["hosts"]
     assert left / hosts <= LEFT_BY_A_HASH, left / hosts
     assert resident / hosts <= resident_budget, resident / hosts
+
+
+@pytest.mark.parametrize("hosts, entry_budget", [
+    # Measured 214 / 188 B since snapshot schema 6 (the ID int and one
+    # interned route per entry: more entries share more routes); 278 at
+    # both sizes while every entry was a ``Pointer`` with its own tuple.
+    # Each budget is the measurement plus 5 %.
+    (500, 224),
+    (2_000, 197),
+])
+def test_bytes_per_cached_pointer(hosts, entry_budget):
+    """What one router-cache entry costs: the bytes freed when every
+    router's cache is cleared, per entry cleared."""
+    build_network("intra", 0, hosts=5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = build_network("intra", 0, hosts=hosts)
+        for _ in range(2_000):
+            net.send(*net.random_host_pair())
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        entries = sum(len(router.cache) for router in net.routers.values())
+        for router in net.routers.values():
+            router.cache.clear()
+        gc.collect()
+        freed = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert entries > 4 * hosts
+    assert freed / entries <= entry_budget, freed / entries
