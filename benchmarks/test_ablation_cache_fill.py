@@ -2,7 +2,7 @@
 
 The paper fills pointer caches "only with contents available from
 control packets".  This bench shows that design choice carries the
-entire Fig 6a effect: with filling disabled, caches stay empty and
+entire Fig 6a effect: with no cache capacity, nothing is filled and
 stretch reverts to the successor-walk baseline."""
 
 from repro.intra.network import IntraDomainNetwork
@@ -13,8 +13,8 @@ def run_ablation():
     out = {}
     for fill in (True, False):
         topo = synthetic_isp(n_routers=67, seed=0, name="AS3967")
-        net = IntraDomainNetwork(topo, seed=0, cache_entries=8192,
-                                 cache_fill_enabled=fill)
+        net = IntraDomainNetwork(topo, seed=0,
+                                 cache_entries=8192 if fill else 0)
         net.join_random_hosts(500)
         stretches = []
         for _ in range(300):

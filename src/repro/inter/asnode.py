@@ -143,9 +143,11 @@ class RoflAS:
         relayed onto a route that starts downward (the BGP-like import
         rule); a cached pointer must pass the bloom isolation guard.
 
-        Returns an :class:`ASBestMatch`, or ``None``.  With ``closer_than``
-        (a transit AS) it is the winning distance if strictly below that
-        bound, else ``None``, and nothing is built.  Either way an unscoped
+        Returns an :class:`ASBestMatch`, or ``None``; a cache win is the
+        one place a ``"cache"`` :class:`ASPointer` is built, from the
+        entry's ID int and route.  With ``closer_than`` (a transit AS) it
+        is the winning distance if strictly below that bound, else
+        ``None``, and nothing is built.  Either way an unscoped
         ``use_cache`` lookup probes a non-empty cache as
         :meth:`PointerCache.best_match` would (``hits`` and the LRU touch
         are serialized state).
@@ -157,7 +159,7 @@ class RoflAS:
         # came from a customer); asked once, when a pointer is first tried.
         free = True if arrived_from is None else None
         ivalues, entries = self._candidates.columns()
-        vn = pointer = distance = None
+        vn = pointer = distance = cached_iv = None
         # The entry at or right before ``dest`` in sorted order (index -1
         # wraps); walk back past inadmissible ones, MAX_SCAN at most.
         position = bisect_right(ivalues, dest_iv) - 1
@@ -209,12 +211,11 @@ class RoflAS:
                     trace.event_in_current("cache.bloom-guard", asn=str(asn),
                                            dest=dest.to_hex())
             else:
-                cached_iv = cached[bisect_right(cached, dest_iv) - 1]
+                probed = cached[bisect_right(cached, dest_iv) - 1]
                 cache.hits += 1
-                cache._lru.move_to_end(cached_iv)
-                ptr = cache._lru[cached_iv]
-                cached_dist = (dest_iv - cached_iv) & mask
-                route = ptr.as_route
+                cache._lru.move_to_end(probed)
+                route = cache._lru[probed]
+                cached_dist = (dest_iv - probed) & mask
                 if distance is not None and cached_dist >= distance:
                     event = "cache.reject"
                 elif len(route) > 1 and not (free or policy.step_type(
@@ -223,9 +224,9 @@ class RoflAS:
                     event = "policy.filter"
                 else:
                     event = "cache.hit"
-                    vn, pointer, distance = None, ptr, cached_dist
+                    vn, cached_iv, distance = None, probed, cached_dist
                 if trace.ENABLED:
-                    target = ptr.dest_id.to_hex()
+                    target = self.space.make(probed).to_hex()
                     if event == "policy.filter":
                         trace.event_in_current(event, asn=str(asn),
                                                target=target, rule="cache")
@@ -237,6 +238,11 @@ class RoflAS:
         if closer_than is not None:
             return distance if distance is not None \
                 and distance < closer_than else None
+        if cached_iv is not None:
+            dest_id = self.space.make(cached_iv)
+            return ASBestMatch(dest_id, ASPointer(dest_id, route[-1], route,
+                                                  kind="cache"),
+                               None, distance)
         return None if distance is None else ASBestMatch(
             vn.id if pointer is None else pointer.dest_id, pointer, vn, distance)
 

@@ -293,18 +293,15 @@ def _charge_scoped_path(net: "InterDomainNetwork", src: Hashable,
 
 def _fill_as_caches(net: "InterDomainNetwork", route: tuple,
                     target: InterVirtualNode) -> None:
-    """Transit ASes on a setup path cache a pointer to the target ID
-    (control-packet cache fill, as in the intradomain design), unless the
-    network's one cache capacity is zero."""
+    """Transit ASes on a setup path cache their suffix of the route to the
+    target ID (control-packet cache fill, as in the intradomain design),
+    unless the network's one cache capacity is zero."""
     if not net.ases[target.home_as].cache.capacity:
         return
+    iv = target.id.value
     for i, asn in enumerate(route[:-1]):
-        if asn == target.home_as:
-            continue
-        suffix = tuple(route[i:])
-        net.ases[asn].cache.put(target.id.value,
-                                ASPointer(target.id, target.home_as, suffix,
-                                          kind="cache"))
+        if asn != target.home_as:
+            net.ases[asn].cache.put(iv, route[i:])
 
 
 def _update_blooms(net: "InterDomainNetwork", vn: InterVirtualNode) -> None:

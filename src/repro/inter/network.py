@@ -246,9 +246,10 @@ class InterDomainNetwork(Network):
             # Everyone else drops pointers naming dead IDs (LSA-driven).
             # One pass and one mark_dirty per VN however many dead targets
             # it held, so the next flush re-diffs each touched VN once.
+            dead_ivs = {flat_id.value for flat_id in dead_ids}
             for other in self.ases.values():
                 other.cache.invalidate_where(
-                    lambda iv, p: p.dest_id in dead_ids or asn in p.as_route)
+                    lambda iv, route: iv in dead_ivs or asn in route)
                 for hosted in other.hosted.values():
                     if hosted.drop_dead_targets(dead_ids):
                         other.mark_dirty(hosted)

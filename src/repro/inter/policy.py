@@ -19,6 +19,7 @@ This module owns three things:
 
 from __future__ import annotations
 
+import copyreg
 import enum
 from collections import deque
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
@@ -87,8 +88,7 @@ class PolicyView:
 
     def __getstate__(self):
         """Serialize without the pure memo caches (path/step/subtree/
-        profile): they rebuild deterministically on demand, so
-        :mod:`repro.snapshot` marks them rebuild-on-load and the
+        profile): they rebuild deterministically on demand, so the
         canonical state hash stays independent of query history."""
         state = self.__dict__.copy()
         state["_subtree_cache"] = {}
@@ -96,6 +96,19 @@ class PolicyView:
         state["_step_cache"] = {}
         state["_profile_cache"] = {}
         return state
+
+    def __reduce_ex__(self, protocol):
+        """Pickle the path memo beside that state: a query hands out one
+        tuple per key and the hash encodes which pointers share one, so a
+        loaded policy must hand later pointers the objects its pointers
+        hold, not fresh equal ones.  The hash never sees the memo."""
+        return (copyreg.__newobj__, (type(self),),
+                (self.__getstate__(), self._policy_path_cache))
+
+    def __setstate__(self, state) -> None:
+        state, memo = state
+        self.__dict__.update(state)
+        self._policy_path_cache = memo
 
     # -- virtual ASes ------------------------------------------------------------
 

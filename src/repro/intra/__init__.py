@@ -12,7 +12,6 @@ Entry point: :class:`repro.intra.network.IntraDomainNetwork`.
 
 from repro.intra.network import IntraDomainNetwork
 from repro.intra.virtualnode import VirtualNode, Pointer
-from repro.intra.pointercache import PointerCache, RouteCache
+from repro.intra.pointercache import PointerCache
 
-__all__ = ["IntraDomainNetwork", "VirtualNode", "Pointer", "PointerCache",
-           "RouteCache"]
+__all__ = ["IntraDomainNetwork", "VirtualNode", "Pointer", "PointerCache"]

@@ -31,10 +31,10 @@ class IntraDomainNetwork(Network):
     """One ISP running intradomain ROFL.
 
     Parameters mirror the paper's experimental knobs: ``cache_entries``
-    (the 9 Mbit TCAM default ≈ 70 k entries of Fig 6a), the successor
-    group size (resilience ablation), and whether control traffic fills
-    pointer caches (the paper's default).  Data packets never fill them:
-    "we do not snoop on data packet headers for filling caches" (§6.1).
+    (the 9 Mbit TCAM default ≈ 70 k entries of Fig 6a; 0 is no cache) and
+    the successor group size (resilience ablation).  Control traffic
+    fills pointer caches; data packets never do: "we do not snoop on data
+    packet headers for filling caches" (§6.1).
     """
 
     kind = "intra"
@@ -45,7 +45,6 @@ class IntraDomainNetwork(Network):
         cache_entries: int = TCAM_ENTRIES,
         successor_group_size: int = DEFAULT_SUCCESSOR_GROUP,
         seed: int = 0,
-        cache_fill_enabled: bool = True,
         ephemeral_fraction: float = 0.0,
     ):
         if successor_group_size < 1:
@@ -57,7 +56,6 @@ class IntraDomainNetwork(Network):
         self.authority = self._plan.authority
         self.space = RingSpace()
         self.successor_group_size = successor_group_size
-        self.cache_fill_enabled = cache_fill_enabled
 
         self.routers: Dict[str, RoflRouter] = {
             name: RoflRouter(name, self.space, cache_entries)

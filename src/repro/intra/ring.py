@@ -288,10 +288,11 @@ def _fill_caches(net: "IntraDomainNetwork", path: Sequence[str],
     caches a source route toward that ID's hosting router — using the
     suffix of the control path when the hosting router lies ahead, which
     is "contents available from control packets" only (Section 6.1).
+    A zero-capacity cache is never filled, so no route record names it.
     """
-    if not net.cache_fill_enabled:
-        return
     routers = net.routers
+    if not routers[path[0]].cache.capacity:
+        return
     for target in ids:
         vn = net.vn_index.get(target)
         if vn is None:

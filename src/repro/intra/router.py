@@ -6,7 +6,7 @@ Each router owns:
   including the router's *default virtual node* whose ID is the router-ID
   — "its successors act as default routes if it has no other successors
   that it can use to make progress";
-* a bounded :class:`RouteCache` (``PC`` in Algorithm 2);
+* a bounded :class:`PointerCache` (``PC`` in Algorithm 2);
 * an *incrementally maintained* sorted index over every ID the router
   knows (resident IDs, their successor groups, parked ephemeral IDs) so
   Algorithm 2's ``VN.best_match`` runs in ``O(log n)``.  The paper makes
@@ -26,7 +26,7 @@ from bisect import bisect_right
 from typing import Dict, List, NamedTuple, Optional, Union
 
 from repro.idspace.identifier import FlatId, RingSpace
-from repro.intra.pointercache import Route, RouteCache
+from repro.intra.pointercache import PointerCache, Route
 from repro.intra.virtualnode import Pointer, VirtualNode
 from repro.obs import trace
 from repro.util.ringmap import CandidateIndex
@@ -67,7 +67,7 @@ class RoflRouter:
         self.space = space
         self.router_id = space.hash_of(("router:" + name).encode("utf-8"))
         self.vn_table: Dict[FlatId, VirtualNode] = {}
-        self.cache = RouteCache(space, cache_entries)
+        self.cache = PointerCache(space, cache_entries)
         self.default_vn = VirtualNode(id=self.router_id, router=name)
         self.vn_table[self.router_id] = self.default_vn
         self._build_candidates()
@@ -147,7 +147,7 @@ class RoflRouter:
         committed: with ``closer_than`` the answer is the best distance if
         it is strictly below that bound, else ``None``, and nothing is
         built.  Either way the cache is probed exactly as
-        :meth:`RouteCache.best_match` would (inlined here: hit/miss
+        :meth:`PointerCache.best_match` would (inlined here: hit/miss
         accounting and the LRU touch are serialized state).
         """
         dest_iv = dest.value
@@ -248,23 +248,27 @@ class RoflRouter:
                 self.mark_dirty(vn)
 
     def reroute_pointer(self, old: Pointer, new: Pointer) -> None:
-        """Swap in a repaired source route for an existing pointer.  A
-        cache entry for the same ID takes the route alone: it stays a
-        ``"cache"`` entry whatever kind ``new`` is."""
-        self.cache.replace(new.dest_id.value, new.path)
+        """Swap in a repaired source route for an existing pointer.  Every
+        pointer to the same ID takes the route alone and keeps its kind: a
+        cache entry stays a cache entry, and a ring pointer repaired
+        through a ``"cache"`` pointer stays a successor, predecessor or
+        ephemeral child."""
+        path = new.path
+        self.cache.replace(new.dest_id.value, path)
         for vn in self.vn_table.values():
             changed = False
             for i, ptr in enumerate(vn.successors):
                 if ptr is old or ptr.dest_id == new.dest_id:
-                    vn.successors[i] = new
+                    vn.successors[i] = ptr.rerouted(path)
                     changed = True
-            if new.dest_id in vn.ephemeral_children:
-                vn.ephemeral_children[new.dest_id] = new
+            child = vn.ephemeral_children.get(new.dest_id)
+            if child is not None:
+                vn.ephemeral_children[new.dest_id] = child.rerouted(path)
                 changed = True
             if changed:
                 self.mark_dirty(vn)
             if vn.predecessor is not None and vn.predecessor.dest_id == new.dest_id:
-                vn.predecessor = new
+                vn.predecessor = vn.predecessor.rerouted(path)
 
     # -- state accounting (Fig 6c) ---------------------------------------------------
 

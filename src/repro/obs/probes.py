@@ -71,7 +71,8 @@ class CacheIsolationProbe(Probe):
     Event-driven: a ``cache.hit`` for a destination that the hitting
     AS's subtree Bloom claims is *below* it would let a cached shortcut
     pull intra-subtree traffic through a provider (Section 5) — the
-    guard in :meth:`RoflAS._cache_match` exists to prevent exactly this.
+    Bloom guard in :meth:`RoflAS.best_match`, which skips the cache for
+    such a destination, exists to prevent exactly this.
     Periodic: every hosted ID must be resident in the subtree Bloom of
     each of its ancestors (Blooms admit false positives, never false
     negatives, so a miss means a stale filter).

@@ -2,7 +2,7 @@
 
 Format — self-describing, one file::
 
-    line 1   JSON header: {"magic": "repro-snapshot", "schema": 6,
+    line 1   JSON header: {"magic": "repro-snapshot", "schema": 7,
                            "kind": "...", "state_hash": "...",
                            "counts": {...}, "meta": {...}}
     line 2+  zlib-compressed pickle of the network object graph
@@ -23,7 +23,9 @@ What a snapshot covers (and what it deliberately does not):
 * the event loop's virtual clock and pending queue, where present;
 * derived caches (SPF trees, BGP oracle tables, policy memos) are
   **rebuild-on-load**: their owners drop them in ``__getstate__`` and
-  repopulate lazily, keeping files small and the hash history-free.
+  repopulate lazily, keeping files small and the hash history-free —
+  but for the interdomain path memo, which the pickle (never the hash)
+  carries, because pointers share its tuples.
 
 Snapshots target *quiescent* networks — between workload phases, not in
 the middle of one (mid-phase driver closures are not serializable).
@@ -44,8 +46,8 @@ from repro.snapshot.codec import gc_paused, state_hash_of
 from repro.util import perf
 
 #: Bump on any incompatible change to the header, payload layout or
-#: canonical byte stream (6: DESIGN.md §10, "Schema 6").
-SCHEMA_VERSION = 6
+#: canonical byte stream (7: DESIGN.md §10, "Schema 7").
+SCHEMA_VERSION = 7
 MAGIC = "repro-snapshot"
 
 #: What every header carries besides ``magic`` and ``schema``, and as what.

@@ -21,8 +21,16 @@ Sanctioned, snapshot schema 6 (flat pointer caches): the cache call
 signature.  ``_fill_caches`` hands a router's cache the target's ID int
 and the route (``cache.put(target.value, tuple(suffix))``), not a
 ``Pointer``; the cache keeps no pointer, and its ``best_match`` builds the
-``"cache"`` pointer this engine reads.  That call, the ``if`` and the two
-reads above are the only lines that differ from the parent's file.
+``"cache"`` pointer this engine reads.
+
+Sanctioned, snapshot schema 7 (one pointer cache for both ROFL kinds):
+the cache answers ``best_match`` with its entry's ``(iv, route)`` pair, so
+``cache_best_match`` builds the ``"cache"`` pointer from it; and the
+network's control-fill switch is gone, so ``_fill_caches`` returns early
+on a zero-capacity cache instead (no route record names a cache that
+holds nothing).  Those lines, the schema-6 call, the ``if``
+and the two reads above are the only lines that differ from the parent's
+file.
 
 Until PR 19 one physical hop cost 28 Python-level calls: ``_route`` asked
 ``RoflRouter.best_match`` → ``vn_best_match`` (``flush`` / ``columns`` /
@@ -127,12 +135,13 @@ def cache_best_match(self, dest: FlatId,
                      better_than: Optional[int] = None) -> Optional[BestMatch]:
     """``PC.best_match``, returned only if strictly better (closer to
     ``dest``) than ``better_than``."""
-    ptr = self.cache.best_match(dest)
-    if ptr is None:
+    entry = self.cache.best_match(dest)
+    if entry is None:
         if trace.ENABLED:
             trace.event_in_current("cache.miss", router=self.name,
                                    dest=dest.to_hex())
         return None
+    ptr = Pointer(self.space.make(entry[0]), entry[1], "cache")
     dist = self.space.distance_cw_i(ptr.dest_id.value, dest.value)
     if better_than is not None and dist >= better_than:
         if trace.ENABLED:
@@ -357,7 +366,7 @@ def _fill_caches(net: "IntraDomainNetwork", path: Sequence[str],
     ``force`` bypasses the control-fill switch (used by the data-packet
     snooping option, which is governed separately).
     """
-    if not net.cache_fill_enabled and not force:
+    if not net.routers[path[0]].cache.capacity and not force:
         return
     for target in ids:
         vn = net.vn_index.get(target)

@@ -23,6 +23,12 @@ the :class:`~repro.inter.network.InterDomainNetwork`) under test.
 end.  ``validate_pointer`` keeps its ``from_as or pointer.owner_as``,
 which only an AS numbered ``0`` (or named ``""``) tells apart from the
 fixed ``is None`` test; the twin tests run on named ASes.
+
+Sanctioned, snapshot schema 7 (one pointer cache for both ROFL kinds), the
+one edit: an AS cache entry is the cached ID's int and its AS route, and
+``cache.best_match`` answers ``(iv, route)``, so ``_cache_match`` builds
+the ``"cache"`` :class:`ASPointer` it reads from that pair.  Those lines
+are the only ones that differ from that commit's file.
 """
 
 from __future__ import annotations
@@ -278,12 +284,14 @@ def _cache_match(self, net: "InterDomainNetwork", dest: FlatId,
                                    asn=str(self.asn),
                                    dest=dest.to_hex())
         return None
-    ptr = self.cache.best_match(dest)
-    if ptr is None:
+    entry = self.cache.best_match(dest)
+    if entry is None:
         if trace.ENABLED:
             trace.event_in_current("cache.miss", asn=str(self.asn),
                                    dest=dest.to_hex())
         return None
+    ptr = ASPointer(self.space.make(entry[0]), entry[1][-1], entry[1],
+                    kind="cache")
     dist = self.space.distance_cw_i(ptr.dest_id.value, dest.value)
     if better_than is not None and dist >= better_than:
         if trace.ENABLED:

@@ -103,7 +103,9 @@ def test_the_evicting_snapshot_gate_passes(tmp_path):
     """The 2k-host twin gate with 64-entry caches and a cut before the
     save, run as CI runs it: the saved network and its loaded twin go on
     (restore, joins, sends, another cut) and must still hash alike — the
-    intern tables of the router caches are derived state (~3 s)."""
+    intern tables of the router caches are derived state.  Then the same
+    over 64-entry AS caches, with a failed hosting stub before the save
+    and a second one after (~4 s)."""
     script = re.search(r"<<'EOF'\n(.*)\nEOF", _bench_smoke_step(
         "evicting 2k-host gate OK"), re.S).group(1)
     src = Path(__file__).resolve().parent.parent / "src"

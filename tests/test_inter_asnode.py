@@ -111,10 +111,15 @@ class TestBestMatch:
     def test_cache_needs_bloom_clearance(self):
         node = RoflAS("AS-X", SPACE, cache_entries=8)
         node.host(make_vn(10))
-        node.cache.put(240, ptr(240, kind="cache"))
+        node.cache.put(240, ("AS-X", "AS-Y"))
         net = FakeNet()
         hit = node.best_match(net, SPACE.make(250))
-        assert hit is not None and hit.pointer.kind == "cache"
+        # A cache win at a decision point is the one place its pointer is
+        # built: the entry's ID and the cache's own route tuple.
+        assert hit.pointer == ptr(240, kind="cache")
+        assert hit.pointer.as_route is node.cache._lru[240]
+        # A transit AS only asks how close: a distance, no pointer.
+        assert node.best_match(net, SPACE.make(250), closer_than=20) == 10
         # Once the destination appears below this AS, the cache is barred.
         node.subtree_bloom.add(SPACE.make(250))
         barred = node.best_match(net, SPACE.make(250))
@@ -198,7 +203,7 @@ class TestUpkeep:
         doomed = ptr(200)
         vn.set_successor(None, doomed)
         node.host(vn)
-        node.cache.put(200, ptr(200, kind="cache"))
+        node.cache.put(200, ("AS-X", "AS-Y"))
         node.drop_pointer(doomed)
         assert SPACE.make(200) not in node.cache
         assert not vn.succ_by_level
@@ -209,7 +214,7 @@ class TestUpkeep:
         vn.set_successor(None, ptr(200))
         vn.fingers = [ptr(50, kind="finger")]
         node.host(vn)
-        node.cache.put(240, ptr(240, kind="cache"))
+        node.cache.put(240, ("AS-X", "AS-Y"))
         # id itself + 1 succ + 1 finger + 1 cache entry
         assert node.state_entries() == 4
         assert node.state_entries(include_cache=False) == 3
@@ -264,3 +269,7 @@ def test_index_bookkeeping_adds_no_state_key():
     node.flush_index()
     assert set(node.__getstate__()) == {
         "asn", "space", "hosted", "cache", "subtree_bloom"}
+    node.cache.put(240, ("AS-X", "AS-Y"))
+    assert set(node.cache.__getstate__()) == {
+        "space", "capacity", "_lru", "_ivalues", "hits", "misses",
+        "evictions"}

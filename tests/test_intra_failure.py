@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from repro import build_network
+from repro.intra import failure
 from repro.intra.failure import directed_flood_cost
 from repro.intra.virtualnode import uses_link
 
@@ -151,3 +153,25 @@ class TestDirectedFlood:
     def test_empty_targets_cost_nothing(self, intra_net_factory):
         net = intra_net_factory(n_hosts=0)
         assert directed_flood_cost(net, net.topology.routers[0], []) == 0
+
+    def test_no_cache_is_no_route_record_and_no_flood(self, monkeypatch):
+        """A zero-capacity cache is never filled, so no route record names
+        it and a host failure floods nobody.  On this shape the route
+        records once named 1 338 empty caches, and the 20 failures charged
+        991 teardown messages, 269 of them floods to empty caches."""
+        net = build_network("intra", 0, hosts=200, n_routers=40,
+                            cache_entries=0)
+        assert not any(vn.cached_at for vn in net.vn_index.values())
+        floods = []
+
+        def recorded(net, origin, targets):
+            floods.append(directed_flood_cost(net, origin, targets))
+            return floods[-1]
+
+        monkeypatch.setattr(failure, "directed_flood_cost", recorded)
+        before = net.stats.total_messages("teardown")
+        for victim in list(net.hosts)[:20]:
+            net.fail_host(victim)
+        assert floods == [0] * 20
+        assert net.stats.total_messages("teardown") - before == 722
+        assert not any(vn.cached_at for vn in net.vn_index.values())

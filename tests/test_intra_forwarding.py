@@ -159,15 +159,19 @@ class TestAccounting:
 class TestDataSnooping:
     def test_default_matches_paper(self):
         """Section 6.1: "we do not snoop on data packet headers for
-        filling caches" — with control fill off, data leaves every cache
-        empty."""
-        topo = synthetic_isp(n_routers=40, seed=42)
-        net = IntraDomainNetwork(topo, seed=42, cache_entries=4096,
-                                 cache_fill_enabled=False)
-        net.join_random_hosts(60)
-        for _ in range(50):
-            assert net.send(*net.random_host_pair()).delivered
-        assert net.cache_stats()["entries"] == 0
+        filling caches" — data packets add no entry to any cache, and
+        with no cache capacity every cache stays empty."""
+        for entries in (4096, 0):
+            net = IntraDomainNetwork(synthetic_isp(n_routers=40, seed=42),
+                                     seed=42, cache_entries=entries)
+            net.join_random_hosts(60)
+            cached = {name: set(router.cache._lru)
+                      for name, router in net.routers.items()}
+            for _ in range(50):
+                assert net.send(*net.random_host_pair()).delivered
+            assert cached == {name: set(router.cache._lru)
+                              for name, router in net.routers.items()}
+            assert bool(net.cache_stats()["entries"]) == bool(entries)
 
 
 class TestStaleZeroHopPointers:

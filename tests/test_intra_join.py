@@ -108,8 +108,10 @@ class TestJoin:
         assert sum(len(r.cache) for r in net.routers.values()) > 0
 
     def test_cache_fill_can_be_disabled(self, intra_net_factory):
-        net = intra_net_factory(n_hosts=60, cache_fill_enabled=False)
+        """No capacity is no fill: no entry, and no route record."""
+        net = intra_net_factory(n_hosts=60, cache_entries=0)
         assert sum(len(r.cache) for r in net.routers.values()) == 0
+        assert not any(vn.cached_at for vn in net.vn_index.values())
 
 
 class TestEphemeral:

@@ -187,9 +187,51 @@ def test_a_repaired_ring_pointer_leaves_a_cache_entry_a_cache_entry():
     for vn in router.vn_table.values():
         if vn.drop_successor(target):
             router.mark_dirty(vn)
-    assert router.cache.get(target).kind == "cache"
+    assert router.cache.get(target) == repaired
     second = forwarding.route(net, router.name, target)
     assert second.delivered and second.used_cache
+
+
+def _cached_predecessor_with_a_spare_route(net):
+    """A router, one of its VNs whose predecessor lives elsewhere, and a
+    link the ISP can lose on the router's cached route to that
+    predecessor — where the cache entry is the only state naming it."""
+    for name, router in sorted(net.routers.items()):
+        named = {ptr.dest_id for vn in router.vn_table.values()
+                 for ptr in [*vn.successors, *vn.ephemeral_children.values()]}
+        for vn in router.vn_table.values():
+            pred = vn.predecessor
+            if pred is None or pred.dest_id in named \
+                    or pred.hosting_router == name:
+                continue
+            route = router.cache._lru.get(pred.dest_id.value)
+            if route is None or len(route) < 2:
+                continue
+            link = route[:2]
+            net.lsmap.fail_link(*link)
+            spare = len(net.lsmap.components()) == 1
+            net.lsmap.restore_link(*link)
+            if spare:
+                return router, vn, link
+    raise AssertionError("no cached predecessor route with a spare link")
+
+
+def test_a_revalidated_cache_entry_leaves_a_ring_pointer_its_kind():
+    """``reroute_pointer`` once stored the repaired pointer itself as a
+    VN's predecessor (and successor, and ephemeral child), so a cached
+    route repaired after a bare link-state cut turned a ring neighbour's
+    pointer into a ``"cache"`` pointer.  Every pointer keeps its kind and
+    takes the route alone."""
+    net = IntraDomainNetwork(synthetic_isp(n_routers=12, seed=1), seed=1)
+    net.join_random_hosts(20)
+    router, vn, link = _cached_predecessor_with_a_spare_route(net)
+    target = vn.predecessor.dest_id
+    net.lsmap.fail_link(*link)      # a bare cut: the cached route stays
+    sent = forwarding.route(net, router.name, target)
+    assert sent.delivered and sent.used_cache
+    assert router.cache._lru[target.value] == tuple(sent.path)
+    assert vn.predecessor.kind == "predecessor"
+    assert vn.predecessor.path == tuple(sent.path)
 
 
 class TestFlushCoalescing:

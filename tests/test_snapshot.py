@@ -10,8 +10,9 @@ what the original network would have produced.
 tripwire for refactors that must not move a hash.  Never regenerate it
 from the current code to make a test pass; a *deliberate* change of the
 canonical stream regenerates it in that PR and says so in the file's
-``captured`` line (done four times so far: snapshot schemas 2, 3, 5 and
-6 — schema 6 the intradomain pair alone; schema 4 moved no hash).
+``captured`` line (done five times so far: snapshot schemas 2, 3, 5, 6
+and 7 — schemas 6 and 7 the intradomain pair alone; schema 4 moved no
+hash).
 """
 
 import gc
@@ -317,6 +318,22 @@ class TestRoundTrip:
                    for r in loaded.join_random_hosts(15)]
         assert original == revived
 
+    def test_inter_joins_after_load_hash_as_on_the_saved_network(
+            self, tmp_path):
+        """A policy-path query hands out one tuple per key, and the hash
+        encodes which pointers share it.  Snapshots once dropped that
+        sharing with the memo: the first join after a load hashed apart
+        from the same join on the saved network.  A loaded network saved
+        again, before it asks anything, keeps it too."""
+        net = build_inter(cache_entries=16)
+        path = str(tmp_path / "inter.snap")
+        snapshot.save(net, path)
+        snapshot.save(snapshot.load(path), path)
+        loaded = snapshot.load(path, verify=True)
+        for _ in range(10):
+            assert net.join_next() == loaded.join_next()
+        assert snapshot.state_hash(loaded) == snapshot.state_hash(net)
+
     def test_loaded_network_passes_invariant_probes(self, tmp_path):
         net = build_intra()
         path = str(tmp_path / "intra.snap")
@@ -362,12 +379,12 @@ class TestFormat:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
             payload = fh.read()
-        assert snapshot.SCHEMA_VERSION == 6
+        assert snapshot.SCHEMA_VERSION == 7
         # A file from the future, and one from before each change of the
-        # canonical stream or the payload layout (schemas 1-5): refused
+        # canonical stream or the payload layout (schemas 1-6): refused
         # before the payload is touched, by the reader that only wants
         # the header too.
-        for found in (snapshot.SCHEMA_VERSION + 1, 5, 4, 3, 2, 1):
+        for found in (snapshot.SCHEMA_VERSION + 1, 6, 5, 4, 3, 2, 1):
             header["schema"] = found
             with open(path, "wb") as fh:
                 fh.write(json.dumps(header).encode() + b"\n" + payload)
