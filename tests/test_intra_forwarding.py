@@ -75,6 +75,26 @@ class TestDelivery:
                 assert result.stretch >= 1.0 - 1e-9
 
 
+    def test_a_packet_through_an_ephemeral_child_traces_ephemeral(
+            self, intra_net_factory):
+        """No builtin run traces the ``"ephemeral"`` rule: a data packet
+        sent from an ephemeral host's ring predecessor takes the parked
+        child pointer (distance 0) and never a cache entry."""
+        net = intra_net_factory(n_hosts=40, seed=9, ephemeral_fraction=0.3,
+                                cache_entries=0)
+        vn, parent = next(
+            (vn, net.vn_index[vn.predecessor.dest_id])
+            for _, vn in sorted(net.hosts.items()) if vn.ephemeral
+            and net.vn_index[vn.predecessor.dest_id].router != vn.router)
+        assert vn.id in parent.ephemeral_children
+        tracer = trace.Tracer(sink=trace.RingBufferSink(capacity=None))
+        with trace.tracing(tracer):
+            result = net.send_to_id(parent.router, vn.id)
+        assert result.delivered and not result.used_cache
+        assert [record.data["rule"] for record in tracer.sink.records()
+                if record.kind == "decision"] == ["ephemeral"]
+
+
 class TestLookupMode:
     def test_lookup_finds_global_predecessor(self, intra_net_readonly):
         net = intra_net_readonly

@@ -1,6 +1,12 @@
 """The ``repro.obs`` tracer core: records, sinks, sampling, install."""
 
+import collections
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +156,34 @@ class TestObservers:
         tracer.remove_observer(seen.append)
         tracer.emit("x")
         assert seen == []
+
+
+GOLDEN_TRACES = json.loads(
+    (Path(__file__).parent / "golden_trace_digests.json").read_text())
+
+
+@pytest.mark.parametrize("label", ["intra", "inter"])
+def test_trace_bytes_match_the_parent_capture(tmp_path, label):
+    """``repro trace --trace-out`` of 50 packets on each ROFL kind, byte
+    for byte (~0.5 s each): the decision and policy-filter ``rule`` of
+    every record is pinned, whatever code computes it."""
+    golden = GOLDEN_TRACES[label]
+    path = tmp_path / "trace.jsonl"
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *golden["argv"],
+         "--trace-out", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert done.returncode == 0, done.stderr
+    rules = collections.Counter(
+        (record["kind"], record["data"]["rule"])
+        for record in map(json.loads, path.read_text().splitlines())
+        if "rule" in record["data"])
+    expected = {"intra": {("decision", "successor"), ("decision", "cache")},
+                "inter": {("decision", "finger"), ("decision", "cache"),
+                          ("decision", "external-successor"),
+                          ("policy.filter", "finger"),
+                          ("policy.filter", "cache")}}[label]
+    assert expected <= set(rules)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == golden["sha256"]
