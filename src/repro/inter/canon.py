@@ -150,28 +150,24 @@ def _join_level(net: "InterDomainNetwork", vn: InterVirtualNode,
             # Setup + ack with the successor.
             net.stats.charge_hops(2 * (len(route_to_succ) - 1), "join")
             _fill_as_caches(net, route_to_succ, succ)
-            vn.set_successor(level, ASPointer(succ.id, succ.home_as,
-                                              tuple(route_to_succ),
-                                              level=level))
+            vn.set_successor(level, ASPointer(succ.id, tuple(route_to_succ),
+                                              level))
             back = _route_to_vn(net, succ.home_as, vn, level)
             if back is not None:
-                succ.pred_by_level[level] = ASPointer(vn.id, vn.home_as,
-                                                      tuple(back),
-                                                      level=level,
-                                                      kind="predecessor")
+                succ.pred_by_level[level] = ASPointer(vn.id, tuple(back),
+                                                      level)
 
     # The predecessor always re-points at the new node at this level.
     pred_route = _route_to_vn(net, pred.home_as, vn, level)
     if pred_route is not None:
         _set_successor_preserving_coverage(
             net, pred, level,
-            ASPointer(vn.id, vn.home_as, tuple(pred_route), level=level))
+            ASPointer(vn.id, tuple(pred_route), level))
         net.ases[pred.home_as].mark_dirty(pred)
         forward = net.policy.policy_path(vn.home_as, pred.home_as, scope=level)
         if forward is not None:
-            vn.pred_by_level[level] = ASPointer(pred.id, pred.home_as,
-                                                tuple(forward), level=level,
-                                                kind="predecessor")
+            vn.pred_by_level[level] = ASPointer(pred.id, tuple(forward),
+                                                level)
 
     ring.insert(vn.id, vn)
     vn.joined_levels.append(level)
@@ -211,9 +207,8 @@ def _set_successor_preserving_coverage(net: "InterDomainNetwork",
         if new_ptr.dest_id in outer_ring:
             continue  # the new target covers the outer level too
         if old.dest_id in outer_ring:
-            owner.succ_by_level[outer] = ASPointer(
-                old.dest_id, old.dest_as, old.as_route, level=outer,
-                kind=old.kind)
+            owner.succ_by_level[outer] = ASPointer(old.dest_id, old.as_route,
+                                                   outer)
 
 
 def _allowed_entry_providers(net: "InterDomainNetwork",

@@ -114,9 +114,7 @@ def acquire_fingers(net: "InterDomainNetwork", vn: InterVirtualNode,
                                                level)
                 if route is None:
                     continue
-                fingers.append(ASPointer(chosen.id, chosen.home_as,
-                                         tuple(route), level=level,
-                                         kind="finger"))
+                fingers.append(ASPointer(chosen.id, tuple(route), level))
                 charged += 1  # insertion notification
             row += 1
 

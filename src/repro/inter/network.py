@@ -202,9 +202,8 @@ class InterDomainNetwork(Network):
             new_route = self.policy.level_route(start, target.home_as,
                                                 pointer.level)
             if new_route is not None:
-                return ASPointer(pointer.dest_id, target.home_as,
-                                 tuple(new_route), level=pointer.level,
-                                 kind=pointer.kind)
+                return ASPointer(pointer.dest_id, tuple(new_route),
+                                 pointer.level)
         owner = self.ases.get(pointer.owner_as)
         if owner is not None:
             owner.drop_pointer(pointer)
@@ -269,14 +268,12 @@ class InterDomainNetwork(Network):
         if route is None:
             return
         self.stats.charge_hops(2 * (len(route) - 1), "repair")
-        pred.set_successor(level, ASPointer(succ.id, succ.home_as,
-                                            tuple(route), level=level))
+        pred.set_successor(level, ASPointer(succ.id, tuple(route), level))
         back = self.policy.policy_path(succ.home_as, pred.home_as,
                                        scope=level)
         if back is not None:
-            succ.pred_by_level[level] = ASPointer(pred.id, pred.home_as,
-                                                  tuple(back), level=level,
-                                                  kind="predecessor")
+            succ.pred_by_level[level] = ASPointer(pred.id, tuple(back),
+                                                  level)
         self.ases[pred.home_as].mark_dirty(pred)
         self.ases[succ.home_as].mark_dirty(succ)
 

@@ -18,43 +18,32 @@ from repro.idspace.identifier import FlatId
 
 @dataclass(slots=True)
 class ASPointer:
-    """A directed identifier-space edge realised as an AS-level source route."""
+    """A directed identifier-space edge realised as an AS-level source
+    route; its role is the :class:`InterVirtualNode` table holding it."""
 
     dest_id: FlatId
-    dest_as: Hashable
     #: Hop-by-hop AS route from the owner's home AS; ``route[0]`` is the
-    #: owner AS, ``route[-1] == dest_as``.  A same-AS pointer has length 1.
+    #: owner AS, ``route[-1]`` the target's.  A same-AS pointer has length 1.
     as_route: Tuple[Hashable, ...]
     #: The hierarchy level (subtree root) this pointer was formed at;
     #: ``None`` for the internal (same-AS) successor.
     level: Optional[Hashable] = None
-    kind: str = "successor"  # "successor" | "predecessor" | "finger" | "cache"
 
     def __post_init__(self) -> None:
         if not self.as_route:
             raise ValueError("pointer needs a non-empty AS route")
-        if self.as_route[-1] != self.dest_as:
-            raise ValueError("AS route must end at the destination AS")
 
     @property
     def owner_as(self) -> Hashable:
         return self.as_route[0]
 
     @property
-    def n_hops(self) -> int:
-        return len(self.as_route) - 1
+    def dest_as(self) -> Hashable:
+        return self.as_route[-1]
 
     @property
-    def trace_tag(self) -> str:
-        """The rule vocabulary `repro.obs` tags decisions with: how this
-        pointer makes greedy progress (cache shortcut, proximity finger,
-        internal successor, or a successor formed at an outer hierarchy
-        level — the paper's "external pointer")."""
-        if self.kind in ("cache", "finger"):
-            return self.kind
-        if self.level is not None:
-            return "external-" + self.kind
-        return self.kind
+    def n_hops(self) -> int:
+        return len(self.as_route) - 1
 
 
 @dataclass(slots=True)
@@ -73,10 +62,6 @@ class InterVirtualNode:
     fingers: List[ASPointer] = field(default_factory=list)
     #: Levels this node joined at, innermost first.
     joined_levels: List[Hashable] = field(default_factory=list)
-
-    def candidate_pointers(self) -> List[ASPointer]:
-        """Every onward pointer usable for greedy progress."""
-        return list(self.succ_by_level.values()) + self.fingers
 
     def set_successor(self, level: Optional[Hashable], ptr: ASPointer) -> None:
         self.succ_by_level[level] = ptr

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, List, Optional, TYPE_CHECKING
 
 from repro.idspace.identifier import FlatId
+from repro.inter.asnode import ring_rule
 from repro.inter.pointers import ASPointer, InterVirtualNode
 from repro.obs import trace
 from repro.util import perf
@@ -180,9 +181,11 @@ def _route(net, start_as, dest_id, mode, scope, category, use_cache):
                 route, step = pointer.as_route, 0
                 committed_dist = distance
                 pointer_hops += 1
-                used_cache = used_cache or pointer.kind == "cache"
+                used_cache = used_cache or match.cached
                 if tr is not None:
-                    tr.decision(router=str(current), rule=pointer.trace_tag,
+                    tr.decision(router=str(current), rule="cache"
+                                if match.cached
+                                else ring_rule(pointer, match.finger),
                                 target=pointer.dest_id.to_hex(),
                                 distance=distance)
                 if len(route) == 1:

@@ -84,7 +84,6 @@ def _teardown_stable(net: "IntraDomainNetwork", vn: VirtualNode) -> None:
     # paper: "tear-down messages to each of the ID's successors and
     # predecessors" — up to group-size nodes counter-clockwise).
     notified: Set[str] = set()
-    targets: List[Pointer] = list(vn.successors)
     predecessors: List[VirtualNode] = []
     walker = vn
     for _ in range(net.successor_group_size):
@@ -95,13 +94,8 @@ def _teardown_stable(net: "IntraDomainNetwork", vn: VirtualNode) -> None:
             break
         predecessors.append(prev)
         walker = prev
-    targets.extend(
-        Pointer(prev.id, (vn.router,) if prev.router == vn.router
-                else tuple(net.paths.hop_path(vn.router, prev.router)
-                           or (vn.router,)), "teardown-target")
-        for prev in predecessors)
-    for ptr in targets:
-        hosting = ptr.hosting_router
+    for hosting in [ptr.hosting_router for ptr in vn.successors] \
+            + [prev.router for prev in predecessors]:
         if hosting in notified:
             continue
         notified.add(hosting)
@@ -156,7 +150,7 @@ def refill_successor_group(net: "IntraDomainNetwork", vn: VirtualNode) -> None:
             path = net.paths.hop_path(vn.router, ptr.hosting_router)
             if path is None:
                 continue
-            vn.successors.append(Pointer(ptr.dest_id, tuple(path), "successor"))
+            vn.successors.append(Pointer(ptr.dest_id, tuple(path)))
             known.add(ptr.dest_id)
             grew = True
             if len(vn.successors) >= net.successor_group_size:

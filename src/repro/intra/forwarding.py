@@ -161,7 +161,8 @@ def _route(net, start_router, dest_id, mode, category):
                 if match is None:
                     reason = "no routing state"
                     break
-                target, route, pointer, resident_vn, distance = match
+                target, route, pointer, resident_vn, distance, ephemeral = \
+                    match
                 stalled = distance >= committed_dist
                 if resident_vn is not None:
                     # The closest ID we know is resident right here.
@@ -188,13 +189,14 @@ def _route(net, start_router, dest_id, mode, category):
                 if stalled:
                     reason = "no progress available"
                     break
-                if pointer is not None or not net.lsmap.path_is_live(route):
+                cached = pointer is None
+                if not cached or not net.lsmap.path_is_live(route):
                     # A ring pointer, or a cache entry whose route died and
                     # is revalidated as the pointer it stands for: repaired,
                     # or torn down (then re-evaluate with it gone).
                     pointer = net.validate_pointer(
-                        router, pointer if pointer is not None
-                        else _cache_pointer(space, target, route))
+                        router, _cache_pointer(space, target, route)
+                        if cached else pointer)
                     if pointer is None:
                         continue
                     route = pointer.path
@@ -203,10 +205,11 @@ def _route(net, start_router, dest_id, mode, category):
                 hosting = route[-1]
                 committed_dist = distance
                 pointer_hops += 1
-                kind = "cache" if pointer is None else pointer.kind
-                used_cache = used_cache or kind == "cache"
+                used_cache = used_cache or cached
                 if tr is not None:
-                    tr.decision(router=current, rule=kind,
+                    tr.decision(router=current, rule="cache" if cached
+                                else "ephemeral" if ephemeral
+                                else "successor",
                                 target=space.make(target).to_hex(),
                                 distance=distance)
                 if len(source_route) == 1:
@@ -264,7 +267,7 @@ def _route(net, start_router, dest_id, mode, category):
 def _cache_pointer(space, target: int, route) -> Pointer:
     """A cache entry as the :class:`Pointer` it stands for, built only for
     the rare branches that hand a pointer on."""
-    return Pointer(space.make(target), route, "cache")
+    return Pointer(space.make(target), route)
 
 
 def _overshoots_all(net: "IntraDomainNetwork", vn: VirtualNode,

@@ -105,7 +105,7 @@ def _heal_one_component(net: "IntraDomainNetwork", component: Set[str]) -> None:
                 continue
             net.stats.charge_path(path, "repair")
             net.stats.charge_path(list(reversed(path)), "repair")
-            vn.push_successor(Pointer(expected.id, tuple(path), "successor"),
+            vn.push_successor(Pointer(expected.id, tuple(path)),
                               net.successor_group_size)
             net.routers[vn.router].mark_dirty(vn)
         prev = members[(i - 1) % n]
@@ -113,7 +113,7 @@ def _heal_one_component(net: "IntraDomainNetwork", component: Set[str]) -> None:
                 or vn.predecessor.dest_id != prev.id):
             back = net.paths.hop_path(vn.router, prev.router)
             if back is not None:
-                vn.predecessor = Pointer(prev.id, tuple(back), "predecessor")
+                vn.predecessor = Pointer(prev.id, tuple(back))
 
         # Ephemeral children stranded outside the component detach.
         doomed = [eid for eid, p in vn.ephemeral_children.items()
@@ -175,7 +175,7 @@ def _splice(net: "IntraDomainNetwork", pred: VirtualNode,
             continue
         path = net.paths.hop_path(vn.router, ptr.hosting_router)
         if path is not None:
-            inherited.append(Pointer(ptr.dest_id, tuple(path), "successor"))
+            inherited.append(Pointer(ptr.dest_id, tuple(path)))
     response = net.paths.hop_path(pred.router, vn.router)
     if response is not None:
         net.stats.charge_path(response, "repair")
@@ -189,17 +189,15 @@ def _splice(net: "IntraDomainNetwork", pred: VirtualNode,
         if succ_vn is not None and not succ_vn.ephemeral:
             back = net.paths.hop_path(succ_vn.router, vn.router)
             if back is not None:
-                succ_vn.predecessor = Pointer(vn.id, tuple(back), "predecessor")
+                succ_vn.predecessor = Pointer(vn.id, tuple(back))
                 net.routers[succ_vn.router].mark_dirty(succ_vn)
         vn.set_successors(inherited, net.successor_group_size)
     if response is not None:
         pred.push_successor(
-            Pointer(vn.id, tuple(net.paths.hop_path(pred.router, vn.router)),
-                    "successor"),
+            Pointer(vn.id, tuple(net.paths.hop_path(pred.router, vn.router))),
             net.successor_group_size)
         vn.predecessor = Pointer(
-            pred.id, tuple(net.paths.hop_path(vn.router, pred.router)),
-            "predecessor")
+            pred.id, tuple(net.paths.hop_path(vn.router, pred.router)))
     net.routers[pred.router].mark_dirty(pred)
     net.routers[vn.router].mark_dirty(vn)
 
@@ -228,11 +226,11 @@ def _reconcile_ring(net: "IntraDomainNetwork") -> None:
             continue
         net.stats.charge_path(path, "repair")
         net.stats.charge_path(list(reversed(path)), "repair")
-        vn.push_successor(Pointer(expected.id, tuple(path), "successor"),
+        vn.push_successor(Pointer(expected.id, tuple(path)),
                           net.successor_group_size)
         back = net.paths.hop_path(expected.router, vn.router)
         if back is not None:
-            expected.predecessor = Pointer(vn.id, tuple(back), "predecessor")
+            expected.predecessor = Pointer(vn.id, tuple(back))
         net.routers[vn.router].mark_dirty(vn)
         net.routers[expected.router].mark_dirty(expected)
 

@@ -11,8 +11,8 @@ Eviction is LRU over cached pointers only — resident-ID state never lives
 here, so the paper's precedence rule holds by construction.
 
 One class serves routers and ASes alike: an entry is the cached ID's int
-and one source route (router names, or AS numbers) — every entry is a
-``"cache"`` pointer, so neither the kind nor a pointer object is stored.
+and one source route (router names, or AS numbers); no pointer is stored,
+and a match is a cache shortcut because it came from here.
 """
 
 from __future__ import annotations

@@ -134,11 +134,11 @@ def _join_stable(net: "IntraDomainNetwork", router, vn: VirtualNode) -> float:
         path = net.paths.hop_path(router.name, ptr.hosting_router)
         if path is None:
             continue
-        inherited.append(Pointer(ptr.dest_id, tuple(path), "successor"))
+        inherited.append(Pointer(ptr.dest_id, tuple(path)))
     if not inherited:
         # Single-node ring: the predecessor becomes the successor too.
         back = net.paths.hop_path(router.name, pred.router)
-        inherited = [Pointer(pred.id, tuple(back), "successor")]
+        inherited = [Pointer(pred.id, tuple(back))]
     vn.set_successors(inherited, net.successor_group_size)
 
     # (3) Path setup to the immediate successor, and (4) its ack, which
@@ -156,18 +156,17 @@ def _join_stable(net: "IntraDomainNetwork", router, vn: VirtualNode) -> float:
     if succ_vn is not None and not succ_vn.ephemeral:
         back = net.paths.hop_path(succ_vn.router, router.name)
         if back is not None:
-            succ_vn.predecessor = Pointer(vn.id, tuple(back), "predecessor")
+            succ_vn.predecessor = Pointer(vn.id, tuple(back))
             net.routers[succ_vn.router].mark_dirty(succ_vn)
 
     # Predecessor-side state: pred already has the request in hand, so no
     # further messages — it installs its pointer to the new node.
     pred_path = net.paths.hop_path(pred.router, router.name)
-    pred.push_successor(Pointer(vn.id, tuple(pred_path), "successor"),
+    pred.push_successor(Pointer(vn.id, tuple(pred_path)),
                         net.successor_group_size)
     net.routers[pred.router].mark_dirty(pred)
     vn.predecessor = Pointer(
-        pred.id, tuple(net.paths.hop_path(router.name, pred.router)),
-        "predecessor")
+        pred.id, tuple(net.paths.hop_path(router.name, pred.router)))
 
     router.register_virtual_node(vn)
     # Request and response are sequential; the setup/ack exchange follows.
@@ -190,11 +189,10 @@ def _join_ephemeral(net: "IntraDomainNetwork", router, vn: VirtualNode) -> float
     net.stats.charge_path(back_path, "join")
     latency += net.paths.path_latency_ms(back_path)
 
-    pred.ephemeral_children[vn.id] = Pointer(vn.id, tuple(back_path), "ephemeral")
+    pred.ephemeral_children[vn.id] = Pointer(vn.id, tuple(back_path))
     net.routers[pred.router].mark_dirty(pred)
     vn.predecessor = Pointer(
-        pred.id, tuple(net.paths.hop_path(router.name, pred.router)),
-        "predecessor")
+        pred.id, tuple(net.paths.hop_path(router.name, pred.router)))
     router.register_virtual_node(vn)
     return latency
 
@@ -243,7 +241,7 @@ def splice_out(net: "IntraDomainNetwork", vn: VirtualNode,
                 continue
             path = net.paths.hop_path(pred_vn.router, ptr.hosting_router)
             if path is not None:
-                merged.append(Pointer(ptr.dest_id, tuple(path), "successor"))
+                merged.append(Pointer(ptr.dest_id, tuple(path)))
         merged.sort(key=lambda p: net.space.distance_cw(pred_vn.id, p.dest_id))
         pred_vn.set_successors(merged, net.successor_group_size)
         router.mark_dirty(pred_vn)
@@ -256,12 +254,10 @@ def splice_out(net: "IntraDomainNetwork", vn: VirtualNode,
             if path is None:
                 continue
             net.stats.charge_path(path, category)
-            pred_vn.ephemeral_children[eph_id] = Pointer(eph_id, tuple(path),
-                                                         "ephemeral")
+            pred_vn.ephemeral_children[eph_id] = Pointer(eph_id, tuple(path))
             back = net.paths.hop_path(eph_vn.router, pred_vn.router)
             if back is not None:
-                eph_vn.predecessor = Pointer(pred_vn.id, tuple(back),
-                                             "predecessor")
+                eph_vn.predecessor = Pointer(pred_vn.id, tuple(back))
             router.mark_dirty(pred_vn)
 
     if succ_vn is not None and pred_vn is not None and succ_vn is not vn \
@@ -269,8 +265,7 @@ def splice_out(net: "IntraDomainNetwork", vn: VirtualNode,
         if succ_vn.predecessor is None or succ_vn.predecessor.dest_id == vn.id:
             path = net.paths.hop_path(succ_vn.router, pred_vn.router)
             if path is not None:
-                succ_vn.predecessor = Pointer(pred_vn.id, tuple(path),
-                                              "predecessor")
+                succ_vn.predecessor = Pointer(pred_vn.id, tuple(path))
     elif succ_vn is not None and succ_vn is pred_vn:
         # Two-node ring collapsing to one.
         succ_vn.drop_successor(vn.id)
@@ -356,11 +351,11 @@ def refresh_ring_pointers(net: "IntraDomainNetwork") -> None:
             path = net.paths.hop_path(vn.router, succ.router)
             if path is None:
                 continue
-            group.append(Pointer(succ.id, tuple(path), "successor"))
+            group.append(Pointer(succ.id, tuple(path)))
         vn.set_successors(group, net.successor_group_size)
         pred = ordered[(i - 1) % n]
         if pred.id != vn.id:
             path = net.paths.hop_path(vn.router, pred.router)
             if path is not None:
-                vn.predecessor = Pointer(pred.id, tuple(path), "predecessor")
+                vn.predecessor = Pointer(pred.id, tuple(path))
         net.routers[vn.router].mark_dirty(vn)

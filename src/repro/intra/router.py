@@ -45,6 +45,8 @@ class BestMatch(NamedTuple):
     pointer: Optional[Pointer]
     resident_vn: Optional[VirtualNode]
     distance: int
+    #: The ring pointer is a parked ephemeral child, not a successor.
+    ephemeral: bool = False
 
 
 def _contributed(vn: VirtualNode) -> List[tuple]:
@@ -154,6 +156,7 @@ class RoflRouter:
         mask = self.space.mask
         ivalues, candidates = self._candidates.columns()
         vn = pointer = distance = cached_iv = None
+        ephemeral = False
         # The paper's TCAM lookup: the entry at or right before ``dest`` in
         # sorted order (index -1 wraps); walk back past inadmissible ones.
         position = bisect_right(ivalues, dest_iv) - 1
@@ -166,7 +169,7 @@ class RoflRouter:
                 distance = (dest_iv - ivalues[position]) & mask
                 break
             if cand.ptrs and (include_ephemeral or not cand.ptrs[0][3]):
-                pointer = cand.ptrs[0][2]
+                _, _, pointer, ephemeral = cand.ptrs[0]
                 distance = (dest_iv - ivalues[position]) & mask
                 break
             position -= 1
@@ -200,7 +203,7 @@ class RoflRouter:
                              distance)
         if pointer is not None:
             return BestMatch(pointer.dest_id.value, pointer.path, pointer,
-                             None, distance)
+                             None, distance, ephemeral)
         if vn is not None:
             return BestMatch(vn.id.value, None, None, vn, distance)
         return None
@@ -213,14 +216,15 @@ class RoflRouter:
         best: Optional[BestMatch] = None
 
         def consider(cand_id: FlatId, pointer: Optional[Pointer],
-                     vn: Optional[VirtualNode]) -> None:
+                     vn: Optional[VirtualNode],
+                     ephemeral: bool = False) -> None:
             nonlocal best
             dist = self.space.distance_cw(cand_id, dest)
             if best is None or dist < best.distance or (
                     dist == best.distance and vn is not None):
                 best = BestMatch(cand_id.value,
                                  None if pointer is None else pointer.path,
-                                 pointer, vn, dist)
+                                 pointer, vn, dist, ephemeral)
 
         for vn in self.vn_table.values():
             if include_ephemeral or not vn.ephemeral:
@@ -231,7 +235,7 @@ class RoflRouter:
                 consider(ptr.dest_id, ptr, None)
             if include_ephemeral:
                 for eph_id, ptr in vn.ephemeral_children.items():
-                    consider(eph_id, ptr, None)
+                    consider(eph_id, ptr, None, True)
         return best
 
     # -- pointer upkeep ---------------------------------------------------------------
@@ -249,9 +253,9 @@ class RoflRouter:
 
     def reroute_pointer(self, old: Pointer, new: Pointer) -> None:
         """Swap in a repaired source route for an existing pointer.  Every
-        pointer to the same ID takes the route alone and keeps its kind: a
-        cache entry stays a cache entry, and a ring pointer repaired
-        through a ``"cache"`` pointer stays a successor, predecessor or
+        pointer to the same ID takes the route alone and stays in its slot:
+        a cache entry stays a cache entry, and a ring pointer repaired
+        through a cache entry's pointer stays a successor, predecessor or
         ephemeral child."""
         path = new.path
         self.cache.replace(new.dest_id.value, path)

@@ -31,12 +31,12 @@ class Pointer:
 
     ``path`` is the hop-by-hop router route from the owner's hosting
     router (``path[0]``) to the target ID's hosting router (``path[-1]``).
-    A host-local delivery pointer has a length-1 path.
+    A host-local delivery pointer has a length-1 path.  Its role is the
+    :class:`VirtualNode` slot that holds it.
     """
 
     dest_id: FlatId
     path: Tuple[str, ...]
-    kind: str = "successor"  # "successor" | "predecessor" | "cache" | "ephemeral"
 
     def __post_init__(self) -> None:
         if not self.path:
@@ -55,7 +55,7 @@ class Pointer:
         return len(self.path) - 1
 
     def rerouted(self, new_path: Tuple[str, ...]) -> "Pointer":
-        return Pointer(dest_id=self.dest_id, path=tuple(new_path), kind=self.kind)
+        return Pointer(self.dest_id, tuple(new_path))
 
 
 # Route predicates: a ring pointer's ``path`` and a cached route alike.

@@ -46,8 +46,8 @@ from repro.snapshot.codec import gc_paused, state_hash_of
 from repro.util import perf
 
 #: Bump on any incompatible change to the header, payload layout or
-#: canonical byte stream (7: DESIGN.md §10, "Schema 7").
-SCHEMA_VERSION = 7
+#: canonical byte stream (8: DESIGN.md §10, "Schema 8").
+SCHEMA_VERSION = 8
 MAGIC = "repro-snapshot"
 
 #: What every header carries besides ``magic`` and ``schema``, and as what.

@@ -28,9 +28,15 @@ the cache answers ``best_match`` with its entry's ``(iv, route)`` pair, so
 ``cache_best_match`` builds the ``"cache"`` pointer from it; and the
 network's control-fill switch is gone, so ``_fill_caches`` returns early
 on a zero-capacity cache instead (no route record names a cache that
-holds nothing).  Those lines, the schema-6 call, the ``if``
-and the two reads above are the only lines that differ from the parent's
-file.
+holds nothing).
+
+Sanctioned, snapshot schema 8 (a pointer is its target and its route):
+``Pointer`` stores no role, so the match carries the rule the decision is
+traced with — ``vn_best_match`` reads it from the candidate's ephemeral
+flag, ``cache_best_match`` says ``"cache"`` — and ``_route`` reads
+``match.rule`` where it read ``pointer.kind``.  Those lines, the
+schema-7 and schema-6 lines, the ``if`` and the two reads above are the
+only lines that differ from the parent's file.
 
 Until PR 19 one physical hop cost 28 Python-level calls: ``_route`` asked
 ``RoflRouter.best_match`` → ``vn_best_match`` (``flush`` / ``columns`` /
@@ -84,6 +90,7 @@ class BestMatch:
     pointer: Optional[Pointer]
     resident_vn: Optional[VirtualNode]
     distance: int
+    rule: str = "successor"
 
     @property
     def is_local(self) -> bool:
@@ -127,7 +134,8 @@ def vn_best_match(self, dest: FlatId,
             if include_ephemeral or not first[3]:
                 ptr = first[2]
                 return BestMatch(ptr.dest_id, ptr, None,
-                                 (dest_iv - iv) & mask)
+                                 (dest_iv - iv) & mask,
+                                 "ephemeral" if first[3] else "successor")
     return None
 
 
@@ -141,7 +149,7 @@ def cache_best_match(self, dest: FlatId,
             trace.event_in_current("cache.miss", router=self.name,
                                    dest=dest.to_hex())
         return None
-    ptr = Pointer(self.space.make(entry[0]), entry[1], "cache")
+    ptr = Pointer(self.space.make(entry[0]), entry[1])
     dist = self.space.distance_cw_i(ptr.dest_id.value, dest.value)
     if better_than is not None and dist >= better_than:
         if trace.ENABLED:
@@ -153,7 +161,7 @@ def cache_best_match(self, dest: FlatId,
         trace.event_in_current("cache.hit", router=self.name,
                                dest=dest.to_hex(),
                                target=ptr.dest_id.to_hex())
-    return BestMatch(ptr.dest_id, ptr, None, dist)
+    return BestMatch(ptr.dest_id, ptr, None, dist, "cache")
 
 def best_match(self, dest: FlatId,
                include_ephemeral: bool = True) -> Optional[BestMatch]:
@@ -283,9 +291,9 @@ def _route(net, start_router, dest_id, mode, category):
             committed_step = 0
             committed_dist = match.distance
             outcome.pointer_hops += 1
-            outcome.used_cache = outcome.used_cache or pointer.kind == "cache"
+            outcome.used_cache = outcome.used_cache or match.rule == "cache"
             if tr is not None:
-                tr.decision(router=current, rule=pointer.kind,
+                tr.decision(router=current, rule=match.rule,
                             target=pointer.dest_id.to_hex(),
                             distance=match.distance)
             if pointer.n_hops == 0:

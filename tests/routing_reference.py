@@ -27,8 +27,16 @@ fixed ``is None`` test; the twin tests run on named ASes.
 Sanctioned, snapshot schema 7 (one pointer cache for both ROFL kinds), the
 one edit: an AS cache entry is the cached ID's int and its AS route, and
 ``cache.best_match`` answers ``(iv, route)``, so ``_cache_match`` builds
-the ``"cache"`` :class:`ASPointer` it reads from that pair.  Those lines
-are the only ones that differ from that commit's file.
+the ``"cache"`` :class:`ASPointer` it reads from that pair.
+
+Sanctioned, snapshot schema 8 (a pointer is its target and its route), the
+other edit: :class:`ASPointer` stores neither a role nor ``dest_as``, so
+the match says what the pointer is — ``_pick_pointer`` hands back the
+index entry (a finger's is the one with a flag), ``_cache_match``
+answers ``cached=True`` — and ``_route`` tags a decision with
+:func:`~repro.inter.asnode.ring_rule` (or ``"cache"``) where it read
+``kind`` and ``trace_tag``.  Those lines and the schema-7 ones are the
+only ones that differ from that commit's file.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from typing import Hashable, List, Optional
 
 from repro.idspace.identifier import FlatId
 from repro.inter import routing
-from repro.inter.asnode import MAX_SCAN, ASBestMatch, RoflAS
+from repro.inter.asnode import MAX_SCAN, ASBestMatch, RoflAS, ring_rule
 from repro.inter.network import InterDomainNetwork
 from repro.inter.pointers import ASPointer, InterVirtualNode
 from repro.inter.routing import MAX_POINTER_HOPS, InterOutcome
@@ -131,9 +139,10 @@ def _route(net, start_as, dest_id, mode, scope, category, use_cache):
             committed_step = 0
             committed_dist = match.distance
             outcome.pointer_hops += 1
-            outcome.used_cache = outcome.used_cache or pointer.kind == "cache"
+            outcome.used_cache = outcome.used_cache or match.cached
             if tr is not None:
-                tr.decision(router=str(current), rule=pointer.trace_tag,
+                tr.decision(router=str(current), rule="cache" if match.cached
+                            else ring_rule(pointer, match.finger),
                             target=pointer.dest_id.to_hex(),
                             distance=match.distance)
             if pointer.n_hops == 0:
@@ -225,11 +234,13 @@ def best_match(self, net: "InterDomainNetwork", dest: FlatId,
             if vn is not None and self._vn_in_ring(vn, scope):
                 best = ASBestMatch(vn.id, None, vn, (dest_iv - iv) & mask)
                 break
-            pointer = self._pick_pointer(net, entry.ptrs, scope,
-                                         arrived_from)
-            if pointer is not None:
+            picked = self._pick_pointer(net, entry.ptrs, scope,
+                                        arrived_from)
+            if picked is not None:
+                pointer = picked[2]
                 best = ASBestMatch(pointer.dest_id, pointer, None,
-                                   (dest_iv - iv) & mask)
+                                   (dest_iv - iv) & mask,
+                                   finger=len(picked) > 3)
                 break
     if use_cache:
         cached = self._cache_match(net, dest, scope, arrived_from,
@@ -241,10 +252,10 @@ def best_match(self, net: "InterDomainNetwork", dest: FlatId,
 
 def _pick_pointer(self, net: "InterDomainNetwork",
                   ptr_entries: List[tuple], scope: Optional[Hashable],
-                  arrived_from: Optional[Hashable]) -> Optional[ASPointer]:
+                  arrived_from: Optional[Hashable]) -> Optional[tuple]:
     for entry in ptr_entries:
         ptr = entry[2]
-        if scope is not None and ptr.kind == "finger":
+        if scope is not None and len(entry) > 3:
             # Scoped (join-time) searches walk the successor structure
             # only: a finger may target an ID that is not a member of
             # the ring being merged (its level records the owner's
@@ -261,9 +272,9 @@ def _pick_pointer(self, net: "InterDomainNetwork",
             if trace.ENABLED:
                 trace.event_in_current("policy.filter", asn=str(self.asn),
                                        target=ptr.dest_id.to_hex(),
-                                       rule=ptr.trace_tag)
+                                       rule=ring_rule(ptr, len(entry) > 3))
             continue
-        return ptr
+        return entry
     return None
 
 
@@ -290,8 +301,7 @@ def _cache_match(self, net: "InterDomainNetwork", dest: FlatId,
             trace.event_in_current("cache.miss", asn=str(self.asn),
                                    dest=dest.to_hex())
         return None
-    ptr = ASPointer(self.space.make(entry[0]), entry[1][-1], entry[1],
-                    kind="cache")
+    ptr = ASPointer(self.space.make(entry[0]), entry[1])
     dist = self.space.distance_cw_i(ptr.dest_id.value, dest.value)
     if better_than is not None and dist >= better_than:
         if trace.ENABLED:
@@ -310,7 +320,7 @@ def _cache_match(self, net: "InterDomainNetwork", dest: FlatId,
         trace.event_in_current("cache.hit", asn=str(self.asn),
                                dest=dest.to_hex(),
                                target=ptr.dest_id.to_hex())
-    return ASBestMatch(ptr.dest_id, ptr, None, dist)
+    return ASBestMatch(ptr.dest_id, ptr, None, dist, cached=True)
 
 
 def validate_pointer(self, node: RoflAS, pointer: ASPointer,
@@ -328,9 +338,8 @@ def validate_pointer(self, node: RoflAS, pointer: ASPointer,
         if new_route is None:
             new_route = self.policy.policy_path(start, target.home_as)
         if new_route is not None:
-            return ASPointer(pointer.dest_id, target.home_as,
-                             tuple(new_route), level=pointer.level,
-                             kind=pointer.kind)
+            return ASPointer(pointer.dest_id, tuple(new_route),
+                             level=pointer.level)
     owner = self.ases.get(pointer.owner_as)
     if owner is not None:
         owner.drop_pointer(pointer)

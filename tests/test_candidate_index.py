@@ -145,8 +145,8 @@ def view(index):
 
 
 class IndexMachine(RuleBasedStateMachine):
-    #: ``(ptr,)`` entries as RoflAS contributes, or ``(ptr, ephemeral)``
-    #: as RoflRouter does.
+    #: Bare ``(ptr,)`` entries (RoflAS's successors), or ``(ptr, flag)``
+    #: as RoflRouter (the ephemeral flag) and RoflAS's fingers contribute.
     flagged = False
 
     def __init__(self):

@@ -1,5 +1,7 @@
 """Unit tests for the per-AS aggregated routing state."""
 
+import dataclasses
+
 import pytest
 
 from repro.idspace.identifier import RingSpace
@@ -13,10 +15,8 @@ def make_vn(value, home="AS-X", **kwargs):
     return InterVirtualNode(id=SPACE.make(value), home_as=home, **kwargs)
 
 
-def ptr(value, dest_as="AS-Y", route=("AS-X", "AS-Y"), level=None,
-        kind="successor"):
-    return ASPointer(SPACE.make(value), dest_as, tuple(route), level=level,
-                     kind=kind)
+def ptr(value, route=("AS-X", "AS-Y"), level=None):
+    return ASPointer(SPACE.make(value), tuple(route), level)
 
 
 class FakeNet:
@@ -90,14 +90,14 @@ class TestBestMatch:
     def test_scoped_skips_fingers(self):
         node = RoflAS("AS-X", SPACE)
         vn = make_vn(100)
-        vn.fingers = [ptr(180, level="AS-X", kind="finger")]
+        vn.fingers = [ptr(180, level="AS-X")]
         node.host(vn)
         net = FakeNet()
         scoped = node.best_match(net, SPACE.make(190), scope="AS-X")
         # The finger is skipped; the hosted ID wins (it is in its home ring).
         assert scoped.is_local
         unscoped = node.best_match(net, SPACE.make(190))
-        assert unscoped.dest_id.value == 180
+        assert unscoped.dest_id.value == 180 and unscoped.finger
 
     def test_import_rule_blocks_shortcuts(self):
         node = RoflAS("AS-X", SPACE)
@@ -116,15 +116,14 @@ class TestBestMatch:
         hit = node.best_match(net, SPACE.make(250))
         # A cache win at a decision point is the one place its pointer is
         # built: the entry's ID and the cache's own route tuple.
-        assert hit.pointer == ptr(240, kind="cache")
+        assert hit.pointer == ptr(240) and hit.cached and not hit.finger
         assert hit.pointer.as_route is node.cache._lru[240]
         # A transit AS only asks how close: a distance, no pointer.
         assert node.best_match(net, SPACE.make(250), closer_than=20) == 10
         # Once the destination appears below this AS, the cache is barred.
         node.subtree_bloom.add(SPACE.make(250))
         barred = node.best_match(net, SPACE.make(250))
-        assert barred is None or barred.pointer is None \
-            or barred.pointer.kind != "cache"
+        assert barred is None or not barred.cached
 
     def test_index_rebuild_on_mutation(self):
         node = RoflAS("AS-X", SPACE)
@@ -182,7 +181,7 @@ class TestFlushCoalescing:
         node = RoflAS("AS-X", SPACE)
         vn = make_vn(100)
         vn.set_successor(None, ptr(200))
-        vn.fingers = [ptr(300, kind="finger"), ptr(400, kind="finger")]
+        vn.fingers = [ptr(300), ptr(400)]
         node.host(vn)
         net = FakeNet()
         node.best_match(net, SPACE.make(10))
@@ -212,7 +211,7 @@ class TestUpkeep:
         node = RoflAS("AS-X", SPACE, cache_entries=8)
         vn = make_vn(100)
         vn.set_successor(None, ptr(200))
-        vn.fingers = [ptr(50, kind="finger")]
+        vn.fingers = [ptr(50)]
         node.host(vn)
         node.cache.put(240, ("AS-X", "AS-Y"))
         # id itself + 1 succ + 1 finger + 1 cache entry
@@ -222,19 +221,23 @@ class TestUpkeep:
 
 class TestPointerValidation:
     def test_as_route_must_end_at_dest(self):
-        with pytest.raises(ValueError):
-            ASPointer(SPACE.make(1), "AS-Z", ("AS-X", "AS-Y"))
+        """The target AS is the route's end by construction: no field to
+        disagree with it."""
+        pointer = ASPointer(SPACE.make(1), ("AS-X", "AS-Y"))
+        assert pointer.dest_as == "AS-Y" and pointer.owner_as == "AS-X"
+        assert [f.name for f in dataclasses.fields(ASPointer)] == [
+            "dest_id", "as_route", "level"]
 
     def test_empty_route_rejected(self):
         with pytest.raises(ValueError):
-            ASPointer(SPACE.make(1), "AS-X", ())
+            ASPointer(SPACE.make(1), ())
 
     def test_drop_dead_target_sweeps_all_tables(self):
         vn = make_vn(100)
         vn.set_successor(None, ptr(200))
         vn.set_successor("L", ptr(200, level="L"))
-        vn.pred_by_level["L"] = ptr(50, kind="predecessor")
-        vn.fingers = [ptr(200, kind="finger")]
+        vn.pred_by_level["L"] = ptr(50)
+        vn.fingers = [ptr(200)]
         dropped = vn.drop_dead_targets({SPACE.make(200)})
         assert dropped == 3
         assert not vn.succ_by_level and not vn.fingers
@@ -246,9 +249,9 @@ class TestPointerValidation:
             vn.set_successor(None, ptr(200))
             vn.set_successor("L", ptr(300, level="L"))
             vn.set_successor("M", ptr(200, level="M"))
-            vn.pred_by_level["L"] = ptr(400, kind="predecessor")
-            vn.pred_by_level["M"] = ptr(50, kind="predecessor")
-            vn.fingers = [ptr(t, kind="finger") for t in (300, 500, 400, 600)]
+            vn.pred_by_level["L"] = ptr(400)
+            vn.pred_by_level["M"] = ptr(50)
+            vn.fingers = [ptr(t) for t in (300, 500, 400, 600)]
             return vn
         dead = [SPACE.make(t) for t in (200, 400, 500, 700)]
         together, singly = table(), table()

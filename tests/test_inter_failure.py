@@ -36,7 +36,7 @@ def test_dead_ids_removed_everywhere(net):
             assert flat_id not in ring
     for node in net.ases.values():
         for vn in node.hosted.values():
-            for ptr in vn.candidate_pointers():
+            for ptr in [*vn.succ_by_level.values(), *vn.fingers]:
                 assert ptr.dest_id not in dead
                 assert stub not in ptr.as_route
 

@@ -147,8 +147,7 @@ class TestCaches:
                 assert below[0].id in node.subtree_bloom
                 hits = node.cache.hits
                 match = node.best_match(net, below[0].id)
-                assert match is None or match.pointer is None \
-                    or match.pointer.kind != "cache"
+                assert match is None or not match.cached
                 assert node.cache.hits == hits   # barred before the probe
                 break
         else:
@@ -218,7 +217,7 @@ def test_repair_at_as_zero_starts_from_as_zero():
     target = net.space.make(12345)
     net.id_owner_index[target] = InterVirtualNode(target, 5)
     net.fail_as(1)
-    pointer = ASPointer(target, 5, (4, 0, 1, 3, 5))
+    pointer = ASPointer(target, (4, 0, 1, 3, 5))
     for at in (0, 2):
         repaired = net.validate_pointer(net.ases[at], pointer, from_as=at)
         assert repaired.as_route[0] == at and repaired.as_route[-1] == 5
@@ -353,7 +352,7 @@ class TestReferenceEngine:
         # pointer there is NACKed and the pointer's owner tears it down.
         def silently_gone(net):
             for owner in sorted(net.hosts.values(), key=lambda vn: vn.id):
-                for ptr in owner.candidate_pointers():
+                for ptr in [*owner.succ_by_level.values(), *owner.fingers]:
                     target = net.id_owner_index.get(ptr.dest_id)
                     if ptr.n_hops >= 2 and target is not None:
                         home = net.ases[target.home_as]
@@ -368,13 +367,14 @@ class TestReferenceEngine:
         # the decision and repaired mid-route (a static policy path may
         # cross it again).
         crossed = collections.Counter(
-            asn for vn in net.hosts.values() for ptr in vn.candidate_pointers()
+            asn for vn in net.hosts.values()
+            for ptr in [*vn.succ_by_level.values(), *vn.fingers]
             for asn in ptr.as_route[1:-1])
         transit = min(crossed, key=lambda asn: (-crossed[asn], str(asn)))
         twins.both(lambda net: net.fail_as(transit))
         across = sorted((str(vn.home_as), ptr.dest_id)
                         for vn in net.hosts.values()
-                        for ptr in vn.candidate_pointers()
+                        for ptr in [*vn.succ_by_level.values(), *vn.fingers]
                         if transit in ptr.as_route[1:-1])
         twins.both(lambda net: [routing.route(net, start, target)
                                 for start, target in across[:12]])

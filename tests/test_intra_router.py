@@ -9,6 +9,7 @@ from repro.intra import forwarding
 from repro.intra.network import IntraDomainNetwork
 from repro.intra.router import RoflRouter
 from repro.intra.virtualnode import Pointer, VirtualNode
+from repro.obs import trace
 from repro.topology.isp import synthetic_isp
 
 SPACE = RingSpace(bits=16)
@@ -24,7 +25,7 @@ def vn(value, router="r0", ephemeral=False):
 
 
 def succ(value, path=("r0", "r1")):
-    return Pointer(SPACE.make(value), tuple(path), "successor")
+    return Pointer(SPACE.make(value), tuple(path))
 
 
 class TestVnTable:
@@ -78,10 +79,10 @@ class TestBestMatch:
         router = make_router()
         node = vn(100)
         node.ephemeral_children[SPACE.make(150)] = Pointer(
-            SPACE.make(150), ("r0", "r9"), "ephemeral")
+            SPACE.make(150), ("r0", "r9"))
         router.register_virtual_node(node)
         data = router.best_match(SPACE.make(150), include_ephemeral=True)
-        assert data.target == 150
+        assert data.target == 150 and data.ephemeral
         ctl = router.best_match(SPACE.make(150), include_ephemeral=False)
         assert ctl.target == 100
 
@@ -99,7 +100,7 @@ class TestBestMatch:
         router.cache.put(180, ("r0", "r2"))
         match = router.best_match(SPACE.make(190))
         # A cache win is its entry's int and route: no pointer is built.
-        assert match == (180, ("r0", "r2"), None, None, 10)
+        assert match == (180, ("r0", "r2"), None, None, 10, False)
         # Cache not closer than VN state → VN wins.
         router.cache.put(120, ("r0", "r2"))
         match = router.best_match(SPACE.make(151))
@@ -140,7 +141,7 @@ class TestPointerUpkeep:
         router = make_router()
         node = vn(100)
         node.successors = [succ(200), succ(300)]
-        node.predecessor = Pointer(SPACE.make(50), ("r0", "r3"), "predecessor")
+        node.predecessor = Pointer(SPACE.make(50), ("r0", "r3"))
         router.register_virtual_node(node)
         router.cache.put(1, ("r0", "r1"))
         # default VN (1) + node (1 + 2 succ + 1 pred) + 1 cache entry
@@ -220,8 +221,10 @@ def test_a_revalidated_cache_entry_leaves_a_ring_pointer_its_kind():
     """``reroute_pointer`` once stored the repaired pointer itself as a
     VN's predecessor (and successor, and ephemeral child), so a cached
     route repaired after a bare link-state cut turned a ring neighbour's
-    pointer into a ``"cache"`` pointer.  Every pointer keeps its kind and
-    takes the route alone."""
+    pointer into a cache pointer.  Now a pointer's kind is the slot that
+    holds it: the entry stays in the cache, the predecessor stays in its
+    slot (a pointer of its own, on the repaired route), and a packet that
+    takes the entry again traces ``"cache"`` and reports ``used_cache``."""
     net = IntraDomainNetwork(synthetic_isp(n_routers=12, seed=1), seed=1)
     net.join_random_hosts(20)
     router, vn, link = _cached_predecessor_with_a_spare_route(net)
@@ -230,8 +233,16 @@ def test_a_revalidated_cache_entry_leaves_a_ring_pointer_its_kind():
     sent = forwarding.route(net, router.name, target)
     assert sent.delivered and sent.used_cache
     assert router.cache._lru[target.value] == tuple(sent.path)
-    assert vn.predecessor.kind == "predecessor"
+    assert vn.predecessor.dest_id == target
     assert vn.predecessor.path == tuple(sent.path)
+    assert all(ptr is not vn.predecessor for ptr in
+               [*vn.successors, *vn.ephemeral_children.values()])
+    tracer = trace.Tracer(sink=trace.RingBufferSink(capacity=None))
+    with trace.tracing(tracer):
+        again = forwarding.route(net, router.name, target)
+    assert again.delivered and again.used_cache
+    assert [record.data["rule"] for record in tracer.sink.records()
+            if record.kind == "decision"][0] == "cache"
 
 
 class TestFlushCoalescing:

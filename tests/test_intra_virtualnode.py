@@ -1,5 +1,7 @@
 """Virtual node and pointer data-structure tests."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ ROUTERS = ("r0", "r1", "r2", "r3")
 
 
 def ptr(value, path=("r0", "r1", "r2")):
-    return Pointer(SPACE.make(value), tuple(path), "successor")
+    return Pointer(SPACE.make(value), tuple(path))
 
 
 # ``Pointer.uses_link`` as it was before it tested both ends first, verbatim
@@ -30,7 +32,7 @@ class TestPointer:
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
-            Pointer(SPACE.make(1), (), "successor")
+            Pointer(SPACE.make(1), ())
 
     def test_traverses_and_uses_link(self):
         path = ptr(5).path
@@ -58,11 +60,16 @@ class TestPointer:
     def test_rerouted_keeps_identity(self):
         p = ptr(5)
         q = p.rerouted(("r0", "r9", "r2"))
-        assert q.dest_id == p.dest_id and q.kind == p.kind
+        assert q.dest_id == p.dest_id and q is not p
         assert q.path == ("r0", "r9", "r2")
 
+    def test_a_pointer_is_its_target_and_route(self):
+        """Its role is the slot that holds it, so the record stores none."""
+        assert [f.name for f in dataclasses.fields(Pointer)] == [
+            "dest_id", "path"]
+
     def test_single_router_path(self):
-        p = Pointer(SPACE.make(1), ("r0",), "successor")
+        p = Pointer(SPACE.make(1), ("r0",))
         assert p.n_hops == 0 and p.owner_router == p.hosting_router == "r0"
 
 
@@ -106,7 +113,7 @@ class TestVirtualNode:
     def test_state_entries_accounting(self):
         vn = self.make()
         vn.set_successors([ptr(200), ptr(300)], group_size=4)
-        vn.predecessor = Pointer(SPACE.make(50), ("r0", "r5"), "predecessor")
+        vn.predecessor = Pointer(SPACE.make(50), ("r0", "r5"))
         vn.ephemeral_children[SPACE.make(120)] = Pointer(
-            SPACE.make(120), ("r0", "r7"), "ephemeral")
+            SPACE.make(120), ("r0", "r7"))
         assert vn.state_entries() == 1 + 2 + 1 + 1

@@ -69,7 +69,7 @@ class TestRingConsistency:
                       if vn.primary_successor() is not None)
         broken = victim.primary_successor()
         victim.successors[0] = type(broken)(
-            dest_id=victim.id, path=(victim.router,), kind=broken.kind)
+            dest_id=victim.id, path=(victim.router,))
         probes = ProbeSet([RingConsistencyProbe(net)])
         assert probes.tick(5.0) == 1
         violation = probes.violations[0]

@@ -181,7 +181,7 @@ def test_inter_incremental_index_matches_bruteforce():
         best_dist = None
         for vn in node.hosted.values():
             dists = [net.space.distance_cw(vn.id, dest)]
-            for ptr in vn.candidate_pointers():
+            for ptr in [*vn.succ_by_level.values(), *vn.fingers]:
                 dists.append(net.space.distance_cw(ptr.dest_id, dest))
             for dist in dists:
                 if best_dist is None or dist < best_dist:

@@ -10,8 +10,8 @@ what the original network would have produced.
 tripwire for refactors that must not move a hash.  Never regenerate it
 from the current code to make a test pass; a *deliberate* change of the
 canonical stream regenerates it in that PR and says so in the file's
-``captured`` line (done five times so far: snapshot schemas 2, 3, 5, 6
-and 7 — schemas 6 and 7 the intradomain pair alone; schema 4 moved no
+``captured`` line (done six times so far: snapshot schemas 2, 3, 5, 6,
+7 and 8 — schemas 6 and 7 the intradomain pair alone; schema 4 moved no
 hash).
 """
 
@@ -379,12 +379,12 @@ class TestFormat:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
             payload = fh.read()
-        assert snapshot.SCHEMA_VERSION == 7
+        assert snapshot.SCHEMA_VERSION == 8
         # A file from the future, and one from before each change of the
-        # canonical stream or the payload layout (schemas 1-6): refused
+        # canonical stream or the payload layout (schemas 1-7): refused
         # before the payload is touched, by the reader that only wants
         # the header too.
-        for found in (snapshot.SCHEMA_VERSION + 1, 6, 5, 4, 3, 2, 1):
+        for found in (snapshot.SCHEMA_VERSION + 1, 7, 6, 5, 4, 3, 2, 1):
             header["schema"] = found
             with open(path, "wb") as fh:
                 fh.write(json.dumps(header).encode() + b"\n" + payload)
