@@ -137,33 +137,41 @@ def merge_rings(net: "IntraDomainNetwork",
     majority ring plus the usual setup/ack — the same cost profile as a
     host join, which is why the paper finds merge overhead "roughly on the
     same order of magnitude of rejoining all the hosts in the PoP".
+    Each live component merges on its own: a map that other failures left
+    split has one zero ID per component, as it has one ring per component.
     """
     from repro.intra import forwarding
 
-    rejoiners = sorted((vn for vn in net.ring_members()
-                        if vn.router in rejoining_routers),
-                       key=lambda vn: vn.id)
-    # The zero-ID advertisement gives every rejoining router a route to
-    # the majority ring's smallest ID; rejoin requests are forwarded there
-    # and then routed greedily around the majority ring.
-    majority = [vn for vn in net.ring_members()
-                if vn.router not in rejoining_routers]
-    if not majority:
-        _reconcile_ring(net)
-        return
-    zero_vn = min(majority, key=lambda vn: vn.id)
-    for vn in rejoiners:
-        to_zero = net.paths.hop_path(vn.router, zero_vn.router)
-        if to_zero is None:
+    for members in _component_members(net):
+        # The zero-ID advertisement gives every rejoining router a route
+        # to the majority ring's smallest ID; rejoin requests are
+        # forwarded there and then routed greedily around that ring.
+        majority = [vn for vn in members
+                    if vn.router not in rejoining_routers]
+        if not majority:
             continue
-        net.stats.charge_path(to_zero, "repair")
-        probe = forwarding.route(net, zero_vn.router, vn.id, mode="lookup",
-                                 category="repair")
-        pred = probe.final_vn if probe.delivered else None
-        if pred is None or pred is vn:
-            continue
-        _splice(net, pred, vn)
+        zero_vn = majority[0]
+        for vn in members:
+            if vn.router not in rejoining_routers:
+                continue
+            to_zero = net.paths.hop_path(vn.router, zero_vn.router)
+            if to_zero is None:
+                continue
+            net.stats.charge_path(to_zero, "repair")
+            probe = forwarding.route(net, zero_vn.router, vn.id,
+                                     mode="lookup", category="repair")
+            pred = probe.final_vn if probe.delivered else None
+            if pred is None or pred is vn:
+                continue
+            _splice(net, pred, vn)
     _reconcile_ring(net)
+
+
+def _component_members(net: "IntraDomainNetwork") -> List[List[VirtualNode]]:
+    """The ring members of each live component, sorted by ID."""
+    members = sorted(net.ring_members(), key=lambda vn: vn.id)
+    return [[vn for vn in members if vn.router in component]
+            for component in net.lsmap.components()]
 
 
 def _splice(net: "IntraDomainNetwork", pred: VirtualNode,
@@ -206,33 +214,33 @@ def _reconcile_ring(net: "IntraDomainNetwork") -> None:
     """Final convergence sweep: any remaining primary-successor mismatch
     (interleaved IDs that a pairwise splice cannot see) is fixed with a
     charged exchange, mirroring the "loopy cycle" healing the paper's
-    consistency checks enforce."""
-    members = sorted(net.ring_members(), key=lambda vn: vn.id)
-    n = len(members)
-    if n == 0:
-        return
-    for i, vn in enumerate(members):
-        expected = members[(i + 1) % n]
-        primary = vn.primary_successor()
-        if primary is not None and primary.dest_id == expected.id and n > 1:
-            continue
-        if n == 1:
-            vn.successors = []
-            vn.predecessor = None
+    consistency checks enforce.  Per live component, as ``check_ring``
+    judges it."""
+    for members in _component_members(net):
+        n = len(members)
+        for i, vn in enumerate(members):
+            expected = members[(i + 1) % n]
+            primary = vn.primary_successor()
+            if primary is not None and primary.dest_id == expected.id \
+                    and n > 1:
+                continue
+            if n == 1:
+                vn.successors = []
+                vn.predecessor = None
+                net.routers[vn.router].mark_dirty(vn)
+                continue
+            path = net.paths.hop_path(vn.router, expected.router)
+            if path is None:
+                continue
+            net.stats.charge_path(path, "repair")
+            net.stats.charge_path(list(reversed(path)), "repair")
+            vn.push_successor(Pointer(expected.id, tuple(path)),
+                              net.successor_group_size)
+            back = net.paths.hop_path(expected.router, vn.router)
+            if back is not None:
+                expected.predecessor = Pointer(vn.id, tuple(back))
             net.routers[vn.router].mark_dirty(vn)
-            continue
-        path = net.paths.hop_path(vn.router, expected.router)
-        if path is None:
-            continue
-        net.stats.charge_path(path, "repair")
-        net.stats.charge_path(list(reversed(path)), "repair")
-        vn.push_successor(Pointer(expected.id, tuple(path)),
-                          net.successor_group_size)
-        back = net.paths.hop_path(expected.router, vn.router)
-        if back is not None:
-            expected.predecessor = Pointer(vn.id, tuple(back))
-        net.routers[vn.router].mark_dirty(vn)
-        net.routers[expected.router].mark_dirty(expected)
+            net.routers[expected.router].mark_dirty(expected)
 
 
 def disconnect_and_reconnect_pop(net: "IntraDomainNetwork",

@@ -313,7 +313,7 @@ def test_round_trip_is_what_the_hand_written_codecs_returned():
         for seed in range(4):
             mappings["bench:{}:{}".format(kind, seed)] = \
                 inputs.churn_scenario(kind, seed, 1.0, victims=victims)
-    assert sorted(mappings) == sorted(golden) and len(golden) == 14
+    assert sorted(mappings) == sorted(golden) and len(golden) == 15
     for key, mapping in mappings.items():
         assert Scenario.from_dict(mapping).to_dict() == golden[key], key
     for name in BUILTIN_SCENARIOS:
