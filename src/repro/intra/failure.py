@@ -17,6 +17,8 @@ B or the path to B fails, then A will delete its pointer."
   pointers to IDs resident at unreachable routers.
 * **Link failure without partition** — no ring changes: "the network map
   will find alternate paths"; cached routes over the link are invalidated.
+  A cut that does partition heals each side like a router crash, and the
+  restore that reconnects them merges the rings like a PoP reconnect.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from typing import Iterable, List, Set, TYPE_CHECKING
 
 from repro.idspace.identifier import FlatId
-from repro.intra.partition import heal_components
+from repro.intra.partition import heal_components, merge_rings
 from repro.intra.ring import join_internal, splice_out
 from repro.intra.virtualnode import (Pointer, VirtualNode, traverses,
                                      uses_link)
@@ -234,13 +236,28 @@ def purge_pointers_via(net: "IntraDomainNetwork", dead_router: str,
 
 
 def link_failure(net: "IntraDomainNetwork", a: str, b: str) -> int:
-    """Fail one link.  No ring changes — "the router need not make any
-    changes on behalf of its resident IDs since the network map will find
-    alternate paths" — but cached pointers over the link are invalidated.
-    Returns the number of cache entries dropped."""
+    """Fail one link.  No ring changes while the map stays connected —
+    "the router need not make any changes on behalf of its resident IDs
+    since the network map will find alternate paths" — but cached pointers
+    over the link are invalidated.  A cut that splits the map heals each
+    side into its own ring, as a router crash does.  Returns the number of
+    cache entries dropped."""
+    cut = net.lsmap.is_link_up(a, b)
     net.lsmap.fail_link(a, b)
     dropped = 0
     for router in net.routers.values():
         dropped += router.cache.invalidate_where(
             lambda iv, route: uses_link(route, a, b))
+    if cut and not net.lsmap.reachable(a, b):
+        heal_components(net)
     return dropped
+
+
+def link_restore(net: "IntraDomainNetwork", a: str, b: str) -> None:
+    """Restore one link.  A restore that joins two components merges the
+    smaller one's ring into the other's, as a PoP reconnect does."""
+    sides = [component for component in net.lsmap.components()
+             if a in component or b in component]
+    net.lsmap.restore_link(a, b)
+    if len(sides) == 2 and net.lsmap.is_link_up(a, b):
+        merge_rings(net, min(sides, key=len))

@@ -212,7 +212,7 @@ class IntraDomainNetwork(Network):
         return failure_mod.link_failure(self, a, b)
 
     def restore_link(self, a: str, b: str) -> None:
-        self.lsmap.restore_link(a, b)
+        failure_mod.link_restore(self, a, b)
 
     def partition_pop(self, pop: Hashable) -> partition.PartitionReport:
         return partition.disconnect_and_reconnect_pop(self, pop)

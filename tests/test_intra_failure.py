@@ -140,6 +140,36 @@ class TestLinkFailure:
             assert net.send(x, y).delivered
 
 
+    def test_a_cut_that_splits_the_isp_heals_and_its_restore_merges(self):
+        """``r17``–``r33`` is the one bridge of this ISP (32 and 8 routers
+        either side).  The cut once left both rings broken (``check_ring``
+        raised, and about a third of same-side sends failed), and the
+        restore never merged them: the ring stayed broken on a connected
+        map."""
+        net = build_network("intra", 0, hosts=300, n_routers=40)
+        rng = random.Random(1)
+        names = sorted(net.hosts)
+
+        def sends_on_one_side(n):
+            delivered = 0
+            for _ in range(n):
+                x, y = rng.sample(names, 2)
+                while not net.lsmap.reachable(net.hosts[x].router,
+                                              net.hosts[y].router):
+                    x, y = rng.sample(names, 2)
+                delivered += net.send(x, y).delivered
+            return delivered
+
+        net.fail_link("r17", "r33")
+        assert sorted(map(len, net.lsmap.components())) == [8, 32]
+        net.check_ring()
+        assert sends_on_one_side(400) == 400
+        net.restore_link("r17", "r33")
+        assert len(net.lsmap.components()) == 1
+        net.check_ring()
+        assert sends_on_one_side(400) == 400
+
+
 class TestDirectedFlood:
     def test_cost_is_edge_union(self, intra_net_factory):
         net = intra_net_factory(n_hosts=0)
