@@ -9,7 +9,6 @@ The bench measures both clocks over random single-link failures.
 """
 
 from repro.linkstate.protocol import FloodModel, OspfTimers
-from repro.linkstate.spf import PathCache
 from repro.intra.network import IntraDomainNetwork
 from repro.intra.virtualnode import uses_link
 from repro.topology.isp import synthetic_isp
@@ -34,7 +33,7 @@ def run_experiment():
         if len(net.lsmap.components()) > 1:
             net.lsmap.restore_link(a, b)
             continue
-        ospf_ms = model.recovery_time_ms(a, PathCache(net.lsmap))
+        ospf_ms = model.recovery_time_ms(a, net.paths)
         dropped = 0
         for router in net.routers.values():
             dropped += router.cache.invalidate_where(

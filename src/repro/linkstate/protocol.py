@@ -17,6 +17,7 @@ from typing import Optional
 
 from repro.linkstate.lsdb import LinkStateMap
 from repro.linkstate.spf import PathCache
+from repro.topology.graph import dijkstra_lengths
 
 
 @dataclass(frozen=True)
@@ -50,14 +51,18 @@ def flood_message_cost(lsmap: LinkStateMap,
 
 def flood_latency_ms(lsmap: LinkStateMap, origin: str,
                      paths: Optional[PathCache] = None) -> float:
-    """Time for a flood from ``origin`` to reach every reachable router."""
-    paths = paths or PathCache(lsmap)
-    worst = 0.0
-    for router in lsmap.live_routers():
-        latency = paths.latency_ms(origin, router)
-        if latency is not None:
-            worst = max(worst, latency)
-    return worst
+    """Time for a flood from ``origin`` to reach every reachable router.
+
+    A query: with no ``paths`` it runs one Dijkstra over the live map and
+    leaves nothing behind (a ``PathCache`` would subscribe to the map for
+    good)."""
+    if paths is None:
+        live = lsmap.adjacency
+        lengths = dijkstra_lengths(live, origin) if origin in live else {}
+    else:
+        lengths = {router: paths.latency_ms(origin, router)
+                   for router in lsmap.live_routers()}
+    return max((ms for ms in lengths.values() if ms is not None), default=0.0)
 
 
 class FloodModel:

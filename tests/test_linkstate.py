@@ -177,6 +177,20 @@ class TestFloodModel:
         origin = lsmap.live_routers()[0]
         assert model.recovery_time_ms(origin) > 300.0
 
+    def test_a_recovery_query_leaves_the_network_as_it_was(self):
+        """Without a ``paths`` argument the query once built a
+        ``PathCache`` that subscribed to the live map for good: the map
+        held one more subscriber, and the state hash moved."""
+        from repro import build_network
+        from repro.snapshot import state_hash
+        net = build_network("intra", 0, hosts=40, n_routers=24)
+        before = (len(net.lsmap._subscribers), state_hash(net))
+        origin = net.lsmap.live_routers()[0]
+        model = FloodModel(net.lsmap)
+        assert model.recovery_time_ms(origin) \
+            == model.recovery_time_ms(origin, net.paths)
+        assert (len(net.lsmap._subscribers), state_hash(net)) == before
+
 
 class TestSelectiveInvalidation:
     """Failure events evict only SPF trees touching the failed element."""
