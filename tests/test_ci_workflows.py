@@ -162,6 +162,23 @@ def test_unopenable_path_and_bad_port_step_expects_exit_2_and_one_line(
     assert done.stdout.count("repro serve: error: argument --tcp: ") == 1
 
 
+def test_probe_gate_step_passes(tmp_path):
+    """``steady-churn --seed 2`` (its link cuts split the ISP) and
+    ``crash-then-partition.json`` (a PoP cycle after a crash that cut
+    routers off) under ``--probes``: the step fails on a non-zero exit or
+    a non-empty ``violations``, and runs here as CI runs it (~2 s)."""
+    script = _bench_smoke_step("probe gate OK")
+    for expected in ("steady-churn --seed 2", "--probes",
+                     "examples/scenarios/crash-then-partition.json"):
+        assert expected in script
+    done = subprocess.run(
+        ["bash", "-e", "-c", script.replace("python ", sys.executable + " ")],
+        cwd=Path(__file__).resolve().parent.parent, capture_output=True,
+        text=True, env={"TMPDIR": str(tmp_path), "PATH": "/usr/bin:/bin"})
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "probe gate OK: 2 runs, no violations" in done.stdout
+
+
 def test_compare_stretch_step_passes_no_flag_but_json(tmp_path):
     """The gate runs the registry's head-to-head at the registry's sizes
     (the command has no size flags), and its inline asserts hold on the
