@@ -27,9 +27,9 @@ from typing import Iterable, List, Set, TYPE_CHECKING
 
 from repro.idspace.identifier import FlatId
 from repro.intra.partition import heal_components, merge_rings
-from repro.intra.ring import join_internal, splice_out
-from repro.intra.virtualnode import (Pointer, VirtualNode, traverses,
-                                     uses_link)
+from repro.intra.ring import (join_internal, refill_successor_group,
+                              splice_out)
+from repro.intra.virtualnode import VirtualNode, traverses, uses_link
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.intra.network import IntraDomainNetwork
@@ -121,45 +121,6 @@ def _teardown_stable(net: "IntraDomainNetwork", vn: VirtualNode) -> None:
     # link-state layer reports the hosting router's session gone.
     for router in net.routers.values():
         router.cache.invalidate_id(vn.id)
-
-
-def refill_successor_group(net: "IntraDomainNetwork", vn: VirtualNode) -> None:
-    """Extend a shrunken successor group from its tail.
-
-    The paper (Section 3.2): the node "tries asking each of its successors
-    S_i starting at the one furthest away to fill the gap at the end of
-    its successor list".  Each ask/answer pair is charged.
-    """
-    guard = 0
-    while len(vn.successors) < net.successor_group_size and guard < 16:
-        guard += 1
-        tail = vn.successors[-1] if vn.successors else None
-        if tail is None:
-            return
-        tail_vn = net.vn_index.get(tail.dest_id)
-        if tail_vn is None or tail_vn.ephemeral:
-            return
-        ask_path = net.paths.hop_path(vn.router, tail_vn.router)
-        if ask_path is None:
-            return
-        net.stats.charge_path(ask_path, "repair")
-        net.stats.charge_path(list(reversed(ask_path)), "repair")
-        known = {p.dest_id for p in vn.successors} | {vn.id}
-        grew = False
-        for ptr in tail_vn.successors:
-            if ptr.dest_id in known or not net.id_is_live(ptr.dest_id):
-                continue
-            path = net.paths.hop_path(vn.router, ptr.hosting_router)
-            if path is None:
-                continue
-            vn.successors.append(Pointer(ptr.dest_id, tuple(path)))
-            known.add(ptr.dest_id)
-            grew = True
-            if len(vn.successors) >= net.successor_group_size:
-                break
-        net.routers[vn.router].mark_dirty(vn)
-        if not grew:
-            return
 
 
 def router_failure(net: "IntraDomainNetwork", router_name: str) -> int:

@@ -8,7 +8,7 @@ make forwarding decisions, only state-update and checking code does).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.idspace.identifier import FlatId, RingSpace
 from repro.intra import failure as failure_mod
@@ -236,13 +236,22 @@ class IntraDomainNetwork(Network):
         return [vn for vn in self.vn_index.values()
                 if not vn.ephemeral and self.lsmap.is_router_up(vn.router)]
 
+    def ring_components(self) -> List[Tuple[Set[str], List[VirtualNode]]]:
+        """Each live component with its ring members sorted by ID: one
+        sort, and one pass that files each member under its router's
+        component."""
+        components = self.lsmap.components()
+        members: List[List[VirtualNode]] = [[] for _ in components]
+        where = {router: i for i, component in enumerate(components)
+                 for router in component}
+        for vn in sorted(self.ring_members(), key=lambda vn: vn.id):
+            members[where[vn.router]].append(vn)
+        return list(zip(components, members))
+
     def check_ring(self) -> None:
         """The simulator's misconvergence check: live members must form a
         single sorted ring of primary successors (per live component)."""
-        for component in self.lsmap.components():
-            members = sorted((vn for vn in self.ring_members()
-                              if vn.router in component),
-                             key=lambda vn: vn.id)
+        for _, members in self.ring_components():
             n = len(members)
             if n <= 1:
                 continue

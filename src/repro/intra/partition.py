@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, List, Set, Tuple, TYPE_CHECKING
 
+from repro.intra import forwarding
+from repro.intra.ring import refill_successor_group, routes_from, splice_in
 from repro.intra.virtualnode import Pointer, VirtualNode
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -61,70 +63,35 @@ def heal_components(net: "IntraDomainNetwork") -> None:
 
     Per component: cached pointers whose source routes are no longer live
     are invalidated (local, LSA-driven); successor groups are shifted down
-    past unreachable members; remaining gaps are filled with charged
-    lookup/setup exchanges.
+    past unreachable members (free: "it knows no closer IDs may exist")
+    and ephemeral children stranded outside the component detach; the
+    ring is closed; the shrunken groups are refilled from their tails.
     """
-    components = net.lsmap.components()
-    for component in components:
-        _heal_one_component(net, component)
-
-
-def _heal_one_component(net: "IntraDomainNetwork", component: Set[str]) -> None:
-    members = sorted((vn for vn in net.ring_members()
-                      if vn.router in component), key=lambda vn: vn.id)
-    if not members:
-        return
-    member_ids = {vn.id for vn in members}
-    n = len(members)
-
-    for router_name in component:
-        router = net.routers[router_name]
-        router.cache.invalidate_where(
-            lambda iv, route: not net.lsmap.path_is_live(route))
-
-    for i, vn in enumerate(members):
-        # Shift the successor group down past unreachable IDs (free: "it
-        # knows no closer IDs may exist").  ``vn.router`` is in the
-        # component, so what it can reach is what the component holds.
-        before = len(vn.successors)
-        vn.successors = [p for p in vn.successors if p.dest_id in member_ids
-                         and p.hosting_router in component]
-        if len(vn.successors) != before:
-            net.routers[vn.router].mark_dirty(vn)
-        expected = members[(i + 1) % n]
-        if n == 1:
-            vn.successors = []
-            vn.predecessor = None
-            net.routers[vn.router].mark_dirty(vn)
-            continue
-        primary = vn.primary_successor()
-        if primary is None or primary.dest_id != expected.id:
-            # Charged gap-filling exchange (ask + answer).
-            path = net.paths.hop_path(vn.router, expected.router)
-            if path is None:
-                continue
-            net.stats.charge_path(path, "repair")
-            net.stats.charge_path(list(reversed(path)), "repair")
-            vn.push_successor(Pointer(expected.id, tuple(path)),
-                              net.successor_group_size)
-            net.routers[vn.router].mark_dirty(vn)
-        prev = members[(i - 1) % n]
-        if (vn.predecessor is None or vn.predecessor.dest_id not in member_ids
-                or vn.predecessor.dest_id != prev.id):
-            back = net.paths.hop_path(vn.router, prev.router)
-            if back is not None:
-                vn.predecessor = Pointer(prev.id, tuple(back))
-
-        # Ephemeral children stranded outside the component detach.
-        doomed = [eid for eid, p in vn.ephemeral_children.items()
-                  if p.hosting_router not in component]
-        for eid in doomed:
-            del vn.ephemeral_children[eid]
-            net.routers[vn.router].mark_dirty(vn)
-
-    from repro.intra.failure import refill_successor_group
-    for vn in members:
-        refill_successor_group(net, vn)
+    for component, members in net.ring_components():
+        for router_name in component:
+            net.routers[router_name].cache.invalidate_where(
+                lambda iv, route: not net.lsmap.path_is_live(route))
+        member_ids = {vn.id for vn in members}
+        for vn in members:
+            # ``vn.router`` is in the component, so what it can reach is
+            # what the component holds.
+            router = net.routers[vn.router]
+            before = len(vn.successors)
+            vn.successors = [p for p in vn.successors
+                             if p.dest_id in member_ids
+                             and p.hosting_router in component]
+            if len(vn.successors) != before:
+                router.mark_dirty(vn)
+            if len(members) == 1:
+                continue    # a router cut off alone keeps what it parked
+            doomed = [eid for eid, p in vn.ephemeral_children.items()
+                      if p.hosting_router not in component]
+            for eid in doomed:
+                del vn.ephemeral_children[eid]
+                router.mark_dirty(vn)
+        _close_ring(net, members)
+        for vn in members:
+            refill_successor_group(net, vn)
 
 
 def merge_rings(net: "IntraDomainNetwork",
@@ -139,108 +106,64 @@ def merge_rings(net: "IntraDomainNetwork",
     same order of magnitude of rejoining all the hosts in the PoP".
     Each live component merges on its own: a map that other failures left
     split has one zero ID per component, as it has one ring per component.
+    A final closing pass fixes what pairwise splices cannot see
+    (interleaved IDs), mirroring the "loopy cycle" healing the paper's
+    consistency checks enforce.
     """
-    from repro.intra import forwarding
-
-    for members in _component_members(net):
+    for _, members in net.ring_components():
         # The zero-ID advertisement gives every rejoining router a route
         # to the majority ring's smallest ID; rejoin requests are
         # forwarded there and then routed greedily around that ring.
-        majority = [vn for vn in members
-                    if vn.router not in rejoining_routers]
-        if not majority:
-            continue
-        zero_vn = majority[0]
+        zero_vn = next((vn for vn in members
+                        if vn.router not in rejoining_routers), None)
         for vn in members:
-            if vn.router not in rejoining_routers:
+            if zero_vn is None or vn.router not in rejoining_routers:
                 continue
-            to_zero = net.paths.hop_path(vn.router, zero_vn.router)
-            if to_zero is None:
-                continue
-            net.stats.charge_path(to_zero, "repair")
+            net.stats.charge_path(
+                net.paths.hop_path(vn.router, zero_vn.router), "repair")
             probe = forwarding.route(net, zero_vn.router, vn.id,
                                      mode="lookup", category="repair")
             pred = probe.final_vn if probe.delivered else None
             if pred is None or pred is vn:
                 continue
-            _splice(net, pred, vn)
-    _reconcile_ring(net)
+            response = net.paths.hop_path(pred.router, vn.router)
+            if response is None:
+                continue
+            net.stats.charge_path(response, "repair")
+            splice_in(net, pred, vn,
+                      routes_from(net, vn.router, pred.successors,
+                                  skip=(vn.id,)), "repair")
+            net.routers[vn.router].mark_dirty(vn)
+        _close_ring(net, members)
 
 
-def _component_members(net: "IntraDomainNetwork") -> List[List[VirtualNode]]:
-    """The ring members of each live component, sorted by ID."""
-    members = sorted(net.ring_members(), key=lambda vn: vn.id)
-    return [[vn for vn in members if vn.router in component]
-            for component in net.lsmap.components()]
-
-
-def _splice(net: "IntraDomainNetwork", pred: VirtualNode,
-            vn: VirtualNode) -> None:
-    """Insert ``vn`` after ``pred``, charging the setup/ack exchanges."""
-    inherited: List[Pointer] = []
-    for ptr in pred.successors:
-        if ptr.dest_id == vn.id or not net.id_is_live(ptr.dest_id):
+def _close_ring(net: "IntraDomainNetwork",
+                members: List[VirtualNode]) -> None:
+    """Turn one component's ID-sorted ring members into its ring: a wrong
+    primary successor is fixed with a charged exchange (ask + answer), a
+    wrong predecessor for free, and a lone member holds no ring pointers.
+    A component is connected, so every path asked for here exists."""
+    n = len(members)
+    for i, vn in enumerate(members):
+        router = net.routers[vn.router]
+        if n == 1:
+            vn.successors = []
+            vn.predecessor = None
+            router.mark_dirty(vn)
             continue
-        path = net.paths.hop_path(vn.router, ptr.hosting_router)
-        if path is not None:
-            inherited.append(Pointer(ptr.dest_id, tuple(path)))
-    response = net.paths.hop_path(pred.router, vn.router)
-    if response is not None:
-        net.stats.charge_path(response, "repair")
-    if inherited:
-        primary = inherited[0]
-        setup = net.paths.hop_path(vn.router, primary.hosting_router)
-        if setup is not None:
-            net.stats.charge_path(setup, "repair")
-            net.stats.charge_path(list(reversed(setup)), "repair")
-        succ_vn = net.vn_index.get(primary.dest_id)
-        if succ_vn is not None and not succ_vn.ephemeral:
-            back = net.paths.hop_path(succ_vn.router, vn.router)
-            if back is not None:
-                succ_vn.predecessor = Pointer(vn.id, tuple(back))
-                net.routers[succ_vn.router].mark_dirty(succ_vn)
-        vn.set_successors(inherited, net.successor_group_size)
-    if response is not None:
-        pred.push_successor(
-            Pointer(vn.id, tuple(net.paths.hop_path(pred.router, vn.router))),
-            net.successor_group_size)
-        vn.predecessor = Pointer(
-            pred.id, tuple(net.paths.hop_path(vn.router, pred.router)))
-    net.routers[pred.router].mark_dirty(pred)
-    net.routers[vn.router].mark_dirty(vn)
-
-
-def _reconcile_ring(net: "IntraDomainNetwork") -> None:
-    """Final convergence sweep: any remaining primary-successor mismatch
-    (interleaved IDs that a pairwise splice cannot see) is fixed with a
-    charged exchange, mirroring the "loopy cycle" healing the paper's
-    consistency checks enforce.  Per live component, as ``check_ring``
-    judges it."""
-    for members in _component_members(net):
-        n = len(members)
-        for i, vn in enumerate(members):
-            expected = members[(i + 1) % n]
-            primary = vn.primary_successor()
-            if primary is not None and primary.dest_id == expected.id \
-                    and n > 1:
-                continue
-            if n == 1:
-                vn.successors = []
-                vn.predecessor = None
-                net.routers[vn.router].mark_dirty(vn)
-                continue
+        expected = members[(i + 1) % n]
+        primary = vn.primary_successor()
+        if primary is None or primary.dest_id != expected.id:
             path = net.paths.hop_path(vn.router, expected.router)
-            if path is None:
-                continue
             net.stats.charge_path(path, "repair")
             net.stats.charge_path(list(reversed(path)), "repair")
             vn.push_successor(Pointer(expected.id, tuple(path)),
                               net.successor_group_size)
-            back = net.paths.hop_path(expected.router, vn.router)
-            if back is not None:
-                expected.predecessor = Pointer(vn.id, tuple(back))
-            net.routers[vn.router].mark_dirty(vn)
-            net.routers[expected.router].mark_dirty(expected)
+            router.mark_dirty(vn)
+        prev = members[i - 1]
+        if vn.predecessor is None or vn.predecessor.dest_id != prev.id:
+            vn.predecessor = Pointer(
+                prev.id, tuple(net.paths.hop_path(vn.router, prev.router)))
 
 
 def disconnect_and_reconnect_pop(net: "IntraDomainNetwork",

@@ -127,50 +127,20 @@ def _join_stable(net: "IntraDomainNetwork", router, vn: VirtualNode) -> float:
     # The new node inherits the predecessor's successor group; the
     # predecessor's group shifts down behind the new node (Section 2.2 /
     # Algorithm 1 lines 6–7, generalised to successor groups).
-    inherited: List[Pointer] = []
-    for ptr in pred.successors:
-        if not net.id_is_live(ptr.dest_id):
-            continue
-        path = net.paths.hop_path(router.name, ptr.hosting_router)
-        if path is None:
-            continue
-        inherited.append(Pointer(ptr.dest_id, tuple(path)))
+    inherited = routes_from(net, router.name, pred.successors)
     if not inherited:
         # Single-node ring: the predecessor becomes the successor too.
         back = net.paths.hop_path(router.name, pred.router)
         inherited = [Pointer(pred.id, tuple(back))]
-    vn.set_successors(inherited, net.successor_group_size)
-
-    # (3) Path setup to the immediate successor, and (4) its ack, which
-    # installs the successor's new predecessor pointer.
-    setup_latency = 0.0
-    primary = vn.primary_successor()
-    succ_vn = net.vn_index.get(primary.dest_id)
-    setup_path = net.paths.hop_path(router.name, primary.hosting_router)
+    # (3) Path setup to the immediate successor, and (4) its ack.
+    setup_path = splice_in(net, pred, vn, inherited, "join")
     if setup_path is not None:
-        net.stats.charge_path(setup_path, "join")              # setup
-        net.stats.charge_path(list(reversed(setup_path)), "join")  # ack
-        setup_latency = 2 * net.paths.path_latency_ms(setup_path)
-        _fill_caches(net, setup_path, [primary.dest_id])
+        latency += 2 * net.paths.path_latency_ms(setup_path)
+        _fill_caches(net, setup_path, [vn.primary_successor().dest_id])
         _fill_caches(net, list(reversed(setup_path)), [vn.id])
-    if succ_vn is not None and not succ_vn.ephemeral:
-        back = net.paths.hop_path(succ_vn.router, router.name)
-        if back is not None:
-            succ_vn.predecessor = Pointer(vn.id, tuple(back))
-            net.routers[succ_vn.router].mark_dirty(succ_vn)
-
-    # Predecessor-side state: pred already has the request in hand, so no
-    # further messages — it installs its pointer to the new node.
-    pred_path = net.paths.hop_path(pred.router, router.name)
-    pred.push_successor(Pointer(vn.id, tuple(pred_path)),
-                        net.successor_group_size)
-    net.routers[pred.router].mark_dirty(pred)
-    vn.predecessor = Pointer(
-        pred.id, tuple(net.paths.hop_path(router.name, pred.router)))
-
     router.register_virtual_node(vn)
     # Request and response are sequential; the setup/ack exchange follows.
-    return latency + setup_latency
+    return latency
 
 
 def _join_ephemeral(net: "IntraDomainNetwork", router, vn: VirtualNode) -> float:
@@ -236,12 +206,8 @@ def splice_out(net: "IntraDomainNetwork", vn: VirtualNode,
         if pred_vn.drop_successor(vn.id):
             router.mark_dirty(pred_vn)
         merged = [p for p in pred_vn.successors if net.id_is_live(p.dest_id)]
-        for ptr in vn.successors:
-            if ptr.dest_id == pred_vn.id or not net.id_is_live(ptr.dest_id):
-                continue
-            path = net.paths.hop_path(pred_vn.router, ptr.hosting_router)
-            if path is not None:
-                merged.append(Pointer(ptr.dest_id, tuple(path)))
+        merged += routes_from(net, pred_vn.router, vn.successors,
+                              skip=(pred_vn.id,))
         merged.sort(key=lambda p: net.space.distance_cw(pred_vn.id, p.dest_id))
         pred_vn.set_successors(merged, net.successor_group_size)
         router.mark_dirty(pred_vn)
@@ -273,6 +239,90 @@ def splice_out(net: "IntraDomainNetwork", vn: VirtualNode,
             succ_vn.predecessor = None
         net.routers[succ_vn.router].mark_dirty(succ_vn)
     return pred_vn if spliced else None
+
+
+def splice_in(net: "IntraDomainNetwork", pred: VirtualNode,
+              vn: VirtualNode, inherited: List[Pointer],
+              category: str) -> Optional[List[str]]:
+    """Insert ``vn`` after ``pred`` — the one way in, for a host join
+    (``category`` ``"join"``) and a zero-ID rejoin after a partition
+    (``"repair"``) alike, the mirror of :func:`splice_out`; the lookup and
+    the response that brought ``inherited`` (``pred``'s group, re-routed
+    from ``vn``) stay with the caller.
+
+    ``vn`` takes ``inherited`` as its successor group; a setup and its ack
+    go to the new primary, which learns its new predecessor; ``pred``
+    re-points at ``vn``.  With nothing inherited, ``vn`` keeps its group
+    and no setup goes out.  Returns the setup path, if any.  ``vn``'s own
+    router index is the caller's to refresh.
+    """
+    setup = None
+    if inherited:
+        vn.set_successors(inherited, net.successor_group_size)
+        primary = vn.primary_successor()
+        setup = net.paths.hop_path(vn.router, primary.hosting_router)
+        if setup is not None:
+            net.stats.charge_path(setup, category)                  # setup
+            net.stats.charge_path(list(reversed(setup)), category)  # ack
+        succ_vn = net.vn_index.get(primary.dest_id)
+        if succ_vn is not None and not succ_vn.ephemeral:
+            back = net.paths.hop_path(succ_vn.router, vn.router)
+            if back is not None:
+                succ_vn.predecessor = Pointer(vn.id, tuple(back))
+                net.routers[succ_vn.router].mark_dirty(succ_vn)
+    # ``pred`` already has the request in hand, so no further messages: it
+    # installs its pointer to the new node.
+    pred.push_successor(
+        Pointer(vn.id, tuple(net.paths.hop_path(pred.router, vn.router))),
+        net.successor_group_size)
+    net.routers[pred.router].mark_dirty(pred)
+    vn.predecessor = Pointer(
+        pred.id, tuple(net.paths.hop_path(vn.router, pred.router)))
+    return setup
+
+
+def routes_from(net: "IntraDomainNetwork", router: str,
+                pointers: Sequence[Pointer], skip=()) -> List[Pointer]:
+    """The live targets of another node's successor list (bar ``skip``),
+    each re-routed from ``router``: what a node inherits, merges or refills
+    from a neighbour's group.  A dead target models the NACK of its
+    hosting router; an unreachable one is left out."""
+    routes: List[Pointer] = []
+    for ptr in pointers:
+        if ptr.dest_id in skip or not net.id_is_live(ptr.dest_id):
+            continue
+        path = net.paths.hop_path(router, ptr.hosting_router)
+        if path is not None:
+            routes.append(Pointer(ptr.dest_id, tuple(path)))
+    return routes
+
+
+def refill_successor_group(net: "IntraDomainNetwork", vn: VirtualNode) -> None:
+    """Extend a shrunken successor group from its tail.
+
+    The paper (Section 3.2): the node "tries asking each of its successors
+    S_i starting at the one furthest away to fill the gap at the end of
+    its successor list".  Each ask/answer pair is charged.
+    """
+    size = net.successor_group_size
+    for _ in range(16):
+        if not vn.successors or len(vn.successors) >= size:
+            return
+        tail_vn = net.vn_index.get(vn.successors[-1].dest_id)
+        if tail_vn is None or tail_vn.ephemeral:
+            return
+        ask_path = net.paths.hop_path(vn.router, tail_vn.router)
+        if ask_path is None:
+            return
+        net.stats.charge_path(ask_path, "repair")
+        net.stats.charge_path(list(reversed(ask_path)), "repair")
+        before = len(vn.successors)
+        vn.set_successors(
+            vn.successors + routes_from(net, vn.router, tail_vn.successors),
+            size)
+        net.routers[vn.router].mark_dirty(vn)
+        if len(vn.successors) == before:
+            return
 
 
 def _fill_caches(net: "IntraDomainNetwork", path: Sequence[str],
