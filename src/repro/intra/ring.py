@@ -212,19 +212,7 @@ def splice_out(net: "IntraDomainNetwork", vn: VirtualNode,
         pred_vn.set_successors(merged, net.successor_group_size)
         router.mark_dirty(pred_vn)
         # Orphaned ephemeral children re-home to the predecessor.
-        for eph_id in vn.ephemeral_children:
-            eph_vn = net.vn_index.get(eph_id)
-            if eph_vn is None:
-                continue
-            path = net.paths.hop_path(pred_vn.router, eph_vn.router)
-            if path is None:
-                continue
-            net.stats.charge_path(path, category)
-            pred_vn.ephemeral_children[eph_id] = Pointer(eph_id, tuple(path))
-            back = net.paths.hop_path(eph_vn.router, pred_vn.router)
-            if back is not None:
-                eph_vn.predecessor = Pointer(pred_vn.id, tuple(back))
-            router.mark_dirty(pred_vn)
+        _adopt_children(net, pred_vn, vn.ephemeral_children, category)
 
     if succ_vn is not None and pred_vn is not None and succ_vn is not vn \
             and succ_vn is not pred_vn:
@@ -275,10 +263,38 @@ def splice_in(net: "IntraDomainNetwork", pred: VirtualNode,
     pred.push_successor(
         Pointer(vn.id, tuple(net.paths.hop_path(pred.router, vn.router))),
         net.successor_group_size)
-    net.routers[pred.router].mark_dirty(pred)
     vn.predecessor = Pointer(
         pred.id, tuple(net.paths.hop_path(vn.router, pred.router)))
+    # Children parked at ``pred`` that now lie past ``vn`` move to it.
+    space, reach = net.space, net.space.distance_cw(pred.id, vn.id)
+    past = [eph_id for eph_id in pred.ephemeral_children
+            if space.distance_cw(pred.id, eph_id) > reach]
+    _adopt_children(net, vn, past, category)
+    for eph_id in past:
+        if eph_id in vn.ephemeral_children:
+            del pred.ephemeral_children[eph_id]
+    net.routers[pred.router].mark_dirty(pred)
     return setup
+
+
+def _adopt_children(net: "IntraDomainNetwork", parent: VirtualNode,
+                    eph_ids, category: str) -> None:
+    """``parent`` becomes the ring predecessor of the parked ephemeral IDs
+    ``eph_ids``: a charged setup to each reachable one, which learns its
+    new predecessor."""
+    for eph_id in eph_ids:
+        eph_vn = net.vn_index.get(eph_id)
+        if eph_vn is None:
+            continue
+        path = net.paths.hop_path(parent.router, eph_vn.router)
+        if path is None:
+            continue
+        net.stats.charge_path(path, category)
+        parent.ephemeral_children[eph_id] = Pointer(eph_id, tuple(path))
+        back = net.paths.hop_path(eph_vn.router, parent.router)
+        if back is not None:
+            eph_vn.predecessor = Pointer(parent.id, tuple(back))
+        net.routers[parent.router].mark_dirty(parent)
 
 
 def routes_from(net: "IntraDomainNetwork", router: str,

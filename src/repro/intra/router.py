@@ -140,8 +140,9 @@ class RoflRouter:
         """Algorithm 2's whole per-hop decision, one call in the int domain:
         ``VN.best_match`` — the closest ID to ``dest`` (not past it, i.e.
         minimising the clockwise distance) among the resident IDs, their
-        successor groups and parked ephemeral IDs — then ``PC.best_match``,
-        which wins only when strictly closer (lines 5–10).
+        successor groups and parked ephemeral IDs, an ephemeral one only
+        when it is ``dest`` — then ``PC.best_match``, which wins only when
+        strictly closer (lines 5–10).
 
         Returns a :class:`BestMatch`, or ``None`` with no routing state; a
         cache win is its entry's ID int and route, no :class:`Pointer`.
@@ -164,11 +165,15 @@ class RoflRouter:
         while position > stop:
             cand = candidates[position]
             here = cand.vn
-            if here is not None and (include_ephemeral or not here.ephemeral):
+            # An ephemeral ID holds no onward state: it matches only as
+            # the destination itself.
+            if here is not None and (not here.ephemeral or (
+                    include_ephemeral and ivalues[position] == dest_iv)):
                 vn = here
                 distance = (dest_iv - ivalues[position]) & mask
                 break
-            if cand.ptrs and (include_ephemeral or not cand.ptrs[0][3]):
+            if cand.ptrs and (not cand.ptrs[0][3] or (
+                    include_ephemeral and ivalues[position] == dest_iv)):
                 _, _, pointer, ephemeral = cand.ptrs[0]
                 distance = (dest_iv - ivalues[position]) & mask
                 break
@@ -212,7 +217,10 @@ class RoflRouter:
                            include_ephemeral: bool = True) -> Optional[BestMatch]:
         """Reference brute-force ``VN.best_match`` (no cache); the property
         tests cross-check :meth:`best_match` on a zero-capacity cache
-        against it."""
+        against it.  One sanctioned edit since it was written: an
+        ephemeral candidate (a resident or a parked child) is considered
+        only when it is ``dest`` itself — it holds no onward state, so a
+        greedy walk that stepped onto it stalled."""
         best: Optional[BestMatch] = None
 
         def consider(cand_id: FlatId, pointer: Optional[Pointer],
@@ -227,15 +235,14 @@ class RoflRouter:
                                  pointer, vn, dist, ephemeral)
 
         for vn in self.vn_table.values():
-            if include_ephemeral or not vn.ephemeral:
+            if not vn.ephemeral or (include_ephemeral and vn.id == dest):
                 consider(vn.id, None, vn)
             if vn.ephemeral:
                 continue
             for ptr in vn.successors:
                 consider(ptr.dest_id, ptr, None)
-            if include_ephemeral:
-                for eph_id, ptr in vn.ephemeral_children.items():
-                    consider(eph_id, ptr, None, True)
+            if include_ephemeral and dest in vn.ephemeral_children:
+                consider(dest, vn.ephemeral_children[dest], None, True)
         return best
 
     # -- pointer upkeep ---------------------------------------------------------------

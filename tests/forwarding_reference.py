@@ -34,9 +34,17 @@ Sanctioned, snapshot schema 8 (a pointer is its target and its route):
 ``Pointer`` stores no role, so the match carries the rule the decision is
 traced with — ``vn_best_match`` reads it from the candidate's ephemeral
 flag, ``cache_best_match`` says ``"cache"`` — and ``_route`` reads
-``match.rule`` where it read ``pointer.kind``.  Those lines, the
-schema-7 and schema-6 lines, the ``if`` and the two reads above are the
-only lines that differ from the parent's file.
+``match.rule`` where it read ``pointer.kind``.
+
+Sanctioned, the ephemeral-reachability fix (ROADMAP item 1): an
+ephemeral ID holds no onward state, so ``vn_best_match`` admits an
+ephemeral resident or parked child only when it is the destination
+itself (``iv == dest_iv``, data mode) — the two ``if`` tests on
+``vn.ephemeral`` and ``first[3]``.  Before it, a greedy walk adopted an
+ephemeral resident on the way and stalled with "destination ID not
+found".  Those two tests, the schema-8, schema-7 and schema-6 lines, the
+zero-hop ``if`` and the two reads above are the only lines that differ
+from the parent's file.
 
 Until PR 19 one physical hop cost 28 Python-level calls: ``_route`` asked
 ``RoflRouter.best_match`` → ``vn_best_match`` (``flush`` / ``columns`` /
@@ -126,12 +134,12 @@ def vn_best_match(self, dest: FlatId,
         iv = ivalues[position]
         cand = candidates[position]
         vn = cand.vn
-        if vn is not None and (include_ephemeral
-                               or not vn.ephemeral):
+        if vn is not None and (not vn.ephemeral
+                               or include_ephemeral and iv == dest_iv):
             return BestMatch(vn.id, None, vn, (dest_iv - iv) & mask)
         if cand.ptrs:
             first = cand.ptrs[0]
-            if include_ephemeral or not first[3]:
+            if not first[3] or include_ephemeral and iv == dest_iv:
                 ptr = first[2]
                 return BestMatch(ptr.dest_id, ptr, None,
                                  (dest_iv - iv) & mask,

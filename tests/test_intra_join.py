@@ -148,6 +148,33 @@ class TestEphemeral:
             assert vn.id in pred.ephemeral_children
 
 
+    def test_an_ephemeral_host_is_parked_at_its_ring_predecessor(
+            self, intra_net_factory):
+        """A stable join between a parked ID and the VN it is parked at
+        takes the child over, as a departure hands children back."""
+        net = intra_net_factory(n_hosts=150, seed=0, ephemeral_fraction=0.4)
+        ring_ids = sorted(vn.id for vn in net.ring_members())
+        for vn in net.hosts.values():
+            if vn.ephemeral:
+                expected = max((i for i in ring_ids if i < vn.id),
+                               default=ring_ids[-1])
+                assert vn.predecessor.dest_id == expected
+                assert vn.id in net.vn_index[expected].ephemeral_children
+
+    def test_every_ephemeral_host_is_reached_from_every_router(
+            self, intra_net_factory):
+        """With no cache to shortcut through, only ring state routes: 57
+        ephemeral hosts, each sent to from all 40 routers (every one was
+        unreachable from at least one router before the fix)."""
+        net = intra_net_factory(n_hosts=150, seed=0, ephemeral_fraction=0.4,
+                                cache_entries=0)
+        ephemeral = [vn for vn in net.hosts.values() if vn.ephemeral]
+        assert len(ephemeral) == 57
+        for vn in ephemeral:
+            for router in net.routers:
+                assert net.send_to_id(router, vn.id).delivered, (router, vn)
+
+
 class TestJoinWithId:
     def test_raw_id_join(self, intra_net_factory):
         net = intra_net_factory(n_hosts=10)

@@ -92,6 +92,22 @@ class TestBestMatch:
         match = router.best_match(SPACE.make(100), include_ephemeral=False)
         assert match.target != 100
 
+    def test_an_ephemeral_id_matches_only_as_the_destination(self):
+        """An ephemeral resident or parked child holds no onward state: a
+        greedy walk that stepped onto one on the way stalled with
+        "destination ID not found"."""
+        router = make_router(cache_entries=0)
+        router.register_virtual_node(vn(100, ephemeral=True))
+        node = vn(50)
+        node.successors = [succ(60)]
+        node.ephemeral_children[SPACE.make(150)] = Pointer(
+            SPACE.make(150), ("r0", "r9"))
+        router.register_virtual_node(node)
+        assert router.best_match(SPACE.make(120)).target == 60
+        assert router.best_match(SPACE.make(170)).target == 60
+        assert router.best_match(SPACE.make(150)).ephemeral
+        assert router.best_match(SPACE.make(100)).resident_vn.ephemeral
+
     def test_cache_shortcut_only_when_strictly_closer(self):
         router = make_router()
         node = vn(100)
