@@ -11,10 +11,12 @@ B or the path to B fails, then A will delete its pointer."
   (the route record accumulated at join time); the ring repair around
   the gap is :func:`repro.intra.ring.splice_out`, shared with a graceful
   leave, after which the predecessor sets up its new primary and refills
-  its group.
-* **Router failure** — hosts re-home via the pre-agreed failover list and
-  rejoin; remote routers monitoring link-state advertisements delete
-  pointers to IDs resident at unreachable routers.
+  its group (:func:`repro.intra.ring.refill_successor_group`).
+* **Router failure** — remote routers monitoring link-state advertisements
+  delete pointers to IDs resident at unreachable routers, each live
+  component heals into its own ring
+  (:func:`repro.intra.partition.heal_components`), and the hosts re-home
+  via the pre-agreed failover list and rejoin.
 * **Link failure without partition** — no ring changes: "the network map
   will find alternate paths"; cached routes over the link are invalidated.
   A cut that does partition heals each side like a router crash, and the

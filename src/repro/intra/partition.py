@@ -15,6 +15,17 @@ Zero-ID advertisements themselves are piggybacked on link-state floods
 advertisements") and therefore charged as zero additional messages; the
 repair traffic (teardowns, gap-filling lookups, pointer setups) is charged
 in full.
+
+Both halves work per live component, from one walk
+(:meth:`~repro.intra.network.IntraDomainNetwork.ring_components`), and end
+in the one loop that turns a component's sorted members into its ring,
+:func:`_close_ring`.  The heal shifts successor groups past what the
+component lost, detaches ephemeral children stranded across the cut,
+closes the ring and refills the groups from their tails
+(:func:`repro.intra.ring.refill_successor_group`); a member left alone in
+its component keeps what it parked.  The merge splices each rejoining ID
+in after the predecessor its lookup finds — :func:`repro.intra.ring.splice_in`,
+the one way into the ring a host join takes too — and then closes the ring.
 """
 
 from __future__ import annotations
