@@ -91,7 +91,7 @@ def run_seed(seed: int, log: List[str]) -> str:
     cuts: List[Tuple[str, str]] = []
     for i in range(OPS):
         op = rng.choice(CHOICES)
-        log.append("{:2d} {}".format(i, op))
+        log.append("{:2d} {}".format(i, op))    # named first: it may raise
         log[-1] = "{:2d} {}".format(i, step(net, rng, op, cuts))
         net.check_ring()
     return state_hash(net)

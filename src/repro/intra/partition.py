@@ -94,7 +94,9 @@ def heal_components(net: "IntraDomainNetwork") -> None:
             if len(vn.successors) != before:
                 router.mark_dirty(vn)
             if len(members) == 1:
-                continue    # a router cut off alone keeps what it parked
+                # Kept on purpose until children re-park (ROADMAP item
+                # 1(e)): a member cut off alone keeps what it parked.
+                continue
             doomed = [eid for eid, p in vn.ephemeral_children.items()
                       if p.hosting_router not in component]
             for eid in doomed:

@@ -240,9 +240,11 @@ def splice_in(net: "IntraDomainNetwork", pred: VirtualNode,
 
     ``vn`` takes ``inherited`` as its successor group; a setup and its ack
     go to the new primary, which learns its new predecessor; ``pred``
-    re-points at ``vn``.  With nothing inherited, ``vn`` keeps its group
-    and no setup goes out.  Returns the setup path, if any.  ``vn``'s own
-    router index is the caller's to refresh.
+    re-points at ``vn``; the children parked at ``pred`` that now lie past
+    ``vn`` move to it, charged as :func:`splice_out` charges an adoption.
+    With nothing inherited, ``vn`` keeps its group and no setup goes out.
+    Returns the setup path, if any.  ``vn``'s own router index is the
+    caller's to refresh.
     """
     setup = None
     if inherited:
