@@ -40,6 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: already-known successor and its answer.
 CONFIRMATION_COST = 2
 
+_SINGLE_HOMED = JoinStrategy.SINGLE_HOMED.value
+
 
 class InterJoinError(Exception):
     """An interdomain join could not complete."""
@@ -141,41 +143,64 @@ def _join_level(net: "InterDomainNetwork", vn: InterVirtualNode,
             net.lookup_mismatches += 1
             pred = oracle_pred
         # Response: predecessor → home, carrying its successor info.
-        _charge_scoped_path(net, pred.home_as, vn.home_as, level)
-
-    succ = oracle_succ if oracle_succ.id != vn.id else pred
-    if not deduped:
-        route_to_succ = _route_to_vn(net, vn.home_as, succ, level)
-        if route_to_succ is not None:
+        response = net.policy.level_route(pred.home_as, vn.home_as, level)
+        if response is not None:
+            net.stats.charge_hops(len(response) - 1, "join")
+        to_succ = link(net, vn, oracle_succ, level)
+        if to_succ is not None:
             # Setup + ack with the successor.
-            net.stats.charge_hops(2 * (len(route_to_succ) - 1), "join")
-            _fill_as_caches(net, route_to_succ, succ)
-            vn.set_successor(level, ASPointer(succ.id, tuple(route_to_succ),
-                                              level))
-            back = _route_to_vn(net, succ.home_as, vn, level)
-            if back is not None:
-                succ.pred_by_level[level] = ASPointer(vn.id, tuple(back),
-                                                      level)
+            net.stats.charge_hops(2 * to_succ.n_hops, "join")
+            _fill_as_caches(net, to_succ.as_route, oracle_succ)
 
     # The predecessor always re-points at the new node at this level.
-    pred_route = _route_to_vn(net, pred.home_as, vn, level)
-    if pred_route is not None:
-        _set_successor_preserving_coverage(
-            net, pred, level,
-            ASPointer(vn.id, tuple(pred_route), level))
+    if link(net, pred, vn, level) is not None:
         net.ases[pred.home_as].mark_dirty(pred)
-        forward = net.policy.policy_path(vn.home_as, pred.home_as, scope=level)
-        if forward is not None:
-            vn.pred_by_level[level] = ASPointer(pred.id, tuple(forward),
-                                                level)
 
     ring.insert(vn.id, vn)
     vn.joined_levels.append(level)
     # Only successors and fingers are candidate pointers: a deduped level
-    # stored none (and ``succ`` above gained just a predecessor), so there
+    # stored none (and its successor gained just a predecessor), so there
     # is nothing for the AS index to re-diff.
     if not deduped:
         net.ases[vn.home_as].mark_dirty(vn)
+
+
+def splice_out(net: "InterDomainNetwork", gone: InterVirtualNode,
+               level: Hashable) -> None:
+    """Close the gap ``gone`` left in ``level``'s ring (it has already left
+    it): its predecessor re-points at the ID after the gap, one
+    teardown-triggered setup and ack charged as repair."""
+    ring = net.ring_at(level)
+    pred_id = ring.predecessor(gone.id, strict=False)
+    succ_id = ring.successor(gone.id, strict=False)
+    if pred_id == succ_id:  # an empty ring, or one member left
+        return
+    pred: InterVirtualNode = ring[pred_id]
+    succ: InterVirtualNode = ring[succ_id]
+    pointer = link(net, pred, succ, level)
+    if pointer is None:
+        return
+    net.stats.charge_hops(2 * pointer.n_hops, "repair")
+    net.ases[pred.home_as].mark_dirty(pred)
+    net.ases[succ.home_as].mark_dirty(succ)
+
+
+def link(net: "InterDomainNetwork", a: InterVirtualNode, b: InterVirtualNode,
+         level: Hashable) -> Optional[ASPointer]:
+    """Splice ``a → b`` into ``level``'s ring: ``a``'s successor there
+    becomes ``b`` and ``b``'s predecessor ``a``, each over
+    :func:`pointer_to`'s route.  Returns ``a``'s new pointer, or None (and
+    sets nothing) when no route reaches ``b``.  Charges nothing and marks
+    nothing dirty: the join and the repair each account for their own
+    exchange."""
+    pointer = pointer_to(net, a.home_as, b, level)
+    if pointer is None:
+        return None
+    _set_successor_preserving_coverage(net, a, level, pointer)
+    back = pointer_to(net, b.home_as, a, level)
+    if back is not None:
+        b.pred_by_level[level] = back
+    return pointer
 
 
 def _set_successor_preserving_coverage(net: "InterDomainNetwork",
@@ -211,79 +236,56 @@ def _set_successor_preserving_coverage(net: "InterDomainNetwork",
                                                    outer)
 
 
-def _allowed_entry_providers(net: "InterDomainNetwork",
-                             vn: InterVirtualNode) -> Optional[set]:
-    """Providers through which traffic may enter ``vn``'s home AS.
+def pointer_to(net: "InterDomainNetwork", from_as: Hashable,
+               vn: InterVirtualNode,
+               level: Hashable) -> Optional[ASPointer]:
+    """The pointer from ``from_as`` to ``vn`` formed at ``level``, or None
+    when no route reaches it — the one rule for every interdomain pointer
+    (join, repair, fingers, revalidation).
 
-    A single-homed join "sends a join out" on one provider only — the
-    inbound-TE semantics of Section 5.1: packets for a suffix-``k``
-    identifier must enter via provider ``k``.  Multihomed/peering joins
-    accept any provider (returns ``None`` = unconstrained)."""
-    if vn.strategy != JoinStrategy.SINGLE_HOMED.value:
-        return None
-    providers = set(net.asg.providers(vn.home_as))
-    joined = providers & set(vn.joined_levels)
-    return joined or None
-
-
-def _route_to_vn(net: "InterDomainNetwork", from_as: Hashable,
-                 vn: InterVirtualNode, level: Hashable):
-    """An AS-level source route from ``from_as`` to ``vn``, honouring the
-    entry-provider constraint of single-homed joins."""
+    Its route is the level's (:meth:`PolicyView.level_route`), returned as
+    the memoised tuple itself: which pointers share a route object is part
+    of the state hash.  A single-homed join "sends a join out" on one
+    provider only — the inbound-TE semantics of Section 5.1: packets for a
+    suffix-``k`` identifier must enter via provider ``k`` — so a route
+    into a single-homed ID over another provider is re-formed as the
+    shortest valley-free leg to a provider it joined by plus the
+    down-step home."""
     route = net.policy.level_route(from_as, vn.home_as, level)
-    allowed = _allowed_entry_providers(net, vn)
-    if route is None or allowed is None or len(route) < 2 \
-            or route[-2] in allowed:
-        return route
-    # Re-route through an allowed provider: leg to the provider plus the
-    # final down-step into the home AS.
-    best = None
-    for provider in sorted(allowed, key=str):
-        leg = net.policy.level_route(from_as, provider, level)
-        if leg is None:
-            continue
-        candidate = tuple(leg) + (vn.home_as,)
-        if not net.policy.route_is_valley_free(candidate):
-            continue
-        if best is None or len(candidate) < len(best):
-            best = candidate
-    return best or route
+    if route is None:
+        return None
+    if vn.strategy == _SINGLE_HOMED and len(route) > 1:
+        allowed = set(net.asg.providers(vn.home_as)).intersection(
+            vn.joined_levels)
+        if allowed and route[-2] not in allowed:
+            entries = []
+            for provider in sorted(allowed, key=str):
+                leg = net.policy.level_route(from_as, provider, level)
+                if leg is not None:
+                    entries.append(leg + (vn.home_as,))
+            route = min(filter(net.policy.route_is_valley_free, entries),
+                        key=len, default=route)
+    return ASPointer(vn.id, route, level)
 
 
 def _scoped_lookup(net: "InterDomainNetwork", vn: InterVirtualNode,
                    level: Hashable) -> Optional[InterVirtualNode]:
-    """The honest, message-charged predecessor lookup at one level."""
-    outcome = routing.route(net, vn.home_as, vn.id, mode="lookup",
-                            scope=level, category="join", use_cache=False)
-    if (outcome.delivered and outcome.final_vn is not None
-            and outcome.final_vn.id != vn.id):
-        return outcome.final_vn
-    # Bootstrap: the home AS holds no usable state in this ring (a walk
-    # that only found the joining ID itself counts as none); forward the
-    # request to a registered bootstrap node and retry from there.
-    ring = net.ring_at(level)
-    if len(ring) == 0:
-        return None
-    boot: InterVirtualNode = ring[next(iter(ring))]
-    cost = _charge_scoped_path(net, vn.home_as, boot.home_as, level)
-    if cost is None:
-        return None
-    outcome = routing.route(net, boot.home_as, vn.id, mode="lookup",
-                            scope=level, category="join", use_cache=False)
-    if (outcome.delivered and outcome.final_vn is not None
-            and outcome.final_vn.id != vn.id):
-        return outcome.final_vn
-    return None
-
-
-def _charge_scoped_path(net: "InterDomainNetwork", src: Hashable,
-                        dst: Hashable, level: Hashable) -> Optional[int]:
-    path = net.policy.level_route(src, dst, level)
-    if path is None:
-        return None
-    hops = len(path) - 1
-    net.stats.charge_hops(hops, "join")
-    return hops
+    """The honest, message-charged predecessor lookup at one level: from
+    the home AS, and once more from the level's bootstrap member when the
+    home AS holds no usable state in this ring (a walk that only found the
+    joining ID itself counts as none)."""
+    start = vn.home_as
+    for attempt in range(2):
+        outcome = routing.route(net, start, vn.id, mode="lookup",
+                                scope=level, category="join", use_cache=False)
+        if (outcome.delivered and outcome.final_vn is not None
+                and outcome.final_vn.id != vn.id):
+            return outcome.final_vn
+        climb = None if attempt else routing.enter_level(
+            net, vn.home_as, level, "join")
+        if climb is None:
+            return None
+        start = climb[-1]
 
 
 def _fill_as_caches(net: "InterDomainNetwork", route: tuple,

@@ -26,6 +26,7 @@ from bisect import bisect_left, bisect_right
 from typing import Hashable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.idspace.identifier import FlatId
+from repro.inter import canon
 from repro.inter.pointers import ASPointer, InterVirtualNode
 from repro.util import perf
 from repro.util.rng import derive_rng
@@ -110,11 +111,10 @@ def acquire_fingers(net: "InterDomainNetwork", vn: InterVirtualNode,
                 if chosen is None:
                     continue
                 level = lowest_containing_level(net, vn, chosen.home_as)
-                route = net.policy.level_route(vn.home_as, chosen.home_as,
-                                               level)
-                if route is None:
+                finger = canon.pointer_to(net, vn.home_as, chosen, level)
+                if finger is None:
                     continue
-                fingers.append(ASPointer(chosen.id, tuple(route), level))
+                fingers.append(finger)
                 charged += 1  # insertion notification
             row += 1
 

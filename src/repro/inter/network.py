@@ -199,11 +199,9 @@ class InterDomainNetwork(Network):
             return pointer
         target = self.id_owner_index.get(pointer.dest_id)
         if target is not None and self.as_is_up(target.home_as):
-            new_route = self.policy.level_route(start, target.home_as,
-                                                pointer.level)
-            if new_route is not None:
-                return ASPointer(pointer.dest_id, tuple(new_route),
-                                 pointer.level)
+            rerouted = canon.pointer_to(self, start, target, pointer.level)
+            if rerouted is not None:
+                return rerouted
         owner = self.ases.get(pointer.owner_as)
         if owner is not None:
             owner.drop_pointer(pointer)
@@ -240,7 +238,7 @@ class InterDomainNetwork(Network):
             # identifiers hosted in the failed stub AS".
             for vn in dead_vns:
                 for level in vn.joined_levels:
-                    self._repair_gap(vn, level)
+                    canon.splice_out(self, vn, level)
 
             # Everyone else drops pointers naming dead IDs (LSA-driven).
             # One pass and one mark_dirty per VN however many dead targets
@@ -253,29 +251,6 @@ class InterDomainNetwork(Network):
                     if hosted.drop_dead_targets(dead_ids):
                         other.mark_dirty(hosted)
             return op["messages"]
-
-    def _repair_gap(self, dead_vn: InterVirtualNode, level: Hashable) -> None:
-        ring = self.ring_at(level)
-        if len(ring) == 0:
-            return
-        pred_id = ring.predecessor(dead_vn.id, strict=False)
-        succ_id = ring.successor(dead_vn.id, strict=False)
-        if pred_id is None or succ_id is None or pred_id == succ_id:
-            return
-        pred: InterVirtualNode = ring[pred_id]
-        succ: InterVirtualNode = ring[succ_id]
-        route = self.policy.level_route(pred.home_as, succ.home_as, level)
-        if route is None:
-            return
-        self.stats.charge_hops(2 * (len(route) - 1), "repair")
-        pred.set_successor(level, ASPointer(succ.id, tuple(route), level))
-        back = self.policy.policy_path(succ.home_as, pred.home_as,
-                                       scope=level)
-        if back is not None:
-            succ.pred_by_level[level] = ASPointer(pred.id, tuple(back),
-                                                  level)
-        self.ases[pred.home_as].mark_dirty(pred)
-        self.ases[succ.home_as].mark_dirty(succ)
 
     def restore_as(self, asn: Hashable) -> None:
         self._failed.discard(asn)

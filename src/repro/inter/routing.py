@@ -26,7 +26,7 @@ higher-level (out-of-subtree) successor — the property the checker in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, TYPE_CHECKING
+from typing import Hashable, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.idspace.identifier import FlatId
 from repro.inter.asnode import ring_rule
@@ -251,28 +251,39 @@ def effective_successor(net: "InterDomainNetwork", vn: InterVirtualNode,
                default=None)
 
 
+def enter_level(net: "InterDomainNetwork", from_as: Hashable,
+                level: Hashable, category: str) -> Optional[Tuple]:
+    """The route from ``from_as`` to the first registered member of
+    ``level``'s ring, charged to ``category`` — how a scoped search enters
+    a level whose ring it holds no state in ("having host identifiers
+    register with their providers … when they join") — or None when the
+    ring is empty or out of reach."""
+    ring = net.ring_at(level)
+    if len(ring) == 0:
+        return None
+    route = net.policy.level_route(from_as, ring[next(iter(ring))].home_as,
+                                   level)
+    if route is not None:
+        net.stats.charge_hops(len(route) - 1, category)
+    return route
+
+
 def _scoped_descent(net: "InterDomainNetwork", root: Hashable,
                     dest_id: FlatId) -> InterOutcome:
     """Greedy descent within ``root``'s subtree toward ``dest_id``.
 
     A transit AS usually hosts no identifiers itself, so the descent
-    enters the subtree ring through a registered bootstrap member
-    ("having host identifiers register with their providers … when they
-    join"), exactly like a scoped join lookup does.
+    enters the subtree ring through its bootstrap member
+    (:func:`enter_level`), exactly like a scoped join lookup does.
     """
     direct = route(net, root, dest_id, mode="data", scope=root,
                    use_cache=False)
     if direct.delivered or direct.reason != "no routing state":
         return direct
-    ring = net.ring_at(root)
-    if len(ring) == 0:
-        return direct
-    boot = ring[next(iter(ring))]
-    climb = net.policy.policy_path(root, boot.home_as, scope=root)
+    climb = enter_level(net, root, root, "data")
     if climb is None:
         return direct
-    net.stats.charge_hops(len(climb) - 1, "data")
-    entered = route(net, boot.home_as, dest_id, mode="data", scope=root,
+    entered = route(net, climb[-1], dest_id, mode="data", scope=root,
                     use_cache=False)
     entered.as_path = list(climb) + entered.as_path[1:]
     return entered
@@ -295,20 +306,14 @@ def route_bloom_peering(net: "InterDomainNetwork", start_as: Hashable,
     outcome = InterOutcome(delivered=False, reason="in-flight",
                            as_path=[start_as])
     current = start_as
-    visited_up: List[Hashable] = []
 
     for _ in range(4 * net.asg.n_ases + 8):
         node = net.ases[current]
         if node.hosts_id(dest_id):
-            outcome.delivered = True
-            outcome.reason = "delivered"
+            outcome.delivered, outcome.reason = True, "delivered"
             outcome.final_vn = node.hosted[dest_id]
             net.stats.charge_path(outcome.as_path, "data")
-            if tr is not None:
-                tr.end(delivered=True, reason="delivered",
-                       router=str(current))
-                trace.close_span(tr)
-            return outcome
+            break
 
         if dest_id in node.subtree_bloom:
             # Claimed below us: greedy descent scoped to our subtree.
@@ -316,20 +321,14 @@ def route_bloom_peering(net: "InterDomainNetwork", start_as: Hashable,
             if tr is not None:
                 tr.event("bloom.descend", router=str(current),
                          hit=descent.delivered)
-            if descent.delivered:
-                outcome.as_path.extend(descent.as_path[1:])
-                outcome.pointer_hops += descent.pointer_hops
-                outcome.delivered = True
-                outcome.reason = "delivered"
-                outcome.final_vn = descent.final_vn
-                if tr is not None:
-                    tr.end(delivered=True, reason="delivered",
-                           router=str(descent.as_path[-1]))
-                    trace.close_span(tr)
-                return outcome
-            # False positive inside our own filter: fall through and keep
-            # climbing (the descent cost is already charged).
             outcome.as_path.extend(descent.as_path[1:])
+            if descent.delivered:
+                outcome.pointer_hops += descent.pointer_hops
+                outcome.delivered, outcome.reason = True, "delivered"
+                outcome.final_vn = descent.final_vn
+                break
+            # False positive inside our own filter: back up and keep
+            # climbing (the descent cost is already charged).
             outcome.as_path.extend(reversed(descent.as_path[:-1]))
             net.stats.charge_hops(descent.hops, "data")
 
@@ -348,21 +347,16 @@ def route_bloom_peering(net: "InterDomainNetwork", start_as: Hashable,
                     tr.event("bloom.peer-cross", router=str(current),
                              peer=str(peer), hit=descent.delivered)
                 if descent.delivered:
-                    outcome.delivered = True
-                    outcome.reason = "delivered"
+                    outcome.delivered, outcome.reason = True, "delivered"
                     outcome.final_vn = descent.final_vn
-                    if tr is not None:
-                        tr.end(delivered=True, reason="delivered",
-                               router=str(descent.as_path[-1]))
-                        trace.close_span(tr)
-                    return outcome
+                    break
                 # False positive: backtrack over the peering link and
                 # continue on the original path.
                 outcome.as_path.extend(reversed(descent.as_path[:-1]))
                 outcome.as_path.append(current)
                 net.stats.charge_hops(descent.hops + 1, "data")
                 crossed = True
-        if crossed and not net.asg.providers(current):
+        if outcome.delivered or (crossed and not net.asg.providers(current)):
             break
 
         providers = [p for p in net.asg.providers(current) if net.as_is_up(p)]
@@ -370,7 +364,6 @@ def route_bloom_peering(net: "InterDomainNetwork", start_as: Hashable,
             outcome.reason = "reached the core without locating destination"
             break
         nxt = sorted(providers, key=str)[0]
-        visited_up.append(current)
         outcome.as_path.append(nxt)
         if tr is not None:
             tr.event("bloom.climb", frm=str(current), to=str(nxt))
@@ -379,8 +372,8 @@ def route_bloom_peering(net: "InterDomainNetwork", start_as: Hashable,
     else:
         outcome.reason = "hop limit exceeded"
 
-    outcome.delivered = False
-    if tr is not None:
-        tr.end(delivered=False, reason=outcome.reason, router=str(current))
+    if tr is not None:  # the packet is where its path ends
+        tr.end(delivered=outcome.delivered, reason=outcome.reason,
+               router=str(outcome.as_path[-1]))
         trace.close_span(tr)
     return outcome

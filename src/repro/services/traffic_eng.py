@@ -136,7 +136,7 @@ class MultihomedSuffixJoin:
     predecessors, so every inbound route would funnel through the lowest
     suffix's provider.  Spreading the IDs gives each suffix an unrelated
     ring predecessor whose pointer carries the provider-constrained
-    source route (see ``canon._route_to_vn``).
+    source route (see ``canon.pointer_to``).
     """
 
     def __init__(self, net: InterDomainNetwork, host: PlannedHost,
