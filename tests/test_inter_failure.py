@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.inter.network import InterDomainNetwork
+from repro.inter.policy import JoinStrategy
 from repro.topology.asgraph import synthetic_as_graph
 
 
@@ -97,3 +98,34 @@ def test_bgp_tables_invalidate_on_failure(net):
     net.bgp.policy_distance(other, stub)
     net.fail_as(stub)
     assert not net.bgp._tables
+
+
+def test_repaired_and_finger_routes_enter_a_single_homed_id_by_its_provider():
+    """Section 5.1: a single-homed ID is entered through the provider it
+    joined by.  Every pointer route is formed by one rule
+    (``canon.pointer_to``), so a finger and a ring repair honour it as a
+    join does; here the three failures leave a repaired successor that
+    once came in over the other provider, and 44 fingers did."""
+    net = InterDomainNetwork(synthetic_as_graph(n_ases=40, seed=2), seed=2,
+                             n_fingers=6, strategy=JoinStrategy.SINGLE_HOMED)
+    net.join_random_hosts(80)
+    for stub in [s for s in net.asg.stubs() if net.ases[s].hosted][:3]:
+        net.fail_as(stub)
+    net.check_rings()
+
+    def wrong_entries(table):
+        wrong = []
+        for node in net.ases.values():
+            for vn in node.hosted.values():
+                for ptr in table(vn):
+                    target = net.id_owner_index[ptr.dest_id]
+                    providers = set(net.asg.providers(target.home_as))
+                    joined_by = providers & set(target.joined_levels)
+                    if len(ptr.as_route) > 1 and joined_by \
+                            and ptr.as_route[-2] in providers - joined_by:
+                        wrong.append((vn.id, ptr))
+        return wrong
+
+    assert wrong_entries(lambda vn: vn.succ_by_level.values()) == []
+    assert wrong_entries(lambda vn: vn.pred_by_level.values()) == []
+    assert wrong_entries(lambda vn: vn.fingers) == []
