@@ -196,6 +196,23 @@ def test_ring_sweep_step_passes():
         "58", "59"]
 
 
+def test_inter_sweep_step_passes():
+    """The step runs all 60 interdomain sweep seeds and fails on a non-zero
+    exit; here it runs as CI runs it over two seeds past the ones
+    ``tests/golden_inter_sweep.json`` pins (``tests/test_inter_sweep.py``
+    runs those)."""
+    script = _bench_smoke_step("benchmarks/inter_sweep.py")
+    assert script.strip() == "python benchmarks/inter_sweep.py --seeds 0-59"
+    done = subprocess.run(
+        ["bash", "-e", "-c", script.replace("python ", sys.executable + " ")
+         .replace("0-59", "58-59")],
+        cwd=Path(__file__).resolve().parent.parent, capture_output=True,
+        text=True, env={"PATH": "/usr/bin:/bin"})
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert [line.split()[0] for line in done.stdout.splitlines()] == [
+        "58", "59"]
+
+
 def test_compare_stretch_step_passes_no_flag_but_json(tmp_path):
     """The gate runs the registry's head-to-head at the registry's sizes
     (the command has no size flags), and its inline asserts hold on the
