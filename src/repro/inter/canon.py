@@ -18,6 +18,13 @@ The module also maintains the per-level ring registry, which is the
 *verification oracle*: the honest (message-charged) lookup walks must
 agree with it, and every disagreement is counted in
 ``net.lookup_mismatches`` (asserted zero by the test-suite).
+
+It is the one place an interdomain pointer is formed and a level ring
+spliced: :func:`pointer_to` chooses every pointer's AS route (join,
+repair, fingers and revalidation alike, with the entry rule of
+single-homed IDs), :func:`link` points one member at the next and back,
+and :func:`splice_out` closes the gap a departed ID leaves — the join
+links twice per level, a stub failure splices out once per (ID, level).
 """
 
 from __future__ import annotations

@@ -14,7 +14,10 @@ kernel whether it can shortcut onto a strictly closer pointer of its own
 (subject to the BGP-like import rule and, for cached entries, the
 bloom-filter isolation guard of Section 4.1).  ``lookup`` mode routes
 toward an ID's predecessor *within a hierarchy level's subtree* — the
-scoped search Canon joins are built on (Algorithm 3's pruning).
+scoped search Canon joins are built on (Algorithm 3's pruning).  A scoped
+search that finds no state where it starts enters the level one way,
+through its bootstrap member (:func:`enter_level`): the join's lookup and
+the bloom-peering descent both do.
 
 Isolation needs no explicit enforcement for successor pointers: the
 pointer formed at the lowest level containing both endpoints always
