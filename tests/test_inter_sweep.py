@@ -25,14 +25,6 @@ def test_seed_ends_in_the_pinned_state(seed):
         "\n".join(log[-8:])
 
 
-def test_each_seed_runs_one_strategy_and_both_peering_modes_appear():
-    nets = [inter_sweep.build(seed) for seed in range(8)]
-    strategies = [{vn.strategy for vn in net.hosts.values()} for net in nets]
-    assert all(len(used) == 1 for used in strategies)
-    assert [net.peering_mode for net in nets] == \
-        ["virtual_as"] * 4 + ["bloom"] * 4
-
-
 def test_a_failing_seed_exits_1_with_its_last_operations(monkeypatch, capsys):
     def broken(net):
         raise AssertionError("ring broke")
