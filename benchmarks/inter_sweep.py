@@ -13,7 +13,7 @@ from stub failures, restores, joins and batches of sends, each followed by
 ``check_rings()``.  At the end no join lookup may have disagreed with the
 ring registry.  Prints ``seed state_hash[:16]`` per seed; on any exception
 prints the seed's last operations and exits 1.  Standard library only;
-about 0.25 s per seed on a 2-core x86 VM.  ``tests/golden_inter_sweep.json``
+about 0.2 s per seed on a 2-core x86 VM.  ``tests/golden_inter_sweep.json``
 pins seeds 0-15, so a change that moves any interdomain ring state shows
 here.
 """

@@ -313,7 +313,8 @@ def route_bloom_peering(net: "InterDomainNetwork", start_as: Hashable,
     for _ in range(4 * net.asg.n_ases + 8):
         node = net.ases[current]
         if node.hosts_id(dest_id):
-            outcome.delivered, outcome.reason = True, "delivered"
+            outcome.delivered = True
+            outcome.reason = "delivered"
             outcome.final_vn = node.hosted[dest_id]
             net.stats.charge_path(outcome.as_path, "data")
             break
@@ -327,10 +328,11 @@ def route_bloom_peering(net: "InterDomainNetwork", start_as: Hashable,
             outcome.as_path.extend(descent.as_path[1:])
             if descent.delivered:
                 outcome.pointer_hops += descent.pointer_hops
-                outcome.delivered, outcome.reason = True, "delivered"
+                outcome.delivered = True
+                outcome.reason = "delivered"
                 outcome.final_vn = descent.final_vn
                 break
-            # False positive inside our own filter: back up and keep
+            # False positive inside our own filter: fall through and keep
             # climbing (the descent cost is already charged).
             outcome.as_path.extend(reversed(descent.as_path[:-1]))
             net.stats.charge_hops(descent.hops, "data")
@@ -350,7 +352,8 @@ def route_bloom_peering(net: "InterDomainNetwork", start_as: Hashable,
                     tr.event("bloom.peer-cross", router=str(current),
                              peer=str(peer), hit=descent.delivered)
                 if descent.delivered:
-                    outcome.delivered, outcome.reason = True, "delivered"
+                    outcome.delivered = True
+                    outcome.reason = "delivered"
                     outcome.final_vn = descent.final_vn
                     break
                 # False positive: backtrack over the peering link and
