@@ -1,7 +1,7 @@
-"""The ring-repair tripwire: ``benchmarks/ring_sweep.py``'s random fault
-tapes (cuts, restores, crashes, PoP cycles, host failures, leaves, joins,
-sends; a ring check after each) must end in the state hashes
-``tests/golden_ring_sweep.json`` pins, seed for seed."""
+"""The ring-repair tripwire on one ISP: ``benchmarks/ring_sweep.py``'s
+``intra`` fault tapes (cuts, restores, crashes, PoP cycles, host failures,
+leaves, joins, sends; a ring check after each) must end in the state
+hashes ``tests/golden_ring_sweep.json`` pins, seed for seed."""
 
 import importlib.util
 import json
@@ -21,8 +21,8 @@ GOLDEN = json.loads((_ROOT / "tests" / "golden_ring_sweep.json").read_text())
 @pytest.mark.parametrize("seed", sorted(GOLDEN["seeds"], key=int))
 def test_seed_ends_in_the_pinned_state(seed):
     log = []
-    assert ring_sweep.run_seed(int(seed), log)[:16] == GOLDEN["seeds"][seed], \
-        "\n".join(log[-8:])
+    digest = ring_sweep.run_seed("intra", int(seed), log)
+    assert digest[:16] == GOLDEN["seeds"][seed], "\n".join(log[-8:])
 
 
 def test_seeds_parse_as_an_inclusive_range():
@@ -31,11 +31,17 @@ def test_seeds_parse_as_an_inclusive_range():
 
 
 def test_a_failing_seed_exits_1_with_its_last_operations(monkeypatch, capsys):
-    def broken(net):
-        raise AssertionError("ring broke")
+    checks = []
 
-    monkeypatch.setattr(ring_sweep.IntraDomainNetwork, "check_ring", broken)
+    def broken(net):        # the check after the build and three operations
+        checks.append(net)
+        if len(checks) == 4:
+            raise AssertionError("ring broke")
+
+    monkeypatch.setattr(ring_sweep.IntraDomainNetwork, "check", broken)
     assert ring_sweep.main(["--seeds", "0-1"]) == 1
     out = capsys.readouterr().out
-    assert out.startswith("seed 0 failed after:")
+    assert out.startswith("intra seed 0 failed after:")
+    assert [line.split()[0] for line in out.splitlines()[1:4]] == [
+        "0", "1", "2"]
     assert "ring broke" in out
