@@ -167,8 +167,3 @@ class BgpBaseline:
         for dest in targets:
             self.routes_to(dest)
         return len(targets)
-
-    def invalidate(self) -> None:
-        """Drop memoised tables (call after failing/restoring ASes)."""
-        self._tables.clear()
-        self._topo_order = None

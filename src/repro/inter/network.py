@@ -214,11 +214,10 @@ class InterDomainNetwork(Network):
     def fail_as(self, asn: Hashable) -> int:
         """Fail a (stub) AS: its IDs leave every ring; neighbours repair.
         Returns the repair message count."""
+        node = self._known(asn)
         if asn in self._failed:
             return 0
         self._failed.add(asn)
-        self.bgp.invalidate()
-        node = self.ases[asn]
         dead_vns = list(node.hosted.values())
         dead_ids = {vn.id for vn in dead_vns}
 
@@ -253,8 +252,15 @@ class InterDomainNetwork(Network):
             return op["messages"]
 
     def restore_as(self, asn: Hashable) -> None:
+        self._known(asn)
         self._failed.discard(asn)
-        self.bgp.invalidate()
+
+    def _known(self, asn: Hashable) -> RoflAS:
+        """The AS ``asn``, or ``KeyError`` before anything moves."""
+        node = self.ases.get(asn)
+        if node is None:
+            raise KeyError("unknown AS {!r}".format(asn))
+        return node
 
     # -- verification -----------------------------------------------------------------
 

@@ -44,18 +44,25 @@ class FaultInjector:
         return driver.rng("faults", self.kind, self.at)
 
     def check(self, net) -> None:
-        """Refuse explicit ``links`` or ``routers`` that name one ``net``
-        does not have.  The driver asks before it touches the network: a
-        bad name ends the run before it starts, not mid-way."""
-        from repro.workload.scenario import ScenarioError
-        for a, b in getattr(self, "links", None) or ():
-            if not net.topology.has_link(a, b):
-                raise ScenarioError("fault {!r} at {}: unknown link {!r} - "
-                                    "{!r}".format(self.kind, self.at, a, b))
-        for router in getattr(self, "routers", None) or ():
-            if router not in net.topology.nodes:
-                raise ScenarioError("fault {!r} at {}: unknown router "
-                                    "{!r}".format(self.kind, self.at, router))
+        """Refuse explicit ``links``, ``routers``, ``asn`` or ``pop`` that
+        name one ``net`` does not have.  The driver asks before it touches
+        the network: a bad name ends the run before it starts, not
+        mid-way."""
+        unknown = ["link {!r} - {!r}".format(a, b)
+                   for a, b in getattr(self, "links", None) or ()
+                   if not net.topology.has_link(a, b)]
+        unknown += ["router {!r}".format(router)
+                    for router in getattr(self, "routers", None) or ()
+                    if router not in net.topology.nodes]
+        asn, pop = getattr(self, "asn", None), getattr(self, "pop", None)
+        if asn is not None and asn not in net.ases:
+            unknown.append("AS {!r}".format(asn))
+        if pop is not None and pop not in net.topology.pops:
+            unknown.append("PoP {!r}".format(pop))
+        if unknown:
+            from repro.workload.scenario import ScenarioError
+            raise ScenarioError("fault {!r} at {}: unknown {}".format(
+                self.kind, self.at, unknown[0]))
 
     def inject(self, driver: "WorkloadDriver") -> Dict:  # pragma: no cover
         raise NotImplementedError

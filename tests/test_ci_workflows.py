@@ -119,12 +119,16 @@ def test_the_evicting_snapshot_gate_passes(tmp_path):
 def test_malformed_scenario_step_expects_exit_2_and_one_line(tmp_path):
     """Four malformed files, each under ``timeout`` (``Infinity`` used to
     parse and never return; five ASes failed mid-build), each expected to
-    exit 2 with one ``workload:`` line naming the key; the step is run
-    here as CI runs it
-    (``bash -e``).  The fuzz step beside it runs the tier-1 test under the
-    10⁴-example profile ``tests/conftest.py`` registers."""
+    exit 2 with one ``workload:`` line naming the key; then three faults
+    naming a router, PoP or AS the network does not have (the PoP and the
+    AS were ``KeyError`` tracebacks mid-run), each expected to exit 2 with
+    one ``repro: fault '<kind>' at …: unknown …`` line.  The step is run
+    here as CI runs it (``bash -e``).  The fuzz step beside it runs the
+    tier-1 test under the 10⁴-example profile ``tests/conftest.py``
+    registers."""
     script = _bench_smoke_step("Infinity")
     for expected in ('"seed": "abc"', '"lifetime": 5', '"n_ases": 5',
+                     '"routers": ["nope"]', '"pop": 999', '"asn": "nope"',
                      "timeout 20",
                      "test $status -eq 2", 'wc -l < $dir/err)" -eq 1'):
         assert expected in script
@@ -135,6 +139,10 @@ def test_malformed_scenario_step_expects_exit_2_and_one_line(tmp_path):
         text=True, env={"TMPDIR": str(tmp_path), "PATH": "/usr/bin:/bin"})
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.count("workload: ") == 4
+    assert done.stdout.count("repro: fault '") == 3
+    for kind in ("router_crash", "pop_partition", "as_depeer"):
+        assert re.search(r"^repro: fault '{}' at [0-9.]+: unknown ".format(kind),
+                         done.stdout, re.M), done.stdout
     fuzz = _bench_smoke_step("tests/test_workload_scenario.py")
     assert "--hypothesis-profile fuzz" in fuzz and "-k fuzz" in fuzz
     from hypothesis import settings

@@ -196,17 +196,23 @@ def test_a_scenario_that_cannot_be_read_or_parsed_exits_2_with_one_line(
 @pytest.mark.parametrize("fault", [
     {"kind": "link_cut", "at": 0.5, "links": [["r0", "nope"]]},
     {"kind": "link_restore", "at": 0.5, "links": [["r0", "nope"]]},
-    {"kind": "router_crash", "at": 0.5, "routers": ["nope"]}],
+    {"kind": "router_crash", "at": 0.5, "routers": ["nope"]},
+    {"kind": "pop_partition", "at": 0.5, "pop": 999},
+    {"kind": "as_depeer", "at": 0.5, "asn": "nope"},
+    {"kind": "as_restore", "at": 0.5, "asn": "nope"}],
     ids=lambda fault: fault["kind"])
 def test_workload_fault_naming_an_unknown_victim_exits_2(tmp_path, capsys,
                                                          fault):
     """It used to print ``fault @ 0.5: {'links': [['r0', 'nope']], ...`` as
-    done and exit 0."""
+    done and exit 0 (``as_restore`` too); ``pop_partition`` and
+    ``as_depeer`` ended in a ``KeyError`` traceback mid-run."""
+    inter = fault["kind"].startswith("as_")
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
         "name": "bad", "duration": 2.0, "warmup_hosts": 5,
         "sample_interval": 1.0,
-        "network": {"kind": "intra", "n_routers": 12},
+        "network": ({"kind": "inter", "n_ases": 20} if inter
+                    else {"kind": "intra", "n_routers": 12}),
         "phases": [{"name": "p", "start": 0.0, "end": 2.0,
                     "traffic": {"rate": 3.0}}],
         "faults": [fault]}))
@@ -215,7 +221,8 @@ def test_workload_fault_naming_an_unknown_victim_exits_2(tmp_path, capsys,
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith(
         "repro: fault '{}' at 0.5: unknown ".format(fault["kind"]))
-    assert "'nope'" in captured.err
+    assert ("999" if fault["kind"] == "pop_partition" else "'nope'") \
+        in captured.err
 
 
 @pytest.mark.parametrize("argv, field", [

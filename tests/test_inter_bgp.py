@@ -3,6 +3,7 @@
 import pytest
 
 from repro.inter.bgp import BgpBaseline
+from repro.inter.network import InterDomainNetwork
 from repro.topology.asgraph import ASGraph, synthetic_as_graph
 
 
@@ -107,10 +108,19 @@ def test_policy_never_shorter_than_shortest():
                 assert policy >= shortest
 
 
-def test_invalidate_clears_memo():
-    asg = synthetic_as_graph(n_ases=30, seed=5)
-    bgp = BgpBaseline(asg)
-    bgp.policy_distance(asg.ases()[0], asg.ases()[1])
-    assert bgp._tables
-    bgp.invalidate()
-    assert not bgp._tables
+def test_fail_as_keeps_the_warmed_tables():
+    """The tables read only the static AS graph: one stub failure used to
+    drop all 20 warmed tables, which the next sends rebuilt unchanged."""
+    net = InterDomainNetwork(synthetic_as_graph(n_ases=20, seed=5), seed=5)
+    net.join_random_hosts(40)
+    assert net.bgp.warm() == 20
+    stub = next(s for s in sorted(net.asg.stubs(), key=str)
+                if net.ases[s].hosted)
+    net.fail_as(stub)
+    assert len(net.bgp._tables) == 20
+    net.restore_as(stub)
+    assert len(net.bgp._tables) == 20
+    fresh = BgpBaseline(net.asg)
+    ases = net.asg.ases()
+    assert all(net.bgp.policy_distance(a, b) == fresh.policy_distance(a, b)
+               for a in ases for b in ases)

@@ -92,14 +92,6 @@ def test_restore_allows_rejoining(net):
     assert net.send(b, a).delivered
 
 
-def test_bgp_tables_invalidate_on_failure(net):
-    stub = populated_stub(net)
-    other = next(s for s in net.asg.ases() if s != stub)
-    net.bgp.policy_distance(other, stub)
-    net.fail_as(stub)
-    assert not net.bgp._tables
-
-
 def test_repaired_and_finger_routes_enter_a_single_homed_id_by_its_provider():
     """Section 5.1: a single-homed ID is entered through the provider it
     joined by.  Every pointer route is formed by one rule

@@ -481,23 +481,44 @@ def test_explicit_link_cut_then_link_restore():
 @pytest.mark.parametrize("fault", [
     FaultSpec("link_cut", 5.0, {"links": [["r0", "nope"]]}),
     FaultSpec("link_restore", 5.0, {"links": [["r0", "r0"]]}),
-    FaultSpec("router_crash", 5.0, {"routers": ["nope"]})],
+    FaultSpec("router_crash", 5.0, {"routers": ["nope"]}),
+    FaultSpec("pop_partition", 5.0, {"pop": 999}),
+    FaultSpec("as_depeer", 5.0, {"asn": "nope"}),
+    FaultSpec("as_restore", 5.0, {"asn": "nope"})],
     ids=lambda fault: fault.kind)
 def test_a_fault_naming_an_unknown_victim_refuses_the_run(fault):
     """Before anything is scheduled or joined — these used to log the
-    fault as done (``link_cut`` also moved the state hash) and carry on."""
+    fault as done (``link_cut`` also moved the state hash), end mid-run in
+    a ``KeyError`` (``pop_partition``, ``as_depeer``) or log a restore that
+    did nothing (``as_restore``).  The network's own calls refuse the name
+    before anything moves, too."""
     from repro import snapshot
-    net = build_network("intra", 2, n_routers=16, hosts=10, name="test-small")
+    if fault.kind.startswith("as_"):
+        net = build_network("inter", 2, n_ases=20, hosts=10,
+                            name="test-small")
+        scenario = _small_scenario(
+            seed=2, network=NetworkSpec(kind="inter", n_ases=20,
+                                        name="test-small"),
+            phases=[Phase(name="grow", start=0.0, end=20.0,
+                          churn=ChurnSpec(arrival_rate=1.5),
+                          traffic=TrafficSpec(rate=4.0))],
+            faults=[FaultSpec("as_depeer", 1.0, {}), fault])
+        calls, unknown = (net.fail_as, net.restore_as), "unknown AS"
+    else:
+        net = build_network("intra", 2, n_routers=16, hosts=10,
+                            name="test-small")
+        scenario = _small_scenario(seed=2, faults=[
+            FaultSpec("link_cut", 1.0, {"links": [_cycle_link(net)]}), fault])
+        calls, unknown = [lambda name: net.fail_link("r0", name)], "unknown link"
     before = snapshot.state_hash(net)
-    scenario = _small_scenario(seed=2, faults=[
-        FaultSpec("link_cut", 1.0, {"links": [_cycle_link(net)]}), fault])
     with pytest.raises(ScenarioError,
                        match="fault '{}' at 5.0: unknown ".format(fault.kind)):
         WorkloadDriver(scenario, network=net)
     assert snapshot.state_hash(net) == before
-    with pytest.raises(KeyError, match="unknown link"):
-        net.fail_link("r0", "nope")
-    assert snapshot.state_hash(net) == before
+    for call in calls:
+        with pytest.raises(KeyError, match=unknown):
+            call("nope")
+        assert snapshot.state_hash(net) == before
 
 
 def test_explicit_as_depeer_then_as_restore():
