@@ -14,7 +14,7 @@ ROFL identifiers are flat: they carry no location semantics, only
 
 from repro.idspace.identifier import FlatId, RingSpace, DEFAULT_BITS
 from repro.idspace.crypto import KeyPair, SignatureAuthority, SpoofedIdentityError
-from repro.idspace.groups import GroupId, group_prefix, make_member_id
+from repro.idspace.groups import group_prefix, make_member_id
 
 __all__ = [
     "FlatId",
@@ -23,7 +23,6 @@ __all__ = [
     "KeyPair",
     "SignatureAuthority",
     "SpoofedIdentityError",
-    "GroupId",
     "group_prefix",
     "make_member_id",
 ]

@@ -15,7 +15,6 @@ anycast semantics the paper wants for free.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from repro.idspace.identifier import DEFAULT_BITS, FlatId
 
@@ -41,33 +40,3 @@ def make_member_id(group_name: str, suffix: int, bits: int = DEFAULT_BITS,
         raise ValueError("suffix does not fit in {} bits".format(suffix_bits))
     prefix = group_prefix(group_name, bits=bits, group_bits=group_bits)
     return FlatId((prefix << suffix_bits) | suffix, bits=bits)
-
-
-@dataclass(frozen=True)
-class GroupId:
-    """A parsed view of a ``(G, x)`` identifier."""
-
-    name: str
-    suffix: int
-    bits: int = DEFAULT_BITS
-    group_bits: int = DEFAULT_GROUP_BITS
-
-    @property
-    def flat_id(self) -> FlatId:
-        return make_member_id(self.name, self.suffix, bits=self.bits,
-                              group_bits=self.group_bits)
-
-    @property
-    def prefix(self) -> int:
-        return group_prefix(self.name, bits=self.bits, group_bits=self.group_bits)
-
-    def same_group(self, other_id: FlatId) -> bool:
-        """Does ``other_id`` carry this group's prefix?"""
-        return other_id.prefix_bits(self.group_bits) == self.prefix
-
-    def arc_bounds(self) -> "tuple[FlatId, FlatId]":
-        """The inclusive [low, high] arc of the ring this group occupies."""
-        suffix_bits = self.bits - self.group_bits
-        low = self.prefix << suffix_bits
-        high = low | ((1 << suffix_bits) - 1)
-        return FlatId(low, bits=self.bits), FlatId(high, bits=self.bits)
