@@ -116,11 +116,9 @@ def _teardown_stable(net: "IntraDomainNetwork", vn: VirtualNode) -> None:
     flood_targets = set(vn.cached_at) - {vn.router}
     cost = directed_flood_cost(net, vn.router, flood_targets)
     net.stats.charge_hops(cost, "teardown")
-    for router_name in flood_targets:
-        net.routers[router_name].cache.invalidate_id(vn.id)
-    # Defensive sweep: caches the route record missed (e.g. seeded by
-    # other hosts' control traffic) drop the dead ID too when the
-    # link-state layer reports the hosting router's session gone.
+    # Every router drops the dead ID, the flood targets and the caches the
+    # route record missed (e.g. seeded by other hosts' control traffic)
+    # alike: the link-state layer reports the hosting router's session gone.
     for router in net.routers.values():
         router.cache.invalidate_id(vn.id)
 

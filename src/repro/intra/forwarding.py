@@ -134,12 +134,9 @@ def _route(net, start_router, dest_id, mode, category):
                 stale = held if held is not None \
                     else _cache_pointer(space, committed, source_route)
                 owner = routers.get(source_route[0])
-                target_vn = net.vn_index.get(stale.dest_id)
-                if (target_vn is not None
-                        and net.lsmap.is_router_up(target_vn.router)
-                        and routers[target_vn.router].hosts_id(stale.dest_id)):
-                    new_path = net.paths.hop_path(source_route[0],
-                                                  target_vn.router)
+                if net.id_is_live(stale.dest_id):
+                    new_path = net.paths.hop_path(
+                        source_route[0], net.vn_index[stale.dest_id].router)
                     if owner is not None and new_path is not None:
                         owner.reroute_pointer(
                             stale, stale.rerouted(tuple(new_path)))

@@ -158,13 +158,9 @@ class IntraDomainNetwork(Network):
         start = pointer.owner_router if from_router is None else from_router
         if pointer.path[0] == start and self.lsmap.path_is_live(pointer.path):
             return pointer
-        target_vn = self.vn_index.get(pointer.dest_id)
-        hosting = target_vn.router if target_vn is not None else pointer.hosting_router
-        alive = (target_vn is not None
-                 and self.lsmap.is_router_up(hosting)
-                 and self.routers[hosting].hosts_id(pointer.dest_id))
-        if alive:
-            new_path = self.paths.hop_path(start, hosting)
+        if self.id_is_live(pointer.dest_id):
+            new_path = self.paths.hop_path(
+                start, self.vn_index[pointer.dest_id].router)
             if new_path is not None:
                 repaired = pointer.rerouted(tuple(new_path))
                 if start == pointer.owner_router:
