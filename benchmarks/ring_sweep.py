@@ -17,7 +17,7 @@ operations, and at the end no join lookup may have disagreed with the
 ring registry.
 
 Prints ``kind seed state_hash[:16]``; on any exception prints the seed's
-last operations and exits 1.  Standard library only; about 0.4 s per seed
+last operations and exits 1.  Standard library only; about 0.35 s per seed
 (both kinds) on a 2-core x86 VM.  ``tests/golden_ring_sweep.json`` pins
 ``intra`` seeds 0-31 and ``tests/golden_inter_sweep.json`` ``inter``
 seeds 0-15, so a repair change that moves any ring state shows here.
