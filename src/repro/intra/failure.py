@@ -116,9 +116,9 @@ def _teardown_stable(net: "IntraDomainNetwork", vn: VirtualNode) -> None:
     flood_targets = set(vn.cached_at) - {vn.router}
     cost = directed_flood_cost(net, vn.router, flood_targets)
     net.stats.charge_hops(cost, "teardown")
-    # Every router drops the dead ID, the flood targets and the caches the
+    # Every router drops the dead ID: the flood targets, and the caches the
     # route record missed (e.g. seeded by other hosts' control traffic)
-    # alike: the link-state layer reports the hosting router's session gone.
+    # once the link-state layer reports the hosting router's session gone.
     for router in net.routers.values():
         router.cache.invalidate_id(vn.id)
 
