@@ -2,6 +2,7 @@
 gate at all, and nothing else notices."""
 
 import ast
+import functools
 import json
 import re
 import subprocess
@@ -187,23 +188,43 @@ def test_probe_gate_step_passes(tmp_path):
     assert "probe gate OK: 2 runs, no violations" in done.stdout
 
 
-def test_ring_sweep_step_passes():
-    """The step runs all 60 sweep seeds of both kinds and fails on a
-    non-zero exit; here it runs as CI runs it (``bash -e``, a bare
-    environment) over the two seeds past the ones
-    ``tests/golden_ring_sweep.json`` pins — the pinned ones run in
-    ``tests/test_ring_sweep.py`` and ``tests/test_inter_sweep.py``, and all
-    60 take ~25 s."""
+@functools.lru_cache(maxsize=None)
+def _ring_sweep_step_run():
+    """The ring-sweep step as CI runs it (``bash -e``, a bare environment)
+    over the two seeds past the ones the goldens pin; run once for both
+    kinds' tests."""
     script = _bench_smoke_step("benchmarks/ring_sweep.py")
     assert script.strip() == "python benchmarks/ring_sweep.py --seeds 0-59"
-    done = subprocess.run(
+    return subprocess.run(
         ["bash", "-e", "-c", script.replace("python ", sys.executable + " ")
          .replace("0-59", "58-59")],
         cwd=Path(__file__).resolve().parent.parent, capture_output=True,
         text=True, env={"PATH": "/usr/bin:/bin"})
+
+
+def test_ring_sweep_step_passes():
+    """The step runs all 60 sweep seeds of both kinds and fails on a
+    non-zero exit; here it runs over seeds 58-59 — the pinned ones run in
+    ``tests/test_ring_sweep.py`` and ``tests/test_inter_sweep.py``, and all
+    60 take ~25 s."""
+    done = _ring_sweep_step_run()
     assert done.returncode == 0, done.stdout + done.stderr
     assert [line.split()[:2] for line in done.stdout.splitlines()] == [
         ["intra", "58"], ["inter", "58"], ["intra", "59"], ["inter", "59"]]
+
+
+def test_inter_sweep_step_passes():
+    """The interdomain sweep has no step of its own: the ring-sweep step
+    runs it, one ``inter seed hash`` line per seed past the ones
+    ``tests/golden_inter_sweep.json`` pins."""
+    [path] = [p for p in WORKFLOWS if p.name == "ci.yml"]
+    assert "inter_sweep.py" not in path.read_text()
+    done = _ring_sweep_step_run()
+    assert done.returncode == 0, done.stdout + done.stderr
+    inter = [line.split() for line in done.stdout.splitlines()
+             if line.startswith("inter ")]
+    assert [fields[1] for fields in inter] == ["58", "59"]
+    assert all(re.fullmatch(r"[0-9a-f]{16}", fields[2]) for fields in inter)
 
 
 def test_compare_stretch_step_passes_no_flag_but_json(tmp_path):

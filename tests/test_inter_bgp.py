@@ -1,5 +1,7 @@
 """Gao-Rexford BGP baseline tests."""
 
+import pickle
+
 import pytest
 
 from repro.inter.bgp import BgpBaseline
@@ -106,6 +108,23 @@ def test_policy_never_shorter_than_shortest():
             shortest = bgp.shortest_distance(src, dst)
             if policy is not None and shortest is not None:
                 assert policy >= shortest
+
+
+def test_invalidate_clears_memo():
+    """The memo is dropped in one place only, a snapshot: the saved state
+    carries no tables (``warm()`` rebuilds them on load), the warmed
+    original keeps its own, and the loaded copy answers alike."""
+    asg = synthetic_as_graph(n_ases=30, seed=5)
+    bgp = BgpBaseline(asg)
+    assert bgp.warm() == 30
+    state = bgp.__getstate__()
+    assert state["_tables"] == {} and state["_topo_order"] is None
+    assert len(bgp._tables) == 30
+    loaded = pickle.loads(pickle.dumps(bgp))
+    assert not loaded._tables
+    ases = asg.ases()
+    assert all(loaded.policy_distance(a, b) == bgp.policy_distance(a, b)
+               for a in ases for b in ases)
 
 
 def test_fail_as_keeps_the_warmed_tables():
