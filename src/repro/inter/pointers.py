@@ -11,16 +11,13 @@ predecessor and successor identifiers" (Section 2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Dict, Hashable, List, Optional, Tuple
+from typing import (Collection, Dict, Hashable, List, NamedTuple, Optional,
+                    Tuple)
 
 from repro.idspace.identifier import FlatId
 
 
-@dataclass(slots=True)
-class ASPointer:
-    """A directed identifier-space edge realised as an AS-level source
-    route; its role is the :class:`InterVirtualNode` table holding it."""
-
+class _ASPointerFields(NamedTuple):
     dest_id: FlatId
     #: Hop-by-hop AS route from the owner's home AS; ``route[0]`` is the
     #: owner AS, ``route[-1]`` the target's.  A same-AS pointer has length 1.
@@ -29,9 +26,22 @@ class ASPointer:
     #: ``None`` for the internal (same-AS) successor.
     level: Optional[Hashable] = None
 
-    def __post_init__(self) -> None:
-        if not self.as_route:
+
+class ASPointer(_ASPointerFields):
+    """A directed identifier-space edge realised as an AS-level source
+    route; its role is the :class:`InterVirtualNode` table holding it.
+
+    A named tuple: a pickle holds its three fields as one argument tuple,
+    and unpickling runs :meth:`__new__` and nothing else.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dest_id: FlatId, as_route: Tuple[Hashable, ...],
+                level: Optional[Hashable] = None) -> "ASPointer":
+        if not as_route:
             raise ValueError("pointer needs a non-empty AS route")
+        return tuple.__new__(cls, (dest_id, as_route, level))
 
     @property
     def owner_as(self) -> Hashable:

@@ -155,18 +155,21 @@ class IntraDomainNetwork(Network):
                          from_router: Optional[str] = None) -> Optional[Pointer]:
         """Check a pointer's source route against the live map; repair it
         (network map reroute) or tear it down (invariant (b))."""
-        start = pointer.owner_router if from_router is None else from_router
-        if pointer.path[0] == start and self.lsmap.path_is_live(pointer.path):
+        # Once per routed pointer: the route read once, no property call.
+        path = pointer.path
+        owner_router = path[0]
+        start = owner_router if from_router is None else from_router
+        if owner_router == start and self.lsmap.path_is_live(path):
             return pointer
         if self.id_is_live(pointer.dest_id):
             new_path = self.paths.hop_path(
                 start, self.vn_index[pointer.dest_id].router)
             if new_path is not None:
                 repaired = pointer.rerouted(tuple(new_path))
-                if start == pointer.owner_router:
+                if start == owner_router:
                     router.reroute_pointer(pointer, repaired)
                 return repaired
-        owner = self.routers.get(pointer.owner_router)
+        owner = self.routers.get(owner_router)
         if owner is not None:
             owner.drop_pointer(pointer)
         if router is not owner:

@@ -258,8 +258,8 @@ def splice_in(net: "IntraDomainNetwork", pred: VirtualNode,
         if succ_vn is not None and not succ_vn.ephemeral:
             back = net.paths.hop_path(succ_vn.router, vn.router)
             if back is not None:
+                # No candidate index holds a predecessor: nothing to mark.
                 succ_vn.predecessor = Pointer(vn.id, tuple(back))
-                net.routers[succ_vn.router].mark_dirty(succ_vn)
     # ``pred`` already has the request in hand, so no further messages: it
     # installs its pointer to the new node.
     pred.push_successor(

@@ -17,7 +17,7 @@ owns:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.idspace.identifier import FlatId
 
@@ -25,22 +25,27 @@ from repro.idspace.identifier import FlatId
 DEFAULT_SUCCESSOR_GROUP = 4
 
 
-@dataclass(slots=True)
-class Pointer:
+class _PointerFields(NamedTuple):
+    dest_id: FlatId
+    path: Tuple[str, ...]
+
+
+class Pointer(_PointerFields):
     """A directed edge in identifier space, realised as a source route.
 
     ``path`` is the hop-by-hop router route from the owner's hosting
     router (``path[0]``) to the target ID's hosting router (``path[-1]``).
     A host-local delivery pointer has a length-1 path.  Its role is the
-    :class:`VirtualNode` slot that holds it.
+    :class:`VirtualNode` slot that holds it.  A named tuple, as
+    :class:`repro.inter.pointers.ASPointer` is.
     """
 
-    dest_id: FlatId
-    path: Tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.path:
+    def __new__(cls, dest_id: FlatId, path: Tuple[str, ...]) -> "Pointer":
+        if not path:
             raise ValueError("pointer needs a non-empty source route")
+        return tuple.__new__(cls, (dest_id, path))
 
     @property
     def owner_router(self) -> str:

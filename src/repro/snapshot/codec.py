@@ -12,10 +12,10 @@ byte stream with exactly those properties:
   reduction pickle uses — so classes that mark derived caches
   rebuild-on-load (``PathCache``, ``BgpBaseline``, ``PolicyView``,
   ``ASGraph``) are hashed without them, and the hash of a saved network
-  equals the hash of its loaded twin by construction.  A slotted
-  dataclass that keeps ``object.__getstate__`` (the per-ID records) is
-  written as its dict-backed twin would be, without a state dict being
-  built;
+  equals the hash of its loaded twin by construction.  A record — a
+  named tuple (the pointers), or a slotted dataclass that keeps
+  ``object.__getstate__`` (the virtual nodes) — is written as its
+  dict-backed twin would be, without a state dict being built;
 * shared references and cycles are handled with a visit-order memo, so
   structurally identical graphs built in different processes (or
   round-tripped through :mod:`repro.snapshot.store`) hash identically;
@@ -32,7 +32,7 @@ type is worked out once per walk rather than once per value: an
 exact-type table picks the encoder of a leaf or container, the
 ``O<len>:<module.qualname>`` header is built once per class, the
 encoded, sorted attribute names of an object's state once per
-``__dict__`` shape, and a slotted dataclass's sorted fields and the one
+``__dict__`` shape, and a record's sorted fields and the one
 ``operator.attrgetter`` that reads them once per class.  A ``str`` is
 encoded once per walk (router and host names recur in every pointer
 path), and a back-reference is resolved
@@ -157,13 +157,16 @@ class _Walker:
         self._leaves = dict(_LEAVES)
         self._leaves[str] = _StrCodes().__getitem__
         self._memo: Dict[int, int] = {}
+        #: The next visit number.  A record's ``__dict__`` twin takes one
+        #: too, with no memo entry behind it, so it is not ``len(memo)``.
+        self._visit = itertools.count().__next__
         # Keep encoded objects alive for the walk: ``id()`` values are
         # only unique among *live* objects, and properties/iterators can
         # mint temporaries whose ids would otherwise be recycled.
         self._keepalive: list = []
         #: class -> ``O<len>:<module.qualname>`` for plain-object classes.
         self._headers: Dict[type, bytes] = {}
-        #: slotted-dataclass class -> its :func:`_record_plan`.
+        #: record class -> its :func:`_record_plan`.
         self._records: Dict[type, tuple] = {}
         #: state-dict key tuple -> (sorted key encodings, keys in that order).
         self._shapes: Dict[tuple, Tuple[tuple, tuple]] = {}
@@ -173,10 +176,9 @@ class _Walker:
         self._buffer.clear()
 
     def _register(self, obj: Any) -> None:
-        """Give ``obj`` the next memo index (it was not in the memo).  The
+        """Give ``obj`` the next visit number (it was not in the memo).  The
         rare containers call this; the common ones inline it."""
-        memo = self._memo
-        memo[id(obj)] = len(memo)
+        self._memo[id(obj)] = self._visit()
         self._keepalive.append(obj)
 
     def encode(self, obj: Any) -> None:
@@ -213,7 +215,7 @@ class _Walker:
 
     def _sequence(self, obj: Any) -> None:
         memo = self._memo
-        memo[id(obj)] = len(memo)
+        memo[id(obj)] = self._visit()
         self._keepalive.append(obj)
         emit = self.emit
         is_list = isinstance(obj, list)
@@ -242,8 +244,7 @@ class _Walker:
                                              for item in obj])))
 
     def _dict(self, obj: dict) -> None:
-        memo = self._memo
-        memo[id(obj)] = len(memo)
+        self._memo[id(obj)] = self._visit()
         self._keepalive.append(obj)
         self.emit(b"{")
         # Sort items by encoded key.  Keys are encoded once (into the
@@ -290,7 +291,7 @@ class _Walker:
                     b"E", "{}.{}".format(kind.__name__,
                                          obj.name).encode("utf-8")))
                 return
-            if isinstance(obj, (list, tuple)):
+            if isinstance(obj, (list, tuple)) and not _is_named_tuple(kind):
                 self._sequence(obj)
                 return
             if isinstance(obj, (set, frozenset)):
@@ -326,8 +327,8 @@ class _Walker:
                     self._headers[kind] = header
                 else:
                     self._records[kind] = plan
-        memo = self._memo
-        memo[id(obj)] = len(memo)
+        visit = self._visit
+        self._memo[id(obj)] = visit()
         self._keepalive.append(obj)
         if plan is not None:
             _, names, keys, values = plan
@@ -340,9 +341,9 @@ class _Walker:
                                   if hasattr(obj, name)})
             else:
                 # The dict-backed twin's ``__dict__`` takes the next visit
-                # number; no object stands behind it, and nothing can ever
-                # refer back to it (``~id`` is negative, no ``id()`` is).
-                memo[~id(obj)] = len(memo)
+                # number; no object stands behind it, so nothing can ever
+                # refer back to it, and it takes no memo entry.
+                visit()
                 emit(b"{")
                 self._pairs(pairs)
                 emit(b"}")
@@ -379,7 +380,7 @@ class _Walker:
             if type(key) is not str:
                 self._dict(state)
                 return
-        memo[id(state)] = len(memo)
+        memo[id(state)] = self._visit()
         self._keepalive.append(state)
         shape = self._shapes.get(keys)
         if shape is None:
@@ -401,20 +402,29 @@ class _Walker:
             self.encode(bound)
 
 
-def _record_plan(kind: type, header: bytes) -> Optional[tuple]:
-    """How an instance of a slotted dataclass streams: exactly as its
-    dict-backed twin would, without ``__getstate__`` or a state dict.
+def _is_named_tuple(kind: type) -> bool:
+    return issubclass(kind, tuple) and hasattr(kind, "_fields")
 
-    ``(header, slot names, their encodings sorted, a getter of the values
-    in that order)`` — the slots are the fields — or ``None`` for every
-    other class: one with a ``__dict__``, one with a ``__getstate__`` of
-    its own (a frozen slotted dataclass gets one), or a slotted class
-    that is no dataclass, which keeps its ``(N;{…})`` production.
+
+def _record_plan(kind: type, header: bytes) -> Optional[tuple]:
+    """How a record — a named tuple, or a slotted dataclass — streams:
+    exactly as its dict-backed twin would, without ``__getstate__`` or a
+    state dict.
+
+    ``(header, field names, their encodings sorted, a getter of the
+    values in that order)`` — a slotted dataclass's slots are its fields —
+    or ``None`` for every other class: one with a ``__dict__``, one with a
+    ``__getstate__`` of its own (a frozen slotted dataclass gets one), or
+    a slotted class that is no dataclass, which keeps its ``(N;{…})``
+    production.
     """
-    if (kind.__dictoffset__ or kind.__getstate__ is not object.__getstate__
+    if _is_named_tuple(kind):
+        names = tuple(kind._fields)
+    elif (kind.__dictoffset__ or kind.__getstate__ is not object.__getstate__
             or not dataclasses.is_dataclass(kind)):
         return None
-    names = tuple(copyreg._slotnames(kind))
+    else:
+        names = tuple(copyreg._slotnames(kind))
     ordered = sorted((_str(name), name) for name in names)
     in_order = tuple(name for _, name in ordered)
     if len(in_order) > 1:

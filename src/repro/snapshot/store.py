@@ -2,7 +2,8 @@
 
 Format — self-describing, one file::
 
-    line 1   JSON header: {"magic": "repro-snapshot", "schema": 7,
+    line 1   JSON header: {"magic": "repro-snapshot",
+                           "schema": SCHEMA_VERSION,
                            "kind": "...", "state_hash": "...",
                            "counts": {...}, "meta": {...}}
     line 2+  zlib-compressed pickle of the network object graph
@@ -46,19 +47,19 @@ from repro.snapshot.codec import gc_paused, state_hash_of
 from repro.util import perf
 
 #: Bump on any incompatible change to the header, payload layout or
-#: canonical byte stream (8: DESIGN.md §10, "Schema 8").
-SCHEMA_VERSION = 8
+#: canonical byte stream (9: DESIGN.md §10, "Schema 9").
+SCHEMA_VERSION = 9
 MAGIC = "repro-snapshot"
 
 #: What every header carries besides ``magic`` and ``schema``, and as what.
 _HEADER_FIELDS = {"kind": str, "state_hash": str, "counts": dict,
                   "meta": dict}
 
-#: zlib level 6 halves 10k-host files.  It is ~0.16 s of a ~1.0 s save at
-#: 5k hosts; level 1 takes 0.1 s off that, but writes files 10 % larger
-#: and reads +2 % ``peak_rss_mb`` on the ``inter_5k`` benchmark row (181.6
-#: -> 185.3 MiB), so it stays at 6.  Level 9 costs ~5x the compression
-#: time for a further ~2 % off the file.
+#: zlib level 6 writes a 5k-host pickle at ~0.37 of its size (4.8 -> 1.75
+#: MiB on the ``inter_5k`` benchmark shape, 4.9 -> 1.86 on ``intra_5k``),
+#: in 0.23 / 0.15 s of a ~0.7 / ~0.6 s save.  Level 1 takes 0.14 / 0.09 s
+#: off that for files 8 % / 15 % larger; level 9 takes ~4x the time for
+#: files 1-2 % smaller (schema 9, one core of a 2-core x86 VM).
 _ZLIB_LEVEL = 6
 
 #: Compressed bytes a load reads at a time.

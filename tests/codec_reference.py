@@ -13,9 +13,13 @@ the shipped encoder together: the per-ID records became slotted
 dataclasses, and a slotted dataclass that keeps ``object.__getstate__``
 is written as the ``__dict__`` its dict-backed twin would hand over (its
 set slots, one memo entry), where ``__getstate__`` gives the ``(None,
-{slots})`` pair.  That rule, the ``if`` in ``_encode_object`` and the two
-imports it needs, is the only difference from the walker as it stood
-before the encoder was compiled.
+{slots})`` pair.  The third is snapshot schema 9's, made the same way:
+the pointer records became named tuples, and a named tuple is written as
+its dict-backed twin too (its fields, one memo entry), where it used to
+be a ``(`` sequence.  Those two rules — the ``named`` test in ``encode``,
+the two ``if`` branches in ``_encode_object`` and the two imports schema
+4's needs — are the only difference from the walker as it stood before
+the encoder was compiled.
 """
 
 from __future__ import annotations
@@ -113,7 +117,9 @@ class _Walker:
                 b"E", "{}.{}".format(type(obj).__name__,
                                      obj.name).encode("utf-8")))
             return
-        if kind in (list, tuple) or isinstance(obj, (list, tuple)):
+        named = isinstance(obj, tuple) and hasattr(kind, "_fields")
+        if kind in (list, tuple) or isinstance(obj, (list, tuple)) \
+                and not named:
             if self._enter(obj):
                 return
             update(b"[" if isinstance(obj, list) else b"(")
@@ -179,7 +185,11 @@ class _Walker:
             return
         cls = type(obj)
         try:
-            if (dataclasses.is_dataclass(cls) and not cls.__dictoffset__
+            if isinstance(obj, tuple):
+                # Schema 9: a named tuple writes the ``__dict__`` its
+                # dict-backed twin would hand over.
+                state = dict(zip(cls._fields, obj))
+            elif (dataclasses.is_dataclass(cls) and not cls.__dictoffset__
                     and cls.__getstate__ is object.__getstate__):
                 # Schema 4: a slotted dataclass writes the ``__dict__`` its
                 # dict-backed twin would hand over.

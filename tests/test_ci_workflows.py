@@ -117,6 +117,33 @@ def test_the_evicting_snapshot_gate_passes(tmp_path):
     assert "evicting 2k-host gate OK" in done.stdout
 
 
+def test_snapshot_round_trip_step_saves_and_verifies_both_rofl_kinds(
+        tmp_path):
+    """A 500-host file of each ROFL kind is saved, inspected and verified,
+    run here as CI runs it (``bash -e``, ~2 s), in a scratch directory:
+    the interdomain file holds the ``ASPointer`` records the intradomain
+    one does not."""
+    script = _bench_smoke_step("snapshot save inter500.snap")
+    for expected in ("snapshot save net500.snap", "snapshot info net500.snap",
+                     "snapshot verify net500.snap",
+                     "--kind inter --ases 60 --hosts 500",
+                     "snapshot info inter500.snap",
+                     "snapshot verify inter500.snap"):
+        assert expected in script
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        ["bash", "-e", "-c", script.replace("PYTHONPATH=src", "PYTHONPATH="
+                                            + str(src))
+         .replace("python -m", sys.executable + " -m")],
+        cwd=tmp_path, capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin"})
+    assert done.returncode == 0, done.stdout + done.stderr
+    for name, kind in (("net500.snap", "IntraDomainNetwork"),
+                       ("inter500.snap", "InterDomainNetwork")):
+        assert "verify: {} OK".format(name) in done.stdout
+        assert re.search(r"^kind +{}$".format(kind), done.stdout, re.M)
+
+
 def test_malformed_scenario_step_expects_exit_2_and_one_line(tmp_path):
     """Four malformed files, each under ``timeout`` (``Infinity`` used to
     parse and never return; five ASes failed mid-build), each expected to

@@ -436,17 +436,18 @@ def test_a_schema_1_snapshot_is_refused_with_exit_2(tmp_path, capsys,
     holding a schema-2 file, a schema-3 one from before the per-ID records
     were slotted, a schema-4 one that still stores the state schema 5
     retired, a schema-5 one whose router caches hold a ``Pointer`` per
-    entry, a schema-6 one whose AS caches still do, or a schema-7 one
-    whose pointers still store their role: one line saying which schema
-    the file has, which one this build reads and what to do."""
-    for old in (1, 2, 3, 4, 5, 6, 7):
+    entry, a schema-6 one whose AS caches still do, a schema-7 one whose
+    pointers still store their role, or a schema-8 one whose pointers are
+    slotted dataclasses: one line saying which schema the file has, which
+    one this build reads and what to do."""
+    for old in (1, 2, 3, 4, 5, 6, 7, 8):
         path = _saved_with_header(tmp_path, lambda h: h.update(schema=old))
         capsys.readouterr()
         assert main(command + [str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1
         assert captured.err.startswith("repro: snapshot ")
-        for part in ("schema version {}".format(old), "reads version 8",
+        for part in ("schema version {}".format(old), "reads version 9",
                      "re-create"):
             assert part in captured.err
 

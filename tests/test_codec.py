@@ -132,6 +132,12 @@ def record_class(slots):
 
 Record, SlottedRecord = record_class(False), record_class(True)
 
+#: The named-tuple twin of ``Record`` (schema 9's pointer records): same
+#: module, same qualified name, every field always set.
+NamedRecord = collections.namedtuple(
+    "Record", [field.name for field in dataclasses.fields(Record)])
+NamedRecord.__qualname__ = Record.__qualname__
+
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class FrozenRecord:
@@ -333,6 +339,9 @@ class GraphBuilder:
             out.kept = self.value(depth)
             return out
         if pick == 13:
+            if rng.random() < 0.25:
+                return self.pooled(NamedRecord._make(
+                    self.value(depth) for _ in NamedRecord._fields))
             out = self.pooled(rng.choice((Record, SlottedRecord,
                                           SlottedRecord))())
             for name in rng.sample(self.RECORD_FIELDS, rng.randint(0, 3)):
@@ -461,9 +470,10 @@ class TestStreamEquality:
 
 
 class TestSlottedRecords:
-    """Schema 4's production: a slotted dataclass is written as its
-    dict-backed twin — header, the ``__dict__`` it would have (one memo
-    entry), ``o`` — without a state dict being built."""
+    """Schema 4's production, which schema 9's named tuples share: a
+    slotted dataclass or a named tuple is written as its dict-backed twin
+    — header, the ``__dict__`` it would have (one visit number), ``o`` —
+    without a state dict being built."""
 
     @staticmethod
     def graph(cls):
@@ -485,6 +495,32 @@ class TestSlottedRecords:
         # Back-references count the phantom ``__dict__``: the cycle closes
         # on ``a`` (visit 1; the list is 0, ``a.__dict__`` 2).
         assert b"R1;" in twin
+
+    def test_a_named_tuple_streams_as_its_dict_backed_twin(self):
+        """Immutable, so its cycle closes through a list it holds."""
+        def graph(make):
+            shared, later = (1, "r"), []
+            a = make(path=("r1", "r2"), id=FlatId(5, bits=16), kind=shared,
+                     état=None, later=later)
+            b = make(path=[shared, shared], id=None, kind="successor",
+                     état=a.path, later=[a])
+            later.append(b)                # a cycle through two records
+            return [a, b, {"b": b}, a, shared]
+
+        def dict_backed(**fields):
+            record = Record()
+            record.__dict__.update(fields)
+            return record
+
+        assert NamedRecord.__module__ == Record.__module__
+        twin = stream(reference_update, graph(dict_backed))
+        for walker in (canonical_update, reference_update):
+            assert stream(walker, graph(NamedRecord)) == twin, walker
+        # The cycle closes on ``a``: visit 1 (the list is 0, ``a``'s
+        # phantom ``__dict__`` 2).
+        assert b"R1;" in twin
+        # A plain tuple subclass keeps its ``(`` production.
+        assert stream(canonical_update, MyTuple((1,))) == b"(i0x1;)"
 
     def test_other_slotted_classes_keep_their_productions(self):
         """A slotted class that is no dataclass writes ``__getstate__``'s

@@ -114,6 +114,27 @@ class TestJoin:
         assert not any(vn.cached_at for vn in net.vn_index.values())
 
 
+class TestJoinIndexMarks:
+    def test_a_stable_join_marks_the_new_id_and_its_predecessor(
+            self, intra_net_factory):
+        """A router's candidate pointers are successors and parked
+        children.  The successor's side of a join writes only its
+        predecessor pointer, which no index holds, so it must not send its
+        owner back through the re-diff: one mark for hosting the new ID,
+        one for the predecessor re-pointed at it."""
+        from repro.util import perf
+
+        net = intra_net_factory(n_hosts=0)
+        net.flush_indexes()
+        marks0 = perf.value("router.index.marks")
+        for _ in range(300):
+            net.join_host(net.next_planned_host())
+            net.flush_indexes()
+        assert not any(vn.ephemeral for vn in net.vn_index.values())
+        assert perf.value("router.index.marks") - marks0 == 2 * 300
+        net.check_ring()
+
+
 class TestEphemeral:
     def test_ephemeral_hosts_stay_off_ring(self, intra_net_factory):
         net = intra_net_factory(n_hosts=0, ephemeral_fraction=1.0)

@@ -15,7 +15,7 @@ import tracemalloc
 
 import pytest
 
-from repro import build_network
+from repro import build_network, snapshot
 from repro.snapshot import state_hash
 
 #: Bytes per host a ``state_hash`` call may leave allocated once it returns.
@@ -28,8 +28,10 @@ LEFT_BY_A_HASH = 250
 @pytest.mark.parametrize("kind, sizing, resident_budget", [
     # Measured 7 413 / 8 943 B per host with slotted records (8 227 / 9 853
     # before), intra 6 836 since the flat router caches of snapshot schema
-    # 6, and 6 793 / 8 438 since schema 8 stores no role in a pointer (and
-    # no target AS beside its route); each budget is the latest plus 5 %.
+    # 6, 6 793 / 8 438 since schema 8 stores no role in a pointer (and no
+    # target AS beside its route), and 6 879 / 8 686 since schema 9's
+    # pointers are named tuples (a tuple is 8 B larger than a slotted
+    # object); each budget is the latest plus 5 %.
     ("intra", {"hosts": 500}, 7_133),
     ("inter", {"n_ases": 60, "hosts": 600}, 8_860),
 ])
@@ -51,6 +53,44 @@ def test_bytes_per_host(kind, sizing, resident_budget):
     hosts = sizing["hosts"]
     assert left / hosts <= LEFT_BY_A_HASH, left / hosts
     assert resident / hosts <= resident_budget, resident / hosts
+
+
+@pytest.mark.parametrize("kind, sizing, hash_budget, save_budget", [
+    # Peak bytes per host above resident while the call runs: a hash walk
+    # 4 581 / 6 257 and a save 8 418 / 9 984 at snapshot schema 8, when
+    # the walk gave each record's ``__dict__`` twin a memo entry and the
+    # pickler memoised each record's ``(None, {slots})`` state; 4 167 /
+    # 3 999 and 4 027 / 6 593 at schema 9.  Each budget is the latest
+    # measurement plus 5 %.
+    ("intra", {"hosts": 500}, 4_376, 4_229),
+    ("inter", {"n_ases": 60, "hosts": 600}, 4_199, 6_923),
+])
+def test_transient_bytes_per_host(tmp_path, kind, sizing, hash_budget,
+                                  save_budget):
+    """What one ``state_hash`` and one ``snapshot.save`` allocate at their
+    peak, on the shapes above."""
+    build_network(kind, 0, **dict(sizing, hosts=5))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        net = build_network(kind, 0, **sizing)
+        for _ in range(2_000):
+            net.send(*net.random_host_pair())
+        gc.collect()
+        resident = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        state_hash(net)
+        walk = tracemalloc.get_traced_memory()[1] - resident
+        gc.collect()
+        resident = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        snapshot.save(net, str(tmp_path / "net.snap"))
+        save = tracemalloc.get_traced_memory()[1] - resident
+    finally:
+        tracemalloc.stop()
+    hosts = sizing["hosts"]
+    assert walk / hosts <= hash_budget, walk / hosts
+    assert save / hosts <= save_budget, save / hosts
 
 
 @pytest.mark.parametrize("hosts, entry_budget", [

@@ -334,6 +334,26 @@ class TestRoundTrip:
             assert net.join_next() == loaded.join_next()
         assert snapshot.state_hash(loaded) == snapshot.state_hash(net)
 
+    def test_a_load_keeps_which_pointers_share_a_route(self, tmp_path):
+        """A pointer pickles as one argument tuple whose route the pickle
+        memo writes once, so pointers that shared one route tuple share one
+        after a load — the sharing the hash encodes."""
+        def sharing(net):
+            """Per pointer, the position of the first one on its route."""
+            first = {}
+            return [first.setdefault(id(ptr.as_route), at)
+                    for at, ptr in enumerate(
+                        ptr for vn in net.hosts.values()
+                        for ptr in (*vn.succ_by_level.values(),
+                                    *vn.pred_by_level.values(), *vn.fingers))]
+
+        net = build_inter(cache_entries=16)
+        path = str(tmp_path / "inter.snap")
+        snapshot.save(net, path)
+        shared = sharing(net)
+        assert len(set(shared)) < len(shared) // 2
+        assert sharing(snapshot.load(path, verify=True)) == shared
+
     def test_loaded_network_passes_invariant_probes(self, tmp_path):
         net = build_intra()
         path = str(tmp_path / "intra.snap")
@@ -379,12 +399,12 @@ class TestFormat:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
             payload = fh.read()
-        assert snapshot.SCHEMA_VERSION == 8
+        assert snapshot.SCHEMA_VERSION == 9
         # A file from the future, and one from before each change of the
-        # canonical stream or the payload layout (schemas 1-7): refused
+        # canonical stream or the payload layout (schemas 1-8): refused
         # before the payload is touched, by the reader that only wants
         # the header too.
-        for found in (snapshot.SCHEMA_VERSION + 1, 7, 6, 5, 4, 3, 2, 1):
+        for found in (snapshot.SCHEMA_VERSION + 1, 8, 7, 6, 5, 4, 3, 2, 1):
             header["schema"] = found
             with open(path, "wb") as fh:
                 fh.write(json.dumps(header).encode() + b"\n" + payload)
