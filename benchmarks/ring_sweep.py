@@ -1,20 +1,20 @@
 #!/usr/bin/env python3
-"""Ring-repair tripwire: seeded fault tapes on both ROFL kinds, a ring
-check after every operation, one state hash per kind and seed.
+"""Ring-repair tripwire: seeded fault tapes on both ROFL kinds, the
+kind's check after every operation, one state hash per kind and seed.
 
     python3 benchmarks/ring_sweep.py --seeds 0-59
 
 ``KINDS`` has one row per kind: builder, hosts joined first, tape length,
-mix of operations and end-of-tape check.  Each operation is a ``Network``
-contract call followed by ``net.check()``, drawn by
-``random.Random(seed).choice`` from the mix, so the mix's order and
-multiplicity fix every draw.  ``intra``: a 40-router ISP, 30 % ephemeral
-hosts, 150 joins, 80 operations.  ``inter``: a 40-AS graph, six fingers,
-64-entry caches, one join strategy per seed (``list(JoinStrategy)[seed %
-4]``: mixing strategies breaks rings on its own, ROADMAP item 2),
-``bloom`` peering on every other block of four seeds, 80 joins, 40
-operations, and at the end no join lookup may have disagreed with the
-ring registry.
+mix of operations, the check run after every operation and the sends
+that must arrive.  Each operation is a ``Network`` contract call whose
+victim :func:`step` picks, drawn by ``random.Random(seed).choice`` from
+the mix, so the mix's order and multiplicity fix every draw (``step``'s
+``move_host`` is drawn by ``tests/test_stateful_ring.py``'s machine
+alone).  ``intra``: a 40-router ISP, 30 % ephemeral hosts, 150 joins, 80
+operations.  ``inter``: a 40-AS graph, six fingers, 64-entry caches, one
+join strategy per seed (``list(JoinStrategy)[seed % 4]``: mixing
+strategies breaks rings on its own, ROADMAP item 16), ``bloom`` peering
+on every other block of four seeds, 80 joins, 40 operations.
 
 Prints ``kind seed state_hash[:16]``; on any exception prints the seed's
 last operations and exits 1.  Standard library only; about 0.35 s per seed
@@ -56,8 +56,13 @@ def step(net, rng: random.Random, op: str, down: List[tuple]) -> str:
         call(*args)
         return "{} {}".format(call.__name__, args)
     if op == "send":
-        delivered = sum(net.send(*net.random_host_pair()).delivered
-                        for _ in range(SENDS))
+        delivered = 0
+        for _ in range(SENDS):
+            a, b = net.random_host_pair()
+            arrived = net.send(a, b).delivered
+            assert arrived or not KINDS[net.kind].arrives(net, a, b), \
+                "send {} -> {} was not delivered".format(a, b)
+            delivered += arrived
         return "send {}/{}".format(delivered, SENDS)
     args: tuple = ()
     if op == "fail_link":
@@ -77,17 +82,51 @@ def step(net, rng: random.Random, op: str, down: List[tuple]) -> str:
         args = (rng.choice(live),)
     elif op == "partition_pop":
         args = (rng.choice(sorted(net.topology.pops)),)
-    elif op in ("fail_host", "leave_host"):
+    elif op in ("fail_host", "leave_host", "move_host"):
         if not net.hosts:
             return op + " (no hosts)"
         args = (rng.choice(sorted(net.hosts)),)
+        if op == "move_host":       # to another edge router of its component
+            home = net.hosts[args[0]].router
+            targets = [r for r in net.topology.edge_routers()
+                       if r != home and net.lsmap.reachable(home, r)]
+            if not targets:
+                return op + " (no other edge router in its component)"
+            args += (rng.choice(targets),)
     return "{} {} -> {}".format(op, args, getattr(net, op)(*args))
 
 
-def no_lookup_mismatch(net):
+def check_intra(net) -> None:
+    """``net.check()``; the host table, router residency and ``vn_index``
+    agree; every ring member's primary successor names a live ID (deeper
+    entries may go stale until a walk tears them down)."""
+    net.check()
+    for name, vn in net.hosts.items():
+        assert net.routers[vn.router].hosts_id(vn.id), name
+        assert net.vn_index.get(vn.id) is vn, name
+    for vn in net.ring_members():
+        primary = vn.primary_successor()
+        assert primary is None or primary.dest_id in net.vn_index, vn
+
+
+def check_inter(net) -> None:
+    net.check()
     assert net.lookup_mismatches == 0, \
         "{} join lookups disagreed with the ring registry".format(
             net.lookup_mismatches)
+
+
+def intra_arrives(net, a: str, b: str) -> bool:
+    """Between stable hosts on routers of one live component."""
+    src, dst = net.hosts[a], net.hosts[b]
+    return not (src.ephemeral or dst.ephemeral) \
+        and net.lsmap.reachable(src.router, dst.router)
+
+
+def inter_arrives(net, a: str, b: str) -> bool:
+    """Always, but to an ephemeral ID under ``bloom`` peering, which
+    reaches only its home's and the root's rings (ROADMAP item 4(d))."""
+    return net.peering_mode != "bloom" or net.hosts[b].strategy != "ephemeral"
 
 
 class Kind(NamedTuple):
@@ -95,7 +134,8 @@ class Kind(NamedTuple):
     hosts: int
     ops: int
     mix: Tuple[str, ...]
-    end: Callable = lambda net: None
+    check: Callable
+    arrives: Callable
 
 
 KINDS = {
@@ -106,7 +146,8 @@ KINDS = {
         hosts=150, ops=80,
         mix=("fail_link", "fail_link", "fail_link", "restore",
              "fail_router", "fail_router", "partition_pop", "fail_host",
-             "leave_host", "join_next", "join_next", "send")),
+             "leave_host", "join_next", "join_next", "send"),
+        check=check_intra, arrives=intra_arrives),
     "inter": Kind(
         lambda seed: InterDomainNetwork(
             synthetic_as_graph(n_ases=40, seed=seed), seed=seed,
@@ -116,7 +157,7 @@ KINDS = {
         hosts=80, ops=40,
         mix=("fail_as", "fail_as", "restore", "join_next", "join_next",
              "send"),
-        end=no_lookup_mismatch),
+        check=check_inter, arrives=inter_arrives),
 }
 
 
@@ -125,15 +166,14 @@ def run_seed(kind: str, seed: int, log: List[str]) -> str:
     row = KINDS[kind]
     net = row.build(seed)
     net.join_random_hosts(row.hosts)
-    net.check()
+    row.check(net)
     rng = random.Random(seed)
     down: List[tuple] = []
     for i in range(row.ops):
         op = rng.choice(row.mix)
         log.append("{:2d} {}".format(i, op))    # named first: it may raise
         log[-1] = "{:2d} {}".format(i, step(net, rng, op, down))
-        net.check()
-    row.end(net)
+        row.check(net)
     return state_hash(net)
 
 

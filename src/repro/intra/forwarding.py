@@ -128,16 +128,19 @@ def _route(net, start_router, dest_id, mode, category):
                 # NACK: the source route was live but its target ID is not
                 # here — a stale pointer beyond the teardown/move
                 # notification window.  Invariant (b) is enforced lazily: if
-                # the ID now lives elsewhere (host moved), the owner
-                # re-routes its pointer; if it is gone, the owner deletes
-                # it.  Either way, routing restarts from this router.
+                # the ID now lives where the owner can reach (host moved),
+                # the owner re-routes its pointer; if it is gone or cut off
+                # from the owner, the owner deletes it.  Either way, routing
+                # restarts from this router.
                 stale = held if held is not None \
                     else _cache_pointer(space, committed, source_route)
                 owner = routers.get(source_route[0])
+                new_path = None
                 if net.id_is_live(stale.dest_id):
                     new_path = net.paths.hop_path(
                         source_route[0], net.vn_index[stale.dest_id].router)
-                    if owner is not None and new_path is not None:
+                if new_path is not None:
+                    if owner is not None:
                         owner.reroute_pointer(
                             stale, stale.rerouted(tuple(new_path)))
                     action = "reroute"

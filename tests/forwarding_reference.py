@@ -42,9 +42,18 @@ ephemeral resident or parked child only when it is the destination
 itself (``iv == dest_iv``, data mode) — the two ``if`` tests on
 ``vn.ephemeral`` and ``first[3]``.  Before it, a greedy walk adopted an
 ephemeral resident on the way and stalled with "destination ID not
-found".  Those two tests, the schema-8, schema-7 and schema-6 lines, the
-zero-hop ``if`` and the two reads above are the only lines that differ
-from the parent's file.
+found".
+
+Sanctioned, the moved-ID teardown (ROADMAP item 1(d), invariant (b)):
+the NACK branch re-routes a pointer to a moved ID only when the owner
+has a path to the ID's new home (``new_path is not None``) and otherwise
+tears it down as for a dead ID.  Before it, a pointer whose owner could
+no longer reach the new home was neither re-routed nor dropped, and the
+walk NACKed at the old home until the pointer hop limit.  Those three
+lines (``new_path = None`` and the two ``if`` tests on ``new_path`` and
+``owner``), the two ephemeral tests, the schema-8, schema-7 and schema-6
+lines, the zero-hop ``if`` and the two reads above are the only lines
+that differ from the parent's file.
 
 Until PR 19 one physical hop cost 28 Python-level calls: ``_route`` asked
 ``RoflRouter.best_match`` → ``vn_best_match`` (``flush`` / ``columns`` /
@@ -221,12 +230,14 @@ def _route(net, start_router, dest_id, mode, category):
             # routing restarts from this router.
             owner = net.routers.get(committed.path[0])
             target_vn = net.vn_index.get(committed.dest_id)
+            new_path = None
             if (target_vn is not None
                     and net.lsmap.is_router_up(target_vn.router)
                     and net.routers[target_vn.router].hosts_id(committed.dest_id)):
                 new_path = net.paths.hop_path(committed.path[0],
                                               target_vn.router)
-                if owner is not None and new_path is not None:
+            if new_path is not None:
+                if owner is not None:
                     owner.reroute_pointer(committed,
                                           committed.rerouted(tuple(new_path)))
                 if tr is not None:

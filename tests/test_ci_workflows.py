@@ -295,6 +295,24 @@ def test_twin_engine_step_runs_both_reference_engines_at_the_twins_profile():
     assert settings.get_profile("twins").max_examples > 4
 
 
+def test_twin_engine_step_runs_both_stateful_machines_at_the_twins_profile():
+    """The same step runs both tape machines at the ``twins`` profile's
+    budget; tier-1 runs them at 25 and 12 examples."""
+    step = _bench_smoke_step("--hypothesis-profile twins")
+    [command] = [line for line in step.replace("\\\n", " ").splitlines()
+                 if "tests/test_stateful_ring.py" in line]
+    for expected in ("tests/test_stateful_internet.py",
+                     "--hypothesis-profile twins"):
+        assert expected in command
+    assert " -k " not in command
+    from tests.conftest import profile_examples
+    from tests.test_stateful_internet import TestInternetMachine
+    from tests.test_stateful_ring import TestRingMachine
+    assert (TestRingMachine.settings.max_examples,
+            TestInternetMachine.settings.max_examples) == (
+                profile_examples(25), profile_examples(12))
+
+
 def test_codec_step_runs_the_stream_equality_property_at_the_fuzz_profile():
     """Tier-1 draws 400 random graphs for the codec's stream-equality
     property; bench-smoke draws the ``fuzz`` profile's 10⁴."""

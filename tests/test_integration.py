@@ -93,15 +93,23 @@ class TestInterdomainChurn:
             assert net.send(a, b).delivered
 
     def test_mixed_strategies_coexist(self, inter_net_factory):
-        """Hosts with different joining strategies share one Internet and
-        can all reach each other through the global ring."""
+        """Hosts with different joining strategies share one Internet, keep
+        every ring consistent, also after a stub that hosts IDs fails, and
+        can all reach each other through the global ring.  A scoped lookup
+        may dead-end in a sparse ring region and fall back to the registry
+        (11 of 60 joins here); one strategy per network makes that 0."""
         net = inter_net_factory(n_hosts=0, seed=15, n_fingers=4)
         strategies = list(JoinStrategy)
-        names = []
         for i in range(60):
-            host = net.next_planned_host()
-            net.join_host(host, strategy=strategies[i % len(strategies)])
-            names.append(host.name)
+            net.join_host(net.next_planned_host(),
+                          strategy=strategies[i % len(strategies)])
+        net.check_rings()
+        assert net.lookup_mismatches <= net.n_hosts
+        stub = next(asn for asn in sorted(net.asg.stubs(), key=str)
+                    if net.ases[asn].hosted)
+        net.fail_as(stub)
+        net.check_rings()
+        names = sorted(net.hosts)
         rng = random.Random(15)
         for _ in range(60):
             a, b = rng.sample(names, 2)

@@ -246,6 +246,37 @@ class TestStaleZeroHopPointers:
         assert holder.successors[1].path[-1] == elsewhere
         net.check_ring()
 
+    def test_a_moved_host_its_owner_cannot_reach_is_torn_down(self):
+        """A cached route to a moved ID ends at its old home, and the new
+        home is cut off from the cache's router: the NACK tears the entry
+        down (invariant (b)).  Re-routing it to nowhere left it in place,
+        and the walk NACKed at the old home until the pointer hop limit."""
+        net = IntraDomainNetwork(synthetic_isp(n_routers=14, seed=4),
+                                 cache_entries=64, seed=4)
+        net.join_random_hosts(24)
+        for _ in range(200):
+            net.send(*net.random_host_pair())
+        owner = net.routers["r0"]
+        mover = next(vn for _, vn in sorted(net.hosts.items())
+                     if owner.cache.get(vn.id) == ("r0", vn.router))
+        old_home, new_home = mover.router, "r2"
+        net.move_host(mover.host_name, new_home)
+        for nbr in sorted(net.lsmap.adjacency[new_home]):
+            net.fail_link(new_home, nbr)
+        assert owner.cache.get(mover.id) == ("r0", old_home)
+
+        tracer = trace.Tracer()
+        with trace.tracing(tracer):
+            outcome = forwarding.route(net, "r0", mover.id)
+        assert not outcome.delivered
+        assert outcome.reason != "pointer hop limit exceeded (routing loop?)"
+        nacks = [r.data for r in tracer.sink.records() if r.kind == "nack"]
+        assert nacks[0] == {"router": old_home, "action": "teardown",
+                            "target": mover.id.to_hex()}
+        assert {nack["action"] for nack in nacks} == {"teardown"}
+        assert mover.id not in owner.cache
+        net.check_ring()
+
 
 # ---------------------------------------------------------------------------
 # The fused engine against the parent's, kept verbatim in

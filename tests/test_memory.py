@@ -10,7 +10,10 @@ out of the window, and the full collection before it empties the free
 lists, so every object the window allocates is counted.
 """
 
+import functools
 import gc
+import os
+import tempfile
 import tracemalloc
 
 import pytest
@@ -25,6 +28,37 @@ from repro.snapshot import state_hash
 LEFT_BY_A_HASH = 250
 
 
+@functools.lru_cache(maxsize=None)
+def _footprint(kind, **sizing):
+    """One build of a shape and 2 000 sends, measured in the order the
+    two tests below read it: bytes resident, then a ``state_hash``'s peak
+    and what it leaves allocated, then a ``snapshot.save``'s peak."""
+    build_network(kind, 0, **dict(sizing, hosts=5))
+    gc.collect()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "net.snap")
+        tracemalloc.start()
+        try:
+            net = build_network(kind, 0, **sizing)
+            for _ in range(2_000):
+                net.send(*net.random_host_pair())
+            gc.collect()
+            resident = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            state_hash(net)
+            walk = tracemalloc.get_traced_memory()[1] - resident
+            gc.collect()
+            hashed = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            snapshot.save(net, path)
+            save = tracemalloc.get_traced_memory()[1] - hashed
+        finally:
+            tracemalloc.stop()
+    hosts = sizing["hosts"]
+    return (resident / hosts, (hashed - resident) / hosts, walk / hosts,
+            save / hosts)
+
+
 @pytest.mark.parametrize("kind, sizing, resident_budget", [
     # Measured 7 413 / 8 943 B per host with slotted records (8 227 / 9 853
     # before), intra 6 836 since the flat router caches of snapshot schema
@@ -36,23 +70,9 @@ LEFT_BY_A_HASH = 250
     ("inter", {"n_ases": 60, "hosts": 600}, 8_860),
 ])
 def test_bytes_per_host(kind, sizing, resident_budget):
-    build_network(kind, 0, **dict(sizing, hosts=5))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        net = build_network(kind, 0, **sizing)
-        for _ in range(2_000):
-            net.send(*net.random_host_pair())
-        gc.collect()
-        resident = tracemalloc.get_traced_memory()[0]
-        state_hash(net)
-        gc.collect()
-        left = tracemalloc.get_traced_memory()[0] - resident
-    finally:
-        tracemalloc.stop()
-    hosts = sizing["hosts"]
-    assert left / hosts <= LEFT_BY_A_HASH, left / hosts
-    assert resident / hosts <= resident_budget, resident / hosts
+    resident, left, _, _ = _footprint(kind, **sizing)
+    assert left <= LEFT_BY_A_HASH, left
+    assert resident <= resident_budget, resident
 
 
 @pytest.mark.parametrize("kind, sizing, hash_budget, save_budget", [
@@ -65,32 +85,12 @@ def test_bytes_per_host(kind, sizing, resident_budget):
     ("intra", {"hosts": 500}, 4_376, 4_229),
     ("inter", {"n_ases": 60, "hosts": 600}, 4_199, 6_923),
 ])
-def test_transient_bytes_per_host(tmp_path, kind, sizing, hash_budget,
-                                  save_budget):
+def test_transient_bytes_per_host(kind, sizing, hash_budget, save_budget):
     """What one ``state_hash`` and one ``snapshot.save`` allocate at their
     peak, on the shapes above."""
-    build_network(kind, 0, **dict(sizing, hosts=5))
-    gc.collect()
-    tracemalloc.start()
-    try:
-        net = build_network(kind, 0, **sizing)
-        for _ in range(2_000):
-            net.send(*net.random_host_pair())
-        gc.collect()
-        resident = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        state_hash(net)
-        walk = tracemalloc.get_traced_memory()[1] - resident
-        gc.collect()
-        resident = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        snapshot.save(net, str(tmp_path / "net.snap"))
-        save = tracemalloc.get_traced_memory()[1] - resident
-    finally:
-        tracemalloc.stop()
-    hosts = sizing["hosts"]
-    assert walk / hosts <= hash_budget, walk / hosts
-    assert save / hosts <= save_budget, save / hosts
+    _, _, walk, save = _footprint(kind, **sizing)
+    assert walk <= hash_budget, walk
+    assert save <= save_budget, save
 
 
 @pytest.mark.parametrize("hosts, entry_budget", [

@@ -1,65 +1,13 @@
-"""Stateful property testing of the interdomain hierarchy."""
+"""Stateful property testing of the interdomain hierarchy: the one tape
+machine of ``tests/test_stateful_ring.py`` over ``ring_sweep.py``'s
+``inter`` row (one join strategy per drawn seed)."""
 
-import hypothesis.strategies as st
 from hypothesis import settings
-from hypothesis.stateful import (RuleBasedStateMachine, invariant,
-                                 precondition, rule)
 
-from repro.inter.network import InterDomainNetwork
-from repro.inter.policy import JoinStrategy
-from repro.topology.asgraph import synthetic_as_graph
+from tests.conftest import profile_examples
+from tests.test_stateful_ring import tape_machine
 
-STRATEGIES = list(JoinStrategy)
-
-
-class InternetMachine(RuleBasedStateMachine):
-    def __init__(self):
-        super().__init__()
-        graph = synthetic_as_graph(n_ases=40, seed=77)
-        self.net = InterDomainNetwork(graph, n_fingers=4, seed=77)
-
-    @rule(which=st.integers(min_value=0, max_value=3))
-    def join_one(self, which):
-        if self.net.n_hosts < 50:
-            host = self.net.next_planned_host()
-            guard = 0
-            while not self.net.as_is_up(host.attach_at) and guard < 32:
-                host = self.net.next_planned_host()
-                guard += 1
-            if self.net.as_is_up(host.attach_at):
-                self.net.join_host(host, strategy=STRATEGIES[which])
-
-    @precondition(lambda self: self.net.n_hosts > 4)
-    @rule(pick=st.integers(min_value=0, max_value=10 ** 6))
-    def fail_stub(self, pick):
-        stubs = [s for s in self.net.asg.stubs()
-                 if self.net.as_is_up(s) and len(self.net.ases[s].hosted)]
-        if stubs:
-            self.net.fail_as(stubs[pick % len(stubs)])
-
-    @precondition(lambda self: self.net.n_hosts >= 2)
-    @rule(pick=st.integers(min_value=0, max_value=10 ** 6))
-    def send_one(self, pick):
-        names = sorted(self.net.hosts)
-        a = names[pick % len(names)]
-        b = names[(pick // 11 + 1) % len(names)]
-        if a != b:
-            assert self.net.send(a, b).delivered
-
-    @invariant()
-    def rings_consistent(self):
-        self.net.check_rings()
-
-    @invariant()
-    def oracle_mismatches_bounded(self):
-        # With *mixed* joining strategies, a scoped lookup can dead-end in
-        # a sparse ring region and fall back to the oracle (counted, and
-        # asserted zero in the uniform-strategy tests/benches); here we
-        # only require the fallback to stay rare relative to joins.
-        assert self.net.lookup_mismatches <= max(4, self.net.n_hosts)
-
-
-TestInternetMachine = InternetMachine.TestCase
-TestInternetMachine.settings = settings(max_examples=12,
-                                        stateful_step_count=20,
+TestInternetMachine = tape_machine("inter").TestCase
+TestInternetMachine.settings = settings(max_examples=profile_examples(12),
+                                        stateful_step_count=30,
                                         deadline=None)
