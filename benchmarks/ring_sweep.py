@@ -110,10 +110,32 @@ def check_intra(net) -> None:
 
 
 def check_inter(net) -> None:
+    """``net.check()`` (each member's successor); no join lookup disagreed
+    with the ring registry; and the mirror of the successor check: at
+    every level of two or more members, the closest ``pred_by_level``
+    target at levels inside it, counting members of its ring only, is
+    the member's ring predecessor."""
     net.check()
     assert net.lookup_mismatches == 0, \
         "{} join lookups disagreed with the ring registry".format(
             net.lookup_mismatches)
+    mask = net.space.mask
+    for level, ring in net.rings.items():
+        members = ring.keys()
+        inside = {None: True}       # pred_by_level key -> lies inside level
+        for i, member_id in enumerate(members if len(members) > 1 else ()):
+            preds = []
+            for lvl, ptr in ring[member_id].pred_by_level.items():
+                if lvl not in inside:
+                    inside[lvl] = net.policy.level_contained_in(lvl, level)
+                if inside[lvl] and ptr.dest_id in ring:
+                    preds.append(ptr.dest_id)
+            own = member_id.value
+            closest = min(preds, key=lambda dest: (own - dest.value) & mask,
+                          default=None)
+            assert closest == members[i - 1], \
+                "level {}: {} predecessor {} != {}".format(
+                    level, member_id, closest, members[i - 1])
 
 
 def intra_arrives(net, a: str, b: str) -> bool:

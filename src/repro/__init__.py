@@ -1,6 +1,6 @@
 """ROFL: Routing on Flat Labels — a full reproduction of the SIGCOMM 2006 paper.
 
-The package is organised by substrate (see DESIGN.md):
+The package is organised by substrate (DESIGN.md §4 has the whole tree):
 
 * :mod:`repro.idspace` — the flat 128-bit circular identifier namespace and
   self-certifying identities.

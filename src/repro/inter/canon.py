@@ -68,8 +68,7 @@ class InterJoinReceipt:
 def join_inter(net: "InterDomainNetwork", host: PlannedHost,
                strategy: JoinStrategy,
                via_provider: Optional[Hashable] = None,
-               flat_id_override: Optional[FlatId] = None,
-               prune=None) -> InterJoinReceipt:
+               flat_id_override: Optional[FlatId] = None) -> InterJoinReceipt:
     """Join one host's identifier across its hierarchy (Fig 8a workload).
 
     ``via_provider`` pins a single-homed join's first up-hop (the
@@ -91,8 +90,7 @@ def join_inter(net: "InterDomainNetwork", host: PlannedHost,
 
     vn = InterVirtualNode(id=flat_id, home_as=home, host_name=host.name,
                           strategy=strategy.value)
-    chain = net.policy.join_chain(home, strategy, via_provider=via_provider,
-                                  prune=prune)
+    chain = net.policy.join_chain(home, strategy, via_provider=via_provider)
     n_fingers = 0 if strategy is JoinStrategy.EPHEMERAL else net.n_fingers
 
     with perf.timed("inter.join"), \

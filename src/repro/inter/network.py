@@ -98,8 +98,7 @@ class InterDomainNetwork(Network):
     def join_host(self, host: PlannedHost,
                   strategy: Optional[JoinStrategy] = None,
                   via_provider: Optional[Hashable] = None,
-                  flat_id_override: Optional[FlatId] = None,
-                  prune: Optional[Set[Hashable]] = None
+                  flat_id_override: Optional[FlatId] = None
                   ) -> canon.InterJoinReceipt:
         strategy = strategy or self.default_strategy
         if self.peering_mode == "bloom" and strategy is JoinStrategy.PEERING:
@@ -108,8 +107,7 @@ class InterDomainNetwork(Network):
             strategy = JoinStrategy.MULTIHOMED
         return canon.join_inter(self, host, strategy,
                                 via_provider=via_provider,
-                                flat_id_override=flat_id_override,
-                                prune=prune)
+                                flat_id_override=flat_id_override)
 
     def next_joinable_host(self) -> Optional[PlannedHost]:
         # A host whose home AS is currently down attaches elsewhere (re-draw

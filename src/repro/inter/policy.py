@@ -25,7 +25,7 @@ from collections import deque
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.topology.asgraph import ASGraph, Relationship
-from repro.topology.hierarchy import HierarchyIndex, up_hierarchy
+from repro.topology.hierarchy import HierarchyIndex
 from repro.util import perf
 
 
@@ -179,19 +179,15 @@ class PolicyView:
     # -- join chains -------------------------------------------------------------------
 
     def join_chain(self, home_as: Hashable, strategy: JoinStrategy,
-                   via_provider: Optional[Hashable] = None,
-                   prune: Optional[Set[Hashable]] = None) -> List[Hashable]:
+                   via_provider: Optional[Hashable] = None) -> List[Hashable]:
         """The ordered (innermost → outermost) levels an ID joins at.
 
         Every chain ends at the global root ring so the ID is globally
         reachable; the strategies differ in how much of the up-hierarchy
-        (and which peering virtual ASes) they cover.  ``prune`` removes
-        ASes from G_X before the chain is formed — "X may decide to prune
-        G_X to reduce its join and maintenance overhead (which is roughly
-        linear in the number of edges in this graph)" (Section 2.3).
+        (and which peering virtual ASes) they cover.  Every ID of one
+        strategy at one home AS joins the same chain: the paper's option
+        to prune G_X (Section 2.3) is not modelled.
         """
-        if prune and home_as in prune:
-            raise ValueError("cannot prune the home AS from its own chain")
         if strategy is JoinStrategy.EPHEMERAL:
             levels: List[Hashable] = [home_as]
         elif strategy is JoinStrategy.SINGLE_HOMED:
@@ -216,10 +212,7 @@ class PolicyView:
                 seen.add(current)
                 levels.append(current)
         else:  # MULTIHOMED and PEERING share the provider DAG coverage.
-            if prune:
-                chain = list(up_hierarchy(self.asg, home_as, prune=prune))
-            else:
-                chain = [asn for asn in self.hierarchy.up_chain(home_as)]
+            chain = self.hierarchy.up_chain(home_as)
             levels = list(chain)
             if strategy is JoinStrategy.PEERING:
                 extra: List[VirtualAS] = []
@@ -228,10 +221,6 @@ class PolicyView:
                         if vas not in extra and vas != self.root:
                             extra.append(vas)
                 levels.extend(extra)
-        if prune:
-            levels = [lvl for lvl in levels
-                      if isinstance(lvl, VirtualAS) or lvl not in prune
-                      or lvl == home_as]
         if self.root not in levels:
             levels.append(self.root)
         # Innermost-first: order by subtree size, root last.
@@ -337,7 +326,10 @@ class PolicyView:
     def _allowed_peer_pairs(self, scope: Optional[Hashable]) -> Optional[Set[FrozenSet]]:
         """Which peer links a scoped path may cross.  Inside a real AS's
         subtree: none (pure customer-provider).  Inside a virtual AS:
-        exactly the peerings among its members.  Unscoped: all."""
+        exactly the peerings among its members.  Unscoped: all.
+
+        The oracle's form of the rule (``tests/policy_reference.py``);
+        ``_policy_tree`` applies it as a test on each peer step."""
         if scope is None:
             return None
         if isinstance(scope, VirtualAS):
@@ -357,7 +349,10 @@ class PolicyView:
         allowed = self.subtree(scope) if scope is not None else None
         if allowed is not None and src not in allowed:
             return tree
-        peer_ok = self._allowed_peer_pairs(scope)
+        # _allowed_peer_pairs as a test on the step asn → peer: every peer
+        # link unscoped, none inside a real AS, and inside a virtual AS
+        # those between two members (asg.peers yields peer links only).
+        members = scope.members if isinstance(scope, VirtualAS) else None
         asg = self.asg
         start = (src, 0)
         paths = {start: tree[src]}          # BFS-state paths, build-time only
@@ -368,9 +363,11 @@ class PolicyView:
             steps: List[Tuple[Hashable, int]] = []
             if phase == 0:
                 steps.extend((p, 0) for p in asg.providers(asn))
-                for peer in asg.peers(asn):
-                    if peer_ok is None or frozenset((asn, peer)) in peer_ok:
-                        steps.append((peer, 1))
+                if scope is None:
+                    steps.extend((peer, 1) for peer in asg.peers(asn))
+                elif members is not None and asn in members:
+                    steps.extend((peer, 1) for peer in asg.peers(asn)
+                                 if peer in members)
             for customer in asg.customers(asn, include_backup=False):
                 steps.append((customer, 1))
             path = paths[state]

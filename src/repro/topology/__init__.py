@@ -8,7 +8,7 @@
   with customer-provider / peering / backup relationships (Routeviews +
   relationship-inference substitute).
 * :mod:`repro.topology.hierarchy` — up-hierarchy (G_X) and down-hierarchy
-  computation, pruning, and subtree membership.
+  computation, and subtree membership.
 * :mod:`repro.topology.hosts` — Zipf host populations (skitter substitute).
 """
 

@@ -9,28 +9,23 @@ summarise the hosts in a *down-hierarchy* (all transitive customers).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Set
+from typing import Dict, Hashable, List, Set
 
 from repro.topology.asgraph import ASGraph
 
 
-def up_hierarchy(asg: ASGraph, asn: Hashable,
-                 prune: Optional[Set[Hashable]] = None) -> Dict[Hashable, list]:
+def up_hierarchy(asg: ASGraph, asn: Hashable) -> Dict[Hashable, list]:
     """X's up-hierarchy graph G_X as a customer→provider DAG (``{AS: its
     providers}``, in discovery order).
 
     Contains ``asn`` itself plus every AS reachable by repeatedly following
     primary provider links (backup links carry no joins, Section 4.2).
-    ``prune`` removes the given ASes — the paper allows X to "prune G_X to
-    reduce its join and maintenance overhead".
     """
     dag: Dict[Hashable, List[Hashable]] = {asn: []}
     frontier = [asn]
     while frontier:
         current = frontier.pop()
         for provider in asg.providers(current):
-            if prune and provider in prune:
-                continue
             dag[current].append(provider)
             if provider not in dag:
                 dag[provider] = []

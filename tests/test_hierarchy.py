@@ -40,12 +40,6 @@ def test_up_hierarchy_excludes_backup_by_default(diamond):
     assert gx["S-backup"] == ["T2b"]
 
 
-def test_up_hierarchy_pruning(diamond):
-    gx = up_hierarchy(diamond, "S-multi", prune={"T2b"})
-    assert "T2b" not in gx and "T2b" not in gx["S-multi"]
-    assert "T1" in gx  # still reachable via T2a
-
-
 def test_up_hierarchy_levels(diamond):
     levels = up_hierarchy_levels(diamond, "S-multi")
     assert levels[0] == {"S-multi"}

@@ -100,46 +100,6 @@ class TestJoinChains:
         assert sizes == sorted(sizes)
 
 
-class TestGxPruning:
-    def test_pruned_chain_is_smaller(self, inter_net_factory):
-        net = inter_net_factory(n_hosts=0)
-        home = next(asn for asn in net.asg.ases()
-                    if len(net.asg.providers(asn)) >= 2)
-        full = net.policy.join_chain(home, JoinStrategy.MULTIHOMED)
-        victim = net.asg.providers(home)[1]
-        pruned = net.policy.join_chain(home, JoinStrategy.MULTIHOMED,
-                                       prune={victim})
-        assert victim not in pruned
-        assert len(pruned) <= len(full)
-        assert pruned[-1] == net.policy.root  # still globally reachable
-
-    def test_cannot_prune_home(self, inter_net_factory):
-        net = inter_net_factory(n_hosts=0)
-        home = net.asg.stubs()[0]
-        with pytest.raises(ValueError):
-            net.policy.join_chain(home, JoinStrategy.MULTIHOMED,
-                                  prune={home})
-
-    def test_pruned_join_costs_less_and_still_works(self, inter_net_factory):
-        net = inter_net_factory(n_hosts=60, seed=33)
-        home = next(asn for asn in net.asg.ases()
-                    if len(net.asg.providers(asn)) >= 2
-                    and net.asg.hosts(asn) > 0)
-        victim = net.asg.providers(home)[1]
-        h_full = net.next_planned_host()
-        h_pruned = net.next_planned_host()
-        r_full = net.join_host(h_full)
-        # attach the pruned host at the multihomed AS for a fair compare
-        from repro.topology.hosts import PlannedHost
-        h_pruned = PlannedHost(name=h_pruned.name, attach_at=home,
-                               key_pair=h_pruned.key_pair)
-        r_pruned = net.join_host(h_pruned, prune={victim})
-        assert r_pruned.levels_joined <= r_full.levels_joined + 2
-        net.check_rings()
-        other = next(n for n in net.hosts if n != h_pruned.name)
-        assert net.send(other, h_pruned.name).delivered
-
-
 class TestValleyFree:
     def test_step_types(self, view):
         assert view.step_type("S1", "T2a") == "up"
