@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, TYPE_CHECKING, Union
+from typing import Dict, Hashable, Optional, Tuple, TYPE_CHECKING, Union
 
 from repro.idspace.identifier import FlatId, RingSpace
 from repro.inter.pointers import ASPointer, InterVirtualNode
+from repro.inter.policy import level_within
 from repro.intra.pointercache import PointerCache
 from repro.obs import trace
 from repro.util.bloom import BloomFilter
@@ -61,13 +62,17 @@ def ring_rule(pointer: ASPointer, finger: bool) -> str:
     return "successor" if pointer.level is None else "external-successor"
 
 
-def _contributed(vn: InterVirtualNode) -> List[tuple]:
-    """The candidates ``vn`` adds to its AS's index besides its own ID: its
-    successors as ``(pointer,)``, then its fingers as ``(pointer, True)``.
-    The finger flag is the longer entry: one more item on every successor
-    entry cost ``inter_5k`` a tenth of its send rate."""
-    return [(ptr,) for ptr in vn.succ_by_level.values()] \
-        + [(ptr, True) for ptr in vn.fingers]
+#: The rider of a finger's index entry: ``(owner_seq, rank, pointer, True)``.
+_FINGER = (True,)
+
+
+def _contributed(vn: InterVirtualNode) -> Tuple[tuple, tuple]:
+    """The candidates ``vn`` adds to its AS's index besides its own ID, as
+    ``(rider, pointers)`` groups: its successors, bare, then its fingers,
+    flagged (a successor level gained moves no finger's slot).  The flag
+    is the longer entry: one more item on every successor entry cost
+    ``inter_5k`` a tenth of its send rate."""
+    return ((), vn.succ_by_level.values()), (_FINGER, vn.fingers)
 
 
 class RoflAS:
@@ -172,7 +177,7 @@ class RoflAS:
         # came from a customer); asked once, when a pointer is first tried.
         free = True if arrived_from is None else None
         ivalues, entries = self._candidates.columns()
-        vn = pointer = distance = cached_iv = None
+        vn = pointer = distance = cached_iv = inside = None
         # The entry at or right before ``dest`` in sorted order (index -1
         # wraps); walk back past inadmissible ones, MAX_SCAN at most.
         position = bisect_right(ivalues, dest_iv) - 1
@@ -188,12 +193,18 @@ class RoflAS:
                 ptr = cand[2]
                 # Scoped (join-time) searches walk successors only: a
                 # finger's level records its owner's isolation constraint,
-                # not its target's ring membership.
-                if scope is not None and (len(cand) > 3 or (
-                        not policy.level_contains(scope, ptr.as_route[-1])
-                        if ptr.level is None
-                        else not policy.level_contained_in(ptr.level, scope))):
-                    continue
+                # not its target's ring membership.  A successor is in
+                # scope when its level's subtree is, an internal one's
+                # level being its target AS.
+                if scope is not None:
+                    if len(cand) > 3:
+                        continue
+                    if inside is None:    # once per call, not per pointer
+                        inside = policy.subtree(scope)
+                    level = ptr.level
+                    if not level_within(ptr.as_route[-1] if level is None
+                                        else level, inside):
+                        continue
                 if free is None:
                     free = policy.step_type(arrived_from, asn) == "up"
                 route = ptr.as_route

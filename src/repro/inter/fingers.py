@@ -22,12 +22,11 @@ join cost exactly as observed in Section 6.3.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Hashable, List, Optional, Tuple, TYPE_CHECKING
+from bisect import bisect_left
+from typing import TYPE_CHECKING
 
-from repro.idspace.identifier import FlatId
 from repro.inter import canon
-from repro.inter.pointers import ASPointer, InterVirtualNode
+from repro.inter.pointers import InterVirtualNode
 from repro.util import perf
 from repro.util.rng import derive_rng
 
@@ -40,99 +39,78 @@ BASE_BITS = 4
 CANDIDATE_SAMPLE = 6
 
 
-def slot_arc(vn_id: FlatId, row: int, digit: int) -> Tuple[FlatId, FlatId]:
-    """The identifier arc covered by finger slot ``(row, digit)``: IDs
-    sharing ``row`` digits with ``vn_id`` and having ``digit`` next."""
-    bits = vn_id.bits
-    prefix_bits = row * BASE_BITS
-    if prefix_bits + BASE_BITS > bits:
-        raise ValueError("row out of range")
-    remaining = bits - prefix_bits - BASE_BITS
-    prefix = vn_id.prefix_bits(prefix_bits) if prefix_bits else 0
-    low = ((prefix << BASE_BITS) | digit) << remaining
-    high = low | ((1 << remaining) - 1)
-    return FlatId(low, bits=bits), FlatId(high, bits=bits)
-
-
-def lowest_containing_level(net: "InterDomainNetwork", vn: InterVirtualNode,
-                            target_as: Hashable) -> Optional[Hashable]:
-    """The inner-most level of ``vn``'s chain whose subtree contains the
-    target's home AS — where the finger must be formed to preserve
-    isolation."""
-    best = None
-    best_size = None
-    for level in vn.joined_levels:
-        if not net.policy.level_contains(level, target_as):
-            continue
-        size = len(net.policy.subtree(level))
-        if best_size is None or size < best_size:
-            best, best_size = level, size
-    return best
-
-
 def acquire_fingers(net: "InterDomainNetwork", vn: InterVirtualNode,
                     n_fingers: int) -> int:
     """Build and install ``vn``'s finger table from the global ring (whose
     payloads are the member VNs), drawing from a per-call ``derive_rng``
     stream (no registry stream is consumed).  Returns the messages
     charged: the three-phase scaffolding (~2 per up-chain hop) plus one
-    insertion notification per finger."""
+    insertion notification per finger.
+
+    Slot ``(row, digit)`` covers the IDs sharing ``row`` digits with
+    ``vn`` and having ``digit`` next: an arc that never wraps, so its
+    members are one index range of the ring's sorted column.  Of a
+    sample of them the finger targets the one reachable with the fewest
+    up-links (then AS hops; first drawn on a tie), formed at the
+    inner-most joined level whose subtree holds the target's AS (first in
+    chain order on a tie) — where it must be to preserve isolation."""
     if n_fingers <= 0:
         return 0
     with perf.timed("inter.join.fingers"):
-        rng = derive_rng(net.seed, "fingers", vn.id.value)
-        fingers: List[ASPointer] = []
+        sample = derive_rng(net.seed, "fingers", vn.id.value).sample
         ring = net.global_ring
         ivalues = ring.key_values()
+        members = ring.payloads()
+        policy = net.policy
+        profile = policy.path_profile
+        home = vn.home_as
+        # The joined levels by subtree size; the sort is stable, so equal
+        # sizes keep chain order.
+        innermost_first = sorted(
+            [(level, policy.subtree(level)) for level in vn.joined_levels],
+            key=lambda level_subtree: len(level_subtree[1]))
+        fingers = []
+        charged = 2 * max(1, len(policy.hierarchy.up_chain(home)))
 
-        depth = len(net.policy.hierarchy.up_chain(vn.home_as))
-        charged = 2 * max(1, depth)
-
-        row = 0
-        while len(fingers) < n_fingers and (row + 1) * BASE_BITS <= vn.id.bits:
-            own_digit = vn.id.digit(row, BASE_BITS)
+        value, bits = vn.id.value, vn.id.bits
+        remaining = bits
+        while len(fingers) < n_fingers and remaining >= BASE_BITS:
+            remaining -= BASE_BITS
+            own_digit = (value >> remaining) & ((1 << BASE_BITS) - 1)
+            prefix = value >> (remaining + BASE_BITS) << BASE_BITS
             for digit in range(1 << BASE_BITS):
                 if digit == own_digit:
                     continue
                 if len(fingers) >= n_fingers:
                     break
-                # A slot arc never wraps, so its members are one index range
-                # of the ring's sorted column; sampling positions draws
-                # exactly what sampling a copied slice of keys would.
-                low, high = slot_arc(vn.id, row, digit)
-                positions = range(bisect_left(ivalues, low.value),
-                                  bisect_right(ivalues, high.value))
-                if not positions:
+                low = (prefix | digit) << remaining
+                lo = bisect_left(ivalues, low)
+                n = bisect_left(ivalues, low + (1 << remaining), lo) - lo
+                if not n:
                     continue
-                if len(positions) > CANDIDATE_SAMPLE:
-                    positions = rng.sample(positions, CANDIDATE_SAMPLE)
-                chosen = _pick_nearest(net, vn, [ring[ivalues[position]]
-                                                 for position in positions])
-                if chosen is None:
-                    continue
-                level = lowest_containing_level(net, vn, chosen.home_as)
-                finger = canon.pointer_to(net, vn.home_as, chosen, level)
+                # The arc excludes vn's own ID (its digit differs), so every
+                # candidate is another ID.
+                chosen = best = None
+                for position in (sample(range(lo, lo + n), CANDIDATE_SAMPLE)
+                                 if n > CANDIDATE_SAMPLE
+                                 else range(lo, lo + n)):
+                    cand = members[ivalues[position]]
+                    key = profile(home, cand.home_as)
+                    if best is None or key < best:
+                        chosen, best = cand, key
+                target_as = chosen.home_as
+                for level, inside in innermost_first:
+                    if target_as in inside:
+                        break
+                else:
+                    level = None
+                finger = canon.pointer_to(net, home, chosen, level)
                 if finger is None:
                     continue
                 fingers.append(finger)
                 charged += 1  # insertion notification
-            row += 1
 
         vn.fingers = fingers
-        net.ases[vn.home_as].mark_dirty(vn)
+        net.ases[home].mark_dirty(vn)
         net.stats.charge_hops(charged, "join")
         return charged
-
-
-def _pick_nearest(net: "InterDomainNetwork", vn: InterVirtualNode,
-                  candidates: List[InterVirtualNode]
-                  ) -> Optional[InterVirtualNode]:
-    best_vn = None
-    best_key = None
-    for cand in candidates:
-        if cand is vn:
-            continue
-        key = net.policy.path_profile(vn.home_as, cand.home_as)
-        if best_key is None or key < best_key:
-            best_vn, best_key = cand, key
-    return best_vn

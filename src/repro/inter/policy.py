@@ -59,6 +59,18 @@ class VirtualAS:
         return "VirtualAS({})".format("|".join(sorted(map(str, self.members))))
 
 
+def level_within(level: Hashable, outer_set: Set[Hashable]) -> bool:
+    """Is ``level``'s subtree inside ``outer_set``, some level's subtree?
+
+    A subtree holds its root AS and everything below it, and a virtual
+    AS's subtree is its members' together, so only the roots are tested:
+    a real AS is inside when it is in the set, a virtual AS when each of
+    its members is."""
+    if isinstance(level, VirtualAS):
+        return outer_set.issuperset(level.members)
+    return level in outer_set
+
+
 class PolicyView:
     """Policy-aware wrapper over an :class:`ASGraph`.
 
@@ -169,12 +181,7 @@ class PolicyView:
 
     def level_contained_in(self, inner: Hashable, outer: Hashable) -> bool:
         """Is ``subtree(inner)`` ⊆ ``subtree(outer)``?"""
-        if inner == outer:
-            return True
-        outer_set = self.subtree(outer)
-        if isinstance(inner, VirtualAS):
-            return all(member in outer_set for member in inner.members)
-        return inner in outer_set
+        return inner == outer or level_within(inner, self.subtree(outer))
 
     # -- join chains -------------------------------------------------------------------
 

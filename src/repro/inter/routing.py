@@ -337,7 +337,6 @@ def route_bloom_peering(net: "InterDomainNetwork", start_as: Hashable,
             outcome.as_path.extend(reversed(descent.as_path[:-1]))
             net.stats.charge_hops(descent.hops, "data")
 
-        crossed = False
         for peer in sorted(net.asg.peers(current), key=str):
             if not net.as_is_up(peer):
                 continue
@@ -361,10 +360,11 @@ def route_bloom_peering(net: "InterDomainNetwork", start_as: Hashable,
                 outcome.as_path.extend(reversed(descent.as_path[:-1]))
                 outcome.as_path.append(current)
                 net.stats.charge_hops(descent.hops + 1, "data")
-                crossed = True
-        if outcome.delivered or (crossed and not net.asg.providers(current)):
+        if outcome.delivered:
             break
 
+        # No live provider left to climb to, whether or not a peer was
+        # tried here, ends the walk with a reason.
         providers = [p for p in net.asg.providers(current) if net.as_is_up(p)]
         if not providers:
             outcome.reason = "reached the core without locating destination"

@@ -23,7 +23,7 @@ VN's contribution is diffed on the next lookup.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, NamedTuple, Optional, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from repro.idspace.identifier import FlatId, RingSpace
 from repro.intra.pointercache import PointerCache, Route
@@ -49,16 +49,22 @@ class BestMatch(NamedTuple):
     ephemeral: bool = False
 
 
-def _contributed(vn: VirtualNode) -> List[tuple]:
-    """The ``(pointer, ephemeral)`` candidates ``vn`` adds to its router's
-    index besides its own ID: its successor group, then its parked
-    ephemeral children.  An ephemeral VN holds no ring state."""
+#: The riders of a successor's and of a parked child's index entry:
+#: ``(owner_seq, rank, pointer, ephemeral)``.
+_SUCCESSOR, _EPHEMERAL = (False,), (True,)
+
+
+def _contributed(vn: VirtualNode) -> Tuple[tuple, ...]:
+    """The candidates ``vn`` adds to its router's index besides its own ID,
+    as ``(rider, pointers)`` groups: its successor group, then its parked
+    ephemeral children (if any), the rider the ``ephemeral`` flag.  An
+    ephemeral VN holds no ring state."""
     if vn.ephemeral:
-        return []
-    entries = [(ptr, False) for ptr in vn.successors]
+        return ()
     if vn.ephemeral_children:
-        entries += [(ptr, True) for ptr in vn.ephemeral_children.values()]
-    return entries
+        return ((_SUCCESSOR, vn.successors),
+                (_EPHEMERAL, vn.ephemeral_children.values()))
+    return ((_SUCCESSOR, vn.successors),)
 
 
 class RoflRouter:

@@ -108,6 +108,10 @@ class SortedRingMap:
         """The sorted raw int values, zero-copy.  Do not mutate."""
         return self._ivalues
 
+    def payloads(self) -> Dict[int, Any]:
+        """Raw int value -> stored payload, zero-copy.  Do not mutate."""
+        return self._payloads
+
     def insert(self, key: FlatId, value: Any = None) -> None:
         """Insert or replace the value stored at ``key``."""
         iv = key.value
@@ -184,6 +188,12 @@ class SortedRingMap:
 #: key column, the sync rebuilds the whole column in one C-speed sort
 #: instead of applying per-key inserts/deletes.
 REBUILD_FRACTION = 8
+#: A :class:`CandidateIndex` rank is ``group * GROUP_STRIDE`` plus the
+#: position in the group: more positions than any group holds.
+GROUP_STRIDE = 1 << 32
+#: Every rank past the first group's, each its own value: entries share one
+#: int object per rank (a fresh int past 256 would cost each entry 32 B).
+_RANKS: Dict[int, int] = {}
 
 
 class ColumnarRingIndex:
@@ -316,10 +326,11 @@ class Candidate:
     """One indexed ID a router or AS can make greedy progress toward.
 
     ``ptrs`` holds every pointer contribution targeting this key as
-    ``(owner_seq, cand_seq, pointer, ...)`` tuples kept sorted, so
-    ``ptrs[0]`` is the same "first pointer wins" entry a full rebuild
-    produces (owners in registration order, each owner's candidates in
-    the order it lists them).
+    ``(owner_seq, rank, pointer, ...)`` tuples kept sorted, so ``ptrs[0]``
+    is the same "first pointer wins" entry a full rebuild produces (owners
+    in registration order, each owner's candidates in the order it lists
+    them); ``rank`` is ``group * GROUP_STRIDE`` plus the position in the
+    group.
     """
 
     vn: Optional[Any] = None       # set when the ID is resident here
@@ -342,8 +353,11 @@ class CandidateIndex:
 
     ``perf_prefix`` names the ``<prefix>.index.*`` counters and the flush
     timer.  ``pointers_of(vn)`` lists what ``vn`` contributes besides its
-    own ID: one tuple per pointer, the pointer first, anything after it
-    riding along in the :class:`Candidate` entry.
+    own ID in groups (an AS's successors, then its fingers), each as
+    ``(rider, pointers)``: every entry of the group carries the ``rider``
+    tuple after its pointer in the :class:`Candidate` entry.  A slot is a
+    position in one group, so a group that grows or shrinks shifts no
+    other group's slots.
 
     Everything but the owners is derived state: pickling keeps the
     constructor arguments and the owners and rebuilds the rest on load,
@@ -352,7 +366,8 @@ class CandidateIndex:
     """
 
     def __init__(self, space: RingSpace, perf_prefix: str,
-                 pointers_of: Callable[[Any], Iterable[tuple]]):
+                 pointers_of: Callable[[Any], Iterable[Tuple[tuple,
+                                                             Iterable]]]):
         self.space = space
         self._perf_prefix = perf_prefix
         self._pointers_of = pointers_of
@@ -367,8 +382,8 @@ class CandidateIndex:
         self._index = ColumnarRingIndex(space)
         self._seq = itertools.count()
         self._owner_seq: Dict[int, int] = {}    # vn.id.value -> registration seq
-        #: vn.id.value -> (seq, the owner's ``Candidate.ptrs`` tuples in slot
-        #: order) — the stored tuples themselves, no copies.
+        #: vn.id.value -> (seq, then per group the owner's ``Candidate.ptrs``
+        #: tuples in slot order) — the stored tuples themselves, no copies.
         self._contrib: Dict[int, tuple] = {}
         self._dirty_owners: set = set()         # vn.id.values needing a re-diff
         self._dirty_all = True                  # full rebuild pending
@@ -428,20 +443,21 @@ class CandidateIndex:
 
     def _rediff(self, owner_iv: int) -> int:
         """Bring one owner's keys — its own ID plus its pointer targets —
-        in line with its pointer list, slot by slot; returns the slots
-        touched.  A pointer object unchanged at its ``cand_seq`` is left
-        alone, a changed slot is one remove plus one ``insort``.  A new
-        owner diffs from the empty list and a departed one to it; an
-        owner re-registered within the epoch (new ``seq``) does both.
+        in line with its pointer groups, slot by slot; returns the slots
+        touched.  A pointer object unchanged at its ``rank`` (under the same
+        rider) is left alone, a changed slot is one remove plus one
+        ``insort``.  A new owner diffs from no groups and a departed one to
+        none; an owner re-registered within the epoch (new ``seq``) does
+        both.
         """
         vn = self.owners.get(owner_iv)
         seq = self._owner_seq.get(owner_iv)             # None once departed
-        old_seq, old = self._contrib.pop(owner_iv, (None, ()))
+        old_seq, *old = self._contrib.pop(owner_iv, (None,))
         touched = 0
         if old_seq != seq:
-            for was in old:
+            for was in itertools.chain.from_iterable(old):
                 self._unlink(was[2].dest_id.value, was)
-            touched, old = len(old), ()
+            touched, old = sum(map(len, old)), ()
             if old_seq is not None:
                 self._unlink(owner_iv, None)
             if vn is not None:
@@ -449,20 +465,38 @@ class CandidateIndex:
         if vn is None:
             return touched
         kept: List[tuple] = []
-        for cand_seq, (was, now) in enumerate(
-                itertools.zip_longest(old, self._pointers_of(vn))):
-            if was is not None and now is not None \
-                    and was[2] is now[0] and was[3:] == now[1:]:
-                kept.append(was)
+        for group_no, (olds, listed) in enumerate(itertools.zip_longest(
+                old, self._pointers_of(vn), fillvalue=())):
+            rider, pointers = listed or ((), ())
+            if not olds and not pointers:
+                kept.append(olds)
                 continue
-            touched += 1
-            if was is not None:
-                self._unlink(was[2].dest_id.value, was)
-            if now is not None:
-                now = (seq, cand_seq) + now
-                bisect.insort(self._entry_for(now[2].dest_id.value).ptrs, now)
-                kept.append(now)
-        self._contrib[owner_iv] = (seq, kept)
+            # A group whose rider changed changes at every slot.
+            same = not olds or olds[0][3:] == rider
+            base = group_no * GROUP_STRIDE
+            group = None                # a copy from the first changed slot
+            for position, (was, ptr) in enumerate(
+                    itertools.zip_longest(olds, pointers)):
+                if same and was is not None and was[2] is ptr:
+                    if group is not None:
+                        group.append(was)
+                    continue
+                if group is None:
+                    group = list(olds[:position])
+                touched += 1
+                if was is not None:
+                    self._unlink(was[2].dest_id.value, was)
+                if ptr is not None:
+                    rank = base + position
+                    if base:            # past 256: one shared int per rank
+                        rank = _RANKS.setdefault(rank, rank)
+                    entry = (seq, rank, ptr) + rider
+                    bisect.insort(self._entry_for(ptr.dest_id.value).ptrs,
+                                  entry)
+                    group.append(entry)
+            # Stored exact-size; an unchanged group keeps its tuple.
+            kept.append(olds if group is None else tuple(group))
+        self._contrib[owner_iv] = (seq, *kept)
         return touched
 
     def _unlink(self, key_iv: int, ptr_entry: Optional[tuple]) -> None:

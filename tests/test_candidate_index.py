@@ -13,13 +13,13 @@ from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
 from repro.idspace.identifier import RingSpace
 from repro.intra.virtualnode import Pointer, VirtualNode
 from repro.util import perf
-from repro.util.ringmap import CandidateIndex
+from repro.util.ringmap import GROUP_STRIDE, CandidateIndex
 
 SPACE = RingSpace(bits=16)
 
 
 def successors_of(vn):
-    return [(ptr,) for ptr in vn.successors]
+    return (((), vn.successors),)
 
 
 def make_vn(value, *targets):
@@ -111,6 +111,30 @@ def test_one_changed_slot_is_one_slot_of_work():
         assert flushed.get(key).ptrs[0] is before[key]
 
 
+def test_a_grown_group_shifts_no_other_groups_slot():
+    """A slot is a position in one group: a successor appended before an
+    owner's fingers is one slot of work, and every finger entry — the very
+    tuple, ranked ``GROUP_STRIDE`` plus its position — stays in place (in
+    one flat list it would sit one position later: nine slots)."""
+    vn = make_vn(100, 150, 160)
+    fingers = [Pointer(SPACE.make(t), ("r", "x")) for t in range(200, 280, 10)]
+    index = CandidateIndex(SPACE, "unit", lambda owner: (
+        ((), owner.successors), ((True,), fingers)))
+    index.add_owner(vn)
+    flushed = index.flush()
+    before = {key: flushed.get(key).ptrs[0] for key in range(200, 280, 10)}
+    assert [before[key][1] for key in sorted(before)] == \
+        [GROUP_STRIDE + i for i in range(8)]
+    slots = perf.value("unit.index.refresh.slots")
+    vn.successors.append(Pointer(SPACE.make(170), ("r", "x")))
+    index.mark_dirty(vn)
+    flushed = index.flush()
+    assert perf.value("unit.index.refresh.slots") == slots + 1
+    assert flushed.get(170).ptrs[0][:2] == (0, 2)
+    for key in range(200, 280, 10):
+        assert flushed.get(key).ptrs[0] is before[key]
+
+
 # -- the mutation machine ---------------------------------------------------
 #
 # Hypothesis drives every way an owner's contribution can change between
@@ -122,18 +146,21 @@ def test_one_changed_slot_is_one_slot_of_work():
 
 TARGETS = st.integers(min_value=0, max_value=40)    # few keys: collisions
 PICK = st.integers(min_value=0, max_value=10 ** 6)
+GROUP = st.sampled_from([0, 1])
 
 
 class Owner:
-    """The least a CandidateIndex needs of a virtual node."""
+    """The least a CandidateIndex needs of a virtual node: two groups of
+    pointers, as an AS's successors and fingers, each with its rider."""
 
-    def __init__(self, value):
+    def __init__(self, value, riders):
         self.id = SPACE.make(value)
-        self.entries = []          # what pointers_of returns, in order
+        self.groups = ([], [])     # what pointers_of returns, in order
+        self.riders = list(riders)
 
 
 def contributed(vn):
-    return list(vn.entries)
+    return [(rider, list(group)) for rider, group in zip(vn.riders, vn.groups)]
 
 
 def view(index):
@@ -145,31 +172,35 @@ def view(index):
 
 
 class IndexMachine(RuleBasedStateMachine):
-    #: Bare ``(ptr,)`` entries (RoflAS's successors), or ``(ptr, flag)``
-    #: as RoflRouter (the ephemeral flag) and RoflAS's fingers contribute.
-    flagged = False
+    #: Bare entries in both groups, or a flag riding on each as RoflRouter
+    #: (the ephemeral flag) and RoflAS's fingers contribute.
+    riders = ((), ())
 
     def __init__(self):
         super().__init__()
         self.index = CandidateIndex(SPACE, "machine", contributed)
         self.owners = {}
 
-    def entry(self, dest, flag=False):
-        ptr = Pointer(SPACE.make(dest), ("r", "x"))
-        return (ptr, flag) if self.flagged else (ptr,)
+    def entry(self, dest):
+        return Pointer(SPACE.make(dest), ("r", "x"))
+
+    def owner(self, value):
+        return Owner(value, self.riders)
 
     def pick(self, pick):
         return self.owners[sorted(self.owners)[pick % len(self.owners)]]
 
-    def slot(self, vn, pick):
-        return pick % len(vn.entries)
+    def slot(self, group, pick):
+        return pick % len(group)
 
     @rule(value=st.integers(min_value=100, max_value=120),
-          dests=st.lists(TARGETS, max_size=5))
-    def add_owner(self, value, dests):
+          dests=st.lists(TARGETS, max_size=5),
+          later=st.lists(TARGETS, max_size=3))
+    def add_owner(self, value, dests, later):
         if value not in self.owners:
-            vn = self.owners[value] = Owner(value)
-            vn.entries = [self.entry(dest) for dest in dests]
+            vn = self.owners[value] = self.owner(value)
+            vn.groups[0][:] = [self.entry(dest) for dest in dests]
+            vn.groups[1][:] = [self.entry(dest) for dest in later]
             self.index.add_owner(vn)
 
     @precondition(lambda self: self.owners)
@@ -186,53 +217,60 @@ class IndexMachine(RuleBasedStateMachine):
         old ID, with (``keep``) or without the old pointer objects."""
         old = self.pick(pick)
         self.index.remove_owner(old)
-        new = self.owners[old.id.value] = Owner(old.id.value)
-        new.entries = list(old.entries) if keep else []
+        new = self.owners[old.id.value] = self.owner(old.id.value)
+        if keep:
+            for mine, theirs in zip(new.groups, old.groups):
+                mine[:] = theirs
+            new.riders = list(old.riders)
         self.index.add_owner(new)
 
-    @precondition(lambda self: any(vn.entries for vn in self.owners.values()))
-    @rule(pick=PICK, where=PICK, dest=TARGETS)
-    def replace_one_slot(self, pick, where, dest):
+    @precondition(lambda self: any(any(vn.groups)
+                                   for vn in self.owners.values()))
+    @rule(pick=PICK, which=GROUP, where=PICK, dest=TARGETS)
+    def replace_one_slot(self, pick, which, where, dest):
         vn = self.pick(pick)
-        if vn.entries:
-            vn.entries[self.slot(vn, where)] = self.entry(dest)
+        group = vn.groups[which]
+        if group:
+            group[self.slot(group, where)] = self.entry(dest)
             self.index.mark_dirty(vn)
 
     @precondition(lambda self: self.owners)
-    @rule(pick=PICK, dest=TARGETS, at_front=st.booleans())
-    def grow(self, pick, dest, at_front):
+    @rule(pick=PICK, which=GROUP, dest=TARGETS, at_front=st.booleans())
+    def grow(self, pick, which, dest, at_front):
         vn = self.pick(pick)
-        vn.entries.insert(0 if at_front else len(vn.entries),
-                          self.entry(dest))
+        group = vn.groups[which]
+        group.insert(0 if at_front else len(group), self.entry(dest))
         self.index.mark_dirty(vn)
 
     @precondition(lambda self: self.owners)
-    @rule(pick=PICK, where=PICK)
-    def shrink(self, pick, where):
+    @rule(pick=PICK, which=GROUP, where=PICK)
+    def shrink(self, pick, which, where):
         vn = self.pick(pick)
-        if vn.entries:
-            del vn.entries[self.slot(vn, where)]    # later slots shift down
+        group = vn.groups[which]
+        if group:
+            del group[self.slot(group, where)]    # later slots shift down
             self.index.mark_dirty(vn)
 
     @precondition(lambda self: self.owners)
-    @rule(pick=PICK, where=PICK, same_object=st.booleans())
-    def second_pointer_to_the_same_target(self, pick, where, same_object):
+    @rule(pick=PICK, which=GROUP, where=PICK, into=GROUP,
+          same_object=st.booleans())
+    def second_pointer_to_the_same_target(self, pick, which, where, into,
+                                          same_object):
         vn = self.pick(pick)
-        if vn.entries:
-            twin = vn.entries[self.slot(vn, where)]
+        group = vn.groups[which]
+        if group:
+            twin = group[self.slot(group, where)]
             if not same_object:
-                twin = self.entry(twin[0].dest_id.value)
-            vn.entries.append(twin)
+                twin = self.entry(twin.dest_id.value)
+            vn.groups[into].append(twin)
             self.index.mark_dirty(vn)
 
-    @precondition(lambda self: self.flagged and self.owners)
-    @rule(pick=PICK, where=PICK)
-    def flip_the_flag_of_an_unchanged_pointer(self, pick, where):
+    @precondition(lambda self: self.riders[0] and self.owners)
+    @rule(pick=PICK, which=GROUP)
+    def flip_the_flag_of_unchanged_pointers(self, pick, which):
         vn = self.pick(pick)
-        if vn.entries:
-            slot = self.slot(vn, where)
-            ptr, flag = vn.entries[slot]
-            vn.entries[slot] = (ptr, not flag)
+        if vn.groups[which]:
+            vn.riders[which] = (not vn.riders[which][0],)
             self.index.mark_dirty(vn)
 
     @rule()
@@ -248,7 +286,7 @@ class IndexMachine(RuleBasedStateMachine):
 
 
 class FlaggedIndexMachine(IndexMachine):
-    flagged = True
+    riders = ((False,), (True,))
 
 
 IndexMachine.TestCase.settings = FlaggedIndexMachine.TestCase.settings = \

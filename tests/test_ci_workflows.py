@@ -313,6 +313,19 @@ def test_twin_engine_step_runs_both_stateful_machines_at_the_twins_profile():
                 profile_examples(25), profile_examples(12))
 
 
+def test_twin_engine_step_runs_the_finger_twin_at_the_twins_profile():
+    """The same step runs finger selection against its verbatim reference
+    at the ``twins`` profile's budget per strategy and peering mode;
+    tier-1 runs it at 2."""
+    step = _bench_smoke_step("--hypothesis-profile twins")
+    [command] = [line for line in step.replace("\\\n", " ").splitlines()
+                 if "tests/test_inter_fingers.py" in line]
+    for expected in ("-k TestReferenceTwin", "--hypothesis-profile twins"):
+        assert expected in command
+    from hypothesis import settings
+    assert settings.get_profile("twins").max_examples > 2
+
+
 def test_codec_step_runs_the_stream_equality_property_at_the_fuzz_profile():
     """Tier-1 draws 400 random graphs for the codec's stream-equality
     property; bench-smoke draws the ``fuzz`` profile's 10⁴."""

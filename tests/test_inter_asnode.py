@@ -22,12 +22,9 @@ class FakeNet:
 
     class _Policy:
         @staticmethod
-        def level_contained_in(inner, outer):
-            return inner == outer
-
-        @staticmethod
-        def level_contains(scope, asn):
-            return scope == asn
+        def subtree(level):
+            # Every level here is a lone AS: its subtree is itself.
+            return {level}
 
         @staticmethod
         def step_type(a, b):

@@ -1,14 +1,22 @@
 """Proximity finger tables (Section 4.1)."""
 
 import hashlib
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import snapshot
 from repro.idspace.identifier import FlatId
-from repro.inter.fingers import lowest_containing_level, slot_arc
+from repro.inter import fingers
 from repro.inter.network import InterDomainNetwork
 from repro.inter.policy import JoinStrategy
 from repro.topology.asgraph import synthetic_as_graph
+
+from tests import fingers_reference
+from tests.conftest import profile_examples
+from tests.fingers_reference import lowest_containing_level, slot_arc
 
 
 class TestSlotArcs:
@@ -133,3 +141,102 @@ class TestFingerTablesPinned:
                   for name in net.hosts.names]
         assert tables[-1] == ("h299", self.H299)
         assert hashlib.sha256(repr(tables).encode()).hexdigest() == self.DIGEST
+
+
+def _finger_facts(net):
+    """Per host, in join order, each finger's target, level and route, and
+    whether that route is the policy memo's own tuple for it."""
+    facts = []
+    for name in net.hosts.names:
+        vn = net.hosts[name]
+        facts.append((name, [(f.dest_id, f.level, f.as_route, f.as_route is (
+            net.policy.level_route(vn.home_as, f.dest_as, f.level)
+            if f.level is not None else None)) for f in vn.fingers]))
+    return facts
+
+
+def _twins(build):
+    """``build()`` once with the reference's finger selection and once with
+    the module's; both must give the same fingers, charges and state."""
+    with fingers_reference.installed():
+        ref = build()
+    new = build()
+    assert snapshot.state_hash(new) == snapshot.state_hash(ref)
+    assert new.stats.operation_costs("join") == \
+        ref.stats.operation_costs("join")
+    assert _finger_facts(new) == _finger_facts(ref)
+    return new
+
+
+class TestReferenceTwin:
+    """``acquire_fingers`` against the selection it replaced
+    (``tests/fingers_reference.py``, verbatim): join by join the same
+    fingers — target, level, route object — the same messages charged,
+    and the same state hash.  Tier-1 runs two networks per strategy and
+    peering mode; CI's twin step runs the ``twins`` profile."""
+
+    @pytest.mark.parametrize("peering_mode", ["virtual_as", "bloom"])
+    @pytest.mark.parametrize("strategy", list(JoinStrategy))
+    @settings(max_examples=profile_examples(2), deadline=None)
+    @given(seed=st.integers(0, 2 ** 16), hosts=st.integers(20, 300),
+           n_fingers=st.sampled_from([1, 8, 16]))
+    def test_fingers_equal_the_reference(self, strategy, peering_mode, seed,
+                                         hosts, n_fingers):
+        def build():
+            net = InterDomainNetwork(
+                synthetic_as_graph(n_ases=40, seed=seed), n_fingers=n_fingers,
+                seed=seed, strategy=strategy, peering_mode=peering_mode)
+            net.join_random_hosts(hosts)
+            return net
+        _twins(build)
+
+    def test_the_rejection_branch_equals_the_reference(self):
+        """A global ring of 1 500 IDs puts ~94 in each first-row slot, so
+        most draws of the last 100 joins take ``sample``'s rejection-set
+        branch, which CPython uses above 85 members (the first 1 400 join
+        as ephemeral IDs: the global ring's cheapest members)."""
+        def build():
+            net = InterDomainNetwork(synthetic_as_graph(n_ases=40, seed=4),
+                                     n_fingers=8, seed=4)
+            net.join_random_hosts(1400, strategy=JoinStrategy.EPHEMERAL)
+            net.join_random_hosts(100)
+            return net
+        net = _twins(build)
+        assert len(net.global_ring) > 16 * 85
+
+
+def test_a_finger_costs_at_most_twenty_seven_python_calls(monkeypatch):
+    """Finger upkeep's stated budget (ROADMAP aim 1), as a count:
+    Python-level calls per acquired finger, everything under
+    ``acquire_fingers`` included, over the 500 joins after 2 000 on the
+    100-AS graph (network seed 7, 8 fingers, multihomed).  Deterministic
+    and clock-free.  55.4 at ``1aa484b`` (``slot_arc``'s two ``FlatId``
+    per slot, ``sample``, ``SortedRingMap.__getitem__`` per candidate,
+    ``lowest_containing_level`` per finger); 24.9 with the draws (one
+    ``sample`` call: its frame, six ``_randbelow`` and three ``abc``
+    frames for its ``Sequence`` check), the six ``path_profile`` ranks
+    and ``canon.pointer_to`` left.  The budget is that plus 10 %."""
+    net = InterDomainNetwork(synthetic_as_graph(n_ases=100, seed=0),
+                             n_fingers=8, seed=7,
+                             strategy=JoinStrategy.MULTIHOMED)
+    net.join_random_hosts(2000)
+    acquire = fingers.acquire_fingers
+    calls = acquired = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    def counted(net, vn, n_fingers):
+        nonlocal acquired
+        sys.setprofile(count)
+        try:
+            return acquire(net, vn, n_fingers)
+        finally:
+            sys.setprofile(None)
+            acquired += len(vn.fingers)
+
+    monkeypatch.setattr(fingers, "acquire_fingers", counted)
+    net.join_random_hosts(500)
+    assert acquired == 4000
+    assert calls / acquired <= 27, calls / acquired
