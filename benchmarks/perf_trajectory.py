@@ -36,7 +36,7 @@ SECTIONS = {"inter": "interdomain", "intra": "intradomain"}
 NETWORKS = {"inter": dict(n_ases=100, n_fingers=8),
             "intra": dict(n_routers=67, name="AS3967")}
 
-#: Keys every row must carry (checked by CI and by this script itself).
+#: Keys every row must carry (:func:`validate`, before the file is written).
 REQUIRED_ROW_KEYS = ("hosts", "join_seconds", "joins_per_sec",
                      "send_seconds", "sends_per_sec", "perf")
 
@@ -111,7 +111,8 @@ def sweep(kind: str, populations, n_sends: int = 2000, seed: int = 0):
 
 def validate(data: dict) -> None:
     """Raise ``ValueError`` unless both sections of ``data`` have rows and
-    every row has the required keys."""
+    every row has the required keys, a positive join rate and a non-empty
+    phase-timer dump."""
     for section in SECTIONS.values():
         if not data.get(section):
             raise ValueError("section {!r} is empty".format(section))
@@ -119,6 +120,13 @@ def validate(data: dict) -> None:
             missing = [key for key in REQUIRED_ROW_KEYS if key not in row]
             if missing:
                 raise ValueError("{} row lacks {}".format(section, missing))
+            if not row["joins_per_sec"] > 0:
+                raise ValueError("{} row at {} hosts joined at {} per s"
+                                 .format(section, row["hosts"],
+                                         row["joins_per_sec"]))
+            if not row["perf"].get("timers"):
+                raise ValueError("{} row at {} hosts has no phase timers"
+                                 .format(section, row["hosts"]))
 
 
 def main(argv=None) -> int:

@@ -148,7 +148,6 @@ class RoflAS:
     def best_match(self, net: "InterDomainNetwork", dest: FlatId,
                    scope: Optional[Hashable] = None,
                    arrived_from: Optional[Hashable] = None,
-                   use_cache: bool = True,
                    closer_than: Optional[int] = None
                    ) -> Union[ASBestMatch, int, None]:
         """Algorithm 2 at AS granularity in one call, in the int domain: the
@@ -166,7 +165,7 @@ class RoflAS:
         and route.  With ``closer_than`` (a transit AS) it
         is the winning distance if strictly below that bound, else
         ``None``, and nothing is built.  Either way an unscoped
-        ``use_cache`` lookup probes a non-empty cache as
+        lookup probes a non-empty cache as
         :meth:`PointerCache.best_match` would (``hits`` and the LRU touch
         are serialized state).
         """
@@ -230,7 +229,7 @@ class RoflAS:
         # Scoped (join-time) searches never use caches: they would escape
         # the level being merged.  Nor may a destination (apparently) below
         # this AS: a cached shortcut could pull its traffic up a provider.
-        if use_cache and scope is None and cached:
+        if scope is None and cached:
             if dest in self.subtree_bloom:
                 if trace.ENABLED:
                     trace.event_in_current("cache.bloom-guard", asn=str(asn),

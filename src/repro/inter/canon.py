@@ -282,7 +282,7 @@ def _scoped_lookup(net: "InterDomainNetwork", vn: InterVirtualNode,
     start = vn.home_as
     for attempt in range(2):
         outcome = routing.route(net, start, vn.id, mode="lookup",
-                                scope=level, category="join", use_cache=False)
+                                scope=level, category="join")
         if (outcome.delivered and outcome.final_vn is not None
                 and outcome.final_vn.id != vn.id):
             return outcome.final_vn

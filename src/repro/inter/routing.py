@@ -68,7 +68,6 @@ def route(
     mode: str = "data",
     scope: Optional[Hashable] = None,
     category: str = "data",
-    use_cache: bool = True,
 ) -> InterOutcome:
     """Greedy-route from ``start_as`` toward ``dest_id``.
 
@@ -79,11 +78,10 @@ def route(
         raise ValueError("unknown mode {!r}".format(mode))
     perf.counter("inter.fwd.packets")
     with perf.timed("inter.route." + mode):
-        return _route(net, start_as, dest_id, mode, scope, category,
-                      use_cache)
+        return _route(net, start_as, dest_id, mode, scope, category)
 
 
-def _route(net, start_as, dest_id, mode, scope, category, use_cache):
+def _route(net, start_as, dest_id, mode, scope, category):
     """The walk: one :meth:`RoflAS.best_match` per AS crossed, otherwise only
     locals bound once — the ASes, the failed set, the policy's step memo and
     the committed pointer's source route — not re-fetched per hop."""
@@ -124,8 +122,7 @@ def _route(net, start_as, dest_id, mode, scope, category, use_cache):
                 # Transit shortcut onto a strictly closer pointer, gated by
                 # the BGP-like import rule.
                 closer = node.best_match(net, greedy_dest, scope,
-                                         arrived_from, use_cache,
-                                         committed_dist)
+                                         arrived_from, committed_dist)
                 if closer is not None:
                     if tr is not None:
                         tr.event("shortcut", router=str(current),
@@ -149,8 +146,7 @@ def _route(net, start_as, dest_id, mode, scope, category, use_cache):
                 continue
             else:
                 # Decision point: (re-)run Algorithm 2 at this AS.
-                match = node.best_match(net, greedy_dest, scope, None,
-                                        use_cache)
+                match = node.best_match(net, greedy_dest, scope)
                 if match is None:
                     reason = "no routing state"
                     break
@@ -279,15 +275,13 @@ def _scoped_descent(net: "InterDomainNetwork", root: Hashable,
     enters the subtree ring through its bootstrap member
     (:func:`enter_level`), exactly like a scoped join lookup does.
     """
-    direct = route(net, root, dest_id, mode="data", scope=root,
-                   use_cache=False)
+    direct = route(net, root, dest_id, mode="data", scope=root)
     if direct.delivered or direct.reason != "no routing state":
         return direct
     climb = enter_level(net, root, root, "data")
     if climb is None:
         return direct
-    entered = route(net, climb[-1], dest_id, mode="data", scope=root,
-                    use_cache=False)
+    entered = route(net, climb[-1], dest_id, mode="data", scope=root)
     entered.as_path = list(climb) + entered.as_path[1:]
     return entered
 

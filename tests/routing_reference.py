@@ -35,7 +35,14 @@ the match says what the pointer is — ``_pick_pointer`` hands back the
 index entry (a finger's is the one with a flag), ``_cache_match``
 answers ``cached=True`` — and ``_route`` tags a decision with
 :func:`~repro.inter.asnode.ring_rule` (or ``"cache"``) where it read
-``kind`` and ``trace_tag``.  Those lines and the schema-7 ones are the
+``kind`` and ``trace_tag``.
+
+Sanctioned, the retired ``use_cache`` knob: ``routing.route`` calls
+``_route`` without it, so ``_route`` takes no ``use_cache`` and its two
+``best_match`` calls keep that method's default (``True``).  Every
+caller that passed ``False`` also scoped its search, and
+``_cache_match`` skips the cache for any scoped search, so the walk is
+the same.  Those lines, the schema-8 ones and the schema-7 ones are the
 only ones that differ from that commit's file.
 """
 
@@ -55,7 +62,7 @@ from repro.obs import trace
 from repro.util import perf
 
 
-def _route(net, start_as, dest_id, mode, scope, category, use_cache):
+def _route(net, start_as, dest_id, mode, scope, category):
     tr = trace.packet_span("inter.packet", start=str(start_as),
                            dest=dest_id.to_hex(), mode=mode,
                            scope=str(scope) if scope is not None
@@ -104,7 +111,7 @@ def _route(net, start_as, dest_id, mode, scope, category, use_cache):
         at_decision = committed is None or current == committed.dest_as
         if at_decision:
             match = node.best_match(net, greedy_dest, scope=scope,
-                                    arrived_from=None, use_cache=use_cache)
+                                    arrived_from=None)
             if match is None:
                 outcome.reason = "no routing state"
                 break
@@ -154,8 +161,7 @@ def _route(net, start_as, dest_id, mode, scope, category, use_cache):
         else:
             # Transit shortcut, gated by the BGP-like import rule.
             shortcut = node.best_match(net, greedy_dest, scope=scope,
-                                       arrived_from=arrived_from,
-                                       use_cache=use_cache)
+                                       arrived_from=arrived_from)
             if shortcut is not None and shortcut.distance < committed_dist:
                 if tr is not None:
                     tr.event("shortcut", router=str(current),

@@ -1,20 +1,66 @@
-"""The CI definition itself: a workflow file that does not parse runs no
-gate at all, and nothing else notices."""
+"""The CI definition itself, and the gates CI once ran as workflow text.
+
+A workflow file that does not parse runs no gate at all, and nothing else
+notices.  Every step is a command line: what a step checks lives in a
+tier-1 test (here, or beside the code it checks) or in a checked-in
+program the step runs, so no check has a second copy in the workflow.
+The two tests that start a child process run the real entry point, with
+no bytecode written."""
 
 import ast
+import contextlib
 import functools
+import importlib.util
+import io
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro import snapshot
+from repro.__main__ import main
+from repro.intra.pointercache import PointerCache
+from repro.serve import build_network
+
 yaml = pytest.importorskip("yaml")
 
-WORKFLOWS = sorted((Path(__file__).resolve().parent.parent
-                    / ".github" / "workflows").glob("*.y*ml"))
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOWS = sorted((ROOT / ".github" / "workflows").glob("*.y*ml"))
+
+#: The environment of every child process this file starts.
+CHILD_ENV = {"PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def _benchmark(name):
+    """``benchmarks/<name>.py`` as a module, run in this process."""
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "benchmarks" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_smoke_steps():
+    [path] = [p for p in WORKFLOWS if p.name == "ci.yml"]
+    return yaml.safe_load(path.read_text())["jobs"]["bench-smoke"]["steps"]
+
+
+def _bench_smoke_step(marker):
+    [step] = [step for step in _bench_smoke_steps()
+              if marker in step.get("run", "")]
+    return step["run"]
+
+
+def _entry_point(argv, tmp_path):
+    """``python -m repro`` as a user's shell runs it, under a timeout
+    (``Infinity`` once made a run that never returned)."""
+    return subprocess.run([sys.executable, "-m", "repro", *argv],
+                          cwd=tmp_path, env=CHILD_ENV, capture_output=True,
+                          text=True, timeout=60)
 
 
 def test_workflows_exist():
@@ -33,37 +79,44 @@ def test_workflow_parses_into_jobs_of_steps(path):
 
 @pytest.mark.parametrize("path", WORKFLOWS, ids=lambda path: path.name)
 def test_inline_scripts_import_only_what_perf_trajectory_defines(path):
-    """Steps run ``from perf_trajectory import …`` in heredocs nothing
-    else parses: deleting a helper there (the uncalibrated scaling-cliff
-    gate went in PR 16) must not leave a step importing it."""
-    source = (path.parent.parent.parent / "benchmarks"
-              / "perf_trajectory.py").read_text()
-    defined = {node.name for node in ast.parse(source).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    """No step carries a program, so none can import a helper a script
+    dropped (a heredoc once imported ``perf_trajectory``'s scaling-cliff
+    gate, long after the uncalibrated gate was deleted): no
+    heredoc, no program piped into ``python -`` or passed with ``-c``,
+    and every script or test path a ``python`` / ``pytest`` command
+    names exists.  The children this file starts write no bytecode into
+    the checkout (it made ``src/`` import faster and benchmark runs read
+    better)."""
     doc = yaml.safe_load(path.read_text())
     for job in doc["jobs"].values():
         for step in job["steps"]:
-            for names in re.findall(r"from perf_trajectory import ([\w, ]+)",
-                                    step.get("run", "")):
-                assert set(names.replace(",", " ").split()) <= defined, step
-
-
-def _digest_step():
-    """The inline script of the bench-smoke step that holds the smoke run's
-    ``sim_digest``s against ``tests/golden_bench_digests.json``; it must
-    directly follow the smoke run whose ``result.json`` it reads."""
-    [path] = [p for p in WORKFLOWS if p.name == "ci.yml"]
-    steps = yaml.safe_load(path.read_text())["jobs"]["bench-smoke"]["steps"]
-    [at] = [i for i, step in enumerate(steps)
-            if "golden_bench_digests.json" in step.get("run", "")]
-    assert "bench/run.py --smoke" in steps[at - 1]["run"]
-    return re.search(r"<<'EOF'\n(.*)\nEOF", steps[at]["run"], re.S).group(1)
+            run = step.get("run", "")
+            assert "<<" not in run, step["name"]
+            for line in run.replace("\\\n", " ").splitlines():
+                words = shlex.split(line, comments=True)
+                for at, word in enumerate(words):
+                    if not re.fullmatch(r"python3?|pytest", word):
+                        continue
+                    assert words[at + 1:at + 2] != ["-"], line
+                    assert "-c" not in words[at + 1:], line
+                    for arg in words[at + 1:]:
+                        if not arg.startswith("-") and (
+                                "/" in arg or arg.endswith(".py")):
+                            assert (ROOT / arg.split("::")[0]).exists(), line
+    assert CHILD_ENV["PYTHONDONTWRITEBYTECODE"] == "1"
+    calls = [node for node in ast.walk(ast.parse(Path(__file__).read_text()))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).startswith("subprocess.")]
+    assert calls
+    for call in calls:
+        env = {kw.arg: ast.unparse(kw.value) for kw in call.keywords}
+        assert env.get("env") == "CHILD_ENV", ast.unparse(call)
 
 
 def test_pinned_digests_cover_every_benchmark_workload():
-    root = Path(__file__).resolve().parent.parent
-    golden = json.loads((root / "tests" / "golden_bench_digests.json").read_text())
-    spec = json.loads((root / "BENCHMARK.json").read_text())
+    golden = json.loads((ROOT / "tests" / "golden_bench_digests.json")
+                        .read_text())
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(golden["sim_digest"]) == {w["name"] for w in spec["workloads"]}
     assert all(re.fullmatch(r"[0-9a-f]{64}", digest)
                for digest in golden["sim_digest"].values())
@@ -71,106 +124,192 @@ def test_pinned_digests_cover_every_benchmark_workload():
 
 @pytest.mark.parametrize("moved", [None, "churn_intra"])
 def test_digest_step_passes_on_the_pinned_run_and_fails_on_a_moved_one(
-        tmp_path, moved):
-    """The step is a heredoc nothing else executes: run it over a made-up
-    ``bench/out/result.json``, once as pinned and once with one workload's
-    digest moved (LRU order under ``churn_intra``'s small cache is what a
-    forwarding "speed-up" moves first)."""
-    golden_path = Path(__file__).resolve().parent / "golden_bench_digests.json"
-    golden = json.loads(golden_path.read_text())
-    (tmp_path / "tests").mkdir()
-    (tmp_path / "tests" / golden_path.name).write_text(golden_path.read_text())
-    (tmp_path / "bench" / "out").mkdir(parents=True)
-    (tmp_path / "bench" / "out" / "result.json").write_text(json.dumps({
+        tmp_path, capsys, moved):
+    """The step right after the smoke run is ``benchmarks/check_digests.py``
+    on the ``result.json`` that run wrote.  Here it reads a made-up one,
+    once as pinned and once with one workload's digest moved (LRU order
+    under ``churn_intra``'s small cache is what a forwarding "speed-up"
+    moves first)."""
+    steps = [step.get("run", "").strip() for step in _bench_smoke_steps()]
+    at = steps.index("python3 benchmarks/check_digests.py")
+    assert steps[at - 1].startswith("python3 bench/run.py --smoke")
+    golden = json.loads((ROOT / "tests" / "golden_bench_digests.json")
+                        .read_text())
+    result = tmp_path / "result.json"
+    result.write_text(json.dumps({
         "runs": [{"workload": name, "seed": golden["seed"],
                   "scale": golden["scale"],
                   "sim_digest": digest if name != moved else "0" * 64}
                  for name, digest in golden["sim_digest"].items()]}))
-    done = subprocess.run([sys.executable, "-c", _digest_step()],
-                          cwd=tmp_path, capture_output=True, text=True)
-    assert (done.returncode == 0) == (moved is None), done.stderr
+    assert _benchmark("check_digests").main([str(result)]) == (
+        0 if moved is None else 1)
+    err = capsys.readouterr().err
+    assert (err == "") == (moved is None), err
     if moved:
-        assert moved in done.stderr
+        assert err.startswith("check_digests: {}: ".format(moved))
 
 
-def _bench_smoke_step(marker):
-    [path] = [p for p in WORKFLOWS if p.name == "ci.yml"]
-    steps = yaml.safe_load(path.read_text())["jobs"]["bench-smoke"]["steps"]
-    [step] = [step for step in steps if marker in step.get("run", "")]
-    return step["run"]
+def _spare_link(net, cut, taken=()):
+    """Cut the first link (sorted) whose loss leaves the ISP whole."""
+    for link in sorted(net.lsmap.links()):
+        if link not in taken:
+            cut(*link)
+            if len(net.lsmap.components()) == 1:
+                return link
+            net.restore_link(*link)
 
 
-def test_the_evicting_snapshot_gate_passes(tmp_path):
-    """The 2k-host twin gate with 64-entry caches and a cut before the
-    save, run as CI runs it: the saved network and its loaded twin go on
-    (restore, joins, sends, another cut) and must still hash alike — the
-    intern tables of the router caches are derived state.  Then the same
-    over 64-entry AS caches, with a failed hosting stub before the save
-    and a second one after (~4 s)."""
-    script = re.search(r"<<'EOF'\n(.*)\nEOF", _bench_smoke_step(
-        "evicting 2k-host gate OK"), re.S).group(1)
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
-                          env={"PYTHONPATH": str(src)},
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert "evicting 2k-host gate OK" in done.stdout
+def _shared_routes(net):
+    """Cached routes that are a ring pointer's own path tuple."""
+    paths = {id(ptr.path) for router in net.routers.values()
+             for vn in router.vn_table.values()
+             for ptr in [vn.predecessor, *vn.successors,
+                         *vn.ephemeral_children.values()]
+             if ptr is not None}
+    return sum(id(route) in paths for router in net.routers.values()
+               for route in router.cache._lru.values())
+
+
+def _hosting_stub(net, taken=()):
+    """The first live stub AS (sorted) that hosts IDs."""
+    for asn in sorted(net.asg.stubs(), key=str):
+        if asn not in taken and net.as_is_up(asn) and net.ases[asn].hosted:
+            return asn
+
+
+def _shared_as_routes(net):
+    """Cached AS routes that are a ring pointer's own route."""
+    routes = {id(ptr.as_route) for node in net.ases.values()
+              for vn in node.hosted.values()
+              for ptr in [*vn.succ_by_level.values(),
+                          *vn.pred_by_level.values(), *vn.fingers]}
+    return sum(id(route) in routes for node in net.ases.values()
+               for route in node.cache._lru.values())
+
+
+def _both(op, net, twin):
+    assert op(net) == op(twin), "the saved and the loaded twin diverged"
+
+
+def test_the_evicting_snapshot_gate_passes(tmp_path, monkeypatch):
+    """The snapshot determinism gate at 2k hosts with 64-entry caches.
+    First a fresh build hashes as its loaded snapshot and both replay 200
+    sends identically.  Then, with a cut before the save, the saved
+    network and its loaded twin go on (restore, joins, sends, another
+    cut) and must still hash alike — the intern tables of the router
+    caches are derived state.  Then the same over 64-entry AS
+    caches, with a failed hosting stub before the save and a second one
+    after.  It catches a table not rebuilt on load, one shared across
+    caches, and a cache that adopts a handed tuple."""
+    # The gate must reach repairs, not only evictions: count the replaces
+    # that refresh an ID the cache holds.
+    refreshed = []
+    replace = PointerCache.replace
+
+    def counting(cache, iv, route):
+        refreshed.append(iv in cache._lru)
+        replace(cache, iv, route)
+
+    monkeypatch.setattr(PointerCache, "replace", counting)
+
+    net = build_network(kind="intra", seed=0, n_routers=40, hosts=2000,
+                        cache_entries=64)
+    # A fresh build and its loaded twin (``verify=True``: it hashes as the
+    # saved build) replay the same 200 sends.  A query on the twin alone
+    # must leave nothing behind that the replay could see.
+    snapshot.save(net, str(tmp_path / "built.snap"))
+    loaded = snapshot.load(str(tmp_path / "built.snap"), verify=True)
+    routers = loaded.lsmap.live_routers()
+    assert loaded.lsmap.reachable(routers[0], routers[-1])
+    for _ in range(200):
+        pair = net.random_host_pair()
+        assert pair == loaded.random_host_pair()
+        assert net.send(*pair) == loaded.send(*pair), \
+            "replay diverged after snapshot load"
+    del loaded
+
+    # A bare link-state cut: every route over the link, cached ones
+    # included, is repaired when a packet commits to it.
+    first = _spare_link(net, net.lsmap.fail_link)
+    for _ in range(300):
+        assert net.send(*net.random_host_pair()).delivered
+    assert sum(r.cache.evictions for r in net.routers.values()) > 0
+    assert any(refreshed), "no cached route was repaired before the save"
+    snapshot.save(net, str(tmp_path / "evicting2k.snap"))
+    twin = snapshot.load(str(tmp_path / "evicting2k.snap"), verify=True)
+    # ``verify=True`` again: the twin hashes as ``net`` did at the save.
+    # The saved network's intern tables remember routes its caches
+    # dropped; the loaded twin's hold only what its caches hold.
+    _both(lambda n: n.restore_link(*first), net, twin)
+    for _ in range(50):
+        _both(lambda n: n.join_next(), net, twin)
+    for _ in range(300):
+        _both(lambda n: n.send(*n.random_host_pair()), net, twin)
+    _both(lambda n: _spare_link(n, n.fail_link, taken={first}), net, twin)
+    for _ in range(100):
+        _both(lambda n: n.send(*n.random_host_pair()), net, twin)
+    assert snapshot.state_hash(twin) == snapshot.state_hash(net), \
+        "saved and loaded twins hash apart after evictions and repairs"
+    assert _shared_routes(net) == _shared_routes(twin) == 0, \
+        "a router cache adopted a ring pointer's path"
+    del net, twin
+
+    # The same gate over AS caches: routes of AS numbers, interned per
+    # cache, never a ring pointer's own route.
+    inter = build_network(kind="inter", seed=0, n_ases=60, hosts=300,
+                          cache_entries=64)
+    stub = _hosting_stub(inter)
+    inter.fail_as(stub)
+    used = sum(inter.send(*inter.random_host_pair()).used_cache
+               for _ in range(300))
+    assert used and sum(node.cache.evictions
+                        for node in inter.ases.values()) > 0
+    snapshot.save(inter, str(tmp_path / "evicting-inter.snap"))
+    twin = snapshot.load(str(tmp_path / "evicting-inter.snap"), verify=True)
+    for _ in range(50):
+        _both(lambda n: n.join_next(), inter, twin)
+    for _ in range(300):
+        _both(lambda n: n.send(*n.random_host_pair()), inter, twin)
+    _both(lambda n: n.fail_as(_hosting_stub(n, taken={stub})), inter, twin)
+    for _ in range(100):
+        _both(lambda n: n.send(*n.random_host_pair()), inter, twin)
+    assert snapshot.state_hash(twin) == snapshot.state_hash(inter), \
+        "saved and loaded AS-cache twins hash apart"
+    assert _shared_as_routes(inter) == _shared_as_routes(twin) == 0, \
+        "an AS cache adopted a ring pointer's route"
 
 
 def test_snapshot_round_trip_step_saves_and_verifies_both_rofl_kinds(
-        tmp_path):
-    """A 500-host file of each ROFL kind is saved, inspected and verified,
-    run here as CI runs it (``bash -e``, ~2 s), in a scratch directory:
-    the interdomain file holds the ``ASPointer`` records the intradomain
-    one does not."""
-    script = _bench_smoke_step("snapshot save inter500.snap")
-    for expected in ("snapshot save net500.snap", "snapshot info net500.snap",
-                     "snapshot verify net500.snap",
-                     "--kind inter --ases 60 --hosts 500",
-                     "snapshot info inter500.snap",
-                     "snapshot verify inter500.snap"):
-        assert expected in script
-    src = Path(__file__).resolve().parent.parent / "src"
-    done = subprocess.run(
-        ["bash", "-e", "-c", script.replace("PYTHONPATH=src", "PYTHONPATH="
-                                            + str(src))
-         .replace("python -m", sys.executable + " -m")],
-        cwd=tmp_path, capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin"})
-    assert done.returncode == 0, done.stdout + done.stderr
-    for name, kind in (("net500.snap", "IntraDomainNetwork"),
-                       ("inter500.snap", "InterDomainNetwork")):
-        assert "verify: {} OK".format(name) in done.stdout
-        assert re.search(r"^kind +{}$".format(kind), done.stdout, re.M)
+        tmp_path, capsys):
+    """A 500-host file of each ROFL kind is saved, inspected and verified
+    through ``main``: the interdomain file holds the ``ASPointer`` records
+    the intradomain one does not."""
+    for name, sizes, kind in (
+            ("net500.snap", ["--hosts", "500", "--routers", "40"],
+             "IntraDomainNetwork"),
+            ("inter500.snap", ["--kind", "inter", "--ases", "60",
+                               "--hosts", "500"], "InterDomainNetwork")):
+        path = str(tmp_path / name)
+        assert main(["snapshot", "save", path] + sizes) == 0
+        assert main(["snapshot", "info", path]) == 0
+        assert main(["snapshot", "verify", path]) == 0
+        out = capsys.readouterr().out
+        assert "verify: {} OK".format(path) in out
+        assert re.search(r"^kind +{}$".format(kind), out, re.M), out
 
 
 def test_malformed_scenario_step_expects_exit_2_and_one_line(tmp_path):
-    """Four malformed files, each under ``timeout`` (``Infinity`` used to
-    parse and never return; five ASes failed mid-build), each expected to
-    exit 2 with one ``workload:`` line naming the key; then three faults
-    naming a router, PoP or AS the network does not have (the PoP and the
-    AS were ``KeyError`` tracebacks mid-run), each expected to exit 2 with
-    one ``repro: fault '<kind>' at …: unknown …`` line.  The step is run
-    here as CI runs it (``bash -e``).  The fuzz step beside it runs the
-    tier-1 test under the 10⁴-example profile ``tests/conftest.py``
-    registers."""
-    script = _bench_smoke_step("Infinity")
-    for expected in ('"seed": "abc"', '"lifetime": 5', '"n_ases": 5',
-                     '"routers": ["nope"]', '"pop": 999', '"asn": "nope"',
-                     "timeout 20",
-                     "test $status -eq 2", 'wc -l < $dir/err)" -eq 1'):
-        assert expected in script
-    done = subprocess.run(
-        ["bash", "-e", "-c", script.replace("python -m", sys.executable
-                                            + " -m")],
-        cwd=Path(__file__).resolve().parent.parent, capture_output=True,
-        text=True, env={"TMPDIR": str(tmp_path), "PATH": "/usr/bin:/bin"})
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.count("workload: ") == 4
-    assert done.stdout.count("repro: fault '") == 3
-    for kind in ("router_crash", "pop_partition", "as_depeer"):
-        assert re.search(r"^repro: fault '{}' at [0-9.]+: unknown ".format(kind),
-                         done.stdout, re.M), done.stdout
+    """``Infinity`` parsed once and the run never returned: through the
+    real entry point it exits 2 in time, with nothing on stdout and one
+    ``workload:`` line naming the key.  ``tests/test_cli.py`` holds the
+    rest of the matrix in-process (every malformed file, every unknown
+    fault victim).  The fuzz step runs the tier-1 test under the
+    10⁴-example profile ``tests/conftest.py`` registers."""
+    (tmp_path / "duration.json").write_text(
+        '{"name": "bad", "duration": Infinity}\n')
+    done = _entry_point(["workload", "duration.json"], tmp_path)
+    assert done.returncode == 2 and done.stdout == "", done.stderr
+    assert re.fullmatch(r"workload: .*duration.*\n", done.stderr), done.stderr
     fuzz = _bench_smoke_step("tests/test_workload_scenario.py")
     assert "--hypothesis-profile fuzz" in fuzz and "-k fuzz" in fuzz
     from hypothesis import settings
@@ -179,64 +318,59 @@ def test_malformed_scenario_step_expects_exit_2_and_one_line(tmp_path):
 
 def test_unopenable_path_and_bad_port_step_expects_exit_2_and_one_line(
         tmp_path):
-    """A snapshot that is not there, a metrics stream in a directory that
-    is not there (a traceback after the build) and a port past 65535 (an
-    ``OverflowError`` from ``bind()`` after the build): each exits 2 with
-    nothing on stdout and one line on stderr, run here as CI runs it."""
-    script = _bench_smoke_step("--tcp 70000")
-    for expected in ("snapshot info $dir/missing.snap",
-                     "--metrics-out $dir/no/m.jsonl", "test $status -eq 2",
-                     "test ! -s $dir/out"):
-        assert expected in script
-    done = subprocess.run(
-        ["bash", "-e", "-c", script.replace("python -m", sys.executable
-                                            + " -m")],
-        cwd=Path(__file__).resolve().parent.parent, capture_output=True,
-        text=True, env={"TMPDIR": str(tmp_path), "PATH": "/usr/bin:/bin"})
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.count("repro: ") == 2
-    assert done.stdout.count("repro serve: error: argument --tcp: ") == 1
+    """A port past 65535 was an ``OverflowError`` from ``bind()`` after
+    the build: through the real entry point it is a usage error, exit 2,
+    nothing on stdout and one line under argparse's synopsis.
+    ``tests/test_cli.py`` holds every unopenable path and every transport
+    flag out of range in-process."""
+    done = _entry_point(["serve", "--hosts", "5", "--tcp", "70000"], tmp_path)
+    assert done.returncode == 2 and done.stdout == "", done.stderr
+    [line] = [line for line in done.stderr.splitlines()
+              if not line.startswith(("usage: ", "  "))]
+    assert line.startswith("repro serve: error: argument --tcp: "), line
 
 
-def test_probe_gate_step_passes(tmp_path):
+def test_probe_gate_step_passes():
     """``steady-churn --seed 2`` (its link cuts split the ISP) and
     ``crash-then-partition.json`` (a PoP cycle after a crash that cut
-    routers off) under ``--probes``: the step fails on a non-zero exit or
-    a non-empty ``violations``, and runs here as CI runs it (~2 s)."""
-    script = _bench_smoke_step("probe gate OK")
-    for expected in ("steady-churn --seed 2", "--probes",
-                     "examples/scenarios/crash-then-partition.json"):
-        assert expected in script
-    done = subprocess.run(
-        ["bash", "-e", "-c", script.replace("python ", sys.executable + " ")],
-        cwd=Path(__file__).resolve().parent.parent, capture_output=True,
-        text=True, env={"TMPDIR": str(tmp_path), "PATH": "/usr/bin:/bin"})
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "probe gate OK: 2 runs, no violations" in done.stdout
+    routers off), each run under probes fed by a tracer as ``workload
+    --probes`` runs them, end with no violation."""
+    from repro.obs.trace import NullSink, Tracer, tracing
+    from repro.workload import Scenario, builtin_scenario, run_scenario
+
+    split = builtin_scenario("steady-churn")
+    split.seed = 2
+    crash = Scenario.load(str(ROOT / "examples" / "scenarios"
+                              / "crash-then-partition.json"))
+    for scenario in (split, crash):
+        tracer = Tracer(sink=NullSink())
+        with tracing(tracer):
+            result = run_scenario(scenario, tracer=tracer, probes=True)
+        tracer.close()
+        assert result.violations == [], (scenario.name,
+                                          result.violations[:3])
 
 
 @functools.lru_cache(maxsize=None)
-def _ring_sweep_step_run():
-    """The ring-sweep step as CI runs it (``bash -e``, a bare environment)
-    over the two seeds past the ones the goldens pin; run once for both
-    kinds' tests."""
-    script = _bench_smoke_step("benchmarks/ring_sweep.py")
-    assert script.strip() == "python benchmarks/ring_sweep.py --seeds 0-59"
-    return subprocess.run(
-        ["bash", "-e", "-c", script.replace("python ", sys.executable + " ")
-         .replace("0-59", "58-59")],
-        cwd=Path(__file__).resolve().parent.parent, capture_output=True,
-        text=True, env={"PATH": "/usr/bin:/bin"})
+def _ring_sweep_run():
+    """``ring_sweep.main`` over the two seeds past the ones the goldens
+    pin, in this process; run once for both kinds' tests."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = _benchmark("ring_sweep").main(["--seeds", "58-59"])
+    return status, out.getvalue()
 
 
 def test_ring_sweep_step_passes():
     """The step runs all 60 sweep seeds of both kinds and fails on a
-    non-zero exit; here it runs over seeds 58-59 — the pinned ones run in
-    ``tests/test_ring_sweep.py`` and ``tests/test_inter_sweep.py``, and all
-    60 take ~25 s."""
-    done = _ring_sweep_step_run()
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert [line.split()[:2] for line in done.stdout.splitlines()] == [
+    non-zero exit; here they are seeds 58-59 — the pinned ones run in
+    ``tests/test_ring_sweep.py`` and ``tests/test_inter_sweep.py``, and
+    all 60 take ~25 s."""
+    assert _bench_smoke_step("benchmarks/ring_sweep.py").strip() \
+        == "python benchmarks/ring_sweep.py --seeds 0-59"
+    status, out = _ring_sweep_run()
+    assert status == 0, out
+    assert [line.split()[:2] for line in out.splitlines()] == [
         ["intra", "58"], ["inter", "58"], ["intra", "59"], ["inter", "59"]]
 
 
@@ -246,38 +380,29 @@ def test_inter_sweep_step_passes():
     ``tests/golden_inter_sweep.json`` pins."""
     [path] = [p for p in WORKFLOWS if p.name == "ci.yml"]
     assert "inter_sweep.py" not in path.read_text()
-    done = _ring_sweep_step_run()
-    assert done.returncode == 0, done.stdout + done.stderr
-    inter = [line.split() for line in done.stdout.splitlines()
+    status, out = _ring_sweep_run()
+    assert status == 0, out
+    inter = [line.split() for line in out.splitlines()
              if line.startswith("inter ")]
     assert [fields[1] for fields in inter] == ["58", "59"]
     assert all(re.fullmatch(r"[0-9a-f]{16}", fields[2]) for fields in inter)
 
 
-def test_compare_stretch_step_passes_no_flag_but_json(tmp_path):
-    """The gate runs the registry's head-to-head at the registry's sizes
-    (the command has no size flags), and its inline asserts hold on the
-    file that run writes."""
+def test_compare_stretch_step_passes_no_flag_but_json():
+    """The gate is the command's own exit status (non-zero on any bound,
+    probe, attribution, undelivered or all-pairs breach): the step runs
+    the registry's head-to-head at the registry's sizes, the command
+    having no size flags, and writes the file the report step reads.
+    ``tests/test_cli.py::test_compare_stretch_gate`` runs it."""
     step = _bench_smoke_step("repro compare-stretch")
-    [command] = [line.split() for line in step.splitlines()
-                 if "repro compare-stretch" in line]
-    assert command[command.index("compare-stretch") + 1:] == [
-        "--json", "compare_stretch.json"]
-    from repro.__main__ import main
-    assert main(["compare-stretch", "--json",
-                 str(tmp_path / "compare_stretch.json")]) == 0
-    script = re.search(r"<<'EOF'\n(.*)\nEOF", step, re.S).group(1)
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert "compare-stretch gate OK" in done.stdout
+    assert step.strip() == ("PYTHONPATH=src python -m repro compare-stretch "
+                            "--json compare_stretch.json")
 
 
 def test_examples_step_runs_every_file_in_examples():
     """An example no job runs rots unseen: bench-smoke runs each one."""
     step = _bench_smoke_step("examples/quickstart.py")
-    examples = sorted((Path(__file__).resolve().parent.parent
-                       / "examples").glob("*.py"))
+    examples = sorted((ROOT / "examples").glob("*.py"))
     assert examples
     for example in examples:
         assert "python examples/{}\n".format(example.name) in step + "\n"

@@ -163,23 +163,24 @@ def test_workload_invalid_scenario_contents(tmp_path, capsys):
 @pytest.mark.parametrize("command, label", [
     (["workload"], "workload: "), (["trace", "--scenario"], "trace: ")],
     ids=["workload", "trace"])
-@pytest.mark.parametrize("content", [
-    '{"name": "bad", "seed": "abc"}',
-    '{"name": "bad", "phases": [{"start": 0, "end": 1, "churn": '
-    '{"arrival_rate": 1, "lifetime": 5}}]}',
-    '{"name": "bad", "duration": Infinity}',
-    '{"name": "bad", "sample_intervall": 1}',
-    b"\xff\xfe not text",
-    None,
-    '{"name": "bad", "network": {"kind": "inter", "n_ases": 5}}',
+@pytest.mark.parametrize("content, key", [
+    ('{"name": "bad", "seed": "abc"}', "seed"),
+    ('{"name": "bad", "phases": [{"start": 0, "end": 1, "churn": '
+     '{"arrival_rate": 1, "lifetime": 5}}]}', "lifetime"),
+    ('{"name": "bad", "duration": Infinity}', "duration"),
+    ('{"name": "bad", "sample_intervall": 1}', "sample_intervall"),
+    (b"\xff\xfe not text", None),
+    (None, None),
+    ('{"name": "bad", "network": {"kind": "inter", "n_ases": 5}}', "n_ases"),
 ], ids=["wrong-type", "number-for-mapping", "infinity", "misspelt-key",
         "not-text", "a-directory", "too-few-ases"])
 def test_a_scenario_that_cannot_be_read_or_parsed_exits_2_with_one_line(
-        tmp_path, capsys, command, label, content):
+        tmp_path, capsys, command, label, content, key):
     """Never a traceback, never a hang (``Infinity`` parsed and the run
     never returned), never a silent default (the misspelt key was
-    dropped); a path that exists but cannot be read (``IsADirectoryError``,
-    ``UnicodeDecodeError``) is reported like a missing one."""
+    dropped); the line names the key at fault.  A path that exists but
+    cannot be read (``IsADirectoryError``, ``UnicodeDecodeError``) is
+    reported like a missing one."""
     path = tmp_path / "bad.json"
     if content is None:
         path.mkdir()
@@ -191,6 +192,7 @@ def test_a_scenario_that_cannot_be_read_or_parsed_exits_2_with_one_line(
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(label) and err.count("\n") == 1
     assert err.endswith("\n") and "Traceback" not in err
+    assert key is None or key in err
 
 
 @pytest.mark.parametrize("fault", [

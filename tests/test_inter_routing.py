@@ -213,7 +213,7 @@ class TestScopedRouting:
                 probe = FlatId(ring.keys()[1].value + 1)
                 outcome = routing.route(net, ring[ring.keys()[0]].home_as,
                                         probe, mode="lookup", scope=level,
-                                        category="test", use_cache=False)
+                                        category="test")
                 if outcome.delivered:
                     subtree = net.policy.subtree(level)
                     assert all(asn in subtree for asn in outcome.as_path)

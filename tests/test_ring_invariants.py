@@ -193,7 +193,7 @@ def test_inter_incremental_index_matches_bruteforce():
             continue
         for _ in range(10):
             dest = net.space.make(rng.randrange(net.space.size))
-            match = node.best_match(net, dest, use_cache=False)
+            match = node.best_match(net, dest)   # zero-capacity AS caches
             expect = brute_best_key(node, dest)
             assert match is not None
             assert match.distance == expect
