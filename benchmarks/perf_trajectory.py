@@ -6,9 +6,8 @@ not do: run interdomain and intradomain ROFL over *growing* populations
 (500 → 10 000 hosts; ``--extended`` adds 25 000 interdomain) and record
 per population the join and send throughput, peak RSS and the full
 perf-registry dump (:mod:`repro.util.perf`, timers included).
-``benchmarks/trace_overhead.py`` re-runs the quick sweep against the
-output and ``repro report --bench`` renders it; being wall-clock numbers
-of one box at one commit, it is never committed.
+``repro report --bench`` renders the output; being wall-clock numbers of
+one box at one commit, it is never committed.
 
 Usage::
 

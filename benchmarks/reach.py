@@ -140,8 +140,6 @@ def smokes(tmp: Path) -> Iterator[Tuple[str, List[str]]]:
                               "--out", out("scaling.json")]
     yield "compare-stretch", repro + ["compare-stretch", "--json",
                                       out("compare.json")]
-    yield "trace-overhead", [py, "benchmarks/trace_overhead.py",
-                             "--baseline", out("scaling.json")]
     yield "report", repro + [
         "report", "--metrics", out("m.jsonl"), "--bench",
         out("scaling.json"), "--compare", out("compare.json"), "--out",

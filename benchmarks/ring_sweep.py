@@ -121,21 +121,20 @@ def check_inter(net) -> None:
             net.lookup_mismatches)
     mask = net.space.mask
     for level, ring in net.rings.items():
-        members = ring.keys()
+        members, vns = ring.key_values(), ring.payloads()
         inside = {None: True}       # pred_by_level key -> lies inside level
-        for i, member_id in enumerate(members if len(members) > 1 else ()):
+        for i, own in enumerate(members if len(members) > 1 else ()):
             preds = []
-            for lvl, ptr in ring[member_id].pred_by_level.items():
+            for lvl, ptr in vns[own].pred_by_level.items():
                 if lvl not in inside:
                     inside[lvl] = net.policy.level_contained_in(lvl, level)
-                if inside[lvl] and ptr.dest_id in ring:
+                if inside[lvl] and ptr.dest_id.value in vns:
                     preds.append(ptr.dest_id)
-            own = member_id.value
             closest = min(preds, key=lambda dest: (own - dest.value) & mask,
                           default=None)
-            assert closest == members[i - 1], \
+            assert closest == vns[members[i - 1]].id, \
                 "level {}: {} predecessor {} != {}".format(
-                    level, member_id, closest, members[i - 1])
+                    level, vns[own].id, closest, vns[members[i - 1]].id)
 
 
 def intra_arrives(net, a: str, b: str) -> bool:

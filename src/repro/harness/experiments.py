@@ -38,7 +38,7 @@ def _with_perf(fn):
     ``experiment.<name>`` timer, and the counter/timer snapshot is
     attached to the result dict under the ``"perf"`` key — so every
     figure's output carries the hot-path counters (forwarding hops,
-    index rebuilds, SPF evictions) that produced it.  Report formatters
+    index flushes, SPF evictions) that produced it.  Report formatters
     skip the key; ``repro report --perf`` reads it off a ``compare-stretch
     --json`` file.
     """

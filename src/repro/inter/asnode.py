@@ -133,8 +133,8 @@ class RoflAS:
 
     # -- the aggregated candidate index ----------------------------------------------
 
-    def mark_dirty(self, vn: Optional[InterVirtualNode] = None) -> None:
-        """Note a pointer-state change; with ``vn`` given only that VN's
+    def mark_dirty(self, vn: InterVirtualNode) -> None:
+        """Note a change to ``vn``'s pointer state: only that VN's
         contribution is re-diffed on the next lookup."""
         self._candidates.mark_dirty(vn)
 

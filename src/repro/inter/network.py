@@ -275,16 +275,17 @@ class InterDomainNetwork(Network):
         for level, ring in self.rings.items():
             if len(ring) < 2:
                 continue
-            members = ring.keys()
-            for i, member_id in enumerate(members):
-                vn: InterVirtualNode = ring[member_id]
+            members, vns = ring.key_values(), ring.payloads()
+            for i, member in enumerate(members):
+                vn: InterVirtualNode = vns[member]
                 expected = members[(i + 1) % len(members)]
                 eff = routing.effective_successor(self, vn, level,
                                                   members=ring)
-                if eff is None or eff.dest_id != expected:
+                if eff is None or eff.dest_id.value != expected:
                     raise InterRingInconsistency(
                         "level {}: {} effective successor {} != {}".format(
-                            level, member_id, eff and eff.dest_id, expected))
+                            level, vn.id, eff and eff.dest_id,
+                            vns[expected].id))
 
     check = check_rings
 

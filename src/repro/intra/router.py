@@ -126,9 +126,9 @@ class RoflRouter:
 
     # -- candidate index -----------------------------------------------------------
 
-    def mark_dirty(self, vn: Optional[VirtualNode] = None) -> None:
-        """Note a pointer-state change so the index re-diffs lazily (all
-        of it when ``vn`` is omitted)."""
+    def mark_dirty(self, vn: VirtualNode) -> None:
+        """Note a change to ``vn``'s pointer state: the index re-diffs its
+        contribution lazily, at the next lookup."""
         self._candidates.mark_dirty(vn)
 
     def flush_index(self) -> None:

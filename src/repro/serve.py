@@ -41,8 +41,9 @@ import repro
 from repro.util import perf
 
 #: :func:`repro.build_network` under the topology name resident networks
-#: have always had: their snapshots, the CI determinism gate and the
-#: bench's ``serve_session`` digest all hash ``"serve"`` in.
+#: have always had: their snapshots, the evicting snapshot gate
+#: (``tests/test_ci_workflows.py::test_the_evicting_snapshot_gate_passes``)
+#: and the bench's ``serve_session`` digest all hash ``"serve"`` in.
 build_network = functools.partial(repro.build_network, name="serve")
 
 

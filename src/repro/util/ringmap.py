@@ -40,36 +40,6 @@ from repro.idspace.identifier import FlatId, RingSpace
 from repro.util import perf
 
 
-class RingKeysView(Sequence):
-    """A zero-copy, read-only view over a map's sorted key list.
-
-    Returned by :meth:`SortedRingMap.keys` so hot loops can iterate and
-    index the keys without the per-call list copy the old API made.  The
-    view is live: it reflects later mutations of the map.
-    """
-
-    __slots__ = ("_keys",)
-
-    def __init__(self, keys: List[FlatId]):
-        self._keys = keys
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-    def __getitem__(self, index):
-        result = self._keys[index]
-        return RingKeysView(result) if isinstance(index, slice) else result
-
-    def __iter__(self) -> Iterator[FlatId]:
-        return iter(self._keys)
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._keys
-
-    def __repr__(self) -> str:
-        return "RingKeysView(n={})".format(len(self._keys))
-
-
 def _ival(key: Union[FlatId, int]) -> int:
     """The raw int value of a key given as either ``FlatId`` or ``int``."""
     return key if type(key) is int else key.value
@@ -95,14 +65,6 @@ class SortedRingMap:
 
     def __getitem__(self, key: Union[FlatId, int]) -> Any:
         return self._payloads[_ival(key)]
-
-    def keys(self) -> RingKeysView:
-        """A read-only, zero-copy view of the sorted keys.
-
-        Callers that need an independent snapshot (e.g. to mutate the map
-        while iterating) should copy explicitly with ``list(ring.keys())``.
-        """
-        return RingKeysView(self._keys)
 
     def key_values(self) -> Sequence[int]:
         """The sorted raw int values, zero-copy.  Do not mutate."""
@@ -228,12 +190,6 @@ class ColumnarRingIndex:
 
     # -- dict-immediate mutation ------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._payloads)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._payloads
-
     def get(self, key: int, default: Any = None) -> Any:
         return self._payloads.get(key, default)
 
@@ -327,10 +283,9 @@ class Candidate:
 
     ``ptrs`` holds every pointer contribution targeting this key as
     ``(owner_seq, rank, pointer, ...)`` tuples kept sorted, so ``ptrs[0]``
-    is the same "first pointer wins" entry a full rebuild produces (owners
-    in registration order, each owner's candidates in the order it lists
-    them); ``rank`` is ``group * GROUP_STRIDE`` plus the position in the
-    group.
+    is the first pointer with owners in registration order, each owner's
+    candidates in the order it lists them; ``rank`` is
+    ``group * GROUP_STRIDE`` plus the position in the group.
     """
 
     vn: Optional[Any] = None       # set when the ID is resident here
@@ -348,8 +303,9 @@ class CandidateIndex:
     slot — work in the pointers that changed, not in the owner's group
     size, let alone the resident state.  Pointers are replaced, never
     mutated: the object an owner still lists at a slot is the unchanged
-    pointer.  ``mark_dirty()`` with no argument remains the big hammer
-    (full rebuild) for bulk mutations.
+    pointer.  That re-diff is the only way the index changes:
+    :meth:`add_owner` marks the new owner, so a new index's first flush
+    diffs every owner from empty.
 
     ``perf_prefix`` names the ``<prefix>.index.*`` counters and the flush
     timer.  ``pointers_of(vn)`` lists what ``vn`` contributes besides its
@@ -359,21 +315,18 @@ class CandidateIndex:
     position in one group, so a group that grows or shrinks shifts no
     other group's slots.
 
-    Everything but the owners is derived state: pickling keeps the
-    constructor arguments and the owners and rebuilds the rest on load,
-    so no serialized form depends on lookup history (which flushes ran,
-    and how often, follows read traffic, not routing state).
+    The whole index is derived state: :class:`repro.intra.router.RoflRouter`
+    and :class:`repro.inter.asnode.RoflAS` drop it when pickled and build a
+    new one from their virtual nodes on load, so no serialized form
+    depends on lookup history.
     """
 
     def __init__(self, space: RingSpace, perf_prefix: str,
                  pointers_of: Callable[[Any], Iterable[Tuple[tuple,
                                                              Iterable]]]):
-        self.space = space
-        self._perf_prefix = perf_prefix
         self._pointers_of = pointers_of
         names = perf_prefix + ".index."
         self._marks_counter = names + "marks"
-        self._rebuild_counter = names + "rebuild"
         self._flush_timer = names + "flush"
         self._flushes_counter = names + "refresh.flushes"
         self._owners_counter = names + "refresh.owners"
@@ -386,22 +339,11 @@ class CandidateIndex:
         #: tuples in slot order) — the stored tuples themselves, no copies.
         self._contrib: Dict[int, tuple] = {}
         self._dirty_owners: set = set()         # vn.id.values needing a re-diff
-        self._dirty_all = True                  # full rebuild pending
         self._columns: tuple = ([], [])         # synced (keys, entries), see flush
         #: Monotonic flush-epoch counter: one increment per flush that
-        #: actually re-diffed or rebuilt state.  Mark-dirty storms
-        #: between two lookups all land in the same epoch.
+        #: actually re-diffed state.  Mark-dirty storms between two
+        #: lookups all land in the same epoch.
         self.flush_epoch = 0
-
-    def __getstate__(self):
-        return (self.space, self._perf_prefix, self._pointers_of,
-                list(self.owners.values()))
-
-    def __setstate__(self, state) -> None:
-        *args, owners = state
-        self.__init__(*args)
-        for vn in owners:
-            self.add_owner(vn)
 
     # -- owners -------------------------------------------------------------------
 
@@ -415,22 +357,13 @@ class CandidateIndex:
         iv = vn.id.value
         self.owners.pop(iv, None)
         self._owner_seq.pop(iv, None)
-        if not self._dirty_all:
-            self._dirty_owners.add(iv)
+        self._dirty_owners.add(iv)
 
-    def mark_dirty(self, vn: Optional[Any] = None) -> None:
-        """Note a pointer-state change so the index re-diffs lazily.
-
-        With ``vn`` given, only that owner's contribution is refreshed at
-        the next flush; with no argument the whole index is rebuilt (bulk
-        or unknown mutations).
-        """
-        if vn is None:
-            self._dirty_all = True
-            self._dirty_owners.clear()
-        elif not self._dirty_all:
-            perf.counter(self._marks_counter)
-            self._dirty_owners.add(vn.id.value)
+    def mark_dirty(self, vn: Any) -> None:
+        """Note a change to ``vn``'s pointer state: its contribution is
+        re-diffed at the next flush."""
+        perf.counter(self._marks_counter)
+        self._dirty_owners.add(vn.id.value)
 
     # -- contributions ------------------------------------------------------------
 
@@ -511,22 +444,13 @@ class CandidateIndex:
             self._index.delete(key_iv)
 
     def flush(self) -> ColumnarRingIndex:
-        """Apply pending maintenance and sync; returns the up-to-date index."""
-        if self._dirty_all or self._dirty_owners:
+        """Re-diff the dirty owners and sync; returns the up-to-date index."""
+        if self._dirty_owners:
             with perf.timed(self._flush_timer):
-                if self._dirty_all:
-                    perf.counter(self._rebuild_counter)
-                    self._index, self._contrib = ColumnarRingIndex(self.space), {}
-                    self._seq = itertools.count()
-                    self._owner_seq = dict(zip(self.owners, self._seq))
-                    for owner_iv in self.owners:
-                        self._rediff(owner_iv)
-                    self._dirty_all = False
-                else:
-                    perf.counter(self._flushes_counter)
-                    perf.counter(self._owners_counter, len(self._dirty_owners))
-                    perf.counter(self._slots_counter,
-                                 sum(map(self._rediff, self._dirty_owners)))
+                perf.counter(self._flushes_counter)
+                perf.counter(self._owners_counter, len(self._dirty_owners))
+                perf.counter(self._slots_counter,
+                             sum(map(self._rediff, self._dirty_owners)))
                 self.flush_epoch += 1
                 self._dirty_owners.clear()
                 self._columns = self._index.columns()
@@ -536,6 +460,6 @@ class CandidateIndex:
         """The flushed-and-synced ``(sorted int keys, lock-step entries)``
         columns, the per-hop read of Algorithm 2: one dirty check, no sync
         (only :meth:`flush` stages keys, and it syncs).  Zero-copy."""
-        if self._dirty_all or self._dirty_owners:
+        if self._dirty_owners:
             self.flush()
         return self._columns

@@ -4,8 +4,6 @@ Tested here directly, once; ``test_intra_router.py`` and
 ``test_inter_asnode.py`` keep the integration assertions.
 """
 
-import pickle
-
 import hypothesis.strategies as st
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
@@ -70,28 +68,6 @@ def test_departed_owner_keys_disappear():
     assert [entry[2] for entry in flushed.get(500).ptrs] == stays.successors
 
 
-def test_mark_dirty_without_owner_forces_full_rebuild():
-    vn = make_vn(100, 150)
-    index = settled(vn)
-    rebuilds = perf.value("unit.index.rebuild")
-    vn.successors[0] = Pointer(SPACE.make(160), ("r", "x"))  # not marked
-    index.mark_dirty()
-    assert index.flush().key_values() == [100, 160]
-    assert perf.value("unit.index.rebuild") == rebuilds + 1
-
-
-def test_pickle_drops_and_rebuilds_derived_state():
-    index = settled(make_vn(100, 150), make_vn(200))
-    assert index.flush_epoch == 1
-    state = index.__getstate__()
-    assert state[:3] == (SPACE, "unit", successors_of)
-    assert [vn.id.value for vn in state[3]] == [100, 200]
-    clone = pickle.loads(pickle.dumps(index))
-    assert clone.flush_epoch == 0
-    assert clone.flush().key_values() == [100, 150, 200]
-    assert clone.flush().get(100).vn.id.value == 100
-
-
 def test_one_changed_slot_is_one_slot_of_work():
     """The re-diff is slot-wise: replacing one pointer of eight touches one
     slot and leaves the other seven entries — the very tuples — in place."""
@@ -139,7 +115,7 @@ def test_a_grown_group_shifts_no_other_groups_slot():
 #
 # Hypothesis drives every way an owner's contribution can change between
 # two flushes; whatever the interleaving, the incrementally maintained
-# index must equal one rebuilt from scratch over the same owners — same
+# index must equal a fresh one given the same owners at once — same
 # key column, and per key the same resident VN object and the same pointer
 # objects in the same order (identity, not value: an equal-valued stale
 # pointer left behind is a bug).
@@ -274,15 +250,16 @@ class IndexMachine(RuleBasedStateMachine):
             self.index.mark_dirty(vn)
 
     @rule()
-    def flushed_index_equals_a_fresh_rebuild(self):
-        """Ends the epoch.  The rebuild goes through the pickle hooks, which
-        keep exactly the constructor arguments and the owners."""
-        fresh = CandidateIndex.__new__(CandidateIndex)
-        fresh.__setstate__(self.index.__getstate__())
+    def flushed_index_equals_a_fresh_one(self):
+        """Ends the epoch.  The oracle is a new index given the owners in
+        registration order, so its first flush diffs each from empty."""
+        fresh = CandidateIndex(SPACE, "machine", contributed)
+        for vn in self.index.owners.values():
+            fresh.add_owner(vn)
         assert view(self.index) == view(fresh)
 
     def teardown(self):
-        self.flushed_index_equals_a_fresh_rebuild()
+        self.flushed_index_equals_a_fresh_one()
 
 
 class FlaggedIndexMachine(IndexMachine):

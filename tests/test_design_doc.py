@@ -14,16 +14,27 @@ Three checks, standard library and ``repro`` only:
   the commit that restores what it lists);
 * §4's package tree names every subpackage and top-level module of
   ``src/repro``, and nothing else.
+
+README.md and the verify skill are held the same way: their backticked
+``repro.…`` names resolve under the same "retired" exemption, and every
+backticked repo path under ``src/``, ``tests/``, ``benchmarks/``,
+``bench/``, ``examples/`` or ``.github/`` exists (``bench/out/`` is the
+benchmark's output, so it is exempt).
 """
 
 import importlib
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 DESIGN = (ROOT / "DESIGN.md").read_text(encoding="utf-8")
 CITING = ("src", "tests", "benchmarks", ".github", ".claude")
 TEXT_SUFFIXES = {".py", ".md", ".yml", ".yaml", ".json"}
+GUIDES = ("README.md", ".claude/skills/verify/SKILL.md")
+PATH = re.compile(r"`((?:src|tests|benchmarks|bench|examples|\.github)/[^`\s]*)")
+OUTPUT = "bench/out/"
 
 SECTION = r"§(\d+(?:\.\d+)?)"
 #: ``DESIGN.md §5``, ``DESIGN §4``, ``DESIGN.md §5, §10``, ``DESIGN.md
@@ -144,19 +155,68 @@ def test_every_citation_resolves():
     assert not broken, "DESIGN.md has no such anchor:\n" + "\n".join(broken)
 
 
-def test_every_repro_name_resolves():
-    names = [(number, match.group(1))
-             for number, line in enumerate(DESIGN.splitlines(), 1)
-             if "retired" not in line.lower()
-             for match in re.finditer(r"`(repro(?:\.\w+)+)", line)]
-    assert len(names) >= 30, "the name pattern finds too little"
+def _repro_names(text: str):
+    """``(line, name)`` for every backticked ``repro.…`` name, except on a
+    line that says "retired"."""
+    return [(number, match.group(1))
+            for number, line in enumerate(text.splitlines(), 1)
+            if "retired" not in line.lower()
+            for match in re.finditer(r"`(repro(?:\.\w+)+)", line)]
+
+
+def _unresolved(doc: str, names):
     broken = []
     for number, dotted in names:
         try:
             _resolve(dotted)
         except (ImportError, AttributeError) as exc:
-            broken.append("DESIGN.md:{}: {} ({})".format(number, dotted, exc))
+            broken.append("{}:{}: {} ({})".format(doc, number, dotted, exc))
+    return broken
+
+
+def test_every_repro_name_resolves():
+    names = _repro_names(DESIGN)
+    assert len(names) >= 30, "the name pattern finds too little"
+    broken = _unresolved("DESIGN.md", names)
     assert not broken, "\n".join(broken)
+
+
+@pytest.mark.parametrize("doc", GUIDES)
+def test_every_repro_name_in_a_guide_resolves(doc):
+    names = _repro_names((ROOT / doc).read_text(encoding="utf-8"))
+    assert len(names) >= 3, "the name pattern finds too little"
+    broken = _unresolved(doc, names)
+    assert not broken, "\n".join(broken)
+
+
+def _expand(path: str):
+    """``a/{b,c}.py`` as ``a/b.py`` and ``a/c.py``."""
+    brace = re.search(r"\{([^{}]*)\}", path)
+    if brace is None:
+        return [path]
+    return [expanded for part in brace.group(1).split(",")
+            for expanded in _expand(path[:brace.start()] + part
+                                    + path[brace.end():])]
+
+
+@pytest.mark.parametrize("doc", GUIDES)
+def test_every_repo_path_in_a_guide_exists(doc):
+    """A path may carry a pytest node id (``::name``), a line number
+    (``:44``), braces or a glob; the file part must be there."""
+    text = (ROOT / doc).read_text(encoding="utf-8")
+    found = [(text.count("\n", 0, match.start()) + 1, match.group(1))
+             for match in PATH.finditer(text)]
+    assert len(found) >= 5, "the path pattern finds too little"
+    missing = []
+    for number, cited in found:
+        path = re.sub(r":\d+$", "", cited.split("::")[0])
+        for one in _expand(path):
+            if one.startswith(OUTPUT):
+                continue
+            if not (any(ROOT.glob(one)) if "*" in one
+                    else (ROOT / one).exists()):
+                missing.append("{}:{}: {}".format(doc, number, cited))
+    assert not missing, "no such path:\n" + "\n".join(missing)
 
 
 def test_the_package_tree_names_every_package():

@@ -127,7 +127,7 @@ class TestBestMatch:
         net = FakeNet()
         assert node.best_match(net, SPACE.make(300)).dest_id.value == 100
         vn.set_successor(None, ptr(250))
-        node.mark_dirty()
+        node.mark_dirty(vn)
         assert node.best_match(net, SPACE.make(300)).dest_id.value == 250
 
 

@@ -210,8 +210,9 @@ class TestScopedRouting:
         # Pick a tier-2 level with a populated ring.
         for level, ring in net.rings.items():
             if isinstance(level, str) and level.startswith("T2") and len(ring) > 3:
-                probe = FlatId(ring.keys()[1].value + 1)
-                outcome = routing.route(net, ring[ring.keys()[0]].home_as,
+                members = ring.key_values()
+                probe = FlatId(members[1] + 1)
+                outcome = routing.route(net, ring[members[0]].home_as,
                                         probe, mode="lookup", scope=level,
                                         category="test")
                 if outcome.delivered:

@@ -128,7 +128,7 @@ class TestBestMatch:
         router.register_virtual_node(node)
         assert router.best_match(SPACE.make(300)).target == 100
         node.successors = [succ(250)]
-        router.mark_dirty()
+        router.mark_dirty(node)
         assert router.best_match(SPACE.make(300)).target == 250
 
 

@@ -1,7 +1,6 @@
 """``benchmarks/perf_trajectory.py``'s row check on canned rows: the file
-the sweep writes is what ``repro report --bench`` and the trace-overhead
-gate read, so ``validate`` refuses a row either of them would misread —
-without running the sweep."""
+the sweep writes is what ``repro report --bench`` reads, so ``validate``
+refuses a row it would misread — without running the sweep."""
 
 import importlib.util
 from pathlib import Path

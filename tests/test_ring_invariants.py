@@ -18,8 +18,6 @@ fixed seeds keeps the suite deterministic.
 
 import random
 
-import pytest
-
 from repro.idspace.identifier import RingSpace
 from repro.util.ringmap import SortedRingMap
 
@@ -103,22 +101,6 @@ def test_ringmap_queries_accept_ints_and_flatids():
         assert ring.successor(p) == ring.successor(p.value)
         assert ring.predecessor(p) == ring.predecessor(p.value)
         assert (p in ring) == (p.value in ring)
-
-
-def test_ringmap_keys_view_is_readonly_and_live():
-    ring = SortedRingMap(SPACE)
-    view = ring.keys()
-    assert len(view) == 0
-    ring.insert(SPACE.make(5))
-    ring.insert(SPACE.make(1))
-    assert len(view) == 2                       # live view
-    assert [k.value for k in view] == [1, 5]    # sorted
-    assert view[0].value == 1
-    assert [k.value for k in view[1:]] == [5]   # slices stay views
-    with pytest.raises((TypeError, AttributeError)):
-        view[0] = SPACE.make(9)
-    with pytest.raises(AttributeError):
-        view.append(SPACE.make(9))
 
 
 # ---------------------------------------------------------------------------

@@ -559,7 +559,7 @@ def _pending_marks(net):
     """The routers / ASes whose candidate index has maintenance pending."""
     nodes = net.routers if net.kind == "intra" else net.ases
     return [name for name, node in nodes.items()
-            if node._candidates._dirty_all or node._candidates._dirty_owners]
+            if node._candidates._dirty_owners]
 
 
 @pytest.mark.parametrize("build", [build_intra, build_inter],
