@@ -4,15 +4,24 @@ The package is organised by substrate (DESIGN.md §4 has the whole tree):
 
 * :mod:`repro.idspace` — the flat 128-bit circular identifier namespace and
   self-certifying identities.
-* :mod:`repro.util` — bloom filters, sorted ring maps and RNG helpers.
+* :mod:`repro.util` — bloom filters, sorted ring maps, RNG helpers and the
+  perf registry.
 * :mod:`repro.sim` — a discrete-event simulation kernel and statistics.
 * :mod:`repro.topology` — router-level ISP and AS-level Internet topologies.
 * :mod:`repro.linkstate` — the OSPF-like link-state substrate ROFL assumes.
 * :mod:`repro.intra` — intradomain ROFL (Section 3 of the paper).
 * :mod:`repro.inter` — interdomain ROFL (Section 4) plus the BGP baseline.
 * :mod:`repro.baselines` — CMU-ETHERNET and plain OSPF host routing.
+* :mod:`repro.compact` — Disco-style compact routing on flat names.
 * :mod:`repro.services` — anycast, multicast, security, traffic engineering.
+* :mod:`repro.workload` — declarative churn, traffic and fault scenarios.
+* :mod:`repro.snapshot` — checkpoint/restore and canonical state hashing.
+* :mod:`repro.obs` — causal tracing, explain, invariant probes, reports.
 * :mod:`repro.harness` — drivers that regenerate every figure in the paper.
+
+A package ``__init__`` imports nothing (:mod:`repro.snapshot` excepted), so
+a process loads only the modules its command runs; network kinds load by
+name through :func:`repro.network.network_class`.
 
 Quickstart::
 
@@ -24,34 +33,15 @@ Quickstart::
     print(result.hops, result.stretch)
 """
 
-from repro.idspace.identifier import FlatId, RingSpace
-from repro.intra.network import IntraDomainNetwork
-from repro.inter.network import InterDomainNetwork
-from repro import baselines, compact  # noqa: F401  (defining registers)
-from repro.topology.isp import synthetic_isp, ROCKETFUEL_PROFILES
-from repro.topology.asgraph import synthetic_as_graph
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "FlatId",
-    "RingSpace",
-    "IntraDomainNetwork",
-    "InterDomainNetwork",
-    "synthetic_isp",
-    "synthetic_as_graph",
-    "ROCKETFUEL_PROFILES",
-    "build_network",
-    "quick_intradomain",
-    "quick_interdomain",
-]
+__all__ = ["build_network", "quick_intradomain", "quick_interdomain"]
 
 
 def build_network(kind="intra", seed=0, hosts=0, name=None, **sizing):
-    """Build a fresh network of a registered kind
-    (:data:`repro.network.KINDS`) and join ``hosts`` hosts onto it — the
-    one constructor behind ``repro serve``, ``snapshot save``, ``trace``
-    and the ``quick_*`` helpers.
+    """Build a fresh network of a :data:`repro.network.KINDS` kind and join
+    ``hosts`` hosts onto it — the one constructor behind ``repro serve``,
+    ``snapshot save``, ``trace`` and the ``quick_*`` helpers.
 
     ``sizing`` is the other fields of
     :class:`repro.workload.scenario.NetworkSpec` (``n_routers``,

@@ -89,8 +89,8 @@ def _load_scenario(command: str, name: str, seed):
     ``--seed`` was given.  A bad name, a path that cannot be read or a
     malformed file is reported on stderr under ``command`` and returns
     None."""
-    from repro.workload import (BUILTIN_SCENARIOS, Scenario, ScenarioError,
-                                builtin_scenario)
+    from repro.workload.scenario import (BUILTIN_SCENARIOS, Scenario,
+                                         ScenarioError, builtin_scenario)
     try:
         if name in BUILTIN_SCENARIOS:
             scenario = builtin_scenario(name)
@@ -176,7 +176,8 @@ def _cmd_quickstart(_args: argparse.Namespace) -> int:
 
 
 def _cmd_workload(args: argparse.Namespace) -> int:
-    from repro.workload import BUILTIN_SCENARIOS, builtin_scenario, run_scenario
+    from repro.workload.driver import run_scenario
+    from repro.workload.scenario import BUILTIN_SCENARIOS, builtin_scenario
 
     if args.list:
         for name in sorted(BUILTIN_SCENARIOS):
@@ -227,7 +228,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.scenario is not None:
         # Replay a scenario window with tracing + probes on, then explain
         # the last packets it routed.
-        from repro.workload import run_scenario
+        from repro.workload.driver import run_scenario
         scenario = _load_scenario("trace", args.scenario, args.seed)
         if scenario is None:
             return 2
@@ -287,30 +288,31 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _add_network_args(parser: argparse.ArgumentParser) -> None:
     """The network ``serve`` and ``snapshot save`` build when not handed
-    a snapshot (see :func:`_network_from_args`)."""
+    a snapshot (see :func:`_network_from_args`).  A sizing flag left out
+    is left to :class:`repro.workload.scenario.NetworkSpec`, the one
+    statement of the defaults, which a warm start does not import."""
     from repro.network import KINDS
-    from repro.workload.scenario import NetworkSpec
-    parser.add_argument("--kind", choices=tuple(KINDS),
-                        default=NetworkSpec.kind,
+    parser.add_argument("--kind", choices=tuple(KINDS), default="intra",
                         help="network kind to build (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--routers", type=int,
-                        default=NetworkSpec.n_routers,
-                        help="intra: router count (default %(default)s)")
-    parser.add_argument("--ases", type=int, default=NetworkSpec.n_ases,
-                        help="inter: AS count (default %(default)s)")
+                        help="intra: router count (default "
+                             "NetworkSpec.n_routers)")
+    parser.add_argument("--ases", type=int,
+                        help="inter: AS count (default NetworkSpec.n_ases)")
     parser.add_argument("--hosts", type=int, default=200,
                         help="hosts to join after building (default 200)")
     parser.add_argument("--cache-entries", type=int,
-                        default=NetworkSpec.cache_entries,
                         help="pointer-cache size override")
 
 
 def _network_from_args(args: argparse.Namespace):
     from repro.serve import build_network
-    return build_network(kind=args.kind, seed=args.seed,
-                         n_routers=args.routers, n_ases=args.ases,
-                         hosts=args.hosts, cache_entries=args.cache_entries)
+    sizing = {"n_routers": args.routers, "n_ases": args.ases,
+              "cache_entries": args.cache_entries}
+    return build_network(kind=args.kind, seed=args.seed, hosts=args.hosts,
+                         **{name: value for name, value in sizing.items()
+                            if value is not None})
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -446,10 +448,21 @@ def _cmd_info(_args: argparse.Namespace) -> int:
     print("Caesar, Condie, Kannan, Lakshminarayanan, Stoica, Shenker.")
     print()
     print("Subsystems: idspace, util, sim, topology, linkstate, intra,")
-    print("            inter, baselines, compact, services, harness")
+    print("            inter, baselines, compact, services, workload,")
+    print("            snapshot, obs, harness")
     print("Docs: README.md (overview), DESIGN.md (inventory),")
     print("      EXPERIMENTS.md (paper-vs-measured)")
     return 0
+
+
+def _refusals() -> tuple:
+    """``SnapshotError`` and ``ScenarioError``, of those whose module the
+    command imported: an error is raised only by code that was loaded, so
+    a command pays for no module it does not run."""
+    return tuple(getattr(sys.modules[module], name) for module, name in (
+        ("repro.snapshot.store", "SnapshotError"),
+        ("repro.workload.scenario", "ScenarioError"))
+        if module in sys.modules)
 
 
 def main(argv=None) -> int:
@@ -584,11 +597,9 @@ def main(argv=None) -> int:
     info.set_defaults(func=_cmd_info)
 
     args = parser.parse_args(argv)
-    from repro.snapshot import SnapshotError
-    from repro.workload import ScenarioError
     try:
         return args.func(args)
-    except (OSError, SnapshotError, ScenarioError) as exc:
+    except (OSError,) + _refusals() as exc:
         # A path that cannot be opened; a file that is not a snapshot, is
         # corrupt, or has another schema version; a scenario naming a link
         # or router the network lacks: the message says which, and why.

@@ -7,7 +7,7 @@
 * :mod:`repro.baselines.ospf_routing` — plain shortest-path host routing
   with location-dependent addresses, the load-balance (Fig 6b) and
   stretch baseline.
-* :class:`repro.compact.DiscoNetwork` — Disco-style compact routing on
+* :class:`repro.compact.network.DiscoNetwork` — Disco-style compact routing on
   flat names with a provable stretch bound (the post-paper baseline the
   compact-routing literature calls for; it lives in ``repro.compact``).
 
@@ -15,8 +15,3 @@ All three are :class:`repro.network.Network` kinds (``"cmu"``, ``"ospf"``,
 ``"disco"``), so the harness, the workload driver, ``repro serve`` and the
 contract tests drive them exactly as they drive ROFL.
 """
-
-from repro.baselines.cmu_ethernet import CmuEthernetNetwork
-from repro.baselines.ospf_routing import OspfHostRouting
-
-__all__ = ["CmuEthernetNetwork", "OspfHostRouting"]

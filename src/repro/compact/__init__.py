@@ -11,21 +11,3 @@ stretch bound — the counterpoint baseline to ROFL's unbounded tail:
   :class:`repro.network.Network` kind ``"disco"``, with traced forwarding
   and ``stretch_bound = 3.0``.
 """
-
-from repro.compact.landmarks import (LandmarkPlan, build_plan,
-                                     elect_landmarks, landmark_count)
-from repro.compact.network import DiscoNetwork
-from repro.compact.resolve import (Locator, LocatorCache, ResolverDirectory,
-                                   resolver_of)
-
-__all__ = [
-    "DiscoNetwork",
-    "LandmarkPlan",
-    "Locator",
-    "LocatorCache",
-    "ResolverDirectory",
-    "build_plan",
-    "elect_landmarks",
-    "landmark_count",
-    "resolver_of",
-]

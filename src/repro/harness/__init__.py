@@ -9,8 +9,3 @@ rows/series the paper plots.  The ``benchmarks/`` tree wraps every
 driver in a pytest-benchmark target, and ``EXPERIMENTS.md`` records
 paper-vs-measured values.
 """
-
-from repro.harness import experiments, report
-from repro.harness.report import FIGURES, render, run_figures
-
-__all__ = ["FIGURES", "experiments", "render", "report", "run_figures"]

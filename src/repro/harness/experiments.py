@@ -14,12 +14,14 @@ import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import build_network
-from repro.compact import DiscoNetwork
+from repro.compact.network import DiscoNetwork
 from repro.inter.bgp import BgpBaseline
 from repro.inter.network import InterDomainNetwork
 from repro.inter.policy import JoinStrategy
-from repro.obs import (ProbeSet, RingBufferSink, Tracer, explain_packets,
-                       trace)
+from repro.obs import trace
+from repro.obs.explain import explain_packets
+from repro.obs.probes import ProbeSet
+from repro.obs.trace import RingBufferSink, Tracer
 from repro.sim.stats import cdf_points, percentile
 from repro.topology.asgraph import as_router_topology, synthetic_as_graph
 from repro.topology.hosts import PAPER_INTERNET_HOSTS

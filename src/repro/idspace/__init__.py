@@ -11,18 +11,3 @@ ROFL identifiers are flat: they carry no location semantics, only
 * :mod:`repro.idspace.groups` — ``(G, x)`` group identifiers used for
   anycast, multicast and traffic engineering (Section 5 of the paper).
 """
-
-from repro.idspace.identifier import FlatId, RingSpace, DEFAULT_BITS
-from repro.idspace.crypto import KeyPair, SignatureAuthority, SpoofedIdentityError
-from repro.idspace.groups import group_prefix, make_member_id
-
-__all__ = [
-    "FlatId",
-    "RingSpace",
-    "DEFAULT_BITS",
-    "KeyPair",
-    "SignatureAuthority",
-    "SpoofedIdentityError",
-    "group_prefix",
-    "make_member_id",
-]

@@ -9,10 +9,3 @@ earliest common ancestor.
 
 Entry point: :class:`repro.inter.network.InterDomainNetwork`.
 """
-
-from repro.inter.network import InterDomainNetwork
-from repro.inter.policy import PolicyView, JoinStrategy
-from repro.inter.pointers import ASPointer, InterVirtualNode
-
-__all__ = ["InterDomainNetwork", "PolicyView", "JoinStrategy",
-           "ASPointer", "InterVirtualNode"]

@@ -9,9 +9,3 @@ zero-ID-driven ring-merge protocol.
 
 Entry point: :class:`repro.intra.network.IntraDomainNetwork`.
 """
-
-from repro.intra.network import IntraDomainNetwork
-from repro.intra.virtualnode import VirtualNode, Pointer
-from repro.intra.pointercache import PointerCache
-
-__all__ = ["IntraDomainNetwork", "VirtualNode", "Pointer", "PointerCache"]

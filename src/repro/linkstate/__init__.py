@@ -12,22 +12,3 @@ notifies the routing layer of such events."
 * :mod:`repro.linkstate.protocol` — flooding cost/latency models and the
   OSPF-style timers used by the failure benchmarks.
 """
-
-from repro.linkstate.lsdb import LinkStateMap, TopologyEvent
-from repro.linkstate.spf import PathCache
-from repro.linkstate.protocol import (
-    FloodModel,
-    OspfTimers,
-    flood_message_cost,
-    flood_latency_ms,
-)
-
-__all__ = [
-    "LinkStateMap",
-    "TopologyEvent",
-    "PathCache",
-    "FloodModel",
-    "OspfTimers",
-    "flood_message_cost",
-    "flood_latency_ms",
-]

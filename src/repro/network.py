@@ -10,6 +10,7 @@ is read off the class (:meth:`Network.unsupported`), declared nowhere.
 
 from __future__ import annotations
 
+import importlib
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple, Type
 
 from repro.linkstate.lsdb import LinkStateMap
@@ -35,9 +36,24 @@ def _left_to_kinds(operation: str):
     return method
 
 
-#: The one registry (``build_network``, ``NetworkSpec`` and the CLI's
-#: ``--kind`` read it): kind → class, as ``import repro`` defines the five.
-KINDS: Dict[str, Type["Network"]] = {}
+#: The one table of network kinds (``NetworkSpec`` and the CLI's ``--kind``
+#: read it): kind → the module and class defining it.  A kind's module is
+#: imported by :func:`network_class`, so a process loads only the kinds it
+#: builds; a class keeps its module, which every snapshot names.
+KINDS: Dict[str, Tuple[str, str]] = {
+    "intra": ("repro.intra.network", "IntraDomainNetwork"),
+    "inter": ("repro.inter.network", "InterDomainNetwork"),
+    "cmu": ("repro.baselines.cmu_ethernet", "CmuEthernetNetwork"),
+    "ospf": ("repro.baselines.ospf_routing", "OspfHostRouting"),
+    "disco": ("repro.compact.network", "DiscoNetwork"),
+}
+
+
+def network_class(kind: str) -> Type["Network"]:
+    """The class of ``kind`` (a :data:`KINDS` key), its module imported on
+    first use."""
+    module, name = KINDS[kind]
+    return getattr(importlib.import_module(module), name)
 
 
 class Network:
@@ -49,11 +65,6 @@ class Network:
     #: The protocol's provable worst-case data-path stretch, which the obs
     #: layer asserts observed stretch against.  ROFL has no guarantee.
     stretch_bound = float("inf")
-
-    def __init_subclass__(cls, **kwargs: Any):
-        super().__init_subclass__(**kwargs)
-        if "kind" in vars(cls):     # a subclass of a kind is not a new kind
-            KINDS[cls.kind] = cls
 
     def __init__(self, seed: int, stream: Tuple[Hashable, ...],
                  attachment_points: Optional[List[Hashable]] = None,

@@ -38,6 +38,7 @@ import time
 from typing import Any, Dict, IO, Iterable, Optional
 
 import repro
+from repro import snapshot
 from repro.util import perf
 
 #: :func:`repro.build_network` under the topology name resident networks
@@ -249,7 +250,6 @@ class ReproServer:
         }
 
     def _op_save(self, request: Dict) -> Dict:
-        from repro import snapshot
         path = request.get("path")
         if not path:
             raise ServeError("save needs a 'path'")
@@ -259,11 +259,9 @@ class ReproServer:
         return {"path": path, "state_hash": digest}
 
     def _op_state_hash(self, request: Dict) -> Dict:
-        from repro import snapshot
         return {"state_hash": snapshot.state_hash(self.net)}
 
     def _op_verify(self, request: Dict) -> Dict:
-        from repro import snapshot
         violations = snapshot.validate_network(self.net)
         return {"violations": violations, "clean": not violations}
 

@@ -17,20 +17,3 @@ them ``Unsupported``, ``disco`` all but ``send_to_id``.
   up-hierarchy intersections, multihomed suffix joins, regional
   sub-rings.
 """
-
-from repro.services.anycast import AnycastGroup
-from repro.services.multicast import MulticastGroup
-from repro.services.security import (AccessController, Capability,
-                                     CapabilityAuthority)
-from repro.services.traffic_eng import (MultihomedSuffixJoin,
-                                        negotiate_path_set)
-
-__all__ = [
-    "AnycastGroup",
-    "MulticastGroup",
-    "AccessController",
-    "Capability",
-    "CapabilityAuthority",
-    "MultihomedSuffixJoin",
-    "negotiate_path_set",
-]

@@ -7,8 +7,3 @@ conceptual message is charged to the routers it traverses — the same
 heap-based :class:`repro.sim.engine.EventLoop` drives message delivery with
 per-link latencies.
 """
-
-from repro.sim.engine import EventLoop, Event
-from repro.sim.stats import StatsCollector, PathResult
-
-__all__ = ["EventLoop", "Event", "StatsCollector", "PathResult"]

@@ -11,21 +11,3 @@
   computation, and subtree membership.
 * :mod:`repro.topology.hosts` — Zipf host populations (skitter substitute).
 """
-
-from repro.topology.graph import RouterTopology
-from repro.topology.isp import synthetic_isp, ROCKETFUEL_PROFILES
-from repro.topology.asgraph import ASGraph, synthetic_as_graph, Relationship
-from repro.topology.hierarchy import up_hierarchy, down_hierarchy
-from repro.topology.hosts import HostPlan
-
-__all__ = [
-    "RouterTopology",
-    "synthetic_isp",
-    "ROCKETFUEL_PROFILES",
-    "ASGraph",
-    "synthetic_as_graph",
-    "Relationship",
-    "up_hierarchy",
-    "down_hierarchy",
-    "HostPlan",
-]

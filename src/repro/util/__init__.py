@@ -7,17 +7,3 @@
 * :mod:`repro.util.rng` — deterministic random helpers (seed derivation,
   Zipf sampling) so every experiment is reproducible.
 """
-
-from repro.util.bloom import BloomFilter, CountingBloomFilter
-from repro.util.ringmap import SortedRingMap
-from repro.util.rng import RngRegistry, derive_rng, stable_hash, zipf_weights
-
-__all__ = [
-    "BloomFilter",
-    "CountingBloomFilter",
-    "RngRegistry",
-    "SortedRingMap",
-    "derive_rng",
-    "stable_hash",
-    "zipf_weights",
-]

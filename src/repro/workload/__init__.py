@@ -23,17 +23,3 @@ Determinism contract: every random draw flows through
 two runs of the same scenario are byte-for-byte identical (same metric
 time series, same fault victims, same packet endpoints).
 """
-
-from repro.workload.driver import WorkloadDriver, WorkloadResult, run_scenario
-from repro.workload.scenario import (BUILTIN_SCENARIOS, Scenario,
-                                     ScenarioError, builtin_scenario)
-
-__all__ = [
-    "BUILTIN_SCENARIOS",
-    "Scenario",
-    "ScenarioError",
-    "WorkloadDriver",
-    "WorkloadResult",
-    "builtin_scenario",
-    "run_scenario",
-]

@@ -30,7 +30,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from reprlib import repr as short
 from typing import Dict, List, Optional
 
-from repro.network import KINDS
+from repro.network import KINDS, network_class
 from repro.topology.asgraph import MIN_ASES
 from repro.topology.isp import MIN_ROUTERS
 from repro.workload.faults import INJECTORS
@@ -199,7 +199,7 @@ class NetworkSpec(Spec):
     def build(self, seed: int):
         """A fresh, empty network of this kind and size."""
         self.validate()
-        return KINDS[self.kind].build(seed, self)
+        return network_class(self.kind).build(seed, self)
 
 
 @dataclass
@@ -304,7 +304,7 @@ class Scenario(Spec):
 
         def need(what: str, operations) -> None:
             # Read off the kind's class, so it fails here and not mid-run.
-            missing = KINDS[kind].unsupported(operations)
+            missing = network_class(kind).unsupported(operations)
             if missing:
                 raise ScenarioError(
                     "{} needs {}, which {!r} networks do not support".format(

@@ -5,6 +5,8 @@ tests that share them; tests that mutate (failures, partitions) build
 their own instances from the factory fixtures.
 """
 
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -13,6 +15,11 @@ from repro.inter.network import InterDomainNetwork
 from repro.inter.policy import JoinStrategy
 from repro.topology.asgraph import synthetic_as_graph
 from repro.topology.isp import synthetic_isp
+
+#: The environment of every child process a test starts: the program
+#: importable, and no bytecode written into the checkout.
+CHILD_ENV = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
+             "PYTHONDONTWRITEBYTECODE": "1"}
 
 #: ``--hypothesis-profile fuzz``: ROADMAP item 2's exit bar, 10⁴ cases per
 #: surface.  CI's bench-smoke job runs the fuzz tests and the codec's

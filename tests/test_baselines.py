@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from repro import build_network
 from repro.baselines.cmu_ethernet import CmuEthernetNetwork
 from repro.baselines.ospf_routing import OspfHostRouting
-from repro.compact import DiscoNetwork
+from repro.compact.network import DiscoNetwork
 from repro.intra.network import IntraDomainNetwork
-from repro.network import KINDS, Network, Unsupported
+from repro.network import KINDS, Network, Unsupported, network_class
 from repro.sim.stats import PathResult
 from repro.topology.isp import synthetic_isp
 
@@ -41,23 +41,14 @@ IMPLEMENTS = {"intra": {"leave_host", "fail_host", "fail_router", "fail_link",
               "disco": {"leave_host", "send_to_id"}}
 
 
-def test_registry_holds_the_five_kinds_in_order():
-    assert list(KINDS) == ["intra", "inter", "cmu", "ospf", "disco"]
-    assert all(cls.kind == kind for kind, cls in KINDS.items())
-
-    class Instrumented(DiscoNetwork):       # e.g. a test double
-        pass
-    assert KINDS["disco"] is DiscoNetwork and len(KINDS) == 5
-
-
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_network_contract(kind):
-    """Every registered kind builds through the one entry point, the
+    """Every kind of the table builds through the one entry point, the
     operations every consumer needs work on it, and whatever it does not
     implement raises ``Unsupported`` naming the operation and the kind —
     never ``AttributeError``."""
     net = build_network(kind, 3, n_routers=16, n_ases=16, hosts=12)
-    assert isinstance(net, Network) and type(net) is KINDS[kind]
+    assert isinstance(net, Network) and type(net) is network_class(kind)
     assert net.kind == kind and net.n_hosts == 12 and net.seed == 3
 
     name, messages, latency = net.join_next()

@@ -25,14 +25,12 @@ from repro import snapshot
 from repro.__main__ import main
 from repro.intra.pointercache import PointerCache
 from repro.serve import build_network
+from tests.conftest import CHILD_ENV
 
 yaml = pytest.importorskip("yaml")
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOWS = sorted((ROOT / ".github" / "workflows").glob("*.y*ml"))
-
-#: The environment of every child process this file starts.
-CHILD_ENV = {"PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def _benchmark(name):
@@ -336,7 +334,8 @@ def test_probe_gate_step_passes():
     routers off), each run under probes fed by a tracer as ``workload
     --probes`` runs them, end with no violation."""
     from repro.obs.trace import NullSink, Tracer, tracing
-    from repro.workload import Scenario, builtin_scenario, run_scenario
+    from repro.workload.driver import run_scenario
+    from repro.workload.scenario import Scenario, builtin_scenario
 
     split = builtin_scenario("steady-churn")
     split.seed = 2

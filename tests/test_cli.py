@@ -17,6 +17,17 @@ def test_info(capsys):
     assert "ROFL" in out and "SIGCOMM 2006" in out
 
 
+def test_info_names_every_subpackage(capsys):
+    """``repro info``'s subsystem list is the package tree, as DESIGN.md
+    §4's is (``tests/test_design_doc.py``)."""
+    assert main(["info"]) == 0
+    out = capsys.readouterr().out
+    listed = out[out.index("Subsystems:"):out.index("Docs:")]
+    named = set(listed.replace("Subsystems:", "").replace(",", " ").split())
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    assert named == {init.parent.name for init in src.glob("*/__init__.py")}
+
+
 def test_figures_single(capsys):
     assert main(["figures", "--only", "fig6b"]) == 0
     out = capsys.readouterr().out

@@ -551,7 +551,8 @@ class TestNetworks:
         assert_same_stream(net)
 
     def test_after_churn(self):
-        from repro.workload import builtin_scenario, run_scenario
+        from repro.workload.driver import run_scenario
+        from repro.workload.scenario import builtin_scenario
 
         net = build_intra(seed=0, hosts=0, routers=30)
         run_scenario(builtin_scenario("steady-churn", seed=0), network=net)

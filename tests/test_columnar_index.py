@@ -144,7 +144,8 @@ def test_wrapping_queries_match_reference(space, widen):
 def test_steady_churn_replay_byte_for_byte():
     """Same-seed steady-churn runs must serialise to identical bytes —
     the columnar index may not perturb any tie-break or RNG draw."""
-    from repro.workload import builtin_scenario, run_scenario
+    from repro.workload.driver import run_scenario
+    from repro.workload.scenario import builtin_scenario
 
     a = run_scenario(builtin_scenario("steady-churn", seed=1))
     b = run_scenario(builtin_scenario("steady-churn", seed=1))

@@ -3,10 +3,10 @@ bounded-stretch forwarding, and the stretch-bound probe."""
 
 import pytest
 
-from repro.compact import (DiscoNetwork, LocatorCache, ResolverDirectory,
-                           build_plan, elect_landmarks, landmark_count,
-                           resolver_of)
-from repro.compact.resolve import Locator
+from repro.compact.landmarks import build_plan, elect_landmarks, landmark_count
+from repro.compact.network import DiscoNetwork
+from repro.compact.resolve import (Locator, LocatorCache, ResolverDirectory,
+                                   resolver_of)
 from repro.idspace.identifier import FlatId
 from repro.linkstate.lsdb import LinkStateMap
 from repro.linkstate.spf import PathCache

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.intra.partition import pop_boundary_links
-from repro.workload import run_scenario
+from repro.workload.driver import run_scenario
 from repro.workload.scenario import Scenario
 
 CRASH_THEN_PARTITION = (Path(__file__).resolve().parent.parent / "examples"

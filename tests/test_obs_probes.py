@@ -125,7 +125,8 @@ class TestCacheIsolation:
 
 class TestWorkloadIntegration:
     def test_driver_runs_probes_and_reports_clean(self):
-        from repro.workload import builtin_scenario, run_scenario
+        from repro.workload.driver import run_scenario
+        from repro.workload.scenario import builtin_scenario
         scenario = builtin_scenario("steady-churn")
         result = run_scenario(scenario, probes=True)
         assert result.violations == []
@@ -133,7 +134,8 @@ class TestWorkloadIntegration:
 
     def test_traced_run_matches_untraced_run(self):
         """Enabling tracing must not perturb the seeded streams."""
-        from repro.workload import builtin_scenario, run_scenario
+        from repro.workload.driver import run_scenario
+        from repro.workload.scenario import builtin_scenario
         base = run_scenario(builtin_scenario("steady-churn"))
         tracer = Tracer()
         with trace.tracing(tracer):

@@ -258,7 +258,7 @@ class TestMutatingOps:
             self, server, key, value, named):
         """``ok: false`` carrying what ``repro workload FILE`` prints, the
         resident network untouched (``Infinity`` used to hang it)."""
-        from repro.workload import Scenario, ScenarioError
+        from repro.workload.scenario import Scenario, ScenarioError
         before = ok(server, op="state_hash")["state_hash"]
         scenario = {"name": "bad", "duration": 2.0, key: value,
                     "network": {"kind": "intra", "n_routers": 20}}

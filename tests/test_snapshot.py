@@ -261,7 +261,8 @@ def test_state_hashes_match_the_parent_capture(kind, sizing, scenario):
     and fault scenario ran on it, hashes to the pinned literals (see the
     module docstring before touching them)."""
     from repro import build_network
-    from repro.workload import builtin_scenario, run_scenario
+    from repro.workload.driver import run_scenario
+    from repro.workload.scenario import builtin_scenario
 
     net = build_network(kind, 0, hosts=300, **sizing)
     assert snapshot.state_hash(net) == GOLDEN_HASHES[kind]["fresh"]
@@ -684,7 +685,8 @@ class TestGcQuiet:
 
 class TestWorkloadReplay:
     def test_scenario_on_loaded_network_is_deterministic(self, tmp_path):
-        from repro.workload import builtin_scenario, run_scenario
+        from repro.workload.driver import run_scenario
+        from repro.workload.scenario import builtin_scenario
 
         net = build_intra(seed=0, hosts=0, routers=40)
         path = str(tmp_path / "base.snap")

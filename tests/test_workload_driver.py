@@ -162,7 +162,8 @@ def test_observing_a_run_does_not_change_its_view(tmp_path):
     every ``queue_depth`` moved when it was on.)"""
     import io
 
-    from repro.obs import NullSink, Tracer, trace
+    from repro.obs import trace
+    from repro.obs.trace import NullSink, Tracer
 
     plain = run_scenario(_small_scenario(seed=5))
     buffer = io.StringIO()
@@ -395,7 +396,7 @@ def test_membership_probes_per_packet_do_not_grow_with_live_hosts(live):
 
 
 # ---------------------------------------------------------------------------
-# The Network contract (PR 18): any registered kind binds to the unmodified
+# The Network contract: any kind of the table binds to the unmodified
 # driver, and the fault vocabulary no run used to reach.
 # ---------------------------------------------------------------------------
 
@@ -416,7 +417,8 @@ def _disco_churn(seed=5) -> Scenario:
 def _run_probed(scenario: Scenario):
     """Run with the kind's standard probes live on a tracer (the event-driven
     ones, ``StretchBoundProbe`` among them, see every packet's ``end``)."""
-    from repro.obs import NullSink, Tracer, trace
+    from repro.obs import trace
+    from repro.obs.trace import NullSink, Tracer
     tracer = Tracer(NullSink())
     driver = WorkloadDriver(scenario, tracer=tracer, probes=True)
     with trace.tracing(tracer):
