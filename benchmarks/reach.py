@@ -119,7 +119,7 @@ def smokes(tmp: Path) -> Iterator[Tuple[str, List[str]]]:
     yield "workload-list", repro + ["workload", "--list"]
     yield "workload-obs", repro + [
         "workload", "steady-churn", "--probes", "--trace-out", out("t.jsonl"),
-        "--metrics-out", out("m.jsonl"), "--json", out("traced.json")]
+        "--json", out("traced.json")]
     yield "trace", repro + ["trace", "--routers", "24", "--hosts", "60",
                             "--packets", "2"]
     yield "trace-inter", repro + ["trace", "--inter", "--ases", "30",
@@ -141,10 +141,9 @@ def smokes(tmp: Path) -> Iterator[Tuple[str, List[str]]]:
     yield "compare-stretch", repro + ["compare-stretch", "--json",
                                       out("compare.json")]
     yield "report", repro + [
-        "report", "--metrics", out("m.jsonl"), "--bench",
+        "report", "--metrics", out("traced.json"), "--bench",
         out("scaling.json"), "--compare", out("compare.json"), "--out",
         out("report.html")]
-    yield "quickstart", repro + ["quickstart"]
     yield "info", repro + ["info"]
     for example in sorted((ROOT / "examples").glob("*.py")):
         yield "example-" + example.stem, [py, str(example)]

@@ -7,9 +7,8 @@ from repro.harness import report as R
 
 
 def test_compare_stretch(run_once):
-    result = run_once(R.FIGURES["headtohead"].driver, profile="AS3967",
-                      n_hosts=150, n_packets=300, n_ases=40,
-                      inter_hosts=100, inter_packets=150, seed=0)
+    figure = R.FIGURES["headtohead"]
+    result = run_once(figure.driver, **figure.params(1))
     print(R.render("headtohead", result))
 
     disco = result["intra"]["disco"]

@@ -5,9 +5,8 @@ from repro.harness import report as R
 
 
 def test_fig5a_intra_join_overhead(run_once):
-    result = run_once(R.FIGURES["fig5a"].driver,
-                      profiles=("AS1221", "AS1239", "AS3257", "AS3967"),
-                      host_counts=(10, 100, 1000), seed=0)
+    figure = R.FIGURES["fig5a"]
+    result = run_once(figure.driver, **figure.params(1))
     print(R.render("fig5a", result))
     for profile, data in result["profiles"].items():
         # Linear scaling: per-host cost roughly flat in the host count.

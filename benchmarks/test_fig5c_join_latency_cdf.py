@@ -5,12 +5,12 @@ from repro.harness import report as R
 
 
 def test_fig5c_join_latency_cdf(run_once):
-    result = run_once(R.FIGURES["fig5c"].driver,
-                      profiles=("AS1221", "AS1239", "AS3257", "AS3967"),
-                      n_hosts=500, seed=0)
+    figure = R.FIGURES["fig5c"]
+    result = run_once(figure.driver, **figure.params(1))
     print(R.render("fig5c", result))
-    rows = list(R.FIGURES["fig5c"].rows(result))   # skips the "perf" key
-    assert len(rows) == 4
+    rows = list(figure.rows(result))   # skips the "perf" key
+    # One row per profile the registry asks for.
+    assert len(rows) == len(figure.params(1)["profiles"])
     for profile, median_ms, p95_ms, mean_ms in rows:
         assert 0 < median_ms < 200
         assert median_ms <= p95_ms

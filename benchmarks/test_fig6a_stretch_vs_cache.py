@@ -6,9 +6,8 @@ from repro.topology.isp import TCAM_ENTRIES
 
 
 def test_fig6a_stretch_vs_cache(run_once):
-    result = run_once(R.FIGURES["fig6a"].driver, profile="AS3967",
-                      cache_sizes=(0, 16, 64, 256, 1024, 8192, TCAM_ENTRIES),
-                      n_hosts=1000, n_packets=500, seed=0)
+    figure = R.FIGURES["fig6a"]
+    result = run_once(figure.driver, **figure.params(1))
     print(R.render("fig6a", result))
     series = dict(result["series"])
     assert series[TCAM_ENTRIES] < series[0]            # caching helps

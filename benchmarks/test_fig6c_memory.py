@@ -5,8 +5,8 @@ from repro.harness import report as R
 
 
 def test_fig6c_memory(run_once):
-    result = run_once(R.FIGURES["fig6c"].driver, profile="AS3967",
-                      host_counts=(10, 100, 1000), seed=0)
+    figure = R.FIGURES["fig6c"]
+    result = run_once(figure.driver, **figure.params(1))
     print(R.render("fig6c", result))
     rows = result["series"]
     # The gap widens with population: ROFL state is per-resident +

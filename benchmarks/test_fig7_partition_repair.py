@@ -5,8 +5,8 @@ from repro.harness import report as R
 
 
 def test_fig7_partition_repair(run_once):
-    result = run_once(R.FIGURES["fig7"].driver, profile="AS3967",
-                      ids_per_pop=(1, 4, 16, 64), seed=0)
+    figure = R.FIGURES["fig7"]
+    result = run_once(figure.driver, **figure.params(1))
     print(R.render("fig7", result))
     rows = result["series"]
     # Overhead grows with the PoP's population...

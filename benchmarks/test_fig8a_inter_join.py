@@ -6,8 +6,8 @@ from repro.harness import report as R
 
 
 def test_fig8a_inter_join(run_once):
-    result = run_once(R.FIGURES["fig8a"].driver, n_ases=100, n_hosts=500,
-                      seed=0, n_fingers=8)
+    figure = R.FIGURES["fig8a"]
+    result = run_once(figure.driver, **figure.params(1))
     print(R.render("fig8a", result))
     s = result["strategies"]
     assert s["ephemeral"]["mean"] < s["single-homed"]["mean"]

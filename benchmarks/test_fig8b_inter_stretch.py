@@ -6,8 +6,8 @@ from repro.harness import report as R
 
 
 def test_fig8b_inter_stretch(run_once):
-    result = run_once(R.FIGURES["fig8b"].driver, n_ases=100, n_hosts=400,
-                      finger_counts=(4, 16, 32), n_packets=400, seed=0)
+    figure = R.FIGURES["fig8b"]
+    result = run_once(figure.driver, **figure.params(1))
     print(R.render("fig8b", result))
     means = {k: v["mean"] for k, v in result["fingers"].items()}
     assert means[32] <= means[4]              # fingers cut stretch

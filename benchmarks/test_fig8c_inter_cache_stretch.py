@@ -5,8 +5,8 @@ from repro.harness import report as R
 
 
 def test_fig8c_inter_cache_stretch(run_once):
-    result = run_once(R.FIGURES["fig8c"].driver, n_ases=100, n_hosts=400,
-                      cache_sizes=(0, 64, 512, 4096), n_packets=400, seed=0)
+    figure = R.FIGURES["fig8c"]
+    result = run_once(figure.driver, **figure.params(1))
     print(R.render("fig8c", result))
     rows = result["series"]
     assert rows[-1]["mean_stretch"] <= rows[0]["mean_stretch"]

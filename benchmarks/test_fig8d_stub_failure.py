@@ -5,8 +5,8 @@ from repro.harness import report as R
 
 
 def test_fig8d_stub_failure(run_once):
-    result = run_once(R.FIGURES["fig8d"].driver, n_ases=100, n_hosts=600,
-                      n_failures=6, n_probe_pairs=500, seed=0)
+    figure = R.FIGURES["fig8d"]
+    result = run_once(figure.driver, **figure.params(1))
     print(R.render("fig8d", result))
     for row in result["failures"]:
         assert row["post_delivery"] == 1.0        # survivors unaffected

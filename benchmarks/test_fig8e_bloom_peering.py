@@ -6,8 +6,8 @@ from repro.harness import report as R
 
 
 def test_fig8e_bloom_peering(run_once):
-    result = run_once(R.FIGURES["fig8e"].driver, n_ases=100, n_hosts=400,
-                      n_packets=400, seed=0)
+    figure = R.FIGURES["fig8e"]
+    result = run_once(figure.driver, **figure.params(1))
     print(R.render("fig8e", result))
     assert result["bloom"]["mean_join"] < result["virtual_as"]["mean_join"]
     assert result["bloom"]["delivery_rate"] == 1.0

@@ -9,9 +9,8 @@ Commands:
 * ``workload <scenario.json|builtin> [--seed N] [--json PATH]`` — run a
   declarative churn/traffic/fault scenario (``--list`` names builtins).
   ``--trace-out out.jsonl`` records a causal packet trace; ``--probes``
-  runs live invariant probes; ``--metrics-out m.jsonl`` streams the
-  run's window rows as they close, one JSONL line per sample — line for
-  line the ``samples`` of ``--json`` (same seed, byte-identical stream).
+  runs live invariant probes.  The ``--json`` view's ``samples`` are the
+  run's window rows (same seed, byte-identical file).
 * ``trace`` — route packets under the ``repro.obs`` tracer and render
   each decision tree with per-hop stretch attribution; ``--scenario``
   replays a workload window instead.
@@ -29,13 +28,13 @@ Commands:
   at its sizes, with the stretch-bound probe live; exits nonzero on any
   bound breach, probe violation, or attribution mismatch (the CI gate).
   With ``--json -`` the JSON alone goes to stdout, the table to stderr.
-* ``report [--metrics m.jsonl] [--perf result.json] [--bench
+* ``report [--metrics view.json] [--perf result.json] [--bench
   sweep.json] [--compare compare_stretch.json] [--out report.html]`` —
   render telemetry artifacts into one self-contained HTML or markdown
-  document (``repro.obs.report``); an input of the wrong shape, or a
+  document (``repro.obs.report``); ``--metrics`` reads the window rows of
+  a ``workload --json`` view.  An input of the wrong shape, or a
   ``--perf`` file with no timers in it, exits 2 with ``report: <file>:
   <what is wrong>``.
-* ``quickstart`` — a 30-second end-to-end tour of the intradomain system.
 * ``info`` — package, paper, and inventory summary.
 
 ``--help`` lists every subcommand; an unknown subcommand exits with
@@ -80,10 +79,6 @@ def _bounded(convert, low, high=float("inf")):
     return parse
 
 
-#: ``--trace-sample``: the fraction of packet spans a tracer keeps.
-_SAMPLE = _bounded(float, 0, 1)
-
-
 def _load_scenario(command: str, name: str, seed):
     """The builtin scenario or scenario JSON file ``name``, reseeded when
     ``--seed`` was given.  A bad name, a path that cannot be read or a
@@ -110,11 +105,10 @@ def _load_scenario(command: str, name: str, seed):
 
 @contextlib.contextmanager
 def _tracing(args: argparse.Namespace, sink=None):
-    """One command's tracing session: a tracer at ``--trace-sample``
-    installed for the block and closed after it.  Records go to ``sink``
-    when the caller brings one, else stream to ``--trace-out`` (summarised
-    on stderr at the end); with neither there is no tracer and the block
-    gets None."""
+    """One command's tracing session: a tracer installed for the block
+    and closed after it.  Records go to ``sink`` when the caller brings
+    one, else stream to ``--trace-out`` (summarised on stderr at the
+    end); with neither there is no tracer and the block gets None."""
     from repro.obs import trace as obs_trace
     streamed = sink is None and args.trace_out is not None
     if streamed:
@@ -122,16 +116,16 @@ def _tracing(args: argparse.Namespace, sink=None):
     if sink is None:
         yield None
         return
-    tracer = obs_trace.Tracer(sink=sink, sample=args.trace_sample)
+    tracer = obs_trace.Tracer(sink=sink)
     try:
         with obs_trace.tracing(tracer):
             yield tracer
     finally:
         tracer.close()
         if streamed:
-            print("trace: {} records ({} spans, {} sampled out) -> {}".format(
+            print("trace: {} records ({} spans) -> {}".format(
                 tracer.records_emitted, tracer.spans_started,
-                tracer.spans_dropped, args.trace_out), file=sys.stderr)
+                args.trace_out), file=sys.stderr)
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -143,35 +137,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             args.only, ", ".join(FIGURES)), file=sys.stderr)
         return 2
     start = time.time()
-    with _tracing(args):
-        for name, text, took in run_figures(args.full, only):
-            print(text)
-            print("[{} took {:.1f}s]\n".format(name, took))
+    for name, text, took in run_figures(args.full, only):
+        print(text)
+        print("[{} took {:.1f}s]\n".format(name, took))
     print("done in {:.1f}s".format(time.time() - start))
-    return 0
-
-
-def _cmd_quickstart(_args: argparse.Namespace) -> int:
-    from repro import quick_intradomain
-
-    net = quick_intradomain(n_routers=60, n_hosts=200, seed=1)
-    net.check_ring()
-    costs = net.stats.operation_costs("join")
-    print("{} hosts joined; ring consistent; avg join {:.1f} msgs "
-          "(diameter {})".format(net.n_hosts, sum(costs) / len(costs),
-                                 net.topology.diameter()))
-    delivered, stretches = 0, []
-    for _ in range(200):
-        a, b = net.random_host_pair()
-        result = net.send(a, b)
-        delivered += result.delivered
-        if result.delivered and result.optimal_hops > 0:
-            stretches.append(result.stretch)
-    print("routed 200 packets: {} delivered, mean stretch {:.2f}".format(
-        delivered, sum(stretches) / len(stretches)))
-    report = net.partition_pop(0)
-    print("PoP partition cycle: {} IDs, {} repair messages, ring "
-          "reconverged".format(report.ids_in_pop, report.total_messages))
     return 0
 
 
@@ -201,15 +170,10 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         from repro.obs.trace import NullSink    # probes listen on a tracer
         sink = NullSink()
     with _tracing(args, sink) as tracer:
-        result = run_scenario(scenario, tracer=tracer, probes=args.probes,
-                              metrics_out=args.metrics_out)
+        result = run_scenario(scenario, tracer=tracer, probes=args.probes)
     if result.violations:
         print("probes: {} violation(s)".format(len(result.violations)),
               file=sys.stderr)
-    if args.metrics_out is not None:
-        print("metrics: {} window(s) -> {}".format(
-            len(result.samples), args.metrics_out),
-            file=sys.stderr)
 
     if args.json is not None:
         _write_json(result.deterministic_view(), args.json)
@@ -224,7 +188,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import explain
     from repro.obs import trace as obs_trace
 
-    sink = obs_trace.RingBufferSink(capacity=None)
+    sink = obs_trace.RingBufferSink()
     if args.scenario is not None:
         # Replay a scenario window with tracing + probes on, then explain
         # the last packets it routed.
@@ -300,7 +264,7 @@ def _add_network_args(parser: argparse.ArgumentParser) -> None:
                              "NetworkSpec.n_routers)")
     parser.add_argument("--ases", type=int,
                         help="inter: AS count (default NetworkSpec.n_ases)")
-    parser.add_argument("--hosts", type=int, default=200,
+    parser.add_argument("--hosts", type=_bounded(int, 0), default=200,
                         help="hosts to join after building (default 200)")
     parser.add_argument("--cache-entries", type=int,
                         help="pointer-cache size override")
@@ -474,10 +438,6 @@ def main(argv=None) -> int:
                          help="larger (slower) workloads")
     figures.add_argument("--only", default=None,
                          help="run only figures whose id starts with this")
-    figures.add_argument("--trace-out", default=None, metavar="PATH",
-                         help="record a JSONL packet trace while figures run")
-    figures.add_argument("--trace-sample", type=_SAMPLE, default=1.0,
-                         metavar="F", help="fraction of packet spans to keep")
     figures.set_defaults(func=_cmd_figures)
 
     workload = sub.add_parser(
@@ -495,13 +455,8 @@ def main(argv=None) -> int:
                           help="list builtin scenarios and exit")
     workload.add_argument("--trace-out", default=None, metavar="PATH",
                           help="record a JSONL packet trace of the run")
-    workload.add_argument("--trace-sample", type=_SAMPLE, default=1.0,
-                          metavar="F", help="fraction of packet spans to keep")
     workload.add_argument("--probes", action="store_true",
                           help="run live invariant probes during the run")
-    workload.add_argument("--metrics-out", default=None, metavar="PATH",
-                          help="stream each window row (the samples of "
-                               "--json) as one JSONL line as it closes")
     workload.set_defaults(func=_cmd_workload)
 
     tracecmd = sub.add_parser(
@@ -525,8 +480,6 @@ def main(argv=None) -> int:
                                "instead of routing standalone packets")
     tracecmd.add_argument("--trace-out", default=None, metavar="PATH",
                           help="also dump the records as JSONL")
-    tracecmd.add_argument("--trace-sample", type=_SAMPLE, default=1.0,
-                          metavar="F", help="fraction of packet spans to keep")
     tracecmd.set_defaults(func=_cmd_trace)
 
     serve = sub.add_parser(
@@ -573,8 +526,8 @@ def main(argv=None) -> int:
         "report",
         help="render telemetry artifacts into one HTML/markdown report")
     report.add_argument("--metrics", default=None, metavar="PATH",
-                        help="window rows as JSONL (from workload "
-                             "--metrics-out)")
+                        help="workload result whose samples are the "
+                             "window rows (from workload --json)")
     report.add_argument("--perf", default=None, metavar="PATH",
                         help="JSON result carrying a perf snapshot "
                              "(timer tree source)")
@@ -589,9 +542,6 @@ def main(argv=None) -> int:
                         help="output file; '.html' renders HTML, anything "
                              "else markdown ('-' = markdown to stdout)")
     report.set_defaults(func=_cmd_report)
-
-    quick = sub.add_parser("quickstart", help="run the quickstart scenario")
-    quick.set_defaults(func=_cmd_quickstart)
 
     info = sub.add_parser("info", help="package and paper summary")
     info.set_defaults(func=_cmd_info)

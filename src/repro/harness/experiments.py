@@ -531,7 +531,7 @@ def _measure_headtohead(net, pairs) -> Dict:
     attribution from :func:`repro.obs.explain.explain_packets`, checked
     to sum exactly (float-isclose) to each packet's ``PathResult.stretch``.
     """
-    sink = RingBufferSink(capacity=None)
+    sink = RingBufferSink()
     tracer = Tracer(sink)
     probes = ProbeSet.for_network(net, tracer=tracer)
     with trace.tracing(tracer):

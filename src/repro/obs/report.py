@@ -9,15 +9,14 @@ emitted as fixed-width text (:func:`emit_text`), markdown
 (:func:`emit_html`: inline CSS, inline SVG, zero external assets).
 
 ``python -m repro report`` feeds it the telemetry artifacts other parts
-of the pipeline write — the window rows of a workload run
-(``--metrics-out``: one JSONL line per sample, the run's ``samples``), a
-perf snapshot with timers (any JSON carrying a registry dump), the
-population sweep of ``benchmarks/perf_trajectory.py`` and
-``compare_stretch.json``.  The hierarchical timer tree folds dotted
-timer names (``inter.join.fingers`` under ``inter.join`` under
-``inter``) and aggregates seconds/calls bottom-up, so the expensive
-subtree is obvious at a glance even in a registry with dozens of flat
-names.
+of the pipeline write — the window rows of a workload run (the
+``samples`` of its ``--json`` view), a perf snapshot with timers (any
+JSON carrying a registry dump), the population sweep of
+``benchmarks/perf_trajectory.py`` and ``compare_stretch.json``.  The
+hierarchical timer tree folds dotted timer names (``inter.join.fingers``
+under ``inter.join`` under ``inter``) and aggregates seconds/calls
+bottom-up, so the expensive subtree is obvious at a glance even in a
+registry with dozens of flat names.
 """
 
 from __future__ import annotations
@@ -251,7 +250,7 @@ def render_timer_tree(timers: Dict[str, Dict[str, Any]]) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Window rows (a workload run's ``samples``; ``--metrics-out`` streams them).
+# Window rows (the ``samples`` of a workload run's ``--json`` view).
 # ---------------------------------------------------------------------------
 
 _WINDOW_COLUMNS = [Column("t", 8, "{:.1f}"), Column("hosts", 6),
@@ -269,12 +268,6 @@ def window_table(rows: Sequence[Dict[str, Any]]) -> Table:
                                     for key, column in zip(_WINDOW_KEYS,
                                                            _WINDOW_COLUMNS)]
                                    for row in rows])
-
-
-def read_metrics_jsonl(path: str) -> List[Dict[str, Any]]:
-    """The window rows of a ``--metrics-out`` stream, blank lines skipped."""
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 def _window_blocks(rows: List[Dict[str, Any]]) -> List:
@@ -400,7 +393,7 @@ def generate_report(title: str,
 
     sources = (     # in document order: file, report_blocks keyword, reader
         (compare_path, "compare", load),
-        (metrics_path, "metrics_rows", read_metrics_jsonl),
+        (metrics_path, "metrics_rows", lambda path: load(path)["samples"]),
         (perf_path or bench_path, "perf_snapshot", read_perf),
         (bench_path, "bench", load))
     blocks: List = [Heading(title, 1)]

@@ -12,17 +12,16 @@ probes can subscribe live (see :mod:`repro.obs.probes`).
 The layer is **off by default** and designed to vanish from the hot
 paths when off: emit sites check the module-level :data:`ENABLED` flag
 once per packet (``span = trace.packet_span(...) if trace.ENABLED else
-None``) and a local ``is None`` test per hop.  When on, spans are
-sampled deterministically from their span id — no RNG draw, so enabling
-tracing never perturbs a seeded workload's random streams and a traced
-run replays byte-for-byte.
+None``) and a local ``is None`` test per hop.  When on, every span is
+kept, and a record draws from no RNG, so enabling tracing never perturbs
+a seeded workload's random streams and a traced run replays
+byte-for-byte.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
@@ -33,11 +32,6 @@ ENABLED = False
 
 #: The installed tracer (``None`` when tracing is off).
 _TRACER: Optional["Tracer"] = None
-
-#: Knuth's multiplicative-hash constant, used for deterministic span
-#: sampling (same span id + same sample rate → same keep/drop decision).
-_HASH_MULT = 2654435761
-_HASH_MOD = 1 << 32
 
 
 @dataclass
@@ -77,10 +71,10 @@ class NullSink:
 
 
 class RingBufferSink:
-    """Keeps the most recent ``capacity`` records in memory."""
+    """Keeps every record in memory, in emission order."""
 
-    def __init__(self, capacity: Optional[int] = 65536):
-        self._buf: deque = deque(maxlen=capacity)
+    def __init__(self):
+        self._buf: List[TraceRecord] = []
 
     def write(self, record: TraceRecord) -> None:
         self._buf.append(record)
@@ -133,7 +127,7 @@ def dump_jsonl(records: List[TraceRecord], path: str) -> None:
 # ---------------------------------------------------------------------------
 
 class Span:
-    """One sampled logical operation; a factory for causally-linked records.
+    """One logical operation; a factory for causally-linked records.
 
     ``decision()`` records a rule-tagged routing decision and becomes the
     parent of subsequent ``hop()`` records; ``end()`` closes the span
@@ -176,26 +170,20 @@ class Tracer:
 
     ``clock`` supplies virtual time (the workload driver binds it to its
     event loop's ``now``; standalone uses default to 0.0 and rely on
-    ``seq`` for ordering).  ``sample`` keeps that fraction of spans,
-    decided deterministically per span id.  Observers (invariant probes)
-    see every record after the sink does; records they emit re-entrantly
-    are delivered to the sink but not re-dispatched to observers.
+    ``seq`` for ordering).  Observers (invariant probes) see every
+    record after the sink does; records they emit re-entrantly are
+    delivered to the sink but not re-dispatched to observers.
     """
 
-    def __init__(self, sink=None, clock: Optional[Callable[[], float]] = None,
-                 sample: float = 1.0):
-        if not 0.0 <= sample <= 1.0:
-            raise ValueError("sample must be in [0, 1]")
+    def __init__(self, sink=None, clock: Optional[Callable[[], float]] = None):
         self.sink = sink if sink is not None else RingBufferSink()
         self.clock = clock or (lambda: 0.0)
-        self.sample = sample
         #: The span the forwarding engine is currently inside, so nested
         #: components (pointer-cache lookups, policy filters) can attach
         #: records without threading a span through every call.
         self.current: Optional[Span] = None
         self.records_emitted = 0
         self.spans_started = 0
-        self.spans_dropped = 0
         self._seq = itertools.count(1)
         self._span_ids = itertools.count(1)
         self._observers: List[Callable[[TraceRecord], None]] = []
@@ -217,17 +205,10 @@ class Tracer:
                 self._dispatching = False
         return record.seq
 
-    def span(self, kind: str, **data) -> Optional[Span]:
-        """Open a sampled span; ``None`` means this span was not sampled
-        (callers skip all further emission with a local ``is None``)."""
+    def span(self, kind: str, **data) -> Span:
+        """Open a span: its root record, and the factory of the rest."""
         span_id = next(self._span_ids)
         self.spans_started += 1
-        if self.sample < 1.0:
-            keep = ((span_id * _HASH_MULT) % _HASH_MOD) < int(
-                self.sample * _HASH_MOD)
-            if not keep:
-                self.spans_dropped += 1
-                return None
         root = self.emit(kind, span=span_id, parent=-1, **data)
         return Span(self, span_id, root)
 
@@ -270,13 +251,20 @@ def uninstall() -> None:
 
 @contextmanager
 def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """``with trace.tracing(Tracer(...)) as tr: ...`` — scoped install."""
+    """``with trace.tracing(Tracer(...)) as tr: ...`` — scoped install.
+    On exit the tracer installed before the block, if any, is active
+    again, so a nested block hands the records after it back to the
+    outer tracer's sink."""
     tr = tracer if tracer is not None else Tracer()
+    outer = _TRACER
     install(tr)
     try:
         yield tr
     finally:
-        uninstall()
+        if outer is None:
+            uninstall()
+        else:
+            install(outer)
 
 
 # -- emit-site helpers (called only after an ENABLED check) -----------------
@@ -285,7 +273,7 @@ def packet_span(kind: str, **data) -> Optional[Span]:
     """Open a packet span on the installed tracer and make it current.
 
     Call sites guard with ``if trace.ENABLED:``; a ``None`` return means
-    tracing is off or the span was sampled out.
+    tracing is off.
     """
     tracer = _TRACER
     if tracer is None:

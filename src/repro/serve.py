@@ -17,11 +17,11 @@ and has ``ok``; failures carry ``error`` instead of result fields, and a
 bad request never kills the server.  Supported ops: ``ping``, ``info``,
 ``join``, ``leave``, ``send``, ``route``, ``workload``, ``metrics``,
 ``save``, ``state_hash``, ``verify``, ``shutdown``.
-Per-request latency is recorded through :mod:`repro.util.perf` as a
-``serve.request.<op>`` timer plus a ``serve.latency.<op>`` histogram;
-the ``metrics`` op reports both back out as JSON (the network's message
-counters, the whole perf registry, per-op p50/p95/p99) — the one
-telemetry op: a line-JSON socket is not something a scraper can reach.
+Per-request latency is recorded through :mod:`repro.util.perf` as one
+``serve.latency.<op>`` histogram; the ``metrics`` op reports it back out
+as JSON (the network's message counters, the whole perf registry, per-op
+count/mean/p50/p95/p99/max) — the one telemetry op: a line-JSON socket
+is not something a scraper can reach.
 
 Transports: stdio (default — pipe-friendly), or TCP via ``--tcp PORT``
 (line-delimited JSON over a socket, one resident network shared by
@@ -106,8 +106,7 @@ class ReproServer:
             return response
         start = time.perf_counter()
         try:
-            with perf.timed("serve.request.{}".format(op)):
-                result = handler(request)
+            result = handler(request)
         except Exception as exc:
             response["ok"] = False
             response["error"] = "{}: {}".format(type(exc).__name__, exc)

@@ -104,7 +104,7 @@ class WorkloadDriver:
     """One scenario bound to one network on one event loop."""
 
     def __init__(self, scenario: Scenario, network=None, tracer=None,
-                 probes: bool = False, metrics_out=None):
+                 probes: bool = False):
         scenario.validate()
         self.scenario = scenario
         self.net = (network if network is not None
@@ -120,10 +120,6 @@ class WorkloadDriver:
         self._skipped_sends = 0
         self._failed_joins = 0
         self.metrics: Optional[MetricsRecorder] = None
-        #: A path or text file: the run writes each window row there as
-        #: it closes (``MetricsRecorder.stream``), one JSONL line per
-        #: sample — same seed, byte-identical stream.
-        self.metrics_out = metrics_out
         #: Optional ``repro.obs`` wiring.  The tracer's clock is re-bound
         #: to this loop's virtual time so records replay byte-for-byte;
         #: probes tick on the sampling cadence and their violations land
@@ -283,13 +279,6 @@ class WorkloadDriver:
         return joined
 
     def run(self) -> WorkloadResult:
-        out = self.metrics_out
-        if out is None or hasattr(out, "write"):
-            return self._run(out)
-        with open(out, "w") as stream:
-            return self._run(stream)
-
-    def _run(self, stream) -> WorkloadResult:
         scenario = self.scenario
         started = time.perf_counter()
 
@@ -299,7 +288,6 @@ class WorkloadDriver:
         self.metrics = MetricsRecorder(
             self.net.stats,
             lambda: sum(self.net.state_entries().values()))
-        self.metrics.stream = stream
 
         for index, phase in enumerate(scenario.phases):
             self._schedule_phase(phase, index)
@@ -342,7 +330,7 @@ class WorkloadDriver:
 
 
 def run_scenario(scenario: Scenario, network=None, tracer=None,
-                 probes: bool = False, metrics_out=None) -> WorkloadResult:
+                 probes: bool = False) -> WorkloadResult:
     """Convenience one-shot: build a driver, run it, return the result."""
     return WorkloadDriver(scenario, network=network, tracer=tracer,
-                          probes=probes, metrics_out=metrics_out).run()
+                          probes=probes).run()

@@ -9,10 +9,13 @@ its virtual time arrives it drives the *existing* recovery machinery —
 driver.  Victim selection is deterministic: each injector draws from its
 own ``derive_rng`` scope keyed on ``(seed, "faults", kind, at)``.
 
-Every injection and scheduled restore hands a JSON-ready record (kind,
-time, victims, repair cost) to ``driver.fault_done``, which reconciles the
-live-host list and appends it to the fault log — how the Figure 7
-experiment rewrites read their measurements back out.
+A fault comes back only through ``restore_after`` on the injector that
+took it down (``link_cut``, ``as_depeer``), which logs a ``link_restore``
+or ``as_restore`` record.  Every injection and scheduled restore hands a
+JSON-ready record (kind, time, victims, repair cost) to
+``driver.fault_done``, which reconciles the live-host list and appends it
+to the fault log — how the Figure 7 experiment rewrites read their
+measurements back out.
 
 Each injector names in ``needs`` the :class:`repro.network.Network`
 operations it calls, which is how ``Scenario.validate`` knows, before
@@ -21,7 +24,7 @@ anything runs, that a network kind cannot take a fault.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,20 +107,6 @@ class LinkCut(FaultInjector):
             driver.loop.schedule(self.restore_after, restore)
         return {"links": [list(v) for v in victims],
                 "cache_entries_dropped": dropped}
-
-
-@dataclass
-class LinkRestore(FaultInjector):
-    """Restore explicitly named links."""
-
-    kind = "link_restore"
-    needs = ("restore_link",)
-    links: List[Link] = field(default_factory=list)
-
-    def inject(self, driver: "WorkloadDriver") -> Dict:
-        for a, b in self.links:
-            driver.net.restore_link(a, b)
-        return {"links": [list(v) for v in self.links]}
 
 
 @dataclass
@@ -227,20 +216,6 @@ class ASDepeer(FaultInjector):
         return {"asn": str(asn), "ids": ids, "repair_messages": messages}
 
 
-@dataclass
-class ASRestore(FaultInjector):
-    """Restore an explicitly named AS."""
-
-    kind = "as_restore"
-    needs = ("restore_as",)
-    asn: str
-
-    def inject(self, driver: "WorkloadDriver") -> Dict:
-        driver.net.restore_as(self.asn)
-        return {"asn": self.asn}
-
-
 #: Fault kind → injector class: the fault vocabulary of a scenario.
-INJECTORS = {cls.kind: cls for cls in (LinkCut, LinkRestore, RouterCrash,
-                                       PopPartition, HostCrash, ASDepeer,
-                                       ASRestore)}
+INJECTORS = {cls.kind: cls for cls in (LinkCut, RouterCrash, PopPartition,
+                                       HostCrash, ASDepeer)}

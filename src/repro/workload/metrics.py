@@ -6,9 +6,8 @@ snapshots) for the distributions the end-of-run summary reports: packet
 stretch and join messages.  Every ``sample_interval`` of virtual time it
 appends one JSON-ready row with windowed delivery rate, stretch,
 control-message overhead, routing-state size, and churn counts — the
-run's one window row: with :attr:`MetricsRecorder.stream` set, the same
-row is also written out as one JSONL line, so a metrics stream is line
-for line the ``samples`` of the result (DESIGN.md §12).
+run's one window row, written out once, as the ``samples`` of the result
+(DESIGN.md §12).
 
 All sampled quantities are functions of simulation state only — no wall
 clock — so the time series is byte-for-byte reproducible from one seed
@@ -17,8 +16,7 @@ clock — so the time series is byte-for-byte reproducible from one seed
 
 from __future__ import annotations
 
-import json
-from typing import IO, Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.sim.stats import PathResult, StatsCollector, percentile
 from repro.util.perf import Histogram
@@ -34,10 +32,6 @@ class MetricsRecorder:
         self._stretch = Histogram()
         self._join_messages = Histogram()
         self.samples: List[Dict] = []
-        #: Set to a text file to have :meth:`sample` write each row it
-        #: appends (sorted keys, compact, flushed: tail-able, and
-        #: byte-identical per seed like the rows themselves).
-        self.stream: Optional[IO[str]] = None
 
         # Run totals.
         self.total_sent = 0
@@ -109,10 +103,6 @@ class MetricsRecorder:
             "queue_depth": pending_events,
         }
         self.samples.append(row)
-        if self.stream is not None:
-            self.stream.write(json.dumps(row, sort_keys=True,
-                                         separators=(",", ":")) + "\n")
-            self.stream.flush()
 
         self._last_total_messages = total_messages
         self._last_data_messages = data_messages

@@ -69,13 +69,6 @@ def test_figures_and_reproduce_paper_run_the_same_registry(monkeypatch,
         assert (text in example_out) == (figure_id != "headtohead")
 
 
-def test_quickstart(capsys):
-    assert main(["quickstart"]) == 0
-    out = capsys.readouterr().out
-    assert "ring consistent" in out
-    assert "reconverged" in out
-
-
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
@@ -93,7 +86,7 @@ def test_help_lists_every_subcommand(capsys):
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for command in ("figures", "workload", "quickstart", "info",
+    for command in ("figures", "workload", "trace", "info",
                     "serve", "snapshot", "compare-stretch", "report"):
         assert command in out
 
@@ -208,16 +201,14 @@ def test_a_scenario_that_cannot_be_read_or_parsed_exits_2_with_one_line(
 
 @pytest.mark.parametrize("fault", [
     {"kind": "link_cut", "at": 0.5, "links": [["r0", "nope"]]},
-    {"kind": "link_restore", "at": 0.5, "links": [["r0", "nope"]]},
     {"kind": "router_crash", "at": 0.5, "routers": ["nope"]},
     {"kind": "pop_partition", "at": 0.5, "pop": 999},
-    {"kind": "as_depeer", "at": 0.5, "asn": "nope"},
-    {"kind": "as_restore", "at": 0.5, "asn": "nope"}],
+    {"kind": "as_depeer", "at": 0.5, "asn": "nope"}],
     ids=lambda fault: fault["kind"])
 def test_workload_fault_naming_an_unknown_victim_exits_2(tmp_path, capsys,
                                                          fault):
     """It used to print ``fault @ 0.5: {'links': [['r0', 'nope']], ...`` as
-    done and exit 0 (``as_restore`` too); ``pop_partition`` and
+    done and exit 0; ``pop_partition`` and
     ``as_depeer`` ended in a ``KeyError`` traceback mid-run."""
     inter = fault["kind"].startswith("as_")
     path = tmp_path / "bad.json"
@@ -257,21 +248,20 @@ def test_a_network_size_the_builder_refuses_exits_2_with_one_line(
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["trace", "--trace-sample", "1.5"], "--trace-sample"),
-    (["workload", "steady-churn", "--trace-out", "{tmp}/t.jsonl",
-      "--trace-sample", "-0.5"], "--trace-sample"),
-    (["figures", "--only", "fig6b", "--trace-out", "{tmp}/t.jsonl",
-      "--trace-sample", "nan"], "--trace-sample"),
     (["trace", "--hosts", "1"], "--hosts"),
     (["trace", "--packets", "-2"], "--packets"),
     (["trace", "--packets", "0"], "--packets"),
-], ids=["trace-sample", "workload-sample", "figures-sample", "hosts",
-        "negative-packets", "no-packets"])
+    (["serve", "--hosts", "-3", "--requests", os.devnull], "--hosts"),
+    (["snapshot", "save", "{tmp}/s.snap", "--hosts", "-7"], "--hosts"),
+], ids=["hosts", "negative-packets", "no-packets", "serve-negative-hosts",
+        "save-negative-hosts"])
 def test_a_tracing_flag_out_of_range_is_a_usage_error(tmp_path, capsys,
                                                       argv, flag):
-    """The samples and ``--hosts 1`` were a ``ValueError`` traceback from
-    the tracer or the host sampler; ``--packets -2`` exited 0 having
-    explained nothing."""
+    """``trace --hosts 1`` was a ``ValueError`` traceback from the host
+    sampler; ``--packets -2`` exited 0 having explained nothing.  The
+    host count of ``serve`` and ``snapshot save`` is range-checked the
+    same way: a negative one built (and saved) a network with no hosts
+    and exited 0."""
     with pytest.raises(SystemExit) as exited:
         main([arg.format(tmp=tmp_path) for arg in argv])
     assert exited.value.code == 2
@@ -281,22 +271,23 @@ def test_a_tracing_flag_out_of_range_is_a_usage_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv", [
-    ["workload", "steady-churn", "--metrics-out", "{missing}/m.jsonl"],
     ["workload", "steady-churn", "--json", "{missing}/v.json"],
     ["workload", "steady-churn", "--trace-out", "{missing}/t.jsonl"],
     ["snapshot", "save", "{missing}/s.snap", "--hosts", "20"],
     ["snapshot", "info", "{missing}/s.snap"],
     ["serve", "--snapshot", "{missing}/s.snap"],
     ["serve", "--hosts", "5", "--requests", "{missing}/r.jsonl"],
-    ["report", "--metrics", os.devnull, "--out", "{missing}/r.md"],
-], ids=["metrics-out", "json", "trace-out", "snapshot-save", "snapshot-info",
+    ["report", "--metrics", "{view}", "--out", "{missing}/r.md"],
+], ids=["json", "trace-out", "snapshot-save", "snapshot-info",
         "serve-snapshot", "serve-requests", "report-out"])
 def test_a_path_that_cannot_be_opened_exits_2_with_one_line(tmp_path, capsys,
                                                             argv):
     """Each was a ``FileNotFoundError`` traceback with exit 1 (``--json``
     and ``snapshot save`` only after the whole run or build)."""
-    missing = tmp_path / "no"
-    assert main([arg.format(missing=missing) for arg in argv]) == 2
+    missing, view = tmp_path / "no", tmp_path / "view.json"
+    view.write_text('{"samples": []}')
+    assert main([arg.format(missing=missing, view=view)
+                 for arg in argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("repro: ") and str(missing) in err
@@ -498,22 +489,6 @@ def test_serve_warm_loads_snapshot(tmp_path, capsys):
     assert "loaded" in captured.err
 
 
-def test_workload_metrics_out_streams_windows(tmp_path, capsys):
-    path, result = tmp_path / "metrics.jsonl", tmp_path / "result.json"
-    assert main(["workload", "steady-churn", "--metrics-out", str(path),
-                 "--json", str(result)]) == 0
-    captured = capsys.readouterr()
-    assert "metrics: 12 window(s)" in captured.err
-    # The stream is the --json samples, row for row.
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert rows == json.loads(result.read_text())["samples"]
-    # Deterministic stream: re-running the same seed reproduces it.
-    again = tmp_path / "metrics-again.jsonl"
-    assert main(["workload", "steady-churn",
-                 "--metrics-out", str(again)]) == 0
-    assert again.read_bytes() == path.read_bytes()
-
-
 def test_report_requires_an_input(capsys):
     assert main(["report"]) == 2
     assert "nothing to render" in capsys.readouterr().err
@@ -533,13 +508,17 @@ def test_report_rejects_unreadable_input(tmp_path, capsys):
     ("--bench", [1, 2], "expected a JSON object, got list"),
     ("--bench", {"interdomain": [1]}, "'int' object"),
     ("--perf", {"timers": {"a": 5}}, "'int' object"),
-    ("--metrics", {"window": 0}, "missing key 't'"),
+    ("--metrics", {"samples": [{"window": 0}]}, "missing key 't'"),
     # A workload --json result carries no registry dump.
     ("--perf", {"samples": [], "totals": {}}, "no perf snapshot"),
-    # A line of the exporter format --metrics-out wrote until PR 23.
-    ("--metrics", {"t": 5.0, "window": 0, "counters": {"joins": 3},
-                   "gauges": {}, "histograms": {}, "timers": {}},
+    # Rows of the retired per-window exporter format.
+    ("--metrics", {"samples": [{"t": 5.0, "window": 0,
+                                "counters": {"joins": 3}, "gauges": {},
+                                "histograms": {}, "timers": {}}]},
      "missing key 'live_hosts'"),
+    # A window row on its own is not a workload view.
+    ("--metrics", {"t": 5.0, "window": 0}, "missing key 'samples'"),
+    ("--metrics", {"samples": 5}, "'int' has no len()"),
 ])
 def test_report_rejects_json_of_the_wrong_shape(tmp_path, capsys, flag,
                                                 payload, complaint):
@@ -555,10 +534,20 @@ def test_report_rejects_json_of_the_wrong_shape(tmp_path, capsys, flag,
     assert len(captured.err.splitlines()) == 1
 
 
+def test_report_refuses_a_window_row_stream(tmp_path, capsys):
+    """A file of one JSON window row per line, what ``workload
+    --metrics-out`` wrote, is not a workload view: one line, exit 2."""
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"t": 5.0}\n{"t": 10.0}\n')
+    assert main(["report", "--metrics", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("report: {}: Extra data".format(path))
+
+
 def test_report_markdown_to_stdout(tmp_path, capsys):
-    metrics = tmp_path / "m.jsonl"
-    assert main(["workload", "steady-churn",
-                 "--metrics-out", str(metrics)]) == 0
+    metrics = tmp_path / "view.json"
+    assert main(["workload", "steady-churn", "--json", str(metrics)]) == 0
     capsys.readouterr()
     assert main(["report", "--metrics", str(metrics),
                  "--title", "Smoke"]) == 0
@@ -571,9 +560,8 @@ def test_report_markdown_to_stdout(tmp_path, capsys):
 
 
 def test_report_writes_html_file(tmp_path, capsys):
-    metrics = tmp_path / "m.jsonl"
-    assert main(["workload", "steady-churn",
-                 "--metrics-out", str(metrics)]) == 0
+    metrics = tmp_path / "view.json"
+    assert main(["workload", "steady-churn", "--json", str(metrics)]) == 0
     capsys.readouterr()
     out_path = tmp_path / "report.html"
     assert main(["report", "--metrics", str(metrics),

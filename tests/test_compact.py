@@ -282,7 +282,7 @@ class TestStretchBoundProbe:
 
 class TestExplainIntegration:
     def test_attribution_sums_to_stretch(self, net):
-        tracer = Tracer(trace.RingBufferSink(capacity=None))
+        tracer = Tracer(trace.RingBufferSink())
         results = []
         with trace.tracing(tracer):
             for _ in range(40):
@@ -302,7 +302,7 @@ class TestExplainIntegration:
                          "landmark.route", "landmark.descend"}
 
     def test_end_records_carry_bound_for_the_probe(self, net):
-        tracer = Tracer(trace.RingBufferSink(capacity=None))
+        tracer = Tracer(trace.RingBufferSink())
         probes = ProbeSet.for_network(net, tracer=tracer)
         with trace.tracing(tracer):
             a, b = net.random_host_pair()

@@ -87,7 +87,7 @@ class TestDelivery:
             for _, vn in sorted(net.hosts.items()) if vn.ephemeral
             and net.vn_index[vn.predecessor.dest_id].router != vn.router)
         assert vn.id in parent.ephemeral_children
-        tracer = trace.Tracer(sink=trace.RingBufferSink(capacity=None))
+        tracer = trace.Tracer(sink=trace.RingBufferSink())
         with trace.tracing(tracer):
             result = net.send_to_id(parent.router, vn.id)
         assert result.delivered and not result.used_cache

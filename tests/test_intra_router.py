@@ -253,7 +253,7 @@ def test_a_revalidated_cache_entry_leaves_a_ring_pointer_its_kind():
     assert vn.predecessor.path == tuple(sent.path)
     assert all(ptr is not vn.predecessor for ptr in
                [*vn.successors, *vn.ephemeral_children.values()])
-    tracer = trace.Tracer(sink=trace.RingBufferSink(capacity=None))
+    tracer = trace.Tracer(sink=trace.RingBufferSink())
     with trace.tracing(tracer):
         again = forwarding.route(net, router.name, target)
     assert again.delivered and again.used_cache

@@ -1,5 +1,5 @@
 """The report builder over window rows, perf snapshots and sweeps
-(``repro.obs.report``), and its reader of ``--metrics-out`` streams."""
+(``repro.obs.report``), and its reader of a workload view's window rows."""
 
 import json
 
@@ -8,7 +8,7 @@ import pytest
 from repro.obs.report import (Heading, ReportError, build_timer_tree,
                               emit_html, emit_markdown,
                               extract_perf_snapshot, generate_report,
-                              read_metrics_jsonl, render_timer_tree,
+                              render_timer_tree,
                               report_blocks)
 
 
@@ -28,11 +28,14 @@ def _window(t: float, **overrides):
 
 
 class TestReader:
-    def test_blank_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        path.write_text("\n{}\n\n   \n{}\n".format(
-            json.dumps(_window(5.0)), json.dumps(_window(10.0))))
-        assert read_metrics_jsonl(str(path)) == [_window(5.0), _window(10.0)]
+    def test_the_window_rows_are_a_views_samples(self, tmp_path):
+        path = tmp_path / "view.json"
+        path.write_text(json.dumps({"samples": [_window(5.0),
+                                                _window(10.0)],
+                                    "totals": {}}))
+        assert generate_report("T", metrics_path=str(path)) == \
+            emit_markdown(_document("T", metrics_rows=[_window(5.0),
+                                                       _window(10.0)]))
 
     def test_a_malformed_line_is_a_report_error_naming_the_file(
             self, tmp_path):

@@ -1,4 +1,4 @@
-"""The ``repro.obs`` tracer core: records, sinks, sampling, install."""
+"""The ``repro.obs`` tracer core: records, sinks, spans, install."""
 
 import collections
 import hashlib
@@ -34,12 +34,14 @@ class TestRecords:
 
 
 class TestSinks:
-    def test_ring_buffer_caps_retention(self):
-        tracer = Tracer(sink=RingBufferSink(capacity=3))
-        for _ in range(10):
+    def test_ring_buffer_keeps_every_record(self):
+        """Past the 65 536 records a sinkless tracer used to drop from."""
+        tracer = Tracer()
+        assert isinstance(tracer.sink, RingBufferSink)
+        for _ in range(65537):
             tracer.emit("x")
         kept = tracer.sink.records()
-        assert [r.seq for r in kept] == [8, 9, 10]
+        assert len(kept) == 65537 and kept[0].seq == 1
 
     def test_null_sink_discards_but_counts(self):
         tracer = Tracer(sink=NullSink())
@@ -85,24 +87,12 @@ class TestSpans:
         assert by_seq[d1].parent == span.root
         assert by_seq[span.root].parent == -1
 
-    def test_sampling_is_deterministic_and_uses_no_rng(self):
-        kept_a = [Tracer(sample=0.5).span("p") is not None
-                  for _ in range(64)]
-        tracer = Tracer(sample=0.5)
-        kept_b = [tracer.span("p") is not None for _ in range(64)]
-        # Same span-id sequence -> same keep/drop pattern, roughly half kept.
-        assert kept_a[0] == kept_b[0]
-        assert 8 < sum(kept_b) < 56
-        assert tracer.spans_dropped == 64 - sum(kept_b)
-
-    def test_sample_zero_drops_everything(self):
-        tracer = Tracer(sample=0.0)
-        assert tracer.span("p") is None
-        assert len(tracer.sink) == 0
-
-    def test_bad_sample_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(sample=1.5)
+    def test_every_span_is_kept(self):
+        tracer = Tracer()
+        spans = [tracer.span("p") for _ in range(64)]
+        assert [span.id for span in spans] == list(range(1, 65))
+        assert tracer.spans_started == 64
+        assert [r.span for r in tracer.sink.records()] == list(range(1, 65))
 
 
 class TestInstall:
@@ -117,6 +107,19 @@ class TestInstall:
         with trace.tracing() as tracer:
             assert trace._TRACER is tracer
         assert trace.ENABLED is False
+
+    def test_a_nested_tracing_block_hands_back_to_the_outer_tracer(self):
+        """The inner block used to uninstall to no tracer at all, so the
+        outer sink lost every record emitted after it."""
+        outer = Tracer()
+        with trace.tracing(outer):
+            with trace.tracing(Tracer()) as inner:
+                trace.packet_span("inner")
+            assert trace.ENABLED is True and trace._TRACER is outer
+            trace.packet_span("after")
+        assert trace.ENABLED is False and trace._TRACER is None
+        assert [r.kind for r in outer.sink.records()] == ["after"]
+        assert [r.kind for r in inner.sink.records()] == ["inner"]
 
     def test_event_in_current_attaches_to_open_packet_span(self):
         with trace.tracing() as tracer:

@@ -71,8 +71,11 @@ class TestDispatch:
     def test_metrics_include_request_latency(self, server):
         ok(server, op="ping")
         metrics = ok(server, op="metrics")
-        assert "serve.request.ping" in metrics["perf"]["timers"]
-        assert metrics["perf"]["timers"]["serve.request.ping"]["calls"] >= 1
+        # One record per request: the latency histogram, no timer.
+        assert metrics["perf"]["histograms"]["serve.latency.ping"][
+            "count"] >= 1
+        assert not any(name.startswith("serve.")
+                       for name in metrics["perf"]["timers"])
         assert "messages_total" in metrics["stats"] or metrics["stats"]
 
     def test_metrics_latency_percentiles(self, server):
@@ -349,8 +352,8 @@ class TestSustainedLoad:
         for i in range(1000):
             delivered += ok(server, op="send", n=1, id=i)["delivered"]
         assert delivered == 1000
-        timer = perf.snapshot()["timers"]["serve.request.send"]
-        assert timer["calls"] == 1000
+        latency = perf.snapshot()["histograms"]["serve.latency.send"]
+        assert latency["count"] == 1000
 
 
 class TestTcpHardening:

@@ -154,63 +154,36 @@ def test_builtin_steady_churn_acceptance():
     assert any(r["kind"] == "link_cut" for r in a.fault_log)
 
 
-def test_observing_a_run_does_not_change_its_view(tmp_path):
-    """One window row per run: the metrics stream is the rows ``sample()``
-    already closes, so a run with ``metrics_out`` set, a run under a
-    tracer and an unobserved run have one deterministic view.  (The
-    stream used to be a second event chain on the loop: ``events_run`` and
-    every ``queue_depth`` moved when it was on.)"""
-    import io
-
+def test_observing_a_run_does_not_change_its_view():
+    """A run under a tracer and an unobserved run have one deterministic
+    view.  (A second window stream used to be an event chain on the loop:
+    ``events_run`` and every ``queue_depth`` moved when it was on.)"""
     from repro.obs import trace
     from repro.obs.trace import NullSink, Tracer
 
     plain = run_scenario(_small_scenario(seed=5))
-    buffer = io.StringIO()
-    streamed = run_scenario(_small_scenario(seed=5), metrics_out=buffer)
     tracer = Tracer(NullSink())
     with trace.tracing(tracer):
         traced = run_scenario(_small_scenario(seed=5), tracer=tracer)
     assert tracer.records_emitted > 0
-    assert streamed.deterministic_view() == plain.deterministic_view() \
-        == traced.deterministic_view()
-    assert len(streamed.samples) == 4
-
-    # The stream is the samples, line for line.
-    lines = buffer.getvalue().splitlines()
-    assert [json.loads(line) for line in lines] == streamed.samples
-    assert all(line == json.dumps(json.loads(line), sort_keys=True,
-                                  separators=(",", ":")) for line in lines)
-
-    # A path works like a file object, and is closed when the run ends.
-    path = tmp_path / "metrics.jsonl"
-    run_scenario(_small_scenario(seed=5), metrics_out=str(path))
-    assert path.read_text() == buffer.getvalue()
-    assert not buffer.closed
+    assert traced.deterministic_view() == plain.deterministic_view()
+    assert len(traced.samples) == 4
 
 
-def test_metrics_stream_is_deterministic_across_replays(tmp_path):
-    def run(tag):
-        path = tmp_path / "metrics-{}.jsonl".format(tag)
-        result = run_scenario(_small_scenario(seed=5), metrics_out=str(path))
-        return path.read_bytes(), result
+def test_metrics_stream_is_deterministic_across_replays():
+    """The window rows are written once, as the view's ``samples``: one
+    row per ``sample_interval``, byte-identical per seed (no wall clock
+    in a row)."""
+    def run():
+        result = run_scenario(_small_scenario(seed=5))
+        return json.dumps(result.deterministic_view(),
+                          sort_keys=True).encode(), result
 
-    first_bytes, first = run("a")
-    second_bytes, _ = run("b")
-    # Same seed -> byte-identical metrics JSONL (no wall clock in a row).
-    assert first_bytes and first_bytes == second_bytes
-    rows = [json.loads(line) for line in first_bytes.decode().splitlines()]
-    assert rows == first.samples
+    first_bytes, first = run()
+    second_bytes, _ = run()
+    assert first_bytes == second_bytes
     # Virtual-time stamps on the sampling cadence.
-    assert [row["t"] for row in rows] == [5.0, 10.0, 15.0, 20.0]
-
-
-def test_one_streamed_row_per_sample(tmp_path):
-    """There is one window, the scenario's ``sample_interval``: a run
-    streams as many rows as it has samples."""
-    path = tmp_path / "metrics.jsonl"
-    result = run_scenario(_small_scenario(seed=1), metrics_out=str(path))
-    assert len(path.read_text().splitlines()) == len(result.samples) == 4
+    assert [row["t"] for row in first.samples] == [5.0, 10.0, 15.0, 20.0]
 
 
 @pytest.mark.parametrize("kind, sizing", [
@@ -463,8 +436,8 @@ def test_explicit_link_cut_then_link_restore():
             name="grow", start=0.0, end=20.0,
             churn=ChurnSpec(arrival_rate=1.5),
             traffic=TrafficSpec(rate=4.0))],
-        faults=[FaultSpec("link_cut", 5.0, {"links": [link]}),
-                FaultSpec("link_restore", 12.0, {"links": [link]})])
+        faults=[FaultSpec("link_cut", 5.0, {"links": [link],
+                                            "restore_after": 7.0})])
     scenario = Scenario.from_json(scenario.to_json())    # as a file would
     down_at_8 = []
     driver = WorkloadDriver(scenario, network=net)
@@ -482,18 +455,15 @@ def test_explicit_link_cut_then_link_restore():
 
 @pytest.mark.parametrize("fault", [
     FaultSpec("link_cut", 5.0, {"links": [["r0", "nope"]]}),
-    FaultSpec("link_restore", 5.0, {"links": [["r0", "r0"]]}),
     FaultSpec("router_crash", 5.0, {"routers": ["nope"]}),
     FaultSpec("pop_partition", 5.0, {"pop": 999}),
-    FaultSpec("as_depeer", 5.0, {"asn": "nope"}),
-    FaultSpec("as_restore", 5.0, {"asn": "nope"})],
+    FaultSpec("as_depeer", 5.0, {"asn": "nope"})],
     ids=lambda fault: fault.kind)
 def test_a_fault_naming_an_unknown_victim_refuses_the_run(fault):
     """Before anything is scheduled or joined — these used to log the
-    fault as done (``link_cut`` also moved the state hash), end mid-run in
-    a ``KeyError`` (``pop_partition``, ``as_depeer``) or log a restore that
-    did nothing (``as_restore``).  The network's own calls refuse the name
-    before anything moves, too."""
+    fault as done (``link_cut`` also moved the state hash) or end mid-run
+    in a ``KeyError`` (``pop_partition``, ``as_depeer``).  The network's
+    own calls refuse the name before anything moves, too."""
     from repro import snapshot
     if fault.kind.startswith("as_"):
         net = build_network("inter", 2, n_ases=20, hosts=10,
@@ -535,8 +505,8 @@ def test_explicit_as_depeer_then_as_restore():
         phases=[Phase(name="grow", start=0.0, end=20.0,
                       churn=ChurnSpec(arrival_rate=1.5),
                       traffic=TrafficSpec(rate=4.0))],
-        faults=[FaultSpec("as_depeer", 5.0, {"asn": asn}),
-                FaultSpec("as_restore", 12.0, {"asn": asn})])
+        faults=[FaultSpec("as_depeer", 5.0, {"asn": asn,
+                                             "restore_after": 7.0})])
     scenario = Scenario.from_json(scenario.to_json())
     down_at_8 = []
     driver = WorkloadDriver(scenario, network=net)
@@ -554,11 +524,3 @@ def test_explicit_as_depeer_then_as_restore():
     assert result.summary["delivery_rate"] == 1.0
     net.check()
 
-
-def test_as_restore_needs_its_asn():
-    """Refused before the run (it was a ``ValueError`` at t = 1 inside
-    it): a spec built in Python is checked like a parsed one."""
-    scenario = builtin_scenario("depeering")
-    scenario.faults = [FaultSpec("as_restore", 1.0)]
-    with pytest.raises(ScenarioError, match="'as_restore' missing 'asn'"):
-        WorkloadDriver(scenario, network=object())

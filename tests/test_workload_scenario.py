@@ -143,8 +143,8 @@ def test_network_spec_validation():
     ("disco", "link_cut", None, "'link_cut'.*fail_link.*'disco'"),
     ("cmu", None, "leave", "'lifetime'.*leave_host.*'cmu'"),
     ("ospf", "host_crash", None, "'host_crash'.*fail_host.*'ospf'"),
-    ("inter", "as_restore", None, None),
-    ("intra", "link_restore", "fail", None),
+    ("inter", "as_depeer", None, None),
+    ("intra", "link_cut", "fail", None),
 ])
 def test_support_is_read_off_the_network_class(kind, fault, departure,
                                                rejected):
@@ -154,12 +154,10 @@ def test_support_is_read_off_the_network_class(kind, fault, departure,
     churn = None if departure is None else ChurnSpec(
         arrival_rate=1.0, departure=departure,
         lifetime={"kind": "fixed", "value": 5.0})
-    # The one injector with a parameter it cannot do without.
-    params = {"asn": "S-0"} if fault == "as_restore" else {}
     scenario = Scenario(
         name="x", network=NetworkSpec(kind=kind),
         phases=[Phase(name="p", start=0.0, end=10.0, churn=churn)],
-        faults=[] if fault is None else [FaultSpec(fault, 1.0, params)])
+        faults=[] if fault is None else [FaultSpec(fault, 1.0)])
     if rejected is None:
         scenario.validate()
     else:
@@ -275,8 +273,8 @@ def test_an_injector_declares_its_parameters_beside_its_needs():
     ``validate()``; the injector gets its parameters as declared."""
     from repro.workload.faults import INJECTORS, LinkCut
     assert set(INJECTORS) == {
-        "link_cut", "link_restore", "router_crash", "pop_partition",
-        "host_crash", "as_depeer", "as_restore"}
+        "link_cut", "router_crash", "pop_partition", "host_crash",
+        "as_depeer"}
     cut = FaultSpec("link_cut", 3, {"links": [["r0", "r1"]],
                                     "restore_after": 2}).injector()
     assert cut == LinkCut(at=3.0, count=1, links=[("r0", "r1")],
@@ -287,8 +285,11 @@ def test_an_injector_declares_its_parameters_beside_its_needs():
         with pytest.raises(ScenarioError, match=refusal):
             FaultSpec("pop_partition" if "pop" in params else "host_crash",
                       1.0, params).validate()
-    with pytest.raises(ScenarioError, match="'as_restore' missing 'asn'"):
-        FaultSpec("as_restore", 1.0).validate()
+    # A fault comes back only through its injector's ``restore_after``.
+    for retired in ("link_restore", "as_restore"):
+        with pytest.raises(ScenarioError,
+                           match="unknown fault kind '{}'".format(retired)):
+            FaultSpec(retired, 1.0).validate()
 
 
 def _scenario_mappings():
