@@ -103,6 +103,8 @@ def _route(net, start_router, dest_id, mode, category):
     held: Optional[Pointer] = None
     committed_dist = infinity
     source_route, hosting, step = (), None, 0   # of the commitment
+    # The commitment a shortcut interrupted, until the shortcut commits.
+    resume = None
 
     try:
         while pointer_hops <= MAX_POINTER_HOPS:
@@ -122,6 +124,7 @@ def _route(net, start_router, dest_id, mode, category):
                 if closer is not None:
                     if tr is not None:
                         tr.event("shortcut", router=current, distance=closer)
+                    resume = committed, held, source_route, step, hosting
                     committed = None
                     continue
             elif committed is not None and committed not in resident:
@@ -158,6 +161,14 @@ def _route(net, start_router, dest_id, mode, category):
             else:
                 # Decision point: (re-)run Algorithm 2 at this router.
                 match = router.best_match(greedy_dest, data)
+                if resume is not None and (match is None
+                                           or match.distance >= committed_dist):
+                    # The shortcut's pointer was torn down and nothing
+                    # left here beats the commitment it interrupted:
+                    # carry on along that source route.
+                    committed, held, source_route, step, hosting = resume
+                    resume = None
+                    continue
                 if match is None:
                     reason = "no routing state"
                     break
@@ -183,7 +194,7 @@ def _route(net, start_router, dest_id, mode, category):
                         tr.decision(router=current, rule="local-adopt",
                                     target=resident_vn.id.to_hex(),
                                     distance=distance)
-                    committed = None
+                    committed = resume = None
                     committed_dist = distance
                     continue
                 if stalled:
@@ -200,7 +211,7 @@ def _route(net, start_router, dest_id, mode, category):
                     if pointer is None:
                         continue
                     route = pointer.path
-                committed, held = target, pointer
+                committed, held, resume = target, pointer, None
                 source_route, step = route, 0
                 hosting = route[-1]
                 committed_dist = distance

@@ -49,11 +49,21 @@ the NACK branch re-routes a pointer to a moved ID only when the owner
 has a path to the ID's new home (``new_path is not None``) and otherwise
 tears it down as for a dead ID.  Before it, a pointer whose owner could
 no longer reach the new home was neither re-routed nor dropped, and the
-walk NACKed at the old home until the pointer hop limit.  Those three
-lines (``new_path = None`` and the two ``if`` tests on ``new_path`` and
-``owner``), the two ephemeral tests, the schema-8, schema-7 and schema-6
-lines, the zero-hop ``if`` and the two reads above are the only lines
-that differ from the parent's file.
+walk NACKed at the old home until the pointer hop limit.
+
+Sanctioned, the interrupted-shortcut fix: a shortcut keeps the
+commitment it interrupts (``resume``), and when the shortcut's pointer
+is torn down at the decision point and nothing left at the router beats
+that commitment, the walk resumes it.  Before it, the walk dropped a
+live source route and ended "no progress available" one hop short of
+it (a packet between two stable hosts of one component, after a host
+failure left a dead successor entry on the way).  The ``resume`` lines
+(its start, the shortcut's save, the decision's restore and the two
+clears on a new commitment or a local adoption), the NACK branch's
+three lines (``new_path = None`` and the two ``if`` tests on
+``new_path`` and ``owner``), the two ephemeral tests, the schema-8,
+schema-7 and schema-6 lines, the zero-hop ``if`` and the two reads
+above are the only lines that differ from the parent's file.
 
 Until PR 19 one physical hop cost 28 Python-level calls: ``_route`` asked
 ``RoflRouter.best_match`` → ``vn_best_match`` (``flush`` / ``columns`` /
@@ -206,6 +216,7 @@ def _route(net, start_router, dest_id, mode, category):
     committed: Optional[Pointer] = None
     committed_step = 0
     committed_dist = space.size  # +infinity: any real candidate beats it
+    resume = None
 
     while outcome.pointer_hops <= MAX_POINTER_HOPS:
         router = net.routers[current]
@@ -258,6 +269,11 @@ def _route(net, start_router, dest_id, mode, category):
             # Decision point: (re-)run Algorithm 2 at this router.
             match = router.best_match(greedy_dest,
                                       include_ephemeral=include_ephemeral)
+            if resume is not None and (match is None
+                                       or match.distance >= committed_dist):
+                committed, committed_step = resume
+                resume = None
+                continue
             if match is None:
                 outcome.reason = "no routing state"
                 break
@@ -298,7 +314,7 @@ def _route(net, start_router, dest_id, mode, category):
                     tr.decision(router=current, rule="local-adopt",
                                 target=match.resident_vn.id.to_hex(),
                                 distance=match.distance)
-                committed = None
+                committed = resume = None
                 committed_dist = match.distance
                 continue
             pointer = net.validate_pointer(router, match.pointer)
@@ -306,7 +322,7 @@ def _route(net, start_router, dest_id, mode, category):
                 # Stale source route with unreachable target: the pointer
                 # was torn down; re-evaluate with it gone.
                 continue
-            committed = pointer
+            committed, resume = pointer, None
             committed_step = 0
             committed_dist = match.distance
             outcome.pointer_hops += 1
@@ -331,6 +347,7 @@ def _route(net, start_router, dest_id, mode, category):
                 if tr is not None:
                     tr.event("shortcut", router=current,
                              distance=shortcut.distance)
+                resume = committed, committed_step
                 committed = None
                 continue
 

@@ -186,6 +186,16 @@ def test_metrics_stream_is_deterministic_across_replays():
     assert [row["t"] for row in first.samples] == [5.0, 10.0, 15.0, 20.0]
 
 
+def test_one_streamed_row_per_sample():
+    """There is one window, the scenario's ``sample_interval``: a run
+    writes one row per sample, once, as the ``samples`` of its view (what
+    ``workload --json`` prints)."""
+    result = run_scenario(_small_scenario(seed=1))
+    written = json.loads(json.dumps(result.deterministic_view()))
+    assert written["samples"] == result.samples
+    assert len(result.samples) == 20.0 / 5.0
+
+
 @pytest.mark.parametrize("kind, sizing", [
     ("intra", {"n_routers": 16}), ("inter", {"n_ases": 20})])
 def test_set_up_is_in_no_window(kind, sizing):
