@@ -19,8 +19,7 @@ def run_ablation():
         topo = synthetic_isp(n_routers=67, seed=0, name="AS3967")
         net = IntraDomainNetwork(topo, seed=0, successor_group_size=group)
         net.join_random_hosts(400)
-        state = sum(net.memory_entries_per_router(include_cache=False)
-                    .values())
+        state = sum(net.state_entries(include_cache=False).values())
         rng = derive_rng(0, "ablation-successor-groups", group)
         costs = [net.fail_host(rng.choice(sorted(net.hosts)))
                  for _ in range(80)]

@@ -153,8 +153,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
             scenario = builtin_scenario(name)
             print("{:<16} {:>5.0f}s  {}/{}  phases={} faults={}".format(
                 name, scenario.duration, scenario.network.kind,
-                scenario.network.n_ases if scenario.network.kind == "inter"
-                else scenario.network.n_routers,
+                getattr(scenario.network, scenario.network.sizing()[0]),
                 len(scenario.phases), len(scenario.faults)))
         return 0
     if args.scenario is None:
@@ -259,24 +258,36 @@ def _add_network_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", choices=tuple(KINDS), default="intra",
                         help="network kind to build (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--routers", type=int,
-                        help="intra: router count (default "
-                             "NetworkSpec.n_routers)")
-    parser.add_argument("--ases", type=int,
+    parser.add_argument("--routers", type=int, dest="n_routers",
+                        help="every kind but inter: router count "
+                             "(default NetworkSpec.n_routers)")
+    parser.add_argument("--ases", type=int, dest="n_ases",
                         help="inter: AS count (default NetworkSpec.n_ases)")
     parser.add_argument("--hosts", type=_bounded(int, 0), default=200,
                         help="hosts to join after building (default 200)")
     parser.add_argument("--cache-entries", type=int,
-                        help="pointer-cache size override")
+                        help="intra, inter: pointer-cache size override")
 
 
 def _network_from_args(args: argparse.Namespace):
+    """The network the flags describe; a sizing flag its kind does not
+    read is a usage error (exit 2, one line), not ignored."""
     from repro.serve import build_network
-    sizing = {"n_routers": args.routers, "n_ases": args.ases,
-              "cache_entries": args.cache_entries}
+    from repro.workload.scenario import NetworkSpec
+    reads = NetworkSpec(kind=args.kind).sizing()
+    sizing = {}
+    for flag, name in (("--routers", "n_routers"), ("--ases", "n_ases"),
+                       ("--cache-entries", "cache_entries")):
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in reads:
+            print("repro {}: error: argument {}: {!r} networks do not read "
+                  "it".format(args.command, flag, args.kind), file=sys.stderr)
+            raise SystemExit(2)
+        sizing[name] = value
     return build_network(kind=args.kind, seed=args.seed, hosts=args.hosts,
-                         **{name: value for name, value in sizing.items()
-                            if value is not None})
+                         **sizing)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

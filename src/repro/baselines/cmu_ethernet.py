@@ -16,36 +16,30 @@ those ratios with this implementation.
 
 A :class:`repro.network.Network` kind: delivery is always over the
 shortest path (every router knows every host), so the provable stretch
-bound is exactly 1.0.
+bound is exactly 1.0 — the data plane of OSPF host routing, which this
+class inherits; only what a join costs and what a router stores differ.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.idspace.identifier import FlatId, RingSpace
+from repro.baselines.ospf_routing import OspfHostRouting
+from repro.idspace.identifier import RingSpace
 from repro.linkstate.protocol import flood_message_cost
-from repro.network import Network
-from repro.sim.stats import PathResult
 from repro.topology.graph import RouterTopology
 from repro.topology.hosts import PlannedHost
 
 
-class CmuEthernetNetwork(Network):
-    """Flood-based flat routing over one ISP topology."""
+class CmuEthernetNetwork(OspfHostRouting):
+    """Flood-based flat routing over one ISP topology: ``host_location``
+    is replicated at every router, stored once and counted per router."""
 
     kind = "cmu"
-    #: Every router holds every host's route, so data paths are always
-    #: shortest — the guarantee is stretch 1.
-    stretch_bound = 1.0
 
     def __init__(self, topology: RouterTopology, seed: int = 0):
-        super().__init__(seed, ("cmu", "traffic"), topology=topology)
+        super().__init__(topology, seed=seed)
         self.space = RingSpace()
-        #: host ID → attachment router, replicated at every router (we
-        #: store it once and account for the replication in memory math);
-        #: ``hosts`` maps name → host ID.
-        self.host_location: Dict[FlatId, str] = {}
 
     # -- joining ---------------------------------------------------------------
 
@@ -63,23 +57,9 @@ class CmuEthernetNetwork(Network):
         self.hosts[host.name] = host.flat_id
         return op["messages"]
 
-    # -- data plane ----------------------------------------------------------------
-
-    def send(self, src_host: str, dst_host: str) -> PathResult:
-        """Shortest-path delivery (every router knows every host)."""
-        src_router = self.host_location[self.hosts[src_host]]
-        dst_router = self.host_location[self.hosts[dst_host]]
-        path = self.paths.hop_path(src_router, dst_router)
-        if path is None:
-            return PathResult(delivered=False)
-        self.stats.charge_path(path, "data")
-        hops = len(path) - 1
-        return PathResult(delivered=True, path=path, hops=hops,
-                          optimal_hops=hops)
-
     # -- accounting -------------------------------------------------------------------
 
-    def memory_entries_per_router(self) -> Dict[str, int]:
+    def state_entries(self) -> Dict[str, int]:
         """Every router stores every host (plus its link-state DB, which
         both designs need and is therefore not counted)."""
         n = len(self.host_location)

@@ -14,15 +14,14 @@ network-level messages (``join_host`` returns 0 by the shared
 accounting contract) — the exact property flat labels give up,
 which is why every flat design pays join/lookup overhead to win
 location independence.  Delivery is always shortest-path, so the
-provable stretch bound is 1.0.
+provable stretch bound is 1.0 (CMU-ETHERNET's too: it subclasses this).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict
 
 from repro.idspace.identifier import FlatId
-from repro.linkstate.lsdb import LinkStateMap
 from repro.network import Network
 from repro.sim.stats import PathResult
 from repro.topology.graph import RouterTopology
@@ -37,10 +36,8 @@ class OspfHostRouting(Network):
     #: addressing scheme guarantees stretch 1.
     stretch_bound = 1.0
 
-    def __init__(self, topology: RouterTopology,
-                 lsmap: Optional[LinkStateMap] = None, seed: int = 0):
-        super().__init__(seed, ("ospf", "traffic"), topology=topology,
-                         lsmap=lsmap)
+    def __init__(self, topology: RouterTopology, seed: int = 0):
+        super().__init__(seed, (self.kind, "traffic"), topology=topology)
         #: host ID → attachment router (``hosts`` maps name → host ID).
         self.host_location: Dict[FlatId, str] = {}
 
@@ -79,11 +76,8 @@ class OspfHostRouting(Network):
 
     # -- accounting -------------------------------------------------------------------
 
-    def memory_entries_per_router(self) -> Dict[str, int]:
+    def state_entries(self) -> Dict[str, int]:
         """Zero extra entries anywhere: the link-state DB both designs
         need is (as in the other baselines) not counted, and addresses
         carry the location."""
         return {router: 0 for router in self.topology.routers}
-
-    def load_series(self) -> Dict[Hashable, int]:
-        return self.stats.load_series()

@@ -314,7 +314,7 @@ class DiscoNetwork(Network):
 
     # -- accounting ----------------------------------------------------------
 
-    def memory_entries_per_router(self) -> Dict[str, int]:
+    def state_entries(self) -> Dict[str, int]:
         """Routing-table entries per router: the landmark table (every
         router), the vicinity host entries, the locator-directory shard
         (landmarks only), and the live locator cache."""

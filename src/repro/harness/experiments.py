@@ -213,7 +213,7 @@ def fig6b_load_balance(profile: str = "AS3967", n_hosts: int = 500,
         net.send(a, b)
         ospf.send_routers(net.hosts[a].router, net.hosts[b].router)
     rofl_load = net.stats.load_series()
-    ospf_load = ospf.load_series()
+    ospf_load = ospf.stats.load_series()
     rofl_total = sum(rofl_load.values()) or 1
     ospf_total = sum(ospf_load.values()) or 1
     # Routers ranked by OSPF load (the paper's x-axis).
@@ -243,9 +243,9 @@ def fig6c_memory(profile: str = "AS3967",
                  seed: int = 0) -> Dict:
     series = []
     for target, rofl, cmu in _rofl_beside_cmu(profile, seed, host_counts):
-        rofl_avg = _mean(list(rofl.memory_entries_per_router(
+        rofl_avg = _mean(list(rofl.state_entries(
             include_cache=False).values()))
-        cmu_avg = _mean(list(cmu.memory_entries_per_router().values()))
+        cmu_avg = _mean(list(cmu.state_entries().values()))
         series.append({"ids": target, "rofl_avg_entries": rofl_avg,
                        "cmu_avg_entries": cmu_avg,
                        "cmu_over_rofl": cmu_avg / max(rofl_avg, 1e-9)})

@@ -76,7 +76,6 @@ def route(
     """
     if mode not in ("data", "lookup"):
         raise ValueError("unknown mode {!r}".format(mode))
-    perf.counter("inter.fwd.packets")
     with perf.timed("inter.route." + mode):
         return _route(net, start_as, dest_id, mode, scope, category)
 

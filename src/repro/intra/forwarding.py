@@ -68,7 +68,6 @@ def route(
     """
     if mode not in ("data", "lookup"):
         raise ValueError("unknown mode {!r}".format(mode))
-    perf.counter("fwd.packets")
     with perf.timed("intra.route." + mode):
         return _route(net, start_router, dest_id, mode, category)
 

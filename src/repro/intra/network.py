@@ -266,8 +266,7 @@ class IntraDomainNetwork(Network):
                         "{} points to {} but ring order expects {}".format(
                             vn.id, primary.dest_id, expected.id))
 
-    def memory_entries_per_router(self,
-                                  include_cache: bool = True) -> Dict[str, int]:
+    def state_entries(self, include_cache: bool = True) -> Dict[str, int]:
         """Per-router forwarding-state entry counts (Fig 6c)."""
         return {name: router.state_entries(include_cache=include_cache)
                 for name, router in self.routers.items()}

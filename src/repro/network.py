@@ -68,14 +68,14 @@ class Network:
 
     def __init__(self, seed: int, stream: Tuple[Hashable, ...],
                  attachment_points: Optional[List[Hashable]] = None,
-                 topology=None, lsmap=None, **plan: Any):
+                 topology=None, **plan: Any):
         """``stream`` scopes the kind's traffic RNG; ``plan`` (weights,
         authority, ...) goes to the :class:`HostPlan`.  A kind over one ISP
         ``topology`` gets the link-state substrate and attaches hosts at
         the edge routers."""
         if topology is not None:
             self.topology = topology
-            self.lsmap = lsmap or LinkStateMap(topology)
+            self.lsmap = LinkStateMap(topology)
             self.paths = PathCache(self.lsmap)
             attachment_points = topology.edge_routers() or topology.routers
         self.seed = seed
@@ -201,10 +201,10 @@ class Network:
     node_path = _left_to_kinds("node_path")
     node_distance = _left_to_kinds("node_distance")
 
-    def state_entries(self) -> Dict[Hashable, int]:
-        """Routing-state entries per node (router or AS); infrastructure
-        every design needs, like the link-state DB, is not counted."""
-        return self.memory_entries_per_router()
+    #: Routing-state entries per node (router or AS) → ``{node: count}``;
+    #: infrastructure every design needs, like the link-state DB, is not
+    #: counted.
+    state_entries = _left_to_kinds("state_entries")
 
     def check(self) -> None:
         """Raise ``AssertionError`` on misconverged distributed state; kinds

@@ -85,21 +85,3 @@ class EventLoop:
     @property
     def pending(self) -> int:
         return len(self._heap)
-
-    # -- snapshot support ---------------------------------------------------
-
-    def __getstate__(self):
-        """Serialize the virtual clock and the pending queue.
-
-        The queue is written in firing order — a heap's layout depends on
-        its push history, which is not state, and a sorted list is a valid
-        heap to load — and the ``on_event`` observer is dropped: observers
-        (e.g. an installed tracer with an open file sink) are
-        process-local wiring that the loading side re-attaches
-        explicitly.  Event callbacks themselves must be picklable for a
-        mid-run loop to snapshot; a quiescent (drained) loop always is.
-        """
-        state = self.__dict__.copy()
-        state["_heap"] = sorted(self._heap)
-        state["on_event"] = None
-        return state

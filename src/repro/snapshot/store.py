@@ -21,7 +21,6 @@ What a snapshot covers (and what it deliberately does not):
 * every live RNG stream position (via :class:`repro.util.rng.RngRegistry`
   and ``random.Random.getstate()``), so a loaded network continues the
   *same* random tape — replays are byte-identical;
-* the event loop's virtual clock and pending queue, where present;
 * derived caches (SPF trees, BGP oracle tables, policy memos) are
   **rebuild-on-load**: their owners drop them in ``__getstate__`` and
   repopulate lazily, keeping files small and the hash history-free —

@@ -14,41 +14,6 @@ from typing import Dict, Hashable, List, Set
 from repro.topology.asgraph import ASGraph
 
 
-def up_hierarchy(asg: ASGraph, asn: Hashable) -> Dict[Hashable, list]:
-    """X's up-hierarchy graph G_X as a customer→provider DAG (``{AS: its
-    providers}``, in discovery order).
-
-    Contains ``asn`` itself plus every AS reachable by repeatedly following
-    primary provider links (backup links carry no joins, Section 4.2).
-    """
-    dag: Dict[Hashable, List[Hashable]] = {asn: []}
-    frontier = [asn]
-    while frontier:
-        current = frontier.pop()
-        for provider in asg.providers(current):
-            dag[current].append(provider)
-            if provider not in dag:
-                dag[provider] = []
-                frontier.append(provider)
-    return dag
-
-
-def up_hierarchy_levels(asg: ASGraph, asn: Hashable) -> List[Set[Hashable]]:
-    """Levels of G_X by provider-hop distance: [ {X}, providers, … ]."""
-    dag = up_hierarchy(asg, asn)
-    levels: List[Set[Hashable]] = []
-    current = {asn}
-    seen: Set[Hashable] = set()
-    while current:
-        levels.append(current)
-        seen |= current
-        nxt: Set[Hashable] = set()
-        for node in current:
-            nxt |= set(dag[node]) - seen
-        current = nxt
-    return levels
-
-
 def down_hierarchy(asg: ASGraph, asn: Hashable) -> Set[Hashable]:
     """The subtree rooted at ``asn``: itself plus all transitive customers.
 
@@ -87,10 +52,19 @@ class HierarchyIndex:
             self._up[asn] = self._compute_up_chain(asn)
 
     def _compute_up_chain(self, asn: Hashable) -> List[Hashable]:
-        """ASes of G_X ordered by provider-hop level (BFS order)."""
-        order: List[Hashable] = []
-        for level in up_hierarchy_levels(self.asg, asn):
-            order.extend(sorted(level, key=str))
+        """X's up-hierarchy G_X: ``asn`` and every AS reached by following
+        primary provider links (backup links carry no joins, Section 4.2),
+        level by provider-hop distance, each level sorted by ``str``."""
+        order = [asn]
+        seen = {asn}
+        level = [asn]
+        while level:
+            providers: Set[Hashable] = set()
+            for node in level:
+                providers.update(self.asg.providers(node))
+            level = sorted(providers - seen, key=str)
+            seen.update(level)
+            order.extend(level)
         return order
 
     def subtree(self, asn: Hashable) -> Set[Hashable]:

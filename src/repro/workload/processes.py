@@ -22,7 +22,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 
 class SpecError(ValueError):
@@ -30,23 +30,13 @@ class SpecError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Rate modulation — multiplies a base arrival/traffic rate over time.
+# Rate modulation — ``factor(t)`` multiplies a base arrival/traffic rate at
+# time ``t``; ``peak_factor()`` bounds it from above (used for thinning).
 # ---------------------------------------------------------------------------
 
-class RateModulation:
-    """Time-varying multiplier applied to a base event rate."""
-
-    def factor(self, t: float) -> float:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def peak_factor(self) -> float:
-        """An upper bound on :meth:`factor` (used for thinning)."""
-        raise NotImplementedError
-
-
 @dataclass
-class FlatModulation(RateModulation):
-    """No modulation: factor 1 at all times."""
+class FlatModulation:
+    """No modulation: factor 1 at all times (a process's default)."""
 
     def factor(self, t: float) -> float:
         return 1.0
@@ -56,7 +46,7 @@ class FlatModulation(RateModulation):
 
 
 @dataclass
-class FlashCrowd(RateModulation):
+class FlashCrowd:
     """A transient spike: rate multiplies by ``peak`` inside a window,
     with linear ramps of ``ramp`` time units on each side."""
 
@@ -90,7 +80,7 @@ class FlashCrowd(RateModulation):
 
 
 @dataclass
-class DiurnalModulation(RateModulation):
+class DiurnalModulation:
     """A day/night sinusoid: factor swings between ``low`` and ``high``
     over one ``period`` (peak at ``period/4``)."""
 
@@ -126,8 +116,7 @@ class PoissonProcess:
     construction, and deterministic given one RNG stream.
     """
 
-    def __init__(self, rate: float,
-                 modulation: Optional[RateModulation] = None):
+    def __init__(self, rate: float, modulation=None):
         if rate <= 0:
             raise SpecError("rate must be positive")
         self.rate = rate
@@ -145,18 +134,12 @@ class PoissonProcess:
 
 
 # ---------------------------------------------------------------------------
-# Session lifetimes.
+# Session lifetimes — ``sample(rng)`` draws how long a joined host stays
+# before departing.
 # ---------------------------------------------------------------------------
 
-class LifetimeDistribution:
-    """Samples how long a joined host stays before departing."""
-
-    def sample(self, rng: random.Random) -> float:  # pragma: no cover
-        raise NotImplementedError
-
-
 @dataclass
-class ParetoLifetime(LifetimeDistribution):
+class ParetoLifetime:
     """Heavy-tailed session lifetime ``scale * Pareto(shape)``.
 
     ``shape`` near 1 gives the infinite-variance churn the DHT literature
@@ -175,7 +158,7 @@ class ParetoLifetime(LifetimeDistribution):
 
 
 @dataclass
-class WeibullLifetime(LifetimeDistribution):
+class WeibullLifetime:
     """Weibull lifetime (shape < 1: bursty departures; > 1: aging)."""
 
     shape: float
@@ -190,21 +173,7 @@ class WeibullLifetime(LifetimeDistribution):
 
 
 @dataclass
-class ExponentialLifetime(LifetimeDistribution):
-    """Memoryless lifetime with the given mean."""
-
-    mean: float
-
-    def __post_init__(self):
-        if self.mean <= 0:
-            raise SpecError("mean lifetime must be positive")
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.expovariate(1.0 / self.mean)
-
-
-@dataclass
-class FixedLifetime(LifetimeDistribution):
+class FixedLifetime:
     """Deterministic lifetime (useful in tests)."""
 
     value: float
@@ -259,7 +228,7 @@ class ZipfPopularity:
 
 @dataclass
 class UniformPopularity:
-    """Every live destination equally likely."""
+    """Every live destination equally likely (the driver's default)."""
 
     def pick(self, rng: random.Random, population: Sequence[str]) -> str:
         if not population:
@@ -269,11 +238,11 @@ class UniformPopularity:
 
 #: What a scenario may say in a ``lifetime``, ``modulation`` or
 #: ``popularity`` spec: kind → the dataclass whose fields are its
-#: parameters.  No spec is no departure, no modulation, uniform picks.
+#: parameters.  No spec (``null``) is no departure, no modulation
+#: (:class:`FlatModulation`), uniform picks (:class:`UniformPopularity`).
 PROCESSES = {
     "lifetime": {"pareto": ParetoLifetime, "weibull": WeibullLifetime,
-                 "exponential": ExponentialLifetime, "fixed": FixedLifetime},
-    "modulation": {"flat": FlatModulation, "flash_crowd": FlashCrowd,
-                   "diurnal": DiurnalModulation},
-    "popularity": {"uniform": UniformPopularity, "zipf": ZipfPopularity},
+                 "fixed": FixedLifetime},
+    "modulation": {"flash_crowd": FlashCrowd, "diurnal": DiurnalModulation},
+    "popularity": {"zipf": ZipfPopularity},
 }

@@ -28,7 +28,7 @@ import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from reprlib import repr as short
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.network import KINDS, network_class
 from repro.topology.asgraph import MIN_ASES
@@ -157,6 +157,11 @@ class Spec:
         return out
 
 
+#: The smallest value of each :class:`NetworkSpec` bound.
+_SMALLEST = {"n_ases": MIN_ASES, "n_routers": MIN_ROUTERS,
+             "cache_entries": 0, "n_fingers": 0}
+
+
 @dataclass
 class NetworkSpec(Spec):
     """What network the scenario runs against.
@@ -177,23 +182,32 @@ class NetworkSpec(Spec):
     cache_entries: Optional[int] = None
     n_fingers: int = 8
 
+    def sizing(self) -> Tuple[str, ...]:
+        """The sizing fields this kind's ``build`` reads, its size first:
+        ``inter`` (the AS-level Internet) is sized by ``n_ases``, every
+        kind over one ISP by ``n_routers``, and only the ROFL kinds have a
+        pointer cache to size."""
+        size = "n_ases" if self.kind == "inter" else "n_routers"
+        if self.kind in ("intra", "inter"):
+            return size, "cache_entries"
+        return (size,)
+
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ScenarioError("network kind must be one of {}, got "
                                 "{!r}".format(", ".join(KINDS), self.kind))
         # The size bound is the generator's own, so a size it would refuse
         # fails here in one line, not mid-build.
-        size = (("n_ases", MIN_ASES) if self.kind == "inter"
-                else ("n_routers", MIN_ROUTERS))
-        for name, low in (size, ("cache_entries", 0), ("n_fingers", 0)):
-            value = getattr(self, name)
+        for name in (self.sizing()[0], "cache_entries", "n_fingers"):
+            value, low = getattr(self, name), _SMALLEST[name]
             if value is not None and value < low:
                 raise ScenarioError("{} must be at least {}, got {}".format(
                     name, low, value))
 
     def to_dict(self) -> Dict:
+        """The size this kind does not read is left out."""
         out = super().to_dict()
-        del out["n_routers" if self.kind == "inter" else "n_ases"]
+        del out["n_ases" if self.sizing()[0] == "n_routers" else "n_routers"]
         return out
 
     def build(self, seed: int):

@@ -116,7 +116,7 @@ class TestFlatLabelContract:
     def test_memory_entries_cover_every_router(self, topo, cls):
         net = cls(topo, seed=0)
         net.join_random_hosts(10)
-        mem = net.memory_entries_per_router()
+        mem = net.state_entries()
         assert set(mem) == set(topo.routers)
         assert all(v >= 0 for v in mem.values())
         assert net.n_hosts == 10
@@ -141,7 +141,7 @@ class TestCmuEthernet:
     def test_memory_is_all_hosts_everywhere(self, topo):
         net = CmuEthernetNetwork(topo, seed=0)
         net.join_random_hosts(30)
-        mem = net.memory_entries_per_router()
+        mem = net.state_entries()
         assert all(v == 30 for v in mem.values())
 
     def test_delivery_is_shortest_path(self, topo):
@@ -167,8 +167,8 @@ class TestCmuEthernet:
         cmu = CmuEthernetNetwork(topo, seed=0)
         rofl.join_random_hosts(300)
         cmu.join_random_hosts(300)
-        rofl_mem = rofl.memory_entries_per_router(include_cache=False)
-        cmu_mem = cmu.memory_entries_per_router()
+        rofl_mem = rofl.state_entries(include_cache=False)
+        cmu_mem = cmu.state_entries()
         ratio = (sum(cmu_mem.values()) / len(cmu_mem)) / \
                 (sum(rofl_mem.values()) / len(rofl_mem))
         assert ratio > 3
@@ -201,14 +201,12 @@ class TestOspf:
         pairs = [(topo.routers[i], topo.routers[-1 - i]) for i in range(10)]
         assert all(ospf.send_routers(src, dst).delivered
                    for src, dst in pairs)
-        assert sum(ospf.load_series().values()) > 0
+        assert sum(ospf.stats.load_series().values()) > 0
 
     def test_unreachable_when_partitioned(self, topo):
-        from repro.linkstate.lsdb import LinkStateMap
-        lsmap = LinkStateMap(topo)
-        ospf = OspfHostRouting(topo, lsmap=lsmap)
+        ospf = OspfHostRouting(topo)
         victim = topo.routers[5]
-        lsmap.fail_router(victim)
+        ospf.lsmap.fail_router(victim)
         result = ospf.send_routers(topo.routers[0], victim)
         assert not result.delivered
 

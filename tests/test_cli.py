@@ -253,15 +253,30 @@ def test_a_network_size_the_builder_refuses_exits_2_with_one_line(
     (["trace", "--packets", "0"], "--packets"),
     (["serve", "--hosts", "-3", "--requests", os.devnull], "--hosts"),
     (["snapshot", "save", "{tmp}/s.snap", "--hosts", "-7"], "--hosts"),
+    (["serve", "--kind", "inter", "--routers", "9", "--requests", os.devnull],
+     "--routers"),
+    (["serve", "--kind", "cmu", "--cache-entries", "5", "--requests",
+      os.devnull], "--cache-entries"),
+    (["serve", "--kind", "intra", "--ases", "7", "--requests", os.devnull],
+     "--ases"),
+    (["snapshot", "save", "{tmp}/s.snap", "--kind", "inter", "--routers",
+      "9"], "--routers"),
+    (["snapshot", "save", "{tmp}/s.snap", "--kind", "disco",
+      "--cache-entries", "0"], "--cache-entries"),
+    (["snapshot", "save", "{tmp}/s.snap", "--ases", "7"], "--ases"),
 ], ids=["hosts", "negative-packets", "no-packets", "serve-negative-hosts",
-        "save-negative-hosts"])
+        "save-negative-hosts", "serve-inter-routers", "serve-cmu-cache",
+        "serve-intra-ases", "save-inter-routers", "save-disco-cache",
+        "save-intra-ases"])
 def test_a_tracing_flag_out_of_range_is_a_usage_error(tmp_path, capsys,
                                                       argv, flag):
     """``trace --hosts 1`` was a ``ValueError`` traceback from the host
     sampler; ``--packets -2`` exited 0 having explained nothing.  The
     host count of ``serve`` and ``snapshot save`` is range-checked the
     same way: a negative one built (and saved) a network with no hosts
-    and exited 0."""
+    and exited 0.  So is a sizing flag the kind does not read (``inter``
+    no router count, the kinds over one ISP no AS count, a baseline no
+    pointer cache), which built the network without it and exited 0."""
     with pytest.raises(SystemExit) as exited:
         main([arg.format(tmp=tmp_path) for arg in argv])
     assert exited.value.code == 2

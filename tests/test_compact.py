@@ -211,7 +211,7 @@ class TestDiscoNetwork:
         assert net.stats.total_messages("lookup") >= before
 
     def test_memory_counts_all_four_tables(self, net):
-        mem = net.memory_entries_per_router()
+        mem = net.state_entries()
         assert set(mem) == set(net.topology.routers)
         landmark = net.plan.landmarks[0]
         assert mem[landmark] >= net.plan.n_landmarks

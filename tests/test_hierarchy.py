@@ -3,8 +3,7 @@
 import pytest
 
 from repro.topology.asgraph import ASGraph
-from repro.topology.hierarchy import (HierarchyIndex, down_hierarchy,
-                                      up_hierarchy, up_hierarchy_levels)
+from repro.topology.hierarchy import HierarchyIndex, down_hierarchy
 
 
 @pytest.fixture()
@@ -28,23 +27,27 @@ def diamond():
 
 
 def test_up_hierarchy_covers_all_provider_paths(diamond):
-    gx = up_hierarchy(diamond, "S-multi")
-    assert list(gx) == ["S-multi", "T2a", "T2b", "T1"]
-    assert gx["S-multi"] == ["T2a", "T2b"]
-    assert gx["T2a"] == gx["T2b"] == ["T1"] and gx["T1"] == []
+    """G_X holds X and every AS above it over primary provider links."""
+    chain = HierarchyIndex(diamond).up_chain("S-multi")
+    assert chain == ["S-multi", "T2a", "T2b", "T1"]
 
 
 def test_up_hierarchy_excludes_backup_by_default(diamond):
-    gx = up_hierarchy(diamond, "S-backup")
-    assert "T2a" not in gx
-    assert gx["S-backup"] == ["T2b"]
+    chain = HierarchyIndex(diamond).up_chain("S-backup")
+    assert "T2a" not in chain
+    assert chain == ["S-backup", "T2b", "T1"]
 
 
 def test_up_hierarchy_levels(diamond):
-    levels = up_hierarchy_levels(diamond, "S-multi")
-    assert levels[0] == {"S-multi"}
-    assert levels[1] == {"T2a", "T2b"}
-    assert levels[2] == {"T1"}
+    """Level by provider-hop distance, each level sorted by ``str``: an AS
+    reached at two depths sits at the nearer one."""
+    diamond.add_as("T0", tier=1)
+    diamond.add_as("S-deep", tier=3, hosts=1)
+    diamond.add_customer_provider("S-deep", "T2b")
+    diamond.add_customer_provider("S-deep", "T1")
+    diamond.add_customer_provider("T2b", "T0")
+    chain = HierarchyIndex(diamond).up_chain("S-deep")
+    assert chain == ["S-deep", "T1", "T2b", "T0"]
 
 
 def test_down_hierarchy(diamond):

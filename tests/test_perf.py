@@ -139,8 +139,10 @@ def test_experiment_drivers_attach_perf(tmp_path):
     assert "perf" in result
     snap = result["perf"]
     assert "counters" in snap and "timers" in snap
-    # Joins route lookup packets, so forwarding counters must be present.
-    assert snap["counters"].get("fwd.packets", 0) > 0
+    # Joins route lookup packets: one timed call of the forwarding entry
+    # point per packet, and the hops it crossed.
+    assert snap["timers"]["intra.route.lookup"]["calls"] > 0
+    assert snap["counters"].get("fwd.hops", 0) > 0
     assert any(name.startswith("experiment.") for name in snap["timers"])
 
 

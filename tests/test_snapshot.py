@@ -6,8 +6,9 @@ fresh builds, a loaded snapshot hashes identically to the network it was
 saved from, and every random draw after a load replays byte-for-byte
 what the original network would have produced.
 
-``tests/golden_state_hashes.json`` pins four state-hash literals — the
-tripwire for refactors that must not move a hash.  Never regenerate it
+``tests/golden_state_hashes.json`` pins four state-hash literals of the
+ROFL kinds and six of the baselines — the tripwire for refactors that
+must not move a hash.  Never regenerate it
 from the current code to make a test pass; a *deliberate* change of the
 canonical stream regenerates it in that PR and says so in the file's
 ``captured`` line (done six times so far: snapshot schemas 2, 3, 5, 6,
@@ -28,7 +29,6 @@ from hypothesis import strategies as st
 from repro import snapshot
 from repro.inter.network import InterDomainNetwork
 from repro.intra.network import IntraDomainNetwork
-from repro.sim.engine import EventLoop
 from repro.snapshot.codec import state_hash_of
 from repro.topology.asgraph import synthetic_as_graph
 from repro.topology.isp import synthetic_isp
@@ -268,6 +268,20 @@ def test_state_hashes_match_the_parent_capture(kind, sizing, scenario):
     assert snapshot.state_hash(net) == GOLDEN_HASHES[kind]["fresh"]
     run_scenario(builtin_scenario(scenario), network=net)
     assert snapshot.state_hash(net) == GOLDEN_HASHES[kind]["after " + scenario]
+
+
+@pytest.mark.parametrize("kind", ["cmu", "ospf", "disco"])
+def test_baseline_state_hashes_match_the_parent_capture(kind):
+    """The baselines the same way: 300 hosts over 40 routers, freshly
+    built and again after 200 sends (the data plane charges per-router
+    load, which the hash covers)."""
+    from repro import build_network
+
+    net = build_network(kind, 0, hosts=300, n_routers=40)
+    assert snapshot.state_hash(net) == GOLDEN_HASHES[kind]["fresh"]
+    for _ in range(200):
+        net.send(*net.random_host_pair())
+    assert snapshot.state_hash(net) == GOLDEN_HASHES[kind]["after 200 sends"]
 
 
 # ---------------------------------------------------------------------------
@@ -729,46 +743,3 @@ class TestRngRegistry:
             HostPlan(attachment_points=["r0"], seed=1,
                      registry=RngRegistry(2))
 
-
-# ---------------------------------------------------------------------------
-# The event loop.
-# ---------------------------------------------------------------------------
-
-class TestEventLoopPickle:
-    def test_clock_and_pending_queue_survive(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule_at(1.0, _Appender(fired, "a"))
-        loop.schedule_at(2.0, _Appender(fired, "b"))
-        loop.run(until=1.5)
-        clone = pickle.loads(pickle.dumps(loop))
-        assert clone.now == loop.now
-        assert clone.pending == 1
-        clone.run(until=3.0)
-        assert clone.pending == 0
-
-    def test_queue_is_written_in_firing_order(self):
-        """Not in heap layout, which depends on the push history; and the
-        sorted list a loaded loop starts from is a heap it can push into."""
-        loop = EventLoop(on_event=print)
-        fired = []
-        for at in (5.0, 3.0, 4.0, 1.0, 2.0):
-            loop.schedule_at(at, _Appender(fired, at))
-        state = loop.__getstate__()
-        assert [event.time for event in state["_heap"]] == [1, 2, 3, 4, 5]
-        assert state["on_event"] is None
-        clone = pickle.loads(pickle.dumps(loop))
-        late = []
-        clone.schedule_at(2.5, _Appender(late, 2.5))
-        clone.run()
-        assert late == [2.5] and clone.events_run == 6 and clone.now == 5.0
-
-
-class _Appender:
-    """A picklable stand-in for the lambdas real callers schedule."""
-
-    def __init__(self, sink, value):
-        self.sink, self.value = sink, value
-
-    def __call__(self):
-        self.sink.append(self.value)
