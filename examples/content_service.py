@@ -5,7 +5,7 @@ feed, and default-off capability-gated access (paper Sections 5.2-5.3).
 Run:  python examples/content_service.py
 """
 
-from repro import quick_intradomain
+from repro import build_network
 from repro.idspace.crypto import KeyPair
 from repro.services.anycast import AnycastGroup
 from repro.services.multicast import MulticastGroup
@@ -13,7 +13,8 @@ from repro.services.security import AccessController, CapabilityAuthority
 
 
 def main() -> None:
-    net = quick_intradomain(n_routers=60, n_hosts=150, seed=7)
+    net = build_network("intra", seed=7, hosts=150, n_routers=60,
+                        cache_entries=1024)
     edge = net.topology.edge_routers()
 
     # --- Anycast front-ends: clients hit the nearest replica -------------

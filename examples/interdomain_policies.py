@@ -5,7 +5,7 @@ inbound traffic engineering and stub failures (paper Sections 4-5, 6.3).
 Run:  python examples/interdomain_policies.py
 """
 
-from repro import quick_interdomain
+from repro import build_network
 from repro.idspace.crypto import KeyPair
 from repro.services.anycast import AnycastGroup
 from repro.services.multicast import MulticastGroup
@@ -15,7 +15,7 @@ from repro.topology.hosts import PlannedHost
 
 
 def main() -> None:
-    net = quick_interdomain(n_ases=80, n_hosts=300, seed=5)
+    net = build_network("inter", seed=5, hosts=300, n_ases=80, n_fingers=16)
     net.check_rings()
     print("Internet of {} ASes ({} tier-1s, {} stubs); {} IDs joined, "
           "0 ring inconsistencies, {} oracle mismatches".format(

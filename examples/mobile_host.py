@@ -9,12 +9,13 @@ even briefly off the network) while a correspondent keeps sending to the
 Run:  python examples/mobile_host.py
 """
 
-from repro import quick_intradomain
+from repro import build_network
 from repro.intra import ring
 
 
 def main() -> None:
-    net = quick_intradomain(n_routers=50, n_hosts=120, seed=3)
+    net = build_network("intra", seed=3, hosts=120, n_routers=50,
+                        cache_entries=1024)
     laptop = net.next_planned_host()
     correspondent = sorted(net.hosts)[0]
 

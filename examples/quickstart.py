@@ -9,12 +9,13 @@ pointer cache.
 Run:  python examples/quickstart.py
 """
 
-from repro import quick_intradomain
+from repro import build_network
 
 
 def main() -> None:
     print("Building a 60-router ISP and joining 200 hosts...")
-    net = quick_intradomain(n_routers=60, n_hosts=200, seed=1)
+    net = build_network("intra", seed=1, hosts=200, n_routers=60,
+                        cache_entries=1024)
     net.check_ring()
     print("  ring consistent: {} identifiers ({} hosts + {} router IDs)"
           .format(len(net.vn_index), net.n_hosts, len(net.routers)))

@@ -25,9 +25,10 @@ name through :func:`repro.network.network_class`.
 
 Quickstart::
 
-    from repro import quick_intradomain
+    from repro import build_network
 
-    net = quick_intradomain(n_routers=60, n_hosts=200, seed=1)
+    net = build_network("intra", seed=1, hosts=200, n_routers=60,
+                        cache_entries=1024)
     a, b = net.random_host_pair()
     result = net.send(a, b)
     print(result.hops, result.stretch)
@@ -35,18 +36,19 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-__all__ = ["build_network", "quick_intradomain", "quick_interdomain"]
+__all__ = ["build_network"]
 
 
 def build_network(kind="intra", seed=0, hosts=0, name=None, **sizing):
     """Build a fresh network of a :data:`repro.network.KINDS` kind and join
-    ``hosts`` hosts onto it — the one constructor behind ``repro serve``,
-    ``snapshot save``, ``trace`` and the ``quick_*`` helpers.
+    ``hosts`` hosts onto it — the one constructor: ``repro serve``,
+    ``snapshot save``, ``trace``, the harness and the examples build here.
 
     ``sizing`` is the other fields of
     :class:`repro.workload.scenario.NetworkSpec` (``n_routers``,
     ``n_ases``, ``cache_entries``, ``n_fingers``), which states their
-    defaults and is what a scenario builds its own network from.  ``name``
+    defaults and is what a scenario builds its own network from; a kind
+    reads those its ``NetworkSpec.sizing()`` names.  ``name``
     names the ISP topology and so seeds the network's RNG streams: the
     same name is the same network.
     """
@@ -57,19 +59,3 @@ def build_network(kind="intra", seed=0, hosts=0, name=None, **sizing):
         net.flush_indexes()
     return net
 
-
-def quick_intradomain(n_hosts=100, seed=0, cache_entries=1024, **sizing):
-    """Build a small intradomain ROFL network ready to route packets.
-
-    This is the two-line entry point used by ``examples/quickstart.py``:
-    it generates a synthetic PoP-structured ISP, brings up the link-state
-    substrate and joins ``n_hosts`` hosts onto the ring.
-    """
-    return build_network("intra", seed, hosts=n_hosts,
-                         cache_entries=cache_entries, **sizing)
-
-
-def quick_interdomain(n_hosts=300, seed=0, n_fingers=16, **sizing):
-    """Build a small interdomain ROFL network over a synthetic AS graph."""
-    return build_network("inter", seed, hosts=n_hosts, n_fingers=n_fingers,
-                         **sizing)

@@ -251,42 +251,56 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _add_network_args(parser: argparse.ArgumentParser) -> None:
     """The network ``serve`` and ``snapshot save`` build when not handed
-    a snapshot (see :func:`_network_from_args`).  A sizing flag left out
-    is left to :class:`repro.workload.scenario.NetworkSpec`, the one
-    statement of the defaults, which a warm start does not import."""
+    a snapshot (see :func:`_network_from_args`).  None is a flag left out:
+    a size is then :class:`repro.workload.scenario.NetworkSpec`'s, which a
+    warm start does not import, and ``serve --snapshot`` takes none."""
     from repro.network import KINDS
-    parser.add_argument("--kind", choices=tuple(KINDS), default="intra",
-                        help="network kind to build (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--kind", choices=tuple(KINDS),
+                        help="network kind (default intra, or the snapshot's)")
+    parser.add_argument("--seed", type=int, help="(default 0)")
     parser.add_argument("--routers", type=int, dest="n_routers",
                         help="every kind but inter: router count "
                              "(default NetworkSpec.n_routers)")
     parser.add_argument("--ases", type=int, dest="n_ases",
                         help="inter: AS count (default NetworkSpec.n_ases)")
-    parser.add_argument("--hosts", type=_bounded(int, 0), default=200,
+    parser.add_argument("--hosts", type=_bounded(int, 0),
                         help="hosts to join after building (default 200)")
     parser.add_argument("--cache-entries", type=int,
                         help="intra, inter: pointer-cache size override")
 
 
+#: The sizing flags and their ``NetworkSpec`` fields.
+_SIZING_FLAGS = (("--routers", "n_routers"), ("--ases", "n_ases"),
+                 ("--cache-entries", "cache_entries"))
+
+
+def _flag_error(args: argparse.Namespace, flag: str, why: str) -> None:
+    """Exit 2 with one line, worded as argparse words a usage error."""
+    print("repro {}: error: argument {}: {}".format(args.command, flag, why),
+          file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _network_from_args(args: argparse.Namespace):
     """The network the flags describe; a sizing flag its kind does not
     read is a usage error (exit 2, one line), not ignored."""
-    from repro.serve import build_network
+    from repro import build_network
     from repro.workload.scenario import NetworkSpec
-    reads = NetworkSpec(kind=args.kind).sizing()
+    kind = args.kind or "intra"
+    reads = NetworkSpec(kind=kind).sizing()
     sizing = {}
-    for flag, name in (("--routers", "n_routers"), ("--ases", "n_ases"),
-                       ("--cache-entries", "cache_entries")):
+    for flag, name in _SIZING_FLAGS:
         value = getattr(args, name)
         if value is None:
             continue
         if name not in reads:
-            print("repro {}: error: argument {}: {!r} networks do not read "
-                  "it".format(args.command, flag, args.kind), file=sys.stderr)
-            raise SystemExit(2)
+            _flag_error(args, flag, "{!r} networks do not read it".format(
+                kind))
         sizing[name] = value
-    return build_network(kind=args.kind, seed=args.seed, hosts=args.hosts,
+    # The name seeds the RNG streams: the evicting snapshot gate and the
+    # bench's serve_session digest hash "serve" in.
+    return build_network(kind=kind, seed=args.seed or 0, name="serve",
+                         hosts=200 if args.hosts is None else args.hosts,
                          **sizing)
 
 
@@ -295,13 +309,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.snapshot is not None:
         from repro import snapshot
+        for flag, name in (("--seed", "seed"), ("--hosts", "hosts"),
+                           *_SIZING_FLAGS):
+            if getattr(args, name) is not None:
+                _flag_error(args, flag, "a snapshot is loaded, not built")
+        from repro.network import KINDS
+        header = snapshot.describe(args.snapshot)
+        if args.kind is not None and KINDS[args.kind][1] != header["kind"]:
+            _flag_error(args, "--kind", "{} holds {}, not a {!r} network"
+                        .format(args.snapshot, header["kind"], args.kind))
         net = snapshot.load(args.snapshot, verify=args.verify)
-        made = "loaded {} ({})".format(
-            args.snapshot, snapshot.describe(args.snapshot)["counts"])
+        made = "loaded {} ({})".format(args.snapshot, header["counts"])
     else:
+        if args.verify:
+            _flag_error(args, "--verify", "needs --snapshot")
         net = _network_from_args(args)
         made = "built {} network (seed {}, {} hosts)".format(
-            args.kind, args.seed, args.hosts)
+            net.kind, net.seed, len(net.hosts))
     server = ReproServer(net)
 
     if args.requests is not None:
@@ -519,10 +543,12 @@ def main(argv=None) -> int:
     snap = sub.add_parser(
         "snapshot",
         help="save, inspect, or verify a network state snapshot")
-    snap.add_argument("action", choices=("save", "info", "verify"))
-    snap.add_argument("path", help="snapshot file")
-    _add_network_args(snap)
-    snap.set_defaults(func=_cmd_snapshot)
+    actions = snap.add_subparsers(dest="action", required=True)
+    for action in ("save", "info", "verify"):
+        act = actions.add_parser(action)
+        act.add_argument("path", help="snapshot file")
+        act.set_defaults(func=_cmd_snapshot)
+    _add_network_args(actions.choices["save"])      # the others build none
 
     compare = sub.add_parser(
         "compare-stretch",

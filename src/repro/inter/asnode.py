@@ -279,11 +279,9 @@ class RoflAS:
             if vn.drop_dead_targets((pointer.dest_id,)):
                 self.mark_dirty(vn)
 
-    def state_entries(self, include_cache: bool = True) -> int:
-        total = sum(vn.state_entries() for vn in self.hosted.values())
-        if include_cache:
-            total += len(self.cache)
-        return total
+    def state_entries(self) -> int:
+        return (sum(vn.state_entries() for vn in self.hosted.values())
+                + len(self.cache))
 
     def __repr__(self) -> str:
         return "RoflAS({!r}, hosted={}, cache={})".format(

@@ -112,12 +112,11 @@ class Network:
         attachment points can be down re-draws here), or None."""
         return self.next_planned_host()
 
-    def join_random_hosts(self, n: int, **how: Any) -> list:
+    def join_random_hosts(self, n: int) -> list:
         """Join ``n`` hosts drawn from the plan; returns what
-        :meth:`join_host` (which gets ``how``) returned for each."""
+        :meth:`join_host` returned for each."""
         hosts = (self.next_joinable_host() for _ in range(n))
-        return [self.join_host(host, **how) for host in hosts
-                if host is not None]
+        return [self.join_host(host) for host in hosts if host is not None]
 
     def join_next(self) -> Optional[Tuple[str, int, Optional[float]]]:
         """Join the next planned host as a scenario arrival does: ``(host
@@ -154,22 +153,14 @@ class Network:
 
     # -- protocol: a kind implements an operation by overriding it ----------
 
-    def join_host(self, host: PlannedHost):
-        """Join one planned host.
-
-        **Message accounting contract**: a join is one closed
-        ``stats.operation("join", ...)`` record whose ``"messages"`` field
-        counts the *network-level messages* attributed to it, where one
-        message traversing one link costs one unit
-        (:meth:`repro.sim.stats.StatsCollector.charge_path` /
-        ``charge_hops`` semantics).  "Cost" and "messages" are the same
-        number everywhere; there is no separate cost unit.  The baselines
-        return that number, the ROFL kinds a receipt carrying it as
-        ``.messages``.  A kind whose joins are free by construction (OSPF:
-        the address *is* the location) records and returns 0.
-        """
-        raise Unsupported("join_host", self.kind)
-
+    #: Join one planned host.  Message accounting contract: a join is one
+    #: closed ``stats.operation("join", ...)`` whose ``"messages"`` counts
+    #: one unit per message per link crossed (``StatsCollector.charge_path``
+    #: / ``charge_hops``); "cost" and "messages" are one number.  Baselines
+    #: return it, the ROFL kinds a receipt carrying it as ``.messages``; a
+    #: kind whose joins are free (OSPF: the address is the location)
+    #: records and returns 0.
+    join_host = _left_to_kinds("join_host")
     #: Route one data packet between two joined hosts (by name) → PathResult.
     send = _left_to_kinds("send")
     #: Graceful departure of a joined host → the messages charged.

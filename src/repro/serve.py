@@ -30,22 +30,14 @@ sequential connections).
 
 from __future__ import annotations
 
-import functools
 import json
 import socketserver
 import sys
 import time
 from typing import Any, Dict, IO, Iterable, Optional
 
-import repro
 from repro import snapshot
 from repro.util import perf
-
-#: :func:`repro.build_network` under the topology name resident networks
-#: have always had: their snapshots, the evicting snapshot gate
-#: (``tests/test_ci_workflows.py::test_the_evicting_snapshot_gate_passes``)
-#: and the bench's ``serve_session`` digest all hash ``"serve"`` in.
-build_network = functools.partial(repro.build_network, name="serve")
 
 
 class ServeError(ValueError):

@@ -28,14 +28,14 @@ class Event:
 class EventLoop:
     """Heap-based event scheduler with virtual time."""
 
-    def __init__(self, on_event: Optional[Callable[[Event], Any]] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list = []
         self._counter = itertools.count()
         self.events_run = 0
         #: Observer invoked with each event just before its callback runs
-        #: (after ``now`` advances).  Used by ``repro.obs``.
-        self.on_event = on_event
+        #: (after ``now`` advances); assigned by whoever watches the loop.
+        self.on_event: Optional[Callable[[Event], Any]] = None
 
     def schedule(self, delay: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` to run ``delay`` time units from now."""
@@ -67,11 +67,11 @@ class EventLoop:
         self.events_run += 1
         return True
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Drain events; stop at virtual time ``until`` or after
-        ``max_events`` callbacks.  Returns how many events ran."""
+    def run(self, until: Optional[float] = None) -> int:
+        """Drain events, stopping at virtual time ``until`` when given.
+        Returns how many events ran."""
         ran = 0
-        while self._heap and (max_events is None or ran < max_events):
+        while self._heap:
             if until is not None and self._heap[0].time > until:
                 # Advance to the bound, never backwards: ``run(until=t)``
                 # with ``t < now`` must not rewind the clock — the

@@ -183,14 +183,12 @@ class NetworkSpec(Spec):
     n_fingers: int = 8
 
     def sizing(self) -> Tuple[str, ...]:
-        """The sizing fields this kind's ``build`` reads, its size first:
-        ``inter`` (the AS-level Internet) is sized by ``n_ases``, every
-        kind over one ISP by ``n_routers``, and only the ROFL kinds have a
-        pointer cache to size."""
-        size = "n_ases" if self.kind == "inter" else "n_routers"
-        if self.kind in ("intra", "inter"):
-            return size, "cache_entries"
-        return (size,)
+        """The sizing fields this kind's ``build`` reads, its size first
+        (the one statement of which): only the ROFL kinds have a pointer
+        cache, and only ``inter`` fingers."""
+        return {"inter": ("n_ases", "cache_entries", "n_fingers"),
+                "intra": ("n_routers", "cache_entries")}.get(
+                    self.kind, ("n_routers",))
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -198,7 +196,7 @@ class NetworkSpec(Spec):
                                 "{!r}".format(", ".join(KINDS), self.kind))
         # The size bound is the generator's own, so a size it would refuse
         # fails here in one line, not mid-build.
-        for name in (self.sizing()[0], "cache_entries", "n_fingers"):
+        for name in self.sizing():
             value, low = getattr(self, name), _SMALLEST[name]
             if value is not None and value < low:
                 raise ScenarioError("{} must be at least {}, got {}".format(
@@ -313,8 +311,17 @@ class Scenario(Spec):
             raise ScenarioError("warmup_hosts must be non-negative")
         if self.sample_interval <= 0:
             raise ScenarioError("sample_interval must be positive")
-        self.network.validate()
-        kind = self.network.kind
+        network, kind = self.network, self.network.kind
+        network.validate()
+        # A field the kind never reads holds its default (what ``to_dict``
+        # writes).  Not in NetworkSpec.validate: build_network's callers
+        # may pass every size.
+        for f in fields(network):
+            value = getattr(network, f.name)
+            if (f.name in _SMALLEST and f.name not in network.sizing()
+                    and value != f.default):
+                raise ScenarioError("network.{}: {!r} networks do not read "
+                                    "it, got {}".format(f.name, kind, value))
 
         def need(what: str, operations) -> None:
             # Read off the kind's class, so it fails here and not mid-run.

@@ -21,10 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from repro import snapshot
+from repro import build_network, snapshot
 from repro.__main__ import main
 from repro.intra.pointercache import PointerCache
-from repro.serve import build_network
 from tests.conftest import CHILD_ENV
 
 yaml = pytest.importorskip("yaml")
@@ -211,7 +210,7 @@ def test_the_evicting_snapshot_gate_passes(tmp_path, monkeypatch):
     monkeypatch.setattr(PointerCache, "replace", counting)
 
     net = build_network(kind="intra", seed=0, n_routers=40, hosts=2000,
-                        cache_entries=64)
+                        cache_entries=64, name="serve")
     # A fresh build and its loaded twin (``verify=True``: it hashes as the
     # saved build) replay the same 200 sends.  A query on the twin alone
     # must leave nothing behind that the replay could see.
@@ -255,7 +254,7 @@ def test_the_evicting_snapshot_gate_passes(tmp_path, monkeypatch):
     # The same gate over AS caches: routes of AS numbers, interned per
     # cache, never a ring pointer's own route.
     inter = build_network(kind="inter", seed=0, n_ases=60, hosts=300,
-                          cache_entries=64)
+                          cache_entries=64, name="serve")
     stub = _hosting_stub(inter)
     inter.fail_as(stub)
     used = sum(inter.send(*inter.random_host_pair()).used_cache

@@ -176,13 +176,25 @@ def test_workload_invalid_scenario_contents(tmp_path, capsys):
     (b"\xff\xfe not text", None),
     (None, None),
     ('{"name": "bad", "network": {"kind": "inter", "n_ases": 5}}', "n_ases"),
+    ('{"name": "bad", "network": {"kind": "cmu", "cache_entries": 5}}',
+     "cache_entries"),
+    ('{"name": "bad", "network": {"kind": "cmu", "n_fingers": 3}}',
+     "n_fingers"),
+    ('{"name": "bad", "network": {"kind": "intra", "n_fingers": 16}}',
+     "n_fingers"),
+    ('{"name": "bad", "network": {"kind": "inter", "n_routers": 12}}',
+     "n_routers"),
+    ('{"name": "bad", "network": {"kind": "disco", "cache_entries": 0}}',
+     "cache_entries"),
 ], ids=["wrong-type", "number-for-mapping", "infinity", "misspelt-key",
-        "not-text", "a-directory", "too-few-ases"])
+        "not-text", "a-directory", "too-few-ases", "cmu-cache", "cmu-fingers",
+        "intra-fingers", "inter-routers", "disco-cache"])
 def test_a_scenario_that_cannot_be_read_or_parsed_exits_2_with_one_line(
         tmp_path, capsys, command, label, content, key):
     """Never a traceback, never a hang (``Infinity`` parsed and the run
     never returned), never a silent default (the misspelt key was
-    dropped); the line names the key at fault.  A path that exists but
+    dropped, and a sizing field the kind never reads, like a cache on a
+    baseline, ran as if unset); the line names the key at fault.  A path that exists but
     cannot be read (``IsADirectoryError``, ``UnicodeDecodeError``) is
     reported like a missing one."""
     path = tmp_path / "bad.json"
@@ -264,10 +276,20 @@ def test_a_network_size_the_builder_refuses_exits_2_with_one_line(
     (["snapshot", "save", "{tmp}/s.snap", "--kind", "disco",
       "--cache-entries", "0"], "--cache-entries"),
     (["snapshot", "save", "{tmp}/s.snap", "--ases", "7"], "--ases"),
+    (["serve", "--snapshot", "{tmp}/s.snap", "--seed", "3"], "--seed"),
+    (["serve", "--snapshot", "{tmp}/s.snap", "--routers", "9"], "--routers"),
+    (["serve", "--snapshot", "{tmp}/s.snap", "--ases", "12"], "--ases"),
+    (["serve", "--snapshot", "{tmp}/s.snap", "--hosts", "5"], "--hosts"),
+    (["serve", "--snapshot", "{tmp}/s.snap", "--cache-entries", "3"],
+     "--cache-entries"),
+    (["serve", "--verify", "--hosts", "5", "--requests", os.devnull],
+     "--verify"),
 ], ids=["hosts", "negative-packets", "no-packets", "serve-negative-hosts",
         "save-negative-hosts", "serve-inter-routers", "serve-cmu-cache",
         "serve-intra-ases", "save-inter-routers", "save-disco-cache",
-        "save-intra-ases"])
+        "save-intra-ases", "snapshot-seed", "snapshot-routers",
+        "snapshot-ases", "snapshot-hosts", "snapshot-cache",
+        "verify-without-snapshot"])
 def test_a_tracing_flag_out_of_range_is_a_usage_error(tmp_path, capsys,
                                                       argv, flag):
     """``trace --hosts 1`` was a ``ValueError`` traceback from the host
@@ -276,7 +298,10 @@ def test_a_tracing_flag_out_of_range_is_a_usage_error(tmp_path, capsys,
     same way: a negative one built (and saved) a network with no hosts
     and exited 0.  So is a sizing flag the kind does not read (``inter``
     no router count, the kinds over one ISP no AS count, a baseline no
-    pointer cache), which built the network without it and exited 0."""
+    pointer cache), which built the network without it and exited 0, and
+    so is a flag ``serve`` would not read: a seed, host count or size
+    beside ``--snapshot`` (the network is the file's), or ``--verify``
+    with no snapshot to verify; each was ignored."""
     with pytest.raises(SystemExit) as exited:
         main([arg.format(tmp=tmp_path) for arg in argv])
     assert exited.value.code == 2
@@ -502,6 +527,44 @@ def test_serve_warm_loads_snapshot(tmp_path, capsys):
     info = json.loads(captured.out.splitlines()[0])
     assert info["hosts"] == 20
     assert "loaded" in captured.err
+
+
+def test_serve_snapshot_takes_its_own_kind_alone(tmp_path, capsys):
+    """``--kind intra --snapshot PATH`` is the argv the bench's
+    ``serve_session`` starts every server with; another kind was
+    ignored."""
+    path = tmp_path / "warm.snap"
+    assert main(["snapshot", "save", str(path), "--hosts", "5",
+                 "--routers", "16"]) == 0
+    assert main(["serve", "--kind", "intra", "--snapshot", str(path),
+                 "--requests", os.devnull]) == 0
+    assert "loaded" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exited:
+        main(["serve", "--kind", "cmu", "--snapshot", str(path),
+              "--requests", os.devnull])
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "repro serve: error: argument --kind: {} holds IntraDomainNetwork, "
+        "not a 'cmu' network\n".format(path))
+
+
+@pytest.mark.parametrize("action", ["info", "verify"])
+@pytest.mark.parametrize("flag, value", [
+    ("--kind", "cmu"), ("--seed", "3"), ("--routers", "9"), ("--ases", "12"),
+    ("--hosts", "5"), ("--cache-entries", "3")])
+def test_snapshot_info_and_verify_take_no_network_flag(tmp_path, capsys,
+                                                        action, flag, value):
+    """They read a file and build nothing; the flags were accepted and
+    read by no one (exit 0).  Only ``save`` has them."""
+    with pytest.raises(SystemExit) as exited:
+        main(["snapshot", action, str(tmp_path / "s.snap"), flag, value])
+    assert exited.value.code == 2
+    out, err = capsys.readouterr()
+    [line] = [line for line in err.splitlines()
+              if not line.startswith(("usage: ", "  "))]
+    assert out == "" and line == (
+        "repro: error: unrecognized arguments: {} {}".format(flag, value))
 
 
 def test_report_requires_an_input(capsys):

@@ -13,8 +13,7 @@ import json
 import subprocess
 import sys
 
-from repro import snapshot
-from repro.serve import build_network
+from repro import build_network, snapshot
 from tests.conftest import CHILD_ENV
 
 #: What a warm start may load at most, of the 74 modules under src/repro.
@@ -54,8 +53,8 @@ def test_the_interdomain_kernel_loads_no_other_kind_or_report():
 
 def test_a_warm_start_loads_its_kind_and_the_codec_alone(tmp_path):
     path, requests = tmp_path / "net.snap", tmp_path / "empty.jsonl"
-    snapshot.save(build_network("intra", 0, n_routers=20, hosts=20),
-                  str(path))
+    snapshot.save(build_network("intra", 0, n_routers=20, hosts=20,
+                                name="serve"), str(path))
     requests.write_text("")
     loaded = _loaded(
         "import sys\nfrom repro.__main__ import main\n"

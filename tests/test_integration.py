@@ -3,21 +3,23 @@
 import random
 
 
-from repro import quick_interdomain, quick_intradomain
+from repro import build_network
 from repro.inter.policy import JoinStrategy
 from repro.services.anycast import AnycastGroup
 from repro.services.multicast import MulticastGroup
 
 
-class TestQuickstarts:
-    def test_quick_intradomain(self):
-        net = quick_intradomain(n_routers=30, n_hosts=40, seed=1)
+class TestBuildNetwork:
+    def test_build_intradomain(self):
+        net = build_network("intra", seed=1, hosts=40, n_routers=30,
+                            cache_entries=1024)
         net.check_ring()
         a, b = net.random_host_pair()
         assert net.send(a, b).delivered
 
-    def test_quick_interdomain(self):
-        net = quick_interdomain(n_ases=40, n_hosts=60, seed=1)
+    def test_build_interdomain(self):
+        net = build_network("inter", seed=1, hosts=60, n_ases=40,
+                            n_fingers=16)
         net.check_rings()
         a, b = net.random_host_pair()
         assert net.send(a, b).delivered
@@ -118,16 +120,20 @@ class TestInterdomainChurn:
 
 class TestCrossScale:
     def test_intra_results_scale_with_topology(self):
-        small = quick_intradomain(n_routers=24, n_hosts=40, seed=5)
-        large = quick_intradomain(n_routers=96, n_hosts=40, seed=5)
+        small = build_network("intra", seed=5, hosts=40, n_routers=24,
+                              cache_entries=1024)
+        large = build_network("intra", seed=5, hosts=40, n_routers=96,
+                              cache_entries=1024)
         small_cost = sum(small.stats.operation_costs("join")) / 40
         large_cost = sum(large.stats.operation_costs("join")) / 40
         # Bigger diameter → proportionally more join messages.
         assert large_cost > small_cost
 
     def test_deterministic_replay(self):
-        a = quick_intradomain(n_routers=30, n_hosts=50, seed=42)
-        b = quick_intradomain(n_routers=30, n_hosts=50, seed=42)
+        a = build_network("intra", seed=42, hosts=50, n_routers=30,
+                          cache_entries=1024)
+        b = build_network("intra", seed=42, hosts=50, n_routers=30,
+                          cache_entries=1024)
         assert a.stats.operation_costs("join") == b.stats.operation_costs("join")
         pa, pb = a.random_host_pair(), b.random_host_pair()
         assert pa == pb

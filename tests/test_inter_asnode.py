@@ -211,7 +211,6 @@ class TestUpkeep:
         node.cache.put(240, ("AS-X", "AS-Y"))
         # id itself + 1 succ + 1 finger + 1 cache entry
         assert node.state_entries() == 4
-        assert node.state_entries(include_cache=False) == 3
 
 
 class TestPointerValidation:

@@ -198,7 +198,9 @@ class TestReferenceTwin:
         def build():
             net = InterDomainNetwork(synthetic_as_graph(n_ases=40, seed=4),
                                      n_fingers=8, seed=4)
-            net.join_random_hosts(1400, strategy=JoinStrategy.EPHEMERAL)
+            for _ in range(1400):
+                net.join_host(net.next_joinable_host(),
+                              strategy=JoinStrategy.EPHEMERAL)
             net.join_random_hosts(100)
             return net
         net = _twins(build)

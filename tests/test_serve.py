@@ -8,8 +8,8 @@ import threading
 
 import pytest
 
-from repro import snapshot
-from repro.serve import ReproServer, build_network
+from repro import build_network, snapshot
+from repro.serve import ReproServer
 from repro.util import perf
 
 
@@ -17,7 +17,7 @@ from repro.util import perf
 def server():
     """One resident intradomain network shared by the read-only tests."""
     return ReproServer(build_network(kind="intra", seed=1, n_routers=20,
-                                     hosts=40))
+                                     hosts=40, name="serve"))
 
 
 def ok(server, **request):
@@ -128,8 +128,8 @@ class TestDispatch:
 
 class TestMutatingOps:
     def test_join_leave_cycle(self):
-        server = ReproServer(build_network(kind="intra", seed=2,
-                                           n_routers=16, hosts=10))
+        server = ReproServer(build_network(kind="intra", seed=2, n_routers=16,
+                                           hosts=10, name="serve"))
         joined = ok(server, op="join", n=5)
         assert joined["joined"] == 5 and joined["total_hosts"] == 15
         left = ok(server, op="leave", host=joined["hosts"][0])
@@ -138,7 +138,7 @@ class TestMutatingOps:
 
     def test_leave_needs_intra(self):
         server = ReproServer(build_network(kind="inter", seed=2, n_ases=20,
-                                           hosts=10))
+                                           hosts=10, name="serve"))
         name = ok(server, op="join", n=1)["hosts"][0]
         error = err(server, op="leave", host=name)
         assert error == "Unsupported: 'inter' networks do not support " \
@@ -151,7 +151,7 @@ class TestMutatingOps:
         non-intra class used to answer "inter"); ``leave`` works where the
         kind has a leave protocol and is refused by name where not."""
         server = ReproServer(build_network(kind=kind, seed=2, n_routers=16,
-                                           hosts=10))
+                                           hosts=10, name="serve"))
         info = ok(server, op="info")
         assert info["kind"] == kind and info["hosts"] == 10
         assert info["routers"] == 16 and info["topology"] == "serve"
@@ -173,7 +173,8 @@ class TestMutatingOps:
         in, so its mean read below 1 where the recorder, the figures and
         the quickstart read the same packets at ≥ 1."""
         def three_hosts():
-            net = build_network(kind="intra", seed=3, n_routers=16)
+            net = build_network(kind="intra", seed=3, n_routers=16,
+                                name="serve")
             first = net.next_planned_host()
             net.join_host(first)
             net.join_host(net.next_planned_host(), via_router=first.attach_at)
@@ -192,8 +193,8 @@ class TestMutatingOps:
             sum(stretches) / len(stretches), 4) >= 1.0
 
     def test_save_then_warm_start_equivalence(self, tmp_path):
-        server = ReproServer(build_network(kind="intra", seed=4,
-                                           n_routers=16, hosts=20))
+        server = ReproServer(build_network(kind="intra", seed=4, n_routers=16,
+                                           hosts=20, name="serve"))
         path = str(tmp_path / "resident.snap")
         saved = ok(server, op="save", path=path)
         assert saved["state_hash"] == snapshot.describe(path)["state_hash"]
@@ -202,8 +203,8 @@ class TestMutatingOps:
             k: v for k, v in ok(twin, op="send", n=10).items()})
 
     def test_workload_runs_on_resident_network(self):
-        server = ReproServer(build_network(kind="intra", seed=0,
-                                           n_routers=40, hosts=0))
+        server = ReproServer(build_network(kind="intra", seed=0, n_routers=40,
+                                           hosts=0, name="serve"))
         result = ok(server, op="workload", scenario="steady-churn")
         assert result["scenario"] == "steady-churn"
         assert result["totals"]["joins"] > 0
@@ -231,8 +232,8 @@ class TestMutatingOps:
         assert ok(server, op="state_hash")["state_hash"] == before
 
     def test_workload_int_seed_still_reseeds_the_builtin(self):
-        server = ReproServer(build_network(kind="intra", seed=0,
-                                           n_routers=40, hosts=0))
+        server = ReproServer(build_network(kind="intra", seed=0, n_routers=40,
+                                           hosts=0, name="serve"))
         result = ok(server, op="workload", scenario="steady-churn", seed=3)
         assert result["scenario"] == "steady-churn"
         assert result["totals"]["joins"] > 0
@@ -249,6 +250,18 @@ class TestMutatingOps:
                         "links": [["r0", "nope"]]}]}
         assert "ScenarioError: fault 'link_cut' at 0.5: unknown link" in err(
             server, op="workload", scenario=scenario)
+        assert ok(server, op="state_hash")["state_hash"] == before
+
+    def test_a_workload_setting_a_field_its_kind_does_not_read_is_refused(
+            self, server):
+        """As ``repro workload FILE`` refuses it; it ran as if unset."""
+        before = ok(server, op="state_hash")["state_hash"]
+        scenario = {"name": "bad", "duration": 2.0,
+                    "network": {"kind": "intra", "n_routers": 20,
+                                "n_fingers": 16}}
+        assert err(server, op="workload", scenario=scenario) == (
+            "ScenarioError: network.n_fingers: 'intra' networks do not "
+            "read it, got 16")
         assert ok(server, op="state_hash")["state_hash"] == before
 
     @pytest.mark.parametrize("key, value, named", [
@@ -275,8 +288,8 @@ class TestMutatingOps:
 
 class TestLineProtocol:
     def test_twenty_request_session(self):
-        server = ReproServer(build_network(kind="intra", seed=5,
-                                           n_routers=16, hosts=30))
+        server = ReproServer(build_network(kind="intra", seed=5, n_routers=16,
+                                           hosts=30, name="serve"))
         requests = [{"op": "ping", "id": i} for i in range(10)]
         requests += [{"op": "send", "n": 2, "id": 10 + i} for i in range(9)]
         requests.append({"op": "shutdown", "id": 19})
@@ -316,8 +329,8 @@ class TestLineProtocol:
         server._shutdown = False           # shared fixture: re-arm
 
     def test_tcp_transport(self):
-        server = ReproServer(build_network(kind="intra", seed=6,
-                                           n_routers=16, hosts=20))
+        server = ReproServer(build_network(kind="intra", seed=6, n_routers=16,
+                                           hosts=20, name="serve"))
         port_box = []
         ready = threading.Event()
 
@@ -345,8 +358,8 @@ class TestSustainedLoad:
     def test_thousand_sends_against_resident_2k_network(self):
         """Acceptance: >=1000 route/send requests against a resident
         2k-host network, every one delivered and timed."""
-        server = ReproServer(build_network(kind="intra", seed=0,
-                                           n_routers=40, hosts=2000))
+        server = ReproServer(build_network(kind="intra", seed=0, n_routers=40,
+                                           hosts=2000, name="serve"))
         perf.reset()
         delivered = 0
         for i in range(1000):
@@ -409,15 +422,15 @@ class TestTcpHardening:
     def test_bind_twice_regression(self):
         """A restart must be able to rebind the port a previous server
         (with live TIME_WAIT connections) just released."""
-        first = ReproServer(build_network(kind="intra", seed=6,
-                                          n_routers=16, hosts=10))
+        first = ReproServer(build_network(kind="intra", seed=6, n_routers=16,
+                                          hosts=10, name="serve"))
         thread, port = self._start_tcp(first)
         self._shutdown(port)
         thread.join(timeout=10)
         assert not thread.is_alive()
 
-        second = ReproServer(build_network(kind="intra", seed=6,
-                                           n_routers=16, hosts=10))
+        second = ReproServer(build_network(kind="intra", seed=6, n_routers=16,
+                                           hosts=10, name="serve"))
         thread, port_again = self._start_tcp(second, port=port)
         assert port_again == port
         self._shutdown(port)
@@ -425,8 +438,8 @@ class TestTcpHardening:
         assert not thread.is_alive()
 
     def test_survives_mid_request_hangup(self):
-        server = ReproServer(build_network(kind="intra", seed=6,
-                                           n_routers=16, hosts=10))
+        server = ReproServer(build_network(kind="intra", seed=6, n_routers=16,
+                                           hosts=10, name="serve"))
         thread, port = self._start_tcp(server)
         sock = socket.create_connection(("127.0.0.1", port), timeout=10)
         sock.sendall(b'{"op": "ping"}\n')
@@ -448,8 +461,8 @@ class TestTcpHardening:
         assert not thread.is_alive()
 
     def test_idle_connection_times_out(self):
-        server = ReproServer(build_network(kind="intra", seed=6,
-                                           n_routers=16, hosts=10))
+        server = ReproServer(build_network(kind="intra", seed=6, n_routers=16,
+                                           hosts=10, name="serve"))
         thread, port = self._start_tcp(server, timeout=0.3)
         with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
             s.settimeout(10)
@@ -471,8 +484,8 @@ class TestTransportEquivalence:
 
     @staticmethod
     def _fresh():
-        return ReproServer(build_network(kind="intra", seed=9,
-                                         n_routers=16, hosts=20))
+        return ReproServer(build_network(kind="intra", seed=9, n_routers=16,
+                                         hosts=20, name="serve"))
 
     def test_stdio_and_tcp_tapes_are_byte_identical(self):
         stdio_out = io.StringIO()

@@ -166,9 +166,10 @@ def test_two_groups_with_one_name_share_a_network(net, sites):
 #: tree and what painting it cost.
 _BUILD_ONE_TREE = """
 import json
-from repro import quick_intradomain
+from repro import build_network
 from repro.services.multicast import MulticastGroup
-net = quick_intradomain(n_routers=60, seed=5)
+net = build_network("intra", seed=5, hosts=100, n_routers=60,
+                    cache_entries=1024)
 group = MulticastGroup(net, "feed")
 for i, router in enumerate(net.topology.edge_routers()[::3][:10]):
     group.join("m{}".format(i), router)

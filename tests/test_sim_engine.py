@@ -50,14 +50,6 @@ def test_run_until_stops_at_boundary():
     assert fired == [1, 2]
 
 
-def test_max_events_bound():
-    loop = EventLoop()
-    for i in range(10):
-        loop.schedule(float(i), lambda: None)
-    assert loop.run(max_events=4) == 4
-    assert loop.pending == 6
-
-
 def test_events_may_schedule_more_events():
     loop = EventLoop()
     fired = []
@@ -101,22 +93,6 @@ def test_schedule_at_past_raises():
     loop.schedule_at(5.0, lambda: fired.append(loop.now))
     loop.run()
     assert fired == [5.0]
-
-
-def test_run_until_and_max_events_interact():
-    loop = EventLoop()
-    fired = []
-    for i in range(10):
-        loop.schedule(float(i), lambda i=i: fired.append(i))
-    # max_events binds first: only 2 of the 5 events before t=4.5 run.
-    assert loop.run(until=4.5, max_events=2) == 2
-    assert fired == [0, 1]
-    assert loop.now == 1.0  # stopped by the event bound, not the clock
-    # until binds next: events at t=2,3,4 run, clock parks at the boundary.
-    assert loop.run(until=4.5, max_events=100) == 3
-    assert fired == [0, 1, 2, 3, 4]
-    assert loop.now == 4.5
-    assert loop.pending == 5
 
 
 class TestOnEventObserver:
@@ -187,7 +163,7 @@ class TestClockMonotoneProperty:
                     # rewind-prone case this property exists to pin.
                     loop.run(until=x)
                 elif name == "run_all":
-                    loop.run(max_events=int(x))
+                    loop.run()
                 elif name == "step":
                     loop.step()
                 assert loop.now >= floor, (name, x, loop.now, floor)
