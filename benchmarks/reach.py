@@ -114,8 +114,8 @@ def smokes(tmp: Path) -> Iterator[Tuple[str, List[str]]]:
     yield "figures", repro + ["figures"]
     for name in ("steady-churn", "flash-crowd"):
         yield "workload", repro + ["workload", name, "--json", out("w.json")]
-    yield "workload-text", repro + ["workload",
-                                    "examples/scenarios/depeering.json"]
+    yield "workload-text", repro + [
+        "workload", "examples/scenarios/crash-then-partition.json"]
     yield "workload-list", repro + ["workload", "--list"]
     yield "workload-obs", repro + [
         "workload", "steady-churn", "--probes", "--trace-out", out("t.jsonl"),

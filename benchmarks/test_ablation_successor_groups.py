@@ -23,7 +23,7 @@ def run_ablation():
         rng = derive_rng(0, "ablation-successor-groups", group)
         costs = [net.fail_host(rng.choice(sorted(net.hosts)))
                  for _ in range(80)]
-        net.check_ring()
+        net.check()
         delivered = sum(net.send(*net.random_host_pair()).delivered
                         for _ in range(100))
         rows.append({"group": group, "state_entries": state,

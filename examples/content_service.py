@@ -22,7 +22,7 @@ def main() -> None:
     replica_routers = edge[::9][:5]
     for router in replica_routers:
         frontends.add_member(router)
-    net.check_ring()
+    net.check()
     print("Anycast group 'cdn-frontend' with {} replicas".format(
         len(frontends.members)))
     for client in edge[3:30:6]:
@@ -32,7 +32,7 @@ def main() -> None:
               "(nearest replica is {} hops away)".format(
                   client, result.hops, nearest))
     frontends.remove_member(0)
-    net.check_ring()
+    net.check()
     result = frontends.send(edge[3])
     print("  replica 0 retired: client@{} now served at {} in {} hops".format(
         edge[3], result.path[-1], result.hops))

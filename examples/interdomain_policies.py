@@ -16,7 +16,7 @@ from repro.topology.hosts import PlannedHost
 
 def main() -> None:
     net = build_network("inter", seed=5, hosts=300, n_ases=80, n_fingers=16)
-    net.check_rings()
+    net.check()
     print("Internet of {} ASes ({} tier-1s, {} stubs); {} IDs joined, "
           "0 ring inconsistencies, {} oracle mismatches".format(
               net.asg.n_ases, len(net.asg.tier1()), len(net.asg.stubs()),
@@ -66,7 +66,7 @@ def main() -> None:
     stub = next(s for s in net.asg.stubs() if len(net.ases[s].hosted) > 0)
     ids = len(net.ases[stub].hosted)
     messages = net.fail_as(stub)
-    net.check_rings()
+    net.check()
     survivors_ok = all(net.send(*net.random_host_pair()).delivered
                        for _ in range(50))
     print("\nFailed stub {} ({} IDs): {} repair messages; all surviving "

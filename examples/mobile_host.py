@@ -29,17 +29,16 @@ def main() -> None:
         receipt.router, receipt.messages))
 
     for hop, gateway in enumerate(gateways[1:], start=1):
-        # Move: detach (session timeout at the old gateway) and rejoin at
-        # the new one with the *same* self-certifying identity.
-        net.fail_host(laptop.name)
-        receipt = net.join_host(laptop, via_router=gateway)
-        net.check_ring()
+        # Move: leave the old gateway gracefully and rejoin at the new one
+        # with the *same* self-certifying identity.
+        move = net.move_host(laptop.name, gateway)
+        net.check()
 
         result = net.send(correspondent, laptop.name)
-        print("Move {}: now at {:<5} rejoin={} msgs; packet to the same "
-              "label delivered={} via {} hops".format(
-                  hop, gateway, receipt.messages, result.delivered,
-                  result.hops))
+        print("Move {}: now at {:<5} leave={} rejoin={} msgs; packet to the "
+              "same label delivered={} via {} hops".format(
+                  hop, gateway, move.leave_messages, move.rejoin_messages,
+                  result.delivered, result.hops))
         assert result.delivered
         assert result.path[-1] == gateway
 

@@ -16,7 +16,7 @@ def main() -> None:
     print("Building a 60-router ISP and joining 200 hosts...")
     net = build_network("intra", seed=1, hosts=200, n_routers=60,
                         cache_entries=1024)
-    net.check_ring()
+    net.check()
     print("  ring consistent: {} identifiers ({} hosts + {} router IDs)"
           .format(len(net.vn_index), net.n_hosts, len(net.routers)))
 
@@ -42,7 +42,7 @@ def main() -> None:
     print("\nFailing a host and verifying the ring heals...")
     victim = sorted(net.hosts)[0]
     messages = net.fail_host(victim)
-    net.check_ring()
+    net.check()
     print("  repaired with {} messages; ring still consistent".format(messages))
 
     print("\nDisconnecting and reconnecting a whole PoP...")

@@ -3,9 +3,9 @@
 Commands:
 
 * ``figures [--full] [--only PREFIX]`` — run the figure registry
-  (``repro.harness.report.FIGURES``): the evaluation blocks of
-  ``examples/reproduce_paper.py``, same sizes and order, then the
-  ROFL-vs-Disco head-to-head.
+  (``repro.harness.report.FIGURES``): every evaluation block of the
+  paper's §6 at its registered sizes, then the ROFL-vs-Disco
+  head-to-head; ``--only fig`` is the evaluation blocks alone.
 * ``workload <scenario.json|builtin> [--seed N] [--json PATH]`` — run a
   declarative churn/traffic/fault scenario (``--list`` names builtins).
   ``--trace-out out.jsonl`` records a causal packet trace; ``--probes``
@@ -13,7 +13,7 @@ Commands:
   run's window rows (same seed, byte-identical file).
 * ``trace`` — route packets under the ``repro.obs`` tracer and render
   each decision tree with per-hop stretch attribution; ``--scenario``
-  replays a workload window instead.
+  replays a workload window instead, on the network the scenario names.
 * ``serve [--kind intra|inter|cmu|ospf|disco] [--hosts N] [--snapshot
   PATH] [--tcp PORT]`` — build (or warm-load) a network once and answer
   line-delimited JSON requests against it (``repro.serve``; ``--requests
@@ -187,6 +187,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import explain
     from repro.obs import trace as obs_trace
 
+    # A network flag the run would not read is a usage error, not ignored.
+    if args.scenario is not None:
+        for flag, value in (("--inter", args.inter or None),
+                            ("--routers", args.routers),
+                            ("--ases", args.ases), ("--hosts", args.hosts)):
+            if value is not None:
+                _flag_error(args, flag, "the scenario names its network")
+    elif args.inter and args.routers is not None:
+        _flag_error(args, "--routers", "'inter' networks do not read it")
+    elif not args.inter and args.ases is not None:
+        _flag_error(args, "--ases", "'intra' networks do not read it")
     sink = obs_trace.RingBufferSink()
     if args.scenario is not None:
         # Replay a scenario window with tracing + probes on, then explain
@@ -216,8 +227,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         from repro import build_network
         from repro.obs.probes import ProbeSet
         net = build_network("inter" if args.inter else "intra",
-                            args.seed or 0, n_routers=args.routers,
-                            n_ases=args.ases, hosts=args.hosts,
+                            args.seed or 0,
+                            n_routers=24 if args.routers is None
+                            else args.routers,
+                            n_ases=30 if args.ases is None else args.ases,
+                            hosts=60 if args.hosts is None else args.hosts,
                             cache_entries=256 if args.inter else None,
                             n_fingers=16)
         results = []
@@ -499,11 +513,11 @@ def main(argv=None) -> int:
         help="route packets under the tracer and explain the decisions")
     tracecmd.add_argument("--inter", action="store_true",
                           help="interdomain network instead of intradomain")
-    tracecmd.add_argument("--routers", type=int, default=24,
+    tracecmd.add_argument("--routers", type=int,
                           help="intra: router count (default 24)")
-    tracecmd.add_argument("--ases", type=int, default=30,
+    tracecmd.add_argument("--ases", type=int,
                           help="inter: AS count (default 30)")
-    tracecmd.add_argument("--hosts", type=_bounded(int, 2), default=60,
+    tracecmd.add_argument("--hosts", type=_bounded(int, 2),
                           help="hosts to join before routing (default 60)")
     tracecmd.add_argument("--packets", type=_bounded(int, 1), default=1,
                           help="packets to route and explain (default 1)")

@@ -309,7 +309,7 @@ def fig7b_host_failure(profile: str = "AS3967", n_hosts: int = 500,
         [FaultSpec(kind="host_crash", at=0.5,
                    params={"count": n_failures})])
     avg_failure = _mean(net.stats.operation_costs("host_failure"))
-    net.check_ring()
+    net.check()
     return {
         "profile": profile,
         "avg_join": avg_join,
@@ -334,7 +334,7 @@ def fig7c_router_recovery(profile: str = "AS3967", n_hosts: int = 300,
         duration=duration,
         phases=[Phase(name="probe", start=0.0, end=duration,
                       traffic=TrafficSpec(rate=probe_rate))])
-    net.check_ring()
+    net.check()
     crashes = [f for f in result.fault_log if f["kind"] == "router_crash"]
     avg_repair = _mean([c["repair_messages"] for c in crashes]) or 0.0
     return {
@@ -480,7 +480,7 @@ def fig8d_stub_failure(n_ases: int = 80, n_hosts: int = 400,
         endpoint_affected = sum(1 for a, b in paths
                                 if stub in (home[a], home[b]))
         messages = net.fail_as(stub)
-        net.check_rings()
+        net.check()
         # Survivors must still reach each other.
         probes = 50 if len(net.hosts) >= 2 else 0
         delivered = sum(net.send(*net.random_host_pair()).delivered

@@ -2,13 +2,12 @@
 
 :data:`FIGURES` is the one ordered list of the paper's Section 6 blocks
 (plus the ROFL-vs-Disco head-to-head).  Each entry names its driver in
-:mod:`repro.harness.experiments`, the workload sizes
-``examples/reproduce_paper.py`` has always used (``k`` is 3 under
+:mod:`repro.harness.experiments`, its workload sizes (``k`` is 3 under
 ``--full``, else 1) and a declarative table — title, columns, row
 extractor, note lines, the paper's reported trend.  ``python -m repro
-figures``, ``examples/reproduce_paper.py`` and ``benchmarks/test_fig*.py``
-all read it; :func:`render` turns a driver's result into the text block
-they print, through the block model of :mod:`repro.obs.report`.
+figures`` and ``benchmarks/test_fig*.py`` read it; :func:`render` turns a
+driver's result into the text block they print, through the block model
+of :mod:`repro.obs.report`.
 """
 
 from __future__ import annotations

@@ -18,15 +18,11 @@ from repro.inter.asnode import RoflAS
 from repro.inter.bgp import BgpBaseline
 from repro.inter.pointers import ASPointer, InterVirtualNode
 from repro.inter.policy import JoinStrategy, PolicyView
-from repro.network import Network
+from repro.network import Network, RingInconsistency
 from repro.sim.stats import PathResult
 from repro.topology.asgraph import ASGraph, synthetic_as_graph
 from repro.topology.hosts import PlannedHost
 from repro.util.ringmap import SortedRingMap
-
-
-class InterRingInconsistency(AssertionError):
-    """Raised by :meth:`InterDomainNetwork.check_rings` on misconvergence."""
 
 
 class InterDomainNetwork(Network):
@@ -262,7 +258,7 @@ class InterDomainNetwork(Network):
 
     # -- verification -----------------------------------------------------------------
 
-    def check_rings(self) -> None:
+    def check(self) -> None:
         """Every level's members must form a consistent merged ring: each
         member's effective successor *among that ring's members* equals
         the next member clockwise.
@@ -282,12 +278,10 @@ class InterDomainNetwork(Network):
                 eff = routing.effective_successor(self, vn, level,
                                                   members=ring)
                 if eff is None or eff.dest_id.value != expected:
-                    raise InterRingInconsistency(
+                    raise RingInconsistency(
                         "level {}: {} effective successor {} != {}".format(
                             level, vn.id, eff and eff.dest_id,
                             vns[expected].id))
-
-    check = check_rings
 
     def check_isolation(self, src_as: Hashable, dst_as: Hashable,
                         as_path: List[Hashable]) -> bool:

@@ -16,15 +16,11 @@ from repro.intra import forwarding, partition, ring
 from repro.intra.router import RoflRouter
 from repro.intra.virtualnode import (DEFAULT_SUCCESSOR_GROUP, Pointer,
                                      VirtualNode)
-from repro.network import Network
+from repro.network import Network, RingInconsistency
 from repro.sim.stats import PathResult
 from repro.topology.graph import RouterTopology
 from repro.topology.hosts import PlannedHost
 from repro.topology.isp import TCAM_ENTRIES, synthetic_isp
-
-
-class RingInconsistency(AssertionError):
-    """Raised by :meth:`IntraDomainNetwork.check_ring` on misconvergence."""
 
 
 class IntraDomainNetwork(Network):
@@ -247,7 +243,7 @@ class IntraDomainNetwork(Network):
             members[where[vn.router]].append(vn)
         return list(zip(components, members))
 
-    def check_ring(self) -> None:
+    def check(self) -> None:
         """The simulator's misconvergence check: live members must form a
         single sorted ring of primary successors (per live component)."""
         for _, members in self.ring_components():
@@ -270,8 +266,6 @@ class IntraDomainNetwork(Network):
         """Per-router forwarding-state entry counts (Fig 6c)."""
         return {name: router.state_entries(include_cache=include_cache)
                 for name, router in self.routers.items()}
-
-    check = check_ring
 
     def cache_stats(self) -> Dict[str, float]:
         hits = sum(r.cache.hits for r in self.routers.values())

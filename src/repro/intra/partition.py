@@ -199,7 +199,7 @@ def disconnect_and_reconnect_pop(net: "IntraDomainNetwork",
         merge_rings(net, pop_routers)
         reconnect_messages = op_up["messages"]
 
-    net.check_ring()
+    net.check()
     return PartitionReport(pop=pop, cut_links=cut, ids_in_pop=ids_in_pop,
                            disconnect_messages=disconnect_messages,
                            reconnect_messages=reconnect_messages)

@@ -29,6 +29,10 @@ class Unsupported(NotImplementedError):
             kind, operation))
 
 
+class RingInconsistency(AssertionError):
+    """Raised by a ROFL kind's :meth:`Network.check` on misconvergence."""
+
+
 def _left_to_kinds(operation: str):
     def method(self, *args, **kwargs):
         raise Unsupported(operation, self.kind)
@@ -198,8 +202,14 @@ class Network:
     state_entries = _left_to_kinds("state_entries")
 
     def check(self) -> None:
-        """Raise ``AssertionError`` on misconverged distributed state; kinds
-        that keep none (flooded or location-dependent tables) pass."""
+        """Raise ``AssertionError`` on misconverged distributed state (the
+        ROFL kinds raise :class:`RingInconsistency`); kinds that keep none
+        (flooded or location-dependent tables) pass."""
+
+    def check_ring(self) -> None:
+        """:meth:`check` under the name ``bench/workloads.py`` calls; it goes
+        when the bench next changes (ROADMAP item 11(g))."""
+        self.check()
 
     def flush_indexes(self) -> None:
         """Settle deferred index maintenance now (no-op without an index).

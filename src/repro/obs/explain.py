@@ -64,10 +64,6 @@ class PacketExplanation:
     end: Optional[TraceRecord] = None
 
     @property
-    def span_id(self) -> int:
-        return self.root.span
-
-    @property
     def delivered(self) -> bool:
         return bool(self.end is not None and self.end.data.get("delivered"))
 

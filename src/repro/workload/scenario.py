@@ -17,8 +17,9 @@ plain JSON types.  The schema is declared once, as dataclass fields
 :data:`repro.workload.processes.PROCESSES` and of the injectors in
 :data:`repro.workload.faults.INJECTORS`.  One codec reads them to parse,
 check and dump, and refuses what they do not declare (DESIGN.md §6).
-:data:`BUILTIN_SCENARIOS` names ready-made examples used by the CLI, the
-test-suite, and the benchmark sweep.
+:data:`BUILTIN_SCENARIOS` is the one definition of each ready-made
+scenario (no file copies one); the CLI, serve's ``workload`` op and the
+test-suite read it by name.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ def intra_net_readonly(small_topo):
     """A joined intradomain network shared by read-only tests."""
     net = IntraDomainNetwork(small_topo, seed=7)
     net.join_random_hosts(120)
-    net.check_ring()
+    net.check()
     return net
 
 
@@ -77,7 +77,7 @@ def inter_net_readonly(as_graph):
     net = InterDomainNetwork(as_graph, n_fingers=8, seed=7,
                              strategy=JoinStrategy.MULTIHOMED)
     net.join_random_hosts(150)
-    net.check_rings()
+    net.check()
     return net
 
 

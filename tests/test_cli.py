@@ -2,8 +2,6 @@
 
 import json
 import os
-import runpy
-import sys
 from pathlib import Path
 
 import pytest
@@ -39,10 +37,10 @@ def test_figures_unknown_prefix(capsys):
     assert "no figure matches" in capsys.readouterr().err
 
 
-def test_figures_and_reproduce_paper_run_the_same_registry(monkeypatch,
-                                                          capsys):
-    """``repro figures`` is the example's blocks — same ids, same
-    parameters, same order — followed by the head-to-head."""
+def test_figures_runs_the_whole_registry_in_order(monkeypatch, capsys):
+    """``repro figures`` runs every registered block — each id once, in
+    registry order, at its ``k = 1`` parameters — with the head-to-head
+    last, and prints each block's golden text."""
     from repro.harness import report as R
     from tests import golden_figures
     calls = []
@@ -54,19 +52,13 @@ def test_figures_and_reproduce_paper_run_the_same_registry(monkeypatch,
                             figure._replace(driver=driver))
 
     assert main(["figures"]) == 0
-    cli_calls, cli_out = list(calls), capsys.readouterr().out
-    del calls[:]
-    monkeypatch.setattr(sys, "argv", ["reproduce_paper.py"])
-    runpy.run_path(str(Path(__file__).resolve().parent.parent / "examples"
-                       / "reproduce_paper.py"), run_name="__main__")
-    example_out = capsys.readouterr().out
+    out = capsys.readouterr().out
 
-    assert [figure_id for figure_id, _ in cli_calls] == list(R.FIGURES)
-    assert cli_calls[-1][0] == "headtohead"
-    assert calls == cli_calls[:-1]
-    for figure_id, text in golden_figures.TEXT.items():
-        assert text in cli_out
-        assert (text in example_out) == (figure_id != "headtohead")
+    assert calls == [(figure_id, figure.params(1))
+                     for figure_id, figure in R.FIGURES.items()]
+    assert calls[-1][0] == "headtohead"
+    for text in golden_figures.TEXT.values():
+        assert text in out
 
 
 def test_requires_subcommand():
@@ -284,12 +276,20 @@ def test_a_network_size_the_builder_refuses_exits_2_with_one_line(
      "--cache-entries"),
     (["serve", "--verify", "--hosts", "5", "--requests", os.devnull],
      "--verify"),
+    (["trace", "--inter", "--routers", "99"], "--routers"),
+    (["trace", "--ases", "3"], "--ases"),
+    (["trace", "--scenario", "steady-churn", "--inter"], "--inter"),
+    (["trace", "--scenario", "steady-churn", "--routers", "99"], "--routers"),
+    (["trace", "--scenario", "steady-churn", "--ases", "30"], "--ases"),
+    (["trace", "--scenario", "steady-churn", "--hosts", "5"], "--hosts"),
 ], ids=["hosts", "negative-packets", "no-packets", "serve-negative-hosts",
         "save-negative-hosts", "serve-inter-routers", "serve-cmu-cache",
         "serve-intra-ases", "save-inter-routers", "save-disco-cache",
         "save-intra-ases", "snapshot-seed", "snapshot-routers",
         "snapshot-ases", "snapshot-hosts", "snapshot-cache",
-        "verify-without-snapshot"])
+        "verify-without-snapshot", "trace-inter-routers", "trace-intra-ases",
+        "trace-scenario-inter", "trace-scenario-routers",
+        "trace-scenario-ases", "trace-scenario-hosts"])
 def test_a_tracing_flag_out_of_range_is_a_usage_error(tmp_path, capsys,
                                                       argv, flag):
     """``trace --hosts 1`` was a ``ValueError`` traceback from the host
@@ -301,7 +301,9 @@ def test_a_tracing_flag_out_of_range_is_a_usage_error(tmp_path, capsys,
     pointer cache), which built the network without it and exited 0, and
     so is a flag ``serve`` would not read: a seed, host count or size
     beside ``--snapshot`` (the network is the file's), or ``--verify``
-    with no snapshot to verify; each was ignored."""
+    with no snapshot to verify; each was ignored.  ``trace`` likewise
+    refuses a size its kind does not read and, beside ``--scenario``
+    (which names its own network), any network flag."""
     with pytest.raises(SystemExit) as exited:
         main([arg.format(tmp=tmp_path) for arg in argv])
     assert exited.value.code == 2

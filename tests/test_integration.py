@@ -13,14 +13,14 @@ class TestBuildNetwork:
     def test_build_intradomain(self):
         net = build_network("intra", seed=1, hosts=40, n_routers=30,
                             cache_entries=1024)
-        net.check_ring()
+        net.check()
         a, b = net.random_host_pair()
         assert net.send(a, b).delivered
 
     def test_build_interdomain(self):
         net = build_network("inter", seed=1, hosts=60, n_ases=40,
                             n_fingers=16)
-        net.check_rings()
+        net.check()
         a, b = net.random_host_pair()
         assert net.send(a, b).delivered
 
@@ -43,7 +43,7 @@ class TestIntradomainChurn:
             else:
                 a, b = net.random_host_pair()
                 assert net.send(a, b).delivered
-            net.check_ring()
+            net.check()
         # Final sweep: everyone reaches everyone.
         for _ in range(40):
             a, b = net.random_host_pair()
@@ -55,10 +55,10 @@ class TestIntradomainChurn:
         for victim in victims:
             if net.lsmap.is_router_up(victim):
                 net.fail_router(victim)
-                net.check_ring()
+                net.check()
         pops = sorted(net.topology.pops)
         net.partition_pop(pops[-1])
-        net.check_ring()
+        net.check()
 
     def test_services_coexist_with_churn(self, intra_net_factory):
         net = intra_net_factory(n_hosts=40, seed=13)
@@ -73,7 +73,7 @@ class TestIntradomainChurn:
             net.fail_host(rng.choice(sorted(
                 h for h, vn in net.hosts.items()
                 if vn.host_name and vn.host_name.startswith("h"))))
-            net.check_ring()
+            net.check()
         assert anycast.send(routers[10]).delivered
         assert len(mcast.multicast("m0").receivers) == 3
 
@@ -89,7 +89,7 @@ class TestInterdomainChurn:
                           if net.as_is_up(s) and len(net.ases[s].hosted) > 0]
             if len(candidates) > 4:
                 net.fail_as(rng.choice(candidates))
-            net.check_rings()
+            net.check()
         for _ in range(40):
             a, b = net.random_host_pair()
             assert net.send(a, b).delivered
@@ -105,12 +105,12 @@ class TestInterdomainChurn:
         for i in range(60):
             net.join_host(net.next_planned_host(),
                           strategy=strategies[i % len(strategies)])
-        net.check_rings()
+        net.check()
         assert net.lookup_mismatches <= net.n_hosts
         stub = next(asn for asn in sorted(net.asg.stubs(), key=str)
                     if net.ases[asn].hosted)
         net.fail_as(stub)
-        net.check_rings()
+        net.check()
         names = sorted(net.hosts)
         rng = random.Random(15)
         for _ in range(60):

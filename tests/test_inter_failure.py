@@ -24,7 +24,7 @@ def populated_stub(net):
 def test_rings_heal_after_stub_failure(net):
     stub = populated_stub(net)
     net.fail_as(stub)
-    net.check_rings()
+    net.check()
 
 
 def test_dead_ids_removed_everywhere(net):
@@ -74,7 +74,7 @@ def test_sequential_failures_keep_converging(net):
     rng.shuffle(stubs)
     for stub in stubs[:4]:
         net.fail_as(stub)
-        net.check_rings()
+        net.check()
 
 
 def test_restore_allows_rejoining(net):
@@ -86,7 +86,7 @@ def test_restore_allows_rejoining(net):
         host = net.next_planned_host()
     receipt = net.join_host(host)
     assert receipt.home_as == stub
-    net.check_rings()
+    net.check()
     a = host.name
     b = next(n for n in net.hosts if n != a)
     assert net.send(b, a).delivered
@@ -103,7 +103,7 @@ def test_repaired_and_finger_routes_enter_a_single_homed_id_by_its_provider():
     net.join_random_hosts(80)
     for stub in [s for s in net.asg.stubs() if net.ases[s].hosted][:3]:
         net.fail_as(stub)
-    net.check_rings()
+    net.check()
 
     def wrong_entries(table):
         wrong = []

@@ -17,7 +17,7 @@ class TestJoinBasics:
         for strategy in JoinStrategy:
             net = inter_net_factory(n_hosts=0, strategy=strategy, n_fingers=4)
             net.join_random_hosts(80)
-            net.check_rings()
+            net.check()
             assert net.lookup_mismatches == 0
 
     def test_distributed_lookups_agree_with_oracle(self, inter_net_readonly):
@@ -117,7 +117,7 @@ class TestBootstrapRegistry:
         net = inter_net_factory(n_hosts=0)
         receipt = net.join_host(net.next_planned_host())
         assert receipt.messages >= 0
-        net.check_rings()
+        net.check()
 
     def test_second_host_reaches_first(self, inter_net_factory):
         net = inter_net_factory(n_hosts=0)
@@ -125,7 +125,7 @@ class TestBootstrapRegistry:
         h2 = net.next_planned_host()
         net.join_host(h1)
         net.join_host(h2)
-        net.check_rings()
+        net.check()
         assert net.send(h1.name, h2.name).delivered
         assert net.send(h2.name, h1.name).delivered
 

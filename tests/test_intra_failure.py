@@ -17,7 +17,7 @@ class TestHostFailure:
         for _ in range(25):
             victim = rng.choice(sorted(net.hosts))
             net.fail_host(victim)
-            net.check_ring()
+            net.check()
 
     def test_failed_host_unreachable(self, intra_net_factory):
         net = intra_net_factory(n_hosts=30)
@@ -70,7 +70,7 @@ class TestHostFailure:
         assert vn.id in parent.ephemeral_children
         net.fail_host(eph)
         assert vn.id not in parent.ephemeral_children
-        net.check_ring()
+        net.check()
 
 
 class TestRouterFailure:
@@ -80,7 +80,7 @@ class TestRouterFailure:
         resident = [name for name, vn in net.hosts.items()
                     if vn.router == victim]
         net.fail_router(victim)
-        net.check_ring()
+        net.check()
         # Every resident host rejoined elsewhere.
         for name in resident:
             assert name in net.hosts
@@ -142,7 +142,7 @@ class TestLinkFailure:
 
     def test_a_cut_that_splits_the_isp_heals_and_its_restore_merges(self):
         """``r17``–``r33`` is the one bridge of this ISP (32 and 8 routers
-        either side).  The cut once left both rings broken (``check_ring``
+        either side).  The cut once left both rings broken (``check``
         raised, and about a third of same-side sends failed), and the
         restore never merged them: the ring stayed broken on a connected
         map."""
@@ -162,11 +162,11 @@ class TestLinkFailure:
 
         net.fail_link("r17", "r33")
         assert sorted(map(len, net.lsmap.components())) == [8, 32]
-        net.check_ring()
+        net.check()
         assert sends_on_one_side(400) == 400
         net.restore_link("r17", "r33")
         assert len(net.lsmap.components()) == 1
-        net.check_ring()
+        net.check()
         assert sends_on_one_side(400) == 400
 
 

@@ -216,7 +216,7 @@ class TestStaleZeroHopPointers:
                 getattr(net, departure)(rng.choice(net.hosts.names))
             else:
                 assert net.send(*rng.sample(net.hosts.names, 2)).delivered
-        net.check_ring()
+        net.check()
 
     def test_a_moved_host_is_rerouted_not_adopted(self):
         net = IntraDomainNetwork(synthetic_isp(n_routers=14, seed=5),
@@ -244,7 +244,7 @@ class TestStaleZeroHopPointers:
         assert nacks == [{"router": holder.router, "action": "reroute",
                           "target": mover.id.to_hex()}]
         assert holder.successors[1].path[-1] == elsewhere
-        net.check_ring()
+        net.check()
 
     def test_a_moved_host_its_owner_cannot_reach_is_torn_down(self):
         """A cached route to a moved ID ends at its old home, and the new
@@ -275,7 +275,7 @@ class TestStaleZeroHopPointers:
                             "target": mover.id.to_hex()}
         assert {nack["action"] for nack in nacks} == {"teardown"}
         assert mover.id not in owner.cache
-        net.check_ring()
+        net.check()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.topology.hosts import PlannedHost
 class TestBootstrap:
     def test_router_ring_is_consistent_before_any_host(self, intra_net_factory):
         net = intra_net_factory(n_hosts=0)
-        net.check_ring()
+        net.check()
         assert len(net.vn_index) == len(net.routers)
 
     def test_bootstrap_cost_charged_separately(self, intra_net_factory):
@@ -26,7 +26,7 @@ class TestJoin:
         net = intra_net_factory(n_hosts=0)
         for _ in range(40):
             net.join_host(net.next_planned_host())
-            net.check_ring()
+            net.check()
 
     def test_join_receipt_fields(self, intra_net_factory):
         net = intra_net_factory(n_hosts=0)
@@ -132,7 +132,7 @@ class TestJoinIndexMarks:
             net.flush_indexes()
         assert not any(vn.ephemeral for vn in net.vn_index.values())
         assert perf.value("router.index.marks") - marks0 == 2 * 300
-        net.check_ring()
+        net.check()
 
 
 class TestEphemeral:
@@ -141,7 +141,7 @@ class TestEphemeral:
         receipts = net.join_random_hosts(10)
         assert all(r.ephemeral for r in receipts)
         assert all(vn.is_default for vn in net.ring_members())
-        net.check_ring()
+        net.check()
 
     def test_ephemeral_join_is_cheaper(self, intra_net_factory):
         stable_net = intra_net_factory(n_hosts=100, seed=3)
@@ -203,7 +203,7 @@ class TestJoinWithId:
         receipt = ring.join_with_id(net, target, net.topology.routers[0],
                                     "raw-id")
         assert receipt.flat_id == target
-        net.check_ring()
+        net.check()
         result = net.send_to_id(net.topology.routers[5], target)
         assert result.delivered
 

@@ -11,7 +11,7 @@ class TestGracefulLeave:
         rng = random.Random(0)
         for _ in range(20):
             net.leave_host(rng.choice(sorted(net.hosts)))
-            net.check_ring()
+            net.check()
 
     def test_leave_cheaper_than_failure(self, intra_net_factory):
         net_a = intra_net_factory(n_hosts=120, seed=21)
@@ -30,7 +30,7 @@ class TestGracefulLeave:
         net.leave_host(victim)
         result = net.send_to_id(net.topology.routers[0], dead_id)
         assert not result.delivered
-        net.check_ring()
+        net.check()
 
     def test_leave_unknown_host(self, intra_net_factory):
         net = intra_net_factory(n_hosts=5)
@@ -42,7 +42,7 @@ class TestGracefulLeave:
         eph = next(n for n, vn in net.hosts.items() if vn.ephemeral)
         cost = net.leave_host(eph)
         assert cost >= 0
-        net.check_ring()
+        net.check()
 
 
 class TestMove:
@@ -57,7 +57,7 @@ class TestMove:
         assert receipt.flat_id == old_id
         assert net.hosts[mover].id == old_id
         assert net.hosts[mover].router == target
-        net.check_ring()
+        net.check()
 
     def test_correspondent_still_reaches_mover(self, intra_net_factory):
         net = intra_net_factory(n_hosts=60, seed=24)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.intra.partition import pop_boundary_links
+from repro.network import RingInconsistency
 from repro.workload.driver import run_scenario
 from repro.workload.scenario import Scenario
 
@@ -40,7 +41,7 @@ class TestPartitionCycle:
         net = intra_net_factory(n_hosts=80, seed=4)
         for pop in sorted(net.topology.pops):
             net.partition_pop(pop)
-            net.check_ring()
+            net.check()
 
     def test_delivery_restored_after_cycle(self, intra_net_factory):
         net = intra_net_factory(n_hosts=60, seed=5)
@@ -57,12 +58,12 @@ class TestPartitionCycle:
             net.lsmap.fail_link(a, b)
         P.heal_components(net)
         # Each component's members form a consistent ring.
-        net.check_ring()
+        net.check()
         assert len(net.lsmap.components()) >= 2
         for a, b in cut:
             net.lsmap.restore_link(a, b)
         P.merge_rings(net, set(net.topology.routers_in_pop(0)))
-        net.check_ring()
+        net.check()
 
     def test_healing_asks_the_component_not_a_path_search(
             self, intra_net_factory, monkeypatch):
@@ -88,7 +89,7 @@ class TestPartitionCycle:
             for ptr in list(vn.successors) + list(
                     vn.ephemeral_children.values()):
                 assert net.lsmap.reachable(vn.router, ptr.hosting_router)
-        net.check_ring()
+        net.check()
 
     def test_repair_cost_tracks_pop_population(self, intra_net_factory):
         """Fig 7's shape: overhead grows with the IDs in the PoP and is
@@ -108,7 +109,7 @@ class TestPartitionCycle:
         net = intra_net_factory(n_hosts=50, seed=8)
         for _ in range(3):
             net.partition_pop(2)
-            net.check_ring()
+            net.check()
 
     def test_churn_between_cycles(self, intra_net_factory):
         net = intra_net_factory(n_hosts=50, seed=9)
@@ -117,7 +118,7 @@ class TestPartitionCycle:
             net.partition_pop(pop)
             net.join_random_hosts(10)
             net.fail_host(rng.choice(sorted(net.hosts)))
-            net.check_ring()
+            net.check()
 
 
 @pytest.mark.parametrize("seed", [3, 14])
@@ -126,7 +127,7 @@ def test_a_cycle_on_an_isp_a_crash_already_split_converges(seed):
     t = 5 leaves routers cut off (components of 7, 8 and 23 routers at
     seed 3; 3 and 35 at seed 14), and the PoP cycle at t = 10 once merged
     against one zero ID and reconciled one global ring, so its closing
-    ``check_ring`` raised ``RingInconsistency``.  Per component, the run
+    ``check`` raised ``RingInconsistency``.  Per component, the run
     ends clean."""
     spec = json.loads(CRASH_THEN_PARTITION.read_text())
     result = run_scenario(Scenario.from_dict(dict(spec, seed=seed)),
@@ -134,3 +135,24 @@ def test_a_cycle_on_an_isp_a_crash_already_split_converges(seed):
     assert result.violations == []
     assert [fault["kind"] for fault in result.fault_log] \
         == ["router_crash", "pop_partition"]
+
+
+def test_both_rofl_kinds_raise_the_one_ring_inconsistency(
+        intra_net_factory, inter_net_factory):
+    """``check()`` is each kind's one consistency check, and a broken
+    ring raises ``repro.network.RingInconsistency`` (an ``AssertionError``)
+    from either, each with its own message."""
+    intra = intra_net_factory(n_hosts=30)
+    intra.check()
+    vn = min(intra.ring_members(), key=lambda vn: vn.id)
+    vn.successors = []
+    with pytest.raises(RingInconsistency, match="has no successor"):
+        intra.check()
+
+    inter = inter_net_factory(n_hosts=30)
+    inter.check()
+    ring = inter.rings[next(iter(inter.rings))]
+    ring.payloads()[ring.key_values()[0]].succ_by_level.clear()
+    with pytest.raises(RingInconsistency, match="effective successor None"):
+        inter.check()
+    assert issubclass(RingInconsistency, AssertionError)

@@ -38,7 +38,10 @@ def test_a_failing_seed_exits_1_with_its_last_operations(monkeypatch, capsys):
         if len(checks) == 4:
             raise AssertionError("ring broke")
 
-    monkeypatch.setattr(ring_sweep.IntraDomainNetwork, "check", broken)
+    # The sweep's row check, not ``IntraDomainNetwork.check``: a PoP cycle
+    # calls that itself, inside the operation.
+    monkeypatch.setitem(ring_sweep.KINDS, "intra",
+                        ring_sweep.KINDS["intra"]._replace(check=broken))
     assert ring_sweep.main(["--seeds", "0-1"]) == 1
     out = capsys.readouterr().out
     assert out.startswith("intra seed 0 failed after:")

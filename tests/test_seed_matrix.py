@@ -16,7 +16,7 @@ def test_intra_invariants_across_seeds(seed, n_routers):
     topo = synthetic_isp(n_routers=n_routers, seed=seed)
     net = IntraDomainNetwork(topo, seed=seed)
     net.join_random_hosts(60)
-    net.check_ring()
+    net.check()
     for _ in range(20):
         a, b = net.random_host_pair()
         result = net.send(a, b)
@@ -27,9 +27,9 @@ def test_intra_invariants_across_seeds(seed, n_routers):
             assert result.stretch == 0.0
     # One failure + one partition cycle per configuration.
     net.fail_host(sorted(net.hosts)[0])
-    net.check_ring()
+    net.check()
     net.partition_pop(sorted(topo.pops)[0])
-    net.check_ring()
+    net.check()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -39,7 +39,7 @@ def test_inter_invariants_across_seeds(seed, strategy):
     asg = synthetic_as_graph(n_ases=50, seed=seed)
     net = InterDomainNetwork(asg, n_fingers=6, seed=seed, strategy=strategy)
     net.join_random_hosts(80)
-    net.check_rings()
+    net.check()
     assert net.lookup_mismatches == 0
     for _ in range(25):
         a, b = net.random_host_pair()
@@ -54,10 +54,10 @@ def test_intra_group_size_configs(group_size):
     topo = synthetic_isp(n_routers=30, seed=6)
     net = IntraDomainNetwork(topo, seed=6, successor_group_size=group_size)
     net.join_random_hosts(40)
-    net.check_ring()
+    net.check()
     for name in sorted(net.hosts)[:8]:
         net.fail_host(name)
-        net.check_ring()
+        net.check()
 
 
 @pytest.mark.parametrize("cache_entries", [0, 7, 100_000])

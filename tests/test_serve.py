@@ -134,7 +134,7 @@ class TestMutatingOps:
         assert joined["joined"] == 5 and joined["total_hosts"] == 15
         left = ok(server, op="leave", host=joined["hosts"][0])
         assert left["total_hosts"] == 14 and left["messages"] >= 0
-        server.net.check_ring()
+        server.net.check()
 
     def test_leave_needs_intra(self):
         server = ReproServer(build_network(kind="inter", seed=2, n_ases=20,

@@ -114,7 +114,7 @@ class TestRegionalRings:
         asg = build_regional_hierarchy({"EU": 50, "US": 50, "APAC": 50})
         net = InterDomainNetwork(asg, n_fingers=4, seed=9)
         net.join_random_hosts(60)
-        net.check_rings()
+        net.check()
         same_region_pairs = 0
         for _ in range(200):
             a, b = net.random_host_pair()

@@ -374,7 +374,7 @@ class TestRoundTrip:
         path = str(tmp_path / "intra.snap")
         snapshot.save(net, path)
         loaded = snapshot.load(path)
-        loaded.check_ring()
+        loaded.check()
         assert snapshot.validate_network(loaded) == []
 
     def test_failure_injection_state_survives(self, tmp_path):

@@ -293,7 +293,7 @@ def test_an_injector_declares_its_parameters_beside_its_needs():
 
 
 def _scenario_mappings():
-    """Builtins and example files, keyed as the golden keys them."""
+    """Builtins and the example file, keyed as the golden keys them."""
     found = {"builtin:" + name: builtin_scenario(name).to_dict()
              for name in BUILTIN_SCENARIOS}
     for path in sorted((ROOT / "examples" / "scenarios").glob("*.json")):
@@ -304,7 +304,7 @@ def _scenario_mappings():
 def test_round_trip_is_what_the_hand_written_codecs_returned():
     """``from_dict(d).to_dict()`` against the parent commit's capture
     (``tests/golden_scenario_dicts.json``; its ``captured`` line says
-    how): builtins, example files and ``bench/``'s churn scenarios."""
+    how): builtins, the example file and ``bench/``'s churn scenarios."""
     from bench import inputs
     golden = json.loads((ROOT / "tests" / "golden_scenario_dicts.json")
                         .read_text())["to_dict"]
@@ -314,7 +314,7 @@ def test_round_trip_is_what_the_hand_written_codecs_returned():
         for seed in range(4):
             mappings["bench:{}:{}".format(kind, seed)] = \
                 inputs.churn_scenario(kind, seed, 1.0, victims=victims)
-    assert sorted(mappings) == sorted(golden) and len(golden) == 15
+    assert sorted(mappings) == sorted(golden) and len(golden) == 12
     for key, mapping in mappings.items():
         assert Scenario.from_dict(mapping).to_dict() == golden[key], key
     for name in BUILTIN_SCENARIOS:
