@@ -10,9 +10,13 @@ Format — self-describing, one file::
 
 The header is plain UTF-8 JSON terminated by a newline, so ``head -1``
 (or :func:`describe`) can inspect a snapshot without touching the
-payload.  The ``state_hash`` recorded at save time is the canonical
-digest from :mod:`repro.snapshot.codec`; ``load(verify=True)`` recomputes
-it over the revived graph and refuses to return silently-corrupt state.
+payload.  The payload is streamed both ways: ``save`` deflates each
+pickle frame into the file as the pickler writes it, and ``load``
+inflates the file into the unpickler as it reads, so neither holds the
+whole pickle or the whole compressed payload.  The ``state_hash``
+recorded at save time is the canonical digest from
+:mod:`repro.snapshot.codec`; ``load(verify=True)`` recomputes it over
+the revived graph and refuses to return silently-corrupt state.
 
 What a snapshot covers (and what it deliberately does not):
 
@@ -40,7 +44,7 @@ import json
 import os
 import pickle
 import zlib
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, BinaryIO, Dict, Iterator, Optional
 
 from repro.snapshot.codec import gc_paused, state_hash_of
 from repro.util import perf
@@ -54,12 +58,13 @@ MAGIC = "repro-snapshot"
 _HEADER_FIELDS = {"kind": str, "state_hash": str, "counts": dict,
                   "meta": dict}
 
-#: zlib level 6 writes a 5k-host pickle at ~0.37 of its size (4.8 -> 1.75
-#: MiB on the ``inter_5k`` benchmark shape, 4.9 -> 1.86 on ``intra_5k``),
-#: in 0.23 / 0.15 s of a ~0.7 / ~0.6 s save.  Level 1 takes 0.14 / 0.09 s
-#: off that for files 8 % / 15 % larger; level 9 takes ~4x the time for
-#: files 1-2 % smaller (schema 9, one core of a 2-core x86 VM).
-_ZLIB_LEVEL = 6
+#: zlib level 1 writes a 5k-host pickle at ~0.4 of its size (4.82 -> 1.89
+#: MiB on the ``inter_5k`` benchmark shape, 4.89 -> 2.14 on ``intra_5k``)
+#: in 0.058 / 0.065 s.  Level 6 takes 0.157 / 0.143 s, 0.10 / 0.08 s more
+#: of a ~0.7 / ~0.6 s save, for files 8 % / 15 % smaller (1.75 / 1.86
+#: MiB); level 9 takes 0.79 / 0.56 s for 1-2 % less again (schema 9, one
+#: core of a 2-core x86 VM).  ``load`` reads a payload of any level.
+_ZLIB_LEVEL = 1
 
 #: Compressed bytes a load reads at a time.
 _READ_CHUNK = 1 << 16
@@ -102,7 +107,8 @@ def save(net: Any, path: str, meta: Optional[Dict[str, Any]] = None) -> str:
     Pending candidate-index maintenance is left pending: the indexes are
     derived state that ``__getstate__`` drops, so neither the hash nor the
     pickle sees whether it has run.  Hash, pickle and compression share
-    one pause of the cyclic GC.
+    one pause of the cyclic GC, and the payload is deflated into the
+    file as it is pickled.
     """
     with gc_paused():
         digest = state_hash(net)
@@ -115,33 +121,57 @@ def save(net: Any, path: str, meta: Optional[Dict[str, Any]] = None) -> str:
                        if isinstance(value, int)},
             "meta": dict(meta or {}),
         }
-        with perf.timed("snapshot.save"):
-            blob = pickle.dumps(net, protocol=pickle.HIGHEST_PROTOCOL)
-            payload = zlib.compress(blob, _ZLIB_LEVEL)
-            _replace_file(path, (json.dumps(header, sort_keys=True).encode("utf-8"),
-                                 b"\n", payload))
+        with perf.timed("snapshot.save"), _replace_file(path) as fh:
+            line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+            fh.write(line)
+            payload = _Deflater(fh)
+            pickle.Pickler(payload, protocol=pickle.HIGHEST_PROTOCOL).dump(net)
+            payload.finish()
+            size = fh.tell() - len(line)
     perf.counter("snapshot.saved")
-    perf.observe("snapshot.bytes", len(payload))
+    perf.observe("snapshot.bytes", size)
     return digest
 
 
-def _replace_file(path: str, parts: Iterable[bytes]) -> None:
-    """Write ``parts`` to ``path`` all or nothing.
+@contextlib.contextmanager
+def _replace_file(path: str) -> Iterator[BinaryIO]:
+    """A file to write ``path``'s new bytes to, all or nothing.
 
-    The bytes go to a temp file beside ``path`` that then takes its name,
-    so a write that fails midway leaves the previous snapshot in place
-    rather than a truncated one.
+    The bytes go to a temp file beside ``path`` that takes its name when
+    the block ends, so a write or a pickle that fails midway leaves the
+    previous snapshot in place rather than a truncated one.
     """
     tmp = "{}.{}.tmp".format(os.fspath(path), os.getpid())
     try:
         with open(tmp, "wb") as fh:
-            for part in parts:
-                fh.write(part)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+class _Deflater:
+    """The mirror of :class:`_Inflater`: the pickle after a snapshot
+    header, deflated into the file frame by frame as :class:`pickle.Pickler`
+    writes it (``write`` is the file protocol it asks for), so neither the
+    whole pickle nor the whole compressed payload is ever in memory.
+
+    One ``compressobj`` spans every frame, so the payload is one zlib
+    stream that inflates to exactly ``pickle.dumps(net)``.
+    """
+
+    def __init__(self, fh: BinaryIO):
+        self._fh = fh
+        self._zlib = zlib.compressobj(_ZLIB_LEVEL)
+
+    def write(self, data: bytes) -> None:
+        self._fh.write(self._zlib.compress(data))
+
+    def finish(self) -> None:
+        """End the stream: its buffered tail and checksum."""
+        self._fh.write(self._zlib.flush())
 
 
 def _read_header(fh: io.BufferedReader, path: str) -> Dict[str, Any]:

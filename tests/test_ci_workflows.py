@@ -457,3 +457,13 @@ def test_codec_step_runs_the_stream_equality_property_at_the_fuzz_profile():
         assert expected in step
     from hypothesis import settings
     assert settings.get_profile("fuzz").max_examples == 10 ** 4
+
+
+def test_snapshot_step_runs_the_damaged_file_property_at_the_fuzz_profile():
+    """Tier-1 draws 100 damaged snapshot files; bench-smoke draws the
+    ``fuzz`` profile's 10⁴."""
+    step = _bench_smoke_step("tests/test_snapshot.py")
+    for expected in ("-k test_fuzz_a_damaged_file", "--hypothesis-profile fuzz"):
+        assert expected in step
+    from hypothesis import settings
+    assert settings.get_profile("fuzz").max_examples == 10 ** 4

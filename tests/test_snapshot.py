@@ -16,10 +16,13 @@ canonical stream regenerates it in that PR and says so in the file's
 hash).
 """
 
+import functools
 import gc
 import json
 import pickle
 import random
+import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
@@ -560,6 +563,106 @@ class TestFormat:
         assert snapshot.save(net, path) != digest
         assert [p.name for p in tmp_path.iterdir()] == ["net.snap"]
         snapshot.load(path, verify=True)
+
+    def test_a_save_the_pickler_refuses_keeps_the_previous_snapshot(
+            self, tmp_path, monkeypatch, collector):
+        """The hash walk encodes a lambda (as ``L…``) and the pickler
+        refuses it, so this save fails once its header is in the temp
+        file: the previous snapshot stays byte for byte, the temp file
+        goes, and the collector is as the save found it."""
+        from repro.snapshot import store
+
+        net = build_intra(hosts=5)
+        path = tmp_path / "net.snap"
+        snapshot.save(net, str(path))
+        previous = path.read_bytes()
+        net.join_random_hosts(3)
+        net.hook = lambda: None
+        removed, unlink = {}, store.os.unlink
+
+        def unlink_and_keep(tmp):
+            removed[tmp] = Path(tmp).read_bytes()
+            unlink(tmp)
+
+        monkeypatch.setattr(store.os, "unlink", unlink_and_keep)
+        before = _gc_state()
+        with pytest.raises((AttributeError, pickle.PicklingError),
+                           match="lambda"):
+            snapshot.save(net, str(path))
+        assert _gc_state() == before
+        monkeypatch.undo()
+        [(tmp, written)] = removed.items()
+        assert Path(tmp).parent == tmp_path
+        header = json.loads(written.split(b"\n", 1)[0])
+        assert header["counts"]["hosts"] == 8
+        assert [p.name for p in tmp_path.iterdir()] == ["net.snap"]
+        assert path.read_bytes() == previous
+
+    @pytest.mark.parametrize("build", [build_intra, build_inter],
+                             ids=["intra", "inter"])
+    def test_the_payload_is_the_whole_pickle_in_one_zlib_stream(
+            self, tmp_path, build):
+        """``save`` deflates the pickle as the pickler writes it, and the
+        payload inflates to exactly ``pickle.dumps(net)``.  A payload
+        deflated whole at level 6 under the same header (as files written
+        before saves streamed at level 1 are) loads, verifies and hashes
+        as saved: the level is the writer's choice, not the format's."""
+        net = build()
+        path = tmp_path / "net.snap"
+        digest = snapshot.save(net, str(path))
+        with open(path, "rb") as fh:
+            line, payload = fh.readline(), fh.read()
+        blob = pickle.dumps(net, pickle.HIGHEST_PROTOCOL)
+        assert zlib.decompress(payload) == blob
+        path.write_bytes(line + zlib.compress(blob, 6))
+        loaded = snapshot.load(str(path), verify=True)
+        assert snapshot.state_hash(loaded) == digest
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_file(kind):
+    """The bytes and state hash of a saved 5-host network of ``kind``."""
+    build = {"intra": build_intra, "inter": build_inter}[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.snap"
+        digest = snapshot.save(build(hosts=5), str(path))
+        return path.read_bytes(), digest
+
+
+@pytest.fixture(scope="module")
+def damaged_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "damaged.snap"
+
+
+@given(kind=st.sampled_from(["intra", "inter"]),
+       damage=st.sampled_from(["flip", "cut", "append"]), data=st.data())
+@settings(deadline=None)     # the example count is the profile's
+def test_fuzz_a_damaged_file_is_refused_or_loads_as_saved(
+        damaged_path, kind, damage, data):
+    """One bit flipped at any offset, a cut at any offset, or bytes
+    appended: ``load`` and ``load(verify=True)`` each raise
+    ``SnapshotError`` or return a network that hashes as the saved one
+    (a flip in a header value ``load`` does not check, such as a count,
+    or a payload flip that still inflates to the same bytes), and raise
+    nothing else.  CI's bench-smoke job draws the ``fuzz``
+    profile's 10⁴ cases."""
+    saved, digest = _saved_file(kind)
+    if damage == "flip":
+        at = data.draw(st.integers(0, len(saved) - 1), label="at")
+        bit = data.draw(st.integers(0, 7), label="bit")
+        damaged = saved[:at] + bytes([saved[at] ^ 1 << bit]) + saved[at + 1:]
+    elif damage == "cut":
+        damaged = saved[:data.draw(st.integers(0, len(saved) - 1),
+                                   label="at")]
+    else:
+        damaged = saved + data.draw(st.binary(min_size=1), label="tail")
+    damaged_path.write_bytes(damaged)
+    for verify in (False, True):
+        try:
+            net = snapshot.load(str(damaged_path), verify=verify)
+        except snapshot.SnapshotError:
+            continue
+        assert snapshot.state_hash(net) == digest
 
 
 # ---------------------------------------------------------------------------
